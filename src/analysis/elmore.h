@@ -81,6 +81,13 @@ class ElmoreCache {
     return *e.elmore;
   }
 
+  /// Sizes the cache for slots [0, n) so that get() on distinct slots
+  /// never reallocates — concurrent get() calls are then safe as long as
+  /// no two of them share a slot.
+  void reserve_slots(std::size_t n) {
+    if (entries_.size() < n) entries_.resize(n);
+  }
+
   void clear() { entries_.clear(); }
 
  private:

@@ -5,7 +5,11 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "util/parallel.h"
+#include "util/timer.h"
 
 namespace contango {
 
@@ -83,21 +87,22 @@ DriverView stage_driver_view(const Stage& stage, const Technology& tech,
       effective_intrinsic(stage.driver_intrinsic_nom, tech, vdd)};
 }
 
-/// Fans one stage's tap timings out: sink taps land in `corner` (source
-/// transition `t`), buffer taps pair with the stage's downstream entries
-/// in order and hand the child its input event through
+/// Fans one stage's tap timings out: sink taps land in `sinks` (one
+/// corner's timings for one source transition), every tap's slew is
+/// max-folded into `max_slew`, and buffer taps pair with the stage's
+/// downstream entries in order and hand the child its input event through
 /// `schedule(child, event)`.  `taps` points at stage.taps.size() entries —
 /// a row of a batched result or a scalar vector's data().
 template <typename ScheduleFn>
 void fan_out_taps(const Stage& stage, const StageEvent& ev, Transition out_dir,
-                  const TapTiming* taps, CornerTiming& corner,
-                  int t, ScheduleFn&& schedule) {
+                  const TapTiming* taps, std::vector<SinkTiming>& sinks,
+                  Ps& max_slew, ScheduleFn&& schedule) {
   std::size_t next_stage = 0;
   for (std::size_t k = 0; k < stage.taps.size(); ++k) {
     const Tap& tap = stage.taps[k];
-    corner.max_slew = std::max(corner.max_slew, taps[k].slew);
+    max_slew = std::max(max_slew, taps[k].slew);
     if (tap.is_sink) {
-      SinkTiming& st = corner.sinks[t][static_cast<std::size_t>(tap.sink_index)];
+      SinkTiming& st = sinks[static_cast<std::size_t>(tap.sink_index)];
       st.latency = ev.time + taps[k].delay;
       st.slew = taps[k].slew;
       st.reached = true;
@@ -268,7 +273,8 @@ EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& bench,
         const std::vector<TapTiming> taps =
             sim.simulate_stage(stage, drv.r_drv, drv.intrinsic, ev.slew);
 
-        fan_out_taps(stage, ev, out_dir, taps.data(), corner, t,
+        fan_out_taps(stage, ev, out_dir, taps.data(),
+                     corner.sinks[static_cast<std::size_t>(t)], corner.max_slew,
                      [&](int child, const StageEvent& e) {
                        events[static_cast<std::size_t>(child)] = e;
                        scheduled[static_cast<std::size_t>(child)] = 1;
@@ -357,10 +363,12 @@ EvalResult evaluate_netlist_batch(const StagedNetlist& net, const NetlistSoa& so
                              combos, taps.data(), *scratch);
 
     for (std::size_t ci = 0; ci < nc; ++ci) {
+      CornerTiming& corner = result.corners[ci];
       for (int t = 0; t < kNumTransitions; ++t) {
         const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
         fan_out_taps(stage, events[c * ns + si], out_dirs[c],
-                     taps.data() + c * nt, result.corners[ci], t,
+                     taps.data() + c * nt,
+                     corner.sinks[static_cast<std::size_t>(t)], corner.max_slew,
                      [&](int child, const StageEvent& e) {
                        events[c * ns + static_cast<std::size_t>(child)] = e;
                        scheduled[c * ns + static_cast<std::size_t>(child)] = 1;
@@ -423,11 +431,25 @@ EvalResult IncrementalEvaluator::evaluate() {
   const Ps source_input_slew = eval_.options_.source_input_slew;
   const bool batch = eval_.options_.batch;
   const std::vector<int>& topo = net_.topo_slots();
+  const std::vector<std::size_t>& levels = net_.topo_levels();
   const std::size_t nc = bench.tech.corners.size();
   const std::size_t combos = nc * kNumTransitions;
   const std::size_t slot_count = net_.slot_count();
 
+  // Everything the sweep indexes by slot is sized up front, so workers on
+  // distinct slots never reallocate shared containers.
   if (timings_.size() < slot_count) timings_.resize(slot_count);
+  elmore_.reserve_slots(slot_count);
+  slot_max_slew_.assign(topo.size() * nc, 0.0);
+  const int max_workers = eval_.options_.threads > 0 ? eval_.options_.threads
+                                                     : hardware_threads();
+  if (workers_.size() < static_cast<std::size_t>(max_workers)) {
+    workers_.resize(static_cast<std::size_t>(max_workers));
+  }
+  for (Worker& w : workers_) {
+    w.sims = w.reuses = w.batched = w.scalar = 0;
+    w.helper_cpu = 0.0;
+  }
 
   EvalResult result;
   result.corners.resize(nc);
@@ -462,7 +484,12 @@ EvalResult IncrementalEvaluator::evaluate() {
     }
   }
 
-  for (const int slot : topo) {
+  // Simulates (or replays) the slot at topo position `pos` and fans its
+  // taps out.  Writes only slot-owned state (cache entries, Elmore entry,
+  // slot_max_slew_ row), the events/flags of its children and its own
+  // sinks, plus `w` — so slots of one level may run on any workers.
+  const auto run_slot = [&](std::size_t pos, Worker& w) {
+    const int slot = topo[pos];
     const Stage& stage = net_.stage(slot);
     const std::uint64_t version = net_.version(slot);
     const auto s = static_cast<std::size_t>(slot);
@@ -470,8 +497,8 @@ EvalResult IncrementalEvaluator::evaluate() {
     std::vector<CachedTiming>& per_slot = timings_[s];
     if (per_slot.size() != combos) per_slot.assign(combos, CachedTiming{});
 
-    miss_combos_.clear();
-    miss_drives_.clear();
+    w.miss_combos.clear();
+    w.miss_drives.clear();
 
     for (std::size_t ci = 0; ci < nc; ++ci) {
       const Volt vdd = bench.tech.corners[ci];
@@ -497,20 +524,20 @@ EvalResult IncrementalEvaluator::evaluate() {
           const Transition out_dir = stage_output_dir(stage, ev.dir);
           const DriverView drv = stage_driver_view(stage, bench.tech, vdd, out_dir);
           if (batch) {
-            miss_combos_.push_back(static_cast<int>(c));
-            miss_drives_.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
+            w.miss_combos.push_back(static_cast<int>(c));
+            w.miss_drives.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
           } else {
             entry.taps = sim.simulate_stage(stage, drv.r_drv, drv.intrinsic,
                                             ev.slew,
                                             &elmore_.get(slot, version, stage));
-            eval_.scalar_stage_evals_.fetch_add(1, std::memory_order_relaxed);
+            ++w.scalar;
           }
           entry.version = version;
           entry.in_dir = ev.dir;
           entry.in_slew = ev.slew;
-          ++stage_sims_;
+          ++w.sims;
         } else {
-          ++stage_reuses_;
+          ++w.reuses;
         }
       }
     }
@@ -518,31 +545,30 @@ EvalResult IncrementalEvaluator::evaluate() {
     // Sweep all of this slot's cache misses through the batch kernel in
     // combo order, borrowing the cached Elmore sweep — the same inputs the
     // scalar path hands simulate_stage(), through the same integrator core.
-    if (batch && !miss_combos_.empty()) {
+    if (batch && !w.miss_combos.empty()) {
       const ElmoreStage& elm = elmore_.get(slot, version, stage);
       const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
       const std::size_t nt = stage.taps.size();
-      if (miss_combos_.size() == 1) {
+      if (w.miss_combos.size() == 1) {
         // Single miss (the warm-cache common case): the kernel writes the
         // cache entry in place — no staging row, no copy.
-        CachedTiming& entry = per_slot[static_cast<std::size_t>(miss_combos_[0])];
+        CachedTiming& entry = per_slot[static_cast<std::size_t>(w.miss_combos[0])];
         entry.taps.resize(nt);
-        sim.simulate_stage_batch(net_.soa().view(slot), miss_drives_.data(), 1,
-                                 entry.taps.data(), scratch_, &borrowed);
+        sim.simulate_stage_batch(net_.soa().view(slot), w.miss_drives.data(), 1,
+                                 entry.taps.data(), w.scratch, &borrowed);
       } else {
-        miss_taps_.resize(miss_combos_.size() * nt);
-        sim.simulate_stage_batch(net_.soa().view(slot), miss_drives_.data(),
-                                 miss_combos_.size(), miss_taps_.data(),
-                                 scratch_, &borrowed);
-        for (std::size_t m = 0; m < miss_combos_.size(); ++m) {
-          CachedTiming& entry = per_slot[static_cast<std::size_t>(miss_combos_[m])];
+        w.miss_taps.resize(w.miss_combos.size() * nt);
+        sim.simulate_stage_batch(net_.soa().view(slot), w.miss_drives.data(),
+                                 w.miss_combos.size(), w.miss_taps.data(),
+                                 w.scratch, &borrowed);
+        for (std::size_t m = 0; m < w.miss_combos.size(); ++m) {
+          CachedTiming& entry = per_slot[static_cast<std::size_t>(w.miss_combos[m])];
           entry.taps.assign(
-              miss_taps_.begin() + static_cast<std::ptrdiff_t>(m * nt),
-              miss_taps_.begin() + static_cast<std::ptrdiff_t>((m + 1) * nt));
+              w.miss_taps.begin() + static_cast<std::ptrdiff_t>(m * nt),
+              w.miss_taps.begin() + static_cast<std::ptrdiff_t>((m + 1) * nt));
         }
       }
-      eval_.batched_stage_evals_.fetch_add(
-          static_cast<long>(miss_combos_.size()), std::memory_order_relaxed);
+      w.batched += static_cast<long>(w.miss_combos.size());
     }
 
     for (std::size_t ci = 0; ci < nc; ++ci) {
@@ -550,14 +576,63 @@ EvalResult IncrementalEvaluator::evaluate() {
         const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
         const StageEvent ev = events[c * slot_count + s];
         fan_out_taps(stage, ev, stage_output_dir(stage, ev.dir),
-                     per_slot[c].taps.data(), result.corners[ci], t,
+                     per_slot[c].taps.data(),
+                     result.corners[ci].sinks[static_cast<std::size_t>(t)],
+                     slot_max_slew_[pos * nc + ci],
                      [&](int child, const StageEvent& e) {
                        events[c * slot_count + static_cast<std::size_t>(child)] = e;
                        scheduled[c * slot_count + static_cast<std::size_t>(child)] = 1;
                      });
       }
     }
+  };
+
+  // Level sweep: every slot's parent sits in the level above, so once a
+  // level is done the next one's inputs are final.  parallel_for joins its
+  // helpers before returning, which orders each level's writes before the
+  // next level's reads.  A single worker (width-1 level or threads == 1)
+  // runs inline on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t d = 0; d + 1 < levels.size(); ++d) {
+    const std::size_t begin = levels[d];
+    const std::size_t end = levels[d + 1];
+    const int num_workers = static_cast<int>(
+        std::min(end - begin, static_cast<std::size_t>(max_workers)));
+    std::atomic<std::size_t> next{begin};
+    parallel_for(num_workers, num_workers, [&](int wi) {
+      Worker& w = workers_[static_cast<std::size_t>(wi)];
+      const bool helper = std::this_thread::get_id() != caller;
+      const double cpu_before = helper ? thread_cpu_seconds() : 0.0;
+      for (;;) {
+        const std::size_t pos = next.fetch_add(1, std::memory_order_relaxed);
+        if (pos >= end) break;
+        run_slot(pos, w);
+      }
+      if (helper) w.helper_cpu += thread_cpu_seconds() - cpu_before;
+    });
   }
+
+  // Deterministic reductions, independent of how slots were split.
+  for (std::size_t pos = 0; pos < topo.size(); ++pos) {
+    for (std::size_t ci = 0; ci < nc; ++ci) {
+      result.corners[ci].max_slew =
+          std::max(result.corners[ci].max_slew, slot_max_slew_[pos * nc + ci]);
+    }
+  }
+  long batched = 0;
+  long scalar = 0;
+  double helper_cpu = 0.0;
+  for (const Worker& w : workers_) {
+    stage_sims_ += w.sims;
+    stage_reuses_ += w.reuses;
+    batched += w.batched;
+    scalar += w.scalar;
+    helper_cpu += w.helper_cpu;
+  }
+  eval_.batched_stage_evals_.fetch_add(batched, std::memory_order_relaxed);
+  eval_.scalar_stage_evals_.fetch_add(scalar, std::memory_order_relaxed);
+  eval_.helper_cpu_ns_.fetch_add(static_cast<std::int64_t>(helper_cpu * 1e9),
+                                 std::memory_order_relaxed);
 
   aggregate_corners(result, bench);
   account_capacitance(result, *tree_, bench, eval_.sink_caps_);

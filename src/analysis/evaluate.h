@@ -91,6 +91,17 @@ struct EvalOptions {
   /// and benchmarking.  Suite drivers bind it to the CONTANGO_BATCH env
   /// knob; 0 forces the scalar path, mirroring CONTANGO_INCREMENTAL=0.
   bool batch = true;
+
+  /// Worker cap of the incremental engine's level sweep
+  /// (IncrementalEvaluator::evaluate): the stages of one stage-graph depth
+  /// level are simulated on up to this many threads.  0 picks
+  /// hardware_threads() (run_suite divides that by its busy workers), 1
+  /// keeps the sweep on the calling thread.  Results and every counter
+  /// are bit-identical for any value, so it is an execution mode, not a
+  /// result-affecting option (the service cache key ignores it).  Full
+  /// evaluation (Evaluator::evaluate, Monte Carlo) always runs on the
+  /// calling thread.
+  int threads = 0;
 };
 
 struct VariationModel;  // analysis/variation.h
@@ -195,12 +206,21 @@ class Evaluator {
     return scalar_stage_evals_.load(std::memory_order_relaxed);
   }
 
+  /// CPU seconds spent on helper threads of the incremental level sweep
+  /// — work the calling thread's own CPU clock does not see.  Always 0
+  /// with `options().threads == 1`.  The pipeline adds the per-pass delta
+  /// to PassTiming::cpu_seconds.
+  double helper_cpu_seconds() const {
+    return 1e-9 * static_cast<double>(helper_cpu_ns_.load(std::memory_order_relaxed));
+  }
+
   void reset_sim_runs() {
     sim_runs_.store(0, std::memory_order_relaxed);
     full_evals_.store(0, std::memory_order_relaxed);
     incremental_evals_.store(0, std::memory_order_relaxed);
     batched_stage_evals_.store(0, std::memory_order_relaxed);
     scalar_stage_evals_.store(0, std::memory_order_relaxed);
+    helper_cpu_ns_.store(0, std::memory_order_relaxed);
   }
 
   const Benchmark& benchmark() const { return bench_; }
@@ -220,6 +240,7 @@ class Evaluator {
   std::atomic<int> incremental_evals_{0};
   std::atomic<long> batched_stage_evals_{0};
   std::atomic<long> scalar_stage_evals_{0};
+  std::atomic<std::int64_t> helper_cpu_ns_{0};
   /// Reusable batched-evaluation workspace: the SoA mirror rebuilt per
   /// evaluate() (buffers recycled) and the kernel scratch.  evaluate() is
   /// not concurrently reentrant — each suite worker owns its Evaluator.
@@ -244,6 +265,18 @@ class Evaluator {
 /// of simulate_stage() differs from the cached call, so the result is
 /// **bit-identical** to Evaluator::evaluate() on the same tree — the
 /// equivalence the IVC loops (cts/pass.h) and the fuzz tests rely on.
+///
+/// The propagation sweeps the stage graph one depth level at a time
+/// (RcNetlist::topo_levels()).  A level's stages depend only on levels
+/// above it, so they are split across up to `EvalOptions::threads`
+/// workers (a level of width 1 runs inline).  The result does not depend
+/// on the split because every write is disjoint: a stage writes only its
+/// own cache entries, the input events of its children (each child has
+/// one parent) and the sinks it drives (each sink has one driving stage);
+/// its worst tap slew goes to a per-stage slot that is max-reduced in
+/// topological order after the sweep.  Each worker owns its kernel
+/// workspace and work tallies, summed after the sweep, so every counter
+/// is thread-count invariant too.
 ///
 /// Edits reach the engine through a TreeEditSession constructed with
 /// netlist(); each evaluate() counts one simulation run (an incremental
@@ -289,13 +322,23 @@ class IncrementalEvaluator {
   std::vector<std::vector<CachedTiming>> timings_;
   long stage_sims_ = 0;
   long stage_reuses_ = 0;
-  /// Batched-mode workspace: cache-missing combos of one slot are gathered
-  /// here and simulated in one simulate_stage_batch() sweep over the
-  /// netlist's SoA slice.
-  TransientScratch scratch_;
-  std::vector<BatchDrive> miss_drives_;
-  std::vector<int> miss_combos_;
-  std::vector<TapTiming> miss_taps_;
+  /// One level-sweep worker's private state.  Batched mode gathers the
+  /// cache-missing combos of one slot in the miss buffers and simulates
+  /// them in one simulate_stage_batch() sweep over the netlist's SoA slice.
+  struct Worker {
+    TransientScratch scratch;
+    std::vector<BatchDrive> miss_drives;
+    std::vector<int> miss_combos;
+    std::vector<TapTiming> miss_taps;
+    long sims = 0;          ///< cache misses simulated
+    long reuses = 0;        ///< cache hits
+    long batched = 0;       ///< stage-evals through the batch kernel
+    long scalar = 0;        ///< stage-evals through simulate_stage()
+    double helper_cpu = 0;  ///< CPU seconds spent off the calling thread
+  };
+  std::vector<Worker> workers_;
+  /// Worst tap slew per (topo position x corner) of the current sweep.
+  std::vector<Ps> slot_max_slew_;
 };
 
 /// Effective driver resistance for a stage driver: applies supply-corner

@@ -86,7 +86,10 @@ struct StageSnapshot {
 struct PassTiming {
   std::string name;  ///< unique stage name, e.g. "INSERT", "TWSZ", "TWSZ#2"
   double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;  ///< thread CPU time of the pass
+  /// CPU time of the pass: the running thread's own CPU time plus the
+  /// CPU its incremental level-sweep helpers spent
+  /// (Evaluator::helper_cpu_seconds; EvalOptions::threads).
+  double cpu_seconds = 0.0;
   int sim_runs = 0;          ///< evaluations this pass spent
   /// Split of `sim_runs` by evaluation mode: full-tree extractions +
   /// propagations vs. incremental (dirty-path) re-propagations.
@@ -117,6 +120,10 @@ struct FlowResult {
   /// 0 and vice versa.
   long batched_stage_evals = 0;
   long scalar_stage_evals = 0;
+  /// CPU seconds the incremental level sweep spent on helper threads over
+  /// the whole flow (already included in the passes' cpu_seconds); 0 with
+  /// EvalOptions::threads == 1.
+  double helper_cpu_seconds = 0.0;
   double seconds = 0.0;
 
   /// The spec the flow actually ran (resolved_pipeline_spec of the options).

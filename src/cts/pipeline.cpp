@@ -219,6 +219,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     const long batched_before = ctx.eval.batched_stage_evals();
     const long scalar_before = ctx.eval.scalar_stage_evals();
     const double cpu_before = thread_cpu_seconds();
+    const double helper_cpu_before = ctx.eval.helper_cpu_seconds();
     Timer wall;
 
     if (gated) {
@@ -255,7 +256,8 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     PassTiming timing;
     timing.name = stage_name;
     timing.wall_seconds = wall.seconds();
-    timing.cpu_seconds = thread_cpu_seconds() - cpu_before;
+    timing.cpu_seconds = (thread_cpu_seconds() - cpu_before) +
+                         (ctx.eval.helper_cpu_seconds() - helper_cpu_before);
     timing.sim_runs = ctx.eval.sim_runs() - sims_before;
     timing.full_evals = ctx.eval.full_evals() - full_before;
     timing.incremental_evals = ctx.eval.incremental_evals() - incremental_before;
@@ -276,6 +278,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   result.incremental_evals = ctx.eval.incremental_evals();
   result.batched_stage_evals = ctx.eval.batched_stage_evals();
   result.scalar_stage_evals = ctx.eval.scalar_stage_evals();
+  result.helper_cpu_seconds = ctx.eval.helper_cpu_seconds();
   result.seconds = ctx.timer().seconds();
   return result;
 }

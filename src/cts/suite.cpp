@@ -278,6 +278,16 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
   if (!options.pipeline_spec.empty()) flow.pipeline = options.pipeline_spec;
   Pipeline::from_options(flow);
 
+  // Every worker runs one flow at a time, so the flows' incremental level
+  // sweeps split the cores between the workers that can be busy at once.
+  // Like the serial MC pass below, this only avoids oversubscription:
+  // results are thread-count invariant.
+  if (flow.eval.threads <= 0) {
+    const int busy = std::max(
+        1, std::min(report.threads, static_cast<int>(suite.size())));
+    flow.eval.threads = std::max(1, hardware_threads() / busy);
+  }
+
   // Benchmark::obstacles() builds its cache lazily through mutable members,
   // so warm it here while the suite is still single-threaded; the workers
   // then only ever read the benchmarks.

@@ -38,6 +38,9 @@ struct SuiteOptions {
   /// Worker threads fanning out `run_contango` calls; 0 picks the hardware
   /// concurrency, 1 runs the suite serially on the calling thread.
   /// Benchmark drivers bind this to the CONTANGO_THREADS env knob.
+  /// When `flow.eval.threads` is 0, each flow's incremental level sweep
+  /// gets hardware_threads() divided by the workers that can be busy at
+  /// once (at least 1), so a suite runs about one compute thread per core.
   int threads = 0;
 
   /// Monte-Carlo trials per benchmark after synthesis (analysis/

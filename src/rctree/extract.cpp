@@ -255,19 +255,29 @@ void RcNetlist::extract_slot(int slot, std::vector<int>& worklist) {
 
 void RcNetlist::sweep_and_order() {
   topo_slots_.clear();
+  topo_levels_.clear();
   std::vector<char> reached(slots_.size(), 0);
   if (!slots_.empty() && slots_[0]->live) {
     topo_slots_.push_back(0);
     reached[0] = 1;
-    for (std::size_t i = 0; i < topo_slots_.size(); ++i) {
-      const Stage& stage = slots_[static_cast<std::size_t>(topo_slots_[i])]->stage;
-      for (int child : stage.downstream_stages) {
-        if (!reached[static_cast<std::size_t>(child)]) {
-          reached[static_cast<std::size_t>(child)] = 1;
-          topo_slots_.push_back(child);
+    // Breadth-first, one depth level at a time: the children of level d,
+    // appended in order, form level d + 1.
+    std::size_t level_begin = 0;
+    while (level_begin < topo_slots_.size()) {
+      const std::size_t level_end = topo_slots_.size();
+      topo_levels_.push_back(level_begin);
+      for (std::size_t i = level_begin; i < level_end; ++i) {
+        const Stage& stage = slots_[static_cast<std::size_t>(topo_slots_[i])]->stage;
+        for (int child : stage.downstream_stages) {
+          if (!reached[static_cast<std::size_t>(child)]) {
+            reached[static_cast<std::size_t>(child)] = 1;
+            topo_slots_.push_back(child);
+          }
         }
       }
+      level_begin = level_end;
     }
+    topo_levels_.push_back(topo_slots_.size());
   }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i]->live && !reached[i]) free_slot(static_cast<int>(i));
@@ -284,6 +294,7 @@ void RcNetlist::refresh() {
     free_slots_.clear();
     slot_of_driver_.clear();
     topo_slots_.clear();
+    topo_levels_.clear();
     soa_.clear();
     if (tree_->empty()) {
       dirty_.clear();

@@ -156,8 +156,14 @@ class RcNetlist {
   std::uint64_t version(int slot) const {
     return slots_[static_cast<std::size_t>(slot)]->version;
   }
-  /// Live slots in parent-before-child order (root stage first).
+  /// Live slots in breadth-first order (root stage first), so every slot
+  /// follows its parent and each depth level is a contiguous range.
   const std::vector<int>& topo_slots() const { return topo_slots_; }
+  /// Depth-level boundaries of topo_slots(): level d spans positions
+  /// [topo_levels()[d], topo_levels()[d + 1]).  A slot's parent lies in the
+  /// level above it, so the slots of one level are mutually independent.
+  /// Empty when no stage is live.
+  const std::vector<std::size_t>& topo_levels() const { return topo_levels_; }
   /// Number of stages re-extracted by refresh() calls so far.
   long stages_extracted() const { return stages_extracted_; }
 
@@ -189,6 +195,7 @@ class RcNetlist {
   std::vector<int> free_slots_;
   std::unordered_map<NodeId, int> slot_of_driver_;
   std::vector<int> topo_slots_;
+  std::vector<std::size_t> topo_levels_;  ///< level starts + end sentinel
 
   std::vector<int> dirty_;  ///< slots to re-extract on refresh
   bool full_rebuild_ = false;

@@ -64,8 +64,8 @@ Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
   h.update_field(resolved_pipeline_spec(flow));
 
   // Result-affecting flow numerics.  threads / incremental / batch /
-  // spatial are deliberately absent: those execution modes are
-  // bit-identical by construction.
+  // spatial and the eval level-sweep threads are deliberately absent:
+  // those execution modes are bit-identical by construction.
   h.update_u64(static_cast<std::uint64_t>(flow.max_ladder));
   h.update_double(flow.power_reserve);
   h.update_u64(static_cast<std::uint64_t>(flow.max_sizing_rounds));

@@ -43,9 +43,10 @@ namespace contango {
 /// snaking units...).
 ///
 /// Deliberately NOT covered: `threads`, `flow.incremental`,
-/// `flow.eval.batch` and the spatial engine switch — those modes are
-/// bit-identical by construction (the suite runner's contract), so two
-/// submissions differing only there share one cache entry.
+/// `flow.eval.batch`, `flow.eval.threads` and the spatial engine switch —
+/// those modes are bit-identical by construction (the suite runner's
+/// contract), so two submissions differing only there share one cache
+/// entry.
 Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
                          const SuiteOptions& options);
 

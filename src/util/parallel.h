@@ -1,10 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -126,13 +129,17 @@ class ThreadPool {
 
 /// \brief Runs fn(i) for i in [0, n) on up to num_threads workers.
 ///
-/// fn is invoked exactly once per index; indices are handed out dynamically
-/// so uneven job sizes still balance.  Blocks until all iterations finish.
+/// fn is invoked at most once per index — exactly once unless an iteration
+/// throws; indices are handed out dynamically so uneven job sizes still
+/// balance.  Blocks until all iterations finish.
+///
+/// Exception-safe: the first exception thrown by any iteration, on a helper
+/// or on the calling thread, is captured, no further indices are handed
+/// out, every helper is joined, and the exception is rethrown on the
+/// caller.  Iterations already running elsewhere complete first.
 /// \param n iteration count
 /// \param num_threads worker cap; 0 = hardware concurrency, 1 = serial
-/// \param fn callable taking the index; must not throw — wrap the body and
-///        record errors in the output slot instead (see run_suite() for the
-///        pattern)
+/// \param fn callable taking the index
 template <typename Fn>
 void parallel_for(int n, int num_threads, Fn&& fn) {
   if (n <= 0) return;
@@ -142,19 +149,34 @@ void parallel_for(int n, int num_threads, Fn&& fn) {
     return;
   }
   std::atomic<int> next{0};
-  auto drain = [&] {
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  auto drain = [&]() noexcept {
     for (;;) {
       const int i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      fn(i);
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+        next.store(n, std::memory_order_relaxed);  // hand out nothing more
+        return;
+      }
     }
   };
   std::vector<std::thread> threads;
   const int spawned = std::min(num_threads, n) - 1;  // caller thread drains too
   threads.reserve(static_cast<std::size_t>(spawned));
-  for (int t = 0; t < spawned; ++t) threads.emplace_back(drain);
+  try {
+    for (int t = 0; t < spawned; ++t) threads.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // Out of threads: the helpers already running and the caller finish
+    // the range.
+  }
   drain();
   for (std::thread& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace contango

@@ -99,6 +99,14 @@ TEST(JobContentHash, ExcludesBitIdenticalModesAndResolvesPipeline) {
   b.flow.eval.batch = false;
   EXPECT_EQ(job_content_hash(suite, b), base);
 
+  // The incremental engine's level-sweep worker cap is an execution mode
+  // too: jobs differing only in eval threads share one entry.
+  for (int eval_threads : {1, 2, 8}) {
+    SuiteOptions t = a;
+    t.flow.eval.threads = eval_threads;
+    EXPECT_EQ(job_content_hash(suite, t), base) << eval_threads;
+  }
+
   // An explicit spec equal to the default resolves to the same key...
   SuiteOptions c = a;
   c.pipeline_spec = resolved_pipeline_spec(a.flow);

@@ -52,6 +52,43 @@ TEST(ParallelFor, CoversEachIndexExactlyOnce) {
   parallel_for(0, 4, [](int) { FAIL() << "no iterations expected"; });
 }
 
+TEST(ParallelFor, RethrowsOnTheCallerAfterJoiningEveryThread) {
+  constexpr int kN = 200;
+  for (int threads : {1, 3, 8}) {
+    for (int throw_at : {0, kN - 5}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, throw at " +
+                   std::to_string(throw_at));
+      std::vector<std::atomic<int>> hits(kN);
+      std::atomic<int> running{0};
+      try {
+        parallel_for(kN, threads, [&](int i) {
+          running.fetch_add(1);
+          hits[static_cast<std::size_t>(i)].fetch_add(1);
+          if (i == throw_at) {
+            running.fetch_sub(1);
+            throw std::logic_error("boom at " + std::to_string(i));
+          }
+          running.fetch_sub(1);
+        });
+        ADD_FAILURE() << "the exception was swallowed";
+      } catch (const std::logic_error& e) {
+        EXPECT_EQ(std::string(e.what()), "boom at " + std::to_string(throw_at));
+      }
+      // Every worker has finished by the time the exception reaches the
+      // caller, and no index ran twice.
+      EXPECT_EQ(running.load(), 0);
+      EXPECT_EQ(hits[static_cast<std::size_t>(throw_at)].load(), 1);
+      for (const auto& h : hits) EXPECT_LE(h.load(), 1);
+      // Serially, nothing after the throwing index runs.
+      if (threads == 1) {
+        for (int i = throw_at + 1; i < kN; ++i) {
+          EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 0);
+        }
+      }
+    }
+  }
+}
+
 TEST(Suite, EmptySuite) {
   const SuiteReport report = run_suite({});
   EXPECT_TRUE(report.runs.empty());
@@ -123,6 +160,32 @@ TEST(Suite, FourThreadsMatchSerialBitForBit) {
   EXPECT_EQ(serial.total_sim_runs(), parallel.total_sim_runs());
   EXPECT_FALSE(parallel.table().empty());
   EXPECT_GT(parallel.cpu_seconds(), 0.0);
+}
+
+/// With flow.eval.threads left at 0 the flows' level sweeps share the
+/// cores: a suite with a flow per core gets no sweep helpers, a lone flow
+/// gets every core, and an explicit eval.threads is kept as given.
+TEST(Suite, FlowsShareTheCoresWithTheirLevelSweeps) {
+  const int cores = hardware_threads();
+  const auto helper_cpu = [](const SuiteReport& report) {
+    double total = 0.0;
+    for (const SuiteRun& run : report.runs) {
+      EXPECT_TRUE(run.ok) << run.error;
+      total += run.result.helper_cpu_seconds;
+    }
+    return total;
+  };
+
+  SuiteOptions options;
+  options.threads = cores;
+  const std::vector<Benchmark> per_core(static_cast<std::size_t>(cores),
+                                        generate_ti_like(160));
+  EXPECT_EQ(helper_cpu(run_suite(per_core, options)), 0.0);
+
+  const std::vector<Benchmark> lone{generate_ti_like(160)};
+  if (cores > 1) EXPECT_GT(helper_cpu(run_suite(lone, options)), 0.0);
+  options.flow.eval.threads = 1;
+  EXPECT_EQ(helper_cpu(run_suite(lone, options)), 0.0);
 }
 
 TEST(Suite, MonteCarloPassAddsColumnsAndStaysDeterministic) {
