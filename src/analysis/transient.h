@@ -45,19 +45,26 @@ struct ElmoreView {
   Ff total_cap = 0.0;
 };
 
-/// Reusable workspace of the transient kernel: per-node factorization and
-/// state arrays plus per-tap threshold bookkeeping, grown on demand and
-/// recycled across stages, combos and trials so the hot loop never
-/// allocates.  Each thread needs its own instance.
+/// Reusable workspace of the transient kernel, grown on demand and recycled
+/// across stages, lane groups and trials so the hot loop never allocates.
+/// Each thread needs its own instance.
+///
+/// The kernel integrates a group of L drives (L = 4, 2 or 1) as
+/// interleaved lanes.  Per-node lane arrays are node-major — lane l of node
+/// i lives at `[i * L + l]` — so one tree sweep updates every lane of a
+/// node together; per-tap lane arrays are lane-major (`[l * num_taps + k]`).
 struct TransientScratch {
   std::vector<double> g;      ///< conductance to parent (shared per stage)
   std::vector<double> cdown;  ///< in-kernel Elmore sweep (when not borrowed)
   std::vector<double> tau;
-  std::vector<double> adiag;  ///< per-combo factorization
-  std::vector<double> mult;
-  std::vector<double> v;      ///< per-combo integration state
-  std::vector<double> rhs;
-  std::vector<double> gv;
+  // Per-node lane arrays (node-major).
+  std::vector<double> cap_h;  ///< C/h, hoisted out of the step loop
+  std::vector<double> adiag;  ///< factorization: pivots
+  std::vector<double> mult;   ///< factorization: elimination multipliers
+  std::vector<double> v;      ///< integration state
+  std::vector<double> rhs;    ///< right-hand side of the step
+  std::vector<double> gv;     ///< G v of the current state
+  // Per-tap lane arrays (lane-major).
   std::vector<double> tap_prev;
   struct Crossings {
     double t10 = -1.0, t50 = -1.0, t90 = -1.0;
@@ -91,12 +98,16 @@ struct TransientScratch {
 /// The engine has one integrator core, simulate_stage_batch(): it reads the
 /// stage through a SoA view, hoists everything drive-independent — the
 /// conductance array, the Elmore sweep, the worst tap tau — out of the
-/// per-drive work, and then runs each drive's trapezoidal integration
-/// back-to-back over the same cached stage data.  simulate_stage() is the
-/// scalar wrapper: it packs the AoS stage into a thread-local scratch and
-/// runs the same core with a batch of one, so scalar and batched results
-/// are bit-identical by construction (same arithmetic, same order, same
-/// values — only the storage layout differs).
+/// per-drive work, and then integrates the drives in groups of up to four
+/// interleaved lanes over the same cached stage data.  Each lane keeps its
+/// own timestep, clock and stop time, skips the idle steps before its
+/// driver ramp starts (they leave every voltage at exactly 0), and performs
+/// the one-drive integrator's operations in their original order, so a row
+/// does not depend on which drives share its group.  simulate_stage() is
+/// the scalar wrapper: it packs the AoS stage into a thread-local scratch
+/// and runs the same core with a batch of one, so scalar and batched
+/// results are bit-identical by construction (same arithmetic, same order,
+/// same values — only the storage layout differs).
 class TransientSimulator {
  public:
   explicit TransientSimulator(TransientOptions options = {})
@@ -119,9 +130,10 @@ class TransientSimulator {
   /// `drives[0..count)`, writing `out[b * stage.num_taps + k]` for drive b,
   /// tap k (the caller provides `count * stage.num_taps` slots).  The
   /// stage's conductances and Elmore sweep are computed once and shared;
-  /// each drive's timestep, factorization and trapezoidal integration run
-  /// exactly the scalar arithmetic, so every row is bit-identical to the
-  /// simulate_stage() call with the same drive.
+  /// drives run as interleaved lanes in groups of 4 (three drives pad one
+  /// lane), 2 or 1, and each lane's timestep, factorization and trapezoidal
+  /// integration run exactly the scalar arithmetic, so every row is
+  /// bit-identical to the simulate_stage() call with the same drive.
   ///
   /// `elmore` optionally borrows a prebuilt sweep (ElmoreCache entry built
   /// from the same stage contents); null computes it in-kernel.

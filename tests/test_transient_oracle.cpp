@@ -1,0 +1,280 @@
+// The transient kernel against its oracle: every row simulate_stage_batch()
+// writes must equal, byte for byte, the row of the one-drive-at-a-time
+// integrator in transient_reference.h.  The kernel integrates drives as
+// interleaved lanes (groups of 4, 2 or 1, three drives padding a lane) and
+// skips each lane's idle pre-ramp steps; these tests drive every width,
+// padded lanes, both Elmore modes and the lane-divergence cases: a long
+// idle prefix, timesteps clamped at either bound, and one lane timing out
+// while another finishes early.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "analysis/elmore.h"
+#include "analysis/transient.h"
+#include "rctree/extract.h"
+#include "transient_reference.h"
+#include "util/rng.h"
+
+namespace contango {
+namespace {
+
+/// One stage held both ways: as an AoS Stage (for ElmoreStage) and as the
+/// flat arrays a kernel View points into.
+struct TestStage {
+  Stage stage;
+  std::vector<Ff> cap;
+  std::vector<KOhm> res;
+  std::vector<int> parent;
+  std::vector<int> tap_rc;
+
+  void flatten() {
+    cap.clear();
+    res.clear();
+    parent.clear();
+    tap_rc.clear();
+    for (const RcNode& node : stage.nodes) {
+      cap.push_back(node.cap);
+      res.push_back(node.res);
+      parent.push_back(node.parent);
+    }
+    for (const Tap& tap : stage.taps) tap_rc.push_back(tap.rc_index);
+  }
+
+  NetlistSoa::View view() const {
+    NetlistSoa::View v;
+    v.cap = cap.data();
+    v.res = res.data();
+    v.parent = parent.data();
+    v.num_nodes = cap.size();
+    v.tap_rc = tap_rc.data();
+    v.num_taps = tap_rc.size();
+    return v;
+  }
+};
+
+/// A random RC tree (parent[i] < i, the extraction invariant) with taps on
+/// any node, the driver node included, and possibly sharing a node.
+TestStage random_stage(Rng& rng, int num_nodes, int num_taps, double cap_lo,
+                       double cap_hi, double res_lo, double res_hi) {
+  TestStage s;
+  s.stage.nodes.resize(static_cast<std::size_t>(num_nodes));
+  for (int i = 0; i < num_nodes; ++i) {
+    RcNode& node = s.stage.nodes[static_cast<std::size_t>(i)];
+    node.cap = rng.uniform(cap_lo, cap_hi);
+    if (i > 0) {
+      node.parent = static_cast<int>(rng.uniform_int(0, i - 1));
+      node.res = rng.uniform(res_lo, res_hi);
+    }
+  }
+  for (int k = 0; k < num_taps; ++k) {
+    Tap tap;
+    tap.rc_index = static_cast<int>(rng.uniform_int(0, num_nodes - 1));
+    s.stage.taps.push_back(tap);
+  }
+  s.flatten();
+  return s;
+}
+
+/// Runs the kernel (on a fresh scratch and on `reused`, which earlier
+/// calls left dirty) and the reference on the same inputs; the rows must
+/// be the same bytes.
+void expect_rows_match_reference(const TransientSimulator& sim,
+                                 const NetlistSoa::View& view,
+                                 const std::vector<BatchDrive>& drives,
+                                 const ElmoreView* elmore,
+                                 TransientScratch& reused,
+                                 const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::size_t rows = drives.size() * view.num_taps;
+  std::vector<TapTiming> expected(rows), fresh(rows), dirty(rows);
+  reference::simulate_stage_rows(sim.options(), view, drives.data(),
+                                 drives.size(), expected.data(), elmore);
+  TransientScratch scratch;
+  sim.simulate_stage_batch(view, drives.data(), drives.size(), fresh.data(),
+                           scratch, elmore);
+  sim.simulate_stage_batch(view, drives.data(), drives.size(), dirty.data(),
+                           reused, elmore);
+  for (std::size_t r = 0; r < rows; ++r) {
+    EXPECT_EQ(std::memcmp(&fresh[r], &expected[r], sizeof(TapTiming)), 0)
+        << "drive " << r / view.num_taps << " tap " << r % view.num_taps
+        << ": delay " << fresh[r].delay << " vs " << expected[r].delay
+        << ", slew " << fresh[r].slew << " vs " << expected[r].slew;
+    EXPECT_EQ(std::memcmp(&dirty[r], &expected[r], sizeof(TapTiming)), 0)
+        << "reused scratch, drive " << r / view.num_taps << " tap "
+        << r % view.num_taps;
+  }
+}
+
+/// The lane's stop time, recomputed the way the integrator does.
+Ps stop_time(const TransientOptions& o, const BatchDrive& d, Ff total_cap,
+             Ps max_tau) {
+  const Ps tau_char = std::max(d.r_drv * total_cap + max_tau, 0.5);
+  const Ps t0 = d.intrinsic + o.slew_to_delay * d.input_slew;
+  const Ps ramp = o.ramp_base + o.slew_feedthrough * d.input_slew;
+  return t0 + ramp + 40.0 * tau_char;
+}
+
+/// The lane's timestep, recomputed the way the integrator does.
+Ps step(const TransientOptions& o, const BatchDrive& d, Ff total_cap,
+        Ps max_tau) {
+  const Ps tau_char = std::max(d.r_drv * total_cap + max_tau, 0.5);
+  const Ps ramp = o.ramp_base + o.slew_feedthrough * d.input_slew;
+  return std::clamp(std::min(tau_char / o.time_step_div, ramp / 4.0),
+                    o.min_step, o.max_step);
+}
+
+Ps max_tap_tau(const ElmoreStage& elm, const Stage& stage) {
+  Ps max_tau = 0.0;
+  for (const Tap& tap : stage.taps) max_tau = std::max(max_tau, elm.tau(tap.rc_index));
+  return max_tau;
+}
+
+TEST(TransientOracle, RandomStagesAndBatchesMatchTheReference) {
+  Rng rng(0x0AC1E);
+  TransientOptions coarse;  // floors most steps at min_step
+  coarse.min_step = 0.4;
+  TransientOptions fine;  // caps most steps at max_step
+  fine.max_step = 0.05;
+  const TransientSimulator sims[] = {TransientSimulator{}, TransientSimulator{coarse},
+                                     TransientSimulator{fine}};
+  TransientScratch reused;
+  for (int rep = 0; rep < 60; ++rep) {
+    const int num_nodes = static_cast<int>(rng.uniform_int(1, 80));
+    const int num_taps = rep % 5 == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 8));
+    const TestStage s = random_stage(rng, num_nodes, num_taps, 0.5, 30.0, 0.001, 0.4);
+    const std::size_t count = static_cast<std::size_t>(rep % 9 + 1);
+    std::vector<BatchDrive> drives;
+    for (std::size_t b = 0; b < count; ++b) {
+      BatchDrive d{rng.uniform(0.05, 1.2), rng.uniform(0.0, 40.0),
+                   rng.uniform(0.0, 60.0)};
+      if (rng.uniform_int(0, 3) == 0) d.intrinsic = rng.uniform(200.0, 800.0);
+      drives.push_back(d);
+    }
+    const TransientSimulator& sim = sims[rep % 3];
+    const ElmoreStage elm(s.stage);
+    const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
+    const std::string what = "rep " + std::to_string(rep) + ", " +
+                             std::to_string(num_nodes) + " nodes, " +
+                             std::to_string(num_taps) + " taps, " +
+                             std::to_string(count) + " drives";
+    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
+                                what + ", in-kernel Elmore");
+    expect_rows_match_reference(sim, s.view(), drives, &borrowed, reused,
+                                what + ", borrowed Elmore");
+  }
+}
+
+TEST(TransientOracle, LongIdlePrefixInOneLaneOnly) {
+  Rng rng(0x1D1E);
+  const TransientSimulator sim;
+  TransientScratch reused;
+  const TestStage s = random_stage(rng, 40, 5, 0.5, 20.0, 0.001, 0.2);
+  // The idle lane waits over a thousand steps before its ramp; the others start at
+  // once, so the lanes' clocks diverge by thousands of steps.
+  for (std::size_t count = 1; count <= 9; ++count) {
+    std::vector<BatchDrive> drives;
+    for (std::size_t b = 0; b < count; ++b) {
+      drives.push_back(b == count / 2 ? BatchDrive{0.3, 4000.0, 10.0}
+                                      : BatchDrive{0.2 + 0.1 * b, 3.0, 8.0});
+    }
+    const ElmoreStage elm(s.stage);
+    ASSERT_GT(drives[count / 2].intrinsic,
+              1000.0 * step(sim.options(), drives[count / 2], elm.total_cap(),
+                            max_tap_tau(elm, s.stage)));
+    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
+                                std::to_string(count) + " drives");
+  }
+}
+
+TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
+  Rng rng(0xC1A4);
+  const TransientSimulator sim;
+  const TransientOptions& o = sim.options();
+  TransientScratch reused;
+
+  // Tiny stage: tau_char bottoms out at 0.5 ps, so h = min_step.
+  {
+    const TestStage s = random_stage(rng, 12, 3, 0.001, 0.01, 0.001, 0.01);
+    const ElmoreStage elm(s.stage);
+    const Ps max_tau = max_tap_tau(elm, s.stage);
+    std::vector<BatchDrive> drives = {{0.01, 2.0, 1.0}, {0.02, 15.0, 0.0},
+                                      {0.01, 0.0, 3.0}, {0.03, 6.0, 2.0},
+                                      {0.02, 1.0, 0.5}};
+    for (const BatchDrive& d : drives) {
+      ASSERT_EQ(step(o, d, elm.total_cap(), max_tau), o.min_step);
+    }
+    for (std::size_t count = 1; count <= drives.size(); ++count) {
+      const std::vector<BatchDrive> batch(drives.begin(), drives.begin() + count);
+      expect_rows_match_reference(sim, s.view(), batch, nullptr, reused,
+                                  "min_step, " + std::to_string(count) + " drives");
+    }
+  }
+
+  // Heavy stage: slow drives hit max_step, a fast one in the same group
+  // does not, so the lanes run different timesteps side by side.
+  {
+    const TestStage s = random_stage(rng, 30, 4, 5.0, 12.0, 0.01, 0.05);
+    const ElmoreStage elm(s.stage);
+    const Ps max_tau = max_tap_tau(elm, s.stage);
+    std::vector<BatchDrive> drives = {{2.5, 5.0, 40.0}, {0.05, 2.0, 4.0},
+                                      {3.0, 1.0, 30.0}, {2.0, 8.0, 50.0}};
+    EXPECT_EQ(step(o, drives[0], elm.total_cap(), max_tau), o.max_step);
+    EXPECT_LT(step(o, drives[1], elm.total_cap(), max_tau), o.max_step);
+    EXPECT_EQ(step(o, drives[2], elm.total_cap(), max_tau), o.max_step);
+    for (std::size_t count = 1; count <= drives.size(); ++count) {
+      const std::vector<BatchDrive> batch(drives.begin(), drives.begin() + count);
+      expect_rows_match_reference(sim, s.view(), batch, nullptr, reused,
+                                  "max_step, " + std::to_string(count) + " drives");
+    }
+  }
+}
+
+TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
+  // A borrowed sweep that claims zero capacitance puts every stop time at
+  // t0 + ramp + 20 ps.  A strong driver on a fast stage finishes well
+  // before that; a weak one (tau ~ 1 ns) stops with its taps still below
+  // 10 %.  Both lanes share groups, the slow one in every position.
+  Rng rng(0x71AE);
+  const TransientSimulator sim;
+  TransientScratch reused;
+  const TestStage s = random_stage(rng, 20, 4, 2.0, 6.0, 0.0005, 0.002);
+  const std::vector<Ps> zero_tau(s.cap.size(), 0.0);
+  const ElmoreView understated{zero_tau.data(), 0.0};
+  const BatchDrive fast{0.002, 4.0, 6.0};
+  const BatchDrive slow{12.0, 4.0, 6.0};
+
+  for (std::size_t count = 2; count <= 5; ++count) {
+    for (std::size_t slow_at = 0; slow_at < count; ++slow_at) {
+      std::vector<BatchDrive> drives(count, fast);
+      drives[slow_at] = slow;
+      expect_rows_match_reference(sim, s.view(), drives, &understated, reused,
+                                  std::to_string(count) + " drives, slow lane " +
+                                      std::to_string(slow_at));
+
+      std::vector<TapTiming> rows(count * s.tap_rc.size());
+      sim.simulate_stage_batch(s.view(), drives.data(), count, rows.data(),
+                               reused, &understated);
+      const Ps slow_stop = stop_time(sim.options(), slow, 0.0, 0.0);
+      const Ps fast_stop = stop_time(sim.options(), fast, 0.0, 0.0);
+      for (std::size_t b = 0; b < count; ++b) {
+        for (std::size_t k = 0; k < s.tap_rc.size(); ++k) {
+          const TapTiming& r = rows[b * s.tap_rc.size() + k];
+          if (b == slow_at) {
+            EXPECT_EQ(r.delay, slow_stop) << "the slow lane must time out";
+          } else {
+            EXPECT_LT(r.delay, fast_stop) << "the fast lane must finish";
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace contango
