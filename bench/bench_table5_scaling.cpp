@@ -21,10 +21,7 @@
 // cts/scenario.h: uniform, clustered, ring, obstacle_dense, high_fanout,
 // mixed_cap, huge, mega) to run the same scaling sweep over that family
 // instead of the TI-style chip; CONTANGO_SEED picks the instance.  The
-// `huge` family reaches 100k+ sinks and `mega` the 1M tier;
-// CONTANGO_SPATIAL=0 forces the reference linear-scan geometry paths for
-// index-vs-scan scaling comparisons (results are bit-identical, only the
-// time changes).
+// `huge` family reaches 100k+ sinks and `mega` the 1M tier.
 //
 // Set CONTANGO_WORKLOADS to a collect_workloads() spec (family names,
 // .bench/.cbench files, directories — see cts/scenario.h) to run exactly
@@ -136,12 +133,6 @@ int main() {
   // (CONTANGO_INCREMENTAL=0 forces every evaluation full for comparison).
   std::printf("evaluation split: %ld full-tree propagations, %ld incremental\n",
               report.total_full_evals(), report.total_incremental_evals());
-  // Kernel-path split in (stage x corner x transition) units
-  // (CONTANGO_BATCH=0 forces the scalar kernel; results are bit-identical
-  // either way — this line shows which engine did the work).
-  std::printf("kernel split: %ld batched stage evals, %ld scalar\n",
-              report.total_batched_stage_evals(),
-              report.total_scalar_stage_evals());
   std::printf("Set CONTANGO_MAX_SINKS=50000 to run the paper's full sweep.\n");
   if (!options.json_report_path.empty()) {
     std::printf("JSON report written to %s\n", options.json_report_path.c_str());

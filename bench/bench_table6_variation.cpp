@@ -97,11 +97,6 @@ int main() {
   std::printf("\n(skew/CLR in ps)\n%s", detail.to_string().c_str());
   std::printf("\n%d threads, %.1f s wall, %ld sims total\n", report.threads,
               report.wall_seconds, report.total_sim_runs());
-  // Kernel-path split in (stage x corner x transition) units, including
-  // every MC trial (CONTANGO_BATCH=0 forces the scalar kernel).
-  std::printf("kernel split: %ld batched stage evals, %ld scalar\n",
-              report.total_batched_stage_evals(),
-              report.total_scalar_stage_evals());
   if (!options.json_report_path.empty()) {
     std::printf("JSON report written to %s\n", options.json_report_path.c_str());
   }

@@ -5,9 +5,9 @@ Runs the selected bench with ``CONTANGO_JSON_OUT`` and **appends** the
 machine-readable suite report to a checked-in trajectory file (default
 ``BENCH_<bench>.json`` at the repo root).  Each PR that wants to claim a
 perf delta adds a labelled point; history is kept, so release-over-release
-diffs show both what got faster and why (wall seconds plus the
-full/incremental and batched/scalar evaluation splits ride along in every
-report).
+diffs show both what got faster and why (wall seconds, the
+full/incremental evaluation split and the stage-evaluation count ride along
+in every report).
 
 Trajectory file format::
 
@@ -26,8 +26,7 @@ Usage:
                                       [--max-sinks 2000] [--threads 1]
                                       [--scenario huge] [--seed 1]
                                       [--workloads mega_1m.cbench]
-                                      [--force-full] [--force-scalar]
-                                      [--force-scan] [--force-buffered]
+                                      [--force-full] [--force-buffered]
 
 ``--workloads`` (table5 only) runs a collect_workloads() spec — scenario
 families, ``.bench``/``.cbench`` files, directories — instead of a sweep;
@@ -100,11 +99,6 @@ def main() -> int:
                              "a sink-count sweep; records load_seconds")
     parser.add_argument("--force-full", action="store_true",
                         help="set CONTANGO_INCREMENTAL=0 (baseline comparison runs)")
-    parser.add_argument("--force-scalar", action="store_true",
-                        help="set CONTANGO_BATCH=0 (scalar-kernel comparison runs)")
-    parser.add_argument("--force-scan", action="store_true",
-                        help="set CONTANGO_SPATIAL=0 (linear-scan geometry "
-                             "comparison runs)")
     parser.add_argument("--force-buffered", action="store_true",
                         help="set CONTANGO_MMAP=0 (buffered-read .cbench "
                              "loading instead of mmap)")
@@ -144,10 +138,6 @@ def main() -> int:
         env["CONTANGO_SEED"] = str(args.seed)
     if args.force_full:
         env["CONTANGO_INCREMENTAL"] = "0"
-    if args.force_scalar:
-        env["CONTANGO_BATCH"] = "0"
-    if args.force_scan:
-        env["CONTANGO_SPATIAL"] = "0"
     if args.force_buffered:
         env["CONTANGO_MMAP"] = "0"
 
@@ -155,8 +145,6 @@ def main() -> int:
         "binary": BENCH_BINARIES[args.bench],
         "threads": args.threads,
         "incremental": not args.force_full,
-        "batch": not args.force_scalar,
-        "spatial": not args.force_scan,
         "mmap": not args.force_buffered,
     }
     if args.bench == "table5":
@@ -170,7 +158,7 @@ def main() -> int:
 
     print(f"bench_snapshot: running {bench} "
           f"(threads={args.threads}, incremental={int(config['incremental'])}, "
-          f"batch={int(config['batch'])}, spatial={int(config['spatial'])})")
+          f"mmap={int(config['mmap'])})")
     result = subprocess.run([str(bench)], env=env)
     if result.returncode != 0:
         print(f"bench_snapshot: {BENCH_BINARIES[args.bench]} failed",
@@ -197,13 +185,11 @@ def main() -> int:
         json.dump(trajectory, f, indent=1, sort_keys=False)
         f.write("\n")
 
-    batched = report.get("total_batched_stage_evals", 0)
-    scalar = report.get("total_scalar_stage_evals", 0)
     print(f"bench_snapshot: wrote point '{label}' to {out} "
           f"({len(trajectory['points'])} point(s) total) — "
           f"{len(report['runs'])} run(s), {report['wall_seconds']:.1f} s wall, "
           f"{report['total_sim_runs']} sims, "
-          f"kernel split {batched} batched / {scalar} scalar")
+          f"{report.get('total_batched_stage_evals', 0)} stage evals")
     return 0
 
 

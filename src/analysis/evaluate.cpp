@@ -92,7 +92,7 @@ DriverView stage_driver_view(const Stage& stage, const Technology& tech,
 /// max-folded into `max_slew`, and buffer taps pair with the stage's
 /// downstream entries in order and hand the child its input event through
 /// `schedule(child, event)`.  `taps` points at stage.taps.size() entries —
-/// a row of a batched result or a scalar vector's data().
+/// one row of a kernel result or a cache entry.
 template <typename ScheduleFn>
 void fan_out_taps(const Stage& stage, const StageEvent& ev, Transition out_dir,
                   const TapTiming* taps, std::vector<SinkTiming>& sinks,
@@ -232,70 +232,13 @@ Evaluator::Evaluator(const Benchmark& bench, EvalOptions options)
   for (const Sink& s : bench.sinks) sink_caps_.push_back(s.cap);
 }
 
-EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& bench,
-                            const TransientSimulator& sim, Ps source_input_slew,
-                            const std::vector<Volt>* stage_vdd_delta) {
+EvalResult evaluate_netlist(const StagedNetlist& net, const NetlistSoa& soa,
+                            const Benchmark& bench, const TransientSimulator& sim,
+                            Ps source_input_slew,
+                            const std::vector<Volt>* stage_vdd_delta,
+                            TransientScratch* scratch) {
   if (stage_vdd_delta && stage_vdd_delta->size() != net.stages.size()) {
     throw std::invalid_argument("evaluate_netlist: stage_vdd_delta size " +
-                                std::to_string(stage_vdd_delta->size()) +
-                                " != stage count " + std::to_string(net.stages.size()));
-  }
-  EvalResult result;
-
-  for (Volt vdd : bench.tech.corners) {
-    CornerTiming corner;
-    corner.vdd = vdd;
-    for (auto& per_transition : corner.sinks) {
-      per_transition.assign(bench.sinks.size(), SinkTiming{});
-    }
-
-    for (int t = 0; t < kNumTransitions; ++t) {
-      const auto source_dir = static_cast<Transition>(t);
-      std::vector<StageEvent> events(net.stages.size());
-      std::vector<char> scheduled(net.stages.size(), 0);
-      events[0] = StageEvent{0.0, source_input_slew, source_dir};
-      scheduled[0] = 1;
-
-      // Stages are created parent-before-child by extraction, so a single
-      // forward sweep is a valid topological propagation.
-      for (std::size_t si = 0; si < net.stages.size(); ++si) {
-        if (!scheduled[si]) {
-          throw std::logic_error("evaluate_netlist: stage scheduled out of order");
-        }
-        const Stage& stage = net.stages[si];
-        const StageEvent& ev = events[si];
-
-        const Transition out_dir = stage_output_dir(stage, ev.dir);
-        const Volt vdd_stage = stage_vdd_delta ? vdd + (*stage_vdd_delta)[si] : vdd;
-        const DriverView drv =
-            stage_driver_view(stage, bench.tech, vdd_stage, out_dir);
-
-        const std::vector<TapTiming> taps =
-            sim.simulate_stage(stage, drv.r_drv, drv.intrinsic, ev.slew);
-
-        fan_out_taps(stage, ev, out_dir, taps.data(),
-                     corner.sinks[static_cast<std::size_t>(t)], corner.max_slew,
-                     [&](int child, const StageEvent& e) {
-                       events[static_cast<std::size_t>(child)] = e;
-                       scheduled[static_cast<std::size_t>(child)] = 1;
-                     });
-      }
-    }
-    result.corners.push_back(std::move(corner));
-  }
-
-  aggregate_corners(result, bench);
-  return result;
-}
-
-EvalResult evaluate_netlist_batch(const StagedNetlist& net, const NetlistSoa& soa,
-                                  const Benchmark& bench,
-                                  const TransientSimulator& sim,
-                                  Ps source_input_slew,
-                                  const std::vector<Volt>* stage_vdd_delta,
-                                  TransientScratch* scratch) {
-  if (stage_vdd_delta && stage_vdd_delta->size() != net.stages.size()) {
-    throw std::invalid_argument("evaluate_netlist_batch: stage_vdd_delta size " +
                                 std::to_string(stage_vdd_delta->size()) +
                                 " != stage count " + std::to_string(net.stages.size()));
   }
@@ -320,7 +263,7 @@ EvalResult evaluate_netlist_batch(const StagedNetlist& net, const NetlistSoa& so
   // [c * ns, (c + 1) * ns) of `events`/`scheduled`.  Stages are created
   // parent-before-child by extraction, so the forward sweep is a valid
   // topological propagation for every combo at once, and each combo's
-  // event recurrence is exactly the scalar one.
+  // event recurrence is exactly the corner-outer one.
   std::vector<StageEvent> events(combos * ns);
   std::vector<char> scheduled(combos * ns, 0);
   for (std::size_t c = 0; c < combos && ns > 0; ++c) {
@@ -336,16 +279,14 @@ EvalResult evaluate_netlist_batch(const StagedNetlist& net, const NetlistSoa& so
   for (std::size_t si = 0; si < ns; ++si) {
     const Stage& stage = net.stages[si];
 
-    // Gather every combo's driver view, then sweep them through the batch
-    // kernel in combo order — the same per-combo arithmetic the scalar
-    // path runs, sharing the stage's conductances and Elmore sweep.
+    // Gather every combo's driver view, then sweep them through the kernel
+    // in combo order, sharing the stage's conductances and Elmore sweep.
     for (std::size_t ci = 0; ci < nc; ++ci) {
       const Volt vdd = bench.tech.corners[ci];
       for (int t = 0; t < kNumTransitions; ++t) {
         const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
         if (!scheduled[c * ns + si]) {
-          throw std::logic_error(
-              "evaluate_netlist_batch: stage scheduled out of order");
+          throw std::logic_error("evaluate_netlist: stage scheduled out of order");
         }
         const StageEvent& ev = events[c * ns + si];
         const Transition out_dir = stage_output_dir(stage, ev.dir);
@@ -394,17 +335,11 @@ EvalResult Evaluator::evaluate(const ClockTree& tree) {
   const long units = static_cast<long>(net.stages.size()) *
                      static_cast<long>(bench_.tech.corners.size()) *
                      kNumTransitions;
-  EvalResult result;
-  if (options_.batch) {
-    soa_.build(net);
-    result = evaluate_netlist_batch(net, soa_, bench_, sim_,
-                                    options_.source_input_slew, nullptr,
-                                    &scratch_);
-    batched_stage_evals_.fetch_add(units, std::memory_order_relaxed);
-  } else {
-    result = evaluate_netlist(net, bench_, sim_, options_.source_input_slew);
-    scalar_stage_evals_.fetch_add(units, std::memory_order_relaxed);
-  }
+  soa_.build(net);
+  EvalResult result = evaluate_netlist(net, soa_, bench_, sim_,
+                                       options_.source_input_slew, nullptr,
+                                       &scratch_);
+  batched_stage_evals_.fetch_add(units, std::memory_order_relaxed);
   account_capacitance(result, tree, bench_, sink_caps_);
   return result;
 }
@@ -429,7 +364,6 @@ EvalResult IncrementalEvaluator::evaluate() {
   const Benchmark& bench = eval_.bench_;
   const TransientSimulator& sim = eval_.sim_;
   const Ps source_input_slew = eval_.options_.source_input_slew;
-  const bool batch = eval_.options_.batch;
   const std::vector<int>& topo = net_.topo_slots();
   const std::vector<std::size_t>& levels = net_.topo_levels();
   const std::size_t nc = bench.tech.corners.size();
@@ -447,7 +381,7 @@ EvalResult IncrementalEvaluator::evaluate() {
     workers_.resize(static_cast<std::size_t>(max_workers));
   }
   for (Worker& w : workers_) {
-    w.sims = w.reuses = w.batched = w.scalar = 0;
+    w.sims = w.reuses = w.batched = 0;
     w.helper_cpu = 0.0;
   }
 
@@ -469,9 +403,8 @@ EvalResult IncrementalEvaluator::evaluate() {
   // misses across all combos can be gathered and handed to the batch
   // kernel together.  Each combo's events depend only on upstream slots
   // of the same combo and each cache entry belongs to exactly one combo,
-  // so reordering combos inside a slot changes no value — batched and
-  // scalar modes are bit-identical to each other and to the corner-outer
-  // sweep this replaces.
+  // so reordering combos inside a slot changes no value — the sweep is
+  // bit-identical to a corner-outer one.
   std::vector<StageEvent> events(combos * slot_count);
   std::vector<char> scheduled(combos * slot_count, 0);
   if (!topo.empty()) {
@@ -523,15 +456,8 @@ EvalResult IncrementalEvaluator::evaluate() {
             entry.in_slew != ev.slew) {
           const Transition out_dir = stage_output_dir(stage, ev.dir);
           const DriverView drv = stage_driver_view(stage, bench.tech, vdd, out_dir);
-          if (batch) {
-            w.miss_combos.push_back(static_cast<int>(c));
-            w.miss_drives.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
-          } else {
-            entry.taps = sim.simulate_stage(stage, drv.r_drv, drv.intrinsic,
-                                            ev.slew,
-                                            &elmore_.get(slot, version, stage));
-            ++w.scalar;
-          }
+          w.miss_combos.push_back(static_cast<int>(c));
+          w.miss_drives.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
           entry.version = version;
           entry.in_dir = ev.dir;
           entry.in_slew = ev.slew;
@@ -542,10 +468,9 @@ EvalResult IncrementalEvaluator::evaluate() {
       }
     }
 
-    // Sweep all of this slot's cache misses through the batch kernel in
-    // combo order, borrowing the cached Elmore sweep — the same inputs the
-    // scalar path hands simulate_stage(), through the same integrator core.
-    if (batch && !w.miss_combos.empty()) {
+    // Sweep all of this slot's cache misses through the kernel in combo
+    // order, borrowing the cached Elmore sweep.
+    if (!w.miss_combos.empty()) {
       const ElmoreStage& elm = elmore_.get(slot, version, stage);
       const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
       const std::size_t nt = stage.taps.size();
@@ -620,17 +545,14 @@ EvalResult IncrementalEvaluator::evaluate() {
     }
   }
   long batched = 0;
-  long scalar = 0;
   double helper_cpu = 0.0;
   for (const Worker& w : workers_) {
     stage_sims_ += w.sims;
     stage_reuses_ += w.reuses;
     batched += w.batched;
-    scalar += w.scalar;
     helper_cpu += w.helper_cpu;
   }
   eval_.batched_stage_evals_.fetch_add(batched, std::memory_order_relaxed);
-  eval_.scalar_stage_evals_.fetch_add(scalar, std::memory_order_relaxed);
   eval_.helper_cpu_ns_.fetch_add(static_cast<std::int64_t>(helper_cpu * 1e9),
                                  std::memory_order_relaxed);
 

@@ -83,15 +83,6 @@ struct EvalOptions {
   TransientOptions transient;
   Ps source_input_slew = 10.0;  ///< transition time of the external clock
 
-  /// Run every CNE pass through the batched SoA kernel — one
-  /// simulate_stage_batch() call per stage covering all (corner x
-  /// transition) right-hand sides — instead of one scalar simulate_stage()
-  /// call per combination.  Results are bit-identical either way (the two
-  /// paths share one integrator core); this switch exists for verification
-  /// and benchmarking.  Suite drivers bind it to the CONTANGO_BATCH env
-  /// knob; 0 forces the scalar path, mirroring CONTANGO_INCREMENTAL=0.
-  bool batch = true;
-
   /// Worker cap of the incremental engine's level sweep
   /// (IncrementalEvaluator::evaluate): the stages of one stage-graph depth
   /// level are simulated on up to this many threads.  0 picks
@@ -117,36 +108,27 @@ struct McReport;        // analysis/montecarlo.h
 /// accounting (`total_cap`, `cap_violation`) is the caller's job — it needs
 /// the ClockTree, not the staged netlist.
 ///
-/// \param stage_vdd_delta optional per-stage supply offsets (volts), indexed
-///        like net.stages; each corner evaluates stage i at
-///        `corner + (*stage_vdd_delta)[i]`.  nullptr means every stage sits
-///        exactly at the corner voltage — bit-identical to the nominal path.
-EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& bench,
-                            const TransientSimulator& sim, Ps source_input_slew,
-                            const std::vector<Volt>* stage_vdd_delta = nullptr);
-
-/// \brief Batched twin of evaluate_netlist(): one SoA kernel pass per stage
-/// for all (corner x transition) right-hand sides.
-///
-/// The propagation is restructured stage-outer: stages are visited once in
-/// topological order, every combination's input event is resolved (parents
-/// precede children, so all combinations of a stage's parent are already
-/// final), and simulate_stage_batch() sweeps the whole drive set over the
-/// stage's SoA slice — sharing the conductance array and Elmore sweep that
-/// the scalar path rebuilds per combination.  Every per-combination number
-/// comes out of the same integrator core on the same values, so the result
-/// is **bit-identical** to evaluate_netlist() on the same netlist.
+/// The propagation is stage-outer: stages are visited once in topological
+/// order, every combination's input event is resolved (parents precede
+/// children, so all combinations of a stage's parent are already final),
+/// and one simulate_stage_batch() call sweeps the whole drive set over the
+/// stage's SoA slice, sharing its conductances and Elmore sweep.  Each
+/// combination's event recurrence is the corner-outer one, so the result
+/// does not depend on the combination order.
 ///
 /// \param soa SoA mirror of `net` with slot i == stage i (NetlistSoa::build,
 ///        or a Monte-Carlo trial copy carrying perturbed values); `net`
 ///        still supplies the topology/driver metadata.
+/// \param stage_vdd_delta optional per-stage supply offsets (volts), indexed
+///        like net.stages; each corner evaluates stage i at
+///        `corner + (*stage_vdd_delta)[i]`.  nullptr means every stage sits
+///        exactly at the corner voltage — bit-identical to the nominal path.
 /// \param scratch optional reusable kernel workspace (per thread)
-EvalResult evaluate_netlist_batch(const StagedNetlist& net, const NetlistSoa& soa,
-                                  const Benchmark& bench,
-                                  const TransientSimulator& sim,
-                                  Ps source_input_slew,
-                                  const std::vector<Volt>* stage_vdd_delta = nullptr,
-                                  TransientScratch* scratch = nullptr);
+EvalResult evaluate_netlist(const StagedNetlist& net, const NetlistSoa& soa,
+                            const Benchmark& bench, const TransientSimulator& sim,
+                            Ps source_input_slew,
+                            const std::vector<Volt>* stage_vdd_delta = nullptr,
+                            TransientScratch* scratch = nullptr);
 
 /// Fills `total_cap`/`cap_violation` of `result` — the capacitance half of
 /// CNE that evaluate_netlist() cannot compute (it needs the ClockTree).
@@ -194,16 +176,10 @@ class Evaluator {
   }
 
   /// Finer-grained work accounting in (stage x corner x transition) units:
-  /// transient stage simulations executed through the batched SoA kernel
-  /// vs. the scalar path, across evaluate(), IncrementalEvaluator and
-  /// evaluate_mc().  With `options().batch` (the default) the scalar count
-  /// stays 0 and vice versa — the suite report and the Table V/VI benches
-  /// surface the split.
+  /// transient stage simulations executed by the SoA kernel across
+  /// evaluate(), IncrementalEvaluator and evaluate_mc().
   long batched_stage_evals() const {
     return batched_stage_evals_.load(std::memory_order_relaxed);
-  }
-  long scalar_stage_evals() const {
-    return scalar_stage_evals_.load(std::memory_order_relaxed);
   }
 
   /// CPU seconds spent on helper threads of the incremental level sweep
@@ -219,7 +195,6 @@ class Evaluator {
     full_evals_.store(0, std::memory_order_relaxed);
     incremental_evals_.store(0, std::memory_order_relaxed);
     batched_stage_evals_.store(0, std::memory_order_relaxed);
-    scalar_stage_evals_.store(0, std::memory_order_relaxed);
     helper_cpu_ns_.store(0, std::memory_order_relaxed);
   }
 
@@ -239,9 +214,8 @@ class Evaluator {
   std::atomic<int> full_evals_{0};
   std::atomic<int> incremental_evals_{0};
   std::atomic<long> batched_stage_evals_{0};
-  std::atomic<long> scalar_stage_evals_{0};
   std::atomic<std::int64_t> helper_cpu_ns_{0};
-  /// Reusable batched-evaluation workspace: the SoA mirror rebuilt per
+  /// Reusable evaluation workspace: the SoA mirror rebuilt per
   /// evaluate() (buffers recycled) and the kernel scratch.  evaluate() is
   /// not concurrently reentrant — each suite worker owns its Evaluator.
   NetlistSoa soa_;
@@ -322,9 +296,9 @@ class IncrementalEvaluator {
   std::vector<std::vector<CachedTiming>> timings_;
   long stage_sims_ = 0;
   long stage_reuses_ = 0;
-  /// One level-sweep worker's private state.  Batched mode gathers the
-  /// cache-missing combos of one slot in the miss buffers and simulates
-  /// them in one simulate_stage_batch() sweep over the netlist's SoA slice.
+  /// One level-sweep worker's private state.  The cache-missing combos of
+  /// one slot are gathered in the miss buffers and simulated in one
+  /// simulate_stage_batch() sweep over the netlist's SoA slice.
   struct Worker {
     TransientScratch scratch;
     std::vector<BatchDrive> miss_drives;
@@ -332,8 +306,7 @@ class IncrementalEvaluator {
     std::vector<TapTiming> miss_taps;
     long sims = 0;          ///< cache misses simulated
     long reuses = 0;        ///< cache hits
-    long batched = 0;       ///< stage-evals through the batch kernel
-    long scalar = 0;        ///< stage-evals through simulate_stage()
+    long batched = 0;       ///< stage-evals through the kernel
     double helper_cpu = 0;  ///< CPU seconds spent off the calling thread
   };
   std::vector<Worker> workers_;

@@ -26,40 +26,15 @@ struct BlockStats {
   long pass = 0;  ///< legal and skew <= target
 };
 
-/// Applies one trial's perturbation to a scratch copy of the base netlist.
+/// Applies one trial's perturbation to a SoA copy of the base netlist.
 ///
 /// Wire R/C scale globally; pin capacitances (sink pins, buffer input and
 /// output pins) are exempt from wire scaling — extraction records them per
 /// tap/stage — and sink pins additionally take their per-sink jitter
 /// factor.  With the zero model every adjustment is exactly 0.0 and the
-/// scratch netlist is bit-identical to the base.
-void apply_variation(const StagedNetlist& base, const TrialVariation& v,
-                     StagedNetlist& scratch) {
-  scratch = base;  // copy-assign reuses the scratch buffers across trials
-  const double rs = v.wire_r_scale;
-  const double cs = v.wire_c_scale;
-  for (Stage& stage : scratch.stages) {
-    for (RcNode& node : stage.nodes) {
-      node.res *= rs;
-      node.cap *= cs;
-    }
-    stage.nodes[0].cap += stage.driver_pin_cap * (1.0 - cs);
-    for (const Tap& tap : stage.taps) {
-      const double pin_scale =
-          tap.is_sink ? v.sink_cap_scale[static_cast<std::size_t>(tap.sink_index)]
-                      : 1.0;
-      stage.nodes[static_cast<std::size_t>(tap.rc_index)].cap +=
-          tap.pin_cap * (pin_scale - cs);
-    }
-  }
-}
-
-/// SoA twin of apply_variation(): the same scale factors applied to the
-/// same elements in the same order (every adjustment is element-local, so
-/// the field-major layout changes no value) — a perturbed slice is
-/// bit-identical to the AoS scratch netlist's stage.
-void apply_variation_soa(const TrialVariation& v, NetlistSoa& soa,
-                         std::size_t num_stages) {
+/// copy is bit-identical to the base.
+void apply_variation(const TrialVariation& v, NetlistSoa& soa,
+                     std::size_t num_stages) {
   const double rs = v.wire_r_scale;
   const double cs = v.wire_c_scale;
   for (std::size_t si = 0; si < num_stages; ++si) {
@@ -152,21 +127,15 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
     throw std::invalid_argument("run_montecarlo: empty clock tree");
   }
   const TransientSimulator sim(options.eval.transient);
-  const bool batch = options.eval.batch;
 
-  // Batched trials perturb a SoA copy of this base instead of an AoS
-  // scratch netlist; `base` keeps supplying topology and driver metadata.
+  // Trials perturb a SoA copy of this base; `base` keeps supplying
+  // topology and driver metadata.
   NetlistSoa base_soa;
-  if (batch) base_soa.build(base);
+  base_soa.build(base);
 
   // Nominal (unperturbed) reference, including the capacitance gate.
-  if (batch) {
-    report.nominal = evaluate_netlist_batch(base, base_soa, bench, sim,
-                                            options.eval.source_input_slew);
-  } else {
-    report.nominal =
-        evaluate_netlist(base, bench, sim, options.eval.source_input_slew);
-  }
+  report.nominal = evaluate_netlist(base, base_soa, bench, sim,
+                                    options.eval.source_input_slew);
   std::vector<Ff> sink_caps;
   sink_caps.reserve(bench.sinks.size());
   for (const Sink& s : bench.sinks) sink_caps.push_back(s.cap);
@@ -178,12 +147,10 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   std::vector<BlockStats> blocks(static_cast<std::size_t>(num_blocks));
 
   // Trials plus the nominal reference, in stage-evaluation units.
-  const long eval_units = static_cast<long>(trials + 1) *
-                          static_cast<long>(base.stages.size()) *
-                          static_cast<long>(bench.tech.corners.size()) *
-                          kNumTransitions;
-  report.batched_stage_evals = batch ? eval_units : 0;
-  report.scalar_stage_evals = batch ? 0 : eval_units;
+  report.batched_stage_evals = static_cast<long>(trials + 1) *
+                               static_cast<long>(base.stages.size()) *
+                               static_cast<long>(bench.tech.corners.size()) *
+                               kNumTransitions;
 
   // Trials are embarrassingly parallel: each writes its own slot, draws
   // from its own substream, and accumulates into its block's stats.  Blocks
@@ -192,7 +159,6 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   // scheduling.
   parallel_for(num_blocks, report.threads, [&](int b) {
     BlockStats& block = blocks[static_cast<std::size_t>(b)];
-    StagedNetlist scratch;
     NetlistSoa trial_soa;
     TransientScratch sim_scratch;
     const int begin = b * kTrialsPerBlock;
@@ -200,19 +166,11 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
     for (int trial = begin; trial < end; ++trial) {
       const TrialVariation v = sample_trial(model, bench.tech, trial,
                                             base.stages.size(), bench.sinks.size());
-      EvalResult eval;
-      if (batch) {
-        trial_soa = base_soa;  // copy-assign reuses block-local buffers
-        apply_variation_soa(v, trial_soa, base.stages.size());
-        eval = evaluate_netlist_batch(base, trial_soa, bench, sim,
-                                      options.eval.source_input_slew,
-                                      &v.stage_vdd_delta, &sim_scratch);
-      } else {
-        apply_variation(base, v, scratch);
-        eval = evaluate_netlist(scratch, bench, sim,
-                                options.eval.source_input_slew,
-                                &v.stage_vdd_delta);
-      }
+      trial_soa = base_soa;  // copy-assign reuses block-local buffers
+      apply_variation(v, trial_soa, base.stages.size());
+      const EvalResult eval = evaluate_netlist(base, trial_soa, bench, sim,
+                                               options.eval.source_input_slew,
+                                               &v.stage_vdd_delta, &sim_scratch);
       McTrial& t = report.samples[static_cast<std::size_t>(trial)];
       t.skew = eval.nominal_skew;
       t.clr = eval.clr;
@@ -276,8 +234,6 @@ McReport Evaluator::evaluate_mc(const ClockTree& tree, int trials,
   full_evals_.fetch_add(trials, std::memory_order_relaxed);
   batched_stage_evals_.fetch_add(report.batched_stage_evals,
                                  std::memory_order_relaxed);
-  scalar_stage_evals_.fetch_add(report.scalar_stage_evals,
-                                std::memory_order_relaxed);
   return report;
 }
 
@@ -317,7 +273,6 @@ std::string McReport::to_json(bool with_samples) const {
   w.kv("legal_fraction", legal_fraction);
   w.kv("wall_seconds", wall_seconds);
   w.kv("batched_stage_evals", batched_stage_evals);
-  w.kv("scalar_stage_evals", scalar_stage_evals);
   if (with_samples) {
     w.key("samples");
     w.begin_array();

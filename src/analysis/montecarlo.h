@@ -155,11 +155,10 @@ struct McReport {
   double wall_seconds = 0.0;
 
   /// Stage-evaluation units — (stage x corner x transition) integrations —
-  /// spent across all trials plus the nominal reference, split by engine
-  /// path.  Exactly one of the two is nonzero, depending on
-  /// McOptions::eval.batch.
+  /// spent across all trials plus the nominal reference.
   long batched_stage_evals = 0;
-  long scalar_stage_evals = 0;
+  /// Always 0: kept only because the benchmark driver still sums it.
+  static constexpr long scalar_stage_evals = 0;
 
   /// Serializes the report as a JSON object (io/json); `with_samples`
   /// includes the per-trial array (one object per trial).
@@ -169,7 +168,7 @@ struct McReport {
 /// \brief Runs the Monte-Carlo variation analysis on a synthesized tree.
 ///
 /// Extracts the staged netlist once, then per trial: samples the trial's
-/// perturbation from its substream, applies wire/pin scaling to a scratch
+/// perturbation from its substream, applies wire/pin scaling to a SoA
 /// copy of the netlist, evaluates every (corner x transition) combination
 /// with per-stage supply offsets, and streams skew/CLR/latency into
 /// per-block accumulators merged in deterministic order.

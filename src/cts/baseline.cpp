@@ -1,7 +1,6 @@
 #include "cts/baseline.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "cts/buflib.h"
 #include "cts/bufferopt.h"
@@ -45,12 +44,9 @@ ClockTree greedy_topology(const Benchmark& bench) {
            manhattan(bench.sinks[b].position, bench.source);
   });
 
-  // Candidate nodes are found either by the grid-bucket NN index or by the
-  // reference linear scan (CONTANGO_SPATIAL=0).  Both minimize
+  // Candidate nodes come from a grid-bucket NN index minimizing
   // (manhattan distance, attachable sequence number) lexicographically —
-  // the scan's first-wins strict `<` over insertion order is exactly that —
-  // so the topologies are bit-identical.
-  const bool use_index = spatial_index_enabled();
+  // the argmin of a first-wins strict `<` scan over insertion order.
   Rect layout = Rect::around(bench.source, bench.source);
   for (const Sink& s : bench.sinks) {
     layout = layout.bounding_union(Rect::around(s.position, s.position));
@@ -62,25 +58,13 @@ ClockTree greedy_topology(const Benchmark& bench) {
   for (std::size_t i : order) {
     const Point& p = bench.sinks[i].position;
     NodeId best = root;
-    if (use_index) {
-      // Keep the tree binary: full joints stop accepting attachments
-      // (buffer insertion's DP reconstruction requires binary branches).
-      const int got = grid.nearest(p, [&](int seq) {
-        return tree.node(attachable[static_cast<std::size_t>(seq)])
-                   .children.size() < 2;
-      });
-      if (got >= 0) best = attachable[static_cast<std::size_t>(got)];
-    } else {
-      Um best_d = std::numeric_limits<double>::max();
-      for (NodeId cand : attachable) {
-        if (tree.node(cand).children.size() >= 2) continue;
-        const Um d = manhattan(tree.node(cand).pos, p);
-        if (d < best_d) {
-          best_d = d;
-          best = cand;
-        }
-      }
-    }
+    // Keep the tree binary: full joints stop accepting attachments
+    // (buffer insertion's DP reconstruction requires binary branches).
+    const int got = grid.nearest(p, [&](int seq) {
+      return tree.node(attachable[static_cast<std::size_t>(seq)])
+                 .children.size() < 2;
+    });
+    if (got >= 0) best = attachable[static_cast<std::size_t>(got)];
     const NodeId sink = tree.add_child(best, NodeKind::kSink, p);
     tree.node(sink).sink_index = static_cast<int>(i);
     tree.node(sink).wire_width = width;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -37,18 +36,15 @@ struct MergeItem {
 };
 
 /// Exact nearest-neighbour search over the active merge items, by
-/// merge-region distance with (distance, item index) tie-breaking.
-///
-/// Two interchangeable engines: a kd-tree over the regions (O(log n)
-/// amortized per query) and the reference linear scan (CONTANGO_SPATIAL=0).
-/// Both compute the identical lexicographic argmin with the identical
-/// TiltedRect::distance bits, so the merge forests they drive are equal.
+/// merge-region distance with (distance, item index) tie-breaking: a kd-tree
+/// over the regions (O(log n) amortized per query) that computes the same
+/// lexicographic argmin, with the same TiltedRect::distance bits, as a
+/// linear scan over the active items.
 class NeighbourFinder {
  public:
   NeighbourFinder(const std::vector<MergeItem>& items,
-                  const std::vector<int>& active, bool use_index)
-      : items_(items), active_(active), use_index_(use_index) {
-    if (!use_index_) return;
+                  const std::vector<int>& active)
+      : items_(items) {
     std::vector<TiltedNnIndex::Entry> entries;
     entries.reserve(active.size());
     for (int idx : active) {
@@ -61,27 +57,11 @@ class NeighbourFinder {
   /// Nearest active item to `self`, or -1 when `self` is the only one.
   int nearest(int self) const {
     const TiltedRect& me = items_[static_cast<std::size_t>(self)].region;
-    if (use_index_) {
-      return index_.nearest(me, [self](int cand) { return cand != self; });
-    }
-    int best = -1;
-    double best_d = 0.0;
-    for (int cand : active_) {
-      if (cand == self) continue;
-      const double d =
-          me.distance(items_[static_cast<std::size_t>(cand)].region);
-      if (best < 0 || d < best_d || (d == best_d && cand < best)) {
-        best = cand;
-        best_d = d;
-      }
-    }
-    return best;
+    return index_.nearest(me, [self](int cand) { return cand != self; });
   }
 
  private:
   const std::vector<MergeItem>& items_;
-  const std::vector<int>& active_;
-  bool use_index_ = true;
   TiltedNnIndex index_;
 };
 
@@ -159,13 +139,10 @@ ClockTree build_zst(const Benchmark& bench, const DmeOptions& options) {
     items.push_back(item);
   }
 
-  // Bottom-up: rounds of greedy nearest-neighbour matching.  The NN engine
-  // (kd-tree vs reference scan) follows CONTANGO_SPATIAL; both produce the
-  // same (distance, index)-lexicographic neighbours, so the topology is
-  // bit-identical either way.
-  const bool use_index = spatial_index_enabled();
+  // Bottom-up: rounds of greedy nearest-neighbour matching on
+  // (distance, index)-lexicographic neighbours.
   while (active.size() > 1) {
-    NeighbourFinder finder(items, active, use_index);
+    NeighbourFinder finder(items, active);
 
     // Collect (distance, a, b) candidate pairs from each item's NN.
     struct Pair {

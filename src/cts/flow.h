@@ -34,19 +34,12 @@ struct FlowOptions {
   Um snake_unit = 20.0;   ///< l_wn for top-down snaking
   Um bottom_unit = 5.0;   ///< l_wn for bottom-level fine-tuning
 
-  /// Stage switches (for ablation studies).  Legacy toggles: disabling a
-  /// stage here is exactly equivalent to omitting its pass from `pipeline`,
-  /// and they are ignored when `pipeline` is set.
-  bool enable_tbsz = true;
-  bool enable_twsz = true;
-  bool enable_twsn = true;
-  bool enable_bwsn = true;
-
   /// Pass-pipeline spec (cts/pipeline.h): comma-separated pass names with
   /// optional `pass:key=value` overrides, e.g.
-  /// `"dme,repair,insert,polarity,twsz,twsn"`.  Empty runs the default
-  /// sequence implied by the stage switches above.  Suite drivers bind this
-  /// to the CONTANGO_PIPELINE env knob.
+  /// `"dme,repair,insert,polarity,twsz,twsn"`.  Empty runs the full
+  /// default sequence (default_pipeline_spec).  Ablation studies drop
+  /// passes here.  Suite drivers bind this to the CONTANGO_PIPELINE env
+  /// knob.
   std::string pipeline;
 
   /// Cooperative cancellation (util/cancel.h).  The pipeline polls this
@@ -96,10 +89,10 @@ struct PassTiming {
   int full_evals = 0;
   int incremental_evals = 0;
   /// Stage-evaluation units — (stage x corner x transition) transient
-  /// integrations — this pass spent, split by kernel path (batched SoA
-  /// sweeps vs. scalar simulate_stage calls; EvalOptions::batch).
+  /// integrations — this pass spent.
   long batched_stage_evals = 0;
-  long scalar_stage_evals = 0;
+  /// Always 0: kept only because the benchmark driver still sums it.
+  static constexpr long scalar_stage_evals = 0;
 };
 
 /// Full result of one Contango run.
@@ -115,11 +108,10 @@ struct FlowResult {
   /// incremental_evals); the Table V scaling bench reports both.
   int full_evals = 0;
   int incremental_evals = 0;
-  /// Stage-evaluation units spent over the whole flow, split by kernel
-  /// path (see PassTiming); with EvalOptions::batch on, scalar units stay
-  /// 0 and vice versa.
+  /// Stage-evaluation units spent over the whole flow (see PassTiming).
   long batched_stage_evals = 0;
-  long scalar_stage_evals = 0;
+  /// Always 0: kept only because the benchmark driver still sums it.
+  static constexpr long scalar_stage_evals = 0;
   /// CPU seconds the incremental level sweep spent on helper threads over
   /// the whole flow (already included in the passes' cpu_seconds); 0 with
   /// EvalOptions::threads == 1.
@@ -155,7 +147,7 @@ struct FlowResult {
 ///
 /// This is a thin wrapper over the pass pipeline (cts/pipeline.h): it runs
 /// `Pipeline::from_options(options)` — `options.pipeline` when set, else
-/// the default sequence implied by the stage switches — and produces
+/// the full default sequence — and produces
 /// bit-identical results to the historical monolithic flow.
 FlowResult run_contango(const Benchmark& bench, const FlowOptions& options = {});
 

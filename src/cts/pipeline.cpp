@@ -153,18 +153,13 @@ std::string pipeline_spec_without(const std::string& spec,
   return out;
 }
 
-std::string default_pipeline_spec(const FlowOptions& options) {
-  std::string spec = "dme,repair,insert,polarity";
-  if (options.enable_tbsz) spec += ",tbsz";
-  if (options.enable_twsz) spec += ",twsz";
-  if (options.enable_twsn) spec += ",twsn";
-  if (options.enable_bwsn) spec += ",bwsn";
-  return spec;
+std::string default_pipeline_spec() {
+  return "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn";
 }
 
 std::string resolved_pipeline_spec(const FlowOptions& options) {
   const std::string spec = trim(options.pipeline);
-  return spec.empty() ? default_pipeline_spec(options) : spec;
+  return spec.empty() ? default_pipeline_spec() : spec;
 }
 
 // ---------------------------------------------------------------- Pipeline --
@@ -213,13 +208,13 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     if (gated) ctx.ensure_initial();
 
     const std::string stage_name = ctx.unique_stage_name(pass->display_name());
-    const int sims_before = ctx.eval.sim_runs();
-    const int full_before = ctx.eval.full_evals();
-    const int incremental_before = ctx.eval.incremental_evals();
-    const long batched_before = ctx.eval.batched_stage_evals();
-    const long scalar_before = ctx.eval.scalar_stage_evals();
+    const Evaluator& evaluator = ctx.eval;
+    const int sims_before = evaluator.sim_runs();
+    const int full_before = evaluator.full_evals();
+    const int incremental_before = evaluator.incremental_evals();
+    const long batched_before = evaluator.batched_stage_evals();
     const double cpu_before = thread_cpu_seconds();
-    const double helper_cpu_before = ctx.eval.helper_cpu_seconds();
+    const double helper_cpu_before = evaluator.helper_cpu_seconds();
     Timer wall;
 
     if (gated) {
@@ -257,12 +252,11 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     timing.name = stage_name;
     timing.wall_seconds = wall.seconds();
     timing.cpu_seconds = (thread_cpu_seconds() - cpu_before) +
-                         (ctx.eval.helper_cpu_seconds() - helper_cpu_before);
-    timing.sim_runs = ctx.eval.sim_runs() - sims_before;
-    timing.full_evals = ctx.eval.full_evals() - full_before;
-    timing.incremental_evals = ctx.eval.incremental_evals() - incremental_before;
-    timing.batched_stage_evals = ctx.eval.batched_stage_evals() - batched_before;
-    timing.scalar_stage_evals = ctx.eval.scalar_stage_evals() - scalar_before;
+                         (evaluator.helper_cpu_seconds() - helper_cpu_before);
+    timing.sim_runs = evaluator.sim_runs() - sims_before;
+    timing.full_evals = evaluator.full_evals() - full_before;
+    timing.incremental_evals = evaluator.incremental_evals() - incremental_before;
+    timing.batched_stage_evals = evaluator.batched_stage_evals() - batched_before;
     ctx.result.pass_timings.push_back(std::move(timing));
   }
 
@@ -270,15 +264,15 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   // INITIAL snapshot, exactly like the legacy flow.
   ctx.ensure_initial();
 
+  const Evaluator& evaluator = ctx.eval;
   FlowResult result = std::move(ctx.result);
   result.tree = std::move(ctx.tree);
   result.eval = ctx.current();
-  result.sim_runs = ctx.eval.sim_runs();
-  result.full_evals = ctx.eval.full_evals();
-  result.incremental_evals = ctx.eval.incremental_evals();
-  result.batched_stage_evals = ctx.eval.batched_stage_evals();
-  result.scalar_stage_evals = ctx.eval.scalar_stage_evals();
-  result.helper_cpu_seconds = ctx.eval.helper_cpu_seconds();
+  result.sim_runs = evaluator.sim_runs();
+  result.full_evals = evaluator.full_evals();
+  result.incremental_evals = evaluator.incremental_evals();
+  result.batched_stage_evals = evaluator.batched_stage_evals();
+  result.helper_cpu_seconds = evaluator.helper_cpu_seconds();
   result.seconds = ctx.timer().seconds();
   return result;
 }

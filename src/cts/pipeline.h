@@ -93,10 +93,9 @@ bool pipeline_spec_contains(const std::string& spec, const std::string& pass);
 std::string pipeline_spec_without(const std::string& spec,
                                   const std::string& pass);
 
-/// The spec of the legacy `run_contango` sequence under `options`:
-/// `dme,repair,insert,polarity` plus each of tbsz/twsz/twsn/bwsn whose
-/// FlowOptions stage switch is on.
-std::string default_pipeline_spec(const FlowOptions& options = {});
+/// The spec of the full `run_contango` sequence:
+/// `dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn`.
+std::string default_pipeline_spec();
 
 /// `options.pipeline` when non-empty, otherwise default_pipeline_spec() —
 /// the spec run_contango() resolves to.  Drivers print this so their

@@ -56,15 +56,6 @@ long SuiteReport::total_batched_stage_evals() const {
   return total;
 }
 
-long SuiteReport::total_scalar_stage_evals() const {
-  long total = 0;
-  for (const SuiteRun& r : runs) {
-    total += r.result.scalar_stage_evals;
-    if (r.has_mc) total += r.mc.scalar_stage_evals;
-  }
-  return total;
-}
-
 double SuiteReport::cpu_seconds() const {
   double total = 0.0;
   for (const SuiteRun& r : runs) total += r.seconds;
@@ -88,10 +79,9 @@ std::string SuiteReport::table() const {
     any_cons = any_cons || !r.result.eval.domain_skews.empty();
   }
 
-  std::vector<std::string> headers = {"Benchmark", "Sinks",       "Blk%",
-                                      "CLR, ps",   "Skew, ps",    "Latency, ps",
-                                      "Cap, pF",   "Sims",        "Batched",
-                                      "CPU, s"};
+  std::vector<std::string> headers = {"Benchmark", "Sinks",    "Blk%",
+                                      "CLR, ps",   "Skew, ps", "Latency, ps",
+                                      "Cap, pF",   "Sims",     "CPU, s"};
   if (any_cons) {
     headers.insert(headers.end(), {"Dom skew", "Cons viol"});
   }
@@ -106,8 +96,6 @@ std::string SuiteReport::table() const {
                      r.cancelled ? "CANCELLED" : "FAILED: " + r.error});
       continue;
     }
-    const long batched = r.result.batched_stage_evals +
-                         (r.has_mc ? r.mc.batched_stage_evals : 0);
     std::vector<std::string> row = {r.benchmark, std::to_string(r.num_sinks),
                                     TextTable::num(100.0 * r.obstacle_density, 1),
                                     TextTable::num(r.result.eval.clr, 2),
@@ -115,7 +103,6 @@ std::string SuiteReport::table() const {
                                     TextTable::num(r.result.eval.max_latency, 1),
                                     TextTable::num(r.result.eval.total_cap / 1000.0, 2),
                                     std::to_string(r.result.sim_runs),
-                                    std::to_string(batched),
                                     TextTable::num(r.seconds, 1)};
     if (any_cons) {
       if (r.result.eval.domain_skews.empty()) {
@@ -153,7 +140,6 @@ std::string SuiteReport::to_json() const {
   w.kv("total_full_evals", total_full_evals());
   w.kv("total_incremental_evals", total_incremental_evals());
   w.kv("total_batched_stage_evals", total_batched_stage_evals());
-  w.kv("total_scalar_stage_evals", total_scalar_stage_evals());
   w.kv("all_ok", all_ok());
   w.key("runs");
   w.begin_array();
@@ -179,7 +165,6 @@ std::string SuiteReport::to_json() const {
     w.kv("full_evals", static_cast<long>(r.result.full_evals));
     w.kv("incremental_evals", static_cast<long>(r.result.incremental_evals));
     w.kv("batched_stage_evals", r.result.batched_stage_evals);
-    w.kv("scalar_stage_evals", r.result.scalar_stage_evals);
     w.kv("clr_ps", r.result.eval.clr);
     w.kv("skew_ps", r.result.eval.nominal_skew);
     w.kv("max_latency_ps", r.result.eval.max_latency);
@@ -213,7 +198,6 @@ std::string SuiteReport::to_json() const {
       w.kv("full_evals", static_cast<long>(p.full_evals));
       w.kv("incremental_evals", static_cast<long>(p.incremental_evals));
       w.kv("batched_stage_evals", p.batched_stage_evals);
-      w.kv("scalar_stage_evals", p.scalar_stage_evals);
       w.end_object();
     }
     w.end_array();
@@ -254,7 +238,6 @@ std::string SuiteReport::to_json() const {
       w.kv("yield", r.mc.yield);
       w.kv("legal_fraction", r.mc.legal_fraction);
       w.kv("batched_stage_evals", r.mc.batched_stage_evals);
-      w.kv("scalar_stage_evals", r.mc.scalar_stage_evals);
       w.end_object();
     }
     w.end_object();
@@ -385,7 +368,6 @@ std::vector<std::string> unknown_contango_env_vars() {
   // unknown-env-var test fails loudly on a knob that warns about itself.
   static const char* const kKnown[] = {
       "CONTANGO_ABLATION_BENCHMARK",
-      "CONTANGO_BATCH",
       "CONTANGO_DOMAINS",
       "CONTANGO_FIG3_BENCHMARK",
       "CONTANGO_INCREMENTAL",
@@ -403,7 +385,6 @@ std::vector<std::string> unknown_contango_env_vars() {
       "CONTANGO_SCENARIO",
       "CONTANGO_SEED",
       "CONTANGO_SOCKET",
-      "CONTANGO_SPATIAL",
       "CONTANGO_TABLE3_BENCHMARKS",
       "CONTANGO_TABLE4_BENCHMARKS",
       "CONTANGO_THREADS",
@@ -427,7 +408,7 @@ std::vector<std::string> unknown_contango_env_vars() {
 }
 
 SuiteOptions suite_options_from_env(SuiteOptions base) {
-  // A misspelled knob (CONTANGO_BATH=0) silently running the default
+  // A misspelled knob (CONTANGO_THREDS=4) silently running the default
   // configuration is worse than a crash in a benchmark harness — call the
   // typo out, but keep going: the variable may belong to a future binary.
   for (const std::string& name : unknown_contango_env_vars()) {
@@ -441,13 +422,8 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
   }
   base.flow.incremental =
       env_long_strict("CONTANGO_INCREMENTAL", base.flow.incremental ? 1 : 0) != 0;
-  base.flow.eval.batch =
-      env_long_strict("CONTANGO_BATCH", base.flow.eval.batch ? 1 : 0) != 0;
-  // CONTANGO_SPATIAL is consumed inside geom/spatial.h (query structures
-  // sample it at construction); the strict read here only rejects malformed
-  // values up front, like every other knob.
-  env_long_strict("CONTANGO_SPATIAL", 1);
-  // Same story for CONTANGO_MMAP, consumed in io/mmap.h at file open.
+  // CONTANGO_MMAP is consumed in io/mmap.h at file open; the strict read
+  // here only rejects malformed values up front, like every other knob.
   env_long_strict("CONTANGO_MMAP", 1);
   // CONTANGO_DOMAINS / CONTANGO_WINDOW_FRACTION parameterize the
   // multidomain / usefulskew scenario factories (cts/scenario.cpp), which

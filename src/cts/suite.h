@@ -102,8 +102,7 @@ struct SuiteRun {
 
   /// Obstacle-density statistics of the benchmark floorplan (filled for
   /// every run, even failed ones).  The union area comes from the Klee
-  /// sweep in geom/spatial.h and is spatial-mode-independent, so
-  /// CONTANGO_SPATIAL=0/1 suite reports stay byte-identical.
+  /// sweep in geom/spatial.h.
   int num_obstacle_rects = 0;
   int num_obstacle_compounds = 0;
   double obstacle_union_area_um2 = 0.0;  ///< area of the union of all rects
@@ -155,12 +154,8 @@ struct SuiteReport {
   long total_incremental_evals() const;
 
   /// Stage-evaluation units — (stage x corner x transition) transient
-  /// integrations — spent across all runs (synthesis plus Monte-Carlo),
-  /// split by kernel path: batched SoA sweeps vs. scalar simulate_stage
-  /// calls.  With EvalOptions::batch on (the default) the scalar total is
-  /// 0 and vice versa; the batch-smoke CI job asserts exactly that.
+  /// integrations — spent across all runs (synthesis plus Monte-Carlo).
   long total_batched_stage_evals() const;
-  long total_scalar_stage_evals() const;
 
   /// Sum of per-run wall times.  Each run's wall time includes time its
   /// worker spent descheduled, so on an oversubscribed machine this
@@ -214,15 +209,6 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 ///   CONTANGO_PIPELINE        -> pipeline_spec (cts/pipeline.h syntax)
 ///   CONTANGO_INCREMENTAL     -> flow.incremental (0 forces full
 ///                               evaluation per candidate; default 1)
-///   CONTANGO_BATCH           -> flow.eval.batch (0 forces the scalar
-///                               transient kernel; default 1, results are
-///                               bit-identical either way)
-///   CONTANGO_SPATIAL         -> geometry engine (0 forces the reference
-///                               linear scans instead of the spatial
-///                               indices; default 1, results are
-///                               bit-identical either way; read by
-///                               geom/spatial.h at query-structure
-///                               construction, validated here)
 ///   CONTANGO_MMAP            -> `.cbench` load backend (0 forces the
 ///                               buffered-read fallback instead of mmap;
 ///                               default 1, results are bit-identical

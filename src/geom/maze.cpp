@@ -55,8 +55,8 @@ std::optional<std::vector<Point>> MazeRouter::route_in_window(
   std::vector<double> xs{from.x, to.x, window.xlo, window.xhi};
   std::vector<double> ys{from.y, to.y, window.ylo, window.yhi};
   // Escape-graph coordinates from the obstacles inside the window only;
-  // rects_intersecting returns ascending indices on both spatial paths, so
-  // the compressed grids (and the routes) are identical either way.
+  // rects_intersecting returns ascending indices, so the compressed grids
+  // (and the routes) do not depend on the index layout.
   for (const std::size_t i : obstacles_.rects_intersecting(window)) {
     const Rect& r = obstacles_.rects()[i];
     xs.push_back(r.xlo);

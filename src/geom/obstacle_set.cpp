@@ -36,39 +36,20 @@ int direction_index(const Point& from, const Point& to) {
 
 }  // namespace
 
-ObstacleSet::ObstacleSet(std::vector<Rect> rects, SpatialMode mode)
+ObstacleSet::ObstacleSet(std::vector<Rect> rects)
     : rects_(std::move(rects)) {
   for (const Rect& r : rects_) {
     if (!r.valid()) throw std::invalid_argument("ObstacleSet: invalid rect");
   }
-  use_index_ = resolve_spatial_mode(mode) == SpatialMode::kForceIndex;
-  if (use_index_) index_ = RectIntervalIndex(rects_);
+  index_ = RectIntervalIndex(rects_);
   union_area_ = klee_union_area(rects_);
   build_groups();
   build_contours();
 }
 
-template <typename Fn>
-bool ObstacleSet::for_candidates(const Rect& query, Fn&& fn) const {
-  if (use_index_) return index_.visit(query, fn);
-  // Reference path: plain linear scan over every rectangle, ascending.
-  // Rectangles not intersecting `query` contribute nothing to any caller
-  // (each caller's predicate implies closed intersection), so both paths
-  // produce bit-identical results.
-  for (std::size_t i = 0; i < rects_.size(); ++i) {
-    if (fn(i)) return true;
-  }
-  return false;
-}
-
 std::vector<std::size_t> ObstacleSet::rects_intersecting(
     const Rect& window) const {
-  if (use_index_) return index_.intersecting(window);
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < rects_.size(); ++i) {
-    if (rects_[i].intersects(window)) out.push_back(i);
-  }
-  return out;
+  return index_.intersecting(window);
 }
 
 void ObstacleSet::build_groups() {
@@ -139,9 +120,8 @@ bool ObstacleSet::blocks_polyline(const std::vector<Point>& pts) const {
 
 Um ObstacleSet::blocked_length(const HVSegment& seg) const {
   Um total = 0.0;
-  // Terms accumulate in ascending rect-index order on both paths, and
-  // non-intersecting rects add exactly 0.0, so the sum is bit-identical
-  // between the index and the scan.
+  // Terms accumulate in ascending rect-index order, and non-intersecting
+  // rects would add exactly 0.0, so the sum equals a full scan's.
   for_candidates(seg.bounds(), [&](std::size_t i) {
     const Rect& r = rects_[i];
     const Rect clip = seg.bounds().intersection(r);
@@ -170,7 +150,7 @@ std::size_t ObstacleSet::compound_containing(const Point& p) const {
   for_candidates(probe, [&](std::size_t i) {
     if (rects_[i].contains_strict(p)) {
       found = rect_to_compound_[i];
-      return true;  // first (lowest-index) containing rect wins on both paths
+      return true;  // first (lowest-index) containing rect wins
     }
     return false;
   });

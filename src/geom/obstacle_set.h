@@ -30,27 +30,20 @@ struct CompoundObstacle {
 /// are grouped into compound obstacles at construction.
 ///
 /// Queries run against an interval-tree spatial index (O(log n + k) per
-/// probe) unless `mode` — or the CONTANGO_SPATIAL env knob under kAuto —
-/// forces the reference linear scan.  Both paths are bit-identical:
-/// candidates are visited in ascending rectangle-index order either way,
-/// and non-intersecting rectangles contribute exactly nothing to every
-/// query result.
+/// probe).  Candidates are visited in ascending rectangle-index order and
+/// non-intersecting rectangles would contribute exactly nothing to any
+/// query result, so every answer equals a linear scan over rects().
 class ObstacleSet {
  public:
   ObstacleSet() = default;
-  explicit ObstacleSet(std::vector<Rect> rects,
-                       SpatialMode mode = SpatialMode::kAuto);
+  explicit ObstacleSet(std::vector<Rect> rects);
 
   const std::vector<Rect>& rects() const { return rects_; }
   const std::vector<CompoundObstacle>& compounds() const { return compounds_; }
   bool empty() const { return rects_.empty(); }
 
-  /// True when queries run through the spatial index (resolved at
-  /// construction from the ctor mode / CONTANGO_SPATIAL).
-  bool uses_index() const { return use_index_; }
-
   /// Area of the union of all obstacle rectangles (Klee sweep, computed
-  /// once at construction; mode-independent).
+  /// once at construction).
   double union_area() const { return union_area_; }
 
   /// Indices (ascending) of rectangles intersecting `window` (closed
@@ -94,17 +87,18 @@ class ObstacleSet {
   void build_groups();
   void build_contours();
 
-  /// Visits candidate rectangle indices for `query` in ascending order:
-  /// the interval-tree result under the index, every index under the scan.
-  /// fn returns true to stop early; for_candidates returns that flag.
+  /// Visits the indices of rectangles intersecting `query` in ascending
+  /// order.  fn returns true to stop early; for_candidates returns that
+  /// flag.
   template <typename Fn>
-  bool for_candidates(const Rect& query, Fn&& fn) const;
+  bool for_candidates(const Rect& query, Fn&& fn) const {
+    return index_.visit(query, fn);
+  }
 
   std::vector<Rect> rects_;
   std::vector<CompoundObstacle> compounds_;
   std::vector<std::size_t> rect_to_compound_;
 
-  bool use_index_ = true;
   RectIntervalIndex index_;
   double union_area_ = 0.0;
 };

@@ -4,23 +4,12 @@
 #include <cmath>
 #include <functional>
 
-#include "util/env.h"
-
 namespace contango {
-
-bool spatial_index_enabled() { return env_long("CONTANGO_SPATIAL", 1) != 0; }
-
-SpatialMode resolve_spatial_mode(SpatialMode mode) {
-  if (mode != SpatialMode::kAuto) return mode;
-  return spatial_index_enabled() ? SpatialMode::kForceIndex
-                                 : SpatialMode::kForceScan;
-}
 
 // ---------------------------------------------------------------------------
 // RectIntervalIndex
 
-RectIntervalIndex::RectIntervalIndex(const std::vector<Rect>& rects,
-                                     IndexBuild build) {
+RectIntervalIndex::RectIntervalIndex(const std::vector<Rect>& rects) {
   xlo_.reserve(rects.size());
   xhi_.reserve(rects.size());
   ylo_.reserve(rects.size());
@@ -31,12 +20,11 @@ RectIntervalIndex::RectIntervalIndex(const std::vector<Rect>& rects,
     ylo_.push_back(r.ylo);
     yhi_.push_back(r.yhi);
   }
-  construct(build);
+  construct();
 }
 
 RectIntervalIndex::RectIntervalIndex(const double* records, std::size_t count,
-                                     std::size_t stride_doubles,
-                                     IndexBuild build) {
+                                     std::size_t stride_doubles) {
   xlo_.reserve(count);
   xhi_.reserve(count);
   ylo_.reserve(count);
@@ -48,22 +36,16 @@ RectIntervalIndex::RectIntervalIndex(const double* records, std::size_t count,
     xhi_.push_back(r[2]);
     yhi_.push_back(r[3]);
   }
-  construct(build);
+  construct();
 }
 
-void RectIntervalIndex::construct(IndexBuild build_method) {
+void RectIntervalIndex::construct() {
   const std::size_t n = xlo_.size();
   if (n == 0) return;
   nodes_.reserve(2 * n);
-  if (build_method == IndexBuild::kIncremental) {
-    std::vector<std::size_t> ids(n);
-    for (std::size_t i = 0; i < n; ++i) ids[i] = i;
-    root_ = build(ids);
-    return;
-  }
-  // STR bulk path: the *only* sorts of the whole build.  Every recursion
+  // STR bulk build: the *only* sorts of the whole build.  Every recursion
   // level below partitions these stably, so each node's spanning lists come
-  // out already in the order the incremental build sorts them into.
+  // out already sorted — by_xlo (xlo asc, id asc), by_xhi (xhi desc, id asc).
   std::vector<std::size_t> by_lo(n), by_hi(n);
   for (std::size_t i = 0; i < n; ++i) by_lo[i] = by_hi[i] = i;
   std::sort(by_lo.begin(), by_lo.end(), [this](std::size_t a, std::size_t b) {
@@ -75,72 +57,17 @@ void RectIntervalIndex::construct(IndexBuild build_method) {
   root_ = build_str(by_lo, by_hi);
 }
 
-int RectIntervalIndex::build(std::vector<std::size_t>& ids) {
-  if (ids.empty()) return -1;
-  // Center on the median interval endpoint: every rect either spans it or
-  // falls wholly to one side, and the two sides shrink geometrically.
-  std::vector<double> endpoints;
-  endpoints.reserve(2 * ids.size());
-  for (const std::size_t i : ids) {
-    endpoints.push_back(xlo_[i]);
-    endpoints.push_back(xhi_[i]);
-  }
-  const std::size_t mid = endpoints.size() / 2;
-  std::nth_element(endpoints.begin(),
-                   endpoints.begin() + static_cast<std::ptrdiff_t>(mid),
-                   endpoints.end());
-  const double center = endpoints[mid];
-
-  Node node;
-  node.center = center;
-  std::vector<std::size_t> left, right;
-  for (const std::size_t i : ids) {
-    if (xhi_[i] < center) {
-      left.push_back(i);
-    } else if (xlo_[i] > center) {
-      right.push_back(i);
-    } else {
-      node.by_xlo.push_back(i);
-    }
-  }
-  // A degenerate split (everything on one side, nothing spanning) would
-  // recurse forever; park the whole list at this node instead.  Happens
-  // only when all intervals share a single endpoint pattern.
-  if (node.by_xlo.empty() && (left.empty() || right.empty())) {
-    node.by_xlo = std::move(ids);
-    left.clear();
-    right.clear();
-  }
-  node.by_xhi = node.by_xlo;
-  std::sort(node.by_xlo.begin(), node.by_xlo.end(),
-            [this](std::size_t a, std::size_t b) {
-              return xlo_[a] != xlo_[b] ? xlo_[a] < xlo_[b] : a < b;
-            });
-  std::sort(node.by_xhi.begin(), node.by_xhi.end(),
-            [this](std::size_t a, std::size_t b) {
-              return xhi_[a] != xhi_[b] ? xhi_[a] > xhi_[b] : a < b;
-            });
-  const int id = static_cast<int>(nodes_.size());
-  nodes_.push_back(std::move(node));
-  // Children are built after the parent slot is reserved; indices into
-  // nodes_ stay valid because we only ever push_back.
-  const int l = build(left);
-  const int r = build(right);
-  nodes_[static_cast<std::size_t>(id)].left = l;
-  nodes_[static_cast<std::size_t>(id)].right = r;
-  return id;
-}
-
 int RectIntervalIndex::build_str(std::vector<std::size_t>& by_lo,
                                  std::vector<std::size_t>& by_hi) {
   if (by_lo.empty()) return -1;
   const std::size_t n = by_lo.size();
-  // The incremental build centers on endpoints[size()/2] after nth_element
-  // over the 2n interval endpoints — the n-th smallest (0-indexed) value of
-  // the multiset {xlo} u {xhi}.  Recover exactly that value by merge-walking
-  // the two pre-sorted lists: by_lo yields xlo ascending, by_hi *reversed*
-  // yields xhi ascending.  Ties pick either side — the k-th order statistic
-  // of a multiset does not depend on which equal element is consumed first.
+  // Center on the median interval endpoint — the n-th smallest (0-indexed)
+  // value of the multiset {xlo} u {xhi} of the 2n endpoints — so every rect
+  // either spans it or falls wholly to one side, and the two sides shrink
+  // geometrically.  Find it by merge-walking the two pre-sorted lists:
+  // by_lo yields xlo ascending, by_hi *reversed* yields xhi ascending.
+  // Ties pick either side — the k-th order statistic of a multiset does not
+  // depend on which equal element is consumed first.
   double center = 0.0;
   {
     std::size_t li = 0;   // next by_lo entry (xlo ascending)
@@ -160,7 +87,7 @@ int RectIntervalIndex::build_str(std::vector<std::size_t>& by_lo,
   node.center = center;
   // Stable three-way partition of both orderings.  The spanning sublist of
   // by_lo is already (xlo asc, id asc) and of by_hi already (xhi desc,
-  // id asc) — precisely the sorts the incremental build performs per node.
+  // id asc) — the orders query_node()'s early exits rely on.
   std::vector<std::size_t> left_lo, right_lo, left_hi, right_hi;
   for (const std::size_t i : by_lo) {
     if (xhi_[i] < center) {
@@ -180,8 +107,9 @@ int RectIntervalIndex::build_str(std::vector<std::size_t>& by_lo,
       node.by_xhi.push_back(i);
     }
   }
-  // Same degenerate-split guard as the incremental build (see build()):
-  // park everything at this node rather than recursing forever.  The full
+  // A degenerate split (everything on one side, nothing spanning) would
+  // recurse forever; park the whole list at this node instead.  Happens
+  // only when all intervals share a single endpoint pattern.  The full
   // lists are already in the node's sort orders, so this is a plain move.
   if (node.by_xlo.empty() && (left_lo.empty() || right_lo.empty())) {
     node.by_xlo = std::move(by_lo);

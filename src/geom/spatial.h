@@ -21,9 +21,8 @@ namespace contango {
 ///     with an inline y filter.  Answers "which rectangles intersect this
 ///     query box" in O(log n + k) for the point/segment/window probes the
 ///     obstacle legality queries issue (ObstacleSet, MazeRouter).  Built
-///     by default with a sort-tile-recursive (STR) bulk pass — sort once,
-///     partition stably — that produces the identical tree to the legacy
-///     per-node-sort build (IndexBuild selects; tests compare them).
+///     with a sort-tile-recursive (STR) bulk pass: sort once, partition
+///     stably.
 ///   - TiltedNnIndex: a kd-tree over DME merge regions (tilted rectangles)
 ///     with subtree bounding boxes for exact nearest-neighbour pruning.
 ///     Replaces the flat region scan of the bottom-up merge pairing.
@@ -33,36 +32,8 @@ namespace contango {
 /// Every index is *bit-identical* to the linear scan it replaces: distances
 /// are computed by the same expressions, candidate sets are enumerated in
 /// ascending index order, and nearest-neighbour ties break toward the
-/// smallest id — exactly the argmin a first-wins linear scan produces.  The
-/// CONTANGO_SPATIAL=0 env knob forces every caller back onto the scan path
-/// (same contract as CONTANGO_INCREMENTAL/CONTANGO_BATCH), and
-/// tests/test_spatial.cpp fuzzes index-vs-scan equality directly.
-
-/// How a geometry structure decides between the spatial index and the
-/// reference linear scan.
-enum class SpatialMode {
-  kAuto,        ///< follow the CONTANGO_SPATIAL env knob (default: index on)
-  kForceScan,   ///< always linear-scan (the reference path)
-  kForceIndex,  ///< always use the index (differential tests force this)
-};
-
-/// True when the spatial-index layer is enabled: CONTANGO_SPATIAL unset or
-/// non-zero.  Read per call so tests can flip the knob inside one process;
-/// structures built under SpatialMode::kAuto sample it at construction.
-bool spatial_index_enabled();
-
-/// Resolves kAuto against the env knob; returns the mode otherwise.
-SpatialMode resolve_spatial_mode(SpatialMode mode);
-
-/// How a static index is constructed.  Both algorithms produce the *same
-/// tree* (same node centers, same per-node lists, same node numbering), so
-/// the choice is purely a build-time cost question; tests/test_spatial.cpp
-/// asserts the equivalence differentially.
-enum class IndexBuild {
-  kBulkStr,      ///< sort-tile-recursive: sort once globally, partition
-                 ///< stably per level — O(n log n) total, the default
-  kIncremental,  ///< legacy per-node nth_element + sorts — O(n log^2 n)
-};
+/// smallest id — exactly the argmin a first-wins linear scan produces.
+/// tests/test_spatial.cpp fuzzes every index against a test-local scan.
 
 /// Static interval tree over rectangle x-extents.  Built once over an
 /// immutable rectangle set; intersecting() reports the indices of all
@@ -72,8 +43,7 @@ enum class IndexBuild {
 class RectIntervalIndex {
  public:
   RectIntervalIndex() = default;
-  explicit RectIntervalIndex(const std::vector<Rect>& rects,
-                             IndexBuild build = IndexBuild::kBulkStr);
+  explicit RectIntervalIndex(const std::vector<Rect>& rects);
 
   /// Bulk construction straight from fixed-stride coordinate records —
   /// the zero-copy form the mmap-backed `.cbench` loader hands out.  Each
@@ -81,8 +51,7 @@ class RectIntervalIndex {
   /// `records + i * stride_doubles`, with the first four being
   /// xlo, ylo, xhi, yhi (Rect member order); `stride_doubles >= 4`.
   RectIntervalIndex(const double* records, std::size_t count,
-                    std::size_t stride_doubles,
-                    IndexBuild build = IndexBuild::kBulkStr);
+                    std::size_t stride_doubles);
 
   bool empty() const { return xlo_.empty(); }
   std::size_t size() const { return xlo_.size(); }
@@ -108,8 +77,7 @@ class RectIntervalIndex {
     std::vector<std::size_t> by_xhi;  ///< same rects, xhi descending
   };
 
-  void construct(IndexBuild build);
-  int build(std::vector<std::size_t>& ids);
+  void construct();
   int build_str(std::vector<std::size_t>& by_lo, std::vector<std::size_t>& by_hi);
   void query_node(int node, const Rect& q, std::vector<std::size_t>& out) const;
 

@@ -19,8 +19,7 @@ namespace contango {
 /// the buffered-read fallback, which loads the whole file into an owned
 /// heap buffer through plain stream reads.  Both backends expose identical
 /// bytes, so every consumer is bit-identical either way — the knob exists
-/// for A/B timing runs and for filesystems where mmap misbehaves, mirroring
-/// CONTANGO_SPATIAL / CONTANGO_BATCH.
+/// for A/B timing runs and for filesystems where mmap misbehaves.
 
 /// True when the mmap backend is enabled: CONTANGO_MMAP unset or non-zero.
 /// Read per call so tests can flip the knob inside one process.

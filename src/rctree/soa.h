@@ -36,7 +36,7 @@ struct StagedNetlist;  // rctree/extract.h
 ///
 /// Values are copied field-by-field from the AoS stage, so a slice is
 /// bit-identical to its Stage and any kernel consuming the slice sees
-/// exactly the numbers the scalar path sees.
+/// exactly the numbers the Stage holds.
 class NetlistSoa {
  public:
   /// Dense rebuild from a complete staged netlist: slot i mirrors

@@ -56,16 +56,16 @@ Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
   }
 
   // The pipeline that will actually run: SuiteOptions::pipeline_spec
-  // overrides flow.pipeline, and an empty spec resolves to the default
-  // sequence implied by the stage switches — hash the resolved form so
+  // overrides flow.pipeline, and an empty spec resolves to the full
+  // default sequence — hash the resolved form so
   // "" and an explicit "dme,repair,insert,polarity,..." share a key.
   FlowOptions flow = options.flow;
   if (!options.pipeline_spec.empty()) flow.pipeline = options.pipeline_spec;
   h.update_field(resolved_pipeline_spec(flow));
 
-  // Result-affecting flow numerics.  threads / incremental / batch /
-  // spatial and the eval level-sweep threads are deliberately absent:
-  // those execution modes are bit-identical by construction.
+  // Result-affecting flow numerics.  threads / incremental and the eval
+  // level-sweep threads are deliberately absent: those execution modes
+  // are bit-identical by construction.
   h.update_u64(static_cast<std::uint64_t>(flow.max_ladder));
   h.update_double(flow.power_reserve);
   h.update_u64(static_cast<std::uint64_t>(flow.max_sizing_rounds));

@@ -42,11 +42,10 @@ namespace contango {
 /// result-affecting FlowOptions numerics (ladder, reserve, round caps,
 /// snaking units...).
 ///
-/// Deliberately NOT covered: `threads`, `flow.incremental`,
-/// `flow.eval.batch`, `flow.eval.threads` and the spatial engine switch —
-/// those modes are bit-identical by construction (the suite runner's
-/// contract), so two submissions differing only there share one cache
-/// entry.
+/// Deliberately NOT covered: `threads`, `flow.incremental` and
+/// `flow.eval.threads` — those modes are bit-identical by construction
+/// (the suite runner's contract), so two submissions differing only there
+/// share one cache entry.
 Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
                          const SuiteOptions& options);
 

@@ -1,9 +1,8 @@
-// Batched SoA evaluation core: the batch kernel, the SoA netlist mirror
-// and the batched full/incremental/Monte-Carlo engines must be
-// bit-identical to the scalar paths they replace — on the nominal path by
-// construction (same arithmetic through one shared integrator core), and
-// the arena allocator underneath must keep slices consistent across
-// incremental edits.
+// The production evaluation core against its oracle: the SoA kernel, the
+// SoA netlist mirror and the full/incremental/Monte-Carlo engines must be
+// bit-identical to the corner-outer scalar propagation of
+// tests/evaluate_reference.h, and the arena allocator underneath must keep
+// slices consistent across incremental edits.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +21,8 @@
 #include "rctree/soa.h"
 #include "util/rng.h"
 
+#include "evaluate_reference.h"
+
 namespace contango {
 namespace {
 
@@ -38,6 +39,9 @@ void expect_bit_identical(const EvalResult& a, const EvalResult& b,
   EXPECT_EQ(a.slew_violation, b.slew_violation);
   EXPECT_EQ(a.cap_violation, b.cap_violation);
   EXPECT_EQ(a.all_sinks_reached, b.all_sinks_reached);
+  EXPECT_EQ(a.domain_skews, b.domain_skews);
+  EXPECT_EQ(a.worst_window_violation, b.worst_window_violation);
+  EXPECT_EQ(a.worst_domain_bound_violation, b.worst_domain_bound_violation);
   ASSERT_EQ(a.corners.size(), b.corners.size());
   for (std::size_t c = 0; c < a.corners.size(); ++c) {
     EXPECT_EQ(a.corners[c].vdd, b.corners[c].vdd);
@@ -190,7 +194,7 @@ TEST(Batch, KernelRowsMatchScalarCallsExactly) {
 
 // ------------------------------------------------------------ full eval ----
 
-TEST(Batch, EvaluateNetlistBatchMatchesScalarOnEveryFamily) {
+TEST(Batch, FullPropagationMatchesReferenceOnEveryFamily) {
   for (const auto& family : ScenarioRegistry::builtin().families()) {
     SCOPED_TRACE(family.name);
     const Benchmark bench = make_scenario(family.name, 1, 24);
@@ -198,21 +202,26 @@ TEST(Batch, EvaluateNetlistBatchMatchesScalarOnEveryFamily) {
     const StagedNetlist net = extract_stages(tree, bench);
     const TransientSimulator sim;
 
-    const EvalResult scalar = evaluate_netlist(net, bench, sim, 10.0);
     NetlistSoa soa;
     soa.build(net);
-    const EvalResult batched = evaluate_netlist_batch(net, soa, bench, sim, 10.0);
-    expect_bit_identical(batched, scalar, "batched vs scalar full propagation");
+    const EvalResult ref =
+        reference::evaluate_netlist(net, bench, TransientOptions{}, 10.0);
+    expect_bit_identical(evaluate_netlist(net, soa, bench, sim, 10.0), ref,
+                         "evaluate_netlist vs reference");
 
-    // Per-corner, per-transition, per-sink equality is asserted above;
-    // also lock the SoA mirror against the netlist it was built from.
+    Evaluator evaluator(bench);
+    expect_bit_identical(evaluator.evaluate(tree),
+                         reference::evaluate_tree(tree, bench),
+                         "Evaluator vs reference");
+
+    // Lock the SoA mirror against the netlist it was built from.
     for (std::size_t si = 0; si < net.stages.size(); ++si) {
       expect_slice_matches_stage(soa, static_cast<int>(si), net.stages[si]);
     }
   }
 }
 
-TEST(Batch, EvaluatorCountersSplitByKernelPath) {
+TEST(Batch, EvaluatorCountsStageEvals) {
   const Benchmark bench = make_scenario("uniform", 2, 20);
   const ClockTree tree = construction_tree(bench);
   const StagedNetlist net = extract_stages(tree, bench);
@@ -220,99 +229,75 @@ TEST(Batch, EvaluatorCountersSplitByKernelPath) {
                      static_cast<long>(bench.tech.corners.size()) *
                      kNumTransitions;
 
-  EvalOptions batched_opts;
-  batched_opts.batch = true;
-  Evaluator batched(bench, batched_opts);
-  const EvalResult a = batched.evaluate(tree);
-  EXPECT_EQ(batched.batched_stage_evals(), units);
-  EXPECT_EQ(batched.scalar_stage_evals(), 0);
+  Evaluator evaluator(bench);
+  (void)evaluator.evaluate(tree);
+  EXPECT_EQ(evaluator.batched_stage_evals(), units);
+  (void)evaluator.evaluate(tree);
+  EXPECT_EQ(evaluator.batched_stage_evals(), 2 * units);
 
-  EvalOptions scalar_opts;
-  scalar_opts.batch = false;
-  Evaluator scalar(bench, scalar_opts);
-  const EvalResult b = scalar.evaluate(tree);
-  EXPECT_EQ(scalar.batched_stage_evals(), 0);
-  EXPECT_EQ(scalar.scalar_stage_evals(), units);
-
-  expect_bit_identical(a, b, "Evaluator batched vs scalar");
-
-  batched.reset_sim_runs();
-  EXPECT_EQ(batched.batched_stage_evals(), 0);
+  evaluator.reset_sim_runs();
+  EXPECT_EQ(evaluator.batched_stage_evals(), 0);
 }
 
 // ------------------------------------------------------------------ flow ----
 
-TEST(Batch, FlowIsBitIdenticalWithTheBatchKernelOnOrOff) {
+TEST(Batch, FlowResultMatchesReferenceOnEveryFamily) {
   for (const auto& family : ScenarioRegistry::builtin().families()) {
     SCOPED_TRACE(family.name);
     const Benchmark bench = make_scenario(family.name, 5, 16);
-
-    FlowOptions on;
-    on.eval.batch = true;
-    FlowOptions off;
-    off.eval.batch = false;
-
-    const FlowResult a = run_contango(bench, on);
-    const FlowResult b = run_contango(bench, off);
-
-    expect_bit_identical(a.eval, b.eval, "final evaluation");
-    EXPECT_EQ(a.sim_runs, b.sim_runs);
-    ASSERT_EQ(a.stages.size(), b.stages.size());
-    for (std::size_t i = 0; i < a.stages.size(); ++i) {
-      EXPECT_EQ(a.stages[i].name, b.stages[i].name);
-      EXPECT_EQ(a.stages[i].skew, b.stages[i].skew);
-      EXPECT_EQ(a.stages[i].clr, b.stages[i].clr);
-    }
-
-    // The two runs spend the same stage-evaluation budget, just through
-    // different kernel paths.
-    EXPECT_GT(a.batched_stage_evals, 0);
-    EXPECT_EQ(a.scalar_stage_evals, 0);
-    EXPECT_EQ(b.batched_stage_evals, 0);
-    EXPECT_GT(b.scalar_stage_evals, 0);
-    EXPECT_EQ(a.batched_stage_evals, b.scalar_stage_evals);
+    const FlowResult r = run_contango(bench);
+    expect_bit_identical(r.eval, reference::evaluate_tree(r.tree, bench),
+                         "final evaluation vs reference");
+    EXPECT_GT(r.batched_stage_evals, 0);
   }
 }
 
 // ----------------------------------------------------------- incremental ----
 
-TEST(Batch, IncrementalBatchedMatchesScalarFullAfterEdits) {
+TEST(Batch, IncrementalMatchesReferenceAfterEdits) {
   const Benchmark bench = make_scenario("ring", 3, 24);
   ClockTree tree = construction_tree(bench);
 
-  EvalOptions scalar_opts;
-  scalar_opts.batch = false;
-  Evaluator scalar_full(bench, scalar_opts);  // the reference engine
-
-  EvalOptions batched_opts;
-  batched_opts.batch = true;
-  Evaluator inc_owner(bench, batched_opts);
+  Evaluator inc_owner(bench);
   IncrementalEvaluator inc(inc_owner);
   inc.bind(tree);
 
-  expect_bit_identical(inc.evaluate(), scalar_full.evaluate(tree),
-                       "cold batched incremental vs scalar full");
+  expect_bit_identical(inc.evaluate(), reference::evaluate_tree(tree, bench),
+                       "cold incremental vs reference");
   EXPECT_GT(inc_owner.batched_stage_evals(), 0);
-  EXPECT_EQ(inc_owner.scalar_stage_evals(), 0);
 
-  // Warm replay simulates nothing new — the batched counter must not move.
+  // Warm replay simulates nothing new — the counter must not move.
   const long after_cold = inc_owner.batched_stage_evals();
-  expect_bit_identical(inc.evaluate(), scalar_full.evaluate(tree),
-                       "warm batched incremental vs scalar full");
+  expect_bit_identical(inc.evaluate(), reference::evaluate_tree(tree, bench),
+                       "warm incremental vs reference");
   EXPECT_EQ(inc_owner.batched_stage_evals(), after_cold);
 
-  std::vector<NodeId> edges;
+  std::vector<NodeId> edges, buffers;
   for (NodeId id : tree.topological_order()) {
     if (id != tree.root()) edges.push_back(id);
+    if (tree.node(id).is_buffer() && tree.node(id).children.size() == 1) {
+      buffers.push_back(id);
+    }
   }
   ASSERT_FALSE(edges.empty());
+  ASSERT_FALSE(buffers.empty());
 
   TreeEditSession session(tree, &inc.netlist());
   session.set_wire_width(edges[edges.size() / 2], 0);
   session.add_snake(edges[edges.size() / 3], 40.0);
-  expect_bit_identical(inc.evaluate(), scalar_full.evaluate(tree),
-                       "batched incremental vs scalar full after edits");
+  expect_bit_identical(inc.evaluate(), reference::evaluate_tree(tree, bench),
+                       "incremental vs reference after wire edits");
   EXPECT_GT(inc_owner.batched_stage_evals(), after_cold);
+
+  // A stage split and a resized driver: the stage graph itself changes.
+  const CompositeBuffer old = tree.node(buffers.front()).buffer;
+  session.set_buffer(buffers.front(),
+                     CompositeBuffer{old.inverter_type, old.count + 2});
+  const NodeId e = edges[2 * edges.size() / 3];
+  session.insert_buffer_electrical(e, tree.edge_length(e) * 0.5,
+                                   CompositeBuffer{0, 2});
+  expect_bit_identical(inc.evaluate(), reference::evaluate_tree(tree, bench),
+                       "incremental vs reference after buffer edits");
   session.commit();
 }
 
@@ -439,59 +424,84 @@ TEST(Batch, ArenaGrowsRewritesInPlaceAndRecycles) {
 
 // ------------------------------------------------------------ Monte-Carlo ----
 
-TEST(Batch, MonteCarloBatchedMatchesScalarAtFixedSeeds) {
-  const Benchmark bench = make_scenario("clustered", 9, 20);
-  const ClockTree tree = construction_tree(bench);
+TEST(Batch, MonteCarloMatchesReferenceAtFixedSeeds) {
+  // "usefulskew" carries arrival windows, so the per-trial constraint
+  // violation is exercised too.
+  for (const char* family : {"clustered", "usefulskew"}) {
+    SCOPED_TRACE(family);
+    const Benchmark bench = make_scenario(family, 9, 20);
+    const ClockTree tree = construction_tree(bench);
 
-  VariationModel model;
-  model.seed = 77;
-  model.sigma_vdd = 0.05;
-  model.sigma_wire_r = 0.03;
-  model.sigma_wire_c = 0.03;
-  model.sigma_sink_cap = 0.02;
+    VariationModel model;
+    model.seed = 77;
+    model.sigma_vdd = 0.05;
+    model.sigma_wire_r = 0.03;
+    model.sigma_wire_c = 0.03;
+    model.sigma_sink_cap = 0.02;
 
-  McOptions batched;
-  batched.trials = 40;  // spans more than one 32-trial block
-  batched.threads = 1;
-  batched.eval.batch = true;
-  McOptions scalar = batched;
-  scalar.eval.batch = false;
+    McOptions options;
+    options.trials = 40;  // spans more than one 32-trial block
+    options.threads = 1;
+    const McReport mc = run_montecarlo(bench, tree, model, options);
 
-  const McReport a = run_montecarlo(bench, tree, model, batched);
-  const McReport b = run_montecarlo(bench, tree, model, scalar);
+    // Reference: each trial's AoS-perturbed netlist through the scalar
+    // corner-outer propagation.  Every per-trial number must match exactly.
+    const StagedNetlist base = extract_stages(tree, bench);
+    expect_bit_identical(mc.nominal, reference::evaluate_tree(tree, bench),
+                         "MC nominal reference");
+    ASSERT_EQ(mc.samples.size(), static_cast<std::size_t>(options.trials));
+    StreamingStats skew_stats, clr_stats;
+    std::vector<double> skews, clrs, latencies;
+    long legal = 0, pass = 0;
+    for (int trial = 0; trial < options.trials; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      const TrialVariation v = sample_trial(model, bench.tech, trial,
+                                            base.stages.size(), bench.sinks.size());
+      const EvalResult ref = reference::evaluate_netlist(
+          reference::apply_variation(base, v), bench, TransientOptions{}, 10.0,
+          &v.stage_vdd_delta);
+      const McTrial& t = mc.samples[static_cast<std::size_t>(trial)];
+      EXPECT_EQ(t.skew, ref.nominal_skew);
+      EXPECT_EQ(t.clr, ref.clr);
+      EXPECT_EQ(t.max_latency, ref.max_latency);
+      EXPECT_EQ(t.worst_slew, ref.worst_slew);
+      EXPECT_EQ(t.constraint_violation, ref.constraint_violation());
+      const bool ref_legal = !ref.slew_violation && ref.all_sinks_reached;
+      EXPECT_EQ(t.legal, ref_legal);
+      skew_stats.add(ref.nominal_skew);
+      clr_stats.add(ref.clr);
+      skews.push_back(ref.nominal_skew);
+      clrs.push_back(ref.clr);
+      latencies.push_back(ref.max_latency);
+      if (ref_legal) {
+        ++legal;
+        if (ref.nominal_skew <= options.skew_target &&
+            ref.constraint_violation() <= 0.0) {
+          ++pass;
+        }
+      }
+    }
 
-  // Documented MC tolerance: the batched trial path replays the scalar
-  // arithmetic element-for-element (SoA variation scaling is element-local
-  // and the summation order over 32-trial blocks is fixed), so the paths
-  // agree to well below 1e-9 ps — in practice exactly.
-  constexpr double kTol = 1e-9;
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_NEAR(a.samples[i].skew, b.samples[i].skew, kTol);
-    EXPECT_NEAR(a.samples[i].clr, b.samples[i].clr, kTol);
-    EXPECT_NEAR(a.samples[i].max_latency, b.samples[i].max_latency, kTol);
-    EXPECT_EQ(a.samples[i].legal, b.samples[i].legal);
+    // Summaries: order statistics and counts are exact; the moments are
+    // merged over 32-trial blocks in the driver and streamed here, so they
+    // may differ in the last bits.
+    constexpr double kTol = 1e-9;
+    EXPECT_NEAR(mc.skew.mean, skew_stats.mean(), kTol);
+    EXPECT_NEAR(mc.skew.stddev, skew_stats.stddev(), kTol);
+    EXPECT_NEAR(mc.clr.mean, clr_stats.mean(), kTol);
+    EXPECT_EQ(mc.skew.p95, percentile(skews, 95.0));
+    EXPECT_EQ(mc.clr.p99, percentile(clrs, 99.0));
+    EXPECT_EQ(mc.max_latency.max, *std::max_element(latencies.begin(), latencies.end()));
+    EXPECT_EQ(mc.legal_fraction,
+              static_cast<double>(legal) / static_cast<double>(options.trials));
+    EXPECT_EQ(mc.yield, static_cast<double>(pass) / static_cast<double>(options.trials));
+
+    // Work accounting: (trials + nominal) x stages x corners x transitions.
+    EXPECT_EQ(mc.batched_stage_evals,
+              static_cast<long>(options.trials + 1) *
+                  static_cast<long>(base.stages.size()) *
+                  static_cast<long>(bench.tech.corners.size()) * kNumTransitions);
   }
-  EXPECT_NEAR(a.skew.mean, b.skew.mean, kTol);
-  EXPECT_NEAR(a.skew.stddev, b.skew.stddev, kTol);
-  EXPECT_NEAR(a.skew.p95, b.skew.p95, kTol);
-  EXPECT_NEAR(a.clr.mean, b.clr.mean, kTol);
-  EXPECT_NEAR(a.clr.p99, b.clr.p99, kTol);
-  EXPECT_NEAR(a.max_latency.max, b.max_latency.max, kTol);
-  EXPECT_EQ(a.yield, b.yield);
-  EXPECT_EQ(a.legal_fraction, b.legal_fraction);
-  expect_bit_identical(a.nominal, b.nominal, "MC nominal reference");
-
-  // Counter split: (trials + nominal) x stages x corners x transitions.
-  const StagedNetlist net = extract_stages(tree, bench);
-  const long units = static_cast<long>(batched.trials + 1) *
-                     static_cast<long>(net.stages.size()) *
-                     static_cast<long>(bench.tech.corners.size()) *
-                     kNumTransitions;
-  EXPECT_EQ(a.batched_stage_evals, units);
-  EXPECT_EQ(a.scalar_stage_evals, 0);
-  EXPECT_EQ(b.batched_stage_evals, 0);
-  EXPECT_EQ(b.scalar_stage_evals, units);
 }
 
 }  // namespace

@@ -67,11 +67,10 @@ TEST(Flow, DeterministicAcrossRuns) {
   EXPECT_EQ(a.sim_runs, b.sim_runs);
 }
 
-TEST(Flow, StageSwitchesAblateCleanly) {
+TEST(Flow, PipelineSpecAblatesCleanly) {
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
   FlowOptions options;
-  options.enable_tbsz = false;
-  options.enable_twsn = false;
+  options.pipeline = "dme,repair,insert,polarity,twsz,bwsn";
   const FlowResult r = run_contango(bench, options);
   ASSERT_EQ(r.stages.size(), 3u);  // INITIAL, TWSZ, BWSN
   EXPECT_EQ(r.stages[1].name, "TWSZ");

@@ -213,7 +213,6 @@ struct FuzzRun {
   long stage_sims = 0;
   long stage_reuses = 0;
   long batched_stage_evals = 0;
-  long scalar_stage_evals = 0;
   int sim_runs = 0;
   std::size_t widest_level = 0;  ///< most stages in one depth level, at start
 };
@@ -313,7 +312,6 @@ FuzzRun run_edit_fuzz(
   run.stage_sims = inc.stage_sims();
   run.stage_reuses = inc.stage_reuses();
   run.batched_stage_evals = inc_owner.batched_stage_evals();
-  run.scalar_stage_evals = inc_owner.scalar_stage_evals();
   run.sim_runs = inc_owner.sim_runs();
   return run;
 }
@@ -334,37 +332,31 @@ TEST(Incremental, RandomizedEditFuzzOverFamilies) {
 }
 
 /// The level sweep's worker count must not show in any output: every
-/// evaluation and every work counter equals the single-threaded run's, in
-/// both kernel modes.
+/// evaluation and every work counter equals the single-threaded run's.
 TEST(Incremental, EditFuzzIsThreadCountInvariant) {
   for (const char* family : {"uniform", "high_fanout", "obstacle_dense"}) {
-    for (const bool batch : {true, false}) {
-      SCOPED_TRACE(std::string(family) + (batch ? " batched" : " scalar"));
-      const auto fuzz = [&](int threads) {
-        EvalOptions options;
-        options.batch = batch;
-        options.threads = threads;
-        return run_edit_fuzz(family, options,
-                             [](const ClockTree&, const EvalResult&) {});
-      };
-      const FuzzRun serial = fuzz(1);
-      EXPECT_GT(serial.widest_level, 1u);  // the sweep has work to split
-      for (const int threads : {2, 3, 8}) {
-        SCOPED_TRACE(std::to_string(threads) + " threads");
-        const FuzzRun run = fuzz(threads);
-        ASSERT_EQ(run.evals.size(), serial.evals.size());
-        for (std::size_t i = 0; i < run.evals.size(); ++i) {
-          expect_bit_identical(run.evals[i], serial.evals[i],
-                               "evaluation " + std::to_string(i));
-        }
-        EXPECT_EQ(run.stage_sims, serial.stage_sims);
-        EXPECT_EQ(run.stage_reuses, serial.stage_reuses);
-        EXPECT_EQ(run.batched_stage_evals, serial.batched_stage_evals);
-        EXPECT_EQ(run.scalar_stage_evals, serial.scalar_stage_evals);
-        EXPECT_EQ(run.sim_runs, serial.sim_runs);
+    SCOPED_TRACE(family);
+    const auto fuzz = [&](int threads) {
+      EvalOptions options;
+      options.threads = threads;
+      return run_edit_fuzz(family, options,
+                           [](const ClockTree&, const EvalResult&) {});
+    };
+    const FuzzRun serial = fuzz(1);
+    EXPECT_GT(serial.widest_level, 1u);  // the sweep has work to split
+    EXPECT_GT(serial.batched_stage_evals, 0);
+    for (const int threads : {2, 3, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const FuzzRun run = fuzz(threads);
+      ASSERT_EQ(run.evals.size(), serial.evals.size());
+      for (std::size_t i = 0; i < run.evals.size(); ++i) {
+        expect_bit_identical(run.evals[i], serial.evals[i],
+                             "evaluation " + std::to_string(i));
       }
-      EXPECT_EQ(serial.batched_stage_evals > 0, batch);
-      EXPECT_EQ(serial.scalar_stage_evals > 0, !batch);
+      EXPECT_EQ(run.stage_sims, serial.stage_sims);
+      EXPECT_EQ(run.stage_reuses, serial.stage_reuses);
+      EXPECT_EQ(run.batched_stage_evals, serial.batched_stage_evals);
+      EXPECT_EQ(run.sim_runs, serial.sim_runs);
     }
   }
 }
@@ -403,50 +395,45 @@ TEST(Incremental, FlowIsBitIdenticalWithTheEngineOnOrOff) {
 
 /// Whole flows over the stock obstacle and windowed-constraint families:
 /// every gating decision, pass and counter must be the same at any level
-/// sweep worker count, in both kernel modes.
+/// sweep worker count.
 TEST(Incremental, FlowIsThreadCountInvariantOnStockFamilies) {
   for (const char* family : {"obstacle_dense", "usefulskew"}) {
+    SCOPED_TRACE(family);
     const Benchmark bench = make_scenario(family, 1);
-    for (const bool batch : {true, false}) {
-      SCOPED_TRACE(std::string(family) + (batch ? " batched" : " scalar"));
-      const auto flow = [&](int threads) {
-        FlowOptions options;
-        options.eval.batch = batch;
-        options.eval.threads = threads;
-        return run_contango(bench, options);
-      };
-      const FlowResult serial = flow(1);
-      EXPECT_GT(serial.incremental_evals, 0);
-      EXPECT_EQ(serial.helper_cpu_seconds, 0.0);
-      for (const int threads : {2, 3, 8}) {
-        SCOPED_TRACE(std::to_string(threads) + " threads");
-        const FlowResult r = flow(threads);
-        expect_bit_identical(r.eval, serial.eval, "final evaluation");
-        EXPECT_EQ(r.sim_runs, serial.sim_runs);
-        EXPECT_EQ(r.full_evals, serial.full_evals);
-        EXPECT_EQ(r.incremental_evals, serial.incremental_evals);
-        EXPECT_EQ(r.batched_stage_evals, serial.batched_stage_evals);
-        EXPECT_EQ(r.scalar_stage_evals, serial.scalar_stage_evals);
-        ASSERT_EQ(r.stages.size(), serial.stages.size());
-        for (std::size_t i = 0; i < r.stages.size(); ++i) {
-          EXPECT_EQ(r.stages[i].name, serial.stages[i].name);
-          EXPECT_EQ(r.stages[i].skew, serial.stages[i].skew);
-          EXPECT_EQ(r.stages[i].clr, serial.stages[i].clr);
-          EXPECT_EQ(r.stages[i].max_latency, serial.stages[i].max_latency);
-          EXPECT_EQ(r.stages[i].cap, serial.stages[i].cap);
-          EXPECT_EQ(r.stages[i].sim_runs, serial.stages[i].sim_runs);
-        }
-        ASSERT_EQ(r.pass_timings.size(), serial.pass_timings.size());
-        for (std::size_t i = 0; i < r.pass_timings.size(); ++i) {
-          const PassTiming& p = r.pass_timings[i];
-          const PassTiming& q = serial.pass_timings[i];
-          EXPECT_EQ(p.name, q.name);
-          EXPECT_EQ(p.sim_runs, q.sim_runs);
-          EXPECT_EQ(p.full_evals, q.full_evals);
-          EXPECT_EQ(p.incremental_evals, q.incremental_evals);
-          EXPECT_EQ(p.batched_stage_evals, q.batched_stage_evals);
-          EXPECT_EQ(p.scalar_stage_evals, q.scalar_stage_evals);
-        }
+    const auto flow = [&](int threads) {
+      FlowOptions options;
+      options.eval.threads = threads;
+      return run_contango(bench, options);
+    };
+    const FlowResult serial = flow(1);
+    EXPECT_GT(serial.incremental_evals, 0);
+    EXPECT_EQ(serial.helper_cpu_seconds, 0.0);
+    for (const int threads : {2, 3, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const FlowResult r = flow(threads);
+      expect_bit_identical(r.eval, serial.eval, "final evaluation");
+      EXPECT_EQ(r.sim_runs, serial.sim_runs);
+      EXPECT_EQ(r.full_evals, serial.full_evals);
+      EXPECT_EQ(r.incremental_evals, serial.incremental_evals);
+      EXPECT_EQ(r.batched_stage_evals, serial.batched_stage_evals);
+      ASSERT_EQ(r.stages.size(), serial.stages.size());
+      for (std::size_t i = 0; i < r.stages.size(); ++i) {
+        EXPECT_EQ(r.stages[i].name, serial.stages[i].name);
+        EXPECT_EQ(r.stages[i].skew, serial.stages[i].skew);
+        EXPECT_EQ(r.stages[i].clr, serial.stages[i].clr);
+        EXPECT_EQ(r.stages[i].max_latency, serial.stages[i].max_latency);
+        EXPECT_EQ(r.stages[i].cap, serial.stages[i].cap);
+        EXPECT_EQ(r.stages[i].sim_runs, serial.stages[i].sim_runs);
+      }
+      ASSERT_EQ(r.pass_timings.size(), serial.pass_timings.size());
+      for (std::size_t i = 0; i < r.pass_timings.size(); ++i) {
+        const PassTiming& p = r.pass_timings[i];
+        const PassTiming& q = serial.pass_timings[i];
+        EXPECT_EQ(p.name, q.name);
+        EXPECT_EQ(p.sim_runs, q.sim_runs);
+        EXPECT_EQ(p.full_evals, q.full_evals);
+        EXPECT_EQ(p.incremental_evals, q.incremental_evals);
+        EXPECT_EQ(p.batched_stage_evals, q.batched_stage_evals);
       }
     }
   }

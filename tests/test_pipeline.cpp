@@ -77,17 +77,15 @@ TEST(PipelineSpec, ContainsAndWithoutHelpers) {
   EXPECT_THROW(pipeline_spec_contains("dme,,twsz", "dme"), PipelineError);
 }
 
-TEST(PipelineSpec, DefaultSpecHonorsLegacyStageSwitches) {
+TEST(PipelineSpec, ResolvedSpecFallsBackToTheFullDefault) {
   EXPECT_EQ(default_pipeline_spec(),
             "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn");
   FlowOptions options;
-  options.enable_twsn = false;
-  EXPECT_EQ(default_pipeline_spec(options),
-            "dme,repair,insert,polarity,tbsz,twsz,bwsn");
-  options.enable_tbsz = options.enable_twsz = options.enable_bwsn = false;
-  EXPECT_EQ(default_pipeline_spec(options), "dme,repair,insert,polarity");
+  EXPECT_EQ(resolved_pipeline_spec(options), default_pipeline_spec());
+  options.pipeline = "  ";  // blank counts as unset
+  EXPECT_EQ(resolved_pipeline_spec(options), default_pipeline_spec());
 
-  // resolved: explicit spec wins over the switches.
+  // An explicit spec wins.
   options.pipeline = "dme,repair,insert,polarity,twsn";
   EXPECT_EQ(resolved_pipeline_spec(options), options.pipeline);
 }
@@ -149,20 +147,6 @@ TEST(Pipeline, DefaultPipelineMatchesLegacyOnEveryFamily) {
     EXPECT_EQ(explicit_run.pipeline_spec,
               "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn");
   }
-}
-
-// Legacy stage switches are pure sugar over specs: enable_twsn=false is
-// the spec without twsn.
-TEST(Pipeline, LegacyBoolEquivalentToSpecWithoutPass) {
-  const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
-  FlowOptions by_bool;
-  by_bool.enable_twsn = false;
-  const FlowResult a = run_contango(bench, by_bool);
-
-  FlowOptions by_spec;
-  by_spec.pipeline = "dme,repair,insert,polarity,tbsz,twsz,bwsn";
-  const FlowResult b = run_contango(bench, by_spec);
-  expect_identical(a, b);
 }
 
 TEST(Pipeline, PassTimingsCoverEveryPassInOrder) {

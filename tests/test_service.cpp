@@ -91,12 +91,11 @@ TEST(JobContentHash, ExcludesBitIdenticalModesAndResolvesPipeline) {
   SuiteOptions a;
   const Hash128 base = job_content_hash(suite, a);
 
-  // threads / incremental / batch are bit-identical execution modes:
-  // changing them must hit the same cache entry.
+  // threads / incremental are bit-identical execution modes: changing
+  // them must hit the same cache entry.
   SuiteOptions b = a;
   b.threads = 7;
   b.flow.incremental = false;
-  b.flow.eval.batch = false;
   EXPECT_EQ(job_content_hash(suite, b), base);
 
   // The incremental engine's level-sweep worker cap is an execution mode

@@ -1,38 +1,22 @@
 // Differential test harness of the spatial-index geometry engine
-// (geom/spatial.h): every index answer must equal the reference linear-scan
-// answer *exactly* — same booleans, same indices in the same order, same
-// floating-point bits — because the CONTANGO_SPATIAL knob promises
-// bit-identical flow results either way.
+// (geom/spatial.h, geom/obstacle_set.h): every index answer must equal a
+// test-local linear scan *exactly* — same booleans, same indices in the
+// same order, same floating-point bits — because the flow's results are
+// defined by the scan semantics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "cts/dme.h"
-#include "cts/flow.h"
-#include "cts/scenario.h"
 #include "geom/obstacle_set.h"
 #include "geom/spatial.h"
 #include "util/rng.h"
 
 namespace contango {
 namespace {
-
-/// Scoped setenv/unsetenv so env tests cannot leak into other tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() { unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 /// Random rectangle with integer corners in [0, coord_max]^2 so that
 /// boundary-touching, abutting and exactly-colinear configurations occur
@@ -83,6 +67,16 @@ HVSegment random_segment(Rng& rng, const std::vector<Rect>& rects,
 // RectIntervalIndex vs. a plain Rect::intersects scan (raw index layer).
 // ---------------------------------------------------------------------------
 
+/// Indices (ascending) of the rects intersecting `query`, by plain scan.
+std::vector<std::size_t> scan_intersecting(const std::vector<Rect>& rects,
+                                           const Rect& query) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < rects.size(); ++i) {
+    if (rects[i].intersects(query)) out.push_back(i);
+  }
+  return out;
+}
+
 TEST(SpatialDifferential, IntervalIndexMatchesLinearScan) {
   Rng rng(20260808);
   int cases = 0;
@@ -103,22 +97,16 @@ TEST(SpatialDifferential, IntervalIndexMatchesLinearScan) {
       const Rect query = Rect::around(
           Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)},
           Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)});
-      std::vector<std::size_t> scan;
-      for (std::size_t i = 0; i < rects.size(); ++i) {
-        if (rects[i].intersects(query)) scan.push_back(i);
-      }
-      EXPECT_EQ(index.intersecting(query), scan)
+      EXPECT_EQ(index.intersecting(query), scan_intersecting(rects, query))
           << "trial " << trial << " query " << q;
     }
   }
   EXPECT_GE(cases, 1000);
 }
 
-// The STR bulk build (sort once, partition stably) promises the *same
-// tree* as the legacy incremental build — compare every query answer, on
-// inputs engineered to hit duplicates, shared endpoints and the
-// degenerate-split guard.
-TEST(SpatialDifferential, StrBulkBuildMatchesIncrementalBuild) {
+// The STR bulk build (sort once, partition stably) on inputs engineered to
+// hit duplicates, shared endpoints and the degenerate-split guard.
+TEST(SpatialDifferential, StrBulkBuildMatchesLinearScan) {
   Rng rng(20260809);
   for (int trial = 0; trial < 60; ++trial) {
     const int n = static_cast<int>(rng.uniform_int(0, 60));
@@ -135,31 +123,29 @@ TEST(SpatialDifferential, StrBulkBuildMatchesIncrementalBuild) {
             rng.uniform_int(0, static_cast<long>(rects.size()) - 1))]);
       }
     }
-    const RectIntervalIndex bulk(rects, IndexBuild::kBulkStr);
-    const RectIntervalIndex incremental(rects, IndexBuild::kIncremental);
-    ASSERT_EQ(bulk.size(), incremental.size());
+    const RectIntervalIndex bulk(rects);
+    ASSERT_EQ(bulk.size(), rects.size());
 
     for (int q = 0; q < 30; ++q) {
       const Rect query = Rect::around(
           Point{random_coord(rng, rects, 12), random_coord(rng, rects, 12)},
           Point{random_coord(rng, rects, 12), random_coord(rng, rects, 12)});
-      EXPECT_EQ(bulk.intersecting(query), incremental.intersecting(query))
+      EXPECT_EQ(bulk.intersecting(query), scan_intersecting(rects, query))
           << "trial " << trial << " query " << q;
     }
   }
 }
 
 // A single point interval set (all four coordinates equal across rects)
-// forces the degenerate guard on the very first node of both builds.
+// forces the degenerate guard on the very first node.
 TEST(SpatialDifferential, StrBulkBuildHandlesAllIdenticalRects) {
   const std::vector<Rect> rects(17, Rect{3.0, 4.0, 3.0, 4.0});
-  const RectIntervalIndex bulk(rects, IndexBuild::kBulkStr);
-  const RectIntervalIndex incremental(rects, IndexBuild::kIncremental);
+  const RectIntervalIndex bulk(rects);
   std::vector<std::size_t> all(rects.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   EXPECT_EQ(bulk.intersecting(Rect{0, 0, 10, 10}), all);
-  EXPECT_EQ(bulk.intersecting(Rect{0, 0, 10, 10}),
-            incremental.intersecting(Rect{0, 0, 10, 10}));
+  EXPECT_EQ(bulk.intersecting(Rect{3, 4, 3, 4}),
+            scan_intersecting(rects, Rect{3, 4, 3, 4}));
   EXPECT_TRUE(bulk.intersecting(Rect{5, 5, 6, 6}).empty());
 }
 
@@ -238,8 +224,102 @@ TEST(SpatialDifferential, PointGridBulkBuildMatchesIncrementalInserts) {
 }
 
 // ---------------------------------------------------------------------------
-// ObstacleSet: every public query, force-index vs. force-scan.
+// ObstacleSet: every public query vs. a brute-force scan over rects().
 // ---------------------------------------------------------------------------
+
+/// Brute-force model of ObstacleSet: every query scans all rectangles in
+/// ascending index order, and compounds come from an all-pairs grouping.
+class ScanObstacles {
+ public:
+  explicit ScanObstacles(const std::vector<Rect>& rects) : rects_(rects) {
+    std::vector<std::size_t> root(rects.size());
+    for (std::size_t i = 0; i < root.size(); ++i) root[i] = i;
+    const auto find = [&](std::size_t x) {
+      while (root[x] != x) x = root[x];
+      return x;
+    };
+    for (std::size_t i = 0; i < rects.size(); ++i) {
+      for (std::size_t j = i + 1; j < rects.size(); ++j) {
+        if (rects[i].overlaps_interior(rects[j]) || rects[i].abuts(rects[j])) {
+          root[find(i)] = find(j);
+        }
+      }
+    }
+    // Compounds are numbered by their lowest member rectangle.
+    std::vector<std::size_t> roots;
+    for (std::size_t i = 0; i < rects.size(); ++i) {
+      const std::size_t r = find(i);
+      const auto it = std::find(roots.begin(), roots.end(), r);
+      compound_.push_back(static_cast<std::size_t>(it - roots.begin()));
+      if (it == roots.end()) {
+        roots.push_back(r);
+        members_.emplace_back();
+      }
+      members_[compound_.back()].push_back(i);
+    }
+  }
+
+  const std::vector<std::vector<std::size_t>>& members() const { return members_; }
+  std::size_t compound_of(std::size_t i) const { return compound_[i]; }
+
+  bool blocks_point(const Point& p) const {
+    return compound_containing(p) != ObstacleSet::npos;
+  }
+  std::size_t compound_containing(const Point& p) const {
+    for (std::size_t i = 0; i < rects_.size(); ++i) {
+      if (rects_[i].contains_strict(p)) return compound_[i];
+    }
+    return ObstacleSet::npos;
+  }
+  bool blocks_segment(const HVSegment& seg) const {
+    for (const Rect& r : rects_) {
+      if (seg.crosses_interior(r)) return true;
+    }
+    return false;
+  }
+  std::vector<std::size_t> crossed_compounds(const HVSegment& seg) const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < rects_.size(); ++i) {
+      if (seg.crosses_interior(rects_[i]) &&
+          std::find(out.begin(), out.end(), compound_[i]) == out.end()) {
+        out.push_back(compound_[i]);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  Um blocked_length(const HVSegment& seg) const {
+    Um total = 0.0;
+    for (const Rect& r : rects_) {
+      const Rect clip = seg.bounds().intersection(r);
+      if (!clip.valid()) continue;
+      if (seg.horizontal()) {
+        if (seg.a.y > r.ylo && seg.a.y < r.yhi) total += std::max(0.0, clip.width());
+      } else if (seg.vertical()) {
+        if (seg.a.x > r.xlo && seg.a.x < r.xhi) total += std::max(0.0, clip.height());
+      }
+    }
+    return total;
+  }
+  bool blocks_polyline(const std::vector<Point>& pts) const {
+    for (std::size_t i = 1; i < pts.size(); ++i) {
+      if (blocks_segment(HVSegment{pts[i - 1], pts[i]})) return true;
+    }
+    return false;
+  }
+  Um blocked_length(const std::vector<Point>& pts) const {
+    Um total = 0.0;
+    for (std::size_t i = 1; i < pts.size(); ++i) {
+      total += blocked_length(HVSegment{pts[i - 1], pts[i]});
+    }
+    return total;
+  }
+
+ private:
+  const std::vector<Rect>& rects_;
+  std::vector<std::size_t> compound_;
+  std::vector<std::vector<std::size_t>> members_;
+};
 
 TEST(SpatialDifferential, ObstacleQueriesIndexEqualsScan) {
   Rng rng(42);
@@ -248,40 +328,40 @@ TEST(SpatialDifferential, ObstacleQueriesIndexEqualsScan) {
     const int n = static_cast<int>(rng.uniform_int(0, 24));
     std::vector<Rect> rects;
     for (int i = 0; i < n; ++i) rects.push_back(random_rect(rng, 20, 1));
-    const ObstacleSet scan(rects, SpatialMode::kForceScan);
-    const ObstacleSet indexed(rects, SpatialMode::kForceIndex);
-    EXPECT_FALSE(scan.uses_index());
-    EXPECT_TRUE(indexed.uses_index());
+    const ObstacleSet indexed(rects);
+    const ScanObstacles scan(indexed.rects());
 
-    // Construction-time grouping must be identical: same compounds, same
-    // member lists, same contours, same rect->compound map.
-    ASSERT_EQ(scan.compounds().size(), indexed.compounds().size());
-    for (std::size_t c = 0; c < scan.compounds().size(); ++c) {
-      EXPECT_EQ(scan.compounds()[c].rect_indices,
-                indexed.compounds()[c].rect_indices);
-      EXPECT_EQ(scan.compounds()[c].contour, indexed.compounds()[c].contour);
+    // Construction-time grouping: same compounds, same member lists, same
+    // bounds and contours, same rect->compound map.
+    ASSERT_EQ(indexed.compounds().size(), scan.members().size());
+    for (std::size_t c = 0; c < scan.members().size(); ++c) {
+      const CompoundObstacle& got = indexed.compounds()[c];
+      EXPECT_EQ(got.rect_indices, scan.members()[c]);
+      std::vector<Rect> member_rects;
+      Rect bounds = rects[scan.members()[c].front()];
+      for (const std::size_t i : scan.members()[c]) {
+        member_rects.push_back(rects[i]);
+        bounds = bounds.bounding_union(rects[i]);
+      }
+      EXPECT_EQ(got.bounds, bounds);
+      EXPECT_EQ(got.contour, union_contour(member_rects));
     }
     for (std::size_t i = 0; i < rects.size(); ++i) {
-      EXPECT_EQ(scan.compound_of(i), indexed.compound_of(i));
+      EXPECT_EQ(indexed.compound_of(i), scan.compound_of(i));
     }
-    EXPECT_EQ(scan.union_area(), indexed.union_area());
+    EXPECT_EQ(indexed.union_area(), klee_union_area(rects));
 
     for (int q = 0; q < 8; ++q, ++cases) {  // point queries
       const Point p{random_coord(rng, rects, 20), random_coord(rng, rects, 20)};
-      EXPECT_EQ(scan.blocks_point(p), indexed.blocks_point(p));
-      EXPECT_EQ(scan.compound_containing(p), indexed.compound_containing(p));
+      EXPECT_EQ(indexed.blocks_point(p), scan.blocks_point(p));
+      EXPECT_EQ(indexed.compound_containing(p), scan.compound_containing(p));
     }
     for (int q = 0; q < 8; ++q, ++cases) {  // segment queries
       const HVSegment seg = random_segment(rng, rects, 20);
-      EXPECT_EQ(scan.blocks_segment(seg), indexed.blocks_segment(seg));
-      // Exact FP equality: non-intersecting rects contribute exactly 0.0.
-      EXPECT_EQ(scan.blocked_length(seg), indexed.blocked_length(seg));
-      const auto crossed = scan.crossed_compounds(seg);
-      EXPECT_EQ(crossed, indexed.crossed_compounds(seg));
-      // Property: the compound list is sorted and duplicate-free.
-      EXPECT_TRUE(std::is_sorted(crossed.begin(), crossed.end()));
-      EXPECT_EQ(std::adjacent_find(crossed.begin(), crossed.end()),
-                crossed.end());
+      EXPECT_EQ(indexed.blocks_segment(seg), scan.blocks_segment(seg));
+      // Exact FP equality: the index skips only rects that add exactly 0.0.
+      EXPECT_EQ(indexed.blocked_length(seg), scan.blocked_length(seg));
+      EXPECT_EQ(indexed.crossed_compounds(seg), scan.crossed_compounds(seg));
     }
     for (int q = 0; q < 2; ++q, ++cases) {  // rectilinear polylines
       std::vector<Point> pts{
@@ -292,15 +372,15 @@ TEST(SpatialDifferential, ObstacleQueriesIndexEqualsScan) {
         else next.y = random_coord(rng, rects, 20);
         pts.push_back(next);  // may include zero-length / colinear legs
       }
-      EXPECT_EQ(scan.blocks_polyline(pts), indexed.blocks_polyline(pts));
-      EXPECT_EQ(scan.blocked_length(pts), indexed.blocked_length(pts));
+      EXPECT_EQ(indexed.blocks_polyline(pts), scan.blocks_polyline(pts));
+      EXPECT_EQ(indexed.blocked_length(pts), scan.blocked_length(pts));
     }
     for (int q = 0; q < 4; ++q, ++cases) {  // window queries (maze router)
       const Rect window = Rect::around(
           Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)},
           Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)});
-      EXPECT_EQ(scan.rects_intersecting(window),
-                indexed.rects_intersecting(window));
+      EXPECT_EQ(indexed.rects_intersecting(window),
+                scan_intersecting(rects, window));
     }
   }
   EXPECT_GE(cases, 1000);
@@ -321,7 +401,7 @@ TEST(SpatialProperties, BlockedLengthBoundedOnDisjointSets) {
                              y0 + rng.uniform(1.0, 5.0)});
       }
     }
-    const ObstacleSet obs(rects, SpatialMode::kForceIndex);
+    const ObstacleSet obs(rects);
     for (int q = 0; q < 25; ++q) {
       const HVSegment seg = random_segment(rng, rects, 20);
       const Um blocked = obs.blocked_length(seg);
@@ -420,8 +500,7 @@ TEST(SpatialNn, TiltedKdTreeMatchesLinearScan) {
                             rng.uniform_int(0, n - 1))].region
               : TiltedRect::from_point(
                     Point{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
-      // Reference: first-wins strict-improvement scan over ascending ids —
-      // the exact loop the CONTANGO_SPATIAL=0 DME pairing runs.
+      // Reference: first-wins strict-improvement scan over ascending ids.
       int best = -1;
       double best_d = 0.0;
       for (const auto& e : entries) {
@@ -534,7 +613,7 @@ TEST(ContourWalk, SweepMatchesRepeatedMinimumReference) {
     std::vector<Rect> rects;
     const int n = static_cast<int>(rng.uniform_int(1, 10));
     for (int i = 0; i < n; ++i) rects.push_back(random_rect(rng, 20, 1));
-    const ObstacleSet obs(rects, SpatialMode::kForceIndex);
+    const ObstacleSet obs(rects);
     for (const CompoundObstacle& compound : obs.compounds()) {
       ++compounds_seen;
       const Um total = contour_length(compound.contour);
@@ -556,117 +635,6 @@ TEST(ContourWalk, SweepMatchesRepeatedMinimumReference) {
     }
   }
   EXPECT_GT(compounds_seen, 20);
-}
-
-// ---------------------------------------------------------------------------
-// Flow-level bit-identity: CONTANGO_SPATIAL=0 and =1 must produce the same
-// clock tree and the same metrics on every registered scenario family.
-// ---------------------------------------------------------------------------
-
-void expect_same_tree(const ClockTree& a, const ClockTree& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.root(), b.root());
-  for (NodeId id = 0; id < static_cast<NodeId>(a.size()); ++id) {
-    const TreeNode& na = a.node(id);
-    const TreeNode& nb = b.node(id);
-    EXPECT_EQ(na.kind, nb.kind) << "node " << id;
-    EXPECT_EQ(na.pos, nb.pos) << "node " << id;
-    EXPECT_EQ(na.parent, nb.parent) << "node " << id;
-    EXPECT_EQ(na.children, nb.children) << "node " << id;
-    EXPECT_EQ(na.route, nb.route) << "node " << id;
-    EXPECT_EQ(na.wire_width, nb.wire_width) << "node " << id;
-    EXPECT_EQ(na.snake, nb.snake) << "node " << id;  // exact FP equality
-    EXPECT_EQ(na.sink_index, nb.sink_index) << "node " << id;
-    EXPECT_TRUE(na.buffer == nb.buffer) << "node " << id;
-  }
-}
-
-void expect_same_result(const FlowResult& a, const FlowResult& b,
-                        const std::string& family) {
-  SCOPED_TRACE(family);
-  expect_same_tree(a.tree, b.tree);
-  // Exact FP equality on every reported metric — the CONTANGO_SPATIAL
-  // contract is bit-identity, not tolerance.
-  EXPECT_EQ(a.eval.nominal_skew, b.eval.nominal_skew);
-  EXPECT_EQ(a.eval.clr, b.eval.clr);
-  EXPECT_EQ(a.eval.max_latency, b.eval.max_latency);
-  EXPECT_EQ(a.eval.worst_slew, b.eval.worst_slew);
-  EXPECT_EQ(a.eval.total_cap, b.eval.total_cap);
-  EXPECT_EQ(a.eval.legal(), b.eval.legal());
-  EXPECT_EQ(a.sim_runs, b.sim_runs);
-  EXPECT_EQ(a.full_evals, b.full_evals);
-  EXPECT_EQ(a.incremental_evals, b.incremental_evals);
-  EXPECT_TRUE(a.buffer == b.buffer);
-  ASSERT_EQ(a.stages.size(), b.stages.size());
-  for (std::size_t s = 0; s < a.stages.size(); ++s) {
-    EXPECT_EQ(a.stages[s].name, b.stages[s].name);
-    EXPECT_EQ(a.stages[s].skew, b.stages[s].skew);
-    EXPECT_EQ(a.stages[s].clr, b.stages[s].clr);
-    EXPECT_EQ(a.stages[s].max_latency, b.stages[s].max_latency);
-    EXPECT_EQ(a.stages[s].cap, b.stages[s].cap);
-    EXPECT_EQ(a.stages[s].sim_runs, b.stages[s].sim_runs);
-  }
-}
-
-TEST(SpatialFlow, BitIdenticalOnEveryRegisteredFamily) {
-  for (const std::string& family : ScenarioRegistry::builtin().names()) {
-    FlowResult with_scan, with_index;
-    {
-      // Fresh Benchmark inside each scope: Benchmark::obstacles() caches
-      // the ObstacleSet, which samples the knob at construction.
-      ScopedEnv off("CONTANGO_SPATIAL", "0");
-      const Benchmark bench = make_scenario(family, 11, 48);
-      with_scan = run_contango(bench);
-    }
-    {
-      ScopedEnv on("CONTANGO_SPATIAL", "1");
-      const Benchmark bench = make_scenario(family, 11, 48);
-      with_index = run_contango(bench);
-    }
-    expect_same_result(with_scan, with_index, family);
-  }
-}
-
-TEST(SpatialFlow, DmeTopologyIdenticalSpatialOnOff) {
-  // The DME pairing is the subtlest consumer of the NN index: the kd-tree
-  // must reproduce the scan's nearest-neighbour graph *including tie-break
-  // order*, or the greedy matching (and the whole topology) diverges.
-  const Benchmark bench = make_scenario("clustered", 3, 400);
-  ClockTree scan_tree, index_tree;
-  {
-    ScopedEnv off("CONTANGO_SPATIAL", "0");
-    scan_tree = build_zst(bench);
-  }
-  {
-    ScopedEnv on("CONTANGO_SPATIAL", "1");
-    index_tree = build_zst(bench);
-  }
-  expect_same_tree(scan_tree, index_tree);
-}
-
-// ---------------------------------------------------------------------------
-// Knob plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(SpatialKnob, EnvControlsAutoModeAndForcedModesIgnoreIt) {
-  const std::vector<Rect> rects{Rect{0, 0, 5, 5}};
-  {
-    ScopedEnv off("CONTANGO_SPATIAL", "0");
-    EXPECT_FALSE(spatial_index_enabled());
-    EXPECT_EQ(resolve_spatial_mode(SpatialMode::kAuto), SpatialMode::kForceScan);
-    EXPECT_FALSE(ObstacleSet(rects, SpatialMode::kAuto).uses_index());
-    EXPECT_TRUE(ObstacleSet(rects, SpatialMode::kForceIndex).uses_index());
-  }
-  {
-    ScopedEnv on("CONTANGO_SPATIAL", "1");
-    EXPECT_TRUE(spatial_index_enabled());
-    EXPECT_EQ(resolve_spatial_mode(SpatialMode::kAuto), SpatialMode::kForceIndex);
-    EXPECT_TRUE(ObstacleSet(rects, SpatialMode::kAuto).uses_index());
-    EXPECT_FALSE(ObstacleSet(rects, SpatialMode::kForceScan).uses_index());
-  }
-  unsetenv("CONTANGO_SPATIAL");  // default: on
-  EXPECT_TRUE(spatial_index_enabled());
-  EXPECT_TRUE(ObstacleSet(rects).uses_index());
 }
 
 }  // namespace

@@ -369,35 +369,28 @@ TEST(SuiteEnv, NegativeCountsRejected) {
   }
 }
 
-TEST(SuiteEnv, BatchKnobParsesAndRejectsGarbage) {
-  EXPECT_TRUE(suite_options_from_env().flow.eval.batch);  // default: on
-  {
-    ScopedEnv off("CONTANGO_BATCH", "0");
-    EXPECT_FALSE(suite_options_from_env().flow.eval.batch);
-  }
-  {
-    ScopedEnv on("CONTANGO_BATCH", "1");
-    EXPECT_TRUE(suite_options_from_env().flow.eval.batch);
-  }
-  ScopedEnv bad("CONTANGO_BATCH", "yes");
-  try {
-    suite_options_from_env();
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("CONTANGO_BATCH"), std::string::npos)
-        << e.what();
-  }
+TEST(SuiteEnv, RemovedKernelAndGeometryKnobsAreReportedAsUnknown) {
+  // Both switches are gone; a leftover setting must warn rather than look
+  // as if it still selected something.
+  ScopedEnv batch("CONTANGO_BATCH", "0");
+  ScopedEnv spatial("CONTANGO_SPATIAL", "0");
+  const std::vector<std::string> unknown = unknown_contango_env_vars();
+  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_BATCH"),
+            unknown.end());
+  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_SPATIAL"),
+            unknown.end());
+  EXPECT_NO_THROW(suite_options_from_env());
 }
 
 TEST(SuiteEnv, UnknownContangoVariablesAreReportedNotFatal) {
-  ScopedEnv typo("CONTANGO_BATH", "0");  // the classic knob typo
+  ScopedEnv typo("CONTANGO_THREDS", "4");  // the classic knob typo
   ScopedEnv reserved("CONTANGO_TEST_SCRATCH", "1");
-  ScopedEnv known("CONTANGO_BATCH", "1");
+  ScopedEnv known("CONTANGO_THREADS", "1");
   const std::vector<std::string> unknown = unknown_contango_env_vars();
-  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_BATH"),
+  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_THREDS"),
             unknown.end());
   // Real knobs and the CONTANGO_TEST_ namespace never warn about themselves.
-  EXPECT_EQ(std::find(unknown.begin(), unknown.end(), "CONTANGO_BATCH"),
+  EXPECT_EQ(std::find(unknown.begin(), unknown.end(), "CONTANGO_THREADS"),
             unknown.end());
   EXPECT_EQ(std::find(unknown.begin(), unknown.end(), "CONTANGO_TEST_SCRATCH"),
             unknown.end());
