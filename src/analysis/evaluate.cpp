@@ -515,8 +515,12 @@ EvalResult IncrementalEvaluator::evaluate() {
   // Level sweep: every slot's parent sits in the level above, so once a
   // level is done the next one's inputs are final.  parallel_for joins its
   // helpers before returning, which orders each level's writes before the
-  // next level's reads.  A single worker (width-1 level or threads == 1)
-  // runs inline on the caller.
+  // next level's reads.  The helpers are borrowed from the process-wide
+  // core budget, so a level runs inline on the caller when it is one slot
+  // wide, when threads == 1, or when no core is free.  A thread takes a
+  // second worker index only once the level's slots are all handed out,
+  // so no more workers run slots, and grow their scratch, than the call
+  // got threads.
   const std::thread::id caller = std::this_thread::get_id();
   for (std::size_t d = 0; d + 1 < levels.size(); ++d) {
     const std::size_t begin = levels[d];

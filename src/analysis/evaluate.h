@@ -85,13 +85,16 @@ struct EvalOptions {
 
   /// Worker cap of the incremental engine's level sweep
   /// (IncrementalEvaluator::evaluate): the stages of one stage-graph depth
-  /// level are simulated on up to this many threads.  0 picks
-  /// hardware_threads() (run_suite divides that by its busy workers), 1
-  /// keeps the sweep on the calling thread.  Results and every counter
-  /// are bit-identical for any value, so it is an execution mode, not a
-  /// result-affecting option (the service cache key ignores it).  Full
-  /// evaluation (Evaluator::evaluate, Monte Carlo) always runs on the
-  /// calling thread.
+  /// level are simulated on the calling thread plus helpers borrowed from
+  /// the process-wide core budget (util/parallel.h), up to this many
+  /// threads in all.  0 caps at hardware_threads(), so a sweep takes as
+  /// many cores as are free at each level — all of them for a lone flow,
+  /// the ones finished suite workers left free inside run_suite().  1 keeps
+  /// the sweep on the calling thread.  Results and every counter are
+  /// bit-identical for any value, so it is an execution mode, not a
+  /// result-affecting option (the service cache key ignores it).  A full
+  /// evaluation (Evaluator::evaluate, one Monte-Carlo trial) runs on one
+  /// thread.
   int threads = 0;
 };
 
@@ -184,8 +187,8 @@ class Evaluator {
 
   /// CPU seconds spent on helper threads of the incremental level sweep
   /// — work the calling thread's own CPU clock does not see.  Always 0
-  /// with `options().threads == 1`.  The pipeline adds the per-pass delta
-  /// to PassTiming::cpu_seconds.
+  /// with `options().threads == 1` or while no core token is free.  The
+  /// pipeline adds the per-pass delta to PassTiming::cpu_seconds.
   double helper_cpu_seconds() const {
     return 1e-9 * static_cast<double>(helper_cpu_ns_.load(std::memory_order_relaxed));
   }

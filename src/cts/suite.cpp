@@ -160,6 +160,8 @@ std::string SuiteReport::to_json() const {
       continue;
     }
     w.kv("seconds", r.seconds);
+    // CPU the flow's level sweeps ran on borrowed cores (a timing key).
+    w.kv("helper_cpu_seconds", r.result.helper_cpu_seconds);
     if (r.load_seconds >= 0.0) w.kv("load_seconds", r.load_seconds);
     w.kv("sim_runs", static_cast<long>(r.result.sim_runs));
     w.kv("full_evals", static_cast<long>(r.result.full_evals));
@@ -251,8 +253,10 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
                       const SuiteOptions& options) {
   SuiteReport report;
   report.runs.resize(suite.size());
-  report.threads = options.threads <= 0 ? hardware_threads()
-                                        : options.threads;
+  // No more workers than benchmarks: the rest would only idle.
+  const int requested = options.threads <= 0 ? hardware_threads()
+                                             : options.threads;
+  report.threads = std::max(1, std::min(requested, static_cast<int>(suite.size())));
 
   // Resolve the pipeline once up front: a malformed spec (unknown pass,
   // bad parameter override) throws here, before any run starts, instead of
@@ -260,16 +264,6 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
   FlowOptions flow = options.flow;
   if (!options.pipeline_spec.empty()) flow.pipeline = options.pipeline_spec;
   Pipeline::from_options(flow);
-
-  // Every worker runs one flow at a time, so the flows' incremental level
-  // sweeps split the cores between the workers that can be busy at once.
-  // Like the serial MC pass below, this only avoids oversubscription:
-  // results are thread-count invariant.
-  if (flow.eval.threads <= 0) {
-    const int busy = std::max(
-        1, std::min(report.threads, static_cast<int>(suite.size())));
-    flow.eval.threads = std::max(1, hardware_threads() / busy);
-  }
 
   // Benchmark::obstacles() builds its cache lazily through mutable members,
   // so warm it here while the suite is still single-threaded; the workers
@@ -312,16 +306,19 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
         // pipeline adds pass-boundary points of its own (both poll
         // flow.cancel), so a cancelled suite drains in at most one pass.
         if (flow.cancel.cancelled()) throw CancelledError();
+        // The flow computes on one token of the process-wide core budget;
+        // its level sweeps and Monte-Carlo blocks borrow whatever tokens
+        // the other workers (and other suites) leave free.  Results are
+        // thread-count invariant, so the split only moves wall time.
+        const CoreToken core;
+        run_timer.reset();  // a run's time starts once it has its core
         run.result = run_contango(bench, flow);
         run.ok = true;
         if (options.mc_trials > 0) {
           if (flow.cancel.cancelled()) throw CancelledError();
-          // The suite already fans across benchmarks, so the MC pass runs
-          // serially inside its worker; MC reports are thread-count
-          // invariant anyway, this only avoids oversubscription.
           McOptions mc;
           mc.trials = options.mc_trials;
-          mc.threads = 1;
+          mc.threads = flow.eval.threads;  // same cap as the level sweep
           mc.skew_target = options.mc_skew_target;
           mc.eval = options.flow.eval;
           run.mc = run_montecarlo(bench, run.result.tree, options.variation, mc);

@@ -36,11 +36,15 @@ struct SuiteOptions {
   std::string pipeline_spec;
 
   /// Worker threads fanning out `run_contango` calls; 0 picks the hardware
-  /// concurrency, 1 runs the suite serially on the calling thread.
+  /// concurrency, 1 runs the suite serially on the calling thread.  Never
+  /// more workers than benchmarks are started (SuiteReport::threads).
   /// Benchmark drivers bind this to the CONTANGO_THREADS env knob.
-  /// When `flow.eval.threads` is 0, each flow's incremental level sweep
-  /// gets hardware_threads() divided by the workers that can be busy at
-  /// once (at least 1), so a suite runs about one compute thread per core.
+  /// Each worker holds one token of the process-wide core budget
+  /// (util/parallel.h) per flow, blocking while none is free; the flow's
+  /// level sweeps and Monte-Carlo blocks borrow the tokens other workers
+  /// leave free (up to `flow.eval.threads` threads, 0 = all cores).  So a
+  /// suite — or several concurrent daemon jobs — runs about one compute
+  /// thread per core, and a long-pole flow widens once the others finish.
   int threads = 0;
 
   /// Monte-Carlo trials per benchmark after synthesis (analysis/
@@ -134,7 +138,7 @@ struct SuiteRun {
 /// reports (modulo wall times).
 struct SuiteReport {
   std::vector<SuiteRun> runs;
-  int threads = 0;           ///< worker count actually used
+  int threads = 0;           ///< worker count actually used (<= runs, >= 1)
   double wall_seconds = 0.0; ///< whole-suite wall time (not the sum of runs)
 
   /// Process CPU time consumed by the suite across all workers.  Divide by

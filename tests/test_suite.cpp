@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cts/suite.h"
@@ -89,6 +93,88 @@ TEST(ParallelFor, RethrowsOnTheCallerAfterJoiningEveryThread) {
   }
 }
 
+/// Thread ids of the helpers that ran iterations of fn, the caller excluded.
+template <typename Fn>
+std::set<std::thread::id> helper_ids(int n, int threads, Fn&& fn) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  parallel_for(n, threads, [&](int i) {
+    fn(i);
+    if (std::this_thread::get_id() == caller) return;
+    std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  return ids;
+}
+
+/// parallel_for borrows persistent pool threads instead of spawning: the
+/// helpers of back-to-back calls all come from one small fixed set.
+TEST(ParallelFor, HelpersComeFromOnePersistentPool) {
+  std::set<std::thread::id> seen;
+  for (int call = 0; call < 200; ++call) {
+    const std::set<std::thread::id> ids = helper_ids(16, 0, [](int) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    });
+    seen.insert(ids.begin(), ids.end());
+  }
+  EXPECT_LE(static_cast<int>(seen.size()), hardware_threads() - 1);
+  EXPECT_EQ(CoreBudget::global().in_use(), 0);  // every token came back
+}
+
+/// A parallel_for issued on a pool helper runs inline on that helper, so
+/// helpers never wait on the pool and nesting cannot deadlock.
+TEST(ParallelFor, NestedCallOnAHelperRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> nested_on_helpers{0};
+  std::atomic<int> inner_total{0};
+  std::atomic<bool> inline_everywhere{true};
+  parallel_for(16, 0, [&](int) {
+    const std::thread::id self = std::this_thread::get_id();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    parallel_for(32, 0, [&](int) {
+      inner_total.fetch_add(1);
+      if (self != caller && std::this_thread::get_id() != self) {
+        inline_everywhere = false;
+      }
+    });
+    if (self != caller) nested_on_helpers.fetch_add(1);
+  });
+  EXPECT_EQ(inner_total.load(), 16 * 32);
+  EXPECT_TRUE(inline_everywhere.load());
+  if (hardware_threads() > 1) EXPECT_GT(nested_on_helpers.load(), 0);
+}
+
+/// Helpers need free core tokens: with the whole budget held elsewhere a
+/// call runs wholly on its caller.
+TEST(ParallelFor, RunsOnTheCallerWhenEveryTokenIsHeld) {
+  CoreBudget& budget = CoreBudget::global();
+  const int held = budget.try_acquire(budget.capacity());
+  ASSERT_EQ(held, budget.capacity());
+  const std::set<std::thread::id> ids = helper_ids(64, 0, [](int) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  });
+  budget.release(held);
+  EXPECT_TRUE(ids.empty());
+  EXPECT_EQ(budget.in_use(), 0);
+}
+
+/// A blocked acquire() gets the next free token before any try_acquire()
+/// does, so sweeps re-borrowing at every level cannot starve it.
+TEST(CoreBudget, BlockedAcquireHasPriorityOverTryAcquire) {
+  CoreBudget budget(2);
+  EXPECT_EQ(budget.try_acquire(5), 2);
+  std::thread waiter([&budget] { budget.acquire(); });
+  while (budget.waiting() == 0) std::this_thread::yield();
+  budget.release(1);
+  EXPECT_EQ(budget.try_acquire(1), 0);  // reserved for the waiter
+  waiter.join();
+  EXPECT_EQ(budget.in_use(), 2);
+  EXPECT_EQ(budget.peak(), 2);
+  budget.release(2);
+  EXPECT_EQ(budget.try_acquire(5), 2);
+}
+
 TEST(Suite, EmptySuite) {
   const SuiteReport report = run_suite({});
   EXPECT_TRUE(report.runs.empty());
@@ -162,30 +248,74 @@ TEST(Suite, FourThreadsMatchSerialBitForBit) {
   EXPECT_GT(parallel.cpu_seconds(), 0.0);
 }
 
-/// With flow.eval.threads left at 0 the flows' level sweeps share the
-/// cores: a suite with a flow per core gets no sweep helpers, a lone flow
-/// gets every core, and an explicit eval.threads is kept as given.
+/// The report with every timing value and the worker count zeroed: what
+/// must match bit for bit between runs of one suite.
+std::string untimed_json(SuiteReport report) {
+  report.threads = 0;
+  report.wall_seconds = report.process_cpu_seconds = 0.0;
+  for (SuiteRun& run : report.runs) {
+    run.seconds = 0.0;
+    run.result.helper_cpu_seconds = 0.0;
+    for (PassTiming& p : run.result.pass_timings) p.wall_seconds = p.cpu_seconds = 0.0;
+  }
+  return report.to_json();
+}
+
+/// A suite never starts more workers than it has benchmarks, whatever it
+/// was asked for, and stays bit-identical to the serial run.
+TEST(Suite, ShortSuiteStartsOneWorkerPerBenchmark) {
+  const std::vector<Benchmark> suite{generate_ti_like(80), generate_ti_like(120)};
+  SuiteOptions options;
+  options.threads = 1;
+  const SuiteReport serial = run_suite(suite, options);
+  options.threads = 64;
+  const SuiteReport wide = run_suite(suite, options);
+  EXPECT_EQ(serial.threads, 1);
+  EXPECT_EQ(wide.threads, 2);
+  ASSERT_TRUE(wide.all_ok());
+  EXPECT_EQ(untimed_json(wide), untimed_json(serial));
+}
+
+/// Suite workers and their sweeps' helpers draw from one budget of
+/// hardware_threads() tokens, even with three workers per core.
+TEST(Suite, NeverHoldsMoreCoreTokensThanCores) {
+  const int cores = hardware_threads();
+  const std::vector<Benchmark> suite(static_cast<std::size_t>(3 * cores),
+                                     generate_ti_like(60));
+  SuiteOptions options;
+  options.threads = 3 * cores;
+  const SuiteReport report = run_suite(suite, options);
+  EXPECT_TRUE(report.all_ok());
+  const CoreBudget& budget = CoreBudget::global();
+  EXPECT_EQ(budget.capacity(), cores);
+  EXPECT_GE(budget.peak(), 1);
+  EXPECT_LE(budget.peak(), cores);
+  EXPECT_EQ(budget.in_use(), 0);
+}
+
+/// With flow.eval.threads left at 0 a flow's level sweeps borrow the cores
+/// the suite leaves free: a lone flow gets helpers, and so does the long
+/// pole of a suite once its short flows are done.  eval.threads = 1 keeps
+/// every sweep on its worker.
 TEST(Suite, FlowsShareTheCoresWithTheirLevelSweeps) {
   const int cores = hardware_threads();
-  const auto helper_cpu = [](const SuiteReport& report) {
-    double total = 0.0;
-    for (const SuiteRun& run : report.runs) {
-      EXPECT_TRUE(run.ok) << run.error;
-      total += run.result.helper_cpu_seconds;
-    }
-    return total;
+  const auto helper_cpu = [](const SuiteRun& run) {
+    EXPECT_TRUE(run.ok) << run.error;
+    return run.result.helper_cpu_seconds;
   };
 
   SuiteOptions options;
   options.threads = cores;
-  const std::vector<Benchmark> per_core(static_cast<std::size_t>(cores),
-                                        generate_ti_like(160));
-  EXPECT_EQ(helper_cpu(run_suite(per_core, options)), 0.0);
-
   const std::vector<Benchmark> lone{generate_ti_like(160)};
-  if (cores > 1) EXPECT_GT(helper_cpu(run_suite(lone, options)), 0.0);
+  if (cores > 1) EXPECT_GT(helper_cpu(run_suite(lone, options).runs[0]), 0.0);
+
+  std::vector<Benchmark> long_pole{generate_ti_like(1200)};
+  long_pole.resize(static_cast<std::size_t>(cores), generate_ti_like(40));
+  const SuiteReport mixed = run_suite(long_pole, options);
+  if (cores > 1) EXPECT_GT(helper_cpu(mixed.runs[0]), 0.0);
+
   options.flow.eval.threads = 1;
-  EXPECT_EQ(helper_cpu(run_suite(lone, options)), 0.0);
+  EXPECT_EQ(helper_cpu(run_suite(lone, options).runs[0]), 0.0);
 }
 
 TEST(Suite, MonteCarloPassAddsColumnsAndStaysDeterministic) {
