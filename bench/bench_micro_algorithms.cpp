@@ -69,7 +69,7 @@ BENCHMARK(BM_TransientEvaluate)->Arg(100)->Arg(400);
 /// Every stage of the finished flow on generate_ti_like(2000, 77), with the
 /// drives a full evaluation hands the kernel: per stage, one per (corner x
 /// source transition), input slews propagated stage to stage exactly as
-/// evaluate_netlist() does.
+/// the level sweep (LevelSweep::run) does.
 struct RecordedStages {
   NetlistSoa soa;
   std::size_t num_stages = 0;

@@ -129,8 +129,7 @@ int main() {
               report.process_cpu_seconds / report.wall_seconds,
               report.total_sim_runs());
   // The incremental engine's scorecard: how many candidate evaluations
-  // re-propagated only dirty paths instead of the whole tree
-  // (CONTANGO_INCREMENTAL=0 forces every evaluation full for comparison).
+  // re-propagated only dirty paths instead of the whole tree.
   std::printf("evaluation split: %ld full-tree propagations, %ld incremental\n",
               report.total_full_evals(), report.total_incremental_evals());
   std::printf("Set CONTANGO_MAX_SINKS=50000 to run the paper's full sweep.\n");

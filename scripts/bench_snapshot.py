@@ -26,7 +26,7 @@ Usage:
                                       [--max-sinks 2000] [--threads 1]
                                       [--scenario huge] [--seed 1]
                                       [--workloads mega_1m.cbench]
-                                      [--force-full] [--force-buffered]
+                                      [--force-buffered]
 
 ``--workloads`` (table5 only) runs a collect_workloads() spec — scenario
 families, ``.bench``/``.cbench`` files, directories — instead of a sweep;
@@ -97,8 +97,6 @@ def main() -> int:
                              "run exactly these workloads (family names, "
                              ".bench/.cbench files, directories) instead of "
                              "a sink-count sweep; records load_seconds")
-    parser.add_argument("--force-full", action="store_true",
-                        help="set CONTANGO_INCREMENTAL=0 (baseline comparison runs)")
     parser.add_argument("--force-buffered", action="store_true",
                         help="set CONTANGO_MMAP=0 (buffered-read .cbench "
                              "loading instead of mmap)")
@@ -136,15 +134,12 @@ def main() -> int:
     if args.workloads:
         env["CONTANGO_WORKLOADS"] = args.workloads
         env["CONTANGO_SEED"] = str(args.seed)
-    if args.force_full:
-        env["CONTANGO_INCREMENTAL"] = "0"
     if args.force_buffered:
         env["CONTANGO_MMAP"] = "0"
 
     config = {
         "binary": BENCH_BINARIES[args.bench],
         "threads": args.threads,
-        "incremental": not args.force_full,
         "mmap": not args.force_buffered,
     }
     if args.bench == "table5":
@@ -157,7 +152,7 @@ def main() -> int:
             config["seed"] = args.seed
 
     print(f"bench_snapshot: running {bench} "
-          f"(threads={args.threads}, incremental={int(config['incremental'])}, "
+          f"(threads={args.threads}, "
           f"mmap={int(config['mmap'])})")
     result = subprocess.run([str(bench)], env=env)
     if result.returncode != 0:

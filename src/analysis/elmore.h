@@ -59,10 +59,10 @@ class ElmoreStage {
 /// The bottom-up load (cdown) and top-down tau sweeps of an ElmoreStage
 /// depend only on the stage's RC contents, so they stay valid until the
 /// stage is re-extracted.  The incremental evaluator keeps one cache per
-/// netlist and rebuilds entries only along dirty paths; a full evaluation
-/// rebuilds them per simulate_stage() call instead.  Entries are rebuilt
-/// from identical inputs by identical code, so cached and fresh sweeps are
-/// bit-identical.
+/// netlist and rebuilds entries only along dirty paths; a sweep without
+/// reuse (full evaluation, Monte-Carlo trial) has the kernel rebuild them
+/// per stage instead, with the same accumulation order, so cached and
+/// fresh sweeps are bit-identical.
 class ElmoreCache {
  public:
   /// Returns the cached sweep for `slot`, rebuilding it from `stage` when

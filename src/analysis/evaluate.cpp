@@ -52,13 +52,7 @@ Ps CornerTiming::skew() const {
 
 namespace {
 
-/// \name Shared propagation core
-/// The full (evaluate_netlist) and incremental (IncrementalEvaluator)
-/// engines run exactly these helpers for everything that touches timing
-/// arithmetic — event recurrence, driver view, tap fan-out, aggregation —
-/// so their bit-identity contract holds by construction; the engines
-/// differ only in where the TapTimings come from (fresh simulation vs.
-/// cache) and how downstream stages are indexed.
+/// \name Propagation helpers of LevelSweep::run()
 /// @{
 
 /// Event at a stage driver's input.
@@ -232,158 +226,64 @@ Evaluator::Evaluator(const Benchmark& bench, EvalOptions options)
   for (const Sink& s : bench.sinks) sink_caps_.push_back(s.cap);
 }
 
-EvalResult evaluate_netlist(const StagedNetlist& net, const NetlistSoa& soa,
-                            const Benchmark& bench, const TransientSimulator& sim,
-                            Ps source_input_slew,
-                            const std::vector<Volt>* stage_vdd_delta,
-                            TransientScratch* scratch) {
-  if (stage_vdd_delta && stage_vdd_delta->size() != net.stages.size()) {
-    throw std::invalid_argument("evaluate_netlist: stage_vdd_delta size " +
-                                std::to_string(stage_vdd_delta->size()) +
-                                " != stage count " + std::to_string(net.stages.size()));
-  }
-  TransientScratch local_scratch;
-  if (!scratch) scratch = &local_scratch;
-
-  const std::size_t ns = net.stages.size();
-  const std::size_t nc = bench.tech.corners.size();
-  const std::size_t combos = nc * kNumTransitions;
-
-  EvalResult result;
-  result.corners.resize(nc);
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    result.corners[ci].vdd = bench.tech.corners[ci];
-    for (auto& per_transition : result.corners[ci].sinks) {
-      per_transition.assign(bench.sinks.size(), SinkTiming{});
-    }
-  }
-
-  // One propagation front per (corner x transition) combination, advanced
-  // stage-by-stage: combo c = ci * kNumTransitions + t owns the slice
-  // [c * ns, (c + 1) * ns) of `events`/`scheduled`.  Stages are created
-  // parent-before-child by extraction, so the forward sweep is a valid
-  // topological propagation for every combo at once, and each combo's
-  // event recurrence is exactly the corner-outer one.
-  std::vector<StageEvent> events(combos * ns);
-  std::vector<char> scheduled(combos * ns, 0);
-  for (std::size_t c = 0; c < combos && ns > 0; ++c) {
-    events[c * ns] = StageEvent{0.0, source_input_slew,
-                                static_cast<Transition>(c % kNumTransitions)};
-    scheduled[c * ns] = 1;
-  }
-
-  std::vector<BatchDrive> drives(combos);
-  std::vector<Transition> out_dirs(combos);
-  std::vector<TapTiming> taps;
-
-  for (std::size_t si = 0; si < ns; ++si) {
-    const Stage& stage = net.stages[si];
-
-    // Gather every combo's driver view, then sweep them through the kernel
-    // in combo order, sharing the stage's conductances and Elmore sweep.
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      const Volt vdd = bench.tech.corners[ci];
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        if (!scheduled[c * ns + si]) {
-          throw std::logic_error("evaluate_netlist: stage scheduled out of order");
-        }
-        const StageEvent& ev = events[c * ns + si];
-        const Transition out_dir = stage_output_dir(stage, ev.dir);
-        const Volt vdd_stage = stage_vdd_delta ? vdd + (*stage_vdd_delta)[si] : vdd;
-        const DriverView drv =
-            stage_driver_view(stage, bench.tech, vdd_stage, out_dir);
-        drives[c] = BatchDrive{drv.r_drv, drv.intrinsic, ev.slew};
-        out_dirs[c] = out_dir;
-      }
-    }
-
-    const std::size_t nt = stage.taps.size();
-    taps.resize(combos * nt);
-    sim.simulate_stage_batch(soa.view(static_cast<int>(si)), drives.data(),
-                             combos, taps.data(), *scratch);
-
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      CornerTiming& corner = result.corners[ci];
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        fan_out_taps(stage, events[c * ns + si], out_dirs[c],
-                     taps.data() + c * nt,
-                     corner.sinks[static_cast<std::size_t>(t)], corner.max_slew,
-                     [&](int child, const StageEvent& e) {
-                       events[c * ns + static_cast<std::size_t>(child)] = e;
-                       scheduled[c * ns + static_cast<std::size_t>(child)] = 1;
-                     });
-      }
-    }
-  }
-
-  aggregate_corners(result, bench);
-  return result;
-}
-
 void account_capacitance(EvalResult& result, const ClockTree& tree,
                          const Benchmark& bench, const std::vector<Ff>& sink_caps) {
   result.total_cap = tree.total_cap(bench.tech, sink_caps);
   result.cap_violation = bench.tech.cap_limit > 0.0 && result.total_cap > bench.tech.cap_limit;
 }
 
+void Evaluator::add_sweep_work(long stage_evals, double helper_cpu) {
+  batched_stage_evals_.fetch_add(stage_evals, std::memory_order_relaxed);
+  helper_cpu_ns_.fetch_add(static_cast<std::int64_t>(helper_cpu * 1e9),
+                           std::memory_order_relaxed);
+}
+
 EvalResult Evaluator::evaluate(const ClockTree& tree) {
   sim_runs_.fetch_add(1, std::memory_order_relaxed);
   full_evals_.fetch_add(1, std::memory_order_relaxed);
-  const StagedNetlist net = extract_stages(tree, bench_, options_.extract);
-  const long units = static_cast<long>(net.stages.size()) *
-                     static_cast<long>(bench_.tech.corners.size()) *
-                     kNumTransitions;
-  soa_.build(net);
-  EvalResult result = evaluate_netlist(net, soa_, bench_, sim_,
-                                       options_.source_input_slew, nullptr,
-                                       &scratch_);
-  batched_stage_evals_.fetch_add(units, std::memory_order_relaxed);
+  RcNetlist net;
+  net.build(tree, bench_, options_.extract);
+  LevelSweep sweep;
+  EvalResult result =
+      sweep.run(*this, net, net.soa(), nullptr, options_.threads, /*reuse=*/false);
+  add_sweep_work(sweep.last().sims, sweep.last().helper_cpu);
   account_capacitance(result, tree, bench_, sink_caps_);
   return result;
 }
 
-// ---------------------------------------------------- IncrementalEvaluator --
+// -------------------------------------------------------------- LevelSweep --
 
-void IncrementalEvaluator::bind(const ClockTree& tree) {
-  tree_ = &tree;
-  net_.build(tree, eval_.bench_, eval_.options_.extract);
-  // Slot versions are globally monotonic, so stale cache entries could
-  // never be mistaken for fresh ones — clearing just releases memory.
-  elmore_.clear();
-  timings_.clear();
-}
-
-EvalResult IncrementalEvaluator::evaluate() {
-  if (!bound()) {
-    throw std::logic_error("IncrementalEvaluator: evaluate before bind");
+EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
+                           const NetlistSoa& soa,
+                           const std::vector<Volt>* slot_vdd_delta,
+                           int max_threads, bool reuse) {
+  const std::size_t slot_count = net.slot_count();
+  if (slot_vdd_delta && slot_vdd_delta->size() != slot_count) {
+    throw std::invalid_argument("LevelSweep: slot_vdd_delta size " +
+                                std::to_string(slot_vdd_delta->size()) +
+                                " != slot count " + std::to_string(slot_count));
   }
-  net_.refresh();
 
-  const Benchmark& bench = eval_.bench_;
-  const TransientSimulator& sim = eval_.sim_;
-  const Ps source_input_slew = eval_.options_.source_input_slew;
-  const std::vector<int>& topo = net_.topo_slots();
-  const std::vector<std::size_t>& levels = net_.topo_levels();
+  const Benchmark& bench = eval.benchmark();
+  const TransientSimulator& sim = eval.simulator();
+  const Ps source_input_slew = eval.options().source_input_slew;
+  const std::vector<int>& topo = net.topo_slots();
+  const std::vector<std::size_t>& levels = net.topo_levels();
   const std::size_t nc = bench.tech.corners.size();
   const std::size_t combos = nc * kNumTransitions;
-  const std::size_t slot_count = net_.slot_count();
 
   // Everything the sweep indexes by slot is sized up front, so workers on
   // distinct slots never reallocate shared containers.
-  if (timings_.size() < slot_count) timings_.resize(slot_count);
-  elmore_.reserve_slots(slot_count);
+  if (reuse) {
+    if (timings_.size() < slot_count) timings_.resize(slot_count);
+    elmore_.reserve_slots(slot_count);
+  }
   slot_max_slew_.assign(topo.size() * nc, 0.0);
-  const int max_workers = eval_.options_.threads > 0 ? eval_.options_.threads
-                                                     : hardware_threads();
+  const int max_workers = max_threads > 0 ? max_threads : hardware_threads();
   if (workers_.size() < static_cast<std::size_t>(max_workers)) {
     workers_.resize(static_cast<std::size_t>(max_workers));
   }
-  for (Worker& w : workers_) {
-    w.sims = w.reuses = w.batched = 0;
-    w.helper_cpu = 0.0;
-  }
+  for (Worker& w : workers_) w.tally = Tally{};
 
   EvalResult result;
   result.corners.resize(nc);
@@ -394,17 +294,14 @@ EvalResult IncrementalEvaluator::evaluate() {
     }
   }
 
-  // Same StageEvent recurrence — and the same order of additions along
-  // every root-to-sink path — as the full evaluate_netlist() propagation;
-  // all timing arithmetic goes through the shared helpers above.  The
-  // sweep is slot-outer with one propagation front per (corner x
+  // The sweep is slot-outer with one propagation front per (corner x
   // transition) combination (combo c owns the slice [c * slot_count,
-  // (c + 1) * slot_count) of `events`/`scheduled`), so a slot's cache
-  // misses across all combos can be gathered and handed to the batch
-  // kernel together.  Each combo's events depend only on upstream slots
-  // of the same combo and each cache entry belongs to exactly one combo,
-  // so reordering combos inside a slot changes no value — the sweep is
-  // bit-identical to a corner-outer one.
+  // (c + 1) * slot_count) of `events`/`scheduled`), so a slot's kernel
+  // work across all combos can be handed to the batch kernel together.
+  // Each combo's events depend only on upstream slots of the same combo,
+  // each cache entry belongs to exactly one combo and each kernel row is
+  // independent of the others in its batch, so the result is bit-identical
+  // to a corner-outer propagation (tests/evaluate_reference.h).
   std::vector<StageEvent> events(combos * slot_count);
   std::vector<char> scheduled(combos * slot_count, 0);
   if (!topo.empty()) {
@@ -423,85 +320,95 @@ EvalResult IncrementalEvaluator::evaluate() {
   // sinks, plus `w` — so slots of one level may run on any workers.
   const auto run_slot = [&](std::size_t pos, Worker& w) {
     const int slot = topo[pos];
-    const Stage& stage = net_.stage(slot);
-    const std::uint64_t version = net_.version(slot);
+    const Stage& stage = net.stage(slot);
+    const std::uint64_t version = net.version(slot);
     const auto s = static_cast<std::size_t>(slot);
+    const std::size_t nt = stage.taps.size();
 
-    std::vector<CachedTiming>& per_slot = timings_[s];
-    if (per_slot.size() != combos) per_slot.assign(combos, CachedTiming{});
+    std::vector<CachedTiming>* per_slot = nullptr;
+    if (reuse) {
+      per_slot = &timings_[s];
+      if (per_slot->size() != combos) per_slot->assign(combos, CachedTiming{});
+    }
 
     w.miss_combos.clear();
     w.miss_drives.clear();
 
     for (std::size_t ci = 0; ci < nc; ++ci) {
-      const Volt vdd = bench.tech.corners[ci];
+      const Volt vdd = slot_vdd_delta ? bench.tech.corners[ci] + (*slot_vdd_delta)[s]
+                                      : bench.tech.corners[ci];
       for (int t = 0; t < kNumTransitions; ++t) {
         const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        // Same fail-fast invariant as the full propagation: the stage
-        // graph (maintained across splits/merges/sweeps) must hand every
-        // slot its event before the slot is processed — a repair bug must
-        // throw, not return plausible timings from a zero event.
+        // The stage graph (maintained across splits/merges/sweeps) must
+        // hand every slot its event before the slot is processed — a
+        // repair bug must throw, not return plausible timings from a zero
+        // event.
         if (!scheduled[c * slot_count + s]) {
-          throw std::logic_error(
-              "IncrementalEvaluator: stage scheduled out of order");
+          throw std::logic_error("LevelSweep: stage scheduled out of order");
         }
         const StageEvent& ev = events[c * slot_count + s];
-        CachedTiming& entry = per_slot[c];
 
-        // Reuse is allowed exactly when every input of the simulation
-        // matches the cached call: same stage contents (version), same
-        // input direction (fixes r_drv via out_dir) and bit-equal input
-        // slew.  The corner and transition are part of the cache key.
-        if (entry.version != version || entry.in_dir != ev.dir ||
-            entry.in_slew != ev.slew) {
-          const Transition out_dir = stage_output_dir(stage, ev.dir);
-          const DriverView drv = stage_driver_view(stage, bench.tech, vdd, out_dir);
-          w.miss_combos.push_back(static_cast<int>(c));
-          w.miss_drives.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
+        if (reuse) {
+          // Reuse is allowed exactly when every input of the simulation
+          // matches the cached call: same stage contents (version), same
+          // input direction (fixes r_drv via out_dir) and bit-equal input
+          // slew.  The corner and transition are part of the cache key.
+          CachedTiming& entry = (*per_slot)[c];
+          if (entry.version == version && entry.in_dir == ev.dir &&
+              entry.in_slew == ev.slew) {
+            ++w.tally.reuses;
+            continue;
+          }
           entry.version = version;
           entry.in_dir = ev.dir;
           entry.in_slew = ev.slew;
-          ++w.sims;
-        } else {
-          ++w.reuses;
         }
+        const Transition out_dir = stage_output_dir(stage, ev.dir);
+        const DriverView drv = stage_driver_view(stage, bench.tech, vdd, out_dir);
+        w.miss_combos.push_back(static_cast<int>(c));
+        w.miss_drives.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
       }
     }
 
-    // Sweep all of this slot's cache misses through the kernel in combo
-    // order, borrowing the cached Elmore sweep.
-    if (!w.miss_combos.empty()) {
+    // One kernel call over this slot's misses in combo order: without
+    // reuse every combo, with the in-kernel Elmore sweep of `soa`; with
+    // reuse the cached sweep is borrowed.
+    const std::size_t misses = w.miss_combos.size();
+    if (!reuse) {
+      w.miss_taps.resize(combos * nt);
+      sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), combos,
+                               w.miss_taps.data(), w.scratch);
+    } else if (misses > 0) {
       const ElmoreStage& elm = elmore_.get(slot, version, stage);
       const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
-      const std::size_t nt = stage.taps.size();
-      if (w.miss_combos.size() == 1) {
+      if (misses == 1) {
         // Single miss (the warm-cache common case): the kernel writes the
         // cache entry in place — no staging row, no copy.
-        CachedTiming& entry = per_slot[static_cast<std::size_t>(w.miss_combos[0])];
+        CachedTiming& entry = (*per_slot)[static_cast<std::size_t>(w.miss_combos[0])];
         entry.taps.resize(nt);
-        sim.simulate_stage_batch(net_.soa().view(slot), w.miss_drives.data(), 1,
+        sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), 1,
                                  entry.taps.data(), w.scratch, &borrowed);
       } else {
-        w.miss_taps.resize(w.miss_combos.size() * nt);
-        sim.simulate_stage_batch(net_.soa().view(slot), w.miss_drives.data(),
-                                 w.miss_combos.size(), w.miss_taps.data(),
-                                 w.scratch, &borrowed);
-        for (std::size_t m = 0; m < w.miss_combos.size(); ++m) {
-          CachedTiming& entry = per_slot[static_cast<std::size_t>(w.miss_combos[m])];
+        w.miss_taps.resize(misses * nt);
+        sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), misses,
+                                 w.miss_taps.data(), w.scratch, &borrowed);
+        for (std::size_t m = 0; m < misses; ++m) {
+          CachedTiming& entry = (*per_slot)[static_cast<std::size_t>(w.miss_combos[m])];
           entry.taps.assign(
               w.miss_taps.begin() + static_cast<std::ptrdiff_t>(m * nt),
               w.miss_taps.begin() + static_cast<std::ptrdiff_t>((m + 1) * nt));
         }
       }
-      w.batched += static_cast<long>(w.miss_combos.size());
     }
+    w.tally.sims += static_cast<long>(misses);
 
     for (std::size_t ci = 0; ci < nc; ++ci) {
       for (int t = 0; t < kNumTransitions; ++t) {
         const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
         const StageEvent ev = events[c * slot_count + s];
-        fan_out_taps(stage, ev, stage_output_dir(stage, ev.dir),
-                     per_slot[c].taps.data(),
+        const TapTiming* taps =
+            reuse ? (*per_slot)[c].taps.data() : w.miss_taps.data() + c * nt;
+        fan_out_taps(stage, ev, stage_output_dir(stage, ev.dir), taps,
                      result.corners[ci].sinks[static_cast<std::size_t>(t)],
                      slot_max_slew_[pos * nc + ci],
                      [&](int child, const StageEvent& e) {
@@ -517,8 +424,8 @@ EvalResult IncrementalEvaluator::evaluate() {
   // helpers before returning, which orders each level's writes before the
   // next level's reads.  The helpers are borrowed from the process-wide
   // core budget, so a level runs inline on the caller when it is one slot
-  // wide, when threads == 1, or when no core is free.  A thread takes a
-  // second worker index only once the level's slots are all handed out,
+  // wide, when max_threads == 1, or when no core is free.  A thread takes
+  // a second worker index only once the level's slots are all handed out,
   // so no more workers run slots, and grow their scratch, than the call
   // got threads.
   const std::thread::id caller = std::this_thread::get_id();
@@ -537,7 +444,7 @@ EvalResult IncrementalEvaluator::evaluate() {
         if (pos >= end) break;
         run_slot(pos, w);
       }
-      if (helper) w.helper_cpu += thread_cpu_seconds() - cpu_before;
+      if (helper) w.tally.helper_cpu += thread_cpu_seconds() - cpu_before;
     });
   }
 
@@ -548,20 +455,38 @@ EvalResult IncrementalEvaluator::evaluate() {
           std::max(result.corners[ci].max_slew, slot_max_slew_[pos * nc + ci]);
     }
   }
-  long batched = 0;
-  double helper_cpu = 0.0;
+  last_ = Tally{};
   for (const Worker& w : workers_) {
-    stage_sims_ += w.sims;
-    stage_reuses_ += w.reuses;
-    batched += w.batched;
-    helper_cpu += w.helper_cpu;
+    last_.sims += w.tally.sims;
+    last_.reuses += w.tally.reuses;
+    last_.helper_cpu += w.tally.helper_cpu;
   }
-  eval_.batched_stage_evals_.fetch_add(batched, std::memory_order_relaxed);
-  eval_.helper_cpu_ns_.fetch_add(static_cast<std::int64_t>(helper_cpu * 1e9),
-                                 std::memory_order_relaxed);
 
   aggregate_corners(result, bench);
-  account_capacitance(result, *tree_, bench, eval_.sink_caps_);
+  return result;
+}
+
+// ---------------------------------------------------- IncrementalEvaluator --
+
+void IncrementalEvaluator::bind(const ClockTree& tree) {
+  tree_ = &tree;
+  net_.build(tree, eval_.bench_, eval_.options_.extract);
+  // Slot versions are globally monotonic, so stale cache entries could
+  // never be mistaken for fresh ones — clearing just releases memory.
+  sweep_.clear_cache();
+}
+
+EvalResult IncrementalEvaluator::evaluate() {
+  if (!bound()) {
+    throw std::logic_error("IncrementalEvaluator: evaluate before bind");
+  }
+  net_.refresh();
+  EvalResult result = sweep_.run(eval_, net_, net_.soa(), nullptr,
+                                 eval_.options_.threads, /*reuse=*/true);
+  stage_sims_ += sweep_.last().sims;
+  stage_reuses_ += sweep_.last().reuses;
+  eval_.add_sweep_work(sweep_.last().sims, sweep_.last().helper_cpu);
+  account_capacitance(result, *tree_, eval_.bench_, eval_.sink_caps_);
 
   eval_.sim_runs_.fetch_add(1, std::memory_order_relaxed);
   eval_.incremental_evals_.fetch_add(1, std::memory_order_relaxed);

@@ -83,18 +83,19 @@ struct EvalOptions {
   TransientOptions transient;
   Ps source_input_slew = 10.0;  ///< transition time of the external clock
 
-  /// Worker cap of the incremental engine's level sweep
-  /// (IncrementalEvaluator::evaluate): the stages of one stage-graph depth
-  /// level are simulated on the calling thread plus helpers borrowed from
-  /// the process-wide core budget (util/parallel.h), up to this many
-  /// threads in all.  0 caps at hardware_threads(), so a sweep takes as
-  /// many cores as are free at each level — all of them for a lone flow,
-  /// the ones finished suite workers left free inside run_suite().  1 keeps
-  /// the sweep on the calling thread.  Results and every counter are
-  /// bit-identical for any value, so it is an execution mode, not a
-  /// result-affecting option (the service cache key ignores it).  A full
-  /// evaluation (Evaluator::evaluate, one Monte-Carlo trial) runs on one
-  /// thread.
+  /// Worker cap of the level sweep (LevelSweep), the one propagation
+  /// behind every evaluation: the stages of one stage-graph depth level
+  /// are simulated on the calling thread plus helpers borrowed from the
+  /// process-wide core budget (util/parallel.h), up to this many threads
+  /// in all.  0 caps at hardware_threads(), so a sweep takes as many cores
+  /// as are free at each level — all of them for a lone flow, the ones
+  /// finished suite workers left free inside run_suite().  1 keeps the
+  /// sweep on the calling thread.  Full evaluations (Evaluator::evaluate)
+  /// and incremental ones sweep under the same cap; Monte-Carlo trials,
+  /// already spread across McOptions::threads, sweep on one thread each.
+  /// Results and every counter are bit-identical for any value, so it is
+  /// an execution mode, not a result-affecting option (the service cache
+  /// key ignores it).
   int threads = 0;
 };
 
@@ -102,39 +103,8 @@ struct VariationModel;  // analysis/variation.h
 struct McOptions;       // analysis/montecarlo.h
 struct McReport;        // analysis/montecarlo.h
 
-/// \brief Full Clock-Network Evaluation over an already-extracted staged
-/// netlist: every (supply corner x source transition) combination, skew,
-/// CLR and slew aggregation.
-///
-/// This is the corner-propagation core shared by Evaluator::evaluate() and
-/// the Monte-Carlo variation engine (analysis/montecarlo.h).  Capacitance
-/// accounting (`total_cap`, `cap_violation`) is the caller's job — it needs
-/// the ClockTree, not the staged netlist.
-///
-/// The propagation is stage-outer: stages are visited once in topological
-/// order, every combination's input event is resolved (parents precede
-/// children, so all combinations of a stage's parent are already final),
-/// and one simulate_stage_batch() call sweeps the whole drive set over the
-/// stage's SoA slice, sharing its conductances and Elmore sweep.  Each
-/// combination's event recurrence is the corner-outer one, so the result
-/// does not depend on the combination order.
-///
-/// \param soa SoA mirror of `net` with slot i == stage i (NetlistSoa::build,
-///        or a Monte-Carlo trial copy carrying perturbed values); `net`
-///        still supplies the topology/driver metadata.
-/// \param stage_vdd_delta optional per-stage supply offsets (volts), indexed
-///        like net.stages; each corner evaluates stage i at
-///        `corner + (*stage_vdd_delta)[i]`.  nullptr means every stage sits
-///        exactly at the corner voltage — bit-identical to the nominal path.
-/// \param scratch optional reusable kernel workspace (per thread)
-EvalResult evaluate_netlist(const StagedNetlist& net, const NetlistSoa& soa,
-                            const Benchmark& bench, const TransientSimulator& sim,
-                            Ps source_input_slew,
-                            const std::vector<Volt>* stage_vdd_delta = nullptr,
-                            TransientScratch* scratch = nullptr);
-
 /// Fills `total_cap`/`cap_violation` of `result` — the capacitance half of
-/// CNE that evaluate_netlist() cannot compute (it needs the ClockTree).
+/// CNE that the propagation cannot compute (it needs the ClockTree).
 /// `sink_caps[i]` is the pin cap of benchmark sink i.
 void account_capacitance(EvalResult& result, const ClockTree& tree,
                          const Benchmark& bench, const std::vector<Ff>& sink_caps);
@@ -148,6 +118,9 @@ class Evaluator {
  public:
   explicit Evaluator(const Benchmark& bench, EvalOptions options = {});
 
+  /// Full evaluation: builds a fresh RcNetlist of `tree` and runs the
+  /// level sweep over it with nothing cached, on up to
+  /// `options().threads` threads.  Reentrant: all workspace is local.
   EvalResult evaluate(const ClockTree& tree);
 
   /// \brief Monte-Carlo evaluation under process/supply variation: runs
@@ -185,10 +158,11 @@ class Evaluator {
     return batched_stage_evals_.load(std::memory_order_relaxed);
   }
 
-  /// CPU seconds spent on helper threads of the incremental level sweep
-  /// — work the calling thread's own CPU clock does not see.  Always 0
-  /// with `options().threads == 1` or while no core token is free.  The
-  /// pipeline adds the per-pass delta to PassTiming::cpu_seconds.
+  /// CPU seconds spent on helper threads of the level sweeps of
+  /// evaluate() and IncrementalEvaluator — work the calling thread's own
+  /// CPU clock does not see.  Always 0 with `options().threads == 1` or
+  /// while no core token is free.  The pipeline adds the per-pass delta to
+  /// PassTiming::cpu_seconds.
   double helper_cpu_seconds() const {
     return 1e-9 * static_cast<double>(helper_cpu_ns_.load(std::memory_order_relaxed));
   }
@@ -209,6 +183,9 @@ class Evaluator {
  private:
   friend class IncrementalEvaluator;
 
+  /// Books one sweep's kernel work and helper CPU time.
+  void add_sweep_work(long stage_evals, double helper_cpu);
+
   const Benchmark& bench_;
   EvalOptions options_;
   TransientSimulator sim_;
@@ -218,11 +195,99 @@ class Evaluator {
   std::atomic<int> incremental_evals_{0};
   std::atomic<long> batched_stage_evals_{0};
   std::atomic<std::int64_t> helper_cpu_ns_{0};
-  /// Reusable evaluation workspace: the SoA mirror rebuilt per
-  /// evaluate() (buffers recycled) and the kernel scratch.  evaluate() is
-  /// not concurrently reentrant — each suite worker owns its Evaluator.
-  NetlistSoa soa_;
-  TransientScratch scratch_;
+};
+
+/// \brief The Clock-Network Evaluation propagation: the one StageEvent
+/// recurrence behind Evaluator::evaluate(), IncrementalEvaluator and every
+/// Monte-Carlo trial (analysis/montecarlo.h).
+///
+/// run() sweeps an RcNetlist's stage graph one depth level at a time
+/// (RcNetlist::topo_levels()), every (supply corner x source transition)
+/// combination together: a slot's drives go through one
+/// simulate_stage_batch() call over its SoA slice, and its tap timings
+/// hand each child its input event.  A level's stages depend only on
+/// levels above it, so they are split across up to `max_threads` workers
+/// (a level of width 1 runs inline).  The result does not depend on the
+/// split because every write is disjoint: a stage writes only its own
+/// cache entries, the input events of its children (each child has one
+/// parent) and the sinks it drives (each sink has one driving stage); its
+/// worst tap slew goes to a per-stage slot that is max-reduced in
+/// topological order after the sweep.  Each worker owns its kernel
+/// workspace and work tallies, summed after the sweep, so every counter is
+/// thread-count invariant too.
+///
+/// With `reuse`, the sweep keeps per-(slot x corner x transition) tap
+/// timings and per-slot Elmore sweeps between runs and re-simulates a
+/// (slot x corner x transition) exactly when an input of its kernel call —
+/// the slot's contents (RcNetlist::version), its input direction or its
+/// input slew — differs from the cached call; everything else replays the
+/// cache.  Without it
+/// every slot is simulated, Elmore sweep included, from the SoA passed in.
+/// Capacitance accounting is the caller's job (account_capacitance).
+///
+/// Private to the three engines that run it.  Not reentrant: each thread
+/// sweeping at once needs its own instance.
+class LevelSweep {
+  friend class Evaluator;
+  friend class IncrementalEvaluator;
+  friend McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
+                                 const VariationModel& model,
+                                 const McOptions& options);
+
+  /// Work of the last run().
+  struct Tally {
+    long sims = 0;          ///< stage-evals simulated by the kernel
+    long reuses = 0;        ///< stage-evals replayed from the cache
+    double helper_cpu = 0;  ///< CPU seconds spent off the calling thread
+  };
+
+  /// One CNE propagation over the live slots of `net`.
+  /// \param eval supplies the benchmark, simulator and source slew
+  /// \param soa the SoA to read: `net.soa()`, or a Monte-Carlo trial copy
+  ///        of it carrying perturbed values; `net` still supplies the
+  ///        topology and driver metadata
+  /// \param slot_vdd_delta optional per-slot supply offsets (volts): each
+  ///        corner evaluates slot i at `corner + (*slot_vdd_delta)[i]`.
+  ///        nullptr puts every slot exactly at the corner voltage
+  /// \param max_threads worker cap, caller included; 0 = hardware_threads()
+  /// \param reuse whether cached tap timings may be replayed (needs
+  ///        `soa == net.soa()` and no supply offsets)
+  EvalResult run(const Evaluator& eval, const RcNetlist& net,
+                 const NetlistSoa& soa, const std::vector<Volt>* slot_vdd_delta,
+                 int max_threads, bool reuse);
+
+  const Tally& last() const { return last_; }
+
+  /// Drops every cached timing and Elmore sweep.
+  void clear_cache() {
+    elmore_.clear();
+    timings_.clear();
+  }
+
+  struct CachedTiming {
+    std::uint64_t version = 0;  ///< 0 = invalid
+    Transition in_dir = Transition::kRise;
+    Ps in_slew = 0.0;
+    std::vector<TapTiming> taps;
+  };
+  /// One sweep worker's private state.  The combos of one slot that need
+  /// the kernel are gathered in the miss buffers and simulated in one
+  /// simulate_stage_batch() call.
+  struct Worker {
+    TransientScratch scratch;
+    std::vector<BatchDrive> miss_drives;
+    std::vector<int> miss_combos;
+    std::vector<TapTiming> miss_taps;
+    Tally tally;
+  };
+
+  ElmoreCache elmore_;
+  /// timings_[slot][corner * kNumTransitions + transition]
+  std::vector<std::vector<CachedTiming>> timings_;
+  std::vector<Worker> workers_;
+  /// Worst tap slew per (topo position x corner) of the current sweep.
+  std::vector<Ps> slot_max_slew_;
+  Tally last_;
 };
 
 /// \brief Incremental Clock-Network Evaluation over a persistent RcNetlist.
@@ -234,26 +299,14 @@ class Evaluator {
 ///   * per-(stage x corner x source transition) transient tap timings —
 ///     the top-down delay state.
 ///
-/// evaluate() refreshes the netlist, then propagates arrival events
-/// through the stage graph re-running the transient engine only where a
-/// stage's contents or its input (direction, slew) changed; everything
-/// else reuses the cached tap timings, and only the cheap arrival-time
-/// additions are redone.  A stage is re-simulated exactly when any input
-/// of simulate_stage() differs from the cached call, so the result is
-/// **bit-identical** to Evaluator::evaluate() on the same tree — the
-/// equivalence the IVC loops (cts/pass.h) and the fuzz tests rely on.
-///
-/// The propagation sweeps the stage graph one depth level at a time
-/// (RcNetlist::topo_levels()).  A level's stages depend only on levels
-/// above it, so they are split across up to `EvalOptions::threads`
-/// workers (a level of width 1 runs inline).  The result does not depend
-/// on the split because every write is disjoint: a stage writes only its
-/// own cache entries, the input events of its children (each child has
-/// one parent) and the sinks it drives (each sink has one driving stage);
-/// its worst tap slew goes to a per-stage slot that is max-reduced in
-/// topological order after the sweep.  Each worker owns its kernel
-/// workspace and work tallies, summed after the sweep, so every counter
-/// is thread-count invariant too.
+/// evaluate() refreshes the netlist, then runs the level sweep with
+/// reuse: the transient engine re-runs only where a stage's contents or
+/// its input (direction, slew) changed; everything else replays the
+/// cached tap timings, and only the cheap arrival-time additions are
+/// redone.  A stage is re-simulated exactly when any input of its kernel
+/// call differs from the cached call, so the result is **bit-identical**
+/// to Evaluator::evaluate() on the same tree — the equivalence the IVC
+/// loops (cts/pass.h) and the fuzz tests rely on.
 ///
 /// Edits reach the engine through a TreeEditSession constructed with
 /// netlist(); each evaluate() counts one simulation run (an incremental
@@ -278,43 +331,18 @@ class IncrementalEvaluator {
   /// One CNE pass over the bound tree; see class comment.  \pre bound()
   EvalResult evaluate();
 
-  /// simulate_stage() calls spent / avoided by cache hits so far —
+  /// Kernel stage simulations spent / avoided by cache hits so far —
   /// (stage x corner x transition) units of transient work.
   long stage_sims() const { return stage_sims_; }
   long stage_reuses() const { return stage_reuses_; }
 
  private:
-  struct CachedTiming {
-    std::uint64_t version = 0;  ///< 0 = invalid
-    Transition in_dir = Transition::kRise;
-    Ps in_slew = 0.0;
-    std::vector<TapTiming> taps;
-  };
-
   Evaluator& eval_;
   const ClockTree* tree_ = nullptr;
   RcNetlist net_;
-  ElmoreCache elmore_;
-  /// timings_[slot][corner * kNumTransitions + transition]
-  std::vector<std::vector<CachedTiming>> timings_;
+  LevelSweep sweep_;
   long stage_sims_ = 0;
   long stage_reuses_ = 0;
-  /// One level-sweep worker's private state.  The cache-missing combos of
-  /// one slot are gathered in the miss buffers and simulated in one
-  /// simulate_stage_batch() sweep over the netlist's SoA slice.
-  struct Worker {
-    TransientScratch scratch;
-    std::vector<BatchDrive> miss_drives;
-    std::vector<int> miss_combos;
-    std::vector<TapTiming> miss_taps;
-    long sims = 0;          ///< cache misses simulated
-    long reuses = 0;        ///< cache hits
-    long batched = 0;       ///< stage-evals through the kernel
-    double helper_cpu = 0;  ///< CPU seconds spent off the calling thread
-  };
-  std::vector<Worker> workers_;
-  /// Worst tap slew per (topo position x corner) of the current sweep.
-  std::vector<Ps> slot_max_slew_;
 };
 
 /// Effective driver resistance for a stage driver: applies supply-corner

@@ -26,7 +26,8 @@ struct BlockStats {
   long pass = 0;  ///< legal and skew <= target
 };
 
-/// Applies one trial's perturbation to a SoA copy of the base netlist.
+/// Applies one trial's perturbation to a SoA copy of the base netlist
+/// (slots [0, num_stages) all live, as after a fresh RcNetlist build).
 ///
 /// Wire R/C scale globally; pin capacitances (sink pins, buffer input and
 /// output pins) are exempt from wire scaling — extraction records them per
@@ -122,24 +123,21 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   report.skew_target = options.skew_target;
   report.constrained = !bench.constraints.trivial();
 
-  const StagedNetlist base = extract_stages(tree, bench, options.eval.extract);
-  if (base.stages.empty()) {
+  // Slot i of a freshly built netlist is extract_stages() stage i, the
+  // index sample_trial()'s per-stage supply offsets use.
+  RcNetlist net;
+  net.build(tree, bench, options.eval.extract);
+  if (net.topo_slots().empty()) {
     throw std::invalid_argument("run_montecarlo: empty clock tree");
   }
-  const TransientSimulator sim(options.eval.transient);
-
-  // Trials perturb a SoA copy of this base; `base` keeps supplying
-  // topology and driver metadata.
-  NetlistSoa base_soa;
-  base_soa.build(base);
+  const std::size_t num_stages = net.slot_count();
+  // Supplies the simulator, source slew and sink caps of every sweep.
+  const Evaluator evaluator(bench, options.eval);
 
   // Nominal (unperturbed) reference, including the capacitance gate.
-  report.nominal = evaluate_netlist(base, base_soa, bench, sim,
-                                    options.eval.source_input_slew);
-  std::vector<Ff> sink_caps;
-  sink_caps.reserve(bench.sinks.size());
-  for (const Sink& s : bench.sinks) sink_caps.push_back(s.cap);
-  account_capacitance(report.nominal, tree, bench, sink_caps);
+  report.nominal = LevelSweep().run(evaluator, net, net.soa(), nullptr,
+                                    report.threads, /*reuse=*/false);
+  account_capacitance(report.nominal, tree, bench, evaluator.sink_caps());
 
   const int trials = options.trials;
   const int num_blocks = (trials + kTrialsPerBlock - 1) / kTrialsPerBlock;
@@ -148,7 +146,7 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
 
   // Trials plus the nominal reference, in stage-evaluation units.
   report.batched_stage_evals = static_cast<long>(trials + 1) *
-                               static_cast<long>(base.stages.size()) *
+                               static_cast<long>(num_stages) *
                                static_cast<long>(bench.tech.corners.size()) *
                                kNumTransitions;
 
@@ -156,21 +154,21 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   // from its own substream, and accumulates into its block's stats.  Blocks
   // are handed out dynamically; determinism comes from the fixed
   // trial->block partition and the in-order merge below, not from
-  // scheduling.
+  // scheduling.  Each trial sweeps on one thread, the rule run_suite()
+  // applies to its workers: the trials already spread across the cores.
   parallel_for(num_blocks, report.threads, [&](int b) {
     BlockStats& block = blocks[static_cast<std::size_t>(b)];
+    LevelSweep sweep;
     NetlistSoa trial_soa;
-    TransientScratch sim_scratch;
     const int begin = b * kTrialsPerBlock;
     const int end = std::min(begin + kTrialsPerBlock, trials);
     for (int trial = begin; trial < end; ++trial) {
-      const TrialVariation v = sample_trial(model, bench.tech, trial,
-                                            base.stages.size(), bench.sinks.size());
-      trial_soa = base_soa;  // copy-assign reuses block-local buffers
-      apply_variation(v, trial_soa, base.stages.size());
-      const EvalResult eval = evaluate_netlist(base, trial_soa, bench, sim,
-                                               options.eval.source_input_slew,
-                                               &v.stage_vdd_delta, &sim_scratch);
+      const TrialVariation v = sample_trial(model, bench.tech, trial, num_stages,
+                                            bench.sinks.size());
+      trial_soa = net.soa();  // copy-assign reuses block-local buffers
+      apply_variation(v, trial_soa, num_stages);
+      const EvalResult eval = sweep.run(evaluator, net, trial_soa, &v.stage_vdd_delta,
+                                        1, /*reuse=*/false);
       McTrial& t = report.samples[static_cast<std::size_t>(trial)];
       t.skew = eval.nominal_skew;
       t.clr = eval.clr;

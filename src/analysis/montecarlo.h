@@ -116,8 +116,9 @@ struct McTrial {
 /// Options of the Monte-Carlo driver.
 struct McOptions {
   int trials = 256;
-  /// Worker threads; 0 picks hardware concurrency, 1 runs serially.
-  /// Any value produces bit-identical reports.
+  /// Worker threads of the trial blocks and of the nominal sweep; 0 picks
+  /// hardware concurrency, 1 runs serially.  Any value produces
+  /// bit-identical reports.
   int threads = 1;
   /// Yield target: a trial passes when skew <= skew_target, legal, and —
   /// under a non-trivial constraint block — every sink window and
@@ -167,11 +168,13 @@ struct McReport {
 
 /// \brief Runs the Monte-Carlo variation analysis on a synthesized tree.
 ///
-/// Extracts the staged netlist once, then per trial: samples the trial's
-/// perturbation from its substream, applies wire/pin scaling to a SoA
-/// copy of the netlist, evaluates every (corner x transition) combination
-/// with per-stage supply offsets, and streams skew/CLR/latency into
-/// per-block accumulators merged in deterministic order.
+/// Builds the RcNetlist once and sweeps it for the nominal reference
+/// (LevelSweep, up to `options.threads` threads), then per trial: samples
+/// the trial's perturbation from its substream, applies wire/pin scaling
+/// to a SoA copy of the netlist, sweeps every (corner x transition)
+/// combination with per-stage supply offsets on one thread, and streams
+/// skew/CLR/latency into per-block accumulators merged in deterministic
+/// order.
 ///
 /// \param bench the benchmark the tree was synthesized for
 /// \param tree synthesized clock tree (unchanged)

@@ -3,52 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/elmore.h"
 #include "util/units.h"
 
 namespace contango {
-
-std::vector<TapTiming> TransientSimulator::simulate_stage(
-    const Stage& stage, KOhm r_drv, Ps intrinsic, Ps input_slew,
-    const ElmoreStage* elmore) const {
-  const std::size_t n = stage.nodes.size();
-  std::vector<TapTiming> result(stage.taps.size());
-  if (n == 0) return result;
-
-  // Pack the AoS stage into the thread-local scratch and run the shared
-  // batched core with a single drive.  The copies are bit-exact, so this
-  // wrapper returns exactly what the historical scalar integrator did.
-  thread_local TransientScratch scratch;
-  scratch.pack_cap.resize(n);
-  scratch.pack_res.resize(n);
-  scratch.pack_parent.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.pack_cap[i] = stage.nodes[i].cap;
-    scratch.pack_res[i] = stage.nodes[i].res;
-    scratch.pack_parent[i] = stage.nodes[i].parent;
-  }
-  scratch.pack_tap_rc.resize(stage.taps.size());
-  for (std::size_t k = 0; k < stage.taps.size(); ++k) {
-    scratch.pack_tap_rc[k] = stage.taps[k].rc_index;
-  }
-
-  NetlistSoa::View view;
-  view.cap = scratch.pack_cap.data();
-  view.res = scratch.pack_res.data();
-  view.parent = scratch.pack_parent.data();
-  view.num_nodes = n;
-  view.tap_rc = scratch.pack_tap_rc.data();
-  view.num_taps = stage.taps.size();
-
-  const BatchDrive drive{r_drv, intrinsic, input_slew};
-  if (elmore) {
-    const ElmoreView borrowed{elmore->tau_data(), elmore->total_cap()};
-    simulate_stage_batch(view, &drive, 1, result.data(), scratch, &borrowed);
-  } else {
-    simulate_stage_batch(view, &drive, 1, result.data(), scratch, nullptr);
-  }
-  return result;
-}
 
 namespace {
 

@@ -7,8 +7,6 @@
 
 namespace contango {
 
-class ElmoreStage;  // analysis/elmore.h
-
 /// Timing measured at one tap of a stage by waveform analysis.
 struct TapTiming {
   Ps delay = 0.0;  ///< driver-input 50% crossing to tap 50% crossing
@@ -23,7 +21,7 @@ struct TransientOptions {
   Ps min_step = 0.02;
   Ps max_step = 2.0;
 
-  /// Driver waveform model constants (see simulate_stage).
+  /// Driver waveform model constants (see TransientSimulator).
   double slew_to_delay = 0.12;  ///< extra driver delay per ps of input slew
   double slew_feedthrough = 0.5;  ///< source ramp lengthening per ps input slew
   Ps ramp_base = 2.0;             ///< minimum source ramp duration
@@ -70,12 +68,6 @@ struct TransientScratch {
     double t10 = -1.0, t50 = -1.0, t90 = -1.0;
   };
   std::vector<Crossings> cross;
-
-  // AoS -> SoA packing buffers of the scalar simulate_stage wrapper.
-  std::vector<Ff> pack_cap;
-  std::vector<KOhm> pack_res;
-  std::vector<int> pack_parent;
-  std::vector<int> pack_tap_rc;
 };
 
 /// SPICE-substitute engine: trapezoidal integration of each stage's RC tree
@@ -103,28 +95,12 @@ struct TransientScratch {
 /// own timestep, clock and stop time, skips the idle steps before its
 /// driver ramp starts (they leave every voltage at exactly 0), and performs
 /// the one-drive integrator's operations in their original order, so a row
-/// does not depend on which drives share its group.  simulate_stage() is
-/// the scalar wrapper: it packs the AoS stage into a thread-local scratch
-/// and runs the same core with a batch of one, so scalar and batched
-/// results are bit-identical by construction (same arithmetic, same order,
-/// same values — only the storage layout differs).
+/// does not depend on which drives share its group.  A one-stage caller
+/// passes a batch of one.
 class TransientSimulator {
  public:
   explicit TransientSimulator(TransientOptions options = {})
       : options_(options) {}
-
-  /// Simulates one stage.  `r_drv` is the effective driver resistance,
-  /// `intrinsic` the effective driver intrinsic delay, `input_slew` the
-  /// 10-90% transition time at the driver input.  Returns one TapTiming per
-  /// stage tap (same order as stage.taps).
-  ///
-  /// `elmore` optionally supplies the stage's Elmore sweep (used for
-  /// timestep selection); pass the ElmoreCache entry of the stage to skip
-  /// rebuilding it per call.  It must have been built from `stage`'s
-  /// current contents; results are bit-identical either way.
-  std::vector<TapTiming> simulate_stage(const Stage& stage, KOhm r_drv,
-                                        Ps intrinsic, Ps input_slew,
-                                        const ElmoreStage* elmore = nullptr) const;
 
   /// Batched integrator core: simulates `stage` once per entry of
   /// `drives[0..count)`, writing `out[b * stage.num_taps + k]` for drive b,
@@ -132,8 +108,8 @@ class TransientSimulator {
   /// stage's conductances and Elmore sweep are computed once and shared;
   /// drives run as interleaved lanes in groups of 4 (three drives pad one
   /// lane), 2 or 1, and each lane's timestep, factorization and trapezoidal
-  /// integration run exactly the scalar arithmetic, so every row is
-  /// bit-identical to the simulate_stage() call with the same drive.
+  /// integration run exactly the one-drive arithmetic, so every row is
+  /// bit-identical to a batch of one with the same drive.
   ///
   /// `elmore` optionally borrows a prebuilt sweep (ElmoreCache entry built
   /// from the same stage contents); null computes it in-kernel.

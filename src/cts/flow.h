@@ -51,13 +51,12 @@ struct FlowOptions {
   /// SIGINT/SIGTERM bridge of the bench binaries (util/signal.h).
   CancelToken cancel;
 
-  /// Evaluate IVC candidates through the incremental engine (persistent
-  /// RcNetlist + cached Elmore/transient state re-propagated along dirty
-  /// paths; analysis/evaluate.h) instead of re-extracting and re-simulating
-  /// the whole tree per candidate.  Results are bit-identical either way —
-  /// this switch exists for verification and benchmarking (suite drivers
-  /// bind it to the CONTANGO_INCREMENTAL env knob; 0 forces full
-  /// evaluation).
+  /// Reference switch for tests: false evaluates every IVC candidate with
+  /// a full Evaluator::evaluate() — a fresh netlist swept with nothing
+  /// cached — instead of the incremental engine's cached sweep
+  /// (analysis/evaluate.h).  Both run the same propagation and give
+  /// bit-identical results; only full_evals/incremental_evals move.  No
+  /// env knob or CLI flag sets it.
   bool incremental = true;
 };
 

@@ -43,7 +43,7 @@ namespace contango {
 ///     trunk sliding still copy the tree; accepting one rebinds the
 ///     incremental engine.
 /// Both paths produce bit-identical evaluations; FlowOptions::incremental
-/// (CONTANGO_INCREMENTAL) forces the full evaluator for verification.
+/// = false, a test-only reference switch, forces full evaluations.
 
 /// What an optimization pass tries to improve; the IVC gate compares
 /// candidates against the incumbent on this axis.  kNone marks construction

@@ -367,7 +367,6 @@ std::vector<std::string> unknown_contango_env_vars() {
       "CONTANGO_ABLATION_BENCHMARK",
       "CONTANGO_DOMAINS",
       "CONTANGO_FIG3_BENCHMARK",
-      "CONTANGO_INCREMENTAL",
       "CONTANGO_JSON_OUT",
       "CONTANGO_LOG",
       "CONTANGO_MAX_SINKS",
@@ -417,8 +416,6 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
     throw std::runtime_error("CONTANGO_THREADS=" + std::to_string(base.threads) +
                              " must be >= 0 (0 = hardware concurrency)");
   }
-  base.flow.incremental =
-      env_long_strict("CONTANGO_INCREMENTAL", base.flow.incremental ? 1 : 0) != 0;
   // CONTANGO_MMAP is consumed in io/mmap.h at file open; the strict read
   // here only rejects malformed values up front, like every other knob.
   env_long_strict("CONTANGO_MMAP", 1);

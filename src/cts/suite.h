@@ -211,8 +211,6 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 ///
 ///   CONTANGO_THREADS         -> threads
 ///   CONTANGO_PIPELINE        -> pipeline_spec (cts/pipeline.h syntax)
-///   CONTANGO_INCREMENTAL     -> flow.incremental (0 forces full
-///                               evaluation per candidate; default 1)
 ///   CONTANGO_MMAP            -> `.cbench` load backend (0 forces the
 ///                               buffered-read fallback instead of mmap;
 ///                               default 1, results are bit-identical

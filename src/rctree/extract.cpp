@@ -301,7 +301,14 @@ void RcNetlist::refresh() {
       full_rebuild_ = false;
       return;
     }
-    worklist.push_back(allocate_slot(tree_->root()));
+    // Slots in extract_stages() order — the root, then every buffer in
+    // topological_order() — so slot i of a fresh build is stage i of a full
+    // extraction, the numbering per-stage Monte-Carlo supply offsets use.
+    for (NodeId id : tree_->topological_order()) {
+      if (id == tree_->root() || tree_->node(id).is_buffer()) {
+        worklist.push_back(allocate_slot(id));
+      }
+    }
   } else {
     worklist = dirty_;
   }

@@ -121,7 +121,9 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 ///
 /// Stages live in stable *slots*; a slot's `version()` bumps every time its
 /// stage is re-extracted (or the slot is freed/reused), which is how
-/// downstream caches detect staleness without callbacks.
+/// downstream caches detect staleness without callbacks.  A full rebuild
+/// numbers the slots in extract_stages() order, so slot i holds stage i of
+/// a full extraction until later edits allocate or free slots.
 class RcNetlist {
  public:
   RcNetlist() = default;

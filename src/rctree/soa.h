@@ -24,8 +24,9 @@ struct StagedNetlist;  // rctree/extract.h
 ///
 /// Two fill modes share one layout:
 ///   * build(net)        — dense: one tight slice per StagedNetlist stage,
-///                         slot id == stage index.  Used by full
-///                         evaluations and as the Monte-Carlo base copy.
+///                         slot id == stage index, for callers that hold
+///                         an extract_stages() result (the test oracle,
+///                         the kernel benches).
 ///   * write_slot(...)   — arena: slices carry power-of-two capacity and
 ///                         live in stable offsets, so the incremental
 ///                         engine's dirty-stage re-extraction rewrites a

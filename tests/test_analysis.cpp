@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analysis/elmore.h"
 #include "analysis/evaluate.h"
 #include "analysis/transient.h"
-#include "analysis/twopole.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
+#include "rctree/soa.h"
 
 namespace contango {
 namespace {
@@ -20,6 +21,19 @@ Stage lumped_rc(KOhm r, Ff c) {
   s.nodes.push_back(RcNode{c, 0, r});
   s.taps.push_back(Tap{1, 1, true, 0});
   return s;
+}
+
+/// One drive through the kernel: `stage` as a one-slot SoA view and a
+/// batch of one.  Returns one TapTiming per tap.
+std::vector<TapTiming> simulate(const TransientSimulator& sim, const Stage& stage,
+                                KOhm r_drv, Ps intrinsic, Ps input_slew) {
+  NetlistSoa soa;
+  soa.write_slot(0, stage);
+  const BatchDrive drive{r_drv, intrinsic, input_slew};
+  std::vector<TapTiming> taps(stage.taps.size());
+  TransientScratch scratch;
+  sim.simulate_stage_batch(soa.view(0), &drive, 1, taps.data(), scratch);
+  return taps;
 }
 
 TEST(Elmore, LumpedRcHandComputation) {
@@ -57,7 +71,7 @@ TEST(Transient, MatchesAnalyticSinglePole) {
   opt.slew_to_delay = 0.0;
   opt.time_step_div = 400.0;  // fine steps for the accuracy check
   const TransientSimulator sim(opt);
-  const auto taps = sim.simulate_stage(s, r, 0.0, 0.0);
+  const auto taps = simulate(sim, s, r, 0.0, 0.0);
   ASSERT_EQ(taps.size(), 1u);
   const double tau = r * c;
   EXPECT_NEAR(taps[0].delay, kLn2 * tau, 0.15);
@@ -67,8 +81,8 @@ TEST(Transient, MatchesAnalyticSinglePole) {
 TEST(Transient, IntrinsicDelayShiftsOutput) {
   const Stage s = lumped_rc(1e-6, 40.0);
   const TransientSimulator sim;
-  const auto base = sim.simulate_stage(s, 0.5, 0.0, 10.0);
-  const auto shifted = sim.simulate_stage(s, 0.5, 7.5, 10.0);
+  const auto base = simulate(sim, s, 0.5, 0.0, 10.0);
+  const auto shifted = simulate(sim, s, 0.5, 7.5, 10.0);
   EXPECT_NEAR(shifted[0].delay - base[0].delay, 7.5, 1e-6);
   EXPECT_NEAR(shifted[0].slew, base[0].slew, 1e-6);
 }
@@ -77,20 +91,20 @@ TEST(Transient, MonotoneInLoadAndDrive) {
   const TransientSimulator sim;
   const Stage light = lumped_rc(0.1, 20.0);
   const Stage heavy = lumped_rc(0.1, 60.0);
-  const auto d_light = sim.simulate_stage(light, 0.5, 0.0, 10.0);
-  const auto d_heavy = sim.simulate_stage(heavy, 0.5, 0.0, 10.0);
+  const auto d_light = simulate(sim, light, 0.5, 0.0, 10.0);
+  const auto d_heavy = simulate(sim, heavy, 0.5, 0.0, 10.0);
   EXPECT_LT(d_light[0].delay, d_heavy[0].delay);
   EXPECT_LT(d_light[0].slew, d_heavy[0].slew);
 
-  const auto strong = sim.simulate_stage(light, 0.2, 0.0, 10.0);
+  const auto strong = simulate(sim, light, 0.2, 0.0, 10.0);
   EXPECT_LT(strong[0].delay, d_light[0].delay);
 }
 
 TEST(Transient, InputSlewIncreasesDelayAndSlew) {
   const TransientSimulator sim;
   const Stage s = lumped_rc(0.1, 30.0);
-  const auto fast_in = sim.simulate_stage(s, 0.5, 0.0, 5.0);
-  const auto slow_in = sim.simulate_stage(s, 0.5, 0.0, 60.0);
+  const auto fast_in = simulate(sim, s, 0.5, 0.0, 5.0);
+  const auto slow_in = simulate(sim, s, 0.5, 0.0, 60.0);
   EXPECT_LT(fast_in[0].delay, slow_in[0].delay);
   EXPECT_LT(fast_in[0].slew, slow_in[0].slew);
 }
@@ -110,38 +124,9 @@ TEST(Transient, ResistiveShieldingBeatsElmore) {
   s.taps.push_back(Tap{2, prev, true, 1});   // far tap
   const ElmoreStage e(s);
   const TransientSimulator sim;
-  const auto taps = sim.simulate_stage(s, 0.2, 0.0, 5.0);
+  const auto taps = simulate(sim, s, 0.2, 0.0, 5.0);
   EXPECT_LT(taps[0].delay, e.delay(1, 0.2));
   EXPECT_LT(taps[0].delay, taps[1].delay);
-}
-
-TEST(TwoPole, MomentsOfLumpedRc) {
-  const Stage s = lumped_rc(1.0, 10.0);
-  const TwoPoleStage tp(s, 2.0);
-  // m1 = (R_drv + R) * C = 30; m2 = (R_drv + R) * C * m1 = 900.
-  EXPECT_DOUBLE_EQ(tp.m1(1), 30.0);
-  EXPECT_DOUBLE_EQ(tp.m2(1), 900.0);
-  // Single pole: D2M reduces to ln2 * m1 exactly.
-  EXPECT_NEAR(tp.delay(1), kLn2 * 30.0, 1e-9);
-}
-
-TEST(TwoPole, D2MStaysNearElmoreAndIncreasesDownstream) {
-  Stage s;
-  s.nodes.push_back(RcNode{0.0, -1, 0.0});
-  s.nodes.push_back(RcNode{10.0, 0, 0.5});
-  s.nodes.push_back(RcNode{20.0, 1, 0.5});
-  s.nodes.push_back(RcNode{5.0, 2, 0.5});
-  const TwoPoleStage tp(s, 0.3);
-  const ElmoreStage e(s);
-  // D2M refines scaled Elmore; on a short ladder it stays within a modest
-  // band of it and grows monotonically along the path.
-  EXPECT_GT(tp.delay(3), 0.5 * e.delay(3, 0.3));
-  EXPECT_LT(tp.delay(3), 1.5 * e.delay(3, 0.3));
-  EXPECT_LT(tp.delay(1), tp.delay(2));
-  EXPECT_LT(tp.delay(2), tp.delay(3));
-  // Moments are monotone along the path as well.
-  EXPECT_LT(tp.m1(1), tp.m1(3));
-  EXPECT_LT(tp.m2(1), tp.m2(3));
 }
 
 TEST(DriverModel, CornerAndAsymmetryScaling) {

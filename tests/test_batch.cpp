@@ -143,6 +143,23 @@ void expect_soa_consistent(const RcNetlist& net) {
   expect_disjoint(tap_slices, "tap plane");
 }
 
+/// A freshly built RcNetlist numbers its slots like extract_stages()
+/// numbers its stages (Monte-Carlo supply offsets rely on it): slot i
+/// has stage i's driver and contents, with downstream stages as slot ids.
+void expect_fresh_slots_are_stages(const ClockTree& tree, const Benchmark& bench) {
+  const StagedNetlist net = extract_stages(tree, bench);
+  RcNetlist rc;
+  rc.build(tree, bench);
+  ASSERT_EQ(rc.slot_count(), net.stages.size());
+  for (std::size_t i = 0; i < net.stages.size(); ++i) {
+    const int slot = static_cast<int>(i);
+    ASSERT_TRUE(rc.slot_live(slot));
+    ASSERT_EQ(rc.stage(slot).driver, net.stages[i].driver) << "slot " << i;
+    EXPECT_EQ(rc.stage(slot).downstream_stages, net.stages[i].downstream_stages);
+    expect_slice_matches_stage(rc.soa(), slot, net.stages[i]);
+  }
+}
+
 // --------------------------------------------------------------- kernel ----
 
 TEST(Batch, KernelRowsMatchScalarCallsExactly) {
@@ -169,10 +186,10 @@ TEST(Batch, KernelRowsMatchScalarCallsExactly) {
     sim.simulate_stage_batch(soa.view(0), drives.data(), drives.size(),
                              out.data(), scratch);
 
+    // Each row must equal a batch of one with the same drive.
     for (std::size_t b = 0; b < drives.size(); ++b) {
-      const std::vector<TapTiming> scalar = sim.simulate_stage(
-          stage, drives[b].r_drv, drives[b].intrinsic, drives[b].input_slew);
-      ASSERT_EQ(scalar.size(), stage.taps.size());
+      std::vector<TapTiming> scalar(stage.taps.size());
+      sim.simulate_stage_batch(soa.view(0), &drives[b], 1, scalar.data(), scratch);
       for (std::size_t k = 0; k < scalar.size(); ++k) {
         EXPECT_EQ(out[b * stage.taps.size() + k].delay, scalar[k].delay);
         EXPECT_EQ(out[b * stage.taps.size() + k].slew, scalar[k].slew);
@@ -200,14 +217,6 @@ TEST(Batch, FullPropagationMatchesReferenceOnEveryFamily) {
     const Benchmark bench = make_scenario(family.name, 1, 24);
     const ClockTree tree = construction_tree(bench);
     const StagedNetlist net = extract_stages(tree, bench);
-    const TransientSimulator sim;
-
-    NetlistSoa soa;
-    soa.build(net);
-    const EvalResult ref =
-        reference::evaluate_netlist(net, bench, TransientOptions{}, 10.0);
-    expect_bit_identical(evaluate_netlist(net, soa, bench, sim, 10.0), ref,
-                         "evaluate_netlist vs reference");
 
     Evaluator evaluator(bench);
     expect_bit_identical(evaluator.evaluate(tree),
@@ -215,8 +224,32 @@ TEST(Batch, FullPropagationMatchesReferenceOnEveryFamily) {
                          "Evaluator vs reference");
 
     // Lock the SoA mirror against the netlist it was built from.
+    NetlistSoa soa;
+    soa.build(net);
     for (std::size_t si = 0; si < net.stages.size(); ++si) {
       expect_slice_matches_stage(soa, static_cast<int>(si), net.stages[si]);
+    }
+    expect_fresh_slots_are_stages(tree, bench);
+  }
+}
+
+TEST(Batch, FullEvaluationMatchesReferenceAtAnyThreadCount) {
+  // Full-size construction trees, where breadth-first stage order and
+  // extraction order disagree at most stages.
+  for (const char* family : {"obstacle_dense", "usefulskew"}) {
+    SCOPED_TRACE(family);
+    const Benchmark bench = make_scenario(family, 1);
+    const ClockTree tree = construction_tree(bench);
+    expect_fresh_slots_are_stages(tree, bench);
+
+    const EvalResult ref = reference::evaluate_tree(tree, bench);
+    for (const int threads : {1, 2, 4}) {
+      EvalOptions options;
+      options.threads = threads;
+      Evaluator evaluator(bench, options);
+      expect_bit_identical(evaluator.evaluate(tree), ref,
+                           "Evaluator at " + std::to_string(threads) + " threads");
+      EXPECT_EQ(evaluator.full_evals(), 1);
     }
   }
 }
@@ -439,68 +472,71 @@ TEST(Batch, MonteCarloMatchesReferenceAtFixedSeeds) {
     model.sigma_wire_c = 0.03;
     model.sigma_sink_cap = 0.02;
 
-    McOptions options;
-    options.trials = 40;  // spans more than one 32-trial block
-    options.threads = 1;
-    const McReport mc = run_montecarlo(bench, tree, model, options);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      McOptions options;
+      options.trials = 40;  // spans more than one 32-trial block
+      options.threads = threads;
+      const McReport mc = run_montecarlo(bench, tree, model, options);
 
-    // Reference: each trial's AoS-perturbed netlist through the scalar
-    // corner-outer propagation.  Every per-trial number must match exactly.
-    const StagedNetlist base = extract_stages(tree, bench);
-    expect_bit_identical(mc.nominal, reference::evaluate_tree(tree, bench),
-                         "MC nominal reference");
-    ASSERT_EQ(mc.samples.size(), static_cast<std::size_t>(options.trials));
-    StreamingStats skew_stats, clr_stats;
-    std::vector<double> skews, clrs, latencies;
-    long legal = 0, pass = 0;
-    for (int trial = 0; trial < options.trials; ++trial) {
-      SCOPED_TRACE("trial " + std::to_string(trial));
-      const TrialVariation v = sample_trial(model, bench.tech, trial,
-                                            base.stages.size(), bench.sinks.size());
-      const EvalResult ref = reference::evaluate_netlist(
-          reference::apply_variation(base, v), bench, TransientOptions{}, 10.0,
-          &v.stage_vdd_delta);
-      const McTrial& t = mc.samples[static_cast<std::size_t>(trial)];
-      EXPECT_EQ(t.skew, ref.nominal_skew);
-      EXPECT_EQ(t.clr, ref.clr);
-      EXPECT_EQ(t.max_latency, ref.max_latency);
-      EXPECT_EQ(t.worst_slew, ref.worst_slew);
-      EXPECT_EQ(t.constraint_violation, ref.constraint_violation());
-      const bool ref_legal = !ref.slew_violation && ref.all_sinks_reached;
-      EXPECT_EQ(t.legal, ref_legal);
-      skew_stats.add(ref.nominal_skew);
-      clr_stats.add(ref.clr);
-      skews.push_back(ref.nominal_skew);
-      clrs.push_back(ref.clr);
-      latencies.push_back(ref.max_latency);
-      if (ref_legal) {
-        ++legal;
-        if (ref.nominal_skew <= options.skew_target &&
-            ref.constraint_violation() <= 0.0) {
-          ++pass;
+      // Reference: each trial's AoS-perturbed netlist through the scalar
+      // corner-outer propagation.  Every per-trial number must match exactly.
+      const StagedNetlist base = extract_stages(tree, bench);
+      expect_bit_identical(mc.nominal, reference::evaluate_tree(tree, bench),
+                           "MC nominal reference");
+      ASSERT_EQ(mc.samples.size(), static_cast<std::size_t>(options.trials));
+      StreamingStats skew_stats, clr_stats;
+      std::vector<double> skews, clrs, latencies;
+      long legal = 0, pass = 0;
+      for (int trial = 0; trial < options.trials; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const TrialVariation v = sample_trial(model, bench.tech, trial,
+                                              base.stages.size(), bench.sinks.size());
+        const EvalResult ref = reference::evaluate_netlist(
+            reference::apply_variation(base, v), bench, TransientOptions{}, 10.0,
+            &v.stage_vdd_delta);
+        const McTrial& t = mc.samples[static_cast<std::size_t>(trial)];
+        EXPECT_EQ(t.skew, ref.nominal_skew);
+        EXPECT_EQ(t.clr, ref.clr);
+        EXPECT_EQ(t.max_latency, ref.max_latency);
+        EXPECT_EQ(t.worst_slew, ref.worst_slew);
+        EXPECT_EQ(t.constraint_violation, ref.constraint_violation());
+        const bool ref_legal = !ref.slew_violation && ref.all_sinks_reached;
+        EXPECT_EQ(t.legal, ref_legal);
+        skew_stats.add(ref.nominal_skew);
+        clr_stats.add(ref.clr);
+        skews.push_back(ref.nominal_skew);
+        clrs.push_back(ref.clr);
+        latencies.push_back(ref.max_latency);
+        if (ref_legal) {
+          ++legal;
+          if (ref.nominal_skew <= options.skew_target &&
+              ref.constraint_violation() <= 0.0) {
+            ++pass;
+          }
         }
       }
+
+      // Summaries: order statistics and counts are exact; the moments are
+      // merged over 32-trial blocks in the driver and streamed here, so they
+      // may differ in the last bits.
+      constexpr double kTol = 1e-9;
+      EXPECT_NEAR(mc.skew.mean, skew_stats.mean(), kTol);
+      EXPECT_NEAR(mc.skew.stddev, skew_stats.stddev(), kTol);
+      EXPECT_NEAR(mc.clr.mean, clr_stats.mean(), kTol);
+      EXPECT_EQ(mc.skew.p95, percentile(skews, 95.0));
+      EXPECT_EQ(mc.clr.p99, percentile(clrs, 99.0));
+      EXPECT_EQ(mc.max_latency.max, *std::max_element(latencies.begin(), latencies.end()));
+      EXPECT_EQ(mc.legal_fraction,
+                static_cast<double>(legal) / static_cast<double>(options.trials));
+      EXPECT_EQ(mc.yield, static_cast<double>(pass) / static_cast<double>(options.trials));
+
+      // Work accounting: (trials + nominal) x stages x corners x transitions.
+      EXPECT_EQ(mc.batched_stage_evals,
+                static_cast<long>(options.trials + 1) *
+                    static_cast<long>(base.stages.size()) *
+                    static_cast<long>(bench.tech.corners.size()) * kNumTransitions);
     }
-
-    // Summaries: order statistics and counts are exact; the moments are
-    // merged over 32-trial blocks in the driver and streamed here, so they
-    // may differ in the last bits.
-    constexpr double kTol = 1e-9;
-    EXPECT_NEAR(mc.skew.mean, skew_stats.mean(), kTol);
-    EXPECT_NEAR(mc.skew.stddev, skew_stats.stddev(), kTol);
-    EXPECT_NEAR(mc.clr.mean, clr_stats.mean(), kTol);
-    EXPECT_EQ(mc.skew.p95, percentile(skews, 95.0));
-    EXPECT_EQ(mc.clr.p99, percentile(clrs, 99.0));
-    EXPECT_EQ(mc.max_latency.max, *std::max_element(latencies.begin(), latencies.end()));
-    EXPECT_EQ(mc.legal_fraction,
-              static_cast<double>(legal) / static_cast<double>(options.trials));
-    EXPECT_EQ(mc.yield, static_cast<double>(pass) / static_cast<double>(options.trials));
-
-    // Work accounting: (trials + nominal) x stages x corners x transitions.
-    EXPECT_EQ(mc.batched_stage_evals,
-              static_cast<long>(options.trials + 1) *
-                  static_cast<long>(base.stages.size()) *
-                  static_cast<long>(bench.tech.corners.size()) * kNumTransitions);
   }
 }
 

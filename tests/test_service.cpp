@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -419,6 +420,9 @@ TEST(JobScheduler, QueueFullRejects) {
   GateJob gate;
   EventLog gate_log{&order_mutex, &order, {}};
   ASSERT_TRUE(scheduler.submit(gate.spec(), gate_log.sink()).accepted);
+  // The queue holds only the next job once the worker has taken the gate;
+  // probing it earlier would reject "fits" and leave the gate shut.
+  while (scheduler.status().queued > 0) std::this_thread::yield();
 
   auto make_spec = [](const char* name, int sinks) {
     JobSpec s;
