@@ -238,9 +238,13 @@ void Evaluator::add_sweep_work(long stage_evals, double helper_cpu) {
                            std::memory_order_relaxed);
 }
 
-EvalResult Evaluator::evaluate(const ClockTree& tree) {
+void Evaluator::book_run(bool incremental) {
   sim_runs_.fetch_add(1, std::memory_order_relaxed);
-  full_evals_.fetch_add(1, std::memory_order_relaxed);
+  (incremental ? incremental_evals_ : full_evals_).fetch_add(1, std::memory_order_relaxed);
+}
+
+EvalResult Evaluator::evaluate(const ClockTree& tree) {
+  book_run(/*incremental=*/false);
   RcNetlist net;
   net.build(tree, bench_, options_.extract);
   LevelSweep sweep;
@@ -256,7 +260,7 @@ EvalResult Evaluator::evaluate(const ClockTree& tree) {
 EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
                            const NetlistSoa& soa,
                            const std::vector<Volt>* slot_vdd_delta,
-                           int max_threads, bool reuse) {
+                           int max_threads, bool reuse, Ps slew_cut) {
   const std::size_t slot_count = net.slot_count();
   if (slot_vdd_delta && slot_vdd_delta->size() != slot_count) {
     throw std::invalid_argument("LevelSweep: slot_vdd_delta size " +
@@ -427,7 +431,11 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
   // wide, when max_threads == 1, or when no core is free.  A thread takes
   // a second worker index only once the level's slots are all handed out,
   // so no more workers run slots, and grow their scratch, than the call
-  // got threads.
+  // got threads.  With a slew cut, the rows of each finished level are
+  // max-reduced into the running worst slew, and the sweep stops as soon
+  // as it passes the cut with levels still to go.
+  const bool has_cut = slew_cut < std::numeric_limits<Ps>::infinity();
+  Ps swept_slew = 0.0;
   const std::thread::id caller = std::this_thread::get_id();
   for (std::size_t d = 0; d + 1 < levels.size(); ++d) {
     const std::size_t begin = levels[d];
@@ -446,6 +454,15 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
       }
       if (helper) w.tally.helper_cpu += thread_cpu_seconds() - cpu_before;
     });
+    if (has_cut && d + 2 < levels.size()) {
+      for (std::size_t i = begin * nc; i < end * nc; ++i) {
+        swept_slew = std::max(swept_slew, slot_max_slew_[i]);
+      }
+      if (swept_slew > slew_cut) {
+        result.stopped_early = true;
+        break;
+      }
+    }
   }
 
   // Deterministic reductions, independent of how slots were split.
@@ -476,20 +493,19 @@ void IncrementalEvaluator::bind(const ClockTree& tree) {
   sweep_.clear_cache();
 }
 
-EvalResult IncrementalEvaluator::evaluate() {
+EvalResult IncrementalEvaluator::evaluate(Ps slew_cut) {
   if (!bound()) {
     throw std::logic_error("IncrementalEvaluator: evaluate before bind");
   }
   net_.refresh();
   EvalResult result = sweep_.run(eval_, net_, net_.soa(), nullptr,
-                                 eval_.options_.threads, /*reuse=*/true);
+                                 eval_.options_.threads, /*reuse=*/true, slew_cut);
   stage_sims_ += sweep_.last().sims;
   stage_reuses_ += sweep_.last().reuses;
   eval_.add_sweep_work(sweep_.last().sims, sweep_.last().helper_cpu);
   account_capacitance(result, *tree_, eval_.bench_, eval_.sink_caps_);
 
-  eval_.sim_runs_.fetch_add(1, std::memory_order_relaxed);
-  eval_.incremental_evals_.fetch_add(1, std::memory_order_relaxed);
+  eval_.book_run(/*incremental=*/true);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analysis/elmore.h"
@@ -64,6 +65,13 @@ struct EvalResult {
   /// max over bounds {a, b, B} of `max(Tmax_a - Tmin_b, Tmax_b - Tmin_a) - B`
   /// clamped at 0.  0 = all bounds hold.
   Ps worst_domain_bound_violation = 0.0;
+
+  /// True when a gated sweep stopped at a level boundary because its worst
+  /// slew had already passed the caller's slew cut
+  /// (IncrementalEvaluator::evaluate): the stages below were not simulated.
+  /// Then only the capacitance fields are final, and `worst_slew` is a
+  /// lower bound that already exceeds the cut.
+  bool stopped_early = false;
 
   bool legal() const { return !slew_violation && !cap_violation && all_sinks_reached; }
 
@@ -136,6 +144,12 @@ class Evaluator {
   /// evaluate().  Defined in montecarlo.cpp.
   McReport evaluate_mc(const ClockTree& tree, int trials,
                        const VariationModel& model, const McOptions& options);
+
+  /// Counts one run in sim_runs(), as a full or an incremental evaluation.
+  /// Every evaluation books itself; the IVC gate (cts/pass.h) also books a
+  /// candidate it rejects before simulating, as the evaluation that
+  /// candidate would have cost, so sim_runs() keeps counting every attempt.
+  void book_run(bool incremental);
 
   /// Number of evaluate() calls so far ("SPICE runs").  Atomic so that
   /// per-thread evaluator counts can be read and aggregated (e.g. into a
@@ -252,9 +266,15 @@ class LevelSweep {
   /// \param max_threads worker cap, caller included; 0 = hardware_threads()
   /// \param reuse whether cached tap timings may be replayed (needs
   ///        `soa == net.soa()` and no supply offsets)
+  /// \param slew_cut once the worst tap slew of the levels swept so far
+  ///        exceeds this, the sweep stops before the next level and the
+  ///        result is marked EvalResult::stopped_early.  Worst slew only
+  ///        grows with more levels, so the full result would exceed it too.
+  ///        The default (infinity) never stops and skips the per-level max.
   EvalResult run(const Evaluator& eval, const RcNetlist& net,
                  const NetlistSoa& soa, const std::vector<Volt>* slot_vdd_delta,
-                 int max_threads, bool reuse);
+                 int max_threads, bool reuse,
+                 Ps slew_cut = std::numeric_limits<Ps>::infinity());
 
   const Tally& last() const { return last_; }
 
@@ -328,8 +348,12 @@ class IncrementalEvaluator {
   /// next evaluate() rebuilds and re-simulates from scratch.
   void invalidate_all() { net_.mark_all_dirty(); }
 
-  /// One CNE pass over the bound tree; see class comment.  \pre bound()
-  EvalResult evaluate();
+  /// One CNE pass over the bound tree; see class comment.  The sweep stops
+  /// early once the worst slew passes `slew_cut` (LevelSweep::run): the
+  /// stages it simulated keep valid cache entries (they are keyed by
+  /// version and input), the ones below keep their old entries, and a
+  /// rollback re-marks the edited stages as usual.  \pre bound()
+  EvalResult evaluate(Ps slew_cut = std::numeric_limits<Ps>::infinity());
 
   /// Kernel stage simulations spent / avoided by cache hits so far —
   /// (stage x corner x transition) units of transient work.

@@ -1,6 +1,7 @@
 #include "analysis/montecarlo.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,9 +13,9 @@ namespace contango {
 namespace {
 
 /// Trials per streaming block.  The block is the unit of order-independent
-/// aggregation: whichever worker computes a block, its partial statistics
-/// are merged in block-index order, so the merged result is a pure function
-/// of (model, trial count) — never of scheduling.
+/// aggregation: each block's partial statistics stream its trials in trial
+/// order and merge in block-index order, so the merged result is a pure
+/// function of (model, trial count) — never of which worker ran a trial.
 constexpr int kTrialsPerBlock = 32;
 
 /// Per-block partial aggregates, merged in block order by the driver.
@@ -140,9 +141,7 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   account_capacitance(report.nominal, tree, bench, evaluator.sink_caps());
 
   const int trials = options.trials;
-  const int num_blocks = (trials + kTrialsPerBlock - 1) / kTrialsPerBlock;
   report.samples.assign(static_cast<std::size_t>(trials), McTrial{});
-  std::vector<BlockStats> blocks(static_cast<std::size_t>(num_blocks));
 
   // Trials plus the nominal reference, in stage-evaluation units.
   report.batched_stage_evals = static_cast<long>(trials + 1) *
@@ -150,22 +149,23 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
                                static_cast<long>(bench.tech.corners.size()) *
                                kNumTransitions;
 
-  // Trials are embarrassingly parallel: each writes its own slot, draws
-  // from its own substream, and accumulates into its block's stats.  Blocks
-  // are handed out dynamically; determinism comes from the fixed
-  // trial->block partition and the in-order merge below, not from
-  // scheduling.  Each trial sweeps on one thread, the rule run_suite()
-  // applies to its workers: the trials already spread across the cores.
-  parallel_for(num_blocks, report.threads, [&](int b) {
-    BlockStats& block = blocks[static_cast<std::size_t>(b)];
+  // Trials are embarrassingly parallel: each draws from its own substream
+  // and writes only its own sample.  Every worker keeps one sweep and one
+  // trial SoA and takes the next trial from a shared counter, so no worker
+  // idles while another still holds a queue of trials.  Each trial sweeps
+  // on one thread, the rule run_suite() applies to its workers: the trials
+  // already spread across the cores.
+  const int workers = std::min(report.threads, trials);
+  std::atomic<int> next{0};
+  parallel_for(workers, workers, [&](int) {
     LevelSweep sweep;
     NetlistSoa trial_soa;
-    const int begin = b * kTrialsPerBlock;
-    const int end = std::min(begin + kTrialsPerBlock, trials);
-    for (int trial = begin; trial < end; ++trial) {
+    for (;;) {
+      const int trial = next.fetch_add(1, std::memory_order_relaxed);
+      if (trial >= trials) break;
       const TrialVariation v = sample_trial(model, bench.tech, trial, num_stages,
                                             bench.sinks.size());
-      trial_soa = net.soa();  // copy-assign reuses block-local buffers
+      trial_soa = net.soa();  // copy-assign reuses the worker's buffers
       apply_variation(v, trial_soa, num_stages);
       const EvalResult eval = sweep.run(evaluator, net, trial_soa, &v.stage_vdd_delta,
                                         1, /*reuse=*/false);
@@ -176,20 +176,30 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
       t.worst_slew = eval.worst_slew;
       t.constraint_violation = eval.constraint_violation();
       t.legal = !eval.slew_violation && eval.all_sinks_reached;
-      block.skew.add(t.skew);
-      block.clr.add(t.clr);
-      block.max_latency.add(t.max_latency);
-      if (t.legal) {
-        ++block.legal;
-        // A trial passes only when the global target *and* every sink
-        // window / inter-domain bound hold (violation is identically 0
-        // for a trivial constraint block).
-        if (t.skew <= options.skew_target && t.constraint_violation <= 0.0) {
-          ++block.pass;
-        }
-      }
     }
   });
+
+  // Determinism comes from the fixed trial->block partition and the
+  // in-order merge, not from scheduling: each block streams its trials in
+  // trial order, and the blocks merge in block order.
+  const int num_blocks = (trials + kTrialsPerBlock - 1) / kTrialsPerBlock;
+  std::vector<BlockStats> blocks(static_cast<std::size_t>(num_blocks));
+  for (int trial = 0; trial < trials; ++trial) {
+    const McTrial& t = report.samples[static_cast<std::size_t>(trial)];
+    BlockStats& block = blocks[static_cast<std::size_t>(trial / kTrialsPerBlock)];
+    block.skew.add(t.skew);
+    block.clr.add(t.clr);
+    block.max_latency.add(t.max_latency);
+    if (t.legal) {
+      ++block.legal;
+      // A trial passes only when the global target *and* every sink
+      // window / inter-domain bound hold (violation is identically 0
+      // for a trivial constraint block).
+      if (t.skew <= options.skew_target && t.constraint_violation <= 0.0) {
+        ++block.pass;
+      }
+    }
+  }
 
   StreamingStats skew_stats, clr_stats, latency_stats;
   long legal = 0, pass = 0;

@@ -26,9 +26,10 @@ namespace contango {
 ///
 /// add() streams one sample; merge() combines two accumulators with Chan's
 /// parallel-variance formula.  Bit-exact reproducibility holds as long as
-/// the *partition* of samples into accumulators and the *merge order* are
-/// fixed — the Monte-Carlo driver merges per-block accumulators in block
-/// index order, independent of which thread filled which block.
+/// the *partition* of samples into accumulators, the order samples are
+/// added and the *merge order* are fixed — the Monte-Carlo driver streams
+/// each block's trials in trial order and merges the blocks in block index
+/// order, independent of which thread ran which trial.
 class StreamingStats {
  public:
   void add(double x) {
@@ -116,7 +117,7 @@ struct McTrial {
 /// Options of the Monte-Carlo driver.
 struct McOptions {
   int trials = 256;
-  /// Worker threads of the trial blocks and of the nominal sweep; 0 picks
+  /// Worker threads of the trials and of the nominal sweep; 0 picks
   /// hardware concurrency, 1 runs serially.  Any value produces
   /// bit-identical reports.
   int threads = 1;
@@ -172,9 +173,10 @@ struct McReport {
 /// (LevelSweep, up to `options.threads` threads), then per trial: samples
 /// the trial's perturbation from its substream, applies wire/pin scaling
 /// to a SoA copy of the netlist, sweeps every (corner x transition)
-/// combination with per-stage supply offsets on one thread, and streams
-/// skew/CLR/latency into per-block accumulators merged in deterministic
-/// order.
+/// combination with per-stage supply offsets on one thread, and records
+/// the trial's sample.  Each worker takes the next trial as soon as it is
+/// free.  The samples then stream into per-block accumulators merged in
+/// deterministic order.
 ///
 /// \param bench the benchmark the tree was synthesized for
 /// \param tree synthesized clock tree (unchanged)

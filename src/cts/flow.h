@@ -73,6 +73,25 @@ struct StageSnapshot {
   double seconds = 0.0;
 };
 
+/// What the IVC gate (FlowContext::try_accept, cts/pass.h) decided.  Every
+/// gated candidate is accepted or rejected; a rejected one may have been
+/// decided on capacitance before any simulation (`rejected_cap`) or on slew
+/// at a level boundary of its sweep (`rejected_slew`).  All other rejects
+/// (no improvement, constraints, a slew failure found at the last level)
+/// ran the whole sweep.
+struct IvcCounts {
+  int accepted = 0;
+  int rejected = 0;
+  int rejected_cap = 0;   ///< of `rejected`: not simulated at all
+  int rejected_slew = 0;  ///< of `rejected`: sweep stopped early
+};
+
+inline IvcCounts operator-(const IvcCounts& a, const IvcCounts& b) {
+  return IvcCounts{a.accepted - b.accepted, a.rejected - b.rejected,
+                   a.rejected_cap - b.rejected_cap,
+                   a.rejected_slew - b.rejected_slew};
+}
+
 /// Cost accounting of one executed pass (cts/pipeline.h): where the flow's
 /// wall time, CPU time and simulation budget actually went.
 struct PassTiming {
@@ -92,6 +111,8 @@ struct PassTiming {
   long batched_stage_evals = 0;
   /// Always 0: kept only because the benchmark driver still sums it.
   static constexpr long scalar_stage_evals = 0;
+  /// IVC decisions this pass made (zero for construction passes).
+  IvcCounts ivc;
 };
 
 /// Full result of one Contango run.
@@ -111,6 +132,8 @@ struct FlowResult {
   long batched_stage_evals = 0;
   /// Always 0: kept only because the benchmark driver still sums it.
   static constexpr long scalar_stage_evals = 0;
+  /// IVC decisions over the whole flow (the sum of the passes').
+  IvcCounts ivc;
   /// CPU seconds the incremental level sweep spent on helper threads over
   /// the whole flow (already included in the passes' cpu_seconds); 0 with
   /// EvalOptions::threads == 1.

@@ -1,5 +1,6 @@
 #include "cts/pass.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -32,14 +33,14 @@ FlowContext::FlowContext(const Benchmark& bench_in, const FlowOptions& options_i
       incremental_(eval),
       use_incremental_(options_in.incremental) {}
 
-EvalResult FlowContext::evaluate_tree() {
+EvalResult FlowContext::evaluate_tree(Ps slew_cut) {
   if (!use_incremental_) return eval.evaluate(tree);
   // `tree` is a member object, so its address is stable across the moves
   // the construction passes and try_accept perform on its *contents*;
   // wholesale content replacements invalidate through note_tree_mutated()/
   // restore_saved().
   if (incremental_.bound_tree() != &tree) incremental_.bind(tree);
-  return incremental_.evaluate();
+  return incremental_.evaluate(slew_cut);
 }
 
 TreeEditSession FlowContext::edit_session() {
@@ -91,11 +92,14 @@ std::string FlowContext::unique_stage_name(const std::string& base) {
   return base + "#" + std::to_string(count);
 }
 
+bool FlowContext::cap_ok(const EvalResult& candidate) const {
+  return !candidate.cap_violation ||
+         candidate.total_cap <= current_.total_cap + 1e-6;
+}
+
 bool FlowContext::violation_ok(const EvalResult& candidate) const {
   const bool slew_ok = !candidate.slew_violation ||
                        candidate.worst_slew <= current_.worst_slew + 1e-6;
-  const bool cap_ok = !candidate.cap_violation ||
-                      candidate.total_cap <= current_.total_cap + 1e-6;
   // Generalized violation vector: under a non-trivial constraint block a
   // candidate must keep every sink window and inter-domain bound no worse
   // than the incumbent's.  Identically 0 <= 0 for trivial blocks, so the
@@ -103,33 +107,62 @@ bool FlowContext::violation_ok(const EvalResult& candidate) const {
   const bool constraints_ok =
       candidate.constraints_met() ||
       candidate.constraint_violation() <= current_.constraint_violation() + 1e-6;
-  return slew_ok && cap_ok && constraints_ok;
+  return slew_ok && cap_ok(candidate) && constraints_ok;
 }
 
+bool FlowContext::rejected_on_cap(const ClockTree& candidate, bool incremental) {
+  EvalResult cap_only;
+  account_capacitance(cap_only, candidate, bench, eval.sink_caps());
+  if (cap_ok(cap_only)) return false;
+  eval.book_run(incremental);
+  ++ivc_.rejected;
+  ++ivc_.rejected_cap;
+  return true;
+}
+
+namespace {
+
+bool improves(const EvalResult& candidate, const EvalResult& incumbent,
+              PassObjective objective) {
+  return objective == PassObjective::kClr
+             ? candidate.clr < incumbent.clr
+             : candidate.nominal_skew < incumbent.nominal_skew;
+}
+
+}  // namespace
+
 bool FlowContext::try_accept(ClockTree&& candidate, PassObjective objective) {
+  if (rejected_on_cap(candidate, /*incremental=*/false)) return false;
   const EvalResult r = eval.evaluate(candidate);
-  const bool improves = objective == PassObjective::kClr
-                            ? r.clr < current_.clr
-                            : r.nominal_skew < current_.nominal_skew;
-  if (improves && violation_ok(r)) {
+  if (improves(r, current_, objective) && violation_ok(r)) {
     tree = std::move(candidate);
     current_ = r;
     note_tree_mutated();  // wholesale replacement: rebuild, don't diff
+    ++ivc_.accepted;
     return true;
   }
+  ++ivc_.rejected;
   return false;
 }
 
 bool FlowContext::try_accept(TreeEditSession& session, PassObjective objective) {
-  const EvalResult r = evaluate_tree();
-  const bool improves = objective == PassObjective::kClr
-                            ? r.clr < current_.clr
-                            : r.nominal_skew < current_.nominal_skew;
-  if (improves && violation_ok(r)) {
+  if (rejected_on_cap(tree, use_incremental_)) {
+    session.rollback();
+    return false;
+  }
+  // Past this worst slew the slew half of violation_ok() must fail: the
+  // candidate then violates the limit and is worse than the incumbent.
+  const Ps slew_cut =
+      std::max(bench.tech.slew_limit, current_.worst_slew + 1e-6);
+  const EvalResult r = evaluate_tree(slew_cut);
+  if (!r.stopped_early && improves(r, current_, objective) && violation_ok(r)) {
     session.commit();
     current_ = r;
+    ++ivc_.accepted;
     return true;
   }
+  ++ivc_.rejected;
+  if (r.stopped_early) ++ivc_.rejected_slew;
   session.rollback();  // O(dirty): undo the journal, re-mark the stages
   return false;
 }

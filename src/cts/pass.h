@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -122,6 +123,11 @@ class FlowContext {
   /// already-violating network must still be allowed to improve).
   bool violation_ok(const EvalResult& candidate) const;
 
+  /// Capacitance part of violation_ok(): reads only `total_cap` and
+  /// `cap_violation`, which account_capacitance() fills from the tree
+  /// alone, so try_accept() checks it before simulating.
+  bool cap_ok(const EvalResult& candidate) const;
+
   /// \brief The central Improvement- & Violation-Checking gate
   /// (whole-tree-copy form).
   ///
@@ -129,8 +135,10 @@ class FlowContext {
   /// into `tree` and updating current() — only when `objective` strictly
   /// improves and violation_ok() holds.  Returns whether the candidate was
   /// accepted; a rejected candidate is discarded (SaveSolution semantics:
-  /// the incumbent tree was never touched).  Accepting rebinds the
-  /// incremental engine (the tree was replaced wholesale).
+  /// the incumbent tree was never touched).  A candidate that fails
+  /// cap_ok() is discarded before the evaluation, which is still booked as
+  /// one full run.  Accepting rebinds the incremental engine (the tree was
+  /// replaced wholesale).
   /// \pre objective is kSkew or kClr and has_current()
   bool try_accept(ClockTree&& candidate, PassObjective objective);
 
@@ -140,9 +148,16 @@ class FlowContext {
   /// touched stages dirty).  Evaluates the edited tree — incrementally
   /// when enabled, re-propagating only along dirty paths — and either
   /// commits the session (accept) or rolls its journal back (reject),
-  /// leaving the incumbent bit-identical to before the session.
+  /// leaving the incumbent bit-identical to before the session.  Rejects
+  /// that are certain early cost less and decide the same: a candidate
+  /// that fails cap_ok() is rolled back unsimulated, and the incremental
+  /// sweep stops at the first level whose worst slew already fails the
+  /// slew half of violation_ok().  Either still books one run.
   /// \pre objective is kSkew or kClr, has_current(), session.can_rollback()
   bool try_accept(TreeEditSession& session, PassObjective objective);
+
+  /// Decisions of both try_accept() overloads so far.
+  const IvcCounts& ivc() const { return ivc_; }
 
   /// Begins an edit session on `tree`, wired to the incremental engine
   /// when enabled.  \pre has_current() (the engine binds at ensure_initial)
@@ -178,8 +193,15 @@ class FlowContext {
  private:
   /// Evaluates `tree` through the configured engine (one simulation run):
   /// the incremental evaluator when enabled (bound on first use), the full
-  /// evaluator otherwise.  Bit-identical either way.
-  EvalResult evaluate_tree();
+  /// evaluator otherwise.  Bit-identical either way.  Only the incremental
+  /// sweep honours `slew_cut` (IncrementalEvaluator::evaluate).
+  EvalResult evaluate_tree(
+      Ps slew_cut = std::numeric_limits<Ps>::infinity());
+
+  /// The gate's pre-simulation check: when `candidate` fails cap_ok(),
+  /// books the run it would have cost (full or incremental), counts the
+  /// reject and returns true.
+  bool rejected_on_cap(const ClockTree& candidate, bool incremental);
 
   EvalResult current_;
   bool has_current_ = false;
@@ -189,6 +211,7 @@ class FlowContext {
   std::map<std::string, int> stage_name_counts_;
   IncrementalEvaluator incremental_;
   bool use_incremental_ = true;
+  IvcCounts ivc_;
 };
 
 /// \brief One composable stage of the flow.

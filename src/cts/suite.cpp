@@ -20,6 +20,17 @@
 extern char** environ;
 
 namespace contango {
+namespace {
+
+/// The IVC gate's decisions as `ivc_*` keys (cts/flow.h: IvcCounts).
+void write_ivc(JsonWriter& w, const IvcCounts& ivc) {
+  w.kv("ivc_accepted", static_cast<long>(ivc.accepted));
+  w.kv("ivc_rejected", static_cast<long>(ivc.rejected));
+  w.kv("ivc_rejected_cap", static_cast<long>(ivc.rejected_cap));
+  w.kv("ivc_rejected_slew", static_cast<long>(ivc.rejected_slew));
+}
+
+}  // namespace
 
 long SuiteReport::total_sim_runs() const {
   long total = 0;
@@ -167,6 +178,7 @@ std::string SuiteReport::to_json() const {
     w.kv("full_evals", static_cast<long>(r.result.full_evals));
     w.kv("incremental_evals", static_cast<long>(r.result.incremental_evals));
     w.kv("batched_stage_evals", r.result.batched_stage_evals);
+    write_ivc(w, r.result.ivc);
     w.kv("clr_ps", r.result.eval.clr);
     w.kv("skew_ps", r.result.eval.nominal_skew);
     w.kv("max_latency_ps", r.result.eval.max_latency);
@@ -200,6 +212,7 @@ std::string SuiteReport::to_json() const {
       w.kv("full_evals", static_cast<long>(p.full_evals));
       w.kv("incremental_evals", static_cast<long>(p.incremental_evals));
       w.kv("batched_stage_evals", p.batched_stage_evals);
+      write_ivc(w, p.ivc);
       w.end_object();
     }
     w.end_array();

@@ -5,7 +5,9 @@
 // polarity flip via make/unmake, buffer insert/remove) and after
 // rollbacks.  Locked over every registered scenario family.  The level
 // sweep's worker count (EvalOptions::threads) must not show in any result
-// or counter.
+// or counter.  The IVC gate's early rejects (a cap failure decided before
+// the sweep, a slew failure at a level boundary) must cost less and change
+// nothing else.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +16,11 @@
 #include <vector>
 
 #include "analysis/evaluate.h"
+#include "analysis/montecarlo.h"
+#include "cts/pass.h"
 #include "cts/pipeline.h"
 #include "cts/scenario.h"
+#include "evaluate_reference.h"
 #include "rctree/extract.h"
 #include "util/rng.h"
 
@@ -434,8 +439,241 @@ TEST(Incremental, FlowIsThreadCountInvariantOnStockFamilies) {
         EXPECT_EQ(p.full_evals, q.full_evals);
         EXPECT_EQ(p.incremental_evals, q.incremental_evals);
         EXPECT_EQ(p.batched_stage_evals, q.batched_stage_evals);
+        EXPECT_EQ(p.ivc.rejected, q.ivc.rejected);
+        EXPECT_EQ(p.ivc.rejected_slew, q.ivc.rejected_slew);
       }
     }
+  }
+}
+
+void expect_same_ivc(const IvcCounts& a, const IvcCounts& b) {
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.rejected_cap, b.rejected_cap);
+  EXPECT_EQ(a.rejected_slew, b.rejected_slew);
+}
+
+/// Every stock family at its registry size: per-pass stage-evals and IVC
+/// decisions do not depend on the sweep's worker count, early rejects
+/// included (a sweep stops only at a level boundary, after the whole
+/// level is reduced).
+TEST(EarlyReject, PassCountersAreThreadCountInvariantOnEveryStockFamily) {
+  IvcCounts seen;
+  for (const auto& family : ScenarioRegistry::builtin().families()) {
+    SCOPED_TRACE(family.name);
+    const Benchmark bench = make_scenario(family.name, 1);
+    const auto flow = [&](int threads) {
+      FlowOptions options;
+      options.eval.threads = threads;
+      return run_contango(bench, options);
+    };
+    const FlowResult serial = flow(1);
+    const FlowResult parallel = flow(4);
+    EXPECT_EQ(parallel.sim_runs, serial.sim_runs);
+    EXPECT_EQ(parallel.batched_stage_evals, serial.batched_stage_evals);
+    expect_same_ivc(parallel.ivc, serial.ivc);
+    ASSERT_EQ(parallel.pass_timings.size(), serial.pass_timings.size());
+    IvcCounts sum;
+    for (std::size_t i = 0; i < serial.pass_timings.size(); ++i) {
+      const PassTiming& p = parallel.pass_timings[i];
+      const PassTiming& q = serial.pass_timings[i];
+      SCOPED_TRACE(q.name);
+      EXPECT_EQ(p.batched_stage_evals, q.batched_stage_evals);
+      expect_same_ivc(p.ivc, q.ivc);
+      EXPECT_LE(q.ivc.rejected_cap + q.ivc.rejected_slew, q.ivc.rejected);
+      sum.accepted += q.ivc.accepted;
+      sum.rejected += q.ivc.rejected;
+      sum.rejected_cap += q.ivc.rejected_cap;
+      sum.rejected_slew += q.ivc.rejected_slew;
+    }
+    expect_same_ivc(sum, serial.ivc);
+    EXPECT_EQ(serial.sim_runs, serial.full_evals + serial.incremental_evals);
+    seen.rejected_cap += serial.ivc.rejected_cap;
+    seen.rejected_slew += serial.ivc.rejected_slew;
+  }
+  // The stock families exercise both early exits.
+  EXPECT_GT(seen.rejected_cap, 0);
+  EXPECT_GT(seen.rejected_slew, 0);
+}
+
+/// The evaluation the flow's engine gives the incumbent tree next.  An
+/// empty session is re-evaluated against a stand-in incumbent that any
+/// candidate improves on, so the gate accepts it and current() exposes the
+/// result; the stand-in keeps the real slew and cap, so the slew cut and
+/// cap check are the real ones.
+EvalResult next_evaluation(FlowContext& ctx) {
+  EvalResult stand_in = ctx.current();
+  stand_in.nominal_skew = std::numeric_limits<Ps>::infinity();
+  ctx.restore_current(stand_in);
+  TreeEditSession empty = ctx.edit_session();
+  EXPECT_TRUE(ctx.try_accept(empty, PassObjective::kSkew));
+  EXPECT_FALSE(ctx.current().stopped_early);
+  return ctx.current();
+}
+
+/// A flow context holding `bench`'s construction tree and its evaluation.
+struct GateFixture {
+  Benchmark bench;
+  FlowContext ctx;
+
+  explicit GateFixture(Benchmark b) : bench(std::move(b)), ctx(bench, FlowOptions{}) {
+    ctx.tree = construction_tree(bench);
+    ctx.ensure_initial();
+  }
+
+  /// The first edge under the root: part of the root stage (level 0).
+  NodeId top_edge() const { return ctx.tree.node(ctx.tree.root()).children.front(); }
+};
+
+TEST(EarlyReject, CapFailureIsDecidedWithoutSimulating) {
+  Benchmark bench = make_scenario("clustered", 7, 24);
+  bench.tech.cap_limit = 1.0;  // the incumbent violates cap already
+  GateFixture f(std::move(bench));
+  FlowContext& ctx = f.ctx;
+  ASSERT_TRUE(ctx.current().cap_violation);
+
+  const std::vector<NodeId> edges = live_edges(ctx.tree);
+  // Two candidates that only add capacitance: plain edits, and a buffer
+  // insertion whose rollback splices the buffer back out.
+  for (const bool insert : {false, true}) {
+    SCOPED_TRACE(insert ? "insert_buffer_electrical" : "snake + width");
+    const int runs = ctx.eval.sim_runs();
+    const int incremental = ctx.eval.incremental_evals();
+    const long stage_evals = ctx.eval.batched_stage_evals();
+    const IvcCounts before = ctx.ivc();
+
+    TreeEditSession session = ctx.edit_session();
+    if (insert) {
+      const NodeId e = edges[edges.size() / 2];
+      session.insert_buffer_electrical(e, ctx.tree.edge_length(e) / 2.0,
+                                       CompositeBuffer{0, 8});
+    } else {
+      session.add_snake(edges[edges.size() / 3], 400.0);
+      session.set_wire_width(edges[edges.size() / 4], 1);
+    }
+    EXPECT_FALSE(ctx.try_accept(session, PassObjective::kSkew));
+
+    EXPECT_EQ(ctx.eval.sim_runs(), runs + 1);
+    EXPECT_EQ(ctx.eval.incremental_evals(), incremental + 1);
+    EXPECT_EQ(ctx.eval.batched_stage_evals(), stage_evals);
+    const IvcCounts d = ctx.ivc() - before;
+    EXPECT_EQ(d.rejected, 1);
+    EXPECT_EQ(d.rejected_cap, 1);
+    EXPECT_EQ(d.accepted, 0);
+
+    expect_bit_identical(next_evaluation(ctx),
+                         reference::evaluate_tree(ctx.tree, f.bench),
+                         "next evaluation vs reference");
+  }
+
+  // The whole-tree form drops the candidate and books one full run.
+  const int full = ctx.eval.full_evals();
+  const long stage_evals = ctx.eval.batched_stage_evals();
+  ClockTree candidate = ctx.tree;
+  candidate.node(edges.back()).snake += 500.0;
+  EXPECT_FALSE(ctx.try_accept(std::move(candidate), PassObjective::kClr));
+  EXPECT_EQ(ctx.eval.full_evals(), full + 1);
+  EXPECT_EQ(ctx.eval.batched_stage_evals(), stage_evals);
+  EXPECT_EQ(ctx.ivc().rejected_cap, 3);
+}
+
+TEST(EarlyReject, SlewFailureStopsBeforeTheLastLevel) {
+  Benchmark bench = make_scenario("uniform", 3, 160);
+  bench.tech.cap_limit = 0.0;  // no cap limit: only slew can decide
+  GateFixture f(std::move(bench));
+  FlowContext& ctx = f.ctx;
+  ASSERT_GT(ctx.eval.incremental_evals(), 0);
+
+  // Snake a wire of the root stage far past what its driver can take: the
+  // worst slew passes the cut at level 0.
+  for (const bool insert : {false, true}) {
+    SCOPED_TRACE(insert ? "insert_buffer_electrical" : "snake");
+    const EvalResult incumbent = ctx.current();
+    const long stage_evals = ctx.eval.batched_stage_evals();
+    const int runs = ctx.eval.sim_runs();
+    const IvcCounts before = ctx.ivc();
+
+    TreeEditSession session = ctx.edit_session();
+    NodeId hot = f.top_edge();
+    if (insert) {
+      hot = session.insert_buffer_electrical(hot, ctx.tree.edge_length(hot) / 3.0,
+                                             CompositeBuffer{0, 1});
+    }
+    session.add_snake(hot, 20000.0);
+    // Precondition: the whole sweep would fail the slew check.
+    const EvalResult full = Evaluator(f.bench).evaluate(ctx.tree);
+    ASSERT_GT(full.worst_slew,
+              std::max(f.bench.tech.slew_limit, incumbent.worst_slew + 1e-6));
+    ASSERT_FALSE(ctx.violation_ok(full));
+    EXPECT_FALSE(ctx.try_accept(session, PassObjective::kSkew));
+
+    const IvcCounts d = ctx.ivc() - before;
+    EXPECT_EQ(d.rejected, 1);
+    EXPECT_EQ(d.rejected_slew, 1);
+    EXPECT_EQ(d.rejected_cap, 0);
+    EXPECT_EQ(ctx.eval.sim_runs(), runs + 1);
+    // Only the dirty root stage ran: far less than one stage per level.
+    const long spent = ctx.eval.batched_stage_evals() - stage_evals;
+    const long combos =
+        static_cast<long>(f.bench.tech.corners.size()) * kNumTransitions;
+    EXPECT_GT(spent, 0);
+    EXPECT_LE(spent, 2 * combos);
+
+    expect_bit_identical(next_evaluation(ctx),
+                         reference::evaluate_tree(ctx.tree, f.bench),
+                         "next evaluation vs reference");
+  }
+}
+
+/// The same stop, on the engine itself: the partial result says so, and
+/// the caches stay exact for the evaluation after the rollback.
+TEST(EarlyReject, PartialSweepKeepsTheCacheExact) {
+  const Benchmark bench = make_scenario("high_fanout", 5, 120);
+  ClockTree tree = construction_tree(bench);
+  Evaluator owner(bench);
+  IncrementalEvaluator inc(owner);
+  inc.bind(tree);
+  const EvalResult incumbent = inc.evaluate();
+  ASSERT_GT(inc.netlist().topo_levels().size(), 3u);  // >= 2 levels
+  const Ps cut = std::max(bench.tech.slew_limit, incumbent.worst_slew + 1e-6);
+
+  TreeEditSession session(tree, &inc.netlist());
+  session.add_snake(tree.node(tree.root()).children.front(), 20000.0);
+  const long sims = inc.stage_sims();
+  const EvalResult partial = inc.evaluate(cut);
+  EXPECT_TRUE(partial.stopped_early);
+  EXPECT_GT(partial.worst_slew, cut);
+  EXPECT_FALSE(partial.all_sinks_reached);
+  EXPECT_GT(inc.stage_sims(), sims);
+
+  session.rollback();
+  expect_bit_identical(inc.evaluate(cut), reference::evaluate_tree(tree, bench),
+                       "after rollback vs reference");
+  expect_bit_identical(inc.evaluate(), incumbent, "after rollback vs incumbent");
+}
+
+/// Ungated sweeps take no cut: a full evaluation and every Monte-Carlo
+/// trial of a tree far over the slew limit still reach every sink.
+TEST(EarlyReject, FullAndMonteCarloSweepsNeverStopEarly) {
+  Benchmark bench = make_scenario("ring", 2, 40);
+  const ClockTree tree = construction_tree(bench);
+  bench.tech.slew_limit = 1.0;
+  Evaluator eval(bench);
+  const EvalResult full = eval.evaluate(tree);
+  ASSERT_TRUE(full.slew_violation);
+  EXPECT_FALSE(full.stopped_early);
+  EXPECT_TRUE(full.all_sinks_reached);
+  expect_bit_identical(full, reference::evaluate_tree(tree, bench), "full vs reference");
+
+  McOptions options;
+  options.trials = 6;
+  options.threads = 2;
+  const McReport mc = run_montecarlo(bench, tree, VariationModel{}, options);
+  EXPECT_FALSE(mc.nominal.stopped_early);
+  for (const McTrial& t : mc.samples) {  // the zero model replays nominal
+    EXPECT_EQ(t.skew, full.nominal_skew);
+    EXPECT_EQ(t.max_latency, full.max_latency);
+    EXPECT_EQ(t.worst_slew, full.worst_slew);
   }
 }
 

@@ -229,6 +229,28 @@ TEST(MonteCarlo, ZeroVariationReproducesNominalExactly) {
   EXPECT_EQ(report.legal_fraction, 1.0);
 }
 
+// Workers take trials one at a time, so one worker's trials straddle the
+// block boundary: 40 trials make a full block and a partial one, and the
+// report — JSON with samples included — still equals the serial one.
+TEST(MonteCarlo, FortyTrialsOnFourThreadsMatchOneThread) {
+  const Fixture f;
+  const VariationModel model = typical_model(3);
+
+  McOptions serial;
+  serial.trials = 40;
+  serial.threads = 1;
+  McOptions parallel = serial;
+  parallel.threads = 4;
+
+  McReport a = run_montecarlo(f.bench, f.tree, model, serial);
+  McReport b = run_montecarlo(f.bench, f.tree, model, parallel);
+  EXPECT_EQ(b.threads, 4);
+  expect_reports_identical(a, b);
+  a.wall_seconds = b.wall_seconds = 0.0;
+  a.threads = b.threads;
+  EXPECT_EQ(a.to_json(true), b.to_json(true));
+}
+
 // Acceptance criterion: statistics are bit-identical across 1 vs N worker
 // threads for a fixed seed.
 TEST(MonteCarlo, OneThreadAndEightThreadsBitIdentical) {
