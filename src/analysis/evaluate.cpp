@@ -232,8 +232,10 @@ void account_capacitance(EvalResult& result, const ClockTree& tree,
   result.cap_violation = bench.tech.cap_limit > 0.0 && result.total_cap > bench.tech.cap_limit;
 }
 
-void Evaluator::add_sweep_work(long stage_evals, double helper_cpu) {
+void Evaluator::add_sweep_work(long stage_evals, long stage_reuses,
+                               double helper_cpu) {
   batched_stage_evals_.fetch_add(stage_evals, std::memory_order_relaxed);
+  stage_reuses_.fetch_add(stage_reuses, std::memory_order_relaxed);
   helper_cpu_ns_.fetch_add(static_cast<std::int64_t>(helper_cpu * 1e9),
                            std::memory_order_relaxed);
 }
@@ -250,7 +252,7 @@ EvalResult Evaluator::evaluate(const ClockTree& tree) {
   LevelSweep sweep;
   EvalResult result =
       sweep.run(*this, net, net.soa(), nullptr, options_.threads, /*reuse=*/false);
-  add_sweep_work(sweep.last().sims, sweep.last().helper_cpu);
+  add_sweep_work(sweep.last().sims, sweep.last().reuses, sweep.last().helper_cpu);
   account_capacitance(result, tree, bench_, sink_caps_);
   return result;
 }
@@ -501,8 +503,8 @@ EvalResult IncrementalEvaluator::evaluate(Ps slew_cut) {
   EvalResult result = sweep_.run(eval_, net_, net_.soa(), nullptr,
                                  eval_.options_.threads, /*reuse=*/true, slew_cut);
   stage_sims_ += sweep_.last().sims;
-  stage_reuses_ += sweep_.last().reuses;
-  eval_.add_sweep_work(sweep_.last().sims, sweep_.last().helper_cpu);
+  eval_.add_sweep_work(sweep_.last().sims, sweep_.last().reuses,
+                       sweep_.last().helper_cpu);
   account_capacitance(result, *tree_, eval_.bench_, eval_.sink_caps_);
 
   eval_.book_run(/*incremental=*/true);

@@ -172,6 +172,12 @@ class Evaluator {
     return batched_stage_evals_.load(std::memory_order_relaxed);
   }
 
+  /// Stage-evals an incremental sweep replayed from its cache instead of
+  /// simulating them, in the same units (0 for full evaluations).
+  long stage_reuses() const {
+    return stage_reuses_.load(std::memory_order_relaxed);
+  }
+
   /// CPU seconds spent on helper threads of the level sweeps of
   /// evaluate() and IncrementalEvaluator — work the calling thread's own
   /// CPU clock does not see.  Always 0 with `options().threads == 1` or
@@ -186,6 +192,7 @@ class Evaluator {
     full_evals_.store(0, std::memory_order_relaxed);
     incremental_evals_.store(0, std::memory_order_relaxed);
     batched_stage_evals_.store(0, std::memory_order_relaxed);
+    stage_reuses_.store(0, std::memory_order_relaxed);
     helper_cpu_ns_.store(0, std::memory_order_relaxed);
   }
 
@@ -197,8 +204,8 @@ class Evaluator {
  private:
   friend class IncrementalEvaluator;
 
-  /// Books one sweep's kernel work and helper CPU time.
-  void add_sweep_work(long stage_evals, double helper_cpu);
+  /// Books one sweep's kernel work, cache replays and helper CPU time.
+  void add_sweep_work(long stage_evals, long stage_reuses, double helper_cpu);
 
   const Benchmark& bench_;
   EvalOptions options_;
@@ -208,6 +215,7 @@ class Evaluator {
   std::atomic<int> full_evals_{0};
   std::atomic<int> incremental_evals_{0};
   std::atomic<long> batched_stage_evals_{0};
+  std::atomic<long> stage_reuses_{0};
   std::atomic<std::int64_t> helper_cpu_ns_{0};
 };
 
@@ -355,10 +363,10 @@ class IncrementalEvaluator {
   /// rollback re-marks the edited stages as usual.  \pre bound()
   EvalResult evaluate(Ps slew_cut = std::numeric_limits<Ps>::infinity());
 
-  /// Kernel stage simulations spent / avoided by cache hits so far —
-  /// (stage x corner x transition) units of transient work.
+  /// Kernel stage simulations spent so far — (stage x corner x
+  /// transition) units of transient work.  The owning Evaluator counts
+  /// the ones avoided by cache hits (Evaluator::stage_reuses).
   long stage_sims() const { return stage_sims_; }
-  long stage_reuses() const { return stage_reuses_; }
 
  private:
   Evaluator& eval_;
@@ -366,7 +374,6 @@ class IncrementalEvaluator {
   RcNetlist net_;
   LevelSweep sweep_;
   long stage_sims_ = 0;
-  long stage_reuses_ = 0;
 };
 
 /// Effective driver resistance for a stage driver: applies supply-corner

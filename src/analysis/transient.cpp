@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/units.h"
 
@@ -21,28 +22,43 @@ struct StageConstants {
   Ps max_tau = 0.0;
 };
 
+/// The L lanes of one node as one GCC vector.  Node-major lane arrays are
+/// read and written through this type: aligned(8) because a node's block
+/// sits at any double boundary, may_alias because the storage is doubles.
+/// No function passes one by value (a 32-byte argument would change the
+/// psABI between the clones); they live inside the one inlined body.
+template <std::size_t L>
+struct LaneVector {
+  typedef double type __attribute__((vector_size(8 * L), aligned(8), may_alias));
+};
+
 /// Integrates `count` (1..L) drives of one stage as L interleaved lanes and
 /// writes their rows to `out`.  Node state is node-major (`v[i * L + l]`),
-/// so every tree sweep updates all lanes of a node together and the lanes'
-/// dependency chains overlap.  Lanes share nothing but the stage: each has
-/// its own timestep, clock, stop time and pending-tap count, and each lane
-/// performs exactly the one-drive integrator's operations in its order, so
-/// every row is bit-identical to integrating that drive alone.  Lanes past
-/// `count` pad the group: they copy drive 0 to stay finite, are never
-/// active, and are never written out.
+/// and every tree sweep updates the L lanes of a node as one vector
+/// operation.  Lanes share nothing but the stage: each has its own
+/// timestep, clock, stop time and pending taps, and each lane performs
+/// exactly the one-drive integrator's operations in its order (the vector
+/// operations are element-wise IEEE), so every row is bit-identical to
+/// integrating that drive alone.  Lanes past `count` pad the group: they
+/// copy drive 0 to stay finite, are never active, and are never written out.
+///
+/// Always inlined into integrate_lanes() and integrate_lanes_avx2(), the
+/// baseline and AVX2 clones of the same body.
 template <std::size_t L>
-void integrate_lanes(const StageConstants& s, const TransientOptions& opt,
-                     const BatchDrive* drives, std::size_t count,
-                     TapTiming* out, TransientScratch& scratch) {
+[[gnu::always_inline]] inline void integrate_lanes_body(
+    const StageConstants& s, const TransientOptions& opt,
+    const BatchDrive* drives, std::size_t count, TapTiming* out,
+    TransientScratch& scratch) {
+  using V = typename LaneVector<L>::type;
   const std::size_t n = s.n;
   const std::size_t nt = s.nt;
   const Ff* cap = s.cap;
   const int* parent = s.parent;
   const double* g = s.g;
 
-  Ps h[L] = {}, t0[L] = {}, ramp[L] = {}, t_stop[L] = {}, t[L] = {};
-  double g_drv[L] = {};
-  std::size_t pending[L] = {};
+  Ps t0[L] = {}, ramp[L] = {}, t_stop[L] = {}, t[L] = {};
+  double h[L] = {};
+  V hv = {}, g_drv = {};
   for (std::size_t l = 0; l < L; ++l) {
     const BatchDrive& d = drives[l < count ? l : 0];
     const Ps tau_char = std::max(d.r_drv * s.total_cap + s.max_tau, 0.5);
@@ -52,8 +68,8 @@ void integrate_lanes(const StageConstants& s, const TransientOptions& opt,
     h[l] = std::clamp(std::min(tau_char / opt.time_step_div, ramp[l] / 4.0),
                       opt.min_step, opt.max_step);
     t_stop[l] = t0[l] + ramp[l] + 40.0 * tau_char;
+    hv[l] = h[l];
     g_drv[l] = 1.0 / std::max(d.r_drv, 1e-9);
-    pending[l] = l < count ? nt : 0;
   }
   auto source = [&](std::size_t l, Ps at) {
     if (at <= t0[l]) return 0.0;
@@ -69,30 +85,24 @@ void integrate_lanes(const StageConstants& s, const TransientOptions& opt,
   scratch.cap_h.resize(n * L);
   scratch.adiag.resize(n * L);
   scratch.mult.resize(n * L);
-  double* cap_h = scratch.cap_h.data();
-  double* adiag = scratch.adiag.data();
-  double* mult = scratch.mult.data();
+  V* cap_h = reinterpret_cast<V*>(scratch.cap_h.data());
+  V* adiag = reinterpret_cast<V*>(scratch.adiag.data());
+  V* mult = reinterpret_cast<V*>(scratch.mult.data());
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t l = 0; l < L; ++l) {
-      cap_h[i * L + l] = cap[i] / h[l];
-      adiag[i * L + l] = cap_h[i * L + l];
-    }
+    cap_h[i] = cap[i] / hv;
+    adiag[i] = cap_h[i];
   }
-  for (std::size_t l = 0; l < L; ++l) adiag[l] += g_drv[l] / 2.0;
+  adiag[0] += g_drv / 2.0;
   for (std::size_t i = 1; i < n; ++i) {
     const auto p = static_cast<std::size_t>(parent[i]);
-    for (std::size_t l = 0; l < L; ++l) {
-      adiag[i * L + l] += g[i] / 2.0;
-      adiag[p * L + l] += g[i] / 2.0;
-    }
+    adiag[i] += g[i] / 2.0;
+    adiag[p] += g[i] / 2.0;
   }
   // Cholesky-style tree elimination: children have larger indices.
   for (std::size_t i = n; i-- > 1;) {
     const auto p = static_cast<std::size_t>(parent[i]);
-    for (std::size_t l = 0; l < L; ++l) {
-      mult[i * L + l] = (g[i] / 2.0) / adiag[i * L + l];
-      adiag[p * L + l] -= (g[i] / 2.0) * mult[i * L + l];
-    }
+    mult[i] = (g[i] / 2.0) / adiag[i];
+    adiag[p] -= (g[i] / 2.0) * mult[i];
   }
 
   // Start from v = 0, whose G v is exactly +0 in every product and sum.
@@ -100,14 +110,25 @@ void integrate_lanes(const StageConstants& s, const TransientOptions& opt,
   scratch.v.assign(n * L, 0.0);
   scratch.rhs.resize(n * L);
   scratch.gv.assign(n * L, 0.0);
-  double* v = scratch.v.data();
-  double* rhs = scratch.rhs.data();
-  double* gv = scratch.gv.data();
+  V* v = reinterpret_cast<V*>(scratch.v.data());
+  V* rhs = reinterpret_cast<V*>(scratch.rhs.data());
+  V* gv = reinterpret_cast<V*>(scratch.gv.data());
 
-  // Threshold bookkeeping per tap, lane-major (`cross[l * nt + k]`).
+  // Threshold bookkeeping per tap, lane-major (`cross[l * nt + k]`), and
+  // each lane's pending taps packed at the front of its slice: a step
+  // reads a pending tap's voltage and compares it with the tap's lowest
+  // uncrossed threshold, and only a crossing takes the full check.
   constexpr double kTh10 = 0.1, kTh50 = 0.5, kTh90 = 0.9;
   scratch.cross.assign(nt * L, TransientScratch::Crossings{});
-  scratch.tap_prev.assign(nt * L, 0.0);
+  scratch.pending.resize(nt * L);
+  std::size_t pending[L] = {};
+  for (std::size_t l = 0; l < count; ++l) {
+    TransientScratch::PendingTap* list = scratch.pending.data() + l * nt;
+    for (std::size_t k = 0; k < nt; ++k) {
+      list[k] = {0.0, kTh10, static_cast<std::size_t>(s.tap_rc[k]) * L + l, k};
+    }
+    pending[l] = nt;
+  }
 
   // Idle pre-ramp: while a step ends no later than t0 the source is 0 at
   // both of its ends and every voltage stays exactly +0, so the step
@@ -130,62 +151,67 @@ void integrate_lanes(const StageConstants& s, const TransientOptions& opt,
 
     // rhs = (C/h) v - (G v)/2 + (b(t) + b(t+h))/2.  Inactive lanes are
     // integrated too (their state is never read again).
-    for (std::size_t i = 0; i < n * L; ++i) {
-      rhs[i] = cap_h[i] * v[i] - gv[i] / 2.0;
-    }
+    for (std::size_t i = 0; i < n; ++i) rhs[i] = cap_h[i] * v[i] - gv[i] / 2.0;
+    V src = {};
     for (std::size_t l = 0; l < L; ++l) {
-      rhs[l] += g_drv[l] * (source(l, t[l]) + source(l, t[l] + h[l])) / 2.0;
+      src[l] = source(l, t[l]) + source(l, t[l] + h[l]);
     }
+    rhs[0] += g_drv * src / 2.0;
 
     // Forward elimination (leaves to root).
     for (std::size_t i = n; i-- > 1;) {
-      const auto p = static_cast<std::size_t>(parent[i]);
-      for (std::size_t l = 0; l < L; ++l) {
-        rhs[p * L + l] += mult[i * L + l] * rhs[i * L + l];
-      }
+      rhs[static_cast<std::size_t>(parent[i])] += mult[i] * rhs[i];
     }
     // Back-substitution (root to leaves), fused with the next step's G v
     // sweep: node i's flow needs only v[i] and its parent's, both final once
     // i is solved, and every gv update lands in the same order as in a
-    // separate sweep.
-    std::fill(gv, gv + n * L, 0.0);
-    for (std::size_t l = 0; l < L; ++l) {
-      v[l] = rhs[l] / adiag[l];
-      gv[l] = g_drv[l] * v[l];
-    }
+    // separate sweep.  Node i's own gv starts at +0 here (its children come
+    // later), the value a zero-filled array would give it.
+    v[0] = rhs[0] / adiag[0];
+    gv[0] = g_drv * v[0];
     for (std::size_t i = 1; i < n; ++i) {
       const auto p = static_cast<std::size_t>(parent[i]);
-      for (std::size_t l = 0; l < L; ++l) {
-        v[i * L + l] = (rhs[i * L + l] + (g[i] / 2.0) * v[p * L + l]) /
-                       adiag[i * L + l];
-        const double flow = g[i] * (v[i * L + l] - v[p * L + l]);
-        gv[i * L + l] += flow;
-        gv[p * L + l] -= flow;
-      }
+      const V vp = v[p];
+      const V vi = (rhs[i] + (g[i] / 2.0) * vp) / adiag[i];
+      v[i] = vi;
+      const V flow = g[i] * (vi - vp);
+      gv[i] = flow + 0.0;
+      gv[p] -= flow;
     }
 
+    const double* volts = scratch.v.data();
     for (std::size_t l = 0; l < L; ++l) {
       if (!active[l]) continue;
       const Ps tl = t[l];
       const Ps hl = h[l];
       TransientScratch::Crossings* cross = scratch.cross.data() + l * nt;
-      double* tap_prev = scratch.tap_prev.data() + l * nt;
-      for (std::size_t k = 0; k < nt; ++k) {
-        TransientScratch::Crossings& c = cross[k];
-        if (c.t90 >= 0.0) continue;
-        const double prev = tap_prev[k];
-        const double now = v[static_cast<std::size_t>(s.tap_rc[k]) * L + l];
-        auto interp = [&](double th) {
-          return tl + hl * (th - prev) / std::max(now - prev, 1e-12);
-        };
-        if (c.t10 < 0.0 && now >= kTh10) c.t10 = interp(kTh10);
-        if (c.t50 < 0.0 && now >= kTh50) c.t50 = interp(kTh50);
-        if (c.t90 < 0.0 && now >= kTh90) {
-          c.t90 = interp(kTh90);
-          --pending[l];
+      TransientScratch::PendingTap* list = scratch.pending.data() + l * nt;
+      std::size_t live = pending[l];
+      for (std::size_t j = 0; j < live;) {
+        TransientScratch::PendingTap& tap = list[j];
+        const double now = volts[tap.node];
+        if (now >= tap.next) {
+          // The checks of the one-drive integrator, in its order.  `next`
+          // is the lowest threshold they can still fire at, so while
+          // now < next skipping them changes nothing.
+          TransientScratch::Crossings& c = cross[tap.tap];
+          const double prev = tap.prev;
+          auto interp = [&](double th) {
+            return tl + hl * (th - prev) / std::max(now - prev, 1e-12);
+          };
+          if (c.t10 < 0.0 && now >= kTh10) c.t10 = interp(kTh10);
+          if (c.t50 < 0.0 && now >= kTh50) c.t50 = interp(kTh50);
+          if (c.t90 < 0.0 && now >= kTh90) {
+            c.t90 = interp(kTh90);
+            tap = list[--live];
+            continue;
+          }
+          tap.next = c.t10 < 0.0 ? kTh10 : c.t50 < 0.0 ? kTh50 : kTh90;
         }
-        tap_prev[k] = now;
+        tap.prev = now;
+        ++j;
       }
+      pending[l] = live;
       t[l] = tl + hl;
     }
   }
@@ -204,11 +230,61 @@ void integrate_lanes(const StageConstants& s, const TransientOptions& opt,
   }
 }
 
-}  // namespace
+/// One lane group on one clone of the integrator.
+using LaneGroupFn = void (*)(const StageConstants&, const TransientOptions&,
+                             const BatchDrive*, std::size_t, TapTiming*,
+                             TransientScratch&);
 
-void TransientSimulator::simulate_stage_batch(
-    const NetlistSoa::View& stage, const BatchDrive* drives, std::size_t count,
-    TapTiming* out, TransientScratch& scratch, const ElmoreView* elmore) const {
+/// Lane-group entry points of one clone, by width.
+struct LaneKernels {
+  LaneGroupFn four, two, one;
+};
+
+template <std::size_t L>
+void integrate_lanes(const StageConstants& s, const TransientOptions& opt,
+                     const BatchDrive* drives, std::size_t count,
+                     TapTiming* out, TransientScratch& scratch) {
+  integrate_lanes_body<L>(s, opt, drives, count, out, scratch);
+}
+
+constexpr LaneKernels kBaselineKernels = {integrate_lanes<4>, integrate_lanes<2>,
+                                          integrate_lanes<1>};
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define CONTANGO_KERNEL_AVX2 1
+
+// Exactly "avx2": adding "fma" would let the compiler contract a*b+c into
+// one rounding even where -ffp-contract=off is not passed.
+template <std::size_t L>
+__attribute__((target("avx2"))) void integrate_lanes_avx2(
+    const StageConstants& s, const TransientOptions& opt,
+    const BatchDrive* drives, std::size_t count, TapTiming* out,
+    TransientScratch& scratch) {
+  integrate_lanes_body<L>(s, opt, drives, count, out, scratch);
+}
+
+constexpr LaneKernels kAvx2Kernels = {integrate_lanes_avx2<4>,
+                                      integrate_lanes_avx2<2>,
+                                      integrate_lanes_avx2<1>};
+#endif
+
+/// The clone `isa` names, or null when this build or this CPU lacks it.
+const LaneKernels* kernels_for(detail::KernelIsa isa) {
+  if (isa == detail::KernelIsa::kBaseline) return &kBaselineKernels;
+#ifdef CONTANGO_KERNEL_AVX2
+  static const bool has_avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  if (has_avx2) return &kAvx2Kernels;
+#endif
+  return nullptr;
+}
+
+void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
+                    const NetlistSoa::View& stage, const BatchDrive* drives,
+                    std::size_t count, TapTiming* out,
+                    TransientScratch& scratch, const ElmoreView* elmore) {
   const std::size_t n = stage.num_nodes;
   const std::size_t nt = stage.num_taps;
   for (std::size_t i = 0; i < count * nt; ++i) out[i] = TapTiming{};
@@ -273,16 +349,48 @@ void TransientSimulator::simulate_stage_batch(
     TapTiming* rows = out + b * nt;
     if (left >= 3) {
       const std::size_t lanes = std::min<std::size_t>(left, 4);
-      integrate_lanes<4>(s, options_, drives + b, lanes, rows, scratch);
+      kernels.four(s, options, drives + b, lanes, rows, scratch);
       b += lanes;
     } else if (left == 2) {
-      integrate_lanes<2>(s, options_, drives + b, 2, rows, scratch);
+      kernels.two(s, options, drives + b, 2, rows, scratch);
       b += 2;
     } else {
-      integrate_lanes<1>(s, options_, drives + b, 1, rows, scratch);
+      kernels.one(s, options, drives + b, 1, rows, scratch);
       b += 1;
     }
   }
 }
+
+}  // namespace
+
+void TransientSimulator::simulate_stage_batch(
+    const NetlistSoa::View& stage, const BatchDrive* drives, std::size_t count,
+    TapTiming* out, TransientScratch& scratch, const ElmoreView* elmore) const {
+  // The widest clone this CPU runs.
+  static const LaneKernels* const kernels = [] {
+    const LaneKernels* avx2 = kernels_for(detail::KernelIsa::kAvx2);
+    return avx2 ? avx2 : &kBaselineKernels;
+  }();
+  simulate_batch(*kernels, options_, stage, drives, count, out, scratch, elmore);
+}
+
+namespace detail {
+
+bool kernel_isa_supported(KernelIsa isa) { return kernels_for(isa) != nullptr; }
+
+void simulate_stage_batch_on(KernelIsa isa, const TransientSimulator& sim,
+                             const NetlistSoa::View& stage,
+                             const BatchDrive* drives, std::size_t count,
+                             TapTiming* out, TransientScratch& scratch,
+                             const ElmoreView* elmore) {
+  const LaneKernels* kernels = kernels_for(isa);
+  if (!kernels) {
+    throw std::invalid_argument("transient kernel clone not supported here");
+  }
+  simulate_batch(*kernels, sim.options(), stage, drives, count, out, scratch,
+                 elmore);
+}
+
+}  // namespace detail
 
 }  // namespace contango

@@ -50,7 +50,8 @@ struct ElmoreView {
 /// The kernel integrates a group of L drives (L = 4, 2 or 1) as
 /// interleaved lanes.  Per-node lane arrays are node-major — lane l of node
 /// i lives at `[i * L + l]` — so one tree sweep updates every lane of a
-/// node together; per-tap lane arrays are lane-major (`[l * num_taps + k]`).
+/// node together as one L-wide vector; per-tap lane arrays are lane-major
+/// (`[l * num_taps + k]`).
 struct TransientScratch {
   std::vector<double> g;      ///< conductance to parent (shared per stage)
   std::vector<double> cdown;  ///< in-kernel Elmore sweep (when not borrowed)
@@ -63,11 +64,20 @@ struct TransientScratch {
   std::vector<double> rhs;    ///< right-hand side of the step
   std::vector<double> gv;     ///< G v of the current state
   // Per-tap lane arrays (lane-major).
-  std::vector<double> tap_prev;
   struct Crossings {
     double t10 = -1.0, t50 = -1.0, t90 = -1.0;
   };
   std::vector<Crossings> cross;
+  /// A tap whose 90% crossing is still ahead.  Each lane keeps its pending
+  /// taps packed at the front of its `[l * num_taps, (l + 1) * num_taps)`
+  /// slice, so a step visits only those; a tap leaves when it crosses 90%.
+  struct PendingTap {
+    double prev = 0.0;     ///< tap voltage after the previous step
+    double next = 0.0;     ///< lowest threshold not crossed yet
+    std::size_t node = 0;  ///< index of the tap's lane in `v`
+    std::size_t tap = 0;   ///< tap index k
+  };
+  std::vector<PendingTap> pending;
 };
 
 /// SPICE-substitute engine: trapezoidal integration of each stage's RC tree
@@ -97,6 +107,11 @@ struct TransientScratch {
 /// the one-drive integrator's operations in their original order, so a row
 /// does not depend on which drives share its group.  A one-stage caller
 /// passes a batch of one.
+///
+/// The lane integrator is compiled twice, for the baseline ISA and with
+/// AVX2 enabled, and simulate_stage_batch() runs the AVX2 clone when the CPU
+/// has it.  Both clones perform the same element-wise IEEE operations (no
+/// FMA), so they write the same bits.
 class TransientSimulator {
  public:
   explicit TransientSimulator(TransientOptions options = {})
@@ -123,5 +138,24 @@ class TransientSimulator {
  private:
   TransientOptions options_;
 };
+
+namespace detail {
+
+/// The instruction-set clones of the lane integrator.  Production code
+/// never names one; tests do, to hold each clone to the oracle.
+enum class KernelIsa { kBaseline, kAvx2 };
+
+/// Whether this build has `isa`'s clone and the CPU can run it.
+bool kernel_isa_supported(KernelIsa isa);
+
+/// simulate_stage_batch() on the `isa` clone; throws std::invalid_argument
+/// when the clone is not supported.
+void simulate_stage_batch_on(KernelIsa isa, const TransientSimulator& sim,
+                             const NetlistSoa::View& stage,
+                             const BatchDrive* drives, std::size_t count,
+                             TapTiming* out, TransientScratch& scratch,
+                             const ElmoreView* elmore = nullptr);
+
+}  // namespace detail
 
 }  // namespace contango

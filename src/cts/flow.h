@@ -109,6 +109,9 @@ struct PassTiming {
   /// Stage-evaluation units — (stage x corner x transition) transient
   /// integrations — this pass spent.
   long batched_stage_evals = 0;
+  /// Stage-evaluation units its incremental evaluations replayed from the
+  /// cache instead of simulating (Evaluator::stage_reuses).
+  long stage_reuses = 0;
   /// Always 0: kept only because the benchmark driver still sums it.
   static constexpr long scalar_stage_evals = 0;
   /// IVC decisions this pass made (zero for construction passes).
@@ -128,8 +131,10 @@ struct FlowResult {
   /// incremental_evals); the Table V scaling bench reports both.
   int full_evals = 0;
   int incremental_evals = 0;
-  /// Stage-evaluation units spent over the whole flow (see PassTiming).
+  /// Stage-evaluation units spent, and replayed from the incremental
+  /// cache, over the whole flow (see PassTiming).
   long batched_stage_evals = 0;
+  long stage_reuses = 0;
   /// Always 0: kept only because the benchmark driver still sums it.
   static constexpr long scalar_stage_evals = 0;
   /// IVC decisions over the whole flow (the sum of the passes').

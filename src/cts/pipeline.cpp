@@ -213,6 +213,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     const int full_before = evaluator.full_evals();
     const int incremental_before = evaluator.incremental_evals();
     const long batched_before = evaluator.batched_stage_evals();
+    const long reuses_before = evaluator.stage_reuses();
     const IvcCounts ivc_before = ctx.ivc();
     const double cpu_before = thread_cpu_seconds();
     const double helper_cpu_before = evaluator.helper_cpu_seconds();
@@ -258,6 +259,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     timing.full_evals = evaluator.full_evals() - full_before;
     timing.incremental_evals = evaluator.incremental_evals() - incremental_before;
     timing.batched_stage_evals = evaluator.batched_stage_evals() - batched_before;
+    timing.stage_reuses = evaluator.stage_reuses() - reuses_before;
     timing.ivc = ctx.ivc() - ivc_before;
     ctx.result.pass_timings.push_back(std::move(timing));
   }
@@ -274,6 +276,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   result.full_evals = evaluator.full_evals();
   result.incremental_evals = evaluator.incremental_evals();
   result.batched_stage_evals = evaluator.batched_stage_evals();
+  result.stage_reuses = evaluator.stage_reuses();
   result.ivc = ctx.ivc();
   result.helper_cpu_seconds = evaluator.helper_cpu_seconds();
   result.seconds = ctx.timer().seconds();

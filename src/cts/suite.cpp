@@ -80,6 +80,14 @@ bool SuiteReport::all_ok() const {
   return true;
 }
 
+long SuiteReport::illegal_runs() const {
+  long count = 0;
+  for (const SuiteRun& r : runs) {
+    if (r.ok && !r.result.eval.legal()) ++count;
+  }
+  return count;
+}
+
 std::string SuiteReport::table() const {
   bool any_mc = false;
   bool any_cons = false;
@@ -92,7 +100,8 @@ std::string SuiteReport::table() const {
 
   std::vector<std::string> headers = {"Benchmark", "Sinks",    "Blk%",
                                       "CLR, ps",   "Skew, ps", "Latency, ps",
-                                      "Cap, pF",   "Sims",     "CPU, s"};
+                                      "Cap, pF",   "Legal",    "Sims",
+                                      "CPU, s"};
   if (any_cons) {
     headers.insert(headers.end(), {"Dom skew", "Cons viol"});
   }
@@ -113,6 +122,7 @@ std::string SuiteReport::table() const {
                                     TextTable::num(r.result.eval.nominal_skew, 3),
                                     TextTable::num(r.result.eval.max_latency, 1),
                                     TextTable::num(r.result.eval.total_cap / 1000.0, 2),
+                                    r.result.eval.legal() ? "yes" : "no",
                                     std::to_string(r.result.sim_runs),
                                     TextTable::num(r.seconds, 1)};
     if (any_cons) {
@@ -152,6 +162,7 @@ std::string SuiteReport::to_json() const {
   w.kv("total_incremental_evals", total_incremental_evals());
   w.kv("total_batched_stage_evals", total_batched_stage_evals());
   w.kv("all_ok", all_ok());
+  w.kv("illegal_runs", illegal_runs());
   w.key("runs");
   w.begin_array();
   for (const SuiteRun& r : runs) {
@@ -178,6 +189,7 @@ std::string SuiteReport::to_json() const {
     w.kv("full_evals", static_cast<long>(r.result.full_evals));
     w.kv("incremental_evals", static_cast<long>(r.result.incremental_evals));
     w.kv("batched_stage_evals", r.result.batched_stage_evals);
+    w.kv("stage_reuses", r.result.stage_reuses);
     write_ivc(w, r.result.ivc);
     w.kv("clr_ps", r.result.eval.clr);
     w.kv("skew_ps", r.result.eval.nominal_skew);
@@ -212,6 +224,7 @@ std::string SuiteReport::to_json() const {
       w.kv("full_evals", static_cast<long>(p.full_evals));
       w.kv("incremental_evals", static_cast<long>(p.incremental_evals));
       w.kv("batched_stage_evals", p.batched_stage_evals);
+      w.kv("stage_reuses", p.stage_reuses);
       write_ivc(w, p.ivc);
       w.end_object();
     }

@@ -167,11 +167,16 @@ struct SuiteReport {
   /// for utilization figures.
   double cpu_seconds() const;
 
-  /// True when every run finished without throwing.
+  /// True when every run finished without throwing.  An illegal result
+  /// still counts as ok; illegal_runs() counts those.
   bool all_ok() const;
 
-  /// Renders the per-benchmark results (CLR, skew, latency, cap, sims, CPU)
-  /// as a fixed-width text table via io/table.  When any run carries
+  /// Runs that finished but whose final evaluation is not legal (slew or
+  /// cap limit violated, or a sink unreached: EvalResult::legal).
+  long illegal_runs() const;
+
+  /// Renders the per-benchmark results (CLR, skew, latency, cap, legality,
+  /// sims, CPU) as a fixed-width text table via io/table.  When any run carries
   /// Monte-Carlo results, the table grows MC columns (mean/p95/p99 skew and
   /// yield against the skew target).
   std::string table() const;

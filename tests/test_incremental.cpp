@@ -114,7 +114,7 @@ TEST(Incremental, MatchesFullOnEveryScenarioFamily) {
     // A second evaluation with nothing dirty is pure cache replay.
     expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
                          "warm incremental vs full");
-    EXPECT_GT(inc.stage_reuses(), 0);
+    EXPECT_GT(inc_owner.stage_reuses(), 0);
     EXPECT_EQ(inc_owner.incremental_evals(), 2);
     EXPECT_EQ(full_eval.full_evals(), 2);
   }
@@ -315,7 +315,7 @@ FuzzRun run_edit_fuzz(
   EXPECT_EQ(inc_owner.sim_runs(),
             inc_owner.full_evals() + inc_owner.incremental_evals());
   run.stage_sims = inc.stage_sims();
-  run.stage_reuses = inc.stage_reuses();
+  run.stage_reuses = inc_owner.stage_reuses();
   run.batched_stage_evals = inc_owner.batched_stage_evals();
   run.sim_runs = inc_owner.sim_runs();
   return run;
@@ -413,6 +413,10 @@ TEST(Incremental, FlowIsThreadCountInvariantOnStockFamilies) {
     const FlowResult serial = flow(1);
     EXPECT_GT(serial.incremental_evals, 0);
     EXPECT_EQ(serial.helper_cpu_seconds, 0.0);
+    EXPECT_GT(serial.stage_reuses, 0);
+    long pass_reuses = 0;
+    for (const PassTiming& p : serial.pass_timings) pass_reuses += p.stage_reuses;
+    EXPECT_EQ(pass_reuses, serial.stage_reuses);
     for (const int threads : {2, 3, 8}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       const FlowResult r = flow(threads);
@@ -421,6 +425,7 @@ TEST(Incremental, FlowIsThreadCountInvariantOnStockFamilies) {
       EXPECT_EQ(r.full_evals, serial.full_evals);
       EXPECT_EQ(r.incremental_evals, serial.incremental_evals);
       EXPECT_EQ(r.batched_stage_evals, serial.batched_stage_evals);
+      EXPECT_EQ(r.stage_reuses, serial.stage_reuses);
       ASSERT_EQ(r.stages.size(), serial.stages.size());
       for (std::size_t i = 0; i < r.stages.size(); ++i) {
         EXPECT_EQ(r.stages[i].name, serial.stages[i].name);
@@ -439,6 +444,7 @@ TEST(Incremental, FlowIsThreadCountInvariantOnStockFamilies) {
         EXPECT_EQ(p.full_evals, q.full_evals);
         EXPECT_EQ(p.incremental_evals, q.incremental_evals);
         EXPECT_EQ(p.batched_stage_evals, q.batched_stage_evals);
+        EXPECT_EQ(p.stage_reuses, q.stage_reuses);
         EXPECT_EQ(p.ivc.rejected, q.ivc.rejected);
         EXPECT_EQ(p.ivc.rejected_slew, q.ivc.rejected_slew);
       }

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "cts/scenario.h"
 #include "cts/suite.h"
 #include "netlist/generators.h"
 #include "util/parallel.h"
@@ -497,6 +498,35 @@ TEST(SuiteEnv, NegativeCountsRejected) {
     ScopedEnv bad("CONTANGO_THREADS", "-1");
     EXPECT_THROW(suite_options_from_env(), std::runtime_error);
   }
+}
+
+/// An illegal result is reported as such, in the table's Legal column and
+/// the JSON's illegal_runs, while all_ok still only means "did not throw".
+TEST(Suite, ReportsIllegalResults) {
+  std::vector<Benchmark> suite;
+  for (const char* family : {"obstacle_dense", "usefulskew", "uniform"}) {
+    suite.push_back(make_scenario(family, 1));
+  }
+  const SuiteReport report = run_suite(suite);
+  ASSERT_EQ(report.runs.size(), 3u);
+  EXPECT_TRUE(report.all_ok());
+  EXPECT_EQ(report.illegal_runs(), 2);
+  EXPECT_NE(report.to_json().find("\"illegal_runs\":2"), std::string::npos);
+
+  // The Legal column is left-aligned, so its cells start where its
+  // header does, on every row.
+  const std::string table = report.table();
+  const std::size_t column = table.find("Legal");
+  ASSERT_NE(column, std::string::npos) << table;
+  auto legal = [&](const std::string& benchmark) {
+    const std::size_t row = table.find("\n" + benchmark + " ");
+    if (row == std::string::npos) return std::string("(no row)");
+    const std::string cell = table.substr(row + 1 + column, 3);
+    return cell.substr(0, cell.find(' '));
+  };
+  EXPECT_EQ(legal("obstacle_dense_s1"), "no") << table;
+  EXPECT_EQ(legal("usefulskew_s1"), "no") << table;
+  EXPECT_EQ(legal("uniform_s1"), "yes") << table;
 }
 
 TEST(SuiteEnv, RemovedKernelAndGeometryKnobsAreReportedAsUnknown) {

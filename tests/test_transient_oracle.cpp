@@ -1,11 +1,15 @@
 // The transient kernel against its oracle: every row simulate_stage_batch()
 // writes must equal, byte for byte, the row of the one-drive-at-a-time
 // integrator in transient_reference.h.  The kernel integrates drives as
-// interleaved lanes (groups of 4, 2 or 1, three drives padding a lane) and
-// skips each lane's idle pre-ramp steps; these tests drive every width,
-// padded lanes, both Elmore modes and the lane-divergence cases: a long
-// idle prefix, timesteps clamped at either bound, and one lane timing out
-// while another finishes early.
+// interleaved vector lanes (groups of 4, 2 or 1, three drives padding a
+// lane), skips each lane's idle pre-ramp steps and scans only the taps
+// still pending; these tests drive every width, padded lanes, both Elmore
+// modes, the lane-divergence cases (a long idle prefix, timesteps clamped
+// at either bound, one lane timing out while another finishes early) and
+// the tap-scan edge cases (many taps, all three thresholds crossed in one
+// step, taps pending at the stop time, no taps).  Every case runs on each
+// instruction-set clone of the kernel this CPU supports: on an AVX2 host
+// these tests are what still exercise the baseline clone.
 
 #include <gtest/gtest.h>
 
@@ -81,34 +85,50 @@ TestStage random_stage(Rng& rng, int num_nodes, int num_taps, double cap_lo,
   return s;
 }
 
-/// Runs the kernel (on a fresh scratch and on `reused`, which earlier
-/// calls left dirty) and the reference on the same inputs; the rows must
-/// be the same bytes.
-void expect_rows_match_reference(const TransientSimulator& sim,
-                                 const NetlistSoa::View& view,
-                                 const std::vector<BatchDrive>& drives,
-                                 const ElmoreView* elmore,
-                                 TransientScratch& reused,
-                                 const std::string& what) {
+/// The kernel clones this CPU runs: the baseline always, AVX2 when present.
+std::vector<detail::KernelIsa> supported_isas() {
+  std::vector<detail::KernelIsa> isas;
+  for (detail::KernelIsa isa : {detail::KernelIsa::kBaseline, detail::KernelIsa::kAvx2}) {
+    if (detail::kernel_isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+const char* isa_name(detail::KernelIsa isa) {
+  return isa == detail::KernelIsa::kAvx2 ? "avx2" : "baseline";
+}
+
+/// Runs the kernel on every supported clone (each on a fresh scratch and on
+/// `reused`, which earlier calls left dirty) and the reference on the same
+/// inputs; the rows must be the same bytes.  Returns the reference rows.
+std::vector<TapTiming> expect_rows_match_reference(
+    const TransientSimulator& sim, const NetlistSoa::View& view,
+    const std::vector<BatchDrive>& drives, const ElmoreView* elmore,
+    TransientScratch& reused, const std::string& what) {
   SCOPED_TRACE(what);
   const std::size_t rows = drives.size() * view.num_taps;
-  std::vector<TapTiming> expected(rows), fresh(rows), dirty(rows);
+  std::vector<TapTiming> expected(rows);
   reference::simulate_stage_rows(sim.options(), view, drives.data(),
                                  drives.size(), expected.data(), elmore);
-  TransientScratch scratch;
-  sim.simulate_stage_batch(view, drives.data(), drives.size(), fresh.data(),
-                           scratch, elmore);
-  sim.simulate_stage_batch(view, drives.data(), drives.size(), dirty.data(),
-                           reused, elmore);
-  for (std::size_t r = 0; r < rows; ++r) {
-    EXPECT_EQ(std::memcmp(&fresh[r], &expected[r], sizeof(TapTiming)), 0)
-        << "drive " << r / view.num_taps << " tap " << r % view.num_taps
-        << ": delay " << fresh[r].delay << " vs " << expected[r].delay
-        << ", slew " << fresh[r].slew << " vs " << expected[r].slew;
-    EXPECT_EQ(std::memcmp(&dirty[r], &expected[r], sizeof(TapTiming)), 0)
-        << "reused scratch, drive " << r / view.num_taps << " tap "
-        << r % view.num_taps;
+  for (detail::KernelIsa isa : supported_isas()) {
+    SCOPED_TRACE(isa_name(isa));
+    std::vector<TapTiming> fresh(rows), dirty(rows);
+    TransientScratch scratch;
+    detail::simulate_stage_batch_on(isa, sim, view, drives.data(), drives.size(),
+                                    fresh.data(), scratch, elmore);
+    detail::simulate_stage_batch_on(isa, sim, view, drives.data(), drives.size(),
+                                    dirty.data(), reused, elmore);
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(std::memcmp(&fresh[r], &expected[r], sizeof(TapTiming)), 0)
+          << "drive " << r / view.num_taps << " tap " << r % view.num_taps
+          << ": delay " << fresh[r].delay << " vs " << expected[r].delay
+          << ", slew " << fresh[r].slew << " vs " << expected[r].slew;
+      EXPECT_EQ(std::memcmp(&dirty[r], &expected[r], sizeof(TapTiming)), 0)
+          << "reused scratch, drive " << r / view.num_taps << " tap "
+          << r % view.num_taps;
+    }
   }
+  return expected;
 }
 
 /// The lane's stop time, recomputed the way the integrator does.
@@ -274,6 +294,109 @@ TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
       }
     }
   }
+}
+
+TEST(TransientOracle, BaselineCloneIsAlwaysSupported) {
+  EXPECT_TRUE(detail::kernel_isa_supported(detail::KernelIsa::kBaseline));
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  __builtin_cpu_init();
+  EXPECT_EQ(detail::kernel_isa_supported(detail::KernelIsa::kAvx2),
+            __builtin_cpu_supports("avx2") != 0);
+#endif
+}
+
+TEST(TransientOracle, ManyTapsAtEveryWidth) {
+  // More taps than a 64-bit mask holds, several on one node, crossing at
+  // different steps, so each lane's pending list shrinks out of order.
+  Rng rng(0x7A95);
+  const TransientSimulator sim;
+  TransientScratch reused;
+  const TestStage s = random_stage(rng, 150, 90, 0.5, 15.0, 0.001, 0.3);
+  for (std::size_t count = 1; count <= 5; ++count) {
+    std::vector<BatchDrive> drives;
+    for (std::size_t b = 0; b < count; ++b) {
+      drives.push_back({0.1 + 0.15 * static_cast<double>(b), 2.0 * b, 5.0 + 9.0 * b});
+    }
+    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
+                                "90 taps, " + std::to_string(count) + " drives");
+  }
+}
+
+TEST(TransientOracle, AllThresholdsCrossedInOneStep) {
+  // A floor far above the stage's time constants and a 2 ps ramp: the
+  // source swings within one step, and the taps jump from below 10% to
+  // above 90% in one step (then ring; trapezoidal steps are not monotone).
+  Rng rng(0x57E9);
+  TransientOptions coarse;
+  coarse.min_step = 6.0;
+  coarse.max_step = 8.0;
+  const TransientSimulator sim(coarse);
+  TransientScratch reused;
+  const TestStage s = random_stage(rng, 10, 6, 0.01, 0.2, 0.001, 0.01);
+  const std::vector<BatchDrive> all = {{0.01, 1.0, 0.0}, {0.02, 3.0, 0.0},
+                                       {0.01, 0.0, 0.0}, {0.03, 7.0, 0.0},
+                                       {0.02, 2.0, 0.0}};
+  for (std::size_t count = 1; count <= all.size(); ++count) {
+    const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
+    const std::vector<TapTiming> rows = expect_rows_match_reference(
+        sim, s.view(), drives, nullptr, reused,
+        "one-step crossings, " + std::to_string(count) + " drives");
+    // All three crossings interpolate inside the same step: the slew is
+    // shorter than the step.
+    for (const TapTiming& r : rows) EXPECT_LT(r.slew, coarse.min_step);
+  }
+}
+
+TEST(TransientOracle, TapsStillPendingAtTheStopTime) {
+  // A borrowed sweep that claims zero capacitance stops every lane 20 ps
+  // after its ramp.  Taps next to the driver finish; taps behind a large
+  // resistance stop part-way, some past 10% or 50% but short of 90%.
+  const TransientSimulator sim;
+  TransientScratch reused;
+  TestStage s;
+  s.stage.nodes = {{2.0, -1, 0.0}, {2.0, 0, 0.001}, {3.0, 1, 0.002},
+                   {5.0, 1, 3.0},  {5.0, 3, 40.0},  {4.0, 2, 1.0}};
+  for (int rc : {1, 3, 2, 4, 5, 0}) {  // tap 0 near, tap 3 far
+    Tap tap;
+    tap.rc_index = rc;
+    s.stage.taps.push_back(tap);
+  }
+  s.flatten();
+  const std::vector<Ps> zero_tau(s.cap.size(), 0.0);
+  const ElmoreView understated{zero_tau.data(), 0.0};
+  const std::vector<BatchDrive> all = {{0.01, 4.0, 6.0}, {0.2, 1.0, 2.0},
+                                       {0.05, 9.0, 0.0}, {0.5, 2.0, 4.0},
+                                       {0.02, 0.0, 10.0}};
+  for (std::size_t count = 1; count <= all.size(); ++count) {
+    const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
+    const std::vector<TapTiming> rows = expect_rows_match_reference(
+        sim, s.view(), drives, &understated, reused,
+        "pending at t_stop, " + std::to_string(count) + " drives");
+    const std::size_t nt = s.tap_rc.size();
+    for (std::size_t b = 0; b < count; ++b) {
+      const Ps t_stop = stop_time(sim.options(), drives[b], 0.0, 0.0);
+      EXPECT_LT(rows[b * nt].delay, t_stop) << "the near tap must finish";
+      EXPECT_EQ(rows[b * nt + 3].delay, t_stop) << "the far tap must time out";
+    }
+  }
+}
+
+TEST(TransientOracle, StageWithoutTaps) {
+  Rng rng(0x0747);
+  const TransientSimulator sim;
+  TransientScratch reused;
+  const TestStage s = random_stage(rng, 25, 0, 0.5, 10.0, 0.001, 0.2);
+  for (std::size_t count = 1; count <= 5; ++count) {
+    const std::vector<BatchDrive> drives(count, BatchDrive{0.3, 2.0, 5.0});
+    for (detail::KernelIsa isa : supported_isas()) {
+      detail::simulate_stage_batch_on(isa, sim, s.view(), drives.data(), count,
+                                      nullptr, reused);
+    }
+  }
+  // The scratch a tap-less stage left behind serves a stage with taps.
+  const TestStage tapped = random_stage(rng, 25, 7, 0.5, 10.0, 0.001, 0.2);
+  expect_rows_match_reference(sim, tapped.view(), {{0.3, 2.0, 5.0}, {0.6, 1.0, 9.0}},
+                              nullptr, reused, "after a tap-less stage");
 }
 
 }  // namespace
