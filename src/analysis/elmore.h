@@ -68,7 +68,8 @@ class ElmoreCache {
   /// Returns the cached sweep for `slot`, rebuilding it from `stage` when
   /// `version` differs from the cached one.  `stage` must be the slot's
   /// stage object (its address must stay valid while the entry is used —
-  /// RcNetlist keeps slot storage stable).
+  /// RcNetlist keeps slot storage in place until a full rebuild, which
+  /// moves every version).
   const ElmoreStage& get(int slot, std::uint64_t version, const Stage& stage) {
     if (static_cast<std::size_t>(slot) >= entries_.size()) {
       entries_.resize(static_cast<std::size_t>(slot) + 1);

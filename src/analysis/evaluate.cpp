@@ -345,10 +345,9 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
                                       : bench.tech.corners[ci];
       for (int t = 0; t < kNumTransitions; ++t) {
         const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        // The stage graph (maintained across splits/merges/sweeps) must
-        // hand every slot its event before the slot is processed — a
-        // repair bug must throw, not return plausible timings from a zero
-        // event.
+        // The stage graph (fixed between full rebuilds) must hand every
+        // slot its event before the slot is processed — an ordering bug
+        // must throw, not return plausible timings from a zero event.
         if (!scheduled[c * slot_count + s]) {
           throw std::logic_error("LevelSweep: stage scheduled out of order");
         }

@@ -263,7 +263,7 @@ class LevelSweep {
     double helper_cpu = 0;  ///< CPU seconds spent off the calling thread
   };
 
-  /// One CNE propagation over the live slots of `net`.
+  /// One CNE propagation over the slots of `net`.
   /// \param eval supplies the benchmark, simulator and source slew
   /// \param soa the SoA to read: `net.soa()`, or a Monte-Carlo trial copy
   ///        of it carrying perturbed values; `net` still supplies the

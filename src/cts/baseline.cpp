@@ -18,17 +18,6 @@
 namespace contango {
 namespace {
 
-CompositeBuffer smallest_inverter(const Technology& tech) {
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(tech.inverters.size()); ++i) {
-    if (tech.inverters[static_cast<std::size_t>(i)].input_cap <
-        tech.inverters[static_cast<std::size_t>(best)].input_cap) {
-      best = i;
-    }
-  }
-  return CompositeBuffer{best, 1};
-}
-
 /// Nearest-neighbour spanning tree over the sinks, rooted at the source.
 ClockTree greedy_topology(const Benchmark& bench) {
   ClockTree tree;
@@ -132,12 +121,13 @@ BaselineResult balanced_baseline(const Benchmark& bench, bool wiresize,
     WireSizingParams params;
     params.tws_per_um = calibrate_tws(tree, eval, current);
     const EdgeSlacks slacks = compute_edge_slacks(tree, current);
-    ClockTree candidate = tree;
-    if (wiresizing_round(candidate, slacks, params) > 0) {
-      const EvalResult r = eval.evaluate(candidate);
+    TreeEditSession session(tree);
+    if (wiresizing_round(session, slacks, params) > 0) {
+      const EvalResult r = eval.evaluate(tree);
       if (r.nominal_skew < current.nominal_skew && !r.slew_violation) {
-        tree = std::move(candidate);
         current = r;
+      } else {
+        session.rollback();
       }
     }
   }
@@ -145,11 +135,11 @@ BaselineResult balanced_baseline(const Benchmark& bench, bool wiresize,
     WireSnakingParams params;
     params.twn_per_unit = calibrate_twn(tree, eval, current, params.unit);
     const EdgeSlacks slacks = compute_edge_slacks(tree, current);
-    ClockTree candidate = tree;
-    if (wiresnaking_round(candidate, slacks, params) > 0) {
-      const EvalResult r = eval.evaluate(candidate);
-      if (r.nominal_skew < current.nominal_skew && !r.slew_violation) {
-        tree = std::move(candidate);
+    TreeEditSession session(tree);
+    if (wiresnaking_round(session, slacks, params) > 0) {
+      const EvalResult r = eval.evaluate(tree);
+      if (!(r.nominal_skew < current.nominal_skew && !r.slew_violation)) {
+        session.rollback();
       }
     }
   }

@@ -53,12 +53,4 @@ int bottom_level_round(TreeEditSession& session, const EdgeSlacks& slacks,
   return changed;
 }
 
-int bottom_level_round(ClockTree& tree, const EdgeSlacks& slacks,
-                       const BottomLevelParams& params) {
-  TreeEditSession session(tree);
-  const int changed = bottom_level_round(session, slacks, params);
-  session.commit();
-  return changed;
-}
-
 }  // namespace contango

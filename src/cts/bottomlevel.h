@@ -33,8 +33,4 @@ Ps calibrate_bottom_twn(const ClockTree& tree, Evaluator& eval,
 int bottom_level_round(TreeEditSession& session, const EdgeSlacks& slacks,
                        const BottomLevelParams& params);
 
-/// Compatibility form over a bare tree (one throwaway session, committed).
-int bottom_level_round(ClockTree& tree, const EdgeSlacks& slacks,
-                       const BottomLevelParams& params);
-
 }  // namespace contango

@@ -111,13 +111,6 @@ int upsize_trunk_buffers(TreeEditSession& session, double fraction) {
   return changed;
 }
 
-int upsize_trunk_buffers(ClockTree& tree, double fraction) {
-  TreeEditSession session(tree);
-  const int changed = upsize_trunk_buffers(session, fraction);
-  session.commit();
-  return changed;
-}
-
 int upsize_branch_buffers(TreeEditSession& session, int levels, double fraction) {
   const ClockTree& tree = session.tree();
   const TrunkInfo trunk = find_trunk(tree);
@@ -147,13 +140,6 @@ int upsize_branch_buffers(TreeEditSession& session, int levels, double fraction)
       for (NodeId ch : tree.node(e.id).children) queue.push_back(Entry{ch, level});
     }
   }
-  return changed;
-}
-
-int upsize_branch_buffers(ClockTree& tree, int levels, double fraction) {
-  TreeEditSession session(tree);
-  const int changed = upsize_branch_buffers(session, levels, fraction);
-  session.commit();
   return changed;
 }
 
@@ -253,13 +239,6 @@ int downsize_bottom_buffers(TreeEditSession& session, int steps) {
       ++changed;
     }
   }
-  return changed;
-}
-
-int downsize_bottom_buffers(ClockTree& tree, int steps) {
-  TreeEditSession session(tree);
-  const int changed = downsize_bottom_buffers(session, steps);
-  session.commit();
   return changed;
 }
 

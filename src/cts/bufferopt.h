@@ -37,22 +37,19 @@ int slide_and_interleave_trunk(ClockTree& tree, const Benchmark& bench,
 
 /// Sizes up every trunk buffer by `fraction` (composite count is scaled and
 /// rounded up in whole inverters).  Iteration i of the paper's schedule
-/// passes fraction = 1/(i+3).  The session form journals the resizes as
-/// edit deltas (O(dirty) accept/rollback in the TBSZ loop); the bare-tree
-/// form commits a throwaway session.  Returns buffers changed.
+/// passes fraction = 1/(i+3).  The resizes are journaled in the session as
+/// edit deltas (O(dirty) accept/rollback in the TBSZ loop).  Returns
+/// buffers changed.
 int upsize_trunk_buffers(TreeEditSession& session, double fraction);
-int upsize_trunk_buffers(ClockTree& tree, double fraction);
 
 /// Capacitance-borrowing branch sizing: buffers within `levels` buffer
 /// levels below the first branch are scaled up by `fraction`...
 int upsize_branch_buffers(TreeEditSession& session, int levels, double fraction);
-int upsize_branch_buffers(ClockTree& tree, int levels, double fraction);
 
 /// ...while bottom-level buffers (the last buffer above each sink) donate
 /// capacitance by shrinking `steps` base inverters, never below one.
 /// Returns buffers changed.
 int downsize_bottom_buffers(TreeEditSession& session, int steps);
-int downsize_bottom_buffers(ClockTree& tree, int steps);
 
 /// Stage-count equalization: tops up every source-to-sink path to the
 /// maximum buffer depth found in the tree by inserting `buffer` repeaters

@@ -75,6 +75,17 @@ CompositeBuffer best_unit_composite(const Technology& tech, int max_count) {
   return best;
 }
 
+CompositeBuffer smallest_inverter(const Technology& tech) {
+  int best = 0;
+  for (int i = 1; i < static_cast<int>(tech.inverters.size()); ++i) {
+    if (tech.inverters[static_cast<std::size_t>(i)].input_cap <
+        tech.inverters[static_cast<std::size_t>(best)].input_cap) {
+      best = i;
+    }
+  }
+  return CompositeBuffer{best, 1};
+}
+
 std::vector<CompositeBuffer> composite_ladder(const CompositeBuffer& unit,
                                               int max_multiple) {
   std::vector<CompositeBuffer> ladder;

@@ -31,6 +31,10 @@ std::vector<CompositeBuffer> nondominated_composites(const Technology& tech,
 /// library cell.  For the ISPD'09 library this selects 8x small.
 CompositeBuffer best_unit_composite(const Technology& tech, int max_count = 64);
 
+/// The single library cell with the smallest input capacitance (the first
+/// one on a tie): the polarity-correcting inverter.
+CompositeBuffer smallest_inverter(const Technology& tech);
+
 /// Strength ladder used during buffer insertion: unit, 2x unit, 3x unit...
 /// (the paper's "batches of 16x, 24x, etc.").
 std::vector<CompositeBuffer> composite_ladder(const CompositeBuffer& unit,

@@ -231,18 +231,6 @@ double parse_double_param(const Pass& pass, const std::string& key,
                       key + "=" + value + "' is not a valid number");
 }
 
-/// Smallest-input-cap library cell, used for polarity-correcting inverters.
-CompositeBuffer smallest_inverter(const Technology& tech) {
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(tech.inverters.size()); ++i) {
-    if (tech.inverters[static_cast<std::size_t>(i)].input_cap <
-        tech.inverters[static_cast<std::size_t>(best)].input_cap) {
-      best = i;
-    }
-  }
-  return CompositeBuffer{best, 1};
-}
-
 // ------------------------------------------------------ construction passes --
 
 /// Initial tree: ZST/DME (paper Fig. 1 step 1).

@@ -36,13 +36,13 @@ namespace contango {
 ///
 /// Candidates come in two forms:
 ///   * *edit deltas* (TreeEditSession, rctree/extract.h) — the refinement
-///     loops edit the incumbent tree in place through a journaled session;
-///     the evaluation re-simulates only the dirty stages (incremental
-///     engine, analysis/evaluate.h) and a rejected candidate rolls the
-///     journal back.  Accept/rollback is O(dirty), not O(tree).
-///   * whole-tree copies (the legacy path) — structural rewrites like
-///     trunk sliding still copy the tree; accepting one rebinds the
-///     incremental engine.
+///     loops resize wires and buffers and add snakes in place through a
+///     journaled session; the evaluation re-simulates only the dirty
+///     stages (incremental engine, analysis/evaluate.h) and a rejected
+///     candidate rolls the journal back.  Accept/rollback is O(dirty), not
+///     O(tree).
+///   * whole-tree copies — structural rewrites (trunk sliding) copy the
+///     tree; accepting one rebuilds the incremental engine's netlist.
 /// Both paths produce bit-identical evaluations; FlowOptions::incremental
 /// = false, a test-only reference switch, forces full evaluations.
 
@@ -153,7 +153,7 @@ class FlowContext {
   /// that fails cap_ok() is rolled back unsimulated, and the incremental
   /// sweep stops at the first level whose worst slew already fails the
   /// slew half of violation_ok().  Either still books one run.
-  /// \pre objective is kSkew or kClr, has_current(), session.can_rollback()
+  /// \pre objective is kSkew or kClr and has_current()
   bool try_accept(TreeEditSession& session, PassObjective objective);
 
   /// Decisions of both try_accept() overloads so far.

@@ -100,12 +100,4 @@ int wiresizing_round(TreeEditSession& session, const EdgeSlacks& slacks,
   return changed;
 }
 
-int wiresizing_round(ClockTree& tree, const EdgeSlacks& slacks,
-                     const WireSizingParams& params) {
-  TreeEditSession session(tree);
-  const int changed = wiresizing_round(session, slacks, params);
-  session.commit();
-  return changed;
-}
-
 }  // namespace contango

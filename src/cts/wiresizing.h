@@ -39,8 +39,4 @@ Ps calibrate_tws(const ClockTree& tree, Evaluator& eval,
 int wiresizing_round(TreeEditSession& session, const EdgeSlacks& slacks,
                      const WireSizingParams& params);
 
-/// Compatibility form over a bare tree (one throwaway session, committed).
-int wiresizing_round(ClockTree& tree, const EdgeSlacks& slacks,
-                     const WireSizingParams& params);
-
 }  // namespace contango

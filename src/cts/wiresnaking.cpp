@@ -83,12 +83,4 @@ int wiresnaking_round(TreeEditSession& session, const EdgeSlacks& slacks,
   return changed;
 }
 
-int wiresnaking_round(ClockTree& tree, const EdgeSlacks& slacks,
-                      const WireSnakingParams& params) {
-  TreeEditSession session(tree);
-  const int changed = wiresnaking_round(session, slacks, params);
-  session.commit();
-  return changed;
-}
-
 }  // namespace contango

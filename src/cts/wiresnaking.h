@@ -34,8 +34,4 @@ Ps calibrate_twn(const ClockTree& tree, Evaluator& eval,
 int wiresnaking_round(TreeEditSession& session, const EdgeSlacks& slacks,
                       const WireSnakingParams& params);
 
-/// Compatibility form over a bare tree (one throwaway session, committed).
-int wiresnaking_round(ClockTree& tree, const EdgeSlacks& slacks,
-                      const WireSnakingParams& params);
-
 }  // namespace contango

@@ -127,92 +127,33 @@ void RcNetlist::build(const ClockTree& tree, const Benchmark& bench,
 }
 
 int RcNetlist::slot_containing_edge(NodeId node) const {
-  if (node == tree_->root() || !tree_->live(node)) return -1;
-  // Walk up to the nearest driver the netlist already knows about.  A
-  // buffer missing from the map is a pending structural discovery: its
-  // stage will be freshly extracted anyway, so the edit is covered by
-  // whichever known ancestor stage re-extracts.
-  for (NodeId p = tree_->node(node).parent; p != kNoNode;
-       p = tree_->node(p).parent) {
-    if (p == tree_->root() || tree_->node(p).is_buffer()) {
-      const auto it = slot_of_driver_.find(p);
-      if (it != slot_of_driver_.end()) return it->second;
-      if (p == tree_->root()) return -1;
-    }
+  // The stage of the nearest driver above; every driver has a slot, since
+  // value edits never add one.
+  NodeId p = tree_->node(node).parent;
+  while (p != tree_->root() && !tree_->node(p).is_buffer()) {
+    p = tree_->node(p).parent;
   }
-  return -1;
+  return slot_of_driver_.at(p);
 }
 
 void RcNetlist::mark_edge_dirty(NodeId node) {
-  const int slot = slot_containing_edge(node);
-  if (slot >= 0) dirty_.push_back(slot);
+  // The root has no edge above it, so nothing it carries is extracted.
+  if (full_rebuild_ || node == tree_->root()) return;
+  dirty_.push_back(slot_containing_edge(node));
 }
 
 void RcNetlist::mark_buffer_dirty(NodeId node) {
+  if (full_rebuild_) return;
   // Input pin cap lives in the parent stage; output cap + driver view in
   // the buffer's own stage.
-  mark_edge_dirty(node);
-  const auto it = slot_of_driver_.find(node);
-  if (it != slot_of_driver_.end()) dirty_.push_back(it->second);
+  dirty_.push_back(slot_containing_edge(node));
+  dirty_.push_back(slot_of_driver_.at(node));
 }
 
-void RcNetlist::mark_structural(NodeId node) {
-  // The stage owning the edge above `node` re-extracts; refresh() repairs
-  // the stage graph below it (new buffer taps open stages, vanished
-  // drivers are swept).
-  const int slot = slot_containing_edge(node);
-  if (slot >= 0) {
-    dirty_.push_back(slot);
-  } else {
-    // No known ancestor stage (e.g. first edit after the tree was rebuilt
-    // around us): fall back to a full rebuild.
-    full_rebuild_ = true;
-  }
-}
-
-int RcNetlist::allocate_slot(NodeId driver) {
-  int slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<int>(slots_.size());
-    slots_.push_back(std::make_unique<Slot>());
-  }
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  s.stage = Stage{};
-  s.stage.driver = driver;
-  s.version = next_version_++;
-  s.live = true;
-  slot_of_driver_[driver] = slot;
-  return slot;
-}
-
-void RcNetlist::free_slot(int slot) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  const auto it = slot_of_driver_.find(s.stage.driver);
-  if (it != slot_of_driver_.end() && it->second == slot) {
-    slot_of_driver_.erase(it);
-  }
-  s.stage = Stage{};
-  s.version = next_version_++;
-  s.live = false;
-  soa_.release_slot(slot);
-  free_slots_.push_back(slot);
-}
-
-void RcNetlist::extract_slot(int slot, std::vector<int>& worklist) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
+void RcNetlist::extract_slot(int slot) {
+  Slot& s = slots_[static_cast<std::size_t>(slot)];
   const NodeId driver = s.stage.driver;
-  // A dirty slot whose driver vanished from the tree (e.g. resized, then
-  // removed, in one session) is left stale; the sweep frees it.
-  if (!tree_->live(driver) ||
-      (driver != tree_->root() && !tree_->node(driver).is_buffer())) {
-    return;
-  }
-
   Stage stage = make_driver_stage(*tree_, driver, *bench_);
-  std::vector<int> child_slots;
 
   // Pruned local BFS from the driver.  Edges are processed in exactly the
   // order a global breadth-first extraction would reach them (a BFS
@@ -232,101 +173,75 @@ void RcNetlist::extract_slot(int slot, std::vector<int>& worklist) {
       if (kind == NodeKind::kInternal) {
         queue.push_back(Entry{c, end_rc});
       } else if (kind == NodeKind::kBuffer) {
-        const auto it = slot_of_driver_.find(c);
-        int child;
-        if (it != slot_of_driver_.end()) {
-          child = it->second;  // unchanged subtree: reuse as-is
-        } else {
-          child = allocate_slot(c);
-          worklist.push_back(child);  // new stage: extract this refresh
-        }
-        child_slots.push_back(child);
+        stage.downstream_stages.push_back(slot_of_driver_.at(c));
       }
     }
   }
-  stage.downstream_stages = std::move(child_slots);
   s.stage = std::move(stage);
   s.version = next_version_++;
   // Mirror the refreshed contents into the SoA arena: in place when the
   // slice capacity fits, so steady-state IVC refine loops never allocate.
   soa_.write_slot(slot, s.stage);
-  ++stages_extracted_;
 }
 
-void RcNetlist::sweep_and_order() {
-  topo_slots_.clear();
+void RcNetlist::order_levels() {
+  topo_slots_.assign(1, root_slot());
   topo_levels_.clear();
-  std::vector<char> reached(slots_.size(), 0);
-  if (!slots_.empty() && slots_[0]->live) {
-    topo_slots_.push_back(0);
-    reached[0] = 1;
-    // Breadth-first, one depth level at a time: the children of level d,
-    // appended in order, form level d + 1.
-    std::size_t level_begin = 0;
-    while (level_begin < topo_slots_.size()) {
-      const std::size_t level_end = topo_slots_.size();
-      topo_levels_.push_back(level_begin);
-      for (std::size_t i = level_begin; i < level_end; ++i) {
-        const Stage& stage = slots_[static_cast<std::size_t>(topo_slots_[i])]->stage;
-        for (int child : stage.downstream_stages) {
-          if (!reached[static_cast<std::size_t>(child)]) {
-            reached[static_cast<std::size_t>(child)] = 1;
-            topo_slots_.push_back(child);
-          }
-        }
-      }
-      level_begin = level_end;
+  // Breadth-first, one depth level at a time: the children of level d,
+  // appended in order, form level d + 1.  Each stage has one parent, so
+  // every slot is appended exactly once.
+  std::size_t level_begin = 0;
+  while (level_begin < topo_slots_.size()) {
+    const std::size_t level_end = topo_slots_.size();
+    topo_levels_.push_back(level_begin);
+    for (std::size_t i = level_begin; i < level_end; ++i) {
+      const Stage& stage = slots_[static_cast<std::size_t>(topo_slots_[i])].stage;
+      topo_slots_.insert(topo_slots_.end(), stage.downstream_stages.begin(),
+                         stage.downstream_stages.end());
     }
-    topo_levels_.push_back(topo_slots_.size());
+    level_begin = level_end;
   }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i]->live && !reached[i]) free_slot(static_cast<int>(i));
-  }
+  topo_levels_.push_back(topo_slots_.size());
 }
 
 void RcNetlist::refresh() {
   if (!built()) throw std::logic_error("RcNetlist: refresh before build");
-  if (!full_rebuild_ && dirty_.empty()) return;
-
-  std::vector<int> worklist;
   if (full_rebuild_) {
+    full_rebuild_ = false;
+    dirty_.clear();
     slots_.clear();
-    free_slots_.clear();
     slot_of_driver_.clear();
     topo_slots_.clear();
     topo_levels_.clear();
     soa_.clear();
-    if (tree_->empty()) {
-      dirty_.clear();
-      full_rebuild_ = false;
-      return;
-    }
+    if (tree_->empty()) return;
     // Slots in extract_stages() order — the root, then every buffer in
     // topological_order() — so slot i of a fresh build is stage i of a full
     // extraction, the numbering per-stage Monte-Carlo supply offsets use.
+    // Every slot exists before any is extracted, so a stage finds each
+    // child's slot by its driver.
     for (NodeId id : tree_->topological_order()) {
       if (id == tree_->root() || tree_->node(id).is_buffer()) {
-        worklist.push_back(allocate_slot(id));
+        slot_of_driver_.emplace(id, static_cast<int>(slots_.size()));
+        slots_.emplace_back();
+        slots_.back().stage.driver = id;
       }
     }
-  } else {
-    worklist = dirty_;
-  }
-
-  std::vector<char> done;
-  for (std::size_t i = 0; i < worklist.size(); ++i) {
-    const int slot = worklist[i];
-    if (static_cast<std::size_t>(slot) >= done.size()) {
-      done.resize(slots_.size(), 0);  // allocate_slot keeps slot < slots_.size()
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      extract_slot(static_cast<int>(i));
     }
+    order_levels();
+    return;
+  }
+  // Value edits leave the stage graph, and so the level order, as it is.
+  if (dirty_.empty()) return;
+  std::vector<char> done(slots_.size(), 0);
+  for (const int slot : dirty_) {
     if (done[static_cast<std::size_t>(slot)]) continue;
     done[static_cast<std::size_t>(slot)] = 1;
-    if (!slots_[static_cast<std::size_t>(slot)]->live) continue;
-    extract_slot(slot, worklist);
+    extract_slot(slot);
   }
-  sweep_and_order();
   dirty_.clear();
-  full_rebuild_ = false;
 }
 
 // -------------------------------------------------------- TreeEditSession --
@@ -368,63 +283,7 @@ void TreeEditSession::set_buffer(NodeId node, const CompositeBuffer& buffer) {
   if (net_ && net_->built()) net_->mark_buffer_dirty(node);
 }
 
-void TreeEditSession::make_buffer(NodeId node, const CompositeBuffer& buffer) {
-  if (tree_.node(node).kind != NodeKind::kInternal) {
-    throw std::logic_error("TreeEditSession: make_buffer needs an internal node");
-  }
-  Record r;
-  r.kind = Record::Kind::kMakeBuffer;
-  r.node = node;
-  r.old_buffer = tree_.node(node).buffer;
-  tree_.make_buffer(node, buffer);
-  journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_structural(node);
-}
-
-void TreeEditSession::unmake_buffer(NodeId node) {
-  if (!tree_.node(node).is_buffer()) {
-    throw std::logic_error("TreeEditSession: unmake_buffer on a non-buffer node");
-  }
-  Record r;
-  r.kind = Record::Kind::kUnmakeBuffer;
-  r.node = node;
-  r.old_buffer = tree_.node(node).buffer;
-  tree_.node(node).kind = NodeKind::kInternal;
-  journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_structural(node);
-}
-
-NodeId TreeEditSession::insert_buffer_electrical(NodeId node, Um elec_distance,
-                                                 const CompositeBuffer& buffer) {
-  const NodeId inserted = tree_.insert_buffer_electrical(node, elec_distance, buffer);
-  Record r;
-  r.kind = Record::Kind::kInsert;
-  r.node = inserted;
-  journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_structural(inserted);
-  return inserted;
-}
-
-NodeId TreeEditSession::remove_buffer(NodeId node) {
-  if (!tree_.node(node).is_buffer()) {
-    throw std::logic_error("TreeEditSession: remove_buffer on a non-buffer node");
-  }
-  const NodeId child = tree_.splice_out(node);
-  Record r;
-  r.kind = Record::Kind::kRemove;
-  r.node = child;
-  journal_.push_back(r);
-  reversible_ = false;
-  if (net_ && net_->built()) net_->mark_structural(child);
-  return child;
-}
-
 void TreeEditSession::rollback() {
-  if (!reversible_) {
-    throw std::logic_error(
-        "TreeEditSession: cannot roll back a session containing "
-        "remove_buffer");
-  }
   const bool mark = net_ && net_->built();
   for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
     const Record& r = *it;
@@ -441,23 +300,6 @@ void TreeEditSession::rollback() {
         tree_.node(r.node).buffer = r.old_buffer;
         if (mark) net_->mark_buffer_dirty(r.node);
         break;
-      case Record::Kind::kMakeBuffer:
-        tree_.node(r.node).kind = NodeKind::kInternal;
-        tree_.node(r.node).buffer = r.old_buffer;
-        if (mark) net_->mark_structural(r.node);
-        break;
-      case Record::Kind::kUnmakeBuffer:
-        tree_.node(r.node).kind = NodeKind::kBuffer;
-        tree_.node(r.node).buffer = r.old_buffer;
-        if (mark) net_->mark_structural(r.node);
-        break;
-      case Record::Kind::kInsert: {
-        const NodeId child = tree_.splice_out(r.node);
-        if (mark) net_->mark_structural(child);
-        break;
-      }
-      case Record::Kind::kRemove:
-        throw std::logic_error("TreeEditSession: unreachable rollback");
     }
   }
   journal_.clear();

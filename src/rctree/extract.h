@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -88,7 +87,7 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
                              const ExtractOptions& options = {});
 
 /// \brief Persistent staged RC netlist that follows a ClockTree through
-/// edits.
+/// value edits.
 ///
 /// extract_stages() rebuilds the whole netlist from scratch — O(n) per
 /// call, which dominates the Improvement- & Violation-Checking loops where
@@ -97,19 +96,18 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 /// TreeEditSession) mark the stages an edit touches as *dirty*, and
 /// refresh() re-extracts exactly those stages from the bound tree.
 ///
-/// Supported edit notifications map tree edits to dirty-stage sets:
-///   * mark_edge_dirty(v)    — width / snake / reroute of the edge above v
-///                             dirties the one stage containing that edge;
+/// The stage graph is fixed between full rebuilds.  The edits marked here
+/// change values, never which nodes are buffers:
+///   * mark_edge_dirty(v)    — width / snake of the edge above v dirties
+///                             the one stage containing that edge;
 ///   * mark_buffer_dirty(b)  — resizing buffer b dirties its parent stage
 ///                             (input-pin tap cap) and its own stage
-///                             (output cap + driver view);
-///   * mark_structural(v)    — a stage-boundary change around the edge
-///                             above v (buffer inserted/removed, internal
-///                             node converted to a buffer or back): the
-///                             containing stage is re-extracted and the
-///                             stage graph is repaired — new buffer taps
-///                             open fresh stages, vanished drivers are
-///                             swept.  No full rebuild.
+///                             (output cap + driver view).
+/// Anything that changes the structure (construction passes, an accepted
+/// whole-tree candidate, a whole-pass rollback) goes through
+/// mark_all_dirty(), and the next refresh() rebuilds every slot and the
+/// level order.  Edits marked while that rebuild is pending are ignored:
+/// the rebuild covers them.
 ///
 /// Per-stage re-extraction replays exactly the arithmetic of
 /// extract_stages() in exactly the order a full extraction would visit the
@@ -119,11 +117,10 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 /// counterpart.  The incremental evaluator (analysis/evaluate.h) relies on
 /// this for bit-identical results.
 ///
-/// Stages live in stable *slots*; a slot's `version()` bumps every time its
-/// stage is re-extracted (or the slot is freed/reused), which is how
-/// downstream caches detect staleness without callbacks.  A full rebuild
-/// numbers the slots in extract_stages() order, so slot i holds stage i of
-/// a full extraction until later edits allocate or free slots.
+/// A full rebuild numbers the slots in extract_stages() order, so slot i
+/// holds stage i of a full extraction.  A slot's `version()` bumps every
+/// time its stage is re-extracted, which is how downstream caches detect
+/// staleness without callbacks.
 class RcNetlist {
  public:
   RcNetlist() = default;
@@ -137,40 +134,36 @@ class RcNetlist {
   // --- edit notifications (the tree must already reflect the edit) ---
   void mark_edge_dirty(NodeId node);
   void mark_buffer_dirty(NodeId node);
-  void mark_structural(NodeId node);
   /// Unknown/global change: the next refresh() rebuilds everything.
   void mark_all_dirty() { full_rebuild_ = true; }
 
-  /// Re-extracts every dirty stage from the bound tree and repairs the
-  /// stage graph (new buffers open stages, dead drivers are swept).
-  /// No-op when nothing is dirty.
+  /// Re-extracts every dirty stage from the bound tree, or rebuilds every
+  /// slot and the level order after mark_all_dirty().  No-op when nothing
+  /// is dirty.
   void refresh();
 
   // --- read access (evaluator side) ---
   /// Slot of the clock-source stage (always 0 once built).
   int root_slot() const { return 0; }
-  /// Total slot count, live or free; valid slot ids are [0, slot_count()).
+  /// Slot count; valid slot ids are [0, slot_count()).
   std::size_t slot_count() const { return slots_.size(); }
-  bool slot_live(int slot) const { return slots_[static_cast<std::size_t>(slot)]->live; }
-  const Stage& stage(int slot) const { return slots_[static_cast<std::size_t>(slot)]->stage; }
+  const Stage& stage(int slot) const { return slots_[static_cast<std::size_t>(slot)].stage; }
   /// Monotonically increasing per-slot change stamp; never repeats, even
-  /// across free/reuse, so `version` equality certifies unchanged contents.
+  /// across rebuilds, so `version` equality certifies unchanged contents.
   std::uint64_t version(int slot) const {
-    return slots_[static_cast<std::size_t>(slot)]->version;
+    return slots_[static_cast<std::size_t>(slot)].version;
   }
-  /// Live slots in breadth-first order (root stage first), so every slot
+  /// Slots in breadth-first order (root stage first), so every slot
   /// follows its parent and each depth level is a contiguous range.
   const std::vector<int>& topo_slots() const { return topo_slots_; }
   /// Depth-level boundaries of topo_slots(): level d spans positions
   /// [topo_levels()[d], topo_levels()[d + 1]).  A slot's parent lies in the
   /// level above it, so the slots of one level are mutually independent.
-  /// Empty when no stage is live.
+  /// Empty for an empty tree.
   const std::vector<std::size_t>& topo_levels() const { return topo_levels_; }
-  /// Number of stages re-extracted by refresh() calls so far.
-  long stages_extracted() const { return stages_extracted_; }
 
-  /// Arena-backed SoA mirror of every live slot, maintained across
-  /// refresh(): a dirty stage's re-extraction rewrites its slice in place
+  /// Arena-backed SoA mirror of every slot, maintained across refresh():
+  /// a dirty stage's re-extraction rewrites its slice in place
   /// (rctree/soa.h).  Slot ids match this netlist's; the batched
   /// evaluation kernels read stages through here instead of the AoS
   /// Stage.  Slices are bit-identical to stage(slot) by construction.
@@ -180,21 +173,17 @@ class RcNetlist {
   struct Slot {
     Stage stage;
     std::uint64_t version = 0;
-    bool live = false;
   };
 
   int slot_containing_edge(NodeId node) const;
-  int allocate_slot(NodeId driver);
-  void free_slot(int slot);
-  void extract_slot(int slot, std::vector<int>& worklist);
-  void sweep_and_order();
+  void extract_slot(int slot);
+  void order_levels();
 
   const ClockTree* tree_ = nullptr;
   const Benchmark* bench_ = nullptr;
   ExtractOptions options_;
 
-  std::vector<std::unique_ptr<Slot>> slots_;  ///< stable addresses for caches
-  std::vector<int> free_slots_;
+  std::vector<Slot> slots_;
   std::unordered_map<NodeId, int> slot_of_driver_;
   std::vector<int> topo_slots_;
   std::vector<std::size_t> topo_levels_;  ///< level starts + end sentinel
@@ -202,8 +191,7 @@ class RcNetlist {
   std::vector<int> dirty_;  ///< slots to re-extract on refresh
   bool full_rebuild_ = false;
   std::uint64_t next_version_ = 1;
-  long stages_extracted_ = 0;
-  NetlistSoa soa_;  ///< SoA mirror of live slots (see soa())
+  NetlistSoa soa_;  ///< SoA mirror of the slots (see soa())
 };
 
 /// \brief Journaled edit transaction over a ClockTree, wired to an
@@ -215,16 +203,11 @@ class RcNetlist {
 /// (undo every edit in reverse order, re-marking the touched stages dirty).
 /// Accept/rollback therefore costs O(dirty), not O(tree).
 ///
-/// Edit kinds and their rollback guarantees:
-///   * set_wire_width / add_snake / set_buffer / make_buffer /
-///     unmake_buffer — exact: rollback restores the tree bit-identically,
-///     so a rejected candidate leaves the incumbent untouched
-///     (SaveSolution semantics, matching the historical tree-copy path);
-///   * insert_buffer_electrical — structurally exact: rollback splices the
-///     inserted buffer back out, which restores the live topology but may
-///     perturb the split edge's route/snake partition at ULP level;
-///   * remove_buffer — irreversible: a session containing one cannot be
-///     rolled back (rollback() throws std::logic_error).
+/// The edits are the three the refinement passes make — wire width,
+/// snake and buffer size — and each rolls back exactly: rollback restores
+/// the tree bit-identically, so a rejected candidate leaves the incumbent
+/// untouched (SaveSolution semantics).  Structural rewrites go through
+/// whole-tree candidates instead (see RcNetlist).
 ///
 /// The session does not roll back on destruction; an abandoned session
 /// behaves like commit().
@@ -244,29 +227,15 @@ class TreeEditSession {
   void add_snake(NodeId node, Um delta);
   /// Replaces the composite of buffer `node` (resize / retype).
   void set_buffer(NodeId node, const CompositeBuffer& buffer);
-  /// Converts a non-sink, non-root node into a buffer (polarity flip of
-  /// its subtree).
-  void make_buffer(NodeId node, const CompositeBuffer& buffer);
-  /// Converts buffer `node` back into a plain internal node.
-  void unmake_buffer(NodeId node);
-  /// Inserts a buffer on the edge above `node` at electrical arc position
-  /// `elec_distance`; returns the new buffer node.
-  NodeId insert_buffer_electrical(NodeId node, Um elec_distance,
-                                  const CompositeBuffer& buffer);
-  /// Splices buffer `node` out of the tree; returns the child that
-  /// absorbed its edge.  Irreversible (see class comment).
-  NodeId remove_buffer(NodeId node);
 
   /// Number of edits journaled so far.
   int edit_count() const { return static_cast<int>(journal_.size()); }
-  /// False once the session contains an irreversible edit.
-  bool can_rollback() const { return reversible_; }
 
   /// Keeps the edits: clears the journal (dirty marks stay pending in the
   /// netlist until its next refresh).
   void commit() { journal_.clear(); }
   /// Undoes every journaled edit in reverse order, re-marking the touched
-  /// stages dirty.  \throws std::logic_error when !can_rollback()
+  /// stages dirty.
   void rollback();
 
  private:
@@ -275,10 +244,6 @@ class TreeEditSession {
       kWireWidth,
       kSnake,
       kBuffer,
-      kMakeBuffer,
-      kUnmakeBuffer,
-      kInsert,
-      kRemove,
     };
     Kind kind;
     NodeId node = kNoNode;
@@ -290,7 +255,6 @@ class TreeEditSession {
   ClockTree& tree_;
   RcNetlist* net_ = nullptr;
   std::vector<Record> journal_;
-  bool reversible_ = true;
 };
 
 }  // namespace contango

@@ -153,14 +153,6 @@ void NetlistSoa::write_slot(int slot, const Stage& stage) {
   }
 }
 
-void NetlistSoa::release_slot(int slot) {
-  if (!has_slot(slot)) return;
-  SlotRef& r = slots_[static_cast<std::size_t>(slot)];
-  recycle_nodes(r.node_off, r.node_cap);
-  recycle_taps(r.tap_off, r.tap_cap);
-  r = SlotRef{};
-}
-
 void NetlistSoa::clear() {
   slots_.clear();
   cap_.clear();
@@ -175,7 +167,7 @@ void NetlistSoa::clear() {
 
 NetlistSoa::View NetlistSoa::view(int slot) const {
   if (!has_slot(slot)) {
-    throw std::logic_error("NetlistSoa: view of a dead slot");
+    throw std::logic_error("NetlistSoa: view of an unwritten slot");
   }
   const SlotRef& r = slots_[static_cast<std::size_t>(slot)];
   View v;
@@ -193,7 +185,7 @@ NetlistSoa::View NetlistSoa::view(int slot) const {
 
 NetlistSoa::Span NetlistSoa::span(int slot) {
   if (!has_slot(slot)) {
-    throw std::logic_error("NetlistSoa: span of a dead slot");
+    throw std::logic_error("NetlistSoa: span of an unwritten slot");
   }
   SlotRef& r = slots_[static_cast<std::size_t>(slot)];
   Span s;

@@ -49,10 +49,6 @@ class NetlistSoa {
   /// Unknown slots are created; slot ids may be sparse.
   void write_slot(int slot, const Stage& stage);
 
-  /// Returns `slot`'s slices to the free lists.  No-op for unknown or
-  /// already-released slots.
-  void release_slot(int slot);
-
   /// Drops every slice and free list (e.g. before a full netlist rebuild).
   void clear();
 

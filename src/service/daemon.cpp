@@ -141,7 +141,9 @@ void Daemon::handle_submit(int fd, const JobRequest& request) {
   try {
     spec.benchmarks = collect_workloads(request.workloads, request.seed);
     if (!request.pipeline.empty()) {
-      parse_pipeline_spec(request.pipeline);  // reject before queueing
+      // Reject before queueing: unknown passes and bad parameters too,
+      // not just the spec's syntax.
+      Pipeline::from_spec(request.pipeline);
     }
   } catch (const std::exception& e) {
     write_line(fd, encode_error(e.what()));

@@ -115,7 +115,7 @@ void expect_slice_matches_stage(const NetlistSoa& soa, int slot,
   }
 }
 
-/// Allocator invariants over every live slot: slices hold the stage
+/// Allocator invariants over every slot: slices hold the stage
 /// contents exactly, fit their capacity, and never overlap.
 void expect_soa_consistent(const RcNetlist& net) {
   const NetlistSoa& soa = net.soa();
@@ -153,7 +153,6 @@ void expect_fresh_slots_are_stages(const ClockTree& tree, const Benchmark& bench
   ASSERT_EQ(rc.slot_count(), net.stages.size());
   for (std::size_t i = 0; i < net.stages.size(); ++i) {
     const int slot = static_cast<int>(i);
-    ASSERT_TRUE(rc.slot_live(slot));
     ASSERT_EQ(rc.stage(slot).driver, net.stages[i].driver) << "slot " << i;
     EXPECT_EQ(rc.stage(slot).downstream_stages, net.stages[i].downstream_stages);
     expect_slice_matches_stage(rc.soa(), slot, net.stages[i]);
@@ -322,13 +321,10 @@ TEST(Batch, IncrementalMatchesReferenceAfterEdits) {
                        "incremental vs reference after wire edits");
   EXPECT_GT(inc_owner.batched_stage_evals(), after_cold);
 
-  // A stage split and a resized driver: the stage graph itself changes.
+  // A resized driver: its own stage and its parent's re-extract.
   const CompositeBuffer old = tree.node(buffers.front()).buffer;
   session.set_buffer(buffers.front(),
                      CompositeBuffer{old.inverter_type, old.count + 2});
-  const NodeId e = edges[2 * edges.size() / 3];
-  session.insert_buffer_electrical(e, tree.edge_length(e) * 0.5,
-                                   CompositeBuffer{0, 2});
   expect_bit_identical(inc.evaluate(), reference::evaluate_tree(tree, bench),
                        "incremental vs reference after buffer edits");
   session.commit();
@@ -362,38 +358,31 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
             rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
       };
 
-      // Split (insert_buffer_electrical), merge (remove_buffer) and
-      // rewrite (snake / width) edits all hit the arena differently:
-      // splits allocate, merges release, rewrites must land in place.
-      const long kind = rng.uniform_int(0, 3);
-      int edits = 0;
-      switch (kind) {
+      ASSERT_FALSE(buffers.empty());
+
+      // Width, snake and buffer-size edits re-extract their stages into
+      // the arena: in place while a stage fits its slice, into a fresh
+      // slice (the old one recycled) when a snake grows it past the slice.
+      switch (rng.uniform_int(0, 2)) {
         case 0: {
           const NodeId e = pick(edges);
           session.set_wire_width(e, tree.node(e).wire_width == 0 ? 1 : 0);
-          ++edits;
           break;
         }
         case 1:
           session.add_snake(pick(edges), rng.uniform(5.0, 80.0));
-          ++edits;
           break;
-        case 2: {
-          const NodeId e = pick(edges);
-          session.insert_buffer_electrical(
-              e, tree.edge_length(e) * rng.uniform(0.2, 0.8),
-              CompositeBuffer{0, 2});
-          ++edits;
+        default: {
+          const NodeId b = pick(buffers);
+          const CompositeBuffer old = tree.node(b).buffer;
+          const int delta = rng.uniform_int(0, 1) ? 1 : -1;
+          session.set_buffer(
+              b, CompositeBuffer{old.inverter_type,
+                                 std::max(1, old.count + 2 * delta)});
           break;
         }
-        default:
-          if (buffers.size() > 3) {  // keep some stages around
-            session.remove_buffer(pick(buffers));
-            ++edits;
-          }
-          break;
       }
-      if (edits > 0) session.commit();
+      session.commit();
       tree.validate();
       (void)inc.evaluate();  // refresh + re-simulate through the SoA slices
       expect_soa_consistent(inc.netlist());
@@ -440,15 +429,6 @@ TEST(Batch, ArenaGrowsRewritesInPlaceAndRecycles) {
   expect_slice_matches_stage(soa, 0, shrunk);
   EXPECT_EQ(soa.node_offset(0), grown_off);
   EXPECT_EQ(soa.node_capacity(0), 8u);
-
-  soa.release_slot(0);
-  EXPECT_FALSE(soa.has_slot(0));
-  EXPECT_THROW(soa.view(0), std::logic_error);
-  // Released capacity-8 slice comes back for the next size-5..8 write.
-  const Stage reuse = random_stage(rng, 6, 1);
-  soa.write_slot(3, reuse);
-  expect_slice_matches_stage(soa, 3, reuse);
-  EXPECT_EQ(soa.node_offset(3), grown_off);
 
   soa.clear();
   EXPECT_EQ(soa.slot_count(), 0u);

@@ -87,7 +87,8 @@ TEST(Trunk, UpsizeIncreasesCounts) {
   if (before.buffers.empty()) GTEST_SKIP() << "no trunk buffers on this instance";
   std::vector<int> counts;
   for (NodeId b : before.buffers) counts.push_back(tree.node(b).buffer.count);
-  const int changed = upsize_trunk_buffers(tree, 0.25);
+  TreeEditSession session(tree);
+  const int changed = upsize_trunk_buffers(session, 0.25);
   EXPECT_EQ(changed, static_cast<int>(before.buffers.size()));
   for (std::size_t i = 0; i < before.buffers.size(); ++i) {
     EXPECT_GT(tree.node(before.buffers[i]).buffer.count, counts[i]);
@@ -98,7 +99,8 @@ TEST(Trunk, DownsizeBottomBuffersNeverBelowOne) {
   const Benchmark bench = small_bench(12, 7);
   ClockTree tree = build_zst(bench);
   insert_buffers(tree, bench, CompositeBuffer{0, 2});
-  downsize_bottom_buffers(tree, 5);
+  TreeEditSession session(tree);
+  downsize_bottom_buffers(session, 5);
   for (NodeId id : tree.topological_order()) {
     if (tree.node(id).is_buffer()) {
       EXPECT_GE(tree.node(id).buffer.count, 1);
@@ -184,7 +186,8 @@ TEST(Rounds, WiresizingConsumesOnlyAvailableSlack) {
   params.tws_per_um = calibrate_tws(tree, eval, before);
   if (params.tws_per_um <= 0.0) GTEST_SKIP() << "nothing to calibrate";
   const EdgeSlacks slacks = compute_edge_slacks(tree, before);
-  const int changed = wiresizing_round(tree, slacks, params);
+  TreeEditSession session(tree);
+  const int changed = wiresizing_round(session, slacks, params);
   EXPECT_GT(changed, 0);
   const EvalResult after = eval.evaluate(tree);
   // The slowest sink was protected (zero slack): max latency unchanged
@@ -202,10 +205,10 @@ TEST(Rounds, SnakingSlowsOnlySlackedSinks) {
   params.twn_per_unit = calibrate_twn(tree, eval, before, params.unit);
   if (params.twn_per_unit <= 0.0) GTEST_SKIP();
   const EdgeSlacks slacks = compute_edge_slacks(tree, before);
-  ClockTree snaked = tree;
-  const int changed = wiresnaking_round(snaked, slacks, params);
+  TreeEditSession session(tree);
+  const int changed = wiresnaking_round(session, slacks, params);
   EXPECT_GT(changed, 0);
-  const EvalResult after = eval.evaluate(snaked);
+  const EvalResult after = eval.evaluate(tree);
   EXPECT_LT(after.nominal_skew, before.nominal_skew);
 }
 

@@ -88,16 +88,6 @@ std::vector<NodeId> buffers_with_one_child(const ClockTree& tree) {
   return out;
 }
 
-std::vector<NodeId> internal_nodes(const ClockTree& tree) {
-  std::vector<NodeId> out;
-  for (NodeId id : tree.topological_order()) {
-    if (id != tree.root() && tree.node(id).kind == NodeKind::kInternal) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
 TEST(Incremental, MatchesFullOnEveryScenarioFamily) {
   for (const auto& family : ScenarioRegistry::builtin().families()) {
     SCOPED_TRACE(family.name);
@@ -132,10 +122,8 @@ TEST(Incremental, EveryEditKindStaysBitIdentical) {
 
   const std::vector<NodeId> edges = live_edges(tree);
   const std::vector<NodeId> buffers = buffers_with_one_child(tree);
-  const std::vector<NodeId> internals = internal_nodes(tree);
   ASSERT_FALSE(edges.empty());
   ASSERT_FALSE(buffers.empty());
-  ASSERT_FALSE(internals.empty());
 
   TreeEditSession session(tree, &inc.netlist());
 
@@ -149,28 +137,20 @@ TEST(Incremental, EveryEditKindStaysBitIdentical) {
   session.set_buffer(buffers.front(),
                      CompositeBuffer{old.inverter_type, old.count + 2});
   expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "buffer resize");
-
-  session.make_buffer(internals.front(), CompositeBuffer{0, 2});
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
-                       "polarity flip (make_buffer)");
-
-  const NodeId inserted =
-      session.insert_buffer_electrical(edges.back(),
-                                       tree.edge_length(edges.back()) / 3.0,
-                                       CompositeBuffer{0, 4});
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "insert buffer");
-  EXPECT_TRUE(tree.node(inserted).is_buffer());
-
-  session.unmake_buffer(inserted);
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
-                       "polarity flip back (unmake_buffer)");
-
-  // remove_buffer makes the session irreversible but must stay exact.
-  session.remove_buffer(buffers.back());
-  EXPECT_FALSE(session.can_rollback());
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "remove buffer");
-  EXPECT_THROW(session.rollback(), std::logic_error);
   session.commit();
+
+  // A structural change goes around the session and invalidates the
+  // engine (as trunk sliding does); edits before the next refresh, even
+  // below the new buffer, are covered by the pending rebuild.
+  const NodeId e = edges.back();
+  const NodeId inserted = tree.insert_buffer_electrical(
+      e, tree.edge_length(e) / 3.0, CompositeBuffer{0, 4});
+  inc.invalidate_all();
+  TreeEditSession after_rewrite(tree, &inc.netlist());
+  after_rewrite.set_buffer(inserted, CompositeBuffer{0, 6});
+  after_rewrite.add_snake(e, 20.0);
+  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
+                       "edits while a rebuild is pending");
   tree.validate();
 }
 
@@ -227,7 +207,9 @@ struct FuzzRun {
 /// incremental engine configured by `options`.  The script depends only on
 /// the seed and the tree, never on evaluation results, so runs with
 /// different execution modes see the same edits.  `after_step` sees the
-/// tree and the incremental result after every committed step.
+/// tree and the incremental result after every committed step.  The stage
+/// graph must not move under value edits: after every committed step and
+/// every rollback the netlist's slots and level order are those of bind().
 FuzzRun run_edit_fuzz(
     const char* family, const EvalOptions& options,
     const std::function<void(const ClockTree&, const EvalResult&)>& after_step) {
@@ -237,15 +219,25 @@ FuzzRun run_edit_fuzz(
   Evaluator inc_owner(bench, options);
   IncrementalEvaluator inc(inc_owner);
   inc.bind(tree);
+  const RcNetlist& net = inc.netlist();
+  const std::size_t bound_slots = net.slot_count();
+  const std::vector<int> bound_topo = net.topo_slots();
+  const std::vector<std::size_t> bound_levels = net.topo_levels();
+  const auto expect_graph_unchanged = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(net.slot_count(), bound_slots);
+    EXPECT_EQ(net.topo_slots(), bound_topo);
+    EXPECT_EQ(net.topo_levels(), bound_levels);
+  };
   FuzzRun run;
   const auto evaluate = [&] {
     run.evals.push_back(inc.evaluate());
     return run.evals.back();
   };
   EvalResult last = evaluate();
-  const std::vector<std::size_t>& levels = inc.netlist().topo_levels();
-  for (std::size_t d = 0; d + 1 < levels.size(); ++d) {
-    run.widest_level = std::max(run.widest_level, levels[d + 1] - levels[d]);
+  for (std::size_t d = 0; d + 1 < bound_levels.size(); ++d) {
+    run.widest_level =
+        std::max(run.widest_level, bound_levels[d + 1] - bound_levels[d]);
   }
 
   Rng rng(0xC0FFEE ^ std::hash<std::string>{}(family));
@@ -259,7 +251,7 @@ FuzzRun run_edit_fuzz(
           rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
     };
 
-    const long kind = rng.uniform_int(0, 5);
+    const long kind = rng.uniform_int(0, 3);
     int edits = 0;
     switch (kind) {
       case 0: {
@@ -283,20 +275,6 @@ FuzzRun run_edit_fuzz(
           ++edits;
         }
         break;
-      case 3: {
-        const NodeId e = pick(edges);
-        session.insert_buffer_electrical(
-            e, tree.edge_length(e) * rng.uniform(0.2, 0.8),
-            CompositeBuffer{0, 2});
-        ++edits;
-        break;
-      }
-      case 4:
-        if (buffers.size() > 3) {  // keep some stages around
-          session.remove_buffer(pick(buffers));
-          ++edits;
-        }
-        break;
       default: {
         // A rejected multi-edit candidate: edit, evaluate, roll back.
         session.set_wire_width(pick(edges), 0);
@@ -304,12 +282,14 @@ FuzzRun run_edit_fuzz(
         (void)evaluate();
         session.rollback();
         expect_bit_identical(evaluate(), last, "post-rollback incumbent");
+        expect_graph_unchanged("after rollback");
         break;
       }
     }
     if (edits > 0) session.commit();
     tree.validate();
     last = evaluate();
+    expect_graph_unchanged("after step");
     after_step(tree, last);
   }
   EXPECT_EQ(inc_owner.sim_runs(),
@@ -539,24 +519,16 @@ TEST(EarlyReject, CapFailureIsDecidedWithoutSimulating) {
   ASSERT_TRUE(ctx.current().cap_violation);
 
   const std::vector<NodeId> edges = live_edges(ctx.tree);
-  // Two candidates that only add capacitance: plain edits, and a buffer
-  // insertion whose rollback splices the buffer back out.
-  for (const bool insert : {false, true}) {
-    SCOPED_TRACE(insert ? "insert_buffer_electrical" : "snake + width");
+  // A candidate that only adds capacitance.
+  {
     const int runs = ctx.eval.sim_runs();
     const int incremental = ctx.eval.incremental_evals();
     const long stage_evals = ctx.eval.batched_stage_evals();
     const IvcCounts before = ctx.ivc();
 
     TreeEditSession session = ctx.edit_session();
-    if (insert) {
-      const NodeId e = edges[edges.size() / 2];
-      session.insert_buffer_electrical(e, ctx.tree.edge_length(e) / 2.0,
-                                       CompositeBuffer{0, 8});
-    } else {
-      session.add_snake(edges[edges.size() / 3], 400.0);
-      session.set_wire_width(edges[edges.size() / 4], 1);
-    }
+    session.add_snake(edges[edges.size() / 3], 400.0);
+    session.set_wire_width(edges[edges.size() / 4], 1);
     EXPECT_FALSE(ctx.try_accept(session, PassObjective::kSkew));
 
     EXPECT_EQ(ctx.eval.sim_runs(), runs + 1);
@@ -580,7 +552,7 @@ TEST(EarlyReject, CapFailureIsDecidedWithoutSimulating) {
   EXPECT_FALSE(ctx.try_accept(std::move(candidate), PassObjective::kClr));
   EXPECT_EQ(ctx.eval.full_evals(), full + 1);
   EXPECT_EQ(ctx.eval.batched_stage_evals(), stage_evals);
-  EXPECT_EQ(ctx.ivc().rejected_cap, 3);
+  EXPECT_EQ(ctx.ivc().rejected_cap, 2);
 }
 
 TEST(EarlyReject, SlewFailureStopsBeforeTheLastLevel) {
@@ -592,43 +564,35 @@ TEST(EarlyReject, SlewFailureStopsBeforeTheLastLevel) {
 
   // Snake a wire of the root stage far past what its driver can take: the
   // worst slew passes the cut at level 0.
-  for (const bool insert : {false, true}) {
-    SCOPED_TRACE(insert ? "insert_buffer_electrical" : "snake");
-    const EvalResult incumbent = ctx.current();
-    const long stage_evals = ctx.eval.batched_stage_evals();
-    const int runs = ctx.eval.sim_runs();
-    const IvcCounts before = ctx.ivc();
+  const EvalResult incumbent = ctx.current();
+  const long stage_evals = ctx.eval.batched_stage_evals();
+  const int runs = ctx.eval.sim_runs();
+  const IvcCounts before = ctx.ivc();
 
-    TreeEditSession session = ctx.edit_session();
-    NodeId hot = f.top_edge();
-    if (insert) {
-      hot = session.insert_buffer_electrical(hot, ctx.tree.edge_length(hot) / 3.0,
-                                             CompositeBuffer{0, 1});
-    }
-    session.add_snake(hot, 20000.0);
-    // Precondition: the whole sweep would fail the slew check.
-    const EvalResult full = Evaluator(f.bench).evaluate(ctx.tree);
-    ASSERT_GT(full.worst_slew,
-              std::max(f.bench.tech.slew_limit, incumbent.worst_slew + 1e-6));
-    ASSERT_FALSE(ctx.violation_ok(full));
-    EXPECT_FALSE(ctx.try_accept(session, PassObjective::kSkew));
+  TreeEditSession session = ctx.edit_session();
+  session.add_snake(f.top_edge(), 20000.0);
+  // Precondition: the whole sweep would fail the slew check.
+  const EvalResult full = Evaluator(f.bench).evaluate(ctx.tree);
+  ASSERT_GT(full.worst_slew,
+            std::max(f.bench.tech.slew_limit, incumbent.worst_slew + 1e-6));
+  ASSERT_FALSE(ctx.violation_ok(full));
+  EXPECT_FALSE(ctx.try_accept(session, PassObjective::kSkew));
 
-    const IvcCounts d = ctx.ivc() - before;
-    EXPECT_EQ(d.rejected, 1);
-    EXPECT_EQ(d.rejected_slew, 1);
-    EXPECT_EQ(d.rejected_cap, 0);
-    EXPECT_EQ(ctx.eval.sim_runs(), runs + 1);
-    // Only the dirty root stage ran: far less than one stage per level.
-    const long spent = ctx.eval.batched_stage_evals() - stage_evals;
-    const long combos =
-        static_cast<long>(f.bench.tech.corners.size()) * kNumTransitions;
-    EXPECT_GT(spent, 0);
-    EXPECT_LE(spent, 2 * combos);
+  const IvcCounts d = ctx.ivc() - before;
+  EXPECT_EQ(d.rejected, 1);
+  EXPECT_EQ(d.rejected_slew, 1);
+  EXPECT_EQ(d.rejected_cap, 0);
+  EXPECT_EQ(ctx.eval.sim_runs(), runs + 1);
+  // Only the dirty root stage ran: far less than one stage per level.
+  const long spent = ctx.eval.batched_stage_evals() - stage_evals;
+  const long combos =
+      static_cast<long>(f.bench.tech.corners.size()) * kNumTransitions;
+  EXPECT_GT(spent, 0);
+  EXPECT_LE(spent, 2 * combos);
 
-    expect_bit_identical(next_evaluation(ctx),
-                         reference::evaluate_tree(ctx.tree, f.bench),
-                         "next evaluation vs reference");
-  }
+  expect_bit_identical(next_evaluation(ctx),
+                       reference::evaluate_tree(ctx.tree, f.bench),
+                       "next evaluation vs reference");
 }
 
 /// The same stop, on the engine itself: the partial result says so, and

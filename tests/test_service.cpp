@@ -610,6 +610,17 @@ TEST(Daemon, EndToEndOverSocket) {
   bad.workloads = "no_such_family";
   EXPECT_THROW(client.submit(bad), ProtocolError);
 
+  // So do pipeline specs that parse but cannot run (an unknown pass, a
+  // parameter that is not a number): nothing is queued for them.
+  for (const char* spec : {"dme,bogus", "twsz:rounds=abc"}) {
+    SCOPED_TRACE(spec);
+    JobRequest bad_pipeline;
+    bad_pipeline.workloads = "uniform:40";
+    bad_pipeline.pipeline = spec;
+    EXPECT_THROW(client.submit(bad_pipeline), ProtocolError);
+  }
+  EXPECT_EQ(client.request_status().long_or("submitted", 0), 2);
+
   // Cancel of an unknown id reports found=false.
   EXPECT_FALSE(client.request_cancel("job-999"));
 
