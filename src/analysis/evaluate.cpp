@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/parallel.h"
@@ -226,10 +227,14 @@ Evaluator::Evaluator(const Benchmark& bench, EvalOptions options)
   for (const Sink& s : bench.sinks) sink_caps_.push_back(s.cap);
 }
 
+void account_capacitance(EvalResult& result, Ff total_cap, const Technology& tech) {
+  result.total_cap = total_cap;
+  result.cap_violation = tech.cap_limit > 0.0 && total_cap > tech.cap_limit;
+}
+
 void account_capacitance(EvalResult& result, const ClockTree& tree,
                          const Benchmark& bench, const std::vector<Ff>& sink_caps) {
-  result.total_cap = tree.total_cap(bench.tech, sink_caps);
-  result.cap_violation = bench.tech.cap_limit > 0.0 && result.total_cap > bench.tech.cap_limit;
+  account_capacitance(result, tree.total_cap(bench.tech, sink_caps), bench.tech);
 }
 
 void Evaluator::add_sweep_work(long stage_evals, long stage_reuses,
@@ -283,6 +288,13 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
   if (reuse) {
     if (timings_.size() < slot_count) timings_.resize(slot_count);
     elmore_.reserve_slots(slot_count);
+  }
+  // Journal overwritten entries while an edit session is open; a journal
+  // left over from an earlier session was kept implicitly.
+  const std::uint64_t session = reuse ? net.session() : 0;
+  if (session != journal_session_) {
+    drop_journal();
+    journal_session_ = session;
   }
   slot_max_slew_.assign(topo.size() * nc, 0.0);
   const int max_workers = max_threads > 0 ? max_threads : hardware_threads();
@@ -363,6 +375,16 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
               entry.in_slew == ev.slew) {
             ++w.tally.reuses;
             continue;
+          }
+          if (session != 0 && entry.journaled_in != session) {
+            // First overwrite in this session: move the entry into the
+            // journal and take a spare one (its taps are rewritten below).
+            if (w.journaled == w.journal.size()) w.journal.emplace_back();
+            SavedTiming& saved = w.journal[w.journaled++];
+            saved.slot = slot;
+            saved.combo = static_cast<int>(c);
+            std::swap(saved.entry, entry);
+            entry.journaled_in = session;
           }
           entry.version = version;
           entry.in_dir = ev.dir;
@@ -484,6 +506,23 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
   return result;
 }
 
+void LevelSweep::rollback_journal() {
+  for (Worker& w : workers_) {
+    for (std::size_t i = 0; i < w.journaled; ++i) {
+      SavedTiming& saved = w.journal[i];
+      std::swap(timings_[static_cast<std::size_t>(saved.slot)]
+                        [static_cast<std::size_t>(saved.combo)],
+                saved.entry);
+    }
+  }
+  drop_journal();
+}
+
+void LevelSweep::drop_journal() {
+  for (Worker& w : workers_) w.journaled = 0;
+  journal_session_ = 0;
+}
+
 // ---------------------------------------------------- IncrementalEvaluator --
 
 void IncrementalEvaluator::bind(const ClockTree& tree) {
@@ -494,7 +533,7 @@ void IncrementalEvaluator::bind(const ClockTree& tree) {
   sweep_.clear_cache();
 }
 
-EvalResult IncrementalEvaluator::evaluate(Ps slew_cut) {
+EvalResult IncrementalEvaluator::evaluate(Ps slew_cut, std::optional<Ff> total_cap) {
   if (!bound()) {
     throw std::logic_error("IncrementalEvaluator: evaluate before bind");
   }
@@ -504,7 +543,11 @@ EvalResult IncrementalEvaluator::evaluate(Ps slew_cut) {
   stage_sims_ += sweep_.last().sims;
   eval_.add_sweep_work(sweep_.last().sims, sweep_.last().reuses,
                        sweep_.last().helper_cpu);
-  account_capacitance(result, *tree_, eval_.bench_, eval_.sink_caps_);
+  if (total_cap) {
+    account_capacitance(result, *total_cap, eval_.bench_.tech);
+  } else {
+    account_capacitance(result, *tree_, eval_.bench_, eval_.sink_caps_);
+  }
 
   eval_.book_run(/*incremental=*/true);
   return result;

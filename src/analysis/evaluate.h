@@ -3,7 +3,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "analysis/elmore.h"
@@ -116,6 +118,8 @@ struct McReport;        // analysis/montecarlo.h
 /// `sink_caps[i]` is the pin cap of benchmark sink i.
 void account_capacitance(EvalResult& result, const ClockTree& tree,
                          const Benchmark& bench, const std::vector<Ff>& sink_caps);
+/// The same from an already computed total capacitance.
+void account_capacitance(EvalResult& result, Ff total_cap, const Technology& tech);
 
 /// Clock-Network Evaluation: runs the transient engine over every stage of
 /// the tree for every (supply corner x source transition) combination and
@@ -156,9 +160,10 @@ class Evaluator {
   /// suite-wide total) while other workers are still evaluating.
   /// Every run is counted exactly once more as either a *full* evaluation
   /// (from-scratch extraction + whole-tree propagation: evaluate(),
-  /// calibration probes, Monte-Carlo trials) or an *incremental* one
+  /// Monte-Carlo trials) or an *incremental* one
   /// (IncrementalEvaluator::evaluate, re-propagated along dirty paths
-  /// only), so sim_runs() == full_evals() + incremental_evals().
+  /// only; the flow's calibration probes are such runs), so
+  /// sim_runs() == full_evals() + incremental_evals().
   int sim_runs() const { return sim_runs_.load(std::memory_order_relaxed); }
   int full_evals() const { return full_evals_.load(std::memory_order_relaxed); }
   int incremental_evals() const {
@@ -247,6 +252,14 @@ class Evaluator {
 /// every slot is simulated, Elmore sweep included, from the SoA passed in.
 /// Capacitance accounting is the caller's job (account_capacitance).
 ///
+/// While the netlist has an edit session open (RcNetlist::session), a
+/// reusing sweep journals every cache entry it overwrites, once per
+/// session, in the overwriting worker's own journal (no locks):
+/// rollback_journal() puts the saved entries back, drop_journal() forgets
+/// them.  Every entry is keyed by everything its kernel call read, so
+/// either choice is exact; rolling back after a rejected candidate just
+/// makes the incumbent's timings hit again.
+///
 /// Private to the three engines that run it.  Not reentrant: each thread
 /// sweeping at once needs its own instance.
 class LevelSweep {
@@ -286,17 +299,31 @@ class LevelSweep {
 
   const Tally& last() const { return last_; }
 
-  /// Drops every cached timing and Elmore sweep.
+  /// Drops every cached timing and Elmore sweep, and the journal.
   void clear_cache() {
     elmore_.clear();
     timings_.clear();
+    drop_journal();
   }
+
+  /// Puts back every cache entry journaled in the current session.
+  void rollback_journal();
+  /// Forgets the journal: the overwriting entries stay.
+  void drop_journal();
 
   struct CachedTiming {
     std::uint64_t version = 0;  ///< 0 = invalid
     Transition in_dir = Transition::kRise;
     Ps in_slew = 0.0;
     std::vector<TapTiming> taps;
+    /// Session whose journal holds this entry's predecessor (0 = none).
+    std::uint64_t journaled_in = 0;
+  };
+  /// A journaled cache entry: its pre-session contents and where they go.
+  struct SavedTiming {
+    int slot = 0;
+    int combo = 0;
+    CachedTiming entry;
   };
   /// One sweep worker's private state.  The combos of one slot that need
   /// the kernel are gathered in the miss buffers and simulated in one
@@ -306,6 +333,11 @@ class LevelSweep {
     std::vector<BatchDrive> miss_drives;
     std::vector<int> miss_combos;
     std::vector<TapTiming> miss_taps;
+    /// The first `journaled` entries are live; the rest are spare storage
+    /// that the next saves swap tap buffers with, so journaling allocates
+    /// nothing in steady state.
+    std::vector<SavedTiming> journal;
+    std::size_t journaled = 0;
     Tally tally;
   };
 
@@ -313,6 +345,8 @@ class LevelSweep {
   /// timings_[slot][corner * kNumTransitions + transition]
   std::vector<std::vector<CachedTiming>> timings_;
   std::vector<Worker> workers_;
+  /// Netlist session the journals belong to (0 = none).
+  std::uint64_t journal_session_ = 0;
   /// Worst tap slew per (topo position x corner) of the current sweep.
   std::vector<Ps> slot_max_slew_;
   Tally last_;
@@ -338,7 +372,10 @@ class LevelSweep {
 ///
 /// Edits reach the engine through a TreeEditSession constructed with
 /// netlist(); each evaluate() counts one simulation run (an incremental
-/// one) on the owning Evaluator.
+/// one) on the owning Evaluator.  The session is a transaction: after
+/// TreeEditSession::rollback() and rollback_session() the netlist, its
+/// slot versions and the cached tap timings are exactly as before the
+/// session, so a rejected candidate costs the next evaluation nothing.
 class IncrementalEvaluator {
  public:
   explicit IncrementalEvaluator(Evaluator& eval) : eval_(eval) {}
@@ -359,9 +396,22 @@ class IncrementalEvaluator {
   /// One CNE pass over the bound tree; see class comment.  The sweep stops
   /// early once the worst slew passes `slew_cut` (LevelSweep::run): the
   /// stages it simulated keep valid cache entries (they are keyed by
-  /// version and input), the ones below keep their old entries, and a
-  /// rollback re-marks the edited stages as usual.  \pre bound()
-  EvalResult evaluate(Ps slew_cut = std::numeric_limits<Ps>::infinity());
+  /// version and input) and the ones below keep their old entries.
+  /// `total_cap`, when given, is the bound tree's total capacitance as
+  /// ClockTree::total_cap() computes it (the IVC gate has it already).
+  /// Inside an edit session the overwritten cache entries are journaled
+  /// for rollback_session().  \pre bound()
+  EvalResult evaluate(Ps slew_cut = std::numeric_limits<Ps>::infinity(),
+                      std::optional<Ff> total_cap = std::nullopt);
+
+  /// Closes the cache side of an edit session whose TreeEditSession has
+  /// just rolled back: every cache entry the session's evaluations
+  /// overwrote gets its pre-session contents back.  With the netlist's
+  /// versions restored as well, the engine is exactly as before the
+  /// session, and the next evaluate() of the incumbent simulates nothing.
+  void rollback_session() { sweep_.rollback_journal(); }
+  /// The same for a session that was committed: drops the journal.
+  void commit_session() { sweep_.drop_journal(); }
 
   /// Kernel stage simulations spent so far — (stage x corner x
   /// transition) units of transient work.  The owning Evaluator counts
@@ -375,6 +425,12 @@ class IncrementalEvaluator {
   LevelSweep sweep_;
   long stage_sims_ = 0;
 };
+
+/// Evaluates a tree with `edit` applied through an edit session, then rolls
+/// the edit back (FlowContext::probe).  The calibrations of the wire passes
+/// (cts/wiresizing.h, cts/wiresnaking.h, cts/bottomlevel.h) take one.
+using EditProbe =
+    std::function<EvalResult(const std::function<void(TreeEditSession&)>&)>;
 
 /// Effective driver resistance for a stage driver: applies supply-corner
 /// scaling and rise/fall asymmetry to the nominal output resistance.

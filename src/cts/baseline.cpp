@@ -1,6 +1,7 @@
 #include "cts/baseline.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "cts/buflib.h"
 #include "cts/bufferopt.h"
@@ -117,9 +118,17 @@ BaselineResult balanced_baseline(const Benchmark& bench, bool wiresize,
   correct_polarity(tree, bench, smallest_inverter(bench.tech));
 
   EvalResult current = eval.evaluate(tree);
+  // The calibration probes edit the tree through a session and undo it.
+  const EditProbe probe = [&](const std::function<void(TreeEditSession&)>& edit) {
+    TreeEditSession session(tree);
+    edit(session);
+    const EvalResult probed = eval.evaluate(tree);
+    session.rollback();
+    return probed;
+  };
   if (wiresize) {
     WireSizingParams params;
-    params.tws_per_um = calibrate_tws(tree, eval, current);
+    params.tws_per_um = calibrate_tws(tree, probe, current);
     const EdgeSlacks slacks = compute_edge_slacks(tree, current);
     TreeEditSession session(tree);
     if (wiresizing_round(session, slacks, params) > 0) {
@@ -133,7 +142,7 @@ BaselineResult balanced_baseline(const Benchmark& bench, bool wiresize,
   }
   if (snake) {
     WireSnakingParams params;
-    params.twn_per_unit = calibrate_twn(tree, eval, current, params.unit);
+    params.twn_per_unit = calibrate_twn(tree, probe, current, params.unit);
     const EdgeSlacks slacks = compute_edge_slacks(tree, current);
     TreeEditSession session(tree);
     if (wiresnaking_round(session, slacks, params) > 0) {

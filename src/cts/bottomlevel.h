@@ -23,8 +23,10 @@ struct BottomLevelParams {
   int max_units = 60;
 };
 
-/// Calibrates the per-unit snake delay on sink edges.
-Ps calibrate_bottom_twn(const ClockTree& tree, Evaluator& eval,
+/// Calibrates the per-unit snake delay on sink edges: snakes the first
+/// few sink edges by one unit in one `probe` (an edit session that is
+/// evaluated and rolled back).  `tree` is the tree `probe` edits.
+Ps calibrate_bottom_twn(const ClockTree& tree, const EditProbe& probe,
                         const EvalResult& baseline, Um unit);
 
 /// One fine-tuning pass over sink edges (edit deltas through the session):

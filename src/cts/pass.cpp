@@ -33,20 +33,39 @@ FlowContext::FlowContext(const Benchmark& bench_in, const FlowOptions& options_i
       incremental_(eval),
       use_incremental_(options_in.incremental) {}
 
-EvalResult FlowContext::evaluate_tree(Ps slew_cut) {
+EvalResult FlowContext::evaluate_tree(Ps slew_cut, std::optional<Ff> total_cap) {
   if (!use_incremental_) return eval.evaluate(tree);
   // `tree` is a member object, so its address is stable across the moves
   // the construction passes and try_accept perform on its *contents*;
   // wholesale content replacements invalidate through note_tree_mutated()/
   // restore_saved().
   if (incremental_.bound_tree() != &tree) incremental_.bind(tree);
-  return incremental_.evaluate(slew_cut);
+  return incremental_.evaluate(slew_cut, total_cap);
 }
 
 TreeEditSession FlowContext::edit_session() {
   if (!use_incremental_) return TreeEditSession(tree);
   if (incremental_.bound_tree() != &tree) incremental_.bind(tree);
+  // Opens the netlist transaction; the engine journals its cache under it.
   return TreeEditSession(tree, &incremental_.netlist());
+}
+
+void FlowContext::close_session(TreeEditSession& session, bool keep) {
+  if (keep) {
+    session.commit();
+    incremental_.commit_session();
+  } else {
+    session.rollback();
+    incremental_.rollback_session();
+  }
+}
+
+EvalResult FlowContext::probe(const std::function<void(TreeEditSession&)>& edit) {
+  TreeEditSession session = edit_session();
+  edit(session);
+  const EvalResult probed = evaluate_tree();
+  close_session(session, /*keep=*/false);
+  return probed;
 }
 
 void FlowContext::note_tree_mutated() {
@@ -110,9 +129,9 @@ bool FlowContext::violation_ok(const EvalResult& candidate) const {
   return slew_ok && cap_ok(candidate) && constraints_ok;
 }
 
-bool FlowContext::rejected_on_cap(const ClockTree& candidate, bool incremental) {
+bool FlowContext::rejected_on_cap(Ff total_cap, bool incremental) {
   EvalResult cap_only;
-  account_capacitance(cap_only, candidate, bench, eval.sink_caps());
+  account_capacitance(cap_only, total_cap, bench.tech);
   if (cap_ok(cap_only)) return false;
   eval.book_run(incremental);
   ++ivc_.rejected;
@@ -132,7 +151,10 @@ bool improves(const EvalResult& candidate, const EvalResult& incumbent,
 }  // namespace
 
 bool FlowContext::try_accept(ClockTree&& candidate, PassObjective objective) {
-  if (rejected_on_cap(candidate, /*incremental=*/false)) return false;
+  if (rejected_on_cap(candidate.total_cap(bench.tech, eval.sink_caps()),
+                      /*incremental=*/false)) {
+    return false;
+  }
   const EvalResult r = eval.evaluate(candidate);
   if (improves(r, current_, objective) && violation_ok(r)) {
     tree = std::move(candidate);
@@ -146,24 +168,27 @@ bool FlowContext::try_accept(ClockTree&& candidate, PassObjective objective) {
 }
 
 bool FlowContext::try_accept(TreeEditSession& session, PassObjective objective) {
-  if (rejected_on_cap(tree, use_incremental_)) {
-    session.rollback();
+  // Computed once: the cap check and the evaluation both need it.
+  const Ff total_cap = tree.total_cap(bench.tech, eval.sink_caps());
+  if (rejected_on_cap(total_cap, use_incremental_)) {
+    close_session(session, /*keep=*/false);
     return false;
   }
   // Past this worst slew the slew half of violation_ok() must fail: the
   // candidate then violates the limit and is worse than the incumbent.
   const Ps slew_cut =
       std::max(bench.tech.slew_limit, current_.worst_slew + 1e-6);
-  const EvalResult r = evaluate_tree(slew_cut);
+  const EvalResult r = evaluate_tree(slew_cut, total_cap);
   if (!r.stopped_early && improves(r, current_, objective) && violation_ok(r)) {
-    session.commit();
+    close_session(session, /*keep=*/true);
     current_ = r;
     ++ivc_.accepted;
     return true;
   }
   ++ivc_.rejected;
   if (r.stopped_early) ++ivc_.rejected_slew;
-  session.rollback();  // O(dirty): undo the journal, re-mark the stages
+  // O(dirty): undo the journal; the engine is left exactly as before.
+  close_session(session, /*keep=*/false);
   return false;
 }
 
@@ -173,12 +198,15 @@ void FlowContext::refine(
         round_fn) {
   double scale = 1.0;
   int rejects = 0;
+  // Slacks against the benchmark's constraint block: per-domain extrema
+  // and window caps when non-trivial, Definition 1 otherwise.
+  SlackOptions slack_options;
+  slack_options.constraints = &bench.constraints;
+  EdgeSlacks slacks;
   for (int round = 0; round < max_rounds && rejects < 5; ++round) {
-    // Slacks against the benchmark's constraint block: per-domain extrema
-    // and window caps when non-trivial, Definition 1 otherwise.
-    SlackOptions slack_options;
-    slack_options.constraints = &bench.constraints;
-    const EdgeSlacks slacks = compute_edge_slacks(tree, current_, slack_options);
+    // A rejected round leaves the tree and current() as they were, so its
+    // slacks still hold.
+    if (rejects == 0) slacks = compute_edge_slacks(tree, current_, slack_options);
     // SaveSolution as an edit journal: the round edits the incumbent in
     // place; a rejected round rolls the journal back instead of restoring
     // a whole-tree copy.
@@ -402,6 +430,13 @@ class PolarityPass : public Pass {
 
 // ------------------------------------------------------ optimization passes --
 
+/// The calibration probe of the wire passes: FlowContext::probe.
+EditProbe probe_of(FlowContext& ctx) {
+  return [&ctx](const std::function<void(TreeEditSession&)>& edit) {
+    return ctx.probe(edit);
+  };
+}
+
 /// TBSZ: trunk sliding/interleaving + iterative buffer sizing (paper
 /// sections IV-H, IV-I; CLR objective).
 class TbszPass : public Pass {
@@ -480,7 +515,7 @@ class TwszPass : public Pass {
 
   void run(FlowContext& ctx) override {
     WireSizingParams params;
-    params.tws_per_um = calibrate_tws(ctx.tree, ctx.eval, ctx.current());
+    params.tws_per_um = calibrate_tws(ctx.tree, probe_of(ctx), ctx.current());
     if (safety_) params.safety = *safety_;
     const double base_safety = params.safety;
     ctx.refine(rounds_ ? *rounds_ : ctx.options.max_sizing_rounds,
@@ -520,7 +555,7 @@ class TwsnPass : public Pass {
     WireSnakingParams params;
     params.unit = unit_ ? *unit_ : ctx.options.snake_unit;
     params.twn_per_unit =
-        calibrate_twn(ctx.tree, ctx.eval, ctx.current(), params.unit);
+        calibrate_twn(ctx.tree, probe_of(ctx), ctx.current(), params.unit);
     if (safety_) params.safety = *safety_;
     const double base_safety = params.safety;
     ctx.refine(rounds_ ? *rounds_ : ctx.options.max_snaking_rounds,
@@ -560,8 +595,8 @@ class BwsnPass : public Pass {
   void run(FlowContext& ctx) override {
     BottomLevelParams params;
     params.unit = unit_ ? *unit_ : ctx.options.bottom_unit;
-    params.twn_per_unit =
-        calibrate_bottom_twn(ctx.tree, ctx.eval, ctx.current(), params.unit);
+    params.twn_per_unit = calibrate_bottom_twn(ctx.tree, probe_of(ctx),
+                                               ctx.current(), params.unit);
     if (safety_) params.safety = *safety_;
     const double base_safety = params.safety;
     ctx.refine(rounds_ ? *rounds_ : ctx.options.max_bottom_rounds,

@@ -3,6 +3,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "analysis/evaluate.h"
@@ -40,7 +41,11 @@ namespace contango {
 ///     journaled session; the evaluation re-simulates only the dirty
 ///     stages (incremental engine, analysis/evaluate.h) and a rejected
 ///     candidate rolls the journal back.  Accept/rollback is O(dirty), not
-///     O(tree).
+///     O(tree), and a rollback is free: the session is a transaction over
+///     the engine too, which hands back the incumbent's stage versions and
+///     cached timings, so the next evaluation re-simulates nothing the
+///     rejected candidate touched.  The wire passes' calibration probes
+///     (probe()) are such sessions, always rolled back.
 ///   * whole-tree copies — structural rewrites (trunk sliding) copy the
 ///     tree; accepting one rebuilds the incremental engine's netlist.
 /// Both paths produce bit-identical evaluations; FlowOptions::incremental
@@ -147,8 +152,9 @@ class FlowContext {
   /// `session` has already applied its edits to `tree` (and marked the
   /// touched stages dirty).  Evaluates the edited tree — incrementally
   /// when enabled, re-propagating only along dirty paths — and either
-  /// commits the session (accept) or rolls its journal back (reject),
-  /// leaving the incumbent bit-identical to before the session.  Rejects
+  /// commits the session (accept) or rolls it back (reject), leaving the
+  /// incumbent tree bit-identical and the incremental engine exactly as
+  /// before the session (stage versions and cached timings).  Rejects
   /// that are certain early cost less and decide the same: a candidate
   /// that fails cap_ok() is rolled back unsimulated, and the incremental
   /// sweep stops at the first level whose worst slew already fails the
@@ -160,8 +166,20 @@ class FlowContext {
   const IvcCounts& ivc() const { return ivc_; }
 
   /// Begins an edit session on `tree`, wired to the incremental engine
-  /// when enabled.  \pre has_current() (the engine binds at ensure_initial)
+  /// when enabled: it opens the engine's transaction, which try_accept()
+  /// closes on either exit.  \pre has_current() (the engine binds at
+  /// ensure_initial)
   TreeEditSession edit_session();
+
+  /// \brief Evaluates `tree` with `edit` applied, then rolls the edit back.
+  ///
+  /// Opens an edit session, lets `edit` apply its edits through it, runs
+  /// one evaluation (one simulation run, incremental when enabled) and
+  /// rolls the session back, so `tree`, current() and the engine's state
+  /// are as before.  The wire passes calibrate T_ws/T_wn with it
+  /// (calibrate_tws, calibrate_twn, calibrate_bottom_twn).
+  /// \pre has_current()
+  EvalResult probe(const std::function<void(TreeEditSession&)>& edit);
 
   /// Restores a previously read current() evaluation — the Pipeline's
   /// whole-pass rollback uses this together with a saved tree copy.  No
@@ -194,14 +212,20 @@ class FlowContext {
   /// Evaluates `tree` through the configured engine (one simulation run):
   /// the incremental evaluator when enabled (bound on first use), the full
   /// evaluator otherwise.  Bit-identical either way.  Only the incremental
-  /// sweep honours `slew_cut` (IncrementalEvaluator::evaluate).
+  /// sweep honours `slew_cut` and takes `total_cap` (the tree's, when the
+  /// caller has it; IncrementalEvaluator::evaluate).
   EvalResult evaluate_tree(
-      Ps slew_cut = std::numeric_limits<Ps>::infinity());
+      Ps slew_cut = std::numeric_limits<Ps>::infinity(),
+      std::optional<Ff> total_cap = std::nullopt);
 
-  /// The gate's pre-simulation check: when `candidate` fails cap_ok(),
-  /// books the run it would have cost (full or incremental), counts the
-  /// reject and returns true.
-  bool rejected_on_cap(const ClockTree& candidate, bool incremental);
+  /// Ends an edit session: commit (`keep`) or rollback, of the tree
+  /// journal and of the incremental engine's cache journal together.
+  void close_session(TreeEditSession& session, bool keep);
+
+  /// The gate's pre-simulation check: when a candidate of total
+  /// capacitance `total_cap` fails cap_ok(), books the run it would have
+  /// cost (full or incremental), counts the reject and returns true.
+  bool rejected_on_cap(Ff total_cap, bool incremental);
 
   EvalResult current_;
   bool has_current_ = false;

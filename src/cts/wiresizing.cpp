@@ -19,7 +19,7 @@ std::vector<int> node_depths(const ClockTree& tree) {
 
 }  // namespace
 
-Ps calibrate_tws(const ClockTree& tree, Evaluator& eval,
+Ps calibrate_tws(const ClockTree& tree, const EditProbe& probe,
                  const EvalResult& baseline) {
   // Candidate edges: mid-depth, currently wide, with meaningful length.
   const std::vector<int> depth = node_depths(tree);
@@ -43,9 +43,9 @@ Ps calibrate_tws(const ClockTree& tree, Evaluator& eval,
   }
   if (samples.empty()) return 0.0;
 
-  ClockTree scratch = tree;
-  for (NodeId id : samples) scratch.node(id).wire_width = 0;
-  const EvalResult probed = eval.evaluate(scratch);
+  const EvalResult probed = probe([&](TreeEditSession& session) {
+    for (NodeId id : samples) session.set_wire_width(id, 0);
+  });
 
   // For each sample, the worst latency increase among its downstream sinks
   // divided by the edge length; T_ws is the maximum across samples.

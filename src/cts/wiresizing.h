@@ -25,10 +25,11 @@ struct WireSizingParams {
 };
 
 /// Calibrates T_ws: picks several independent mid-tree edges, downsizes
-/// them on a scratch copy, runs one evaluation and returns the worst
-/// observed latency increase per micrometer of downsized wire.  Returns 0
-/// when the tree has nothing to downsize (already narrow).
-Ps calibrate_tws(const ClockTree& tree, Evaluator& eval,
+/// them in one `probe` (an edit session that is evaluated and rolled back)
+/// and returns the worst observed latency increase per micrometer of
+/// downsized wire.  Returns 0, without probing, when the tree has nothing
+/// to downsize (already narrow).  `tree` is the tree `probe` edits.
+Ps calibrate_tws(const ClockTree& tree, const EditProbe& probe,
                  const EvalResult& baseline);
 
 /// One top-down pass of Algorithm 1: walks the tree breadth-first carrying

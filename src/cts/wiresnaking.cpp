@@ -8,7 +8,7 @@
 
 namespace contango {
 
-Ps calibrate_twn(const ClockTree& tree, Evaluator& eval,
+Ps calibrate_twn(const ClockTree& tree, const EditProbe& probe,
                  const EvalResult& baseline, Um unit) {
   // Sample subtree-disjoint edges spread over depths.
   std::vector<NodeId> samples;
@@ -26,9 +26,9 @@ Ps calibrate_twn(const ClockTree& tree, Evaluator& eval,
   }
   if (samples.empty()) return 0.0;
 
-  ClockTree scratch = tree;
-  for (NodeId id : samples) scratch.node(id).snake += unit;
-  const EvalResult probed = eval.evaluate(scratch);
+  const EvalResult probed = probe([&](TreeEditSession& session) {
+    for (NodeId id : samples) session.add_snake(id, unit);
+  });
 
   Ps twn = 0.0;
   for (NodeId id : samples) {

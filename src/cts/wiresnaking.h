@@ -24,9 +24,10 @@ struct WireSnakingParams {
 };
 
 /// Calibrates T_wn: adds one snake unit to several independent mid-tree
-/// edges on a scratch copy, evaluates once and returns the worst per-unit
-/// latency increase.
-Ps calibrate_twn(const ClockTree& tree, Evaluator& eval,
+/// edges in one `probe` (an edit session that is evaluated and rolled
+/// back) and returns the worst per-unit latency increase.  `tree` is the
+/// tree `probe` edits.
+Ps calibrate_twn(const ClockTree& tree, const EditProbe& probe,
                  const EvalResult& baseline, Um unit);
 
 /// One top-down snaking pass over the session (edit deltas); returns the

@@ -136,21 +136,59 @@ int RcNetlist::slot_containing_edge(NodeId node) const {
   return slot_of_driver_.at(p);
 }
 
+void RcNetlist::mark_dirty(int slot) {
+  dirty_.push_back(slot);
+  const auto s = static_cast<std::size_t>(slot);
+  if (session_ != 0 && !session_marked_[s]) {
+    session_marked_[s] = 1;
+    session_versions_.emplace_back(slot, slots_[s].version);
+  }
+}
+
 void RcNetlist::mark_edge_dirty(NodeId node) {
   // The root has no edge above it, so nothing it carries is extracted.
   if (full_rebuild_ || node == tree_->root()) return;
-  dirty_.push_back(slot_containing_edge(node));
+  mark_dirty(slot_containing_edge(node));
 }
 
 void RcNetlist::mark_buffer_dirty(NodeId node) {
   if (full_rebuild_) return;
   // Input pin cap lives in the parent stage; output cap + driver view in
   // the buffer's own stage.
-  dirty_.push_back(slot_containing_edge(node));
-  dirty_.push_back(slot_of_driver_.at(node));
+  mark_dirty(slot_containing_edge(node));
+  mark_dirty(slot_of_driver_.at(node));
 }
 
-void RcNetlist::extract_slot(int slot) {
+std::uint64_t RcNetlist::begin_session() {
+  if (!built()) throw std::logic_error("RcNetlist: session before build");
+  commit_session();
+  refresh();
+  session_marked_.assign(slots_.size(), 0);
+  session_ = next_session_++;
+  return session_;
+}
+
+void RcNetlist::commit_session() {
+  session_ = 0;
+  session_versions_.clear();
+}
+
+void RcNetlist::rollback_session() {
+  if (session_ == 0) return;
+  if (!full_rebuild_) {
+    for (const auto& [slot, version] : session_versions_) {
+      // A slot still at its pre-session version was never re-extracted,
+      // so its stage is the pre-session one already.
+      if (slots_[static_cast<std::size_t>(slot)].version != version) {
+        extract_slot(slot, version);
+      }
+    }
+    dirty_.clear();
+  }
+  commit_session();
+}
+
+void RcNetlist::extract_slot(int slot, std::uint64_t version) {
   Slot& s = slots_[static_cast<std::size_t>(slot)];
   const NodeId driver = s.stage.driver;
   Stage stage = make_driver_stage(*tree_, driver, *bench_);
@@ -178,7 +216,7 @@ void RcNetlist::extract_slot(int slot) {
     }
   }
   s.stage = std::move(stage);
-  s.version = next_version_++;
+  s.version = version;
   // Mirror the refreshed contents into the SoA arena: in place when the
   // slice capacity fits, so steady-state IVC refine loops never allocate.
   soa_.write_slot(slot, s.stage);
@@ -207,6 +245,9 @@ void RcNetlist::order_levels() {
 void RcNetlist::refresh() {
   if (!built()) throw std::logic_error("RcNetlist: refresh before build");
   if (full_rebuild_) {
+    // Every version moves, so an open session has nothing left to restore:
+    // it closes, and its TreeEditSession rolls back by re-marking.
+    commit_session();
     full_rebuild_ = false;
     dirty_.clear();
     slots_.clear();
@@ -228,7 +269,7 @@ void RcNetlist::refresh() {
       }
     }
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      extract_slot(static_cast<int>(i));
+      extract_slot(static_cast<int>(i), next_version_++);
     }
     order_levels();
     return;
@@ -239,12 +280,26 @@ void RcNetlist::refresh() {
   for (const int slot : dirty_) {
     if (done[static_cast<std::size_t>(slot)]) continue;
     done[static_cast<std::size_t>(slot)] = 1;
-    extract_slot(slot);
+    extract_slot(slot, next_version_++);
   }
   dirty_.clear();
 }
 
 // -------------------------------------------------------- TreeEditSession --
+
+TreeEditSession::TreeEditSession(ClockTree& tree, RcNetlist* net)
+    : tree_(tree), net_(net && net->built() ? net : nullptr) {
+  if (net_) session_ = net_->begin_session();
+}
+
+TreeEditSession::~TreeEditSession() {
+  if (owns_netlist_session()) net_->commit_session();
+}
+
+void TreeEditSession::commit() {
+  journal_.clear();
+  if (owns_netlist_session()) net_->commit_session();
+}
 
 void TreeEditSession::set_wire_width(NodeId node, int width) {
   Record r;
@@ -253,7 +308,7 @@ void TreeEditSession::set_wire_width(NodeId node, int width) {
   r.old_width = tree_.node(node).wire_width;
   tree_.node(node).wire_width = width;
   journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_edge_dirty(node);
+  if (net_) net_->mark_edge_dirty(node);
 }
 
 void TreeEditSession::add_snake(NodeId node, Um delta) {
@@ -267,7 +322,7 @@ void TreeEditSession::add_snake(NodeId node, Um delta) {
   }
   tree_.node(node).snake = next;
   journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_edge_dirty(node);
+  if (net_) net_->mark_edge_dirty(node);
 }
 
 void TreeEditSession::set_buffer(NodeId node, const CompositeBuffer& buffer) {
@@ -280,11 +335,14 @@ void TreeEditSession::set_buffer(NodeId node, const CompositeBuffer& buffer) {
   r.old_buffer = tree_.node(node).buffer;
   tree_.node(node).buffer = buffer;
   journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_buffer_dirty(node);
+  if (net_) net_->mark_buffer_dirty(node);
 }
 
 void TreeEditSession::rollback() {
-  const bool mark = net_ && net_->built();
+  // Inside this session's netlist transaction the netlist restores the
+  // touched stages itself; otherwise the undone edits are re-marked dirty.
+  const bool own = owns_netlist_session();
+  const bool mark = net_ && !own;
   for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
     const Record& r = *it;
     switch (r.kind) {
@@ -303,6 +361,7 @@ void TreeEditSession::rollback() {
     }
   }
   journal_.clear();
+  if (own) net_->rollback_session();
 }
 
 }  // namespace contango

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netlist/benchmark.h"
@@ -121,6 +122,14 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 /// holds stage i of a full extraction.  A slot's `version()` bumps every
 /// time its stage is re-extracted, which is how downstream caches detect
 /// staleness without callbacks.
+///
+/// An edit session (TreeEditSession) is a transaction over the netlist:
+/// begin_session() records each slot's version at its first dirty mark,
+/// and rollback_session() re-extracts the slots the session refreshed from
+/// the restored tree and gives them back those versions.  A re-extracted
+/// stage is bit-identical to the one its old version was issued for, so
+/// version equality still certifies unchanged contents, and every cache
+/// entry keyed by a pre-session version is valid again.
 class RcNetlist {
  public:
   RcNetlist() = default;
@@ -136,6 +145,24 @@ class RcNetlist {
   void mark_buffer_dirty(NodeId node);
   /// Unknown/global change: the next refresh() rebuilds everything.
   void mark_all_dirty() { full_rebuild_ = true; }
+
+  // --- edit transactions (TreeEditSession drives these) ---
+  /// Opens a session and returns its id (never 0); an open one is committed
+  /// first.  Dirty marks still pending are refreshed first, so every mark
+  /// inside the session is the session's own.
+  std::uint64_t begin_session();
+  /// Id of the open session, 0 when none is open.
+  std::uint64_t session() const { return session_; }
+  /// Closes the open session keeping its edits: their marks stay pending
+  /// until the next refresh().
+  void commit_session();
+  /// Closes the open session after the tree edits were undone: every slot
+  /// the session re-extracted is re-extracted from the restored tree and
+  /// gets its pre-session version back, and the session's dirty marks are
+  /// dropped (a slot never refreshed in the session still holds its
+  /// pre-session stage).  A full rebuild marked inside the session stays
+  /// pending instead.
+  void rollback_session();
 
   /// Re-extracts every dirty stage from the bound tree, or rebuilds every
   /// slot and the level order after mark_all_dirty().  No-op when nothing
@@ -176,7 +203,8 @@ class RcNetlist {
   };
 
   int slot_containing_edge(NodeId node) const;
-  void extract_slot(int slot);
+  void mark_dirty(int slot);
+  void extract_slot(int slot, std::uint64_t version);
   void order_levels();
 
   const ClockTree* tree_ = nullptr;
@@ -191,6 +219,12 @@ class RcNetlist {
   std::vector<int> dirty_;  ///< slots to re-extract on refresh
   bool full_rebuild_ = false;
   std::uint64_t next_version_ = 1;
+
+  std::uint64_t session_ = 0;       ///< open session id, 0 = none
+  std::uint64_t next_session_ = 1;
+  /// (slot, version at its first dirty mark) of the open session.
+  std::vector<std::pair<int, std::uint64_t>> session_versions_;
+  std::vector<char> session_marked_;  ///< per slot: in session_versions_
   NetlistSoa soa_;  ///< SoA mirror of the slots (see soa())
 };
 
@@ -200,8 +234,8 @@ class RcNetlist {
 /// The refinement passes describe candidates as *edit deltas* against the
 /// incumbent tree instead of whole-tree copies: a session applies edits in
 /// place, notifies the netlist, and either commit()s (keep) or rollback()s
-/// (undo every edit in reverse order, re-marking the touched stages dirty).
-/// Accept/rollback therefore costs O(dirty), not O(tree).
+/// (undo every edit in reverse order).  Accept/rollback therefore costs
+/// O(dirty), not O(tree).
 ///
 /// The edits are the three the refinement passes make — wire width,
 /// snake and buffer size — and each rolls back exactly: rollback restores
@@ -209,14 +243,24 @@ class RcNetlist {
 /// untouched (SaveSolution semantics).  Structural rewrites go through
 /// whole-tree candidates instead (see RcNetlist).
 ///
+/// With a built netlist the session is also a netlist transaction
+/// (RcNetlist::begin_session): rollback() hands every stage it touched
+/// back under its pre-session version, so the incremental evaluator's
+/// cache entries for the incumbent stay valid and the next evaluation
+/// re-simulates nothing the candidate changed.  A session that was never
+/// evaluated just drops its dirty marks.  The evaluator's own cache
+/// journal is closed separately (IncrementalEvaluator::rollback_session).
+///
 /// The session does not roll back on destruction; an abandoned session
 /// behaves like commit().
 class TreeEditSession {
  public:
   /// `net` may be null (no incremental engine attached): edits then only
   /// touch the tree.
-  explicit TreeEditSession(ClockTree& tree, RcNetlist* net = nullptr)
-      : tree_(tree), net_(net) {}
+  explicit TreeEditSession(ClockTree& tree, RcNetlist* net = nullptr);
+  ~TreeEditSession();
+  TreeEditSession(const TreeEditSession&) = delete;
+  TreeEditSession& operator=(const TreeEditSession&) = delete;
 
   const ClockTree& tree() const { return tree_; }
 
@@ -231,11 +275,14 @@ class TreeEditSession {
   /// Number of edits journaled so far.
   int edit_count() const { return static_cast<int>(journal_.size()); }
 
-  /// Keeps the edits: clears the journal (dirty marks stay pending in the
-  /// netlist until its next refresh).
-  void commit() { journal_.clear(); }
-  /// Undoes every journaled edit in reverse order, re-marking the touched
-  /// stages dirty.
+  /// Keeps the edits: clears the journal and closes the netlist
+  /// transaction (dirty marks stay pending in the netlist until its next
+  /// refresh).
+  void commit();
+  /// Undoes every journaled edit in reverse order and rolls the netlist
+  /// transaction back: the touched stages are exactly as before the
+  /// session, versions included.  Edits made after a commit() or
+  /// rollback() are plain dirty marks and roll back by re-marking.
   void rollback();
 
  private:
@@ -252,8 +299,14 @@ class TreeEditSession {
     CompositeBuffer old_buffer{0, 1};
   };
 
+  /// Whether this session's netlist transaction is still the open one.
+  bool owns_netlist_session() const {
+    return session_ != 0 && net_->session() == session_;
+  }
+
   ClockTree& tree_;
   RcNetlist* net_ = nullptr;
+  std::uint64_t session_ = 0;  ///< netlist session id, 0 = none
   std::vector<Record> journal_;
 };
 

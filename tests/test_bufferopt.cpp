@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "analysis/evaluate.h"
 #include "cts/bufferopt.h"
@@ -176,6 +177,18 @@ TEST(Equalize, SharedDeficitPaidOnce) {
   }
 }
 
+/// A calibration probe over `tree`: the edit is applied through a session,
+/// evaluated in full and rolled back.
+EditProbe probe_on(ClockTree& tree, Evaluator& eval) {
+  return [&tree, &eval](const std::function<void(TreeEditSession&)>& edit) {
+    TreeEditSession session(tree);
+    edit(session);
+    const EvalResult probed = eval.evaluate(tree);
+    session.rollback();
+    return probed;
+  };
+}
+
 TEST(Rounds, WiresizingConsumesOnlyAvailableSlack) {
   const Benchmark bench = small_bench(20, 19);
   ClockTree tree = build_zst(bench);
@@ -183,7 +196,7 @@ TEST(Rounds, WiresizingConsumesOnlyAvailableSlack) {
   Evaluator eval(bench);
   const EvalResult before = eval.evaluate(tree);
   WireSizingParams params;
-  params.tws_per_um = calibrate_tws(tree, eval, before);
+  params.tws_per_um = calibrate_tws(tree, probe_on(tree, eval), before);
   if (params.tws_per_um <= 0.0) GTEST_SKIP() << "nothing to calibrate";
   const EdgeSlacks slacks = compute_edge_slacks(tree, before);
   TreeEditSession session(tree);
@@ -202,7 +215,8 @@ TEST(Rounds, SnakingSlowsOnlySlackedSinks) {
   Evaluator eval(bench);
   const EvalResult before = eval.evaluate(tree);
   WireSnakingParams params;
-  params.twn_per_unit = calibrate_twn(tree, eval, before, params.unit);
+  params.twn_per_unit =
+      calibrate_twn(tree, probe_on(tree, eval), before, params.unit);
   if (params.twn_per_unit <= 0.0) GTEST_SKIP();
   const EdgeSlacks slacks = compute_edge_slacks(tree, before);
   TreeEditSession session(tree);

@@ -190,6 +190,89 @@ TEST(Incremental, RollbackRestoresTheIncumbentExactly) {
                        "rollback vs full");
 }
 
+/// A rejected candidate leaves the engine as it found it: after the
+/// rollback the netlist hands the touched stages back under their old
+/// versions and the cache journal restores the overwritten timings, so the
+/// next evaluation simulates nothing and still equals a full evaluation.
+TEST(Incremental, RollbackIsFree) {
+  const Benchmark bench = make_scenario("high_fanout", 4, 60);
+  ClockTree tree = construction_tree(bench);
+
+  Evaluator full_eval(bench);
+  Evaluator inc_owner(bench);
+  IncrementalEvaluator inc(inc_owner);
+  inc.bind(tree);
+  const EvalResult incumbent = inc.evaluate();
+  const std::vector<NodeId> edges = live_edges(tree);
+  const std::vector<NodeId> buffers = buffers_with_one_child(tree);
+  ASSERT_FALSE(buffers.empty());
+
+  const auto candidate = [&](TreeEditSession& session) {
+    session.set_wire_width(edges[1], 0);
+    session.add_snake(edges[edges.size() / 2], 60.0);
+    const CompositeBuffer old = tree.node(buffers.front()).buffer;
+    session.set_buffer(buffers.front(),
+                       CompositeBuffer{old.inverter_type, old.count + 3});
+  };
+  const auto expect_free_and_exact = [&](const char* what) {
+    SCOPED_TRACE(what);
+    const long before = inc_owner.batched_stage_evals();
+    const EvalResult next = inc.evaluate();
+    EXPECT_EQ(inc_owner.batched_stage_evals(), before);
+    expect_bit_identical(next, full_eval.evaluate(tree), "next vs full");
+    expect_bit_identical(next, incumbent, "next vs incumbent");
+  };
+
+  {  // evaluate -> edit -> evaluate -> rollback
+    TreeEditSession session(tree, &inc.netlist());
+    candidate(session);
+    const long before = inc_owner.batched_stage_evals();
+    EXPECT_NE(inc.evaluate().nominal_skew, incumbent.nominal_skew);
+    EXPECT_GT(inc_owner.batched_stage_evals(), before);
+    session.rollback();
+    inc.rollback_session();
+  }
+  expect_free_and_exact("rollback after an evaluation");
+
+  {  // edit -> rollback, never evaluated (a cap reject)
+    TreeEditSession session(tree, &inc.netlist());
+    candidate(session);
+    session.rollback();
+    inc.rollback_session();
+  }
+  expect_free_and_exact("rollback without an evaluation");
+
+  {  // two evaluations in one session journal each entry once
+    TreeEditSession session(tree, &inc.netlist());
+    session.add_snake(edges[edges.size() / 3], 40.0);
+    (void)inc.evaluate();
+    candidate(session);
+    (void)inc.evaluate();
+    session.rollback();
+    inc.rollback_session();
+  }
+  expect_free_and_exact("rollback after two evaluations");
+
+  // Edits committed but not yet evaluated are refreshed when the next
+  // session opens, so that session's rollback restores the committed
+  // stage, not the one before the commit.
+  const NodeId e = edges[edges.size() / 4];
+  {
+    TreeEditSession committed(tree, &inc.netlist());
+    committed.add_snake(e, 30.0);
+    committed.commit();
+  }
+  {
+    TreeEditSession session(tree, &inc.netlist());
+    session.add_snake(e, 30.0);
+    (void)inc.evaluate();
+    session.rollback();
+    inc.rollback_session();
+  }
+  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
+                       "rollback over a pending commit vs full");
+}
+
 /// Everything one randomized edit/rollback script observed: every
 /// incremental evaluation in order (rollback probes included) plus the
 /// engine's work counters at the end.
@@ -276,12 +359,18 @@ FuzzRun run_edit_fuzz(
         }
         break;
       default: {
-        // A rejected multi-edit candidate: edit, evaluate, roll back.
+        // A rejected multi-edit candidate: edit, evaluate (on odd steps;
+        // an even step is a cap reject, never simulated), roll back.  The
+        // rollback is free: the incumbent's next evaluation simulates
+        // nothing.
         session.set_wire_width(pick(edges), 0);
         session.add_snake(pick(edges), 25.0);
-        (void)evaluate();
+        if (step % 2 == 1) (void)evaluate();
         session.rollback();
+        inc.rollback_session();
+        const long sims = inc.stage_sims();
         expect_bit_identical(evaluate(), last, "post-rollback incumbent");
+        EXPECT_EQ(inc.stage_sims(), sims) << "rollback was not free";
         expect_graph_unchanged("after rollback");
         break;
       }
@@ -371,7 +460,14 @@ TEST(Incremental, FlowIsBitIdenticalWithTheEngineOnOrOff) {
   }
 
   // Counter split: the incremental run actually used the engine, the
-  // forced-full run never did, and the totals reconcile in both.
+  // forced-full run never did, and the totals reconcile in both.  The
+  // wire passes' calibration probes go through the engine too.
+  for (const PassTiming& p : a.pass_timings) {
+    if (p.name == "TWSZ" || p.name == "TWSN" || p.name == "BWSN") {
+      EXPECT_EQ(p.full_evals, 0) << p.name;
+      EXPECT_GT(p.incremental_evals, 0) << p.name;
+    }
+  }
   EXPECT_GT(a.incremental_evals, 0);
   EXPECT_EQ(a.sim_runs, a.full_evals + a.incremental_evals);
   EXPECT_EQ(b.incremental_evals, 0);
@@ -665,6 +761,47 @@ TEST(Incremental, HelperCpuIsCountedIntoPassCpu) {
   double pass_cpu = 0.0;
   for (const PassTiming& p : parallel.pass_timings) pass_cpu += p.cpu_seconds;
   EXPECT_GE(pass_cpu, parallel.helper_cpu_seconds);
+}
+
+/// FlowContext::probe evaluates an edit and undoes it: the tree,
+/// current() and what the next evaluation costs are as before, and the
+/// probe itself is one incremental run.
+TEST(Incremental, ProbeLeavesTheFlowAsItFoundIt) {
+  const Benchmark bench = make_scenario("ring", 2, 60);
+  FlowContext ctx(bench, FlowOptions{});
+  ctx.tree = construction_tree(bench);
+  ctx.ensure_initial();
+  const ClockTree tree_before = ctx.tree;
+  const EvalResult current_before = ctx.current();
+  const std::vector<NodeId> edges = live_edges(ctx.tree);
+
+  const int full = ctx.eval.full_evals();
+  const int incremental = ctx.eval.incremental_evals();
+  const EvalResult probed = ctx.probe([&](TreeEditSession& session) {
+    session.set_wire_width(edges[2], 0);
+    session.add_snake(edges[edges.size() / 2], 80.0);
+  });
+  EXPECT_EQ(ctx.eval.full_evals(), full);
+  EXPECT_EQ(ctx.eval.incremental_evals(), incremental + 1);
+
+  // The probe saw the edited tree ...
+  ClockTree edited = tree_before;
+  edited.node(edges[2]).wire_width = 0;
+  edited.node(edges[edges.size() / 2]).snake += 80.0;
+  expect_bit_identical(probed, reference::evaluate_tree(edited, bench),
+                       "probe vs reference");
+  // ... and left the incumbent untouched.
+  ASSERT_EQ(ctx.tree.size(), tree_before.size());
+  for (NodeId id = 0; id < static_cast<NodeId>(ctx.tree.size()); ++id) {
+    EXPECT_EQ(ctx.tree.node(id).wire_width, tree_before.node(id).wire_width);
+    EXPECT_EQ(ctx.tree.node(id).snake, tree_before.node(id).snake);
+    EXPECT_EQ(ctx.tree.node(id).buffer.count, tree_before.node(id).buffer.count);
+  }
+  expect_bit_identical(ctx.current(), current_before, "current() after probe");
+  const long before = ctx.eval.batched_stage_evals();
+  expect_bit_identical(next_evaluation(ctx), current_before,
+                       "next evaluation after probe");
+  EXPECT_EQ(ctx.eval.batched_stage_evals(), before);
 }
 
 }  // namespace
