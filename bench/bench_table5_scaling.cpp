@@ -27,8 +27,8 @@
 // .bench/.cbench files, directories — see cts/scenario.h) to run exactly
 // those workloads instead of a sweep.  Loading is timed per benchmark and
 // lands in the JSON report as `load_seconds`, which is how the trajectory
-// compares text-parse vs. binary-mmap load cost (CONTANGO_MMAP=0 forces
-// the buffered fallback; results are bit-identical).
+// compares text-parse vs. binary-mmap load cost (results are
+// bit-identical).
 
 #include <cstdio>
 #include <exception>

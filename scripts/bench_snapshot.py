@@ -26,7 +26,6 @@ Usage:
                                       [--max-sinks 2000] [--threads 1]
                                       [--scenario huge] [--seed 1]
                                       [--workloads mega_1m.cbench]
-                                      [--force-buffered]
 
 ``--workloads`` (table5 only) runs a collect_workloads() spec — scenario
 families, ``.bench``/``.cbench`` files, directories — instead of a sweep;
@@ -97,9 +96,6 @@ def main() -> int:
                              "run exactly these workloads (family names, "
                              ".bench/.cbench files, directories) instead of "
                              "a sink-count sweep; records load_seconds")
-    parser.add_argument("--force-buffered", action="store_true",
-                        help="set CONTANGO_MMAP=0 (buffered-read .cbench "
-                             "loading instead of mmap)")
     args = parser.parse_args()
 
     build_dir = pathlib.Path(args.build_dir)
@@ -134,13 +130,10 @@ def main() -> int:
     if args.workloads:
         env["CONTANGO_WORKLOADS"] = args.workloads
         env["CONTANGO_SEED"] = str(args.seed)
-    if args.force_buffered:
-        env["CONTANGO_MMAP"] = "0"
 
     config = {
         "binary": BENCH_BINARIES[args.bench],
         "threads": args.threads,
-        "mmap": not args.force_buffered,
     }
     if args.bench == "table5":
         config["max_sinks"] = args.max_sinks
@@ -152,8 +145,7 @@ def main() -> int:
             config["seed"] = args.seed
 
     print(f"bench_snapshot: running {bench} "
-          f"(threads={args.threads}, "
-          f"mmap={int(config['mmap'])})")
+          f"(threads={args.threads})")
     result = subprocess.run([str(bench)], env=env)
     if result.returncode != 0:
         print(f"bench_snapshot: {BENCH_BINARIES[args.bench]} failed",

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "rctree/extract.h"
@@ -29,11 +27,6 @@ class ElmoreStage {
   /// excluding the driver resistance term.
   Ps tau(int rc) const { return tau_[static_cast<std::size_t>(rc)]; }
 
-  /// Contiguous per-node tau array (one entry per RC node).  The batched
-  /// transient kernel borrows cached sweeps through this instead of
-  /// re-running them per (corner x transition) combination.
-  const Ps* tau_data() const { return tau_.data(); }
-
   /// Total grounded capacitance of the stage.
   Ff total_cap() const { return total_cap_; }
 
@@ -51,52 +44,6 @@ class ElmoreStage {
   std::vector<Ps> tau_;    ///< Elmore tau per RC node (driver term excluded)
   std::vector<Ff> cdown_;  ///< downstream cap per RC node
   Ff total_cap_ = 0.0;
-};
-
-/// \brief Per-stage cache of ElmoreStage sweeps, keyed by RcNetlist slot
-/// version.
-///
-/// The bottom-up load (cdown) and top-down tau sweeps of an ElmoreStage
-/// depend only on the stage's RC contents, so they stay valid until the
-/// stage is re-extracted.  The incremental evaluator keeps one cache per
-/// netlist and rebuilds entries only along dirty paths; a sweep without
-/// reuse (full evaluation, Monte-Carlo trial) has the kernel rebuild them
-/// per stage instead, with the same accumulation order, so cached and
-/// fresh sweeps are bit-identical.
-class ElmoreCache {
- public:
-  /// Returns the cached sweep for `slot`, rebuilding it from `stage` when
-  /// `version` differs from the cached one.  `stage` must be the slot's
-  /// stage object (its address must stay valid while the entry is used —
-  /// RcNetlist keeps slot storage in place until a full rebuild, which
-  /// moves every version).
-  const ElmoreStage& get(int slot, std::uint64_t version, const Stage& stage) {
-    if (static_cast<std::size_t>(slot) >= entries_.size()) {
-      entries_.resize(static_cast<std::size_t>(slot) + 1);
-    }
-    Entry& e = entries_[static_cast<std::size_t>(slot)];
-    if (!e.elmore || e.version != version) {
-      e.elmore = std::make_unique<ElmoreStage>(stage);
-      e.version = version;
-    }
-    return *e.elmore;
-  }
-
-  /// Sizes the cache for slots [0, n) so that get() on distinct slots
-  /// never reallocates — concurrent get() calls are then safe as long as
-  /// no two of them share a slot.
-  void reserve_slots(std::size_t n) {
-    if (entries_.size() < n) entries_.resize(n);
-  }
-
-  void clear() { entries_.clear(); }
-
- private:
-  struct Entry {
-    std::unique_ptr<ElmoreStage> elmore;
-    std::uint64_t version = 0;
-  };
-  std::vector<Entry> entries_;
 };
 
 }  // namespace contango

@@ -285,10 +285,7 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
 
   // Everything the sweep indexes by slot is sized up front, so workers on
   // distinct slots never reallocate shared containers.
-  if (reuse) {
-    if (timings_.size() < slot_count) timings_.resize(slot_count);
-    elmore_.reserve_slots(slot_count);
-  }
+  if (reuse && timings_.size() < slot_count) timings_.resize(slot_count);
   // Journal overwritten entries while an edit session is open; a journal
   // left over from an earlier session was kept implicitly.
   const std::uint64_t session = reuse ? net.session() : 0;
@@ -333,9 +330,9 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
   }
 
   // Simulates (or replays) the slot at topo position `pos` and fans its
-  // taps out.  Writes only slot-owned state (cache entries, Elmore entry,
-  // slot_max_slew_ row), the events/flags of its children and its own
-  // sinks, plus `w` — so slots of one level may run on any workers.
+  // taps out.  Writes only slot-owned state (cache entries, slot_max_slew_
+  // row), the events/flags of its children and its own sinks, plus `w` —
+  // so slots of one level may run on any workers.
   const auto run_slot = [&](std::size_t pos, Worker& w) {
     const int slot = topo[pos];
     const Stage& stage = net.stage(slot);
@@ -397,34 +394,21 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
       }
     }
 
-    // One kernel call over this slot's misses in combo order: without
-    // reuse every combo, with the in-kernel Elmore sweep of `soa`; with
-    // reuse the cached sweep is borrowed.
+    // One kernel call over this slot's misses in combo order (without
+    // reuse, every combo).  With reuse the rows go to their cache entries,
+    // which the fan-out then reads; without it the fan-out reads row c.
     const std::size_t misses = w.miss_combos.size();
-    if (!reuse) {
-      w.miss_taps.resize(combos * nt);
-      sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), combos,
+    if (misses > 0) {
+      w.miss_taps.resize(misses * nt);
+      sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), misses,
                                w.miss_taps.data(), w.scratch);
-    } else if (misses > 0) {
-      const ElmoreStage& elm = elmore_.get(slot, version, stage);
-      const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
-      if (misses == 1) {
-        // Single miss (the warm-cache common case): the kernel writes the
-        // cache entry in place — no staging row, no copy.
-        CachedTiming& entry = (*per_slot)[static_cast<std::size_t>(w.miss_combos[0])];
-        entry.taps.resize(nt);
-        sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), 1,
-                                 entry.taps.data(), w.scratch, &borrowed);
-      } else {
-        w.miss_taps.resize(misses * nt);
-        sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), misses,
-                                 w.miss_taps.data(), w.scratch, &borrowed);
-        for (std::size_t m = 0; m < misses; ++m) {
-          CachedTiming& entry = (*per_slot)[static_cast<std::size_t>(w.miss_combos[m])];
-          entry.taps.assign(
-              w.miss_taps.begin() + static_cast<std::ptrdiff_t>(m * nt),
-              w.miss_taps.begin() + static_cast<std::ptrdiff_t>((m + 1) * nt));
-        }
+    }
+    if (reuse) {
+      for (std::size_t m = 0; m < misses; ++m) {
+        CachedTiming& entry = (*per_slot)[static_cast<std::size_t>(w.miss_combos[m])];
+        entry.taps.assign(
+            w.miss_taps.begin() + static_cast<std::ptrdiff_t>(m * nt),
+            w.miss_taps.begin() + static_cast<std::ptrdiff_t>((m + 1) * nt));
       }
     }
     w.tally.sims += static_cast<long>(misses);

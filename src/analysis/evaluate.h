@@ -8,7 +8,6 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/elmore.h"
 #include "analysis/transient.h"
 #include "netlist/benchmark.h"
 #include "rctree/clocktree.h"
@@ -244,12 +243,13 @@ class Evaluator {
 /// thread-count invariant too.
 ///
 /// With `reuse`, the sweep keeps per-(slot x corner x transition) tap
-/// timings and per-slot Elmore sweeps between runs and re-simulates a
-/// (slot x corner x transition) exactly when an input of its kernel call —
-/// the slot's contents (RcNetlist::version), its input direction or its
-/// input slew — differs from the cached call; everything else replays the
-/// cache.  Without it
-/// every slot is simulated, Elmore sweep included, from the SoA passed in.
+/// timings between runs and re-simulates a (slot x corner x transition)
+/// exactly when an input of its kernel call — the slot's contents
+/// (RcNetlist::version), its input direction or its input slew — differs
+/// from the cached call; everything else replays the cache.  Without it
+/// every slot is simulated from the SoA passed in.  Either way a slot's
+/// misses go through one kernel call, which runs its own Elmore sweep, so
+/// the tap timings are the only state kept between runs.
 /// Capacitance accounting is the caller's job (account_capacitance).
 ///
 /// While the netlist has an edit session open (RcNetlist::session), a
@@ -299,9 +299,8 @@ class LevelSweep {
 
   const Tally& last() const { return last_; }
 
-  /// Drops every cached timing and Elmore sweep, and the journal.
+  /// Drops every cached timing, and the journal.
   void clear_cache() {
-    elmore_.clear();
     timings_.clear();
     drop_journal();
   }
@@ -327,7 +326,7 @@ class LevelSweep {
   };
   /// One sweep worker's private state.  The combos of one slot that need
   /// the kernel are gathered in the miss buffers and simulated in one
-  /// simulate_stage_batch() call.
+  /// simulate_stage_batch() call, whose rows land in `miss_taps`.
   struct Worker {
     TransientScratch scratch;
     std::vector<BatchDrive> miss_drives;
@@ -341,7 +340,6 @@ class LevelSweep {
     Tally tally;
   };
 
-  ElmoreCache elmore_;
   /// timings_[slot][corner * kNumTransitions + transition]
   std::vector<std::vector<CachedTiming>> timings_;
   std::vector<Worker> workers_;
@@ -354,10 +352,9 @@ class LevelSweep {
 
 /// \brief Incremental Clock-Network Evaluation over a persistent RcNetlist.
 ///
-/// Binds to one evolving ClockTree and keeps three layers of state alive
+/// Binds to one evolving ClockTree and keeps two layers of state alive
 /// between evaluations:
 ///   * the staged RC netlist itself (RcNetlist — dirty stages re-extract);
-///   * per-stage Elmore sweeps (ElmoreCache — bottom-up load state);
 ///   * per-(stage x corner x source transition) transient tap timings —
 ///     the top-down delay state.
 ///

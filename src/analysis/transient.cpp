@@ -284,7 +284,8 @@ const LaneKernels* kernels_for(detail::KernelIsa isa) {
 void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
                     const NetlistSoa::View& stage, const BatchDrive* drives,
                     std::size_t count, TapTiming* out,
-                    TransientScratch& scratch, const ElmoreView* elmore) {
+                    TransientScratch& scratch,
+                    const detail::ElmoreOverride* elmore) {
   const std::size_t n = stage.num_nodes;
   const std::size_t nt = stage.num_taps;
   for (std::size_t i = 0; i < count * nt; ++i) out[i] = TapTiming{};
@@ -301,10 +302,9 @@ void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
     scratch.g[i] = 1.0 / std::max(stage.res[i], 1e-9);
   }
 
-  // Elmore sweep for timestep selection and the stop guard — borrowed from
-  // the caller's cache, or rebuilt here with exactly the ElmoreStage
-  // accumulation order (one reverse cdown/total sweep, one forward tau
-  // sweep), so both paths produce identical bits.
+  // Elmore sweep for timestep selection and the stop guard, with exactly
+  // the ElmoreStage accumulation order (one reverse cdown/total sweep, one
+  // forward tau sweep).  Only tests replace it (detail::ElmoreOverride).
   const Ps* tau = nullptr;
   Ff total_cap = 0.0;
   if (elmore) {
@@ -365,13 +365,14 @@ void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
 
 void TransientSimulator::simulate_stage_batch(
     const NetlistSoa::View& stage, const BatchDrive* drives, std::size_t count,
-    TapTiming* out, TransientScratch& scratch, const ElmoreView* elmore) const {
+    TapTiming* out, TransientScratch& scratch) const {
   // The widest clone this CPU runs.
   static const LaneKernels* const kernels = [] {
     const LaneKernels* avx2 = kernels_for(detail::KernelIsa::kAvx2);
     return avx2 ? avx2 : &kBaselineKernels;
   }();
-  simulate_batch(*kernels, options_, stage, drives, count, out, scratch, elmore);
+  simulate_batch(*kernels, options_, stage, drives, count, out, scratch,
+                 nullptr);
 }
 
 namespace detail {
@@ -382,7 +383,7 @@ void simulate_stage_batch_on(KernelIsa isa, const TransientSimulator& sim,
                              const NetlistSoa::View& stage,
                              const BatchDrive* drives, std::size_t count,
                              TapTiming* out, TransientScratch& scratch,
-                             const ElmoreView* elmore) {
+                             const ElmoreOverride* elmore) {
   const LaneKernels* kernels = kernels_for(isa);
   if (!kernels) {
     throw std::invalid_argument("transient kernel clone not supported here");

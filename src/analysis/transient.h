@@ -36,13 +36,6 @@ struct BatchDrive {
   Ps input_slew = 0.0;
 };
 
-/// Borrowed Elmore sweep of a stage (tau per RC node + total cap), e.g. an
-/// ElmoreCache entry; lets the batch kernel skip its in-kernel sweep.
-struct ElmoreView {
-  const Ps* tau = nullptr;
-  Ff total_cap = 0.0;
-};
-
 /// Reusable workspace of the transient kernel, grown on demand and recycled
 /// across stages, lane groups and trials so the hot loop never allocates.
 /// Each thread needs its own instance.
@@ -54,8 +47,8 @@ struct ElmoreView {
 /// (`[l * num_taps + k]`).
 struct TransientScratch {
   std::vector<double> g;      ///< conductance to parent (shared per stage)
-  std::vector<double> cdown;  ///< in-kernel Elmore sweep (when not borrowed)
-  std::vector<double> tau;
+  std::vector<double> cdown;  ///< Elmore sweep: downstream cap per node
+  std::vector<double> tau;    ///< Elmore sweep: tau per node
   // Per-node lane arrays (node-major).
   std::vector<double> cap_h;  ///< C/h, hoisted out of the step loop
   std::vector<double> adiag;  ///< factorization: pivots
@@ -106,7 +99,9 @@ struct TransientScratch {
 /// driver ramp starts (they leave every voltage at exactly 0), and performs
 /// the one-drive integrator's operations in their original order, so a row
 /// does not depend on which drives share its group.  A one-stage caller
-/// passes a batch of one.
+/// passes a batch of one.  The Elmore sweep is always the kernel's own,
+/// one O(nodes) pass per call: it only picks each lane's timestep and stop
+/// time, so no caller keeps sweeps between calls.
 ///
 /// The lane integrator is compiled twice, for the baseline ISA and with
 /// AVX2 enabled, and simulate_stage_batch() runs the AVX2 clone when the CPU
@@ -125,13 +120,9 @@ class TransientSimulator {
   /// lane), 2 or 1, and each lane's timestep, factorization and trapezoidal
   /// integration run exactly the one-drive arithmetic, so every row is
   /// bit-identical to a batch of one with the same drive.
-  ///
-  /// `elmore` optionally borrows a prebuilt sweep (ElmoreCache entry built
-  /// from the same stage contents); null computes it in-kernel.
   void simulate_stage_batch(const NetlistSoa::View& stage,
                             const BatchDrive* drives, std::size_t count,
-                            TapTiming* out, TransientScratch& scratch,
-                            const ElmoreView* elmore = nullptr) const;
+                            TapTiming* out, TransientScratch& scratch) const;
 
   const TransientOptions& options() const { return options_; }
 
@@ -148,13 +139,22 @@ enum class KernelIsa { kBaseline, kAvx2 };
 /// Whether this build has `isa`'s clone and the CPU can run it.
 bool kernel_isa_supported(KernelIsa isa);
 
-/// simulate_stage_batch() on the `isa` clone; throws std::invalid_argument
+/// An Elmore sweep (tau per RC node, total cap) handed to the kernel in
+/// place of its own.  A true sweep never lets a lane reach its stop time,
+/// so tests pass an understated one to drive lanes into the stop guard.
+struct ElmoreOverride {
+  const Ps* tau = nullptr;
+  Ff total_cap = 0.0;
+};
+
+/// simulate_stage_batch() on the `isa` clone, with the kernel's Elmore
+/// sweep replaced by `elmore` when given; throws std::invalid_argument
 /// when the clone is not supported.
 void simulate_stage_batch_on(KernelIsa isa, const TransientSimulator& sim,
                              const NetlistSoa::View& stage,
                              const BatchDrive* drives, std::size_t count,
                              TapTiming* out, TransientScratch& scratch,
-                             const ElmoreView* elmore = nullptr);
+                             const ElmoreOverride* elmore = nullptr);
 
 }  // namespace detail
 

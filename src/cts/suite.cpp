@@ -402,7 +402,6 @@ std::vector<std::string> unknown_contango_env_vars() {
       "CONTANGO_MC_SIGMA_WIRE",
       "CONTANGO_MC_SKEW_TARGET",
       "CONTANGO_MC_TRIALS",
-      "CONTANGO_MMAP",
       "CONTANGO_PIPELINE",
       "CONTANGO_SCENARIO",
       "CONTANGO_SEED",
@@ -442,9 +441,6 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
     throw std::runtime_error("CONTANGO_THREADS=" + std::to_string(base.threads) +
                              " must be >= 0 (0 = hardware concurrency)");
   }
-  // CONTANGO_MMAP is consumed in io/mmap.h at file open; the strict read
-  // here only rejects malformed values up front, like every other knob.
-  env_long_strict("CONTANGO_MMAP", 1);
   // CONTANGO_DOMAINS / CONTANGO_WINDOW_FRACTION parameterize the
   // multidomain / usefulskew scenario factories (cts/scenario.cpp), which
   // read and range-check them at generation; the strict reads here reject

@@ -216,11 +216,6 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 ///
 ///   CONTANGO_THREADS         -> threads
 ///   CONTANGO_PIPELINE        -> pipeline_spec (cts/pipeline.h syntax)
-///   CONTANGO_MMAP            -> `.cbench` load backend (0 forces the
-///                               buffered-read fallback instead of mmap;
-///                               default 1, results are bit-identical
-///                               either way; read by io/mmap.h at file
-///                               open, validated here)
 ///   CONTANGO_DOMAINS         -> domain count of the `multidomain`
 ///                               scenario family (0 = seed-derived 2-4;
 ///                               consumed in cts/scenario.cpp, validated

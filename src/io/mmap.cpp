@@ -7,15 +7,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
-#include "util/env.h"
-
 namespace contango {
-
-bool mmap_io_enabled() { return env_long("CONTANGO_MMAP", 1) != 0; }
 
 MappedFile::~MappedFile() { release(); }
 
@@ -55,10 +50,6 @@ void MappedFile::release() {
 }
 
 MappedFile MappedFile::open(const std::string& path) {
-  return mmap_io_enabled() ? open_mapped(path) : open_buffered(path);
-}
-
-MappedFile MappedFile::open_mapped(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     throw std::runtime_error(path + ": cannot open: " +
@@ -98,27 +89,6 @@ MappedFile MappedFile::from_bytes(std::vector<unsigned char> bytes) {
   file.buffer_ = std::move(bytes);
   file.size_ = file.buffer_.size();
   if (!file.buffer_.empty()) file.data_ = file.buffer_.data();
-  return file;
-}
-
-MappedFile MappedFile::open_buffered(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error(path + ": cannot open");
-  in.seekg(0, std::ios::end);
-  const std::streamoff end = in.tellg();
-  if (end < 0) throw std::runtime_error(path + ": cannot determine size");
-  in.seekg(0, std::ios::beg);
-  MappedFile file;
-  file.buffer_.resize(static_cast<std::size_t>(end));
-  if (!file.buffer_.empty()) {
-    in.read(reinterpret_cast<char*>(file.buffer_.data()),
-            static_cast<std::streamsize>(file.buffer_.size()));
-    if (in.gcount() != static_cast<std::streamsize>(file.buffer_.size())) {
-      throw std::runtime_error(path + ": short read");
-    }
-    file.data_ = file.buffer_.data();
-  }
-  file.size_ = file.buffer_.size();
   return file;
 }
 

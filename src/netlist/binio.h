@@ -265,11 +265,12 @@ struct DoubleRecordsView {
 /// per-section checksums and the full name-table walk — then hands out
 /// typed views directly over the mapped bytes.  After open() succeeds,
 /// every accessor is bounds-safe by construction.  The double views are
-/// 8-byte aligned (section offsets are aligned and both MappedFile
-/// backends return aligned bases), so dereferencing them is well-defined.
+/// 8-byte aligned (section offsets are aligned, and both an mmap mapping
+/// and a from_bytes() buffer have aligned bases), so dereferencing them is
+/// well-defined.
 class MappedBenchmark {
  public:
-  /// Opens and validates `path` (mmap or buffered per CONTANGO_MMAP).
+  /// Maps and validates `path`.
   /// \throws std::runtime_error when the file cannot be opened
   /// \throws BenchmarkParseError naming the malformed header field or
   ///         section otherwise

@@ -1,13 +1,14 @@
 #include "rctree/soa.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "rctree/extract.h"
 
 namespace contango {
 namespace {
 
-/// Arena slices are sized to the next power of two (floor 4) so freed
+/// Node slices are sized to the next power of two (floor 4) so freed
 /// slices land in exact buckets and a stage that shrinks and regrows a few
 /// nodes keeps rewriting the same slice instead of churning allocations.
 constexpr std::size_t kMinCapacity = 4;
@@ -53,7 +54,7 @@ void NetlistSoa::build(const StagedNetlist& net) {
     r.node_off = cap_.size();
     r.node_cap = r.num_nodes = stage.nodes.size();
     r.tap_off = tap_rc_.size();
-    r.tap_cap = r.num_taps = stage.taps.size();
+    r.num_taps = stage.taps.size();
     r.driver_pin_cap = stage.driver_pin_cap;
     r.live = true;
     for (const RcNode& n : stage.nodes) {
@@ -84,33 +85,11 @@ std::size_t NetlistSoa::acquire_nodes(std::size_t need) {
   return off;
 }
 
-std::size_t NetlistSoa::acquire_taps(std::size_t need) {
-  const std::size_t cap = pow2_capacity(need);
-  const std::size_t bucket = bucket_of(cap);
-  if (bucket < free_taps_.size() && !free_taps_[bucket].empty()) {
-    const std::size_t off = free_taps_[bucket].back();
-    free_taps_[bucket].pop_back();
-    return off;
-  }
-  const std::size_t off = tap_rc_.size();
-  tap_rc_.resize(off + cap);
-  tap_sink_.resize(off + cap);
-  tap_pin_cap_.resize(off + cap);
-  return off;
-}
-
 void NetlistSoa::recycle_nodes(std::size_t off, std::size_t cap) {
   if (!recyclable(cap)) return;
   const std::size_t bucket = bucket_of(cap);
   if (bucket >= free_nodes_.size()) free_nodes_.resize(bucket + 1);
   free_nodes_[bucket].push_back(off);
-}
-
-void NetlistSoa::recycle_taps(std::size_t off, std::size_t cap) {
-  if (!recyclable(cap)) return;
-  const std::size_t bucket = bucket_of(cap);
-  if (bucket >= free_taps_.size()) free_taps_.resize(bucket + 1);
-  free_taps_[bucket].push_back(off);
 }
 
 void NetlistSoa::write_slot(int slot, const Stage& stage) {
@@ -119,6 +98,12 @@ void NetlistSoa::write_slot(int slot, const Stage& stage) {
     slots_.resize(static_cast<std::size_t>(slot) + 1);
   }
   SlotRef& r = slots_[static_cast<std::size_t>(slot)];
+  const std::size_t need_taps = stage.taps.size();
+  if (r.live && r.num_taps != need_taps) {
+    throw std::logic_error("NetlistSoa: slot " + std::to_string(slot) +
+                           " rewritten with " + std::to_string(need_taps) +
+                           " taps, not " + std::to_string(r.num_taps));
+  }
 
   const std::size_t need_nodes = stage.nodes.size();
   if (!r.live || r.node_cap < need_nodes) {
@@ -128,13 +113,13 @@ void NetlistSoa::write_slot(int slot, const Stage& stage) {
   }
   r.num_nodes = need_nodes;
 
-  const std::size_t need_taps = stage.taps.size();
-  if (!r.live || r.tap_cap < need_taps) {
-    if (r.live) recycle_taps(r.tap_off, r.tap_cap);
-    r.tap_cap = pow2_capacity(need_taps);
-    r.tap_off = acquire_taps(need_taps);
+  if (!r.live) {
+    r.tap_off = tap_rc_.size();
+    r.num_taps = need_taps;
+    tap_rc_.resize(r.tap_off + need_taps);
+    tap_sink_.resize(r.tap_off + need_taps);
+    tap_pin_cap_.resize(r.tap_off + need_taps);
   }
-  r.num_taps = need_taps;
 
   r.driver_pin_cap = stage.driver_pin_cap;
   r.live = true;
@@ -162,7 +147,6 @@ void NetlistSoa::clear() {
   tap_sink_.clear();
   tap_pin_cap_.clear();
   free_nodes_.clear();
-  free_taps_.clear();
 }
 
 NetlistSoa::View NetlistSoa::view(int slot) const {

@@ -27,13 +27,16 @@ struct StagedNetlist;  // rctree/extract.h
 ///                         slot id == stage index, for callers that hold
 ///                         an extract_stages() result (the test oracle,
 ///                         the kernel benches).
-///   * write_slot(...)   — arena: slices carry power-of-two capacity and
-///                         live in stable offsets, so the incremental
-///                         engine's dirty-stage re-extraction rewrites a
-///                         slice in place whenever the new contents fit its
-///                         capacity; grown slices recycle through per-bucket
-///                         free lists.  RcNetlist maintains this mirror
-///                         across refresh() — slot ids match its own.
+///   * write_slot(...)   — arena: slices live in stable offsets, so the
+///                         incremental engine's dirty-stage re-extraction
+///                         rewrites them in place.  Node slices carry
+///                         power-of-two capacity (a snake adds nodes) and
+///                         grown ones recycle through per-bucket free
+///                         lists; tap slices are tight, because the stage
+///                         graph, and with it every stage's tap count, is
+///                         fixed between full rebuilds.  RcNetlist
+///                         maintains this mirror across refresh() — slot
+///                         ids match its own.
 ///
 /// Values are copied field-by-field from the AoS stage, so a slice is
 /// bit-identical to its Stage and any kernel consuming the slice sees
@@ -44,9 +47,12 @@ class NetlistSoa {
   /// net.stages[i], slices are tight (capacity == size).
   void build(const StagedNetlist& net);
 
-  /// Writes `stage` into `slot`'s slice, in place when the current
-  /// capacity fits, else through a power-of-two arena (re)allocation.
-  /// Unknown slots are created; slot ids may be sparse.
+  /// Writes `stage` into `slot`'s slices: the nodes in place when the
+  /// current capacity fits, else through a power-of-two arena
+  /// (re)allocation; the taps always in place.  Unknown slots are created;
+  /// slot ids may be sparse.
+  /// \throws std::logic_error when `slot` is live with a different tap
+  ///         count (a stage-graph change needs a full rebuild)
   void write_slot(int slot, const Stage& stage);
 
   /// Drops every slice and free list (e.g. before a full netlist rebuild).
@@ -98,25 +104,21 @@ class NetlistSoa {
   std::size_t tap_offset(int slot) const {
     return slots_[static_cast<std::size_t>(slot)].tap_off;
   }
-  std::size_t tap_capacity(int slot) const {
-    return slots_[static_cast<std::size_t>(slot)].tap_cap;
-  }
-  /// Total arena length of the node-plane arrays (live + free slices).
+  /// Total arena length of the node-plane arrays (live + free slices) and
+  /// of the tap-plane arrays (live slices only).
   std::size_t arena_nodes() const { return cap_.size(); }
   std::size_t arena_taps() const { return tap_rc_.size(); }
 
  private:
   struct SlotRef {
     std::size_t node_off = 0, node_cap = 0, num_nodes = 0;
-    std::size_t tap_off = 0, tap_cap = 0, num_taps = 0;
+    std::size_t tap_off = 0, num_taps = 0;
     Ff driver_pin_cap = 0.0;
     bool live = false;
   };
 
   std::size_t acquire_nodes(std::size_t need);
-  std::size_t acquire_taps(std::size_t need);
   void recycle_nodes(std::size_t off, std::size_t cap);
-  void recycle_taps(std::size_t off, std::size_t cap);
 
   std::vector<SlotRef> slots_;
   // node plane (parallel arrays, one slice per slot)
@@ -127,9 +129,8 @@ class NetlistSoa {
   std::vector<int> tap_rc_;
   std::vector<int> tap_sink_;
   std::vector<Ff> tap_pin_cap_;
-  // free slices by power-of-two bucket (index = log2 capacity)
+  // free node slices by power-of-two bucket (index = log2 capacity)
   std::vector<std::vector<std::size_t>> free_nodes_;
-  std::vector<std::vector<std::size_t>> free_taps_;
 };
 
 }  // namespace contango

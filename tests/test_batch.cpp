@@ -2,17 +2,17 @@
 // SoA netlist mirror and the full/incremental/Monte-Carlo engines must be
 // bit-identical to the corner-outer scalar propagation of
 // tests/evaluate_reference.h, and the arena allocator underneath must keep
-// slices consistent across incremental edits.
+// slices consistent across incremental edits (tap slices in place).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "analysis/elmore.h"
 #include "analysis/evaluate.h"
 #include "analysis/montecarlo.h"
 #include "cts/pipeline.h"
@@ -122,13 +122,13 @@ void expect_soa_consistent(const RcNetlist& net) {
   std::vector<std::pair<std::size_t, std::size_t>> node_slices, tap_slices;
   for (const int slot : net.topo_slots()) {
     expect_slice_matches_stage(soa, slot, net.stage(slot));
+    const std::size_t num_taps = net.stage(slot).taps.size();
     ASSERT_GE(soa.node_capacity(slot), net.stage(slot).nodes.size());
-    ASSERT_GE(soa.tap_capacity(slot), net.stage(slot).taps.size());
     ASSERT_LE(soa.node_offset(slot) + soa.node_capacity(slot),
               soa.arena_nodes());
-    ASSERT_LE(soa.tap_offset(slot) + soa.tap_capacity(slot), soa.arena_taps());
+    ASSERT_LE(soa.tap_offset(slot) + num_taps, soa.arena_taps());
     node_slices.emplace_back(soa.node_offset(slot), soa.node_capacity(slot));
-    tap_slices.emplace_back(soa.tap_offset(slot), soa.tap_capacity(slot));
+    tap_slices.emplace_back(soa.tap_offset(slot), num_taps);
   }
   const auto expect_disjoint = [](std::vector<std::pair<std::size_t, std::size_t>> s,
                                   const char* plane) {
@@ -193,17 +193,6 @@ TEST(Batch, KernelRowsMatchScalarCallsExactly) {
         EXPECT_EQ(out[b * stage.taps.size() + k].delay, scalar[k].delay);
         EXPECT_EQ(out[b * stage.taps.size() + k].slew, scalar[k].slew);
       }
-    }
-
-    // Borrowing the Elmore sweep must change nothing either.
-    const ElmoreStage elm(stage);
-    const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
-    std::vector<TapTiming> out2(out.size());
-    sim.simulate_stage_batch(soa.view(0), drives.data(), drives.size(),
-                             out2.data(), scratch, &borrowed);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out2[i].delay, out[i].delay);
-      EXPECT_EQ(out2[i].slew, out[i].slew);
     }
   }
 }
@@ -341,6 +330,13 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
     inc.bind(tree);
     (void)inc.evaluate();
     expect_soa_consistent(inc.netlist());
+    // Edits never change a stage's tap count, so tap slices never move.
+    const NetlistSoa& soa = inc.netlist().soa();
+    const std::size_t arena_taps = soa.arena_taps();
+    std::vector<std::size_t> tap_offsets;
+    for (const int slot : inc.netlist().topo_slots()) {
+      tap_offsets.push_back(soa.tap_offset(slot));
+    }
 
     Rng rng(0x50A ^ std::hash<std::string>{}(family));
     for (int step = 0; step < 24; ++step) {
@@ -386,6 +382,13 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
       tree.validate();
       (void)inc.evaluate();  // refresh + re-simulate through the SoA slices
       expect_soa_consistent(inc.netlist());
+      const std::vector<int>& topo = inc.netlist().topo_slots();
+      ASSERT_EQ(topo.size(), tap_offsets.size());
+      for (std::size_t i = 0; i < topo.size(); ++i) {
+        EXPECT_EQ(inc.netlist().soa().tap_offset(topo[i]), tap_offsets[i])
+            << "slot " << topo[i];
+      }
+      EXPECT_EQ(inc.netlist().soa().arena_taps(), arena_taps);
     }
   }
 }
@@ -402,6 +405,8 @@ TEST(Batch, ArenaGrowsRewritesInPlaceAndRecycles) {
   expect_slice_matches_stage(soa, 0, small);
   EXPECT_EQ(soa.node_capacity(0), 4u);  // power-of-two floor
   const std::size_t off0 = soa.node_offset(0);
+  // Every rewrite of slot 0 keeps its one tap, so the tap slice stays put.
+  const std::size_t tap0 = soa.tap_offset(0);
 
   // Same-bucket rewrite stays in place, bigger one reallocates.
   const Stage same_bucket = random_stage(rng, 4, 1);
@@ -409,12 +414,14 @@ TEST(Batch, ArenaGrowsRewritesInPlaceAndRecycles) {
   expect_slice_matches_stage(soa, 0, same_bucket);
   EXPECT_EQ(soa.node_offset(0), off0);
   EXPECT_EQ(soa.node_capacity(0), 4u);
+  EXPECT_EQ(soa.tap_offset(0), tap0);
 
   const Stage grown = random_stage(rng, 5, 1);
   soa.write_slot(0, grown);
   expect_slice_matches_stage(soa, 0, grown);
   EXPECT_EQ(soa.node_capacity(0), 8u);
   EXPECT_NE(soa.node_offset(0), off0);
+  EXPECT_EQ(soa.tap_offset(0), tap0);
 
   // The grown slot freed its capacity-4 slice; a new small slot takes it.
   const Stage other = random_stage(rng, 2, 1);
@@ -429,10 +436,34 @@ TEST(Batch, ArenaGrowsRewritesInPlaceAndRecycles) {
   expect_slice_matches_stage(soa, 0, shrunk);
   EXPECT_EQ(soa.node_offset(0), grown_off);
   EXPECT_EQ(soa.node_capacity(0), 8u);
+  EXPECT_EQ(soa.tap_offset(0), tap0);
+  EXPECT_EQ(soa.arena_taps(), 2u);  // one tap each for slots 0 and 7
 
   soa.clear();
   EXPECT_EQ(soa.slot_count(), 0u);
   EXPECT_EQ(soa.arena_nodes(), 0u);
+  EXPECT_EQ(soa.arena_taps(), 0u);
+}
+
+TEST(Batch, RewritingASlotWithADifferentTapCountThrows) {
+  // A stage's tap count is fixed between full rebuilds; a rewrite that
+  // changes it is a stage-graph change the arena must not absorb.
+  Rng rng(0x7A9);
+  NetlistSoa soa;
+  const Stage two_taps = random_stage(rng, 6, 2);
+  soa.write_slot(3, two_taps);
+  for (const int num_taps : {1, 3}) {
+    SCOPED_TRACE(std::to_string(num_taps) + " taps");
+    EXPECT_THROW(soa.write_slot(3, random_stage(rng, 6, num_taps)),
+                 std::logic_error);
+    // The refused rewrite left the slot as it was.
+    expect_slice_matches_stage(soa, 3, two_taps);
+  }
+  // A cleared arena takes the slot at any tap count.
+  soa.clear();
+  const Stage three_taps = random_stage(rng, 6, 3);
+  soa.write_slot(3, three_taps);
+  expect_slice_matches_stage(soa, 3, three_taps);
 }
 
 // ------------------------------------------------------------ Monte-Carlo ----

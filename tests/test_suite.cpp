@@ -530,14 +530,17 @@ TEST(Suite, ReportsIllegalResults) {
 }
 
 TEST(SuiteEnv, RemovedKernelAndGeometryKnobsAreReportedAsUnknown) {
-  // Both switches are gone; a leftover setting must warn rather than look
+  // These switches are gone; a leftover setting must warn rather than look
   // as if it still selected something.
   ScopedEnv batch("CONTANGO_BATCH", "0");
   ScopedEnv spatial("CONTANGO_SPATIAL", "0");
+  ScopedEnv mmap("CONTANGO_MMAP", "0");
   const std::vector<std::string> unknown = unknown_contango_env_vars();
   EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_BATCH"),
             unknown.end());
   EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_SPATIAL"),
+            unknown.end());
+  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_MMAP"),
             unknown.end());
   EXPECT_NO_THROW(suite_options_from_env());
 }

@@ -3,8 +3,8 @@
 // integrator in transient_reference.h.  The kernel integrates drives as
 // interleaved vector lanes (groups of 4, 2 or 1, three drives padding a
 // lane), skips each lane's idle pre-ramp steps and scans only the taps
-// still pending; these tests drive every width, padded lanes, both Elmore
-// modes, the lane-divergence cases (a long idle prefix, timesteps clamped
+// still pending; these tests drive every width, padded lanes, the
+// lane-divergence cases (a long idle prefix, timesteps clamped
 // at either bound, one lane timing out while another finishes early) and
 // the tap-scan edge cases (many taps, all three thresholds crossed in one
 // step, taps pending at the stop time, no taps).  Every case runs on each
@@ -103,7 +103,8 @@ const char* isa_name(detail::KernelIsa isa) {
 /// inputs; the rows must be the same bytes.  Returns the reference rows.
 std::vector<TapTiming> expect_rows_match_reference(
     const TransientSimulator& sim, const NetlistSoa::View& view,
-    const std::vector<BatchDrive>& drives, const ElmoreView* elmore,
+    const std::vector<BatchDrive>& drives,
+    const detail::ElmoreOverride* elmore,
     TransientScratch& reused, const std::string& what) {
   SCOPED_TRACE(what);
   const std::size_t rows = drives.size() * view.num_taps;
@@ -177,16 +178,11 @@ TEST(TransientOracle, RandomStagesAndBatchesMatchTheReference) {
       drives.push_back(d);
     }
     const TransientSimulator& sim = sims[rep % 3];
-    const ElmoreStage elm(s.stage);
-    const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
     const std::string what = "rep " + std::to_string(rep) + ", " +
                              std::to_string(num_nodes) + " nodes, " +
                              std::to_string(num_taps) + " taps, " +
                              std::to_string(count) + " drives";
-    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
-                                what + ", in-kernel Elmore");
-    expect_rows_match_reference(sim, s.view(), drives, &borrowed, reused,
-                                what + ", borrowed Elmore");
+    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused, what);
   }
 }
 
@@ -256,8 +252,8 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
 }
 
 TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
-  // A borrowed sweep that claims zero capacitance puts every stop time at
-  // t0 + ramp + 20 ps.  A strong driver on a fast stage finishes well
+  // An Elmore override that claims zero capacitance puts every stop time
+  // at t0 + ramp + 20 ps (a true sweep never lets a lane time out).  A strong driver on a fast stage finishes well
   // before that; a weak one (tau ~ 1 ns) stops with its taps still below
   // 10 %.  Both lanes share groups, the slow one in every position.
   Rng rng(0x71AE);
@@ -265,7 +261,7 @@ TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
   TransientScratch reused;
   const TestStage s = random_stage(rng, 20, 4, 2.0, 6.0, 0.0005, 0.002);
   const std::vector<Ps> zero_tau(s.cap.size(), 0.0);
-  const ElmoreView understated{zero_tau.data(), 0.0};
+  const detail::ElmoreOverride understated{zero_tau.data(), 0.0};
   const BatchDrive fast{0.002, 4.0, 6.0};
   const BatchDrive slow{12.0, 4.0, 6.0};
 
@@ -277,18 +273,21 @@ TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
                                   std::to_string(count) + " drives, slow lane " +
                                       std::to_string(slow_at));
 
-      std::vector<TapTiming> rows(count * s.tap_rc.size());
-      sim.simulate_stage_batch(s.view(), drives.data(), count, rows.data(),
-                               reused, &understated);
       const Ps slow_stop = stop_time(sim.options(), slow, 0.0, 0.0);
       const Ps fast_stop = stop_time(sim.options(), fast, 0.0, 0.0);
-      for (std::size_t b = 0; b < count; ++b) {
-        for (std::size_t k = 0; k < s.tap_rc.size(); ++k) {
-          const TapTiming& r = rows[b * s.tap_rc.size() + k];
-          if (b == slow_at) {
-            EXPECT_EQ(r.delay, slow_stop) << "the slow lane must time out";
-          } else {
-            EXPECT_LT(r.delay, fast_stop) << "the fast lane must finish";
+      for (detail::KernelIsa isa : supported_isas()) {
+        SCOPED_TRACE(isa_name(isa));
+        std::vector<TapTiming> rows(count * s.tap_rc.size());
+        detail::simulate_stage_batch_on(isa, sim, s.view(), drives.data(), count,
+                                        rows.data(), reused, &understated);
+        for (std::size_t b = 0; b < count; ++b) {
+          for (std::size_t k = 0; k < s.tap_rc.size(); ++k) {
+            const TapTiming& r = rows[b * s.tap_rc.size() + k];
+            if (b == slow_at) {
+              EXPECT_EQ(r.delay, slow_stop) << "the slow lane must time out";
+            } else {
+              EXPECT_LT(r.delay, fast_stop) << "the fast lane must finish";
+            }
           }
         }
       }
@@ -348,7 +347,7 @@ TEST(TransientOracle, AllThresholdsCrossedInOneStep) {
 }
 
 TEST(TransientOracle, TapsStillPendingAtTheStopTime) {
-  // A borrowed sweep that claims zero capacitance stops every lane 20 ps
+  // An Elmore override that claims zero capacitance stops every lane 20 ps
   // after its ramp.  Taps next to the driver finish; taps behind a large
   // resistance stop part-way, some past 10% or 50% but short of 90%.
   const TransientSimulator sim;
@@ -363,7 +362,7 @@ TEST(TransientOracle, TapsStillPendingAtTheStopTime) {
   }
   s.flatten();
   const std::vector<Ps> zero_tau(s.cap.size(), 0.0);
-  const ElmoreView understated{zero_tau.data(), 0.0};
+  const detail::ElmoreOverride understated{zero_tau.data(), 0.0};
   const std::vector<BatchDrive> all = {{0.01, 4.0, 6.0}, {0.2, 1.0, 2.0},
                                        {0.05, 9.0, 0.0}, {0.5, 2.0, 4.0},
                                        {0.02, 0.0, 10.0}};

@@ -19,11 +19,12 @@ namespace contango {
 namespace reference {
 
 /// Writes `out[b * stage.num_taps + k]` for drive b, tap k, exactly as the
-/// historical integrator did.  `elmore` optionally borrows a prebuilt sweep.
+/// historical integrator did.  `elmore` optionally replaces the sweep.
 inline void simulate_stage_rows(const TransientOptions& options_,
                                 const NetlistSoa::View& stage,
                                 const BatchDrive* drives, std::size_t count,
-                                TapTiming* out, const ElmoreView* elmore) {
+                                TapTiming* out,
+                                const detail::ElmoreOverride* elmore) {
   struct Crossings {
     double t10 = -1.0, t50 = -1.0, t90 = -1.0;
   };

@@ -135,10 +135,9 @@ int cmd_verify(const std::vector<std::string>& files) {
 int cmd_info(const std::string& path) {
   Timer load_timer;
   const MappedBenchmark mapped = MappedBenchmark::open(path);
-  std::printf("%s: cbench version %u, %zu bytes, %s backend "
-              "(validated in %.3f s)\n",
+  std::printf("%s: cbench version %u, %zu bytes (validated in %.3f s)\n",
               path.c_str(), mapped.version(), mapped.file_size(),
-              mapped.mapped() ? "mmap" : "buffered", load_timer.seconds());
+              load_timer.seconds());
   std::printf("  name %.*s: %zu sinks, %zu obstacles, %zu wires, "
               "%zu inverters, %zu corners\n",
               static_cast<int>(mapped.benchmark_name().size()),
