@@ -56,9 +56,7 @@ int main() {
     return 1;
   }
 
-  const std::string full_spec = base.pipeline_spec.empty()
-                                    ? default_pipeline_spec()
-                                    : base.pipeline_spec;
+  const std::string full_spec = resolved_pipeline_spec(base.flow);
   std::printf("workloads: %s (seed %llu)\nbase pipeline: %s\n\n",
               workloads.c_str(), static_cast<unsigned long long>(seed),
               full_spec.c_str());
@@ -82,7 +80,7 @@ int main() {
   bool all_ok = true;
   for (const Variant& v : variants) {
     SuiteOptions options = base;
-    options.pipeline_spec = v.spec;
+    options.flow.pipeline = v.spec;
     const SuiteReport report = run_suite(suite, options);
     all_ok = all_ok && report.all_ok();
     double skew = 0.0, clr = 0.0, cap = 0.0;

@@ -59,9 +59,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (argc > 2) options.threads = threads;  // argv beats CONTANGO_THREADS
-  if (!options.pipeline_spec.empty()) {
-    options.flow.pipeline = options.pipeline_spec;
-  }
   std::printf("pipeline: %s\n",
               resolved_pipeline_spec(options.flow).c_str());
   std::printf("workloads from '%s' (seed %llu):\n", spec.c_str(),

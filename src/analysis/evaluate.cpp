@@ -537,4 +537,20 @@ EvalResult IncrementalEvaluator::evaluate(Ps slew_cut, std::optional<Ff> total_c
   return result;
 }
 
+Ps worst_latency_rise(const ClockTree& tree, const std::vector<NodeId>& sinks,
+                      const EvalResult& baseline, const EvalResult& probed) {
+  Ps worst = 0.0;
+  for (NodeId s : sinks) {
+    const auto sink = static_cast<std::size_t>(tree.node(s).sink_index);
+    for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
+      for (std::size_t t = 0; t < kNumTransitions; ++t) {
+        const auto& b = baseline.corners[c].sinks[t][sink];
+        const auto& p = probed.corners[c].sinks[t][sink];
+        if (b.reached && p.reached) worst = std::max(worst, p.latency - b.latency);
+      }
+    }
+  }
+  return worst;
+}
+
 }  // namespace contango

@@ -429,6 +429,13 @@ class IncrementalEvaluator {
 using EditProbe =
     std::function<EvalResult(const std::function<void(TreeEditSession&)>&)>;
 
+/// Worst latency increase of `probed` over `baseline` across the sink
+/// nodes `sinks` of `tree`, every corner and both transitions (pairs where
+/// either evaluation missed the sink are skipped); 0 when nothing rose.
+/// The wire passes' calibrations read their delay coefficients off it.
+Ps worst_latency_rise(const ClockTree& tree, const std::vector<NodeId>& sinks,
+                      const EvalResult& baseline, const EvalResult& probed);
+
 /// Effective driver resistance for a stage driver: applies supply-corner
 /// scaling and rise/fall asymmetry to the nominal output resistance.
 KOhm effective_driver_res(KOhm nominal, const Technology& tech, Volt vdd,

@@ -19,18 +19,7 @@ Ps calibrate_bottom_twn(const ClockTree& tree, const EditProbe& probe,
     for (NodeId id : samples) session.add_snake(id, unit);
   });
 
-  Ps twn = 0.0;
-  for (NodeId id : samples) {
-    const int sink = tree.node(id).sink_index;
-    for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const auto& b = baseline.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-        const auto& p = probed.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-        if (b.reached && p.reached) twn = std::max(twn, p.latency - b.latency);
-      }
-    }
-  }
-  return twn;
+  return worst_latency_rise(tree, samples, baseline, probed);
 }
 
 int bottom_level_round(TreeEditSession& session, const EdgeSlacks& slacks,

@@ -15,31 +15,15 @@ namespace contango {
 
 /// Options of the full Contango flow (paper Fig. 1).
 struct FlowOptions {
-  BufferInsertionOptions insertion;
   EvalOptions eval;
-
-  /// Strongest composite tried is unit x max_ladder (the paper's "batches
-  /// of 16x, 24x, etc.").
-  int max_ladder = 8;
-  /// Power/capacitance reserve gamma: buffer selection stays within
-  /// (1 - gamma) of the capacitance budget (paper: gamma = 10%).
-  double power_reserve = 0.10;
-
-  int max_sizing_rounds = 10;    ///< TWSZ iteration cap
-  int max_snaking_rounds = 14;   ///< TWSN iteration cap
-  int max_bottom_rounds = 10;    ///< BWSN iteration cap
-  int max_buffer_sizing_iters = 5;  ///< TBSZ schedule length (p_i = 1/(i+3))
-  int branch_levels = 4;        ///< levels sized by capacitance borrowing
-
-  Um snake_unit = 20.0;   ///< l_wn for top-down snaking
-  Um bottom_unit = 5.0;   ///< l_wn for bottom-level fine-tuning
 
   /// Pass-pipeline spec (cts/pipeline.h): comma-separated pass names with
   /// optional `pass:key=value` overrides, e.g.
-  /// `"dme,repair,insert,polarity,twsz,twsn"`.  Empty runs the full
-  /// default sequence (default_pipeline_spec).  Ablation studies drop
-  /// passes here.  Suite drivers bind this to the CONTANGO_PIPELINE env
-  /// knob.
+  /// `"dme,repair,insert,polarity,twsz,twsn:unit=10"`.  Empty runs the
+  /// full default sequence (default_pipeline_spec).  The spec is the only
+  /// place a pass parameter is set; each pass owns its defaults
+  /// (docs/ARCHITECTURE.md lists them).  Ablation studies drop passes
+  /// here.  Suite drivers bind this to the CONTANGO_PIPELINE env knob.
   std::string pipeline;
 
   /// Cooperative cancellation (util/cancel.h).  The pipeline polls this

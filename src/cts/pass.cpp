@@ -1,9 +1,10 @@
 #include "cts/pass.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,8 +29,8 @@ FlowContext::FlowContext(const Benchmark& bench_in, const FlowOptions& options_i
       options(options_in),
       eval(bench_in, options_in.eval),
       unit_(best_unit_composite(bench_in.tech)),
-      unit_slew_cap_(
-          slew_free_cap(bench_in.tech, unit_, options_in.insertion.slew_margin)),
+      unit_slew_cap_(slew_free_cap(bench_in.tech, unit_,
+                                   BufferInsertionOptions{}.slew_margin)),
       incremental_(eval),
       use_incremental_(options_in.incremental) {}
 
@@ -231,32 +232,88 @@ void Pass::set_param(const std::string& key, const std::string& value) {
                       "' has no parameter '" + key + "'");
 }
 
+void Pass::check(const Benchmark& bench) const { (void)bench; }
+
 namespace {
 
 // ----------------------------------------------------- parameter plumbing --
 
-long parse_long_param(const Pass& pass, const std::string& key,
-                      const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const long parsed = std::stol(value, &pos, 10);
-    if (pos == value.size()) return parsed;
-  } catch (const std::exception&) {
+/// The interval a numeric pass parameter must lie in; `hi` may be
+/// infinite.  Integer parameters use it too (their bounds are exact).
+struct Range {
+  double lo;
+  double hi;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool contains(double x) const {
+    return (lo_open ? x > lo : x >= lo) && (hi_open ? x < hi : x <= hi);
   }
+
+  std::string text() const {
+    char buf[96];
+    if (std::isinf(hi)) {
+      std::snprintf(buf, sizeof buf, "%c%g, inf)", lo_open ? '(' : '[', lo);
+    } else {
+      std::snprintf(buf, sizeof buf, "%c%g, %g%c", lo_open ? '(' : '[', lo, hi,
+                    hi_open ? ')' : ']');
+    }
+    return buf;
+  }
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Round caps, schedule lengths and level counts.
+constexpr Range kCountRange{0, 1000};
+/// Share of a slack or of a budget.
+constexpr Range kFractionRange{0, 1};
+
+[[noreturn]] void reject_param(const Pass& pass, const std::string& key,
+                               const std::string& value,
+                               const std::string& why) {
   throw PipelineError("pass '" + std::string(pass.name()) + "': parameter '" +
-                      key + "=" + value + "' is not a valid integer");
+                      key + "=" + value + "' " + why);
+}
+
+int parse_int_param(const Pass& pass, const std::string& key,
+                    const std::string& value, const Range& range) {
+  long parsed = 0;
+  std::size_t pos = 0;
+  try {
+    parsed = std::stol(value, &pos, 10);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (pos == 0 || pos != value.size() ||
+      parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    reject_param(pass, key, value, "is not a valid integer");
+  }
+  if (!range.contains(static_cast<double>(parsed))) {
+    reject_param(pass, key, value, "must be in " + range.text());
+  }
+  return static_cast<int>(parsed);
 }
 
 double parse_double_param(const Pass& pass, const std::string& key,
-                          const std::string& value) {
+                          const std::string& value, const Range& range) {
+  double parsed = 0.0;
+  std::size_t pos = 0;
   try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(value, &pos);
-    if (pos == value.size()) return parsed;
+    parsed = std::stod(value, &pos);
   } catch (const std::exception&) {
+    pos = 0;
   }
-  throw PipelineError("pass '" + std::string(pass.name()) + "': parameter '" +
-                      key + "=" + value + "' is not a valid number");
+  if (pos == 0 || pos != value.size()) {
+    reject_param(pass, key, value, "is not a valid number");
+  }
+  if (!std::isfinite(parsed)) {
+    reject_param(pass, key, value, "is not a finite number");
+  }
+  if (!range.contains(parsed)) {
+    reject_param(pass, key, value, "must be in " + range.text());
+  }
+  return parsed;
 }
 
 // ------------------------------------------------------ construction passes --
@@ -270,31 +327,35 @@ class DmePass : public Pass {
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "balance") {
       if (value == "pathlength") {
-        balance_ = DmeBalance::kPathLength;
+        dme_.balance = DmeBalance::kPathLength;
       } else if (value == "elmore") {
-        balance_ = DmeBalance::kElmore;
+        dme_.balance = DmeBalance::kElmore;
       } else {
-        throw PipelineError(
-            "pass 'dme': parameter 'balance=" + value +
-            "' must be 'pathlength' or 'elmore'");
+        reject_param(*this, key, value, "must be 'pathlength' or 'elmore'");
       }
     } else if (key == "wire_width") {
-      wire_width_ = static_cast<int>(parse_long_param(*this, key, value));
+      // A wire index of the technology, checked against its wire count in
+      // check(); the default (-1) is the widest wire.
+      dme_.wire_width = parse_int_param(*this, key, value, {0, kInf});
     } else {
       Pass::set_param(key, value);
     }
   }
 
-  void run(FlowContext& ctx) override {
-    DmeOptions dme;
-    if (balance_) dme.balance = *balance_;
-    if (wire_width_) dme.wire_width = *wire_width_;
-    ctx.tree = build_zst(ctx.bench, dme);
+  void check(const Benchmark& bench) const override {
+    const int wires = static_cast<int>(bench.tech.wires.size());
+    if (dme_.wire_width < wires) return;
+    throw PipelineError("pass 'dme': parameter 'wire_width=" +
+                        std::to_string(dme_.wire_width) + "' must be in [0, " +
+                        std::to_string(wires - 1) + "]: benchmark '" +
+                        bench.name + "' has " + std::to_string(wires) +
+                        " wire types");
   }
 
+  void run(FlowContext& ctx) override { ctx.tree = build_zst(ctx.bench, dme_); }
+
  private:
-  std::optional<DmeBalance> balance_;
-  std::optional<int> wire_width_;
+  DmeOptions dme_;
 };
 
 /// Obstacle legalization + post-detour rebalance (paper section IV-A).
@@ -305,9 +366,10 @@ class RepairPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "max_crossing") {
-      max_crossing_ = parse_double_param(*this, key, value);
+      repair_.max_crossing_um = parse_double_param(*this, key, value, {0, kInf});
     } else if (key == "cap_factor") {
-      cap_factor_ = parse_double_param(*this, key, value);
+      repair_.crossing_cap_factor =
+          parse_double_param(*this, key, value, kFractionRange);
     } else {
       Pass::set_param(key, value);
     }
@@ -315,10 +377,8 @@ class RepairPass : public Pass {
 
   void run(FlowContext& ctx) override {
     ctx.require_tree("pass 'repair'");
-    ObstacleRepairOptions repair;
+    ObstacleRepairOptions repair = repair_;
     repair.slew_free_cap = ctx.unit_slew_cap();
-    if (max_crossing_) repair.max_crossing_um = *max_crossing_;
-    if (cap_factor_) repair.crossing_cap_factor = *cap_factor_;
     ctx.result.obstacles = repair_obstacles(ctx.tree, ctx.bench, repair);
     // Detours unbalance the tree; restore electrical-length balance before
     // any buffers go in (analytic, no simulation; buffered path delay
@@ -327,8 +387,7 @@ class RepairPass : public Pass {
   }
 
  private:
-  std::optional<Um> max_crossing_;
-  std::optional<double> cap_factor_;
+  ObstacleRepairOptions repair_;
 };
 
 /// Composite selection + fast buffer insertion (paper section IV-C): try
@@ -342,16 +401,13 @@ class InsertPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "max_ladder") {
-      const long ladder = parse_long_param(*this, key, value);
-      if (ladder < 1) {
-        throw PipelineError("pass 'insert': parameter 'max_ladder=" + value +
-                            "' must be >= 1");
-      }
-      max_ladder_ = static_cast<int>(ladder);
+      max_ladder_ = parse_int_param(*this, key, value, {1, 64});
     } else if (key == "reserve") {
-      reserve_ = parse_double_param(*this, key, value);
+      reserve_ = parse_double_param(*this, key, value, {0, 1, false, true});
     } else if (key == "spacing") {
-      spacing_ = parse_double_param(*this, key, value);
+      // The DP visits every candidate site; its work and memory grow as
+      // 1/spacing.
+      insertion_.spacing = parse_double_param(*this, key, value, {10, kInf});
     } else {
       Pass::set_param(key, value);
     }
@@ -360,24 +416,20 @@ class InsertPass : public Pass {
   void run(FlowContext& ctx) override {
     ctx.require_tree("pass 'insert'");
     const CompositeBuffer unit = ctx.unit();
-    BufferInsertionOptions insertion = ctx.options.insertion;
-    if (spacing_) insertion.spacing = *spacing_;
-    const int max_ladder = max_ladder_ ? *max_ladder_ : ctx.options.max_ladder;
-    const double reserve = reserve_ ? *reserve_ : ctx.options.power_reserve;
 
     std::vector<Ff> sink_caps;
     for (const Sink& s : ctx.bench.sinks) sink_caps.push_back(s.cap);
     const Ff cap_budget =
         ctx.bench.tech.cap_limit > 0.0
-            ? (1.0 - reserve) * ctx.bench.tech.cap_limit
+            ? (1.0 - reserve_) * ctx.bench.tech.cap_limit
             : std::numeric_limits<double>::max();
 
     ClockTree buffered;
     bool have_candidate = false;
-    for (int k = 1; k <= max_ladder; ++k) {
+    for (int k = 1; k <= max_ladder_; ++k) {
       const CompositeBuffer composite{unit.inverter_type, unit.count * k};
       ClockTree candidate = ctx.tree;
-      insert_buffers(candidate, ctx.bench, composite, insertion);
+      insert_buffers(candidate, ctx.bench, composite, insertion_);
       // Van Ginneken spares buffers on fast paths; topping those paths up
       // to the common depth slows exactly the fast sinks and keeps
       // per-path supply sensitivity uniform.
@@ -397,9 +449,13 @@ class InsertPass : public Pass {
   }
 
  private:
-  std::optional<int> max_ladder_;
-  std::optional<double> reserve_;
-  std::optional<Um> spacing_;
+  BufferInsertionOptions insertion_;
+  /// Strongest composite tried is unit x max_ladder (the paper's "batches
+  /// of 16x, 24x, etc.").
+  int max_ladder_ = 8;
+  /// Power/capacitance reserve gamma: buffer selection stays within
+  /// (1 - gamma) of the capacitance budget (paper: gamma = 10%).
+  double reserve_ = 0.10;
 };
 
 /// Sink polarity correction (paper section IV-D).
@@ -410,7 +466,7 @@ class PolarityPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "offset") {
-      offset_ = parse_double_param(*this, key, value);
+      offset_ = parse_double_param(*this, key, value, {0, kInf});
     } else {
       Pass::set_param(key, value);
     }
@@ -418,24 +474,15 @@ class PolarityPass : public Pass {
 
   void run(FlowContext& ctx) override {
     ctx.require_tree("pass 'polarity'");
-    const CompositeBuffer inverter = smallest_inverter(ctx.bench.tech);
-    ctx.result.polarity =
-        offset_ ? correct_polarity(ctx.tree, ctx.bench, inverter, *offset_)
-                : correct_polarity(ctx.tree, ctx.bench, inverter);
+    ctx.result.polarity = correct_polarity(
+        ctx.tree, ctx.bench, smallest_inverter(ctx.bench.tech), offset_);
   }
 
  private:
-  std::optional<Um> offset_;
+  Um offset_ = kPolarityOffsetUm;
 };
 
 // ------------------------------------------------------ optimization passes --
-
-/// The calibration probe of the wire passes: FlowContext::probe.
-EditProbe probe_of(FlowContext& ctx) {
-  return [&ctx](const std::function<void(TreeEditSession&)>& edit) {
-    return ctx.probe(edit);
-  };
-}
 
 /// TBSZ: trunk sliding/interleaving + iterative buffer sizing (paper
 /// sections IV-H, IV-I; CLR objective).
@@ -447,9 +494,9 @@ class TbszPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "iters") {
-      iters_ = static_cast<int>(parse_long_param(*this, key, value));
+      iters_ = parse_int_param(*this, key, value, kCountRange);
     } else if (key == "levels") {
-      levels_ = static_cast<int>(parse_long_param(*this, key, value));
+      levels_ = parse_int_param(*this, key, value, kCountRange);
     } else {
       Pass::set_param(key, value);
     }
@@ -469,8 +516,7 @@ class TbszPass : public Pass {
                                  max_spacing);
       ctx.try_accept(std::move(candidate), PassObjective::kClr);
     }
-    const int iters = iters_ ? *iters_ : ctx.options.max_buffer_sizing_iters;
-    for (int i = 1; i <= iters; ++i) {
+    for (int i = 1; i <= iters_; ++i) {
       const double fraction = 1.0 / (i + 3);
       // Buffer resizes are pure edit deltas: only the resized buffers'
       // stages re-simulate, and a rejected iteration rolls back O(dirty).
@@ -483,136 +529,83 @@ class TbszPass : public Pass {
     {
       // Branch sizing pays for itself by borrowing bottom-level cap.
       TreeEditSession session = ctx.edit_session();
-      upsize_branch_buffers(session,
-                            levels_ ? *levels_ : ctx.options.branch_levels,
-                            0.25);
+      upsize_branch_buffers(session, levels_, 0.25);
       downsize_bottom_buffers(session, 1);
       ctx.try_accept(session, PassObjective::kClr);
     }
   }
 
  private:
-  std::optional<int> iters_;
-  std::optional<int> levels_;
+  int iters_ = 5;   ///< schedule length (p_i = 1/(i+3))
+  int levels_ = 4;  ///< levels sized by capacitance borrowing
 };
 
-/// TWSZ: iterative top-down wiresizing (paper section IV-E).
-class TwszPass : public Pass {
+/// \brief TWSZ, TWSN and BWSN (paper sections IV-E, IV-F, IV-G).
+///
+/// Each calibrates its linear delay model with one probe, then runs
+/// IVC-gated rounds (FlowContext::refine) whose safety factor shrinks with
+/// the refine scale after a reject.  They differ only in the Params type,
+/// the calibration, the round and the round cap; TWSZ has no snake unit.
+template <typename Params>
+class WirePass : public Pass {
  public:
-  const char* name() const override { return "twsz"; }
-  const char* display_name() const override { return "TWSZ"; }
+  /// Fills the calibrated delay coefficient of `params` in.
+  using Calibrate = void (*)(FlowContext& ctx, Params& params);
+  using Round = int (*)(TreeEditSession&, const EdgeSlacks&, const Params&);
+
+  WirePass(const char* name, const char* display_name, int rounds,
+           Um Params::*unit, Calibrate calibrate, Round round)
+      : name_(name),
+        display_name_(display_name),
+        rounds_(rounds),
+        unit_(unit),
+        calibrate_(calibrate),
+        round_(round) {}
+
+  const char* name() const override { return name_; }
+  const char* display_name() const override { return display_name_; }
   PassObjective objective() const override { return PassObjective::kSkew; }
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "rounds") {
-      rounds_ = static_cast<int>(parse_long_param(*this, key, value));
+      rounds_ = parse_int_param(*this, key, value, kCountRange);
     } else if (key == "safety") {
-      safety_ = parse_double_param(*this, key, value);
+      params_.safety = parse_double_param(*this, key, value, {0, 1, true});
+    } else if (key == "unit" && unit_ != nullptr) {
+      params_.*unit_ = parse_double_param(*this, key, value, {1, 1000});
     } else {
       Pass::set_param(key, value);
     }
   }
 
   void run(FlowContext& ctx) override {
-    WireSizingParams params;
-    params.tws_per_um = calibrate_tws(ctx.tree, probe_of(ctx), ctx.current());
-    if (safety_) params.safety = *safety_;
+    Params params = params_;
+    calibrate_(ctx, params);
     const double base_safety = params.safety;
-    ctx.refine(rounds_ ? *rounds_ : ctx.options.max_sizing_rounds,
-               PassObjective::kSkew,
+    ctx.refine(rounds_, PassObjective::kSkew,
                [&](TreeEditSession& session, const EdgeSlacks& slacks,
                    double scale) {
                  params.safety = base_safety * scale;
-                 return wiresizing_round(session, slacks, params);
+                 return round_(session, slacks, params);
                });
   }
 
  private:
-  std::optional<int> rounds_;
-  std::optional<double> safety_;
+  const char* name_;
+  const char* display_name_;
+  int rounds_;
+  Um Params::*unit_;  ///< the snake unit l_wn; nullptr for TWSZ
+  Calibrate calibrate_;
+  Round round_;
+  Params params_;
 };
 
-/// TWSN: iterative top-down wiresnaking (paper section IV-F).
-class TwsnPass : public Pass {
- public:
-  const char* name() const override { return "twsn"; }
-  const char* display_name() const override { return "TWSN"; }
-  PassObjective objective() const override { return PassObjective::kSkew; }
-
-  void set_param(const std::string& key, const std::string& value) override {
-    if (key == "rounds") {
-      rounds_ = static_cast<int>(parse_long_param(*this, key, value));
-    } else if (key == "unit") {
-      unit_ = parse_double_param(*this, key, value);
-    } else if (key == "safety") {
-      safety_ = parse_double_param(*this, key, value);
-    } else {
-      Pass::set_param(key, value);
-    }
-  }
-
-  void run(FlowContext& ctx) override {
-    WireSnakingParams params;
-    params.unit = unit_ ? *unit_ : ctx.options.snake_unit;
-    params.twn_per_unit =
-        calibrate_twn(ctx.tree, probe_of(ctx), ctx.current(), params.unit);
-    if (safety_) params.safety = *safety_;
-    const double base_safety = params.safety;
-    ctx.refine(rounds_ ? *rounds_ : ctx.options.max_snaking_rounds,
-               PassObjective::kSkew,
-               [&](TreeEditSession& session, const EdgeSlacks& slacks,
-                   double scale) {
-                 params.safety = base_safety * scale;
-                 return wiresnaking_round(session, slacks, params);
-               });
-  }
-
- private:
-  std::optional<int> rounds_;
-  std::optional<Um> unit_;
-  std::optional<double> safety_;
-};
-
-/// BWSN: bottom-level fine-tuning (paper section IV-G).
-class BwsnPass : public Pass {
- public:
-  const char* name() const override { return "bwsn"; }
-  const char* display_name() const override { return "BWSN"; }
-  PassObjective objective() const override { return PassObjective::kSkew; }
-
-  void set_param(const std::string& key, const std::string& value) override {
-    if (key == "rounds") {
-      rounds_ = static_cast<int>(parse_long_param(*this, key, value));
-    } else if (key == "unit") {
-      unit_ = parse_double_param(*this, key, value);
-    } else if (key == "safety") {
-      safety_ = parse_double_param(*this, key, value);
-    } else {
-      Pass::set_param(key, value);
-    }
-  }
-
-  void run(FlowContext& ctx) override {
-    BottomLevelParams params;
-    params.unit = unit_ ? *unit_ : ctx.options.bottom_unit;
-    params.twn_per_unit = calibrate_bottom_twn(ctx.tree, probe_of(ctx),
-                                               ctx.current(), params.unit);
-    if (safety_) params.safety = *safety_;
-    const double base_safety = params.safety;
-    ctx.refine(rounds_ ? *rounds_ : ctx.options.max_bottom_rounds,
-               PassObjective::kSkew,
-               [&](TreeEditSession& session, const EdgeSlacks& slacks,
-                   double scale) {
-                 params.safety = base_safety * scale;
-                 return bottom_level_round(session, slacks, params);
-               });
-  }
-
- private:
-  std::optional<int> rounds_;
-  std::optional<Um> unit_;
-  std::optional<double> safety_;
-};
+/// The calibration probe of the wire passes: FlowContext::probe.
+EditProbe probe_of(FlowContext& ctx) {
+  return [&ctx](const std::function<void(TreeEditSession&)>& edit) {
+    return ctx.probe(edit);
+  };
+}
 
 }  // namespace
 
@@ -622,9 +615,32 @@ void register_builtin_passes(PassRegistry& registry) {
   registry.add("insert", [] { return std::make_unique<InsertPass>(); });
   registry.add("polarity", [] { return std::make_unique<PolarityPass>(); });
   registry.add("tbsz", [] { return std::make_unique<TbszPass>(); });
-  registry.add("twsz", [] { return std::make_unique<TwszPass>(); });
-  registry.add("twsn", [] { return std::make_unique<TwsnPass>(); });
-  registry.add("bwsn", [] { return std::make_unique<BwsnPass>(); });
+  registry.add("twsz", [] {
+    return std::make_unique<WirePass<WireSizingParams>>(
+        "twsz", "TWSZ", /*rounds=*/10, /*unit=*/nullptr,
+        [](FlowContext& ctx, WireSizingParams& p) {
+          p.tws_per_um = calibrate_tws(ctx.tree, probe_of(ctx), ctx.current());
+        },
+        wiresizing_round);
+  });
+  registry.add("twsn", [] {
+    return std::make_unique<WirePass<WireSnakingParams>>(
+        "twsn", "TWSN", /*rounds=*/14, &WireSnakingParams::unit,
+        [](FlowContext& ctx, WireSnakingParams& p) {
+          p.twn_per_unit =
+              calibrate_twn(ctx.tree, probe_of(ctx), ctx.current(), p.unit);
+        },
+        wiresnaking_round);
+  });
+  registry.add("bwsn", [] {
+    return std::make_unique<WirePass<BottomLevelParams>>(
+        "bwsn", "BWSN", /*rounds=*/10, &BottomLevelParams::unit,
+        [](FlowContext& ctx, BottomLevelParams& p) {
+          p.twn_per_unit = calibrate_bottom_twn(ctx.tree, probe_of(ctx),
+                                                ctx.current(), p.unit);
+        },
+        bottom_level_round);
+  });
 }
 
 }  // namespace contango

@@ -241,10 +241,11 @@ class FlowContext {
 /// \brief One composable stage of the flow.
 ///
 /// Implementations are small adapters over the algorithm modules
-/// (cts/dme.h, cts/wiresizing.h, ...): they read their defaults from
-/// FlowContext::options, apply any per-instance `pass:key=value` overrides
-/// from the pipeline spec, and propose changes through the context.
-/// Register new passes with PassRegistry (cts/pipeline.h).
+/// (cts/dme.h, cts/wiresizing.h, ...).  Each owns its parameters at their
+/// defaults; the pipeline spec's `pass:key=value` overrides are the only
+/// way to change them (the table in docs/ARCHITECTURE.md lists every
+/// parameter, default and range).  Passes propose changes through the
+/// context.  Register new passes with PassRegistry (cts/pipeline.h).
 class Pass {
  public:
   virtual ~Pass();
@@ -262,9 +263,18 @@ class Pass {
   /// \brief Applies one `key=value` override from the pipeline spec.
   ///
   /// The default implementation rejects every key; overrides list theirs.
-  /// \throws PipelineError (cts/pipeline.h) for unknown keys or
-  ///         unparsable values, naming the pass and the parameter
+  /// \throws PipelineError (cts/pipeline.h) for unknown keys, unparsable
+  ///         or non-finite values and values outside the parameter's
+  ///         range, naming the pass and the parameter
   virtual void set_param(const std::string& key, const std::string& value);
+
+  /// \brief Checks the parameters against what depends on the workload
+  /// (e.g. `dme:wire_width` against the technology's wire count).
+  ///
+  /// The default accepts every benchmark.  Pipeline::check calls it before
+  /// anything runs.
+  /// \throws PipelineError naming the pass, the parameter and the benchmark
+  virtual void check(const Benchmark& bench) const;
 
   virtual void run(FlowContext& ctx) = 0;
 };

@@ -190,7 +190,12 @@ std::vector<std::string> Pipeline::pass_names() const {
   return out;
 }
 
+void Pipeline::check(const Benchmark& bench) const {
+  for (const auto& pass : passes_) pass->check(bench);
+}
+
 FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
+  check(bench);
   FlowContext ctx(bench, options);
   ctx.result.pipeline_spec = spec_;
 

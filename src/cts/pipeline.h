@@ -85,9 +85,8 @@ bool pipeline_spec_contains(const std::string& spec, const std::string& pass);
 /// \brief `spec` re-serialized with every pass named `pass` removed.
 ///
 /// Parameter overrides of the remaining passes are preserved and
-/// whitespace is normalized — the single-pass-removed ablation sweeps
-/// (bench_table3_ablation, example_ablation_study) build their variants
-/// with this.
+/// whitespace is normalized — the single-pass-removed ablation sweep
+/// (bench_table3_ablation) builds its variants with this.
 /// \throws PipelineError when the spec is malformed, or when removing the
 ///         pass would leave the pipeline empty
 std::string pipeline_spec_without(const std::string& spec,
@@ -129,9 +128,16 @@ class Pipeline {
                                const PassRegistry& registry =
                                    PassRegistry::builtin());
 
+  /// \brief Checks every pass's parameters against `bench` (Pass::check),
+  /// so a spec that cannot run on a workload is rejected before it is
+  /// queued or started.
+  /// \throws PipelineError naming the pass, the parameter and the benchmark
+  void check(const Benchmark& bench) const;
+
   /// Executes the passes over a fresh FlowContext and finalizes the result
   /// (tree, eval, totals, pipeline_spec).  A pipeline may be run any number
   /// of times; runs are independent.
+  /// \throws PipelineError when check(bench) fails, before any pass runs
   FlowResult run(const Benchmark& bench, const FlowOptions& options = {});
 
   /// The spec this pipeline was built from.

@@ -15,6 +15,9 @@ struct PolarityFix {
 /// buffers on the root-to-sink path).
 int count_inverted_sinks(const ClockTree& tree);
 
+/// Default distance (um) a corrective inverter lands above its marked node.
+inline constexpr Um kPolarityOffsetUm = 10.0;
+
 /// Provably-minimal sink-polarity correction (paper section IV-D,
 /// Proposition 2): traverse the tree bottom-up and mark every node whose
 /// downstream sinks all share one polarity while its parent's do not; an
@@ -28,6 +31,6 @@ int count_inverted_sinks(const ClockTree& tree);
 /// `offset_um` is how far above the marked node the inverter lands.
 PolarityFix correct_polarity(ClockTree& tree, const Benchmark& bench,
                              const CompositeBuffer& inverter,
-                             Um offset_um = 10.0);
+                             Um offset_um = kPolarityOffsetUm);
 
 }  // namespace contango

@@ -285,11 +285,12 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
   report.threads = std::max(1, std::min(requested, static_cast<int>(suite.size())));
 
   // Resolve the pipeline once up front: a malformed spec (unknown pass,
-  // bad parameter override) throws here, before any run starts, instead of
-  // failing every benchmark individually inside the workers.
-  FlowOptions flow = options.flow;
-  if (!options.pipeline_spec.empty()) flow.pipeline = options.pipeline_spec;
-  Pipeline::from_options(flow);
+  // bad parameter override, a parameter some benchmark cannot take)
+  // throws here, before any run starts, instead of failing every
+  // benchmark individually inside the workers.
+  const Pipeline pipeline = Pipeline::from_options(options.flow);
+  for (const Benchmark& bench : suite) pipeline.check(bench);
+  const FlowOptions& flow = options.flow;
 
   // Benchmark::obstacles() builds its cache lazily through mutable members,
   // so warm it here while the suite is still single-threaded; the workers
@@ -346,7 +347,7 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
           mc.trials = options.mc_trials;
           mc.threads = flow.eval.threads;  // same cap as the level sweep
           mc.skew_target = options.mc_skew_target;
-          mc.eval = options.flow.eval;
+          mc.eval = flow.eval;
           run.mc = run_montecarlo(bench, run.result.tree, options.variation, mc);
           run.has_mc = true;
         }
@@ -390,7 +391,6 @@ std::vector<std::string> unknown_contango_env_vars() {
   // "CONTANGO_" when adding a knob and extend this list — the
   // unknown-env-var test fails loudly on a knob that warns about itself.
   static const char* const kKnown[] = {
-      "CONTANGO_ABLATION_BENCHMARK",
       "CONTANGO_DOMAINS",
       "CONTANGO_FIG3_BENCHMARK",
       "CONTANGO_JSON_OUT",
@@ -466,12 +466,12 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
   base.mc_skew_target =
       env_double_strict("CONTANGO_MC_SKEW_TARGET", base.mc_skew_target);
   base.json_report_path = env_string("CONTANGO_JSON_OUT", base.json_report_path);
-  base.pipeline_spec = env_string("CONTANGO_PIPELINE", base.pipeline_spec);
-  if (!base.pipeline_spec.empty()) {
+  base.flow.pipeline = env_string("CONTANGO_PIPELINE", base.flow.pipeline);
+  if (!base.flow.pipeline.empty()) {
     // Fail fast on a bad spec, naming the knob: discovering the mistake
     // per-benchmark inside a suite run would be far noisier.
     try {
-      Pipeline::from_spec(base.pipeline_spec);
+      Pipeline::from_spec(base.flow.pipeline);
     } catch (const PipelineError& e) {
       throw std::runtime_error(std::string("CONTANGO_PIPELINE: ") + e.what());
     }

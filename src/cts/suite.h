@@ -27,13 +27,12 @@ struct SuiteRun;
 
 /// Options of a benchmark-suite run.
 struct SuiteOptions {
-  FlowOptions flow;  ///< applied to every benchmark in the suite
-
-  /// Pass-pipeline spec (cts/pipeline.h) applied to every benchmark; when
-  /// non-empty it overrides `flow.pipeline`.  A malformed spec makes
-  /// run_suite() throw PipelineError before any run starts.  Benchmark
-  /// drivers bind this to the CONTANGO_PIPELINE env knob.
-  std::string pipeline_spec;
+  /// Applied to every benchmark in the suite.  A malformed
+  /// `flow.pipeline` spec, or one that cannot run on some benchmark
+  /// (Pipeline::check), makes run_suite() throw PipelineError before any
+  /// run starts.  Benchmark drivers bind `flow.pipeline` to the
+  /// CONTANGO_PIPELINE env knob.
+  FlowOptions flow;
 
   /// Worker threads fanning out `run_contango` calls; 0 picks the hardware
   /// concurrency, 1 runs the suite serially on the calling thread.  Never
@@ -215,7 +214,7 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 /// \brief Applies the harness env knobs (util/env.h) on top of `base`:
 ///
 ///   CONTANGO_THREADS         -> threads
-///   CONTANGO_PIPELINE        -> pipeline_spec (cts/pipeline.h syntax)
+///   CONTANGO_PIPELINE        -> flow.pipeline (cts/pipeline.h syntax)
 ///   CONTANGO_DOMAINS         -> domain count of the `multidomain`
 ///                               scenario family (0 = seed-derived 2-4;
 ///                               consumed in cts/scenario.cpp, validated

@@ -51,17 +51,8 @@ Ps calibrate_tws(const ClockTree& tree, const EditProbe& probe,
   // divided by the edge length; T_ws is the maximum across samples.
   Ps tws = 0.0;
   for (NodeId id : samples) {
-    Ps worst = 0.0;
-    for (NodeId s : tree.downstream_sinks(id)) {
-      const int sink = tree.node(s).sink_index;
-      for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
-        for (int t = 0; t < kNumTransitions; ++t) {
-          const auto& b = baseline.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          const auto& p = probed.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          if (b.reached && p.reached) worst = std::max(worst, p.latency - b.latency);
-        }
-      }
-    }
+    const Ps worst = worst_latency_rise(tree, tree.downstream_sinks(id),
+                                        baseline, probed);
     tws = std::max(tws, worst / std::max(tree.edge_length(id), 1.0));
   }
   Log::debug("calibrate_tws: %zu samples, tws = %.5f ps/um", samples.size(), tws);

@@ -32,18 +32,8 @@ Ps calibrate_twn(const ClockTree& tree, const EditProbe& probe,
 
   Ps twn = 0.0;
   for (NodeId id : samples) {
-    Ps worst = 0.0;
-    for (NodeId s : tree.downstream_sinks(id)) {
-      const int sink = tree.node(s).sink_index;
-      for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
-        for (int t = 0; t < kNumTransitions; ++t) {
-          const auto& b = baseline.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          const auto& p = probed.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          if (b.reached && p.reached) worst = std::max(worst, p.latency - b.latency);
-        }
-      }
-    }
-    twn = std::max(twn, worst);
+    twn = std::max(twn, worst_latency_rise(tree, tree.downstream_sinks(id),
+                                           baseline, probed));
   }
   Log::debug("calibrate_twn: %zu samples, twn = %.5f ps/unit(%.0f um)",
              samples.size(), twn, unit);

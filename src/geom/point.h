@@ -24,11 +24,6 @@ inline Um manhattan(const Point& a, const Point& b) {
   return std::abs(a.x - b.x) + std::abs(a.y - b.y);
 }
 
-/// Euclidean distance; used only for reporting, never for wirelength.
-inline double euclidean(const Point& a, const Point& b) {
-  return std::hypot(a.x - b.x, a.y - b.y);
-}
-
 /// Midpoint of the segment ab.
 inline Point midpoint(const Point& a, const Point& b) {
   return Point{(a.x + b.x) / 2.0, (a.y + b.y) / 2.0};

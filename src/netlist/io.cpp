@@ -286,14 +286,6 @@ std::vector<std::string> list_benchmark_files(const std::string& dir) {
   return paths;
 }
 
-std::vector<Benchmark> read_benchmark_dir(const std::string& dir) {
-  std::vector<Benchmark> suite;
-  for (const std::string& path : list_benchmark_files(dir)) {
-    suite.push_back(read_benchmark_file(path));
-  }
-  return suite;
-}
-
 void require_token_name(const std::string& name, const char* what) {
   if (name.empty() || name.find_first_of(" \t\n\r#") != std::string::npos) {
     throw std::invalid_argument(std::string(what) + " name '" + name +

@@ -101,12 +101,6 @@ Benchmark read_benchmark_file(const std::string& path);
 /// \throws std::runtime_error when the directory cannot be read
 std::vector<std::string> list_benchmark_files(const std::string& dir);
 
-/// \brief Reads every `.bench`/`.cbench` file in a directory (sorted by
-/// filename).
-/// \throws as read_benchmark_file(); an empty directory yields an empty
-///         vector rather than an error
-std::vector<Benchmark> read_benchmark_dir(const std::string& dir);
-
 /// \brief Writes a benchmark in `.bench` format.
 ///
 /// The output is deterministic and complete: writing a benchmark, reading

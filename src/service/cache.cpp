@@ -9,77 +9,48 @@ Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
                          const SuiteOptions& options) {
   Hasher h;
   // Version tag first: bumping it invalidates every old key when the
-  // schema of this function changes.  Jobs whose benchmarks all carry
-  // trivial TimingConstraints keep the exact v2 key — legacy submissions
-  // hash identically across this schema change — while any non-trivial
-  // constraint block switches the whole job to the v3 schema, which folds
-  // an explicit constraint digest in below.
-  bool any_constrained = false;
-  for (const Benchmark& bench : benchmarks) {
-    any_constrained = any_constrained || !bench.constraints.trivial();
-  }
-  h.update_field(any_constrained ? "contango-job-v3" : "contango-job-v2");
+  // schema of this function changes.
+  h.update_field("contango-job-v4");
 
   // Workload: benchmark_content_hash per benchmark — a streamed FNV-1a
   // over the canonical `.bench` bytes, never materializing the text (a
   // 1M-sink instance is ~70 MB of it).  A generated scenario, its
   // exported text file and its packed `.cbench` all hash identically, so
   // text and binary submissions of the same instance share cache entries.
-  // The canonical text includes the constraint directives, so the per-
-  // benchmark digests already distinguish constrained instances; the v3
-  // block below additionally pins the decoded TimingConstraints values.
+  // The canonical text includes the constraint directives; a non-trivial
+  // constraint block additionally pins its decoded values.
   h.update_u64(benchmarks.size());
   for (const Benchmark& bench : benchmarks) {
     const Hash128 digest = benchmark_content_hash(bench);
     h.update_u64(digest.hi);
     h.update_u64(digest.lo);
-  }
-  if (any_constrained) {
-    for (const Benchmark& bench : benchmarks) {
-      const TimingConstraints& cons = bench.constraints;
-      h.update_u64(cons.domain_names.size());
-      for (const std::string& name : cons.domain_names) h.update_field(name);
-      h.update_u64(cons.sink_domains.size());
-      for (const std::uint32_t d : cons.sink_domains) h.update_u64(d);
-      h.update_u64(cons.sink_windows.size());
-      for (const ArrivalWindow& w : cons.sink_windows) {
-        h.update_double(w.lo);
-        h.update_double(w.hi);
-      }
-      h.update_u64(cons.domain_bounds.size());
-      for (const DomainBound& b : cons.domain_bounds) {
-        h.update_u64(b.a);
-        h.update_u64(b.b);
-        h.update_double(b.bound);
-      }
+    const TimingConstraints& cons = bench.constraints;
+    h.update_u64(cons.trivial() ? 0 : 1);
+    if (cons.trivial()) continue;
+    h.update_u64(cons.domain_names.size());
+    for (const std::string& name : cons.domain_names) h.update_field(name);
+    h.update_u64(cons.sink_domains.size());
+    for (const std::uint32_t d : cons.sink_domains) h.update_u64(d);
+    h.update_u64(cons.sink_windows.size());
+    for (const ArrivalWindow& w : cons.sink_windows) {
+      h.update_double(w.lo);
+      h.update_double(w.hi);
+    }
+    h.update_u64(cons.domain_bounds.size());
+    for (const DomainBound& b : cons.domain_bounds) {
+      h.update_u64(b.a);
+      h.update_u64(b.b);
+      h.update_double(b.bound);
     }
   }
 
-  // The pipeline that will actually run: SuiteOptions::pipeline_spec
-  // overrides flow.pipeline, and an empty spec resolves to the full
-  // default sequence — hash the resolved form so
-  // "" and an explicit "dme,repair,insert,polarity,..." share a key.
-  FlowOptions flow = options.flow;
-  if (!options.pipeline_spec.empty()) flow.pipeline = options.pipeline_spec;
-  h.update_field(resolved_pipeline_spec(flow));
-
-  // Result-affecting flow numerics.  threads / incremental and the eval
-  // level-sweep threads are deliberately absent: those execution modes
-  // are bit-identical by construction.
-  h.update_u64(static_cast<std::uint64_t>(flow.max_ladder));
-  h.update_double(flow.power_reserve);
-  h.update_u64(static_cast<std::uint64_t>(flow.max_sizing_rounds));
-  h.update_u64(static_cast<std::uint64_t>(flow.max_snaking_rounds));
-  h.update_u64(static_cast<std::uint64_t>(flow.max_bottom_rounds));
-  h.update_u64(static_cast<std::uint64_t>(flow.max_buffer_sizing_iters));
-  h.update_u64(static_cast<std::uint64_t>(flow.branch_levels));
-  h.update_double(flow.snake_unit);
-  h.update_double(flow.bottom_unit);
-  h.update_double(flow.insertion.spacing);
-  h.update_double(flow.insertion.slew_margin);
-  h.update_u64(flow.insertion.fast_merge ? 1 : 0);
-  h.update_u64(static_cast<std::uint64_t>(flow.insertion.max_options));
-  h.update_double(flow.eval.source_input_slew);
+  // The pipeline that will actually run, with every pass parameter in it:
+  // an empty spec resolves to the full default sequence, so "" and an
+  // explicit "dme,repair,insert,polarity,..." share a key.  threads,
+  // flow.incremental and the eval level-sweep threads are deliberately
+  // absent: those execution modes are bit-identical by construction.
+  h.update_field(resolved_pipeline_spec(options.flow));
+  h.update_double(options.flow.eval.source_input_slew);
 
   // Monte-Carlo configuration.  The variation model and targets are inert
   // when trials == 0, so they only contribute then — a plain run and the

@@ -27,20 +27,17 @@ namespace contango {
 /// \brief Stable 128-bit content key of a job: what it runs and every
 /// option that can change the report bytes.
 ///
-/// Covered: a version tag (bump it when the key schema changes —
-/// "contango-job-v2" for all-trivial-constraint jobs, unchanged from
-/// before the TimingConstraints refactor, and "contango-job-v3" when any
-/// benchmark carries a non-trivial constraint block, which additionally
-/// folds the decoded domains/windows/bounds in), the
+/// Covered: a version tag ("contango-job-v4"; bump it when the key schema
+/// changes — the cache lives in memory, so no stored key goes stale), the
 /// benchmark_content_hash of every benchmark — a streamed FNV-1a over the
 /// canonical `.bench` bytes, so text and `.cbench` submissions of the
 /// same instance share an entry without materializing the text (the
-/// benchmark count is hashed first, so list boundaries are
-/// unambiguous) — the resolved pipeline spec, the
-/// Monte-Carlo configuration (trial count; sigmas/seed/skew-target only
-/// when trials > 0, since they are inert otherwise), and the
-/// result-affecting FlowOptions numerics (ladder, reserve, round caps,
-/// snaking units...).
+/// benchmark count is hashed first, so list boundaries are unambiguous) —
+/// plus the decoded domains/windows/bounds of every non-trivial
+/// constraint block, the resolved pipeline spec (every pass parameter
+/// lives there), `flow.eval.source_input_slew`, and the Monte-Carlo
+/// configuration (trial count; sigmas/seed/skew-target only when
+/// trials > 0, since they are inert otherwise).
 ///
 /// Deliberately NOT covered: `threads`, `flow.incremental` and
 /// `flow.eval.threads` — those modes are bit-identical by construction

@@ -138,22 +138,22 @@ void Daemon::handle_connection(int fd) {
 
 void Daemon::handle_submit(int fd, const JobRequest& request) {
   JobSpec spec;
+  spec.suite = options_.base;
+  if (!request.pipeline.empty()) spec.suite.flow.pipeline = request.pipeline;
   try {
     spec.benchmarks = collect_workloads(request.workloads, request.seed);
-    if (!request.pipeline.empty()) {
-      // Reject before queueing: unknown passes and bad parameters too,
-      // not just the spec's syntax.
-      Pipeline::from_spec(request.pipeline);
-    }
+    // Reject before queueing: unknown passes, bad or out-of-range
+    // parameters and parameters a workload cannot take, not just the
+    // spec's syntax.
+    const Pipeline pipeline = Pipeline::from_options(spec.suite.flow);
+    for (const Benchmark& bench : spec.benchmarks) pipeline.check(bench);
   } catch (const std::exception& e) {
     write_line(fd, encode_error(e.what()));
     return;
   }
   spec.name = request.name;
   spec.priority = request.priority;
-  spec.suite = options_.base;
   spec.suite.threads = request.threads;
-  if (!request.pipeline.empty()) spec.suite.pipeline_spec = request.pipeline;
   spec.suite.mc_trials = request.mc_trials;
   spec.suite.variation.sigma_vdd = request.mc_sigma_vdd;
   spec.suite.variation.seed = request.mc_seed;

@@ -214,19 +214,18 @@ TEST(ConstraintGolden, NewFamiliesCarryNonTrivialValidatedConstraints) {
                                        "usefulskew"));
 }
 
-TEST(ConstraintGolden, JobContentHashKeepsLegacyKeyAndFoldsConstraintsIn) {
+TEST(ConstraintGolden, JobContentHashFoldsNonTrivialConstraintsIn) {
   SuiteOptions options;
   std::vector<Benchmark> trivial_job = {make_scenario("ring", 1, 32)};
   ASSERT_TRUE(trivial_job[0].constraints.trivial());
   const Hash128 h1 = job_content_hash(trivial_job, options);
 
-  // Explicitly resetting the (already default) block changes nothing: the
-  // trivial case is the exact legacy v2 key.
+  // Explicitly resetting the (already default) block changes nothing.
   std::vector<Benchmark> reset_job = trivial_job;
   reset_job[0].constraints = TimingConstraints{};
   EXPECT_EQ(job_content_hash(reset_job, options).hex(), h1.hex());
 
-  // Any non-trivial block switches the job to the v3 schema...
+  // Any non-trivial block moves the key...
   std::vector<Benchmark> windowed_job = trivial_job;
   windowed_job[0].constraints.sink_windows.assign(
       windowed_job[0].sinks.size(), ArrivalWindow{});

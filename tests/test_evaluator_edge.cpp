@@ -1,11 +1,9 @@
 // Edge cases and failure injection for the evaluation stack: degenerate
-// geometry, missing sinks, cap/slew gates, corner bookkeeping, and the
-// balanced delay-contour inserter's invariants.
+// geometry, missing sinks, cap/slew gates and corner bookkeeping.
 
 #include <gtest/gtest.h>
 
 #include "analysis/evaluate.h"
-#include "cts/balanced_insertion.h"
 #include "cts/dme.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
@@ -107,41 +105,6 @@ TEST(EvaluatorEdge, SimRunCounterAndReset) {
   EXPECT_EQ(eval.sim_runs(), 2);
   eval.reset_sim_runs();
   EXPECT_EQ(eval.sim_runs(), 0);
-}
-
-TEST(BalancedInsertion, EqualCountsEvenOnSkewedTrees) {
-  // The inserter's contract: exactly n buffers per source-to-sink path,
-  // even after the tree is deliberately unbalanced.
-  Benchmark bench = two_sink_bench();
-  bench.die = Rect{0, 0, 9000, 9000};
-  bench.sinks.clear();
-  for (int i = 0; i < 12; ++i) {
-    bench.sinks.push_back(Sink{"s" + std::to_string(i),
-                               Point{300.0 + 700.0 * i, 400.0 + 600.0 * (i % 4)},
-                               10.0});
-  }
-  ClockTree tree = build_zst(bench);
-  int poked = 0;
-  for (NodeId id : tree.topological_order()) {
-    if (id != tree.root() && poked++ % 4 == 0) tree.node(id).snake += 500.0;
-  }
-  const auto result = insert_buffers_balanced(tree, bench, CompositeBuffer{0, 8});
-  EXPECT_GT(result.stages, 0);
-  for (NodeId id : tree.topological_order()) {
-    if (tree.node(id).is_sink()) {
-      EXPECT_EQ(tree.inversion_parity(id), result.stages);
-    }
-  }
-}
-
-TEST(BalancedInsertion, RespectsMaxStages) {
-  Benchmark bench = two_sink_bench();
-  ClockTree tree = build_zst(bench);
-  BalancedInsertionOptions options;
-  options.max_stages = 3;
-  options.stage_cap = 1.0;  // unreachable budget: must stop at max_stages
-  const auto result = insert_buffers_balanced(tree, bench, CompositeBuffer{0, 8}, options);
-  EXPECT_EQ(result.stages, 3);
 }
 
 TEST(ExtractEdge, EmptyTree) {

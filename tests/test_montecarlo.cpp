@@ -11,8 +11,8 @@
 
 #include "analysis/montecarlo.h"
 #include "analysis/variation.h"
-#include "cts/balanced_insertion.h"
 #include "cts/dme.h"
+#include "cts/vanginneken.h"
 #include "netlist/generators.h"
 
 namespace contango {
@@ -37,7 +37,7 @@ struct Fixture {
                                  8.0 + 2.0 * (i % 4)});
     }
     tree = build_zst(bench);
-    insert_buffers_balanced(tree, bench, CompositeBuffer{0, 8});
+    insert_buffers(tree, bench, CompositeBuffer{0, 8});
   }
 };
 

@@ -58,11 +58,73 @@ TEST(PipelineSpec, UnknownPassNamedInError) {
 }
 
 TEST(PipelineSpec, UnknownOrMalformedParamRejected) {
-  EXPECT_THROW(Pipeline::from_spec("twsz:bogus=1"), PipelineError);
-  EXPECT_THROW(Pipeline::from_spec("twsz:rounds=abc"), PipelineError);
-  EXPECT_THROW(Pipeline::from_spec("twsn:unit=abc"), PipelineError);
-  EXPECT_THROW(Pipeline::from_spec("insert:max_ladder=0"), PipelineError);
-  EXPECT_THROW(Pipeline::from_spec("dme:balance=sideways"), PipelineError);
+  // Every rejection names the pass and the parameter.
+  const struct {
+    const char* spec;
+    const char* pass;
+    const char* key;
+  } bad[] = {
+      {"twsz:bogus=1", "twsz", "bogus"},
+      {"twsz:unit=20", "twsz", "unit"},  // TWSZ sizes wires, snakes none
+      {"twsz:rounds=abc", "twsz", "rounds"},
+      {"twsn:unit=abc", "twsn", "unit"},
+      {"insert:max_ladder=0", "insert", "max_ladder"},
+      {"dme:balance=sideways", "dme", "balance"},
+      // Out of range or not finite: each would otherwise run (spacing=0
+      // never leaves the insertion DP's site loop) or compute nonsense.
+      {"insert:spacing=0", "insert", "spacing"},
+      {"insert:spacing=-100", "insert", "spacing"},
+      {"insert:reserve=5", "insert", "reserve"},
+      {"dme:wire_width=-1", "dme", "wire_width"},
+      {"twsn:unit=-20", "twsn", "unit"},
+      {"twsn:unit=nan", "twsn", "unit"},
+      {"bwsn:unit=0", "bwsn", "unit"},
+      {"twsz:safety=-1", "twsz", "safety"},
+      {"twsz:rounds=-3", "twsz", "rounds"},
+      {"tbsz:iters=-1", "tbsz", "iters"},
+      {"repair:max_crossing=-5", "repair", "max_crossing"},
+      {"polarity:offset=inf", "polarity", "offset"},
+      {"tbsz:levels=99999999999", "tbsz", "levels"},
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(b.spec);
+    try {
+      Pipeline::from_spec(b.spec);
+      ADD_FAILURE() << "expected PipelineError";
+    } catch (const PipelineError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("pass '" + std::string(b.pass) + "'"),
+                std::string::npos) << message;
+      EXPECT_NE(message.find(b.key), std::string::npos) << message;
+    }
+  }
+
+  // A wire index is checked against the benchmark's technology, before
+  // any pass runs.
+  const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
+  const Pipeline wide = Pipeline::from_spec("dme:wire_width=99");
+  try {
+    wide.check(bench);
+    ADD_FAILURE() << "expected PipelineError";
+  } catch (const PipelineError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("pass 'dme'"), std::string::npos) << message;
+    EXPECT_NE(message.find("wire_width=99"), std::string::npos) << message;
+  }
+  FlowOptions options;
+  options.pipeline = "dme:wire_width=99,repair,insert,polarity";
+  EXPECT_THROW(run_contango(bench, options), PipelineError);
+  EXPECT_NO_THROW(Pipeline::from_spec("dme:wire_width=0").check(bench));
+}
+
+TEST(PipelineSpec, ParamsAtTheirRangeEdgesAccepted) {
+  for (const char* spec :
+       {"insert:spacing=10:reserve=0:max_ladder=64", "twsz:safety=1:rounds=0",
+        "twsn:unit=1", "bwsn:unit=1000", "repair:max_crossing=0:cap_factor=1",
+        "polarity:offset=0", "tbsz:iters=0:levels=0"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_NO_THROW(Pipeline::from_spec(spec));
+  }
 }
 
 TEST(PipelineSpec, ContainsAndWithoutHelpers) {

@@ -109,11 +109,11 @@ TEST(JobContentHash, ExcludesBitIdenticalModesAndResolvesPipeline) {
 
   // An explicit spec equal to the default resolves to the same key...
   SuiteOptions c = a;
-  c.pipeline_spec = resolved_pipeline_spec(a.flow);
+  c.flow.pipeline = resolved_pipeline_spec(a.flow);
   EXPECT_EQ(job_content_hash(suite, c), base);
   // ...and a genuinely different pipeline moves it.
   SuiteOptions d = a;
-  d.pipeline_spec = "dme,repair,insert,polarity";
+  d.flow.pipeline = "dme,repair,insert,polarity";
   EXPECT_NE(job_content_hash(suite, d), base);
 
   // MC sigmas are inert at 0 trials, live above.
@@ -611,8 +611,10 @@ TEST(Daemon, EndToEndOverSocket) {
   EXPECT_THROW(client.submit(bad), ProtocolError);
 
   // So do pipeline specs that parse but cannot run (an unknown pass, a
-  // parameter that is not a number): nothing is queued for them.
-  for (const char* spec : {"dme,bogus", "twsz:rounds=abc"}) {
+  // parameter that is not a number or out of its range, a wire the
+  // workload's technology does not have): nothing is queued for them.
+  for (const char* spec : {"dme,bogus", "twsz:rounds=abc", "insert:spacing=0",
+                           "dme:wire_width=99"}) {
     SCOPED_TRACE(spec);
     JobRequest bad_pipeline;
     bad_pipeline.workloads = "uniform:40";

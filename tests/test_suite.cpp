@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "cts/pipeline.h"
 #include "cts/scenario.h"
 #include "cts/suite.h"
 #include "netlist/generators.h"
@@ -400,10 +401,10 @@ TEST(Suite, PipelineSpecFlowsIntoRunsAndJson) {
   std::vector<Benchmark> suite{generate_ispd_like(ispd09_suite_params(3))};
   SuiteOptions options;
   options.threads = 1;
-  options.pipeline_spec = "dme,repair,insert,polarity";
+  options.flow.pipeline = "dme,repair,insert,polarity";
   const SuiteReport report = run_suite(suite, options);
   ASSERT_TRUE(report.all_ok());
-  EXPECT_EQ(report.runs[0].result.pipeline_spec, options.pipeline_spec);
+  EXPECT_EQ(report.runs[0].result.pipeline_spec, options.flow.pipeline);
   ASSERT_EQ(report.runs[0].result.pass_timings.size(), 4u);
   EXPECT_EQ(report.runs[0].result.pass_timings[0].name, "DME");
 
@@ -415,13 +416,16 @@ TEST(Suite, PipelineSpecFlowsIntoRunsAndJson) {
   EXPECT_NE(json.find("\"cpu_seconds\":"), std::string::npos);
 
   // A malformed spec throws before any run starts.
-  options.pipeline_spec = "dme,bogus";
+  options.flow.pipeline = "dme,bogus";
   EXPECT_THROW(run_suite(suite, options), std::runtime_error);
+  // So does a parameter one of the benchmarks cannot take.
+  options.flow.pipeline = "dme:wire_width=99,repair,insert,polarity";
+  EXPECT_THROW(run_suite(suite, options), PipelineError);
 
   // A syntactically valid spec that never builds a tree is a per-run
   // failure (recorded, no crash), since up-front validation cannot know
   // which registered passes build trees.
-  options.pipeline_spec = "twsz,twsn";
+  options.flow.pipeline = "twsz,twsn";
   const SuiteReport no_tree = run_suite(suite, options);
   ASSERT_EQ(no_tree.runs.size(), 1u);
   EXPECT_FALSE(no_tree.all_ok());
@@ -450,7 +454,7 @@ TEST(SuiteEnv, ValidValuesParse) {
   EXPECT_EQ(options.threads, 3);
   EXPECT_EQ(options.mc_trials, 16);
   EXPECT_DOUBLE_EQ(options.variation.sigma_vdd, 0.07);
-  EXPECT_EQ(options.pipeline_spec, "dme,repair,insert,polarity,twsn");
+  EXPECT_EQ(options.flow.pipeline, "dme,repair,insert,polarity,twsn");
 }
 
 TEST(SuiteEnv, MalformedNumericValuesRejectedNamingTheVariable) {

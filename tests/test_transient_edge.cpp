@@ -12,8 +12,8 @@
 #include "analysis/evaluate.h"
 #include "analysis/montecarlo.h"
 #include "analysis/transient.h"
-#include "cts/balanced_insertion.h"
 #include "cts/dme.h"
+#include "cts/vanginneken.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
 #include "rctree/soa.h"
@@ -110,7 +110,7 @@ TEST(TransientEdge, ExtremeLowVddCornerStaysFinite) {
   Benchmark bench = small_bench(4);
   bench.tech.corners = {1.2, 0.3};  // 4x below nominal: far outside contest range
   ClockTree tree = build_zst(bench);
-  insert_buffers_balanced(tree, bench, CompositeBuffer{0, 8});
+  insert_buffers(tree, bench, CompositeBuffer{0, 8});
   Evaluator eval(bench);
   const EvalResult r = eval.evaluate(tree);
   EXPECT_TRUE(r.all_sinks_reached);
@@ -125,7 +125,7 @@ TEST(TransientEdge, ExtremeVariationTrialsStayFinite) {
   // (scale floor, Vdd floor) must keep every trial physical.
   const Benchmark bench = small_bench(6);
   ClockTree tree = build_zst(bench);
-  insert_buffers_balanced(tree, bench, CompositeBuffer{0, 8});
+  insert_buffers(tree, bench, CompositeBuffer{0, 8});
 
   VariationModel model;
   model.sigma_vdd = 0.5;
