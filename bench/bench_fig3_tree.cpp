@@ -4,6 +4,7 @@
 // (red = critical, green = most slack).
 
 #include <cstdio>
+#include <exception>
 
 #include "cts/flow.h"
 #include "cts/slack.h"
@@ -14,7 +15,13 @@
 using namespace contango;
 
 int main() {
-  const int index = static_cast<int>(env_long("CONTANGO_FIG3_BENCHMARK", 6));
+  int index = 0;
+  try {
+    index = static_cast<int>(env_long("CONTANGO_FIG3_BENCHMARK", 6));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad environment: %s\n", e.what());
+    return 1;
+  }
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(index));
   std::printf("== Figure 3: Contango clock tree on %s ==\n\n", bench.name.c_str());
 

@@ -19,6 +19,7 @@
 //   CONTANGO_WORKLOADS=uniform,clustered CONTANGO_JSON_OUT=ablation.json \
 //       ./bench_table3_ablation
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -34,20 +35,21 @@
 using namespace contango;
 
 int main() {
-  std::printf("== Table III ablation: single-pass-removed pipelines ==\n\n");
-
   SuiteOptions base;
+  std::string workloads;
+  std::uint64_t seed = 1;
   try {
     base = suite_options_from_env();
+    workloads = env_string("CONTANGO_WORKLOADS", "ring");
+    seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());
     return 1;
   }
+  std::printf("== Table III ablation: single-pass-removed pipelines ==\n\n");
   const std::string json_path = base.json_report_path;
   base.json_report_path.clear();  // one combined report, written below
 
-  const std::string workloads = env_string("CONTANGO_WORKLOADS", "ring");
-  const auto seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
   std::vector<Benchmark> suite;
   try {
     suite = collect_workloads(workloads, seed);

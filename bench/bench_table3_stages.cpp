@@ -10,6 +10,7 @@
 // substrate) but the trajectory must hold.
 
 #include <cstdio>
+#include <exception>
 
 #include "cts/flow.h"
 #include "io/table.h"
@@ -19,6 +20,13 @@
 using namespace contango;
 
 int main() {
+  long limit = 0;
+  try {
+    limit = env_long("CONTANGO_TABLE3_BENCHMARKS", 7);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad environment: %s\n", e.what());
+    return 1;
+  }
   std::printf("== Table III: progress achieved by individual Contango steps ==\n");
   std::printf("(per stage: CLR / skew in ps)\n\n");
 
@@ -26,7 +34,6 @@ int main() {
   TextTable table({"Benchmark", "INITIAL CLR/skew", "TBSZ CLR/skew",
                    "TWSZ CLR/skew", "TWSN CLR/skew", "BWSN CLR/skew", "sims"});
 
-  const long limit = env_long("CONTANGO_TABLE3_BENCHMARKS", 7);
   for (int i = 0; i < static_cast<int>(limit) && i < 7; ++i) {
     const Benchmark bench = generate_ispd_like(ispd09_suite_params(i));
     const FlowResult r = run_contango(bench);

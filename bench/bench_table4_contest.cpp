@@ -2,8 +2,8 @@
 // benchmark limit) and runtime of Contango against weaker flows on the
 // seven-benchmark suite.  The ISPD'09 contest teams' binaries are not
 // available; a ladder of three baseline flows spans the same qualitative
-// range (see DESIGN.md): construction-only ("CONSTR"), one wiresizing pass
-// ("WSIZE"), and wiresizing + one snaking pass ("TUNED").
+// range (see docs/ARCHITECTURE.md): construction-only ("CONSTR"), one
+// wiresizing pass ("WSIZE"), and wiresizing + one snaking pass ("TUNED").
 //
 // Shape to match: Contango's average CLR is a multiple (the paper: 2.15x -
 // 3.99x) better than the baselines at comparable capacitance, and every
@@ -23,8 +23,10 @@
 //   CONTANGO_WORKLOADS=benchmarks ./bench_table4_contest
 //   CONTANGO_WORKLOADS=ring,obstacle_dense:200 CONTANGO_SEED=7 ./bench_table4_contest
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <string>
 #include <vector>
 
 #include "cts/baseline.h"
@@ -51,20 +53,24 @@ struct BaselineRow {
 }  // namespace
 
 int main() {
-  std::printf("== Table IV: results on the CNS benchmark suite ==\n");
-  std::printf("(CLR in ps; Cap in %% of the benchmark limit; CPU in s)\n\n");
-
-  const long limit = env_long("CONTANGO_TABLE4_BENCHMARKS", 7);
+  long limit = 0;
+  std::string workloads;
+  std::uint64_t seed = 1;
   // CONTANGO_THREADS, CONTANGO_PIPELINE, CONTANGO_MC_TRIALS/
   // CONTANGO_MC_SIGMA_VDD (optional per-benchmark Monte-Carlo pass) and
   // CONTANGO_JSON_OUT (machine-readable report for CI perf tracking).
   SuiteOptions options;
   try {
+    limit = env_long("CONTANGO_TABLE4_BENCHMARKS", 7);
+    workloads = env_string("CONTANGO_WORKLOADS", "");
+    seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
     options = suite_options_from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());
     return 1;
   }
+  std::printf("== Table IV: results on the CNS benchmark suite ==\n");
+  std::printf("(CLR in ps; Cap in %% of the benchmark limit; CPU in s)\n\n");
   const int threads = options.threads;
 
   // ^C / SIGTERM stop the suite at the next safe boundary instead of
@@ -74,9 +80,7 @@ int main() {
   options.flow.cancel = signal_cancel_token();
 
   std::vector<Benchmark> suite;
-  const std::string workloads = env_string("CONTANGO_WORKLOADS", "");
   if (!workloads.empty()) {
-    const auto seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
     try {
       suite = collect_workloads(workloads, seed);
     } catch (const std::exception& e) {

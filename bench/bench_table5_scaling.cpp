@@ -30,6 +30,7 @@
 // compares text-parse vs. binary-mmap load cost (results are
 // bit-identical).
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <vector>
@@ -44,15 +45,18 @@
 using namespace contango;
 
 int main() {
-  const long max_sinks = env_long("CONTANGO_MAX_SINKS", 10000);
-  const std::string scenario = env_string("CONTANGO_SCENARIO", "");
-  const std::string workloads = env_string("CONTANGO_WORKLOADS", "");
-  const auto seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
-
+  long max_sinks = 0;
+  std::string scenario;
+  std::string workloads;
+  std::uint64_t seed = 1;
   // CONTANGO_THREADS, CONTANGO_PIPELINE, the optional CONTANGO_MC_*
   // Monte-Carlo pass, and CONTANGO_JSON_OUT for the machine-readable report.
   SuiteOptions options;
   try {
+    max_sinks = env_long("CONTANGO_MAX_SINKS", 10000);
+    scenario = env_string("CONTANGO_SCENARIO", "");
+    workloads = env_string("CONTANGO_WORKLOADS", "");
+    seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
     options = suite_options_from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());

@@ -23,8 +23,11 @@
 //   CONTANGO_MC_TRIALS=256 ./bench_table6_variation
 //   CONTANGO_WORKLOADS=benchmarks CONTANGO_JSON_OUT=mc.json ./bench_table6_variation
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cts/scenario.h"
@@ -36,12 +39,24 @@
 using namespace contango;
 
 int main() {
-  std::printf("== Table VI (extension): Monte-Carlo variation analysis ==\n");
-
   SuiteOptions options;
   options.mc_trials = 64;  // before env so CONTANGO_MC_TRIALS overrides
+  std::string spec;
+  std::uint64_t seed = 1;
   try {
     options = suite_options_from_env(options);
+    options.variation.sigma_wire_r = env_double("CONTANGO_MC_SIGMA_WIRE", 0.03);
+    if (options.variation.sigma_wire_r < 0.0) {
+      throw std::runtime_error("CONTANGO_MC_SIGMA_WIRE must be >= 0");
+    }
+    options.variation.sigma_wire_c = options.variation.sigma_wire_r;
+    options.variation.sigma_sink_cap =
+        env_double("CONTANGO_MC_SIGMA_SINK", 0.02);
+    if (options.variation.sigma_sink_cap < 0.0) {
+      throw std::runtime_error("CONTANGO_MC_SIGMA_SINK must be >= 0");
+    }
+    spec = env_string("CONTANGO_WORKLOADS", "uniform,ring,clustered");
+    seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());
     return 1;
@@ -55,18 +70,13 @@ int main() {
   install_signal_cancel();
   options.flow.cancel = signal_cancel_token();
 
-  options.variation.sigma_wire_r = env_double("CONTANGO_MC_SIGMA_WIRE", 0.03);
-  options.variation.sigma_wire_c = options.variation.sigma_wire_r;
-  options.variation.sigma_sink_cap = env_double("CONTANGO_MC_SIGMA_SINK", 0.02);
-
+  std::printf("== Table VI (extension): Monte-Carlo variation analysis ==\n");
   std::printf("(%d trials/bench; sigma_vdd %.3f, sigma_wire %.3f, "
               "sigma_sink %.3f; skew target %.1f ps)\n\n",
               options.mc_trials, options.variation.sigma_vdd,
               options.variation.sigma_wire_r, options.variation.sigma_sink_cap,
               options.mc_skew_target);
 
-  const std::string spec = env_string("CONTANGO_WORKLOADS", "uniform,ring,clustered");
-  const auto seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
   SuiteReport report;
   try {
     report = run_suite_spec(spec, seed, options);

@@ -524,7 +524,6 @@ EvalResult IncrementalEvaluator::evaluate(Ps slew_cut, std::optional<Ff> total_c
   net_.refresh();
   EvalResult result = sweep_.run(eval_, net_, net_.soa(), nullptr,
                                  eval_.options_.threads, /*reuse=*/true, slew_cut);
-  stage_sims_ += sweep_.last().sims;
   eval_.add_sweep_work(sweep_.last().sims, sweep_.last().reuses,
                        sweep_.last().helper_cpu);
   if (total_cap) {

@@ -134,20 +134,6 @@ class Evaluator {
   /// `options().threads` threads.  Reentrant: all workspace is local.
   EvalResult evaluate(const ClockTree& tree);
 
-  /// \brief Monte-Carlo evaluation under process/supply variation: runs
-  /// `trials` randomized perturbations of the network (per-stage Vdd
-  /// deviates, global wire R/C scaling, per-sink load jitter — see
-  /// analysis/variation.h) and aggregates streaming skew/CLR/latency
-  /// statistics plus yield against a skew target.
-  ///
-  /// Each trial counts as one simulation run.  Results are bit-identical
-  /// for any worker count (analysis/montecarlo.h).  Trials use this
-  /// Evaluator's own EvalOptions — `options.eval` is ignored — so the MC
-  /// distribution is always comparable to this Evaluator's nominal
-  /// evaluate().  Defined in montecarlo.cpp.
-  McReport evaluate_mc(const ClockTree& tree, int trials,
-                       const VariationModel& model, const McOptions& options);
-
   /// Counts one run in sim_runs(), as a full or an incremental evaluation.
   /// Every evaluation books itself; the IVC gate (cts/pass.h) also books a
   /// candidate it rejects before simulating, as the evaluation that
@@ -158,10 +144,9 @@ class Evaluator {
   /// per-thread evaluator counts can be read and aggregated (e.g. into a
   /// suite-wide total) while other workers are still evaluating.
   /// Every run is counted exactly once more as either a *full* evaluation
-  /// (from-scratch extraction + whole-tree propagation: evaluate(),
-  /// Monte-Carlo trials) or an *incremental* one
-  /// (IncrementalEvaluator::evaluate, re-propagated along dirty paths
-  /// only; the flow's calibration probes are such runs), so
+  /// (from-scratch extraction + whole-tree propagation: evaluate()) or an
+  /// *incremental* one (IncrementalEvaluator::evaluate, re-propagated along
+  /// dirty paths only; the flow's calibration probes are such runs), so
   /// sim_runs() == full_evals() + incremental_evals().
   int sim_runs() const { return sim_runs_.load(std::memory_order_relaxed); }
   int full_evals() const { return full_evals_.load(std::memory_order_relaxed); }
@@ -171,7 +156,7 @@ class Evaluator {
 
   /// Finer-grained work accounting in (stage x corner x transition) units:
   /// transient stage simulations executed by the SoA kernel across
-  /// evaluate(), IncrementalEvaluator and evaluate_mc().
+  /// evaluate() and IncrementalEvaluator.
   long batched_stage_evals() const {
     return batched_stage_evals_.load(std::memory_order_relaxed);
   }
@@ -410,17 +395,11 @@ class IncrementalEvaluator {
   /// The same for a session that was committed: drops the journal.
   void commit_session() { sweep_.drop_journal(); }
 
-  /// Kernel stage simulations spent so far — (stage x corner x
-  /// transition) units of transient work.  The owning Evaluator counts
-  /// the ones avoided by cache hits (Evaluator::stage_reuses).
-  long stage_sims() const { return stage_sims_; }
-
  private:
   Evaluator& eval_;
   const ClockTree* tree_ = nullptr;
   RcNetlist net_;
   LevelSweep sweep_;
-  long stage_sims_ = 0;
 };
 
 /// Evaluates a tree with `edit` applied through an edit session, then rolls

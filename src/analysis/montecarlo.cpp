@@ -229,22 +229,6 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   return report;
 }
 
-McReport Evaluator::evaluate_mc(const ClockTree& tree, int trials,
-                                const VariationModel& model,
-                                const McOptions& options) {
-  McOptions opts = options;
-  opts.trials = trials;
-  opts.eval = options_;
-  McReport report = run_montecarlo(bench_, tree, model, opts);
-  // Every trial is one full CNE pass — count it against the SPICE-run
-  // budget (and the full-propagation tally) like any other evaluation.
-  sim_runs_.fetch_add(trials, std::memory_order_relaxed);
-  full_evals_.fetch_add(trials, std::memory_order_relaxed);
-  batched_stage_evals_.fetch_add(report.batched_stage_evals,
-                                 std::memory_order_relaxed);
-  return report;
-}
-
 std::string McReport::to_json(bool with_samples) const {
   JsonWriter w;
   w.begin_object();

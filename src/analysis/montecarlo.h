@@ -125,9 +125,7 @@ struct McOptions {
   /// under a non-trivial constraint block — every sink window and
   /// inter-domain bound holds.
   Ps skew_target = 10.0;
-  /// Numerical options of the per-trial evaluation.  Note:
-  /// Evaluator::evaluate_mc overrides this with the evaluator's own
-  /// EvalOptions so trials stay comparable to its nominal evaluate().
+  /// Numerical options of the per-trial evaluation.
   EvalOptions eval;
 };
 

@@ -8,8 +8,8 @@ namespace contango {
 
 /// Baseline clock-tree flows standing in for the ISPD'09 contest teams in
 /// the Table IV comparison (the teams' binaries are not available; these
-/// span the same qualitative range: a greedy unoptimized flow and a
-/// balanced-but-lightly-optimized flow).
+/// span the same qualitative range: balanced flows with construction only,
+/// one wiresizing pass, or one wiresizing and one snaking pass).
 
 struct BaselineResult {
   ClockTree tree;
@@ -17,14 +17,6 @@ struct BaselineResult {
   int sim_runs = 0;
   double seconds = 0.0;
 };
-
-/// Greedy baseline: nearest-neighbour spanning topology (each sink connects
-/// to the closest already-connected node), obstacle repair, slew-driven
-/// buffer insertion with the unit composite, stage-count equalization and
-/// polarity correction — no balanced topology and no skew/CLR refinement.
-/// This flow is a sanity floor: its unbalanced wire lengths leave skew
-/// orders of magnitude above any balanced flow.
-BaselineResult run_baseline_greedy(const Benchmark& bench);
 
 /// Construction-only baseline ("weak team"): ZST/DME + obstacle repair +
 /// buffering + polarity, nothing else.

@@ -86,15 +86,6 @@ CompositeBuffer smallest_inverter(const Technology& tech) {
   return CompositeBuffer{best, 1};
 }
 
-std::vector<CompositeBuffer> composite_ladder(const CompositeBuffer& unit,
-                                              int max_multiple) {
-  std::vector<CompositeBuffer> ladder;
-  for (int k = 1; k <= max_multiple; ++k) {
-    ladder.push_back(CompositeBuffer{unit.inverter_type, unit.count * k});
-  }
-  return ladder;
-}
-
 Ff slew_free_cap(const Technology& tech, const CompositeBuffer& buffer,
                  double margin) {
   const CompositeElectrical ce = tech.electrical(buffer);

@@ -35,11 +35,6 @@ CompositeBuffer best_unit_composite(const Technology& tech, int max_count = 64);
 /// one on a tie): the polarity-correcting inverter.
 CompositeBuffer smallest_inverter(const Technology& tech);
 
-/// Strength ladder used during buffer insertion: unit, 2x unit, 3x unit...
-/// (the paper's "batches of 16x, 24x, etc.").
-std::vector<CompositeBuffer> composite_ladder(const CompositeBuffer& unit,
-                                              int max_multiple);
-
 /// Largest load capacitance the composite can drive without violating the
 /// slew limit, under the worst corner (lowest supply) and worst transition,
 /// with a safety margin.  Derived from the single-pole slew model

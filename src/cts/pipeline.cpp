@@ -183,13 +183,6 @@ Pipeline Pipeline::from_options(const FlowOptions& options,
   return from_spec(resolved_pipeline_spec(options), registry);
 }
 
-std::vector<std::string> Pipeline::pass_names() const {
-  std::vector<std::string> out;
-  out.reserve(passes_.size());
-  for (const auto& pass : passes_) out.push_back(pass->name());
-  return out;
-}
-
 void Pipeline::check(const Benchmark& bench) const {
   for (const auto& pass : passes_) pass->check(bench);
 }

@@ -145,9 +145,6 @@ class Pipeline {
 
   std::size_t size() const { return passes_.size(); }
 
-  /// Pass names in execution order.
-  std::vector<std::string> pass_names() const;
-
  private:
   std::string spec_;
   std::vector<std::unique_ptr<Pass>> passes_;

@@ -53,7 +53,7 @@ int parse_exact_int(const std::string& text) {
 /// and a pairwise inter-domain skew bound per domain pair.
 void apply_multidomain_constraints(Benchmark& bench, std::uint64_t seed) {
   Rng rng(seed ^ 0x646f6d61696e73ULL);  // "domains"
-  long num_domains = env_long_strict("CONTANGO_DOMAINS", 0);
+  long num_domains = env_long("CONTANGO_DOMAINS", 0);
   if (num_domains < 0 || num_domains == 1 || num_domains > 64) {
     throw std::invalid_argument(
         "CONTANGO_DOMAINS must be 0 (seed-derived) or in [2, 64], got " +
@@ -93,7 +93,7 @@ void apply_multidomain_constraints(Benchmark& bench, std::uint64_t seed) {
 /// of two-sided windows that also demand a minimum relative arrival.
 void apply_useful_skew_windows(Benchmark& bench, std::uint64_t seed) {
   Rng rng(seed ^ 0x77696e646f7773ULL);  // "windows"
-  const double fraction = env_double_strict("CONTANGO_WINDOW_FRACTION", 0.35);
+  const double fraction = env_double("CONTANGO_WINDOW_FRACTION", 0.35);
   if (!(fraction >= 0.0 && fraction <= 1.0)) {
     throw std::invalid_argument(
         "CONTANGO_WINDOW_FRACTION must be in [0, 1], got " +

@@ -9,21 +9,11 @@ namespace {
 
 constexpr Ps kInf = std::numeric_limits<double>::max();
 
-/// Extremes of one (corner, transition) latency vector.
+/// Latency extremes of one domain.
 struct Extremes {
   Ps lo = kInf;
   Ps hi = -kInf;
 };
-
-Extremes extremes(const std::vector<SinkTiming>& sinks) {
-  Extremes e;
-  for (const SinkTiming& s : sinks) {
-    if (!s.reached) continue;
-    e.lo = std::min(e.lo, s.latency);
-    e.hi = std::max(e.hi, s.latency);
-  }
-  return e;
-}
 
 /// Per-domain extremes of one (corner, transition) latency vector, plus
 /// the global earliest arrival (the window reference point Tref).
@@ -46,10 +36,10 @@ DomainExtremes domain_extremes(const std::vector<SinkTiming>& sinks,
   return e;
 }
 
-/// Generalized Definition 1 for one sink under a non-trivial constraint
-/// block: slack against the sink's own domain extrema, its arrival
-/// window, and every inter-domain bound touching its domain.  Reduces to
-/// (ex.hi - T, T - ex.lo) when the block is trivial.
+/// Generalized Definition 1 for one sink: slack against the sink's own
+/// domain extrema, its arrival window, and every inter-domain bound
+/// touching its domain.  Reduces to (ex.hi - T, T - ex.lo) when the block
+/// is trivial (one domain, no windows, no bounds).
 void constrained_sink_slacks(std::size_t sink_index, Ps latency,
                              const DomainExtremes& ex,
                              const TimingConstraints& cons, Ps& slow,
@@ -94,34 +84,22 @@ EdgeSlacks compute_edge_slacks(const ClockTree& tree, const EvalResult& eval,
       options.all_corners ? eval.corners.size() : std::min<std::size_t>(1, eval.corners.size());
 
   // Sink slacks: minimum over every constraining (corner, transition).
-  const TimingConstraints* cons = options.constraints;
-  const bool constrained = cons != nullptr && !cons->trivial();
+  static const TimingConstraints kTrivial;
+  const TimingConstraints& cons =
+      options.constraints != nullptr ? *options.constraints : kTrivial;
   const std::vector<NodeId> topo = tree.topological_order();
   for (std::size_t c = 0; c < corners; ++c) {
     for (int t = 0; t < kNumTransitions; ++t) {
       const auto& sinks = eval.corners[c].sinks[static_cast<std::size_t>(t)];
-      if (constrained) {
-        const DomainExtremes ex = domain_extremes(sinks, *cons);
-        if (ex.global_lo >= kInf) continue;
-        for (NodeId id : topo) {
-          const TreeNode& n = tree.node(id);
-          if (!n.is_sink()) continue;
-          const std::size_t s = static_cast<std::size_t>(n.sink_index);
-          if (!sinks[s].reached) continue;
-          constrained_sink_slacks(s, sinks[s].latency, ex, *cons,
-                                  slacks.slow[id], slacks.fast[id]);
-        }
-        continue;
-      }
-      const Extremes ex = extremes(sinks);
-      if (ex.hi < ex.lo) continue;
+      const DomainExtremes ex = domain_extremes(sinks, cons);
+      if (ex.global_lo >= kInf) continue;
       for (NodeId id : topo) {
         const TreeNode& n = tree.node(id);
         if (!n.is_sink()) continue;
-        const SinkTiming& st = sinks[static_cast<std::size_t>(n.sink_index)];
-        if (!st.reached) continue;
-        slacks.slow[id] = std::min(slacks.slow[id], ex.hi - st.latency);
-        slacks.fast[id] = std::min(slacks.fast[id], st.latency - ex.lo);
+        const std::size_t s = static_cast<std::size_t>(n.sink_index);
+        if (!sinks[s].reached) continue;
+        constrained_sink_slacks(s, sinks[s].latency, ex, cons,
+                                slacks.slow[id], slacks.fast[id]);
       }
     }
   }

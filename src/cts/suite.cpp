@@ -436,19 +436,19 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
     Log::warn("unrecognized environment variable %s (knob typo?)",
               name.c_str());
   }
-  base.threads = static_cast<int>(env_long_strict("CONTANGO_THREADS", base.threads));
+  base.threads = static_cast<int>(env_long("CONTANGO_THREADS", base.threads));
   if (base.threads < 0) {
     throw std::runtime_error("CONTANGO_THREADS=" + std::to_string(base.threads) +
                              " must be >= 0 (0 = hardware concurrency)");
   }
   // CONTANGO_DOMAINS / CONTANGO_WINDOW_FRACTION parameterize the
   // multidomain / usefulskew scenario factories (cts/scenario.cpp), which
-  // read and range-check them at generation; the strict reads here reject
+  // read and range-check them at generation; the reads here reject
   // malformed values up front, naming the variable.
-  env_long_strict("CONTANGO_DOMAINS", 0);
-  env_double_strict("CONTANGO_WINDOW_FRACTION", 0.35);
+  env_long("CONTANGO_DOMAINS", 0);
+  env_double("CONTANGO_WINDOW_FRACTION", 0.35);
   base.mc_trials =
-      static_cast<int>(env_long_strict("CONTANGO_MC_TRIALS", base.mc_trials));
+      static_cast<int>(env_long("CONTANGO_MC_TRIALS", base.mc_trials));
   if (base.mc_trials < 0) {
     throw std::runtime_error("CONTANGO_MC_TRIALS=" +
                              std::to_string(base.mc_trials) +
@@ -457,14 +457,14 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
   const double default_sigma =
       base.variation.sigma_vdd > 0.0 ? base.variation.sigma_vdd : 0.05;
   base.variation.sigma_vdd =
-      env_double_strict("CONTANGO_MC_SIGMA_VDD", default_sigma);
+      env_double("CONTANGO_MC_SIGMA_VDD", default_sigma);
   if (base.variation.sigma_vdd < 0.0) {
     throw std::runtime_error("CONTANGO_MC_SIGMA_VDD must be >= 0");
   }
-  base.variation.seed = static_cast<std::uint64_t>(env_long_strict(
+  base.variation.seed = static_cast<std::uint64_t>(env_long(
       "CONTANGO_MC_SEED", static_cast<long>(base.variation.seed)));
   base.mc_skew_target =
-      env_double_strict("CONTANGO_MC_SKEW_TARGET", base.mc_skew_target);
+      env_double("CONTANGO_MC_SKEW_TARGET", base.mc_skew_target);
   base.json_report_path = env_string("CONTANGO_JSON_OUT", base.json_report_path);
   base.flow.pipeline = env_string("CONTANGO_PIPELINE", base.flow.pipeline);
   if (!base.flow.pipeline.empty()) {

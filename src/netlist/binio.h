@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "geom/spatial.h"
 #include "io/mmap.h"
 #include "netlist/benchmark.h"
 
@@ -332,18 +331,6 @@ class MappedBenchmark {
   /// \throws std::invalid_argument when the stored data is structurally
   ///         valid but describes an inconsistent benchmark
   Benchmark to_benchmark() const;
-
-  /// STR bulk-built interval index over the OBSTACLES section, fed
-  /// directly from the mapped record bytes — no intermediate
-  /// std::vector<Rect>.  Query-identical to
-  /// RectIntervalIndex(to_benchmark().obstacle_rects).
-  RectIntervalIndex obstacle_index() const;
-
-  /// Bulk-built NN grid over the SINKS section (ids are sink indices),
-  /// bounded by the stored die rectangle, fed directly from the mapped
-  /// record bytes.  nearest()-identical to inserting every sink position
-  /// in index order into PointNnGrid(die, num_sinks()).
-  PointNnGrid sink_grid() const;
 
   /// One decoded section-table entry, for `contango-pack info`.
   struct SectionInfo {

@@ -55,11 +55,6 @@ class CancelToken {
     if (flag_) flag_->store(true, std::memory_order_relaxed);
   }
 
-  /// \throws CancelledError naming `where` when cancellation was requested
-  void throw_if_cancelled(const std::string& where) const {
-    if (cancelled()) throw CancelledError(where + ": cancelled");
-  }
-
   /// The raw flag, for async-signal-safe use only (a signal handler may
   /// store to an std::atomic<bool> but must not touch shared_ptr control
   /// blocks).  Valid as long as any token copy is alive; nullptr for inert

@@ -1,29 +1,13 @@
 #include "util/env.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace contango {
 
 long env_long(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(value, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-long env_long_strict(const char* name, long fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   char* end = nullptr;
@@ -40,7 +24,7 @@ long env_long_strict(const char* name, long fallback) {
   return parsed;
 }
 
-double env_double_strict(const char* name, double fallback) {
+double env_double(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   char* end = nullptr;
@@ -54,20 +38,16 @@ double env_double_strict(const char* name, double fallback) {
     throw std::runtime_error(std::string(name) + "='" + value +
                              "' is out of range");
   }
+  if (!std::isfinite(parsed)) {
+    throw std::runtime_error(std::string(name) + "='" + value +
+                             "' is not a finite number");
+  }
   return parsed;
 }
 
 std::string env_string(const char* name, const std::string& fallback) {
   const char* value = std::getenv(name);
   return (value != nullptr && *value != '\0') ? std::string(value) : fallback;
-}
-
-bool env_flag(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return false;
-  return std::strcmp(value, "") != 0 && std::strcmp(value, "0") != 0 &&
-         std::strcmp(value, "false") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "no") != 0;
 }
 
 }  // namespace contango

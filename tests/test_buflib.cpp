@@ -56,13 +56,6 @@ TEST(BufLib, BestUnitIsEightSmall) {
   EXPECT_EQ(unit.count, 8);
 }
 
-TEST(BufLib, LadderMultiplies) {
-  const auto ladder = composite_ladder(CompositeBuffer{0, 8}, 4);
-  ASSERT_EQ(ladder.size(), 4u);
-  EXPECT_EQ(ladder[0].count, 8);
-  EXPECT_EQ(ladder[3].count, 32);
-}
-
 TEST(BufLib, SlewFreeCapScalesWithStrength) {
   const Technology tech = ispd09_technology();
   const Ff cap8 = slew_free_cap(tech, CompositeBuffer{0, 8});

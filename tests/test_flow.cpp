@@ -102,19 +102,14 @@ TEST(Flow, BuffersOutsideObstacles) {
   EXPECT_EQ(blocked, 0);
 }
 
-TEST(Baselines, ContangoBeatsBothOnClr) {
+TEST(Baselines, ContangoBeatsWsizeOnClrAndSkew) {
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
   const FlowResult contango = run_contango(bench);
-  const BaselineResult greedy = run_baseline_greedy(bench);
   const BaselineResult bst = run_baseline_bst(bench);
 
-  // Table IV shape: Contango's CLR is a multiple better than the baselines.
+  // Table IV shape: Contango beats the WSIZE baseline on CLR and skew.
   EXPECT_LT(contango.eval.clr, bst.eval.clr);
-  EXPECT_LT(contango.eval.clr, greedy.eval.clr);
   EXPECT_LT(contango.eval.nominal_skew, bst.eval.nominal_skew);
-  // The balanced baseline beats the greedy one on skew (sanity of the
-  // baseline ladder itself).
-  EXPECT_LT(bst.eval.nominal_skew, greedy.eval.nominal_skew);
 }
 
 }  // namespace

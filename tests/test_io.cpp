@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "cts/dme.h"
 #include "io/svg.h"
@@ -140,22 +142,36 @@ TEST(Env, ParsesAndFallsBack) {
   ::setenv("CONTANGO_TEST_LONG", "42", 1);
   EXPECT_EQ(env_long("CONTANGO_TEST_LONG", 7), 42);
   EXPECT_EQ(env_long("CONTANGO_TEST_UNSET_XYZ", 7), 7);
-  ::setenv("CONTANGO_TEST_LONG", "notanumber", 1);
-  EXPECT_EQ(env_long("CONTANGO_TEST_LONG", 7), 7);
+  // A set but malformed or non-finite value is a configuration mistake:
+  // it throws naming the variable instead of running the fallback.
+  const auto expect_rejected = [](const char* value, auto read) {
+    SCOPED_TRACE(value);
+    ::setenv("CONTANGO_TEST_KNOB", value, 1);
+    try {
+      read("CONTANGO_TEST_KNOB");
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("CONTANGO_TEST_KNOB"),
+                std::string::npos);
+    }
+  };
+  const auto read_long = [](const char* name) { env_long(name, 7); };
+  const auto read_double = [](const char* name) { env_double(name, 1.0); };
+  expect_rejected("notanumber", read_long);
+  expect_rejected("nan", read_long);
+  expect_rejected("inf", read_long);
+  expect_rejected("notanumber", read_double);
+  expect_rejected("nan", read_double);
+  expect_rejected("inf", read_double);
 
   ::setenv("CONTANGO_TEST_DOUBLE", "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double("CONTANGO_TEST_DOUBLE", 1.0), 2.5);
-
-  ::setenv("CONTANGO_TEST_FLAG", "0", 1);
-  EXPECT_FALSE(env_flag("CONTANGO_TEST_FLAG"));
-  ::setenv("CONTANGO_TEST_FLAG", "yes", 1);
-  EXPECT_TRUE(env_flag("CONTANGO_TEST_FLAG"));
-  EXPECT_FALSE(env_flag("CONTANGO_TEST_UNSET_XYZ"));
+  EXPECT_DOUBLE_EQ(env_double("CONTANGO_TEST_UNSET_XYZ", 1.0), 1.0);
 
   EXPECT_EQ(env_string("CONTANGO_TEST_UNSET_XYZ", "dflt"), "dflt");
   ::unsetenv("CONTANGO_TEST_LONG");
   ::unsetenv("CONTANGO_TEST_DOUBLE");
-  ::unsetenv("CONTANGO_TEST_FLAG");
+  ::unsetenv("CONTANGO_TEST_KNOB");
 }
 
 TEST(Log, LevelFiltering) {

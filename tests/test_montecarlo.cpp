@@ -309,24 +309,14 @@ TEST(MonteCarlo, YieldAgainstSkewTarget) {
 
   options.skew_target = 1e9;  // every legal trial passes
   const McReport loose = run_montecarlo(f.bench, f.tree, model, options);
+  EXPECT_EQ(loose.trials, 48);
+  EXPECT_EQ(loose.samples.size(), 48u);
   EXPECT_EQ(loose.yield, loose.legal_fraction);
 
   options.skew_target = 1e-9;  // (almost) no trial passes
   const McReport tight = run_montecarlo(f.bench, f.tree, model, options);
   EXPECT_EQ(tight.yield, 0.0);
   EXPECT_LE(tight.yield, loose.yield);
-}
-
-TEST(MonteCarlo, EvaluateMcCountsTrialsAsSimRuns) {
-  const Fixture f;
-  Evaluator eval(f.bench);
-  McOptions options;
-  options.threads = 2;
-  const McReport report = eval.evaluate_mc(f.tree, 12, typical_model(), options);
-  EXPECT_EQ(report.trials, 12);
-  EXPECT_EQ(static_cast<int>(report.samples.size()), 12);
-  EXPECT_EQ(eval.sim_runs(), 12);
-  EXPECT_EQ(report.benchmark, "mc_fixture");
 }
 
 TEST(MonteCarlo, RejectsDegenerateInputs) {
