@@ -8,14 +8,22 @@
 //   * all sinks stay connected and no wire crosses the obstacle interior.
 
 #include <cstdio>
+#include <exception>
 
 #include "cts/obstacles.h"
 #include "io/svg.h"
 #include "netlist/generators.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main() {
+  try {
+    Log::level_from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad environment: %s\n", e.what());
+    return 1;
+  }
   // Composite obstacle: two abutting rectangles forming an L.
   Benchmark bench;
   bench.name = "fig2";

@@ -11,12 +11,14 @@
 #include "io/svg.h"
 #include "netlist/generators.h"
 #include "util/env.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main() {
   int index = 0;
   try {
+    Log::level_from_env();
     index = static_cast<int>(env_long("CONTANGO_FIG3_BENCHMARK", 6));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());

@@ -3,14 +3,22 @@
 // that makes Contango prefer 8x small inverters over large ones.
 
 #include <cstdio>
+#include <exception>
 
 #include "cts/buflib.h"
 #include "io/table.h"
 #include "netlist/library.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main() {
+  try {
+    Log::level_from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad environment: %s\n", e.what());
+    return 1;
+  }
   const Technology tech = ispd09_technology();
 
   std::printf("== Table I: inverter analysis for ISPD'09 CNS benchmarks ==\n\n");

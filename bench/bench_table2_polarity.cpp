@@ -7,6 +7,7 @@
 // inverted sinks), far below the naive one-inverter-per-sink patch.
 
 #include <cstdio>
+#include <exception>
 
 #include "cts/buflib.h"
 #include "cts/dme.h"
@@ -16,10 +17,17 @@
 #include "cts/vanginneken.h"
 #include "io/table.h"
 #include "netlist/generators.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main() {
+  try {
+    Log::level_from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad environment: %s\n", e.what());
+    return 1;
+  }
   std::printf("== Table II: inverted sinks vs polarity-correcting inverters ==\n");
   std::printf("(after ZST construction, obstacle repair and van Ginneken\n");
   std::printf(" insertion with the 8x-small composite)\n\n");

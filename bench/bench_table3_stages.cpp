@@ -16,12 +16,14 @@
 #include "io/table.h"
 #include "netlist/generators.h"
 #include "util/env.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main() {
   long limit = 0;
   try {
+    Log::level_from_env();
     limit = env_long("CONTANGO_TABLE3_BENCHMARKS", 7);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());

@@ -4,10 +4,12 @@
 // repair pass on each, and reports what happened.
 
 #include <cstdio>
+#include <exception>
 
 #include "cts/obstacles.h"
 #include "io/svg.h"
 #include "netlist/generators.h"
+#include "util/log.h"
 
 using namespace contango;
 
@@ -48,6 +50,12 @@ void report(const char* title, const ObstacleRepairReport& r, const ClockTree& t
 }  // namespace
 
 int main() {
+  try {
+    Log::level_from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   std::printf("== obstacle-avoidance mechanisms (paper section IV-A) ==\n\n");
 
   {  // 1. L-shape flip: the alternative elbow dodges the block.

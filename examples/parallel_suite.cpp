@@ -8,20 +8,29 @@
 // Defaults: 4 smallest suite entries, hardware-concurrency workers.
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <vector>
 
 #include "cts/pipeline.h"
 #include "cts/suite.h"
 #include "netlist/generators.h"
 #include "util/env.h"
+#include "util/log.h"
 #include "util/parallel.h"
 
 using namespace contango;
 
 int main(int argc, char** argv) {
-  const int count = (argc > 1) ? std::atoi(argv[1]) : 4;
-  const int threads = (argc > 2) ? std::atoi(argv[2]) : hardware_threads();
+  int count = 4;
+  int threads = hardware_threads();
+  try {
+    Log::level_from_env();
+    if (argc > 1) count = parse_int("count", argv[1]);
+    if (argc > 2) threads = parse_int("threads", argv[2]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   // The suite: ISPD'09-style entries, smallest first so the demo stays fast.
   const std::vector<int> order = {3, 0, 1, 4, 2, 5, 6};

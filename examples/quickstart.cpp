@@ -4,18 +4,27 @@
 //   ./quickstart [num_sinks]
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
 #include "analysis/evaluate.h"
 #include "cts/buflib.h"
 #include "cts/dme.h"
 #include "cts/vanginneken.h"
 #include "netlist/generators.h"
+#include "util/env.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main(int argc, char** argv) {
-  const int num_sinks = (argc > 1) ? std::atoi(argv[1]) : 150;
+  int num_sinks = 150;
+  try {
+    Log::level_from_env();
+    if (argc > 1) num_sinks = parse_int("num_sinks", argv[1]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   // 1. A benchmark: die, source, sinks, obstacles, technology.
   const Benchmark bench = generate_ti_like(num_sinks);

@@ -3,18 +3,29 @@
 //
 //   ./scalability [num_sinks] [seed]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
 #include "cts/flow.h"
 #include "netlist/generators.h"
+#include "util/env.h"
+#include "util/log.h"
 #include "util/timer.h"
 
 using namespace contango;
 
 int main(int argc, char** argv) {
-  const int num_sinks = (argc > 1) ? std::atoi(argv[1]) : 1000;
-  const std::uint64_t seed = (argc > 2) ? std::strtoull(argv[2], nullptr, 10) : 77;
+  int num_sinks = 1000;
+  std::uint64_t seed = 77;
+  try {
+    Log::level_from_env();
+    if (argc > 1) num_sinks = parse_int("num_sinks", argv[1]);
+    if (argc > 2) seed = static_cast<std::uint64_t>(parse_long("seed", argv[2]));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   const Benchmark bench = generate_ti_like(num_sinks, seed);
   std::printf("TI-style benchmark: %d sinks sampled from the 135K pool "

@@ -12,8 +12,8 @@
 //   ./example_scenario_suite benchmarks/ring_s1.bench     # one file
 //   ./example_scenario_suite ring,high_fanout:600 8 7     # registry, 8 threads
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <string>
@@ -22,6 +22,7 @@
 #include "cts/pipeline.h"
 #include "cts/scenario.h"
 #include "cts/suite.h"
+#include "util/env.h"
 
 using namespace contango;
 
@@ -34,8 +35,15 @@ int main(int argc, char** argv) {
     spec = std::filesystem::is_directory("benchmarks") ? "benchmarks"
                                                        : "../benchmarks";
   }
-  const int threads = (argc > 2) ? std::atoi(argv[2]) : 0;
-  const auto seed = static_cast<std::uint64_t>((argc > 3) ? std::atoll(argv[3]) : 1);
+  int threads = 0;
+  std::uint64_t seed = 1;
+  try {
+    if (argc > 2) threads = parse_int("threads", argv[2]);
+    if (argc > 3) seed = static_cast<std::uint64_t>(parse_long("seed", argv[3]));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   std::vector<Benchmark> suite;
   try {

@@ -6,7 +6,7 @@
 //   ./soc_flow [suite_index 0..6] [output_prefix]
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "cts/buflib.h"
@@ -17,11 +17,20 @@
 #include "io/svg.h"
 #include "netlist/generators.h"
 #include "netlist/io.h"
+#include "util/env.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main(int argc, char** argv) {
-  const int index = (argc > 1) ? std::atoi(argv[1]) : 2;
+  int index = 2;
+  try {
+    Log::level_from_env();
+    if (argc > 1) index = parse_int("suite_index", argv[1]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   const std::string prefix = (argc > 2) ? argv[2] : "soc";
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(index));
 

@@ -16,7 +16,6 @@
 // bit-identical.
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -25,15 +24,18 @@
 #include "cts/scenario.h"
 #include "io/json.h"
 #include "io/table.h"
+#include "util/env.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main(int argc, char** argv) {
   const std::string family = (argc > 1) ? argv[1] : "ring";
-  const int trials = (argc > 2) ? std::atoi(argv[2]) : 96;
   const std::string json_out = (argc > 3) ? argv[3] : "";
 
   try {
+    Log::level_from_env();
+    const int trials = (argc > 2) ? parse_int("trials", argv[2]) : 96;
     const Benchmark bench = make_scenario(family, /*seed=*/1);
     std::printf("synthesizing '%s' (%zu sinks)...\n", bench.name.c_str(),
                 bench.sinks.size());

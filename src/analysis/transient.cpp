@@ -22,6 +22,30 @@ struct StageConstants {
   Ps max_tau = 0.0;
 };
 
+/// Where a tap crosses `th` within one step, as a fraction of the step in
+/// [0, 1]: the root of the cubic Hermite polynomial through the step's end
+/// voltages `v0` < th <= `v1` with end slopes `d0`, `d1` (dv/dt times h),
+/// by three Newton steps from the linear estimate, each clamped to the
+/// step.  A non-finite slope (a node without capacitance) keeps the linear
+/// estimate; so does a fit that is not rising where Newton stands.
+[[gnu::always_inline]] inline double hermite_crossing(double v0, double v1,
+                                                      double d0, double d1,
+                                                      double th) {
+  const double dv = v1 - v0;
+  double x = std::clamp((th - v0) / std::max(dv, 1e-12), 0.0, 1.0);
+  if (!std::isfinite(d0 + d1)) return x;
+  // p(x) = v0 + x (d0 + x (c2 + x c3)).
+  const double c2 = 3.0 * dv - 2.0 * d0 - d1;
+  const double c3 = d0 + d1 - 2.0 * dv;
+  for (int it = 0; it < 3; ++it) {
+    const double f = v0 + x * (d0 + x * (c2 + x * c3)) - th;
+    const double df = d0 + x * (2.0 * c2 + x * (3.0 * c3));
+    if (!(df > 0.0)) break;
+    x = std::clamp(x - f / df, 0.0, 1.0);
+  }
+  return x;
+}
+
 /// The L lanes of one node as one GCC vector.  Node-major lane arrays are
 /// read and written through this type: aligned(8) because a node's block
 /// sits at any double boundary, may_alias because the storage is doubles.
@@ -56,25 +80,37 @@ template <std::size_t L>
   const int* parent = s.parent;
   const double* g = s.g;
 
-  Ps t0[L] = {}, ramp[L] = {}, t_stop[L] = {}, t[L] = {};
-  double h[L] = {};
+  Ps t0[L] = {}, t_stop[L] = {}, t[L] = {};
+  double h[L] = {}, ramp_steps[L] = {}, j[L] = {};
   V hv = {}, g_drv = {};
   for (std::size_t l = 0; l < L; ++l) {
     const BatchDrive& d = drives[l < count ? l : 0];
     const Ps tau_char = std::max(d.r_drv * s.total_cap + s.max_tau, 0.5);
     // Driver source waveform: delay then linear ramp (normalized 0 -> 1).
     t0[l] = d.intrinsic + opt.slew_to_delay * d.input_slew;
-    ramp[l] = opt.ramp_base + opt.slew_feedthrough * d.input_slew;
-    h[l] = std::clamp(std::min(tau_char / opt.time_step_div, ramp[l] / 4.0),
-                      opt.min_step, opt.max_step);
-    t_stop[l] = t0[l] + ramp[l] + 40.0 * tau_char;
+    const Ps ramp = opt.ramp_base + opt.slew_feedthrough * d.input_slew;
+    const Ps h0 = std::clamp(std::min(tau_char / opt.time_step_div, ramp / 4.0),
+                             opt.min_step, opt.max_step);
+    // Align the grid to the ramp: the clock starts at t0 (every voltage is
+    // exactly 0 before it) and a whole number of steps spans the ramp, so
+    // both kinks of the source fall on step boundaries.  A ramp shorter
+    // than min_step is one step of h0 instead.
+    const double steps = std::ceil(ramp / h0);
+    if (ramp >= opt.min_step && steps >= 1.0) {
+      h[l] = ramp / steps;
+      ramp_steps[l] = steps;
+    } else {
+      h[l] = h0;
+      ramp_steps[l] = 1.0;
+    }
+    t_stop[l] = t0[l] + ramp + 40.0 * tau_char;
+    t[l] = t0[l];
     hv[l] = h[l];
     g_drv[l] = 1.0 / std::max(d.r_drv, 1e-9);
   }
-  auto source = [&](std::size_t l, Ps at) {
-    if (at <= t0[l]) return 0.0;
-    if (at >= t0[l] + ramp[l]) return 1.0;
-    return (at - t0[l]) / ramp[l];
+  // The source at grid point `at` (steps since t0).
+  auto source = [&](std::size_t l, double at) {
+    return at >= ramp_steps[l] ? 1.0 : at / ramp_steps[l];
   };
 
   // Trapezoidal discretization:
@@ -125,19 +161,9 @@ template <std::size_t L>
   for (std::size_t l = 0; l < count; ++l) {
     TransientScratch::PendingTap* list = scratch.pending.data() + l * nt;
     for (std::size_t k = 0; k < nt; ++k) {
-      list[k] = {0.0, kTh10, static_cast<std::size_t>(s.tap_rc[k]) * L + l, k};
+      list[k] = {0.0, 0.0, kTh10, static_cast<std::size_t>(s.tap_rc[k]) * L + l, k};
     }
     pending[l] = nt;
-  }
-
-  // Idle pre-ramp: while a step ends no later than t0 the source is 0 at
-  // both of its ends and every voltage stays exactly +0, so the step
-  // changes nothing but the clock.  Advance the clock with the same
-  // additions the integration loop would make.
-  for (std::size_t l = 0; l < L; ++l) {
-    while (pending[l] > 0 && t[l] < t_stop[l] && t[l] + h[l] <= t0[l]) {
-      t[l] = t[l] + h[l];
-    }
   }
 
   bool active[L] = {};
@@ -154,7 +180,7 @@ template <std::size_t L>
     for (std::size_t i = 0; i < n; ++i) rhs[i] = cap_h[i] * v[i] - gv[i] / 2.0;
     V src = {};
     for (std::size_t l = 0; l < L; ++l) {
-      src[l] = source(l, t[l]) + source(l, t[l] + h[l]);
+      src[l] = source(l, j[l]) + source(l, j[l] + 1.0);
     }
     rhs[0] += g_drv * src / 2.0;
 
@@ -180,6 +206,8 @@ template <std::size_t L>
     }
 
     const double* volts = scratch.v.data();
+    const double* flows = scratch.gv.data();
+    const double* caps_h = scratch.cap_h.data();
     for (std::size_t l = 0; l < L; ++l) {
       if (!active[l]) continue;
       const Ps tl = t[l];
@@ -187,32 +215,43 @@ template <std::size_t L>
       TransientScratch::Crossings* cross = scratch.cross.data() + l * nt;
       TransientScratch::PendingTap* list = scratch.pending.data() + l * nt;
       std::size_t live = pending[l];
-      for (std::size_t j = 0; j < live;) {
-        TransientScratch::PendingTap& tap = list[j];
+      for (std::size_t p = 0; p < live;) {
+        TransientScratch::PendingTap& tap = list[p];
         const double now = volts[tap.node];
+        const double gv_now = flows[tap.node];
         if (now >= tap.next) {
-          // The checks of the one-drive integrator, in its order.  `next`
-          // is the lowest threshold they can still fire at, so while
-          // now < next skipping them changes nothing.
+          // `next` is the lowest threshold not crossed yet, so while
+          // now < next no check below can fire.  A crossing lies on the
+          // cubic Hermite fit of the step: end voltages prev and now, end
+          // slopes dv/dt = (b - G v)_i / C_i scaled by h (the trapezoid's
+          // own, from G v before and after the step).
           TransientScratch::Crossings& c = cross[tap.tap];
-          const double prev = tap.prev;
-          auto interp = [&](double th) {
-            return tl + hl * (th - prev) / std::max(now - prev, 1e-12);
+          double b0 = 0.0, b1 = 0.0;  // the driver's injection, node 0 only
+          if (tap.node < L) {
+            b0 = g_drv[l] * source(l, j[l]);
+            b1 = g_drv[l] * source(l, j[l] + 1.0);
+          }
+          const double d0 = (b0 - tap.prev_gv) / caps_h[tap.node];
+          const double d1 = (b1 - gv_now) / caps_h[tap.node];
+          auto at = [&](double th) {
+            return tl + hl * hermite_crossing(tap.prev, now, d0, d1, th);
           };
-          if (c.t10 < 0.0 && now >= kTh10) c.t10 = interp(kTh10);
-          if (c.t50 < 0.0 && now >= kTh50) c.t50 = interp(kTh50);
+          if (c.t10 < 0.0 && now >= kTh10) c.t10 = at(kTh10);
+          if (c.t50 < 0.0 && now >= kTh50) c.t50 = at(kTh50);
           if (c.t90 < 0.0 && now >= kTh90) {
-            c.t90 = interp(kTh90);
+            c.t90 = at(kTh90);
             tap = list[--live];
             continue;
           }
           tap.next = c.t10 < 0.0 ? kTh10 : c.t50 < 0.0 ? kTh50 : kTh90;
         }
         tap.prev = now;
-        ++j;
+        tap.prev_gv = gv_now;
+        ++p;
       }
       pending[l] = live;
-      t[l] = tl + hl;
+      j[l] = j[l] + 1.0;
+      t[l] = t0[l] + j[l] * hl;
     }
   }
 

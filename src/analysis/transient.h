@@ -15,9 +15,18 @@ struct TapTiming {
 
 /// Numerical options of the transient engine.
 struct TransientOptions {
-  /// Timestep = clamp(tau_char / time_step_div, min_step, max_step) where
-  /// tau_char is the stage's dominant time constant estimate.
-  double time_step_div = 80.0;
+  /// Timestep.  The nominal step is
+  ///   h0 = clamp(min(tau_char / time_step_div, ramp / 4), min_step, max_step)
+  /// where tau_char is the stage's dominant time constant estimate and ramp
+  /// the driver's source ramp.  The step taken is h0 shortened so that a
+  /// whole number of steps spans the ramp, h = ramp / ceil(ramp / h0), on a
+  /// grid that starts when the ramp does; a ramp shorter than min_step is
+  /// one step of h0.  Crossings come from a cubic Hermite fit of each step.
+  /// 32 is the coarsest divisor at which the stock flows' final trees stay
+  /// within 0.111 / 0.0107 / 0.0109 ps latency / skew / CLR error of a
+  /// divisor-640 oracle (test_transient_accuracy; docs/ARCHITECTURE.md,
+  /// "Step grid, crossings and accuracy", has the table).
+  double time_step_div = 32.0;
   Ps min_step = 0.02;
   Ps max_step = 2.0;
 
@@ -66,6 +75,7 @@ struct TransientScratch {
   /// slice, so a step visits only those; a tap leaves when it crosses 90%.
   struct PendingTap {
     double prev = 0.0;     ///< tap voltage after the previous step
+    double prev_gv = 0.0;  ///< (G v) at the tap's node after the previous step
     double next = 0.0;     ///< lowest threshold not crossed yet
     std::size_t node = 0;  ///< index of the tap's lane in `v`
     std::size_t tap = 0;   ///< tap index k
@@ -95,10 +105,10 @@ struct TransientScratch {
 /// conductance array, the Elmore sweep, the worst tap tau — out of the
 /// per-drive work, and then integrates the drives in groups of up to four
 /// interleaved lanes over the same cached stage data.  Each lane keeps its
-/// own timestep, clock and stop time, skips the idle steps before its
-/// driver ramp starts (they leave every voltage at exactly 0), and performs
-/// the one-drive integrator's operations in their original order, so a row
-/// does not depend on which drives share its group.  A one-stage caller
+/// own timestep, clock and stop time, starts its clock when its driver
+/// ramp starts (every voltage is exactly 0 before), and performs the
+/// one-drive integrator's operations in their order, so a row does not
+/// depend on which drives share its group.  A one-stage caller
 /// passes a batch of one.  The Elmore sweep is always the kernel's own,
 /// one O(nodes) pass per call: it only picks each lane's timestep and stop
 /// time, so no caller keeps sweeps between calls.

@@ -436,6 +436,7 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
     Log::warn("unrecognized environment variable %s (knob typo?)",
               name.c_str());
   }
+  Log::level_from_env();  // rejects an unknown CONTANGO_LOG, naming it
   base.threads = static_cast<int>(env_long("CONTANGO_THREADS", base.threads));
   if (base.threads < 0) {
     throw std::runtime_error("CONTANGO_THREADS=" + std::to_string(base.threads) +

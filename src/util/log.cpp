@@ -3,21 +3,22 @@
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
+
+#include "util/env.h"
 
 namespace contango {
 namespace {
 
+// Never throws: an unknown CONTANGO_LOG leaves the logger at warn until
+// the program's own start-up check (Log::level_from_env) rejects it.
 std::atomic<LogLevel> g_level = [] {
-  if (const char* env = std::getenv("CONTANGO_LOG")) {
-    if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
-    if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
-    if (std::strcmp(env, "warn") == 0) return LogLevel::kWarn;
-    if (std::strcmp(env, "error") == 0) return LogLevel::kError;
-    if (std::strcmp(env, "silent") == 0) return LogLevel::kSilent;
+  try {
+    return Log::level_from_env();
+  } catch (const std::runtime_error&) {
+    return LogLevel::kWarn;
   }
-  return LogLevel::kWarn;
 }();
 
 void vlog(LogLevel level, const char* tag, const char* fmt, va_list args) {
@@ -30,6 +31,23 @@ void vlog(LogLevel level, const char* tag, const char* fmt, va_list args) {
 }
 
 }  // namespace
+
+LogLevel Log::level_from_env() {
+  static const struct {
+    const char* name;
+    LogLevel level;
+  } kLevels[] = {{"debug", LogLevel::kDebug},
+                 {"info", LogLevel::kInfo},
+                 {"warn", LogLevel::kWarn},
+                 {"error", LogLevel::kError},
+                 {"silent", LogLevel::kSilent}};
+  const std::string value = env_string("CONTANGO_LOG", "warn");
+  for (const auto& entry : kLevels) {
+    if (value == entry.name) return entry.level;
+  }
+  throw std::runtime_error("CONTANGO_LOG='" + value +
+                           "' is not a log level (debug, info, warn, error, silent)");
+}
 
 LogLevel Log::level() { return g_level.load(std::memory_order_relaxed); }
 void Log::set_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }

@@ -81,37 +81,42 @@ struct FlowGolden {
 // to leave that engine's cache as it found it (16420 -> 15376,
 // 38308 -> 35198, 21781 -> 19290, 16692 -> 15476, 8926 -> 5859,
 // 22440 -> 20904, 27698 -> 25425, 14700 -> 13326); again every other
-// field kept its bits.
+// field kept its bits.  Every line, the Monte-Carlo one included, was
+// re-recorded when the transient kernel aligned its step grid to the
+// driver ramp, took crossings from cubic Hermite fits and moved its
+// default time_step_div from 80 to 32: every timing moves by design
+// (test_transient_accuracy bounds the kernel's error against a fine-step
+// oracle), and IVC decisions follow.
 const FlowGolden kFlowGolden[] = {
     {"clustered_s1.bench",
-     "skew=0x1.0776535e3b88p+2 clr=0x1.0f77a19453b7p+5 cap=0x1.79721429d4fa9p+16 slew=0x1.3f541e844a056p+6"
-     " sinks=44a8bed36a27ec47 sim_runs=34 stage_evals=15376"},
+     "skew=0x1.077bbe72ecc8p+2 clr=0x1.0f5edcf2bfffp+5 cap=0x1.79a11429d4fa9p+16 slew=0x1.3f4a7f892b3b2p+6"
+     " sinks=baf7a466fe1cfd47 sim_runs=34 stage_evals=15460"},
     {"high_fanout_s1.bench",
-     "skew=0x1.316ef7ea0dbcp+3 clr=0x1.11b181006d3fp+5 cap=0x1.0d13c3a67d90bp+17 slew=0x1.69a6103167597p+6"
-     " sinks=3b8d72a9b8dd00d8 sim_runs=38 stage_evals=35198"},
+     "skew=0x1.8281c453ff2p+2 clr=0x1.08836c2e39cdp+5 cap=0x1.182983a67d905p+17 slew=0x1.777e1bb0438e9p+6"
+     " sinks=79355c61aa73e9f8 sim_runs=38 stage_evals=30623"},
     {"mixed_cap_s1.bench",
-     "skew=0x1.4fdc5c08087p+3 clr=0x1.4a175d845f18p+5 cap=0x1.8a5b531a2bea5p+16 slew=0x1.671c17d81b106p+6"
-     " sinks=b8eb6643204cfe09 sim_runs=31 stage_evals=19290"},
+     "skew=0x1.501e582968fp+3 clr=0x1.4a1e7580f484p+5 cap=0x1.8a5fd31a2bea5p+16 slew=0x1.670cff2eb92c2p+6"
+     " sinks=bcb14462da58d5ad sim_runs=31 stage_evals=19624"},
     {"multidomain_s1.bench",
-     "skew=0x1.c175aa9a28ep+2 clr=0x1.2ec6d3ced0d3p+5 cap=0x1.663764608cc54p+16 slew=0x1.61cd16577da23p+6"
-     " sinks=31d35471c5102234 sim_runs=32 stage_evals=15476"},
+     "skew=0x1.c1e3eeecce4p+2 clr=0x1.2ec8b6635375p+5 cap=0x1.663be4608cc54p+16 slew=0x1.61c00a0776de3p+6"
+     " sinks=2cb56673d963b2fd sim_runs=32 stage_evals=15632"},
     {"obstacle_dense_s1.bench",
-     "skew=0x1.4b0c6ad0e883p+6 clr=0x1.88070ff45bep+7 cap=0x1.853b62cd5c1e5p+16 slew=0x1.289720e1e46cep+8"
-     " sinks=24d083b02b9e0c35 sim_runs=16 stage_evals=5859"},
+     "skew=0x1.4afc5d0d5658p+6 clr=0x1.87febe2e7c478p+7 cap=0x1.853b62cd5c1e5p+16 slew=0x1.2896ef9870512p+8"
+     " sinks=25a4265a265f0f03 sim_runs=16 stage_evals=7023"},
     {"ring_s1.bench",
-     "skew=0x1.5ed7384a62d8p+3 clr=0x1.5f217a1ce48ep+5 cap=0x1.171dc7311eda5p+16 slew=0x1.a80e23370d2dfp+6"
-     " sinks=dee700fdd700e9a1 sim_runs=36 stage_evals=20904"},
+     "skew=0x1.53cd83b5c59cp+3 clr=0x1.5bfe4ecae3d1p+5 cap=0x1.16edc7311eda4p+16 slew=0x1.b39aa95eecbe2p+6"
+     " sinks=3c67b0abb35f20a2 sim_runs=36 stage_evals=20619"},
     {"uniform_s1.bench",
-     "skew=0x1.3c7e0531a26cp+4 clr=0x1.11341c12fae5p+6 cap=0x1.4e88bb6b9406fp+16 slew=0x1.deb08b758423cp+6"
-     " sinks=1cbb386066be1827 sim_runs=32 stage_evals=25425"},
+     "skew=0x1.36b34c928dap+4 clr=0x1.118d2631cc3cp+6 cap=0x1.4dbcbb6b9406fp+16 slew=0x1.dff5c685b6d5ep+6"
+     " sinks=e63995a754bcf728 sim_runs=31 stage_evals=25611"},
     {"usefulskew_s1.bench",
-     "skew=0x1.db665019d708p+4 clr=0x1.5090ea820d0c8p+7 cap=0x1.804c1246c2a4ap+16 slew=0x1.2086180dff876p+9"
-     " sinks=574f8378034d0dc0 sim_runs=25 stage_evals=13326"},
+     "skew=0x1.dca837f2a3e8p+4 clr=0x1.50bddb3932c98p+7 cap=0x1.7fde9246c2a4cp+16 slew=0x1.20860e774d0c4p+9"
+     " sinks=c86ae61ab39517ee sim_runs=25 stage_evals=13372"},
 };
 
 const char* const kMonteCarloGolden =
-    "skew=0x1.26c946cf2b2ep+4 clr=0x1.2c6bdab0cef6p+5 cap=0x1.2e2d8a4b10b87p+17 slew=0x1.ba42bc6c2ca49p+6 sinks=b0ab47053aadbb2b"
-    " trials=ad844ae3fb67ccab yield=0x1.cp-1 skew_p99=0x1.9ab2b137fd5bp+4 stage_evals=74184";
+    "skew=0x1.26bcde2ec064p+4 clr=0x1.2c5c681c387e8p+5 cap=0x1.2e068a4b10b89p+17 slew=0x1.ba3744e494147p+6 sinks=de015ddb7bddfcc0"
+    " trials=7e8fc32a9acee656 yield=0x1.cp-1 skew_p99=0x1.9a9c63d79227p+4 stage_evals=74184";
 
 TEST(GoldenQuality, StockFlowsMatchTheRecordedBits) {
   for (const FlowGolden& golden : kFlowGolden) {

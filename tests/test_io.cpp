@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -172,6 +174,68 @@ TEST(Env, ParsesAndFallsBack) {
   ::unsetenv("CONTANGO_TEST_LONG");
   ::unsetenv("CONTANGO_TEST_DOUBLE");
   ::unsetenv("CONTANGO_TEST_KNOB");
+}
+
+TEST(Env, ParsesWholeNumbersOnly) {
+  EXPECT_EQ(parse_long("seed", "42"), 42);
+  EXPECT_EQ(parse_long("seed", "-7"), -7);
+  EXPECT_EQ(parse_int("threads", "8"), 8);
+  EXPECT_DOUBLE_EQ(parse_double("sigma", "0.05"), 0.05);
+  // Each rejection names the value's source and the text, where atoi
+  // would have returned 0 or 12.
+  const auto expect_rejected = [](const std::string& text, auto parse) {
+    SCOPED_TRACE(text);
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--knob"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + text + "'"), std::string::npos) << what;
+    }
+  };
+  const auto as_long = [](const std::string& t) { parse_long("--knob", t); };
+  const auto as_int = [](const std::string& t) { parse_int("--knob", t); };
+  const auto as_double = [](const std::string& t) { parse_double("--knob", t); };
+  for (const char* bad : {"", "abc", "12abc", "1.5", "99999999999999999999"}) {
+    expect_rejected(bad, as_long);
+  }
+  expect_rejected("2147483648", as_int);
+  expect_rejected("abc", as_int);
+  for (const char* bad : {"", "abc", "0.5x", "nan", "inf", "1e999"}) {
+    expect_rejected(bad, as_double);
+  }
+}
+
+TEST(Log, LevelComesFromTheEnvironmentAndUnknownNamesAreRejected) {
+  ::setenv("CONTANGO_LOG", "info", 1);
+  EXPECT_EQ(Log::level_from_env(), LogLevel::kInfo);
+  ::setenv("CONTANGO_LOG", "silent", 1);
+  EXPECT_EQ(Log::level_from_env(), LogLevel::kSilent);
+  ::setenv("CONTANGO_LOG", "", 1);
+  EXPECT_EQ(Log::level_from_env(), LogLevel::kWarn);
+  ::setenv("CONTANGO_LOG", "verbose", 1);
+  try {
+    Log::level_from_env();
+    ADD_FAILURE() << "accepted CONTANGO_LOG=verbose";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("CONTANGO_LOG"), std::string::npos) << what;
+    EXPECT_NE(what.find("verbose"), std::string::npos) << what;
+  }
+  ::unsetenv("CONTANGO_LOG");
+  EXPECT_EQ(Log::level_from_env(), LogLevel::kWarn);
+
+  // The logger reads the variable during static initialization, where a
+  // throw would terminate the process: this binary must still start, and
+  // run a test, with the unknown name set.
+  char exe[4096];
+  const ssize_t len = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
+  ASSERT_GT(len, 0);
+  exe[len] = '\0';
+  const std::string command = std::string("CONTANGO_LOG=verbose '") + exe +
+                              "' --gtest_filter=Log.LevelFiltering > /dev/null 2>&1";
+  EXPECT_EQ(std::system(command.c_str()), 0);
 }
 
 TEST(Log, LevelFiltering) {

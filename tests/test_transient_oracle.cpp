@@ -2,18 +2,21 @@
 // writes must equal, byte for byte, the row of the one-drive-at-a-time
 // integrator in transient_reference.h.  The kernel integrates drives as
 // interleaved vector lanes (groups of 4, 2 or 1, three drives padding a
-// lane), skips each lane's idle pre-ramp steps and scans only the taps
-// still pending; these tests drive every width, padded lanes, the
-// lane-divergence cases (a long idle prefix, timesteps clamped
-// at either bound, one lane timing out while another finishes early) and
-// the tap-scan edge cases (many taps, all three thresholds crossed in one
-// step, taps pending at the stop time, no taps).  Every case runs on each
+// lane), starts each lane's clock at its own driver delay t0 on a grid
+// aligned to its ramp, and scans only the taps still pending; these tests
+// drive every width, padded lanes, the lane-divergence cases (one lane
+// starting thousands of steps late, nominal steps clamped at either bound,
+// one lane timing out while another finishes early), the grid's edge cases
+// (t0 = 0, a ramp shorter than a step, a tap on the driver node) and the
+// tap-scan edge cases (many taps, all three thresholds crossed in one step,
+// taps pending at the stop time, no taps).  Every case runs on each
 // instruction-set clone of the kernel this CPU supports: on an AVX2 host
 // these tests are what still exercise the baseline clone.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <string>
@@ -141,13 +144,28 @@ Ps stop_time(const TransientOptions& o, const BatchDrive& d, Ff total_cap,
   return t0 + ramp + 40.0 * tau_char;
 }
 
-/// The lane's timestep, recomputed the way the integrator does.
-Ps step(const TransientOptions& o, const BatchDrive& d, Ff total_cap,
-        Ps max_tau) {
+/// A lane's step grid, recomputed the way the integrator does: the nominal
+/// step h0, the step h taken and the number of steps across the ramp.
+struct Grid {
+  Ps h0 = 0.0;
+  Ps h = 0.0;
+  double ramp_steps = 0.0;
+};
+
+Grid grid(const TransientOptions& o, const BatchDrive& d, Ff total_cap, Ps max_tau) {
   const Ps tau_char = std::max(d.r_drv * total_cap + max_tau, 0.5);
   const Ps ramp = o.ramp_base + o.slew_feedthrough * d.input_slew;
-  return std::clamp(std::min(tau_char / o.time_step_div, ramp / 4.0),
-                    o.min_step, o.max_step);
+  Grid g;
+  g.h0 = std::clamp(std::min(tau_char / o.time_step_div, ramp / 4.0), o.min_step,
+                    o.max_step);
+  if (ramp >= o.min_step) {
+    g.ramp_steps = std::ceil(ramp / g.h0);
+    g.h = ramp / g.ramp_steps;
+  } else {
+    g.h = g.h0;
+    g.ramp_steps = 1.0;
+  }
+  return g;
 }
 
 Ps max_tap_tau(const ElmoreStage& elm, const Stage& stage) {
@@ -186,13 +204,13 @@ TEST(TransientOracle, RandomStagesAndBatchesMatchTheReference) {
   }
 }
 
-TEST(TransientOracle, LongIdlePrefixInOneLaneOnly) {
+TEST(TransientOracle, OneLaneStartsThousandsOfStepsLate) {
   Rng rng(0x1D1E);
   const TransientSimulator sim;
   TransientScratch reused;
   const TestStage s = random_stage(rng, 40, 5, 0.5, 20.0, 0.001, 0.2);
-  // The idle lane waits over a thousand steps before its ramp; the others start at
-  // once, so the lanes' clocks diverge by thousands of steps.
+  // The late lane's clock starts over a thousand of its steps after the
+  // others', so the lanes' clocks and crossing times differ by that much.
   for (std::size_t count = 1; count <= 9; ++count) {
     std::vector<BatchDrive> drives;
     for (std::size_t b = 0; b < count; ++b) {
@@ -201,8 +219,8 @@ TEST(TransientOracle, LongIdlePrefixInOneLaneOnly) {
     }
     const ElmoreStage elm(s.stage);
     ASSERT_GT(drives[count / 2].intrinsic,
-              1000.0 * step(sim.options(), drives[count / 2], elm.total_cap(),
-                            max_tap_tau(elm, s.stage)));
+              1000.0 * grid(sim.options(), drives[count / 2], elm.total_cap(),
+                            max_tap_tau(elm, s.stage)).h);
     expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
                                 std::to_string(count) + " drives");
   }
@@ -214,7 +232,8 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
   const TransientOptions& o = sim.options();
   TransientScratch reused;
 
-  // Tiny stage: tau_char bottoms out at 0.5 ps, so h = min_step.
+  // Tiny stage: tau_char bottoms out at 0.5 ps, so h0 = min_step, and the
+  // aligned step is the largest one at most min_step that divides the ramp.
   {
     const TestStage s = random_stage(rng, 12, 3, 0.001, 0.01, 0.001, 0.01);
     const ElmoreStage elm(s.stage);
@@ -223,7 +242,12 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
                                       {0.01, 0.0, 3.0}, {0.03, 6.0, 2.0},
                                       {0.02, 1.0, 0.5}};
     for (const BatchDrive& d : drives) {
-      ASSERT_EQ(step(o, d, elm.total_cap(), max_tau), o.min_step);
+      const Grid g = grid(o, d, elm.total_cap(), max_tau);
+      const Ps ramp = o.ramp_base + o.slew_feedthrough * d.input_slew;
+      ASSERT_EQ(g.h0, o.min_step);
+      EXPECT_LE(g.h, o.min_step);
+      EXPECT_GT(g.h, o.min_step / 2.0);
+      EXPECT_EQ(g.ramp_steps, std::ceil(ramp / o.min_step));
     }
     for (std::size_t count = 1; count <= drives.size(); ++count) {
       const std::vector<BatchDrive> batch(drives.begin(), drives.begin() + count);
@@ -233,20 +257,140 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
   }
 
   // Heavy stage: slow drives hit max_step, a fast one in the same group
-  // does not, so the lanes run different timesteps side by side.
+  // does not, so the lanes run different timesteps side by side.  One
+  // clamped lane's ramp (22 ps) takes whole max_steps; the other's (17 ps)
+  // does not, so alignment shortens its step below max_step.
   {
     const TestStage s = random_stage(rng, 30, 4, 5.0, 12.0, 0.01, 0.05);
     const ElmoreStage elm(s.stage);
     const Ps max_tau = max_tap_tau(elm, s.stage);
     std::vector<BatchDrive> drives = {{2.5, 5.0, 40.0}, {0.05, 2.0, 4.0},
                                       {3.0, 1.0, 30.0}, {2.0, 8.0, 50.0}};
-    EXPECT_EQ(step(o, drives[0], elm.total_cap(), max_tau), o.max_step);
-    EXPECT_LT(step(o, drives[1], elm.total_cap(), max_tau), o.max_step);
-    EXPECT_EQ(step(o, drives[2], elm.total_cap(), max_tau), o.max_step);
+    const Grid slow = grid(o, drives[0], elm.total_cap(), max_tau);
+    const Grid fast = grid(o, drives[1], elm.total_cap(), max_tau);
+    const Grid shortened = grid(o, drives[2], elm.total_cap(), max_tau);
+    EXPECT_EQ(slow.h0, o.max_step);
+    EXPECT_EQ(slow.h, o.max_step);
+    EXPECT_LT(fast.h0, o.max_step);
+    EXPECT_EQ(shortened.h0, o.max_step);
+    EXPECT_LT(shortened.h, o.max_step);
     for (std::size_t count = 1; count <= drives.size(); ++count) {
       const std::vector<BatchDrive> batch(drives.begin(), drives.begin() + count);
       expect_rows_match_reference(sim, s.view(), batch, nullptr, reused,
                                   "max_step, " + std::to_string(count) + " drives");
+    }
+  }
+}
+
+TEST(TransientOracle, DriverWithoutDelayStartsAtTimeZero) {
+  // intrinsic = 0 and input_slew = 0 put t0 at exactly 0: the clock starts
+  // at 0, beside lanes whose clocks start later.
+  Rng rng(0x7E50);
+  const TransientSimulator sim;
+  TransientScratch reused;
+  const TestStage s = random_stage(rng, 30, 5, 0.5, 15.0, 0.001, 0.2);
+  const std::vector<BatchDrive> all = {{0.3, 0.0, 0.0}, {0.2, 5.0, 8.0},
+                                       {0.6, 0.0, 0.0}, {0.1, 1.0, 0.0},
+                                       {0.4, 0.0, 0.0}};
+  for (std::size_t count = 1; count <= all.size(); ++count) {
+    const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
+    const std::vector<TapTiming> rows = expect_rows_match_reference(
+        sim, s.view(), drives, nullptr, reused, "t0 = 0, " + std::to_string(count) + " drives");
+    for (const TapTiming& r : rows) {
+      EXPECT_GT(r.delay, 0.0);
+      EXPECT_GT(r.slew, 0.0);
+    }
+  }
+}
+
+TEST(TransientOracle, RampShorterThanAStep) {
+  // With min_step above the ramp no grid both aligns to the ramp and keeps
+  // the step: such a lane steps at h0 and takes the whole ramp in its first
+  // step.  Ramps from 0.3 to 2.3 ps against a 1 ps floor put lanes on both
+  // sides of that rule in the same groups.
+  Rng rng(0x5407);
+  TransientOptions o;
+  o.min_step = 1.0;
+  o.ramp_base = 0.3;
+  o.slew_feedthrough = 0.05;
+  const TransientSimulator sim(o);
+  TransientScratch reused;
+  const TestStage s = random_stage(rng, 20, 4, 0.5, 10.0, 0.001, 0.2);
+  const ElmoreStage elm(s.stage);
+  const Ps max_tau = max_tap_tau(elm, s.stage);
+  const std::vector<BatchDrive> all = {{0.2, 3.0, 0.0},  {0.3, 1.0, 40.0},
+                                       {0.1, 2.0, 10.0}, {0.5, 0.0, 0.0},
+                                       {0.2, 4.0, 30.0}};
+  int short_ramps = 0;
+  for (const BatchDrive& d : all) {
+    const Ps ramp = o.ramp_base + o.slew_feedthrough * d.input_slew;
+    const Grid g = grid(o, d, elm.total_cap(), max_tau);
+    if (ramp < o.min_step) {
+      ++short_ramps;
+      EXPECT_EQ(g.h, g.h0);
+      EXPECT_EQ(g.ramp_steps, 1.0);
+      EXPECT_GT(g.h, ramp);
+    } else {
+      EXPECT_LE(g.h, ramp);
+    }
+  }
+  ASSERT_EQ(short_ramps, 3);
+  for (std::size_t count = 1; count <= all.size(); ++count) {
+    const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
+    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
+                                "short ramp, " + std::to_string(count) + " drives");
+  }
+}
+
+/// 0 -> 1 response of a lumped RC (time constant tau) to a unit ramp of
+/// length `ramp` that starts at time 0.
+double single_pole(double t, double tau, double ramp) {
+  if (t <= 0.0) return 0.0;
+  if (t <= ramp) return (t - tau * (1.0 - std::exp(-t / tau))) / ramp;
+  return 1.0 - (tau / ramp) * std::expm1(ramp / tau) * std::exp(-t / tau);
+}
+
+/// When single_pole() crosses `th`, by bisection.
+double single_pole_crossing(double th, double tau, double ramp) {
+  double lo = 0.0, hi = ramp + 60.0 * tau;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = (lo + hi) / 2.0;
+    (single_pole(mid, tau, ramp) < th ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+TEST(TransientOracle, TapOnTheDriverNodeFollowsTheSinglePoleSolution) {
+  // A one-node stage tapped at the driver node: the driver's injection is
+  // part of that node's slope, so the crossings fit the exact response.
+  // Leaving the injection out of the slope misses the delay here by up to
+  // 0.14 ps and the slew by up to 0.29 ps.
+  const TransientSimulator sim;
+  const TransientOptions& o = sim.options();
+  TransientScratch reused;
+  for (const Ff c : {5.0, 20.0, 60.0}) {
+    TestStage s;
+    s.stage.nodes = {{c, -1, 0.0}};
+    s.stage.taps.resize(1);
+    s.stage.taps[0].rc_index = 0;
+    s.flatten();
+    std::vector<BatchDrive> drives;
+    for (const KOhm r : {0.1, 0.5, 1.0}) {
+      for (const Ps slew : {0.0, 10.0, 40.0}) drives.push_back({r, 1.5, slew});
+    }
+    const std::vector<TapTiming> rows = expect_rows_match_reference(
+        sim, s.view(), drives, nullptr, reused, "node-0 tap, C " + std::to_string(c));
+    for (std::size_t b = 0; b < drives.size(); ++b) {
+      const BatchDrive& d = drives[b];
+      SCOPED_TRACE("r " + std::to_string(d.r_drv) + ", slew " + std::to_string(d.input_slew));
+      const Ps t0 = d.intrinsic + o.slew_to_delay * d.input_slew;
+      const Ps ramp = o.ramp_base + o.slew_feedthrough * d.input_slew;
+      const Ps tau = d.r_drv * c;
+      const Ps t10 = single_pole_crossing(0.1, tau, ramp);
+      const Ps t50 = single_pole_crossing(0.5, tau, ramp);
+      const Ps t90 = single_pole_crossing(0.9, tau, ramp);
+      EXPECT_NEAR(rows[b].delay, t0 + t50, 0.002);
+      EXPECT_NEAR(rows[b].slew, t90 - t10, 0.015);
     }
   }
 }
@@ -322,9 +466,10 @@ TEST(TransientOracle, ManyTapsAtEveryWidth) {
 }
 
 TEST(TransientOracle, AllThresholdsCrossedInOneStep) {
-  // A floor far above the stage's time constants and a 2 ps ramp: the
-  // source swings within one step, and the taps jump from below 10% to
-  // above 90% in one step (then ring; trapezoidal steps are not monotone).
+  // A floor far above the stage's time constants and a 2 ps ramp, shorter
+  // than the step: the source swings within the first step, and the taps
+  // jump from below 10% to above 90% in it (then ring; trapezoidal steps
+  // are not monotone).
   Rng rng(0x57E9);
   TransientOptions coarse;
   coarse.min_step = 6.0;

@@ -1,14 +1,20 @@
-// Test oracle for the transient kernel: the one-drive-at-a-time integrator
-// loop, kept verbatim as TransientSimulator::simulate_stage_batch ran it
-// before drives were interleaved as lanes.  Every row the production kernel
-// writes must equal this function's row bit for bit.
+// Test oracle for the transient kernel: the integrator written the plain
+// way, one drive at a time, one array per quantity, a separate G v sweep
+// after each solve, and every tap checked each step.  The production kernel
+// interleaves drives as vector lanes, fuses G v into the back-substitution
+// and scans only pending taps; every row it writes must still equal this
+// function's row bit for bit.
 //
-// Do not "clean up" or speed up this file: its value is that its
-// arithmetic, and the order of it, is the historical one.
+// The scheme: a step grid that starts at the driver's t0 and puts a whole
+// number of steps across its ramp, trapezoidal integration, and 10/50/90 %
+// crossings on the cubic Hermite fit of each step.  Keep the arithmetic
+// and its order as it is: the kernel matches these operations, not the
+// numbers they approximate.
 
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -18,8 +24,8 @@
 namespace contango {
 namespace reference {
 
-/// Writes `out[b * stage.num_taps + k]` for drive b, tap k, exactly as the
-/// historical integrator did.  `elmore` optionally replaces the sweep.
+/// Writes `out[b * stage.num_taps + k]` for drive b, tap k.  `elmore`
+/// optionally replaces the sweep.
 inline void simulate_stage_rows(const TransientOptions& options_,
                                 const NetlistSoa::View& stage,
                                 const BatchDrive* drives, std::size_t count,
@@ -29,7 +35,7 @@ inline void simulate_stage_rows(const TransientOptions& options_,
     double t10 = -1.0, t50 = -1.0, t90 = -1.0;
   };
   struct {
-    std::vector<double> g, cdown, tau, adiag, mult, v, rhs, gv, tap_prev;
+    std::vector<double> g, cdown, tau, adiag, mult, v, rhs, gv, tap_prev, tap_prev_gv;
     std::vector<Crossings> cross;
   } scratch;
 
@@ -50,10 +56,9 @@ inline void simulate_stage_rows(const TransientOptions& options_,
   }
   const double* g = scratch.g.data();
 
-  // Elmore sweep for timestep selection and the stop guard — borrowed from
-  // the caller's cache, or rebuilt here with exactly the ElmoreStage
-  // accumulation order (one reverse cdown/total sweep, one forward tau
-  // sweep), so both paths produce identical bits.
+  // Elmore sweep for timestep selection and the stop guard — the test's
+  // override, or rebuilt here with exactly the ElmoreStage accumulation
+  // order (one reverse cdown/total sweep, one forward tau sweep).
   const Ps* tau = nullptr;
   Ff total_cap = 0.0;
   if (elmore) {
@@ -90,16 +95,20 @@ inline void simulate_stage_rows(const TransientOptions& options_,
     const Ps tau_char = std::max(r_drv * total_cap + max_tau, 0.5);
 
     // Driver source waveform: delay then linear ramp (normalized 0 -> 1).
+    // The step grid starts at t0 and a whole number of steps spans the
+    // ramp, unless the ramp is shorter than min_step (then it is one step).
     const Ps t0 = intrinsic + options_.slew_to_delay * input_slew;
     const Ps ramp = options_.ramp_base + options_.slew_feedthrough * input_slew;
-    auto source = [&](Ps t) {
-      if (t <= t0) return 0.0;
-      if (t >= t0 + ramp) return 1.0;
-      return (t - t0) / ramp;
-    };
-
-    const Ps h = std::clamp(std::min(tau_char / options_.time_step_div, ramp / 4.0),
-                            options_.min_step, options_.max_step);
+    const Ps h0 = std::clamp(std::min(tau_char / options_.time_step_div, ramp / 4.0),
+                             options_.min_step, options_.max_step);
+    Ps h = h0;
+    double ramp_steps = 1.0;
+    if (ramp >= options_.min_step && std::ceil(ramp / h0) >= 1.0) {
+      ramp_steps = std::ceil(ramp / h0);
+      h = ramp / ramp_steps;
+    }
+    // The source after `j` steps.
+    auto source = [&](double j) { return j >= ramp_steps ? 1.0 : j / ramp_steps; };
     const Ps t_stop = t0 + ramp + 40.0 * tau_char;
 
     // Trapezoidal discretization:
@@ -124,6 +133,7 @@ inline void simulate_stage_rows(const TransientOptions& options_,
     const double* adiag = scratch.adiag.data();
     const double* mult = scratch.mult.data();
 
+    // State at t0: v = 0 and G v = 0.
     scratch.v.assign(n, 0.0);
     scratch.rhs.assign(n, 0.0);
     scratch.gv.assign(n, 0.0);
@@ -131,27 +141,21 @@ inline void simulate_stage_rows(const TransientOptions& options_,
     double* rhs = scratch.rhs.data();
     double* gv = scratch.gv.data();
 
-    // Threshold bookkeeping per tap.
+    // Threshold bookkeeping per tap: voltage and G v after the last step.
     constexpr double kTh10 = 0.1, kTh50 = 0.5, kTh90 = 0.9;
     scratch.cross.assign(nt, Crossings{});
     scratch.tap_prev.assign(nt, 0.0);
+    scratch.tap_prev_gv.assign(nt, 0.0);
 
     std::size_t pending = nt;
-    Ps t = 0.0;
+    double j = 0.0;
+    Ps t = t0;
     while (pending > 0 && t < t_stop) {
       // rhs = (C/h) v - (G v)/2 + (b(t) + b(t+h))/2.
-      std::fill(scratch.gv.begin(), scratch.gv.end(), 0.0);
-      gv[0] = g_drv * v[0];
-      for (std::size_t i = 1; i < n; ++i) {
-        const auto p = static_cast<std::size_t>(parent[i]);
-        const double flow = g[i] * (v[i] - v[p]);
-        gv[i] += flow;
-        gv[p] -= flow;
-      }
       for (std::size_t i = 0; i < n; ++i) {
         rhs[i] = (cap[i] / h) * v[i] - gv[i] / 2.0;
       }
-      rhs[0] += g_drv * (source(t) + source(t + h)) / 2.0;
+      rhs[0] += g_drv * (source(j) + source(j + 1.0)) / 2.0;
 
       // Forward elimination (leaves to root), then back-substitution.
       for (std::size_t i = n; i-- > 1;) {
@@ -163,14 +167,42 @@ inline void simulate_stage_rows(const TransientOptions& options_,
                adiag[i];
       }
 
-      const Ps t_next = t + h;
+      // G v of the new state.
+      std::fill(scratch.gv.begin(), scratch.gv.end(), 0.0);
+      gv[0] = g_drv * v[0];
+      for (std::size_t i = 1; i < n; ++i) {
+        const auto p = static_cast<std::size_t>(parent[i]);
+        const double flow = g[i] * (v[i] - v[p]);
+        gv[i] += flow;
+        gv[p] -= flow;
+      }
+
+      // A crossing lies on the cubic Hermite polynomial through the step's
+      // end voltages with the end slopes h dv/dt = h (b - G v)_i / C_i.
       for (std::size_t k = 0; k < nt; ++k) {
         Crossings& c = scratch.cross[k];
         if (c.t90 >= 0.0) continue;
+        const auto node = static_cast<std::size_t>(stage.tap_rc[k]);
         const double prev = scratch.tap_prev[k];
-        const double now = v[static_cast<std::size_t>(stage.tap_rc[k])];
+        const double now = v[node];
+        const double b0 = node == 0 ? g_drv * source(j) : 0.0;
+        const double b1 = node == 0 ? g_drv * source(j + 1.0) : 0.0;
+        const double d0 = (b0 - scratch.tap_prev_gv[k]) / (cap[node] / h);
+        const double d1 = (b1 - gv[node]) / (cap[node] / h);
         auto interp = [&](double th) {
-          return t + h * (th - prev) / std::max(now - prev, 1e-12);
+          const double dv = now - prev;
+          double x = std::clamp((th - prev) / std::max(dv, 1e-12), 0.0, 1.0);
+          if (std::isfinite(d0 + d1)) {
+            const double c2 = 3.0 * dv - 2.0 * d0 - d1;
+            const double c3 = d0 + d1 - 2.0 * dv;
+            for (int it = 0; it < 3; ++it) {
+              const double f = prev + x * (d0 + x * (c2 + x * c3)) - th;
+              const double df = d0 + x * (2.0 * c2 + x * (3.0 * c3));
+              if (!(df > 0.0)) break;
+              x = std::clamp(x - f / df, 0.0, 1.0);
+            }
+          }
+          return t + h * x;
         };
         if (c.t10 < 0.0 && now >= kTh10) c.t10 = interp(kTh10);
         if (c.t50 < 0.0 && now >= kTh50) c.t50 = interp(kTh50);
@@ -179,8 +211,10 @@ inline void simulate_stage_rows(const TransientOptions& options_,
           --pending;
         }
         scratch.tap_prev[k] = now;
+        scratch.tap_prev_gv[k] = gv[node];
       }
-      t = t_next;
+      j = j + 1.0;
+      t = t0 + j * h;
     }
 
     for (std::size_t k = 0; k < nt; ++k) {

@@ -18,6 +18,7 @@
 // --out or stdout.  Exit codes: 0 done, 1 usage/connection/protocol error,
 // 2 job failed, 3 job cancelled.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +28,8 @@
 
 #include "io/json.h"
 #include "service/client.h"
+#include "util/env.h"
+#include "util/log.h"
 
 using namespace contango;
 
@@ -60,21 +63,21 @@ int run_submit(ServiceClient& client, const std::vector<std::string>& args) {
       return args[++i];
     };
     if (arg == "--seed") {
-      request.seed = std::strtoull(next().c_str(), nullptr, 10);
+      request.seed = static_cast<std::uint64_t>(parse_long(arg, next()));
     } else if (arg == "--priority") {
-      request.priority = std::atoi(next().c_str());
+      request.priority = parse_int(arg, next());
     } else if (arg == "--threads") {
-      request.threads = std::atoi(next().c_str());
+      request.threads = parse_int(arg, next());
     } else if (arg == "--pipeline") {
       request.pipeline = next();
     } else if (arg == "--mc-trials") {
-      request.mc_trials = std::atoi(next().c_str());
+      request.mc_trials = parse_int(arg, next());
     } else if (arg == "--mc-seed") {
-      request.mc_seed = std::strtoull(next().c_str(), nullptr, 10);
+      request.mc_seed = static_cast<std::uint64_t>(parse_long(arg, next()));
     } else if (arg == "--mc-sigma-vdd") {
-      request.mc_sigma_vdd = std::atof(next().c_str());
+      request.mc_sigma_vdd = parse_double(arg, next());
     } else if (arg == "--mc-skew-target") {
-      request.mc_skew_target = std::atof(next().c_str());
+      request.mc_skew_target = parse_double(arg, next());
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--quiet") {
@@ -171,6 +174,7 @@ int main(int argc, char** argv) {
 
   ServiceClient client(socket_path);
   try {
+    Log::level_from_env();
     if (command == "submit") {
       return run_submit(client, rest);
     }

@@ -32,6 +32,8 @@
 #include "netlist/binio.h"
 #include "netlist/generators.h"
 #include "netlist/io.h"
+#include "util/env.h"
+#include "util/log.h"
 #include "util/timer.h"
 
 using namespace contango;
@@ -163,10 +165,10 @@ int cmd_gen_mega(const std::string& sinks_text, const std::string& seed_text,
                  const std::string& out_path) {
   MegaGenParams params;
   try {
-    params.num_sinks = std::stoi(sinks_text);
-    params.seed = std::stoull(seed_text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "gen-mega: sinks and seed must be integers\n");
+    params.num_sinks = parse_int("sinks", sinks_text);
+    params.seed = static_cast<std::uint64_t>(parse_long("seed", seed_text));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "gen-mega: %s\n", e.what());
     return 1;
   }
   // Match the scenario registry's instance naming so a generated file and
@@ -186,6 +188,7 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   try {
+    Log::level_from_env();
     if (command == "pack" || command == "unpack") {
       if (args.size() != 2) return usage();
       return cmd_convert(args[0], args[1]);

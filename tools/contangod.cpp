@@ -23,11 +23,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "cts/suite.h"
 #include "service/daemon.h"
+#include "util/env.h"
 #include "util/log.h"
 #include "util/signal.h"
 
@@ -48,33 +50,34 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   DaemonOptions options;
   options.verbose = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      options.socket_path = next();
-    } else if (arg == "--workers") {
-      options.workers = std::atoi(next());
-    } else if (arg == "--max-queue") {
-      options.max_queue = std::atoi(next());
-    } else if (arg == "--cache") {
-      options.cache_entries = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--verbose") {
-      options.verbose = true;
-    } else if (arg == "--quiet") {
-      options.verbose = false;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--socket") {
+        options.socket_path = next();
+      } else if (arg == "--workers") {
+        options.workers = parse_int(arg, next());
+      } else if (arg == "--max-queue") {
+        options.max_queue = parse_int(arg, next());
+      } else if (arg == "--cache") {
+        const long entries = parse_long(arg, next());
+        if (entries < 0) throw std::runtime_error("--cache must be >= 0");
+        options.cache_entries = static_cast<std::size_t>(entries);
+      } else if (arg == "--verbose") {
+        options.verbose = true;
+      } else if (arg == "--quiet") {
+        options.verbose = false;
+      } else {
+        return usage(argv[0]);
+      }
+    }
     options.base = suite_options_from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "contangod: %s\n", e.what());

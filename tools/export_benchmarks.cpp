@@ -8,19 +8,28 @@
 //
 // usage: export_benchmarks [out_dir=benchmarks] [seed=1]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 
 #include "cts/scenario.h"
 #include "netlist/io.h"
+#include "util/env.h"
+#include "util/log.h"
 
 using namespace contango;
 
 int main(int argc, char** argv) {
   const std::string out_dir = (argc > 1) ? argv[1] : "benchmarks";
-  const auto seed = static_cast<std::uint64_t>((argc > 2) ? std::atoll(argv[2]) : 1);
+  std::uint64_t seed = 1;
+  try {
+    Log::level_from_env();
+    if (argc > 2) seed = static_cast<std::uint64_t>(parse_long("seed", argv[2]));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
