@@ -23,6 +23,7 @@
 #include "netlist/binio.h"
 #include "netlist/generators.h"
 #include "netlist/io.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace contango {
@@ -159,6 +160,38 @@ TEST(CbenchStreaming, MegaStreamedEqualsMaterializedBytes) {
   std::ostringstream materialized(std::ios::binary);
   write_cbench(generate_mega(params), materialized);
   EXPECT_EQ(streamed.str(), materialized.str());
+}
+
+TEST(CbenchBytes, WriterOutputIsPinned) {
+  // FNV-1a-64 of the exact bytes write_cbench emits for a v1 file, a v2
+  // file and a small mega instance.  A change to the writer that moves
+  // one byte (section order, padding, table layout, version choice) fails
+  // here; re-pinning is a format change and needs a version bump.
+  MegaGenParams mega;
+  mega.num_sinks = 500;
+  mega.num_rows = 40;
+  mega.num_obstacles = 25;
+  mega.seed = 11;
+  const struct {
+    const char* label;
+    Benchmark bench;
+    std::uint32_t version;
+    std::uint64_t fnv;
+  } cases[] = {
+      {"ring_s1", make_scenario("ring", 1), kCbenchVersion,
+       0xde86b4516080996aull},
+      {"multidomain_s1", make_scenario("multidomain", 1), kCbenchVersion2,
+       0x92dbcab7a2a52b08ull},
+      {"mega 500/40/25 seed 11", generate_mega(mega), kCbenchVersion,
+       0x1f9b2f9718fdf5caull},
+  };
+  for (const auto& c : cases) {
+    const std::vector<unsigned char> bytes = cbench_bytes(c.bench);
+    ASSERT_GT(bytes.size(), 8u) << c.label;
+    EXPECT_EQ(bytes[8], c.version) << c.label;
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), c.fnv)
+        << c.label << ": 0x" << std::hex << fnv1a64(bytes.data(), bytes.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
