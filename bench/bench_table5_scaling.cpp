@@ -27,7 +27,7 @@
 // .bench/.cbench files, directories — see cts/scenario.h) to run exactly
 // those workloads instead of a sweep.  Loading is timed per benchmark and
 // lands in the JSON report as `load_seconds`, which is how the trajectory
-// compares text-parse vs. binary-mmap load cost (results are
+// compares text-parse vs. binary load cost (results are
 // bit-identical).
 
 #include <cstdint>

@@ -228,8 +228,8 @@ ScenarioRegistry build_builtin() {
                 }});
 
   registry.add({"mega",
-                "reticle-filling die for the out-of-core 1M tier; streams "
-                "straight to .cbench via contango-pack gen-mega",
+                "reticle-filling die for the 1M-sink tier; contango-pack "
+                "gen-mega writes it as .cbench",
                 2400,
                 [](std::uint64_t seed, int n) {
                   MegaGenParams p;

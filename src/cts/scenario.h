@@ -110,7 +110,7 @@ std::vector<Benchmark> collect_workloads(const std::string& spec, std::uint64_t 
 ///
 /// `load_seconds` (when non-null) is cleared and filled index-aligned with
 /// the returned vector: generator wall time for family elements, parse
-/// time for `.bench` files, mmap+validate+materialize time for `.cbench`
+/// time for `.bench` files, read+validate+decode time for `.cbench`
 /// files.  Suite runners thread these into SuiteRun::load_seconds so the
 /// trajectory separates I/O wins from kernel wins.
 std::vector<Benchmark> collect_workloads(const std::string& spec, std::uint64_t seed,

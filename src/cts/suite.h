@@ -79,7 +79,7 @@ struct SuiteOptions {
   std::function<void(const SuiteRun&)> on_run_start;
 
   /// Per-benchmark acquisition wall times (generator call, text parse or
-  /// `.cbench` mmap load), index-aligned with the suite passed to
+  /// `.cbench` load), index-aligned with the suite passed to
   /// run_suite(); entries copy into SuiteRun::load_seconds so reports
   /// separate I/O cost from flow cost.  Leave empty when unknown — shorter
   /// vectors simply leave the remaining runs unannotated.
@@ -113,7 +113,7 @@ struct SuiteRun {
   FlowResult result;
   double seconds = 0.0;  ///< wall time of this run on its worker
 
-  /// Wall time spent acquiring this benchmark (parse/mmap/generate) before
+  /// Wall time spent acquiring this benchmark (parse/load/generate) before
   /// the suite started, from SuiteOptions::load_seconds; negative when
   /// unknown.  JSON reports emit `load_seconds` only when known, so
   /// reports without load timing stay unchanged.

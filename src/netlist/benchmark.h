@@ -63,7 +63,12 @@ struct Benchmark {
 };
 
 /// Basic sanity checks: sinks inside the die, source inside the die,
-/// non-empty technology.  Throws std::invalid_argument on violation.
+/// non-empty technology, and every electrical value finite with the right
+/// sign: wire r_per_um, supply corners, slew_limit, inverter output_res and
+/// rise_fall_ratio > 0; sink caps, wire c_per_um, the other inverter
+/// fields, source_res, cap_limit (0 = no limit) and supply_alpha >= 0.
+/// Throws std::invalid_argument on violation, naming the benchmark, the
+/// field and the value.
 void validate(const Benchmark& bench);
 
 }  // namespace contango

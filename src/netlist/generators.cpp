@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 
-#include "netlist/binio.h"
 #include "netlist/io.h"
 #include "util/rng.h"
 
@@ -62,22 +60,15 @@ Point push_out_of_obstacles(Point p, const ObstacleSet& obs, const Rect& die) {
   return p;
 }
 
-/// Scalar form of the budget so the streaming generator (which never holds
-/// the sink list) can compute the same value from its running cap total.
-Ff capacitance_budget(double die_area, int num_sinks, Ff total_sink_cap,
-                      Ff c_wide_per_um) {
-  const Um wire_est = 1.7 * steiner_estimate(num_sinks, die_area);
+Ff capacitance_budget(const Benchmark& bench) {
+  const Um wire_est =
+      1.7 * steiner_estimate(static_cast<int>(bench.sinks.size()),
+                             bench.die.area());
   // Wire + sinks + repeater allowance (one composite buffer per ~600 um),
   // with headroom for detour and balance snaking.
-  const Ff est = c_wide_per_um * wire_est + total_sink_cap + 0.14 * wire_est;
+  const Ff est = bench.tech.wires.back().c_per_um * wire_est +
+                 bench.total_sink_cap() + 0.14 * wire_est;
   return 1.5 * est;
-}
-
-Ff capacitance_budget(const Benchmark& bench) {
-  return capacitance_budget(bench.die.area(),
-                            static_cast<int>(bench.sinks.size()),
-                            bench.total_sink_cap(),
-                            bench.tech.wires.back().c_per_um);
 }
 
 }  // namespace
@@ -393,19 +384,7 @@ Benchmark generate_huge(const HugeGenParams& params) {
   return bench;
 }
 
-namespace {
-
-/// Obstacles + sink stream shared by generate_mega and
-/// generate_mega_cbench.  Both variants must draw from the RNG in exactly
-/// the same order, emit sinks in the same order and accumulate the cap
-/// total with the same additions, so the materialized and streamed
-/// instances are byte-identical.  Obstacles are materialized into
-/// `obstacle_rects` (they are few and the sink legalizer needs them);
-/// sinks stream through `emit(x, y, cap)` and are never stored here.
-/// \return the running total of emitted sink caps
-template <typename EmitSink>
-Ff mega_core(const MegaGenParams& params, std::vector<Rect>& obstacle_rects,
-             EmitSink&& emit) {
+Benchmark generate_mega(const MegaGenParams& params) {
   if (params.num_sinks < 1) {
     throw std::invalid_argument("generate_mega: num_sinks");
   }
@@ -414,6 +393,12 @@ Ff mega_core(const MegaGenParams& params, std::vector<Rect>& obstacle_rects,
   Rng rng(params.seed);
   const Rect die{0.0, 0.0, params.die_w, params.die_h};
   const Point source{params.die_w / 2.0, 0.0};
+  Benchmark bench;
+  bench.name = params.name;
+  bench.die = die;
+  bench.source = source;
+  bench.tech = ispd09_technology();
+  std::vector<Rect>& obstacle_rects = bench.obstacle_rects;
 
   // Macro-heavy floorplan with a clear strip around the source, like the
   // huge family but on a reticle-filling die.
@@ -449,8 +434,7 @@ Ff mega_core(const MegaGenParams& params, std::vector<Rect>& obstacle_rects,
     obstacle_rects.push_back(r);
   }
 
-  // Row-based register placement, O(num_sinks), emitted rather than
-  // stored: the 1M tier generates in streaming space.
+  // Row-based register placement, O(num_sinks).
   const int rows = params.num_rows;
   const double row_pitch = params.die_h / rows;
   std::vector<double> row_density(static_cast<std::size_t>(rows));
@@ -462,13 +446,14 @@ Ff mega_core(const MegaGenParams& params, std::vector<Rect>& obstacle_rects,
   }
 
   const ObstacleSet legalizer(obstacle_rects);
-  Ff total_cap = 0.0;
+  bench.sinks.reserve(static_cast<std::size_t>(params.num_sinks));
   int emitted = 0;
   auto emit_one = [&](Point p) {
-    p = push_out_of_obstacles(p, legalizer, die);
-    const Ff cap = rng.uniform(params.sink_cap_min, params.sink_cap_max);
-    total_cap += cap;
-    emit(p.x, p.y, cap);
+    Sink s;
+    s.name = "s" + std::to_string(emitted);
+    s.position = push_out_of_obstacles(p, legalizer, die);
+    s.cap = rng.uniform(params.sink_cap_min, params.sink_cap_max);
+    bench.sinks.push_back(std::move(s));
     ++emitted;
   };
   for (int r = 0; r < rows && emitted < params.num_sinks; ++r) {
@@ -485,77 +470,10 @@ Ff mega_core(const MegaGenParams& params, std::vector<Rect>& obstacle_rects,
     emit_one(Point{rng.uniform(0.0, params.die_w),
                    rng.uniform(0.0, params.die_h)});
   }
-  return total_cap;
-}
 
-}  // namespace
-
-Benchmark generate_mega(const MegaGenParams& params) {
-  Benchmark bench;
-  bench.name = params.name;
-  bench.die = Rect{0.0, 0.0, params.die_w, params.die_h};
-  bench.source = Point{params.die_w / 2.0, 0.0};
-  bench.tech = ispd09_technology();
-  bench.sinks.reserve(static_cast<std::size_t>(params.num_sinks));
-  const Ff total_cap =
-      mega_core(params, bench.obstacle_rects, [&](double x, double y, double cap) {
-        Sink s;
-        s.name = "s" + std::to_string(bench.sinks.size());
-        s.position = Point{x, y};
-        s.cap = cap;
-        bench.sinks.push_back(std::move(s));
-      });
-  bench.tech.cap_limit =
-      capacitance_budget(bench.die.area(), params.num_sinks, total_cap,
-                         bench.tech.wires.back().c_per_um);
+  bench.tech.cap_limit = capacitance_budget(bench);
   validate(bench);
   return bench;
-}
-
-void generate_mega_cbench(const MegaGenParams& params, std::ostream& out) {
-  require_token_name(params.name, "benchmark");
-  const Technology tech = ispd09_technology();
-  const Rect die{0.0, 0.0, params.die_w, params.die_h};
-  const Point source{params.die_w / 2.0, 0.0};
-
-  CbenchWriter writer(out);
-  writer.write_corners(tech.corners);
-  writer.write_wires(tech.wires);
-  writer.write_inverters(tech.inverters);
-
-  std::vector<Rect> obstacle_rects;
-  writer.begin_sinks();
-  const Ff total_cap =
-      mega_core(params, obstacle_rects, [&](double x, double y, double cap) {
-        writer.add_sink(x, y, cap);
-      });
-  writer.end_sinks();
-  writer.write_obstacles(obstacle_rects);
-
-  writer.begin_names();
-  writer.add_name(params.name);
-  for (const WireType& w : tech.wires) writer.add_name(w.name);
-  for (const InverterType& inv : tech.inverters) writer.add_name(inv.name);
-  for (int i = 0; i < params.num_sinks; ++i) {
-    writer.add_name("s" + std::to_string(i));
-  }
-  writer.end_names();
-
-  const Ff cap_limit = capacitance_budget(
-      die.area(), params.num_sinks, total_cap, tech.wires.back().c_per_um);
-  // source_res: the Benchmark default (see netlist/benchmark.h).
-  writer.write_scalars(die, source, ohms(25.0), tech.slew_limit, cap_limit,
-                       tech.supply_alpha, tech.rise_fall_ratio);
-  writer.finish();
-}
-
-void generate_mega_cbench_file(const MegaGenParams& params,
-                               const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot write benchmark file: " + path);
-  generate_mega_cbench(params, out);
-  out.flush();
-  if (!out) throw std::runtime_error("cannot write benchmark file: " + path);
 }
 
 }  // namespace contango

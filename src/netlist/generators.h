@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -92,11 +91,8 @@ struct HugeGenParams {
 Benchmark generate_huge(const HugeGenParams& params);
 
 /// Parameters of the mega-scale generator: a reticle-filling die with a
-/// denser macro floorplan than `huge`, sized for the out-of-core 1M-sink
-/// tier.  Like `huge` the placement is row-based and O(n), but the family
-/// additionally offers a *streaming* emitter (generate_mega_cbench) that
-/// writes `.cbench` bytes sink-by-sink, so a million-sink instance is
-/// produced without ever materializing the netlist in memory.
+/// denser macro floorplan than `huge`, sized for the 1M-sink tier.  Like
+/// `huge` the placement is row-based and O(n).
 struct MegaGenParams {
   std::string name = "mega";
   Um die_w = 33600.0;
@@ -112,22 +108,7 @@ struct MegaGenParams {
   std::uint64_t seed = 1;
 };
 
-/// Generates one mega-scale benchmark in memory.  Deterministic in the
-/// seed; identical content to the streaming variant below.
+/// Generates one mega-scale benchmark.  Deterministic in the seed.
 Benchmark generate_mega(const MegaGenParams& params);
-
-/// \brief Streams the same instance directly to `.cbench` bytes.
-///
-/// Peak memory is the obstacle list plus writer state — sinks and their
-/// names are emitted and dropped one at a time.  The output is
-/// byte-identical to `write_cbench(generate_mega(params), out)`, which the
-/// tests lock in at small sizes.
-/// \param out seekable binary stream (see netlist/binio.h)
-void generate_mega_cbench(const MegaGenParams& params, std::ostream& out);
-
-/// \brief Streams a mega instance to a `.cbench` file on disk.
-/// \throws std::runtime_error when the file cannot be created
-void generate_mega_cbench_file(const MegaGenParams& params,
-                               const std::string& path);
 
 }  // namespace contango

@@ -1,17 +1,19 @@
-// Tests of the out-of-core `.cbench` binary benchmark format
-// (netlist/binio.h, io/mmap.h): lossless text<->binary round-trips for
-// every scenario family, flow bit-identity across formats and mmap
-// backends, streaming-vs-materialized writer equality, and — most of
-// the file — corruption hardening: every mutation of a valid image must
-// raise BenchmarkParseError naming the offending header field or section,
-// never crash or read out of bounds (this file runs under the ASan+UBSan
-// CI job).
+// Tests of the `.cbench` binary benchmark format (netlist/binio.h):
+// lossless text<->binary round-trips for every scenario family, flow
+// bit-identity across formats, pinned writer bytes, electrical-value
+// validation through both readers, and — most of the file — corruption
+// hardening: every mutation of a valid image must raise
+// BenchmarkParseError naming the offending header field or section, never
+// crash or read out of bounds (this file runs under the ASan+UBSan CI
+// job).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -19,7 +21,6 @@
 
 #include "cts/flow.h"
 #include "cts/scenario.h"
-#include "io/mmap.h"
 #include "netlist/binio.h"
 #include "netlist/generators.h"
 #include "netlist/io.h"
@@ -42,20 +43,22 @@ std::vector<unsigned char> cbench_bytes(const Benchmark& bench) {
   return std::vector<unsigned char>(s.begin(), s.end());
 }
 
-Benchmark parse_bytes(std::vector<unsigned char> bytes) {
-  return MappedBenchmark::from_file(MappedFile::from_bytes(std::move(bytes)),
-                                    "<test.cbench>")
-      .to_benchmark();
+Benchmark parse_bytes(const std::vector<unsigned char>& bytes) {
+  return read_cbench(bytes.data(), bytes.size(), "<test.cbench>");
+}
+
+/// The validated section table of `bytes`.
+CbenchTable table_of(const std::vector<unsigned char>& bytes) {
+  return read_cbench_table(bytes.data(), bytes.size(), "<locate.cbench>");
 }
 
 /// Asserts that `bytes` fail validation with a message containing every
 /// given substring.  The whole point of the format's checks: corrupt
 /// bytes surface as a diagnosable error, not as UB.
-void expect_rejected(std::vector<unsigned char> bytes,
+void expect_rejected(const std::vector<unsigned char>& bytes,
                      const std::vector<std::string>& needles) {
   try {
-    MappedBenchmark::from_file(MappedFile::from_bytes(std::move(bytes)),
-                               "<corrupt.cbench>");
+    read_cbench(bytes.data(), bytes.size(), "<corrupt.cbench>");
     FAIL() << "expected BenchmarkParseError";
   } catch (const BenchmarkParseError& e) {
     const std::string what = e.what();
@@ -114,14 +117,13 @@ TEST(CbenchRoundTrip, TiLikeAndIspdLikeSurvive) {
   }
 }
 
-TEST(CbenchRoundTrip, FileRoundTripThroughMmap) {
+TEST(CbenchRoundTrip, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "binio_roundtrip.cbench";
   const Benchmark original = make_scenario("obstacle_dense", 7, 120);
   write_cbench_file(original, path);
 
-  const MappedBenchmark mapped = MappedBenchmark::open(path);
-  EXPECT_TRUE(mapped.mapped());
-  EXPECT_EQ(canonical_text(mapped.to_benchmark()), canonical_text(original));
+  EXPECT_EQ(read_file_bytes(path), cbench_bytes(original));
+  EXPECT_EQ(canonical_text(read_cbench_file(path)), canonical_text(original));
   std::filesystem::remove(path);
 }
 
@@ -146,20 +148,6 @@ TEST(CbenchRoundTrip, FlowIsBitIdenticalAcrossFormats) {
   EXPECT_EQ(binary_run.eval.total_cap, text_run.eval.total_cap);
   EXPECT_EQ(binary_run.sim_runs, text_run.sim_runs);
   std::filesystem::remove_all(dir);
-}
-
-TEST(CbenchStreaming, MegaStreamedEqualsMaterializedBytes) {
-  MegaGenParams params;
-  params.num_sinks = 500;
-  params.num_rows = 40;
-  params.num_obstacles = 25;
-  params.seed = 11;
-
-  std::ostringstream streamed(std::ios::binary);
-  generate_mega_cbench(params, streamed);
-  std::ostringstream materialized(std::ios::binary);
-  write_cbench(generate_mega(params), materialized);
-  EXPECT_EQ(streamed.str(), materialized.str());
 }
 
 TEST(CbenchBytes, WriterOutputIsPinned) {
@@ -256,34 +244,182 @@ TEST(CbenchDispatch, CorruptFileErrorNamesThePath) {
 // Writer misuse and payload validation
 // ---------------------------------------------------------------------------
 
-TEST(CbenchWriterApi, StageOrderIsEnforced) {
-  std::ostringstream out(std::ios::binary);
-  CbenchWriter writer(out);
-  EXPECT_THROW(writer.write_wires({}), std::logic_error);  // corners first
-  writer.write_corners({1.0});
-  EXPECT_THROW(writer.write_corners({1.0}), std::logic_error);  // repeated
-  EXPECT_THROW(writer.add_sink(0, 0, 1), std::logic_error);  // begin_sinks
-  EXPECT_THROW(writer.finish(), std::logic_error);           // sections missing
+TEST(CbenchWriterApi, RejectsInvalidPayloads) {
+  // Payloads the text writer also rejects throw before any byte is written.
+  const Benchmark valid = make_scenario("ring", 1, 16);
+  auto expect_invalid = [](const Benchmark& bench, const std::string& what) {
+    std::ostringstream out(std::ios::binary);
+    EXPECT_THROW(write_cbench(bench, out), std::invalid_argument) << what;
+    EXPECT_TRUE(out.str().empty()) << what;
+  };
+  Benchmark no_corners = valid;
+  no_corners.tech.corners.clear();
+  expect_invalid(no_corners, "empty corners");
+  for (const std::string& bad : {std::string("two words"), std::string()}) {
+    Benchmark named = valid;
+    named.name = bad;
+    expect_invalid(named, "benchmark name '" + bad + "'");
+    Benchmark sink = valid;
+    sink.sinks[3].name = bad;
+    expect_invalid(sink, "sink name '" + bad + "'");
+    Benchmark wire = valid;
+    wire.tech.wires[0].name = bad;
+    expect_invalid(wire, "wire name '" + bad + "'");
+  }
 }
 
-TEST(CbenchWriterApi, RejectsInvalidPayloads) {
-  std::ostringstream out(std::ios::binary);
-  CbenchWriter writer(out);
-  EXPECT_THROW(writer.write_corners({}), std::invalid_argument);
-  writer.write_corners({1.0});
-  writer.write_wires({WireType{"w0", 0.1, 0.2}});
-  writer.write_inverters({InverterType{"inv", 1, 1, 1, 0.1}});
-  writer.begin_sinks();
-  writer.end_sinks();
-  writer.write_obstacles({});
-  writer.begin_names();
-  // Non-token names are rejected exactly like the text writer rejects them.
-  EXPECT_THROW(writer.add_name("two words"), std::invalid_argument);
-  EXPECT_THROW(writer.add_name(""), std::invalid_argument);
-  writer.add_name("bench");
-  writer.add_name("w0");
-  writer.add_name("inv");
-  EXPECT_THROW(writer.add_name("extra"), std::logic_error);  // count exceeded
+// ---------------------------------------------------------------------------
+// Electrical values: both readers reject what validate() rejects
+// ---------------------------------------------------------------------------
+
+/// One out-of-range electrical value.  `set` writes it into the benchmark
+/// and returns the field as the rejection names it.
+struct BadElectrical {
+  const char* label;
+  double value;
+  const char* printed;  ///< the value as the rejection prints it
+  std::string (*set)(Benchmark&, double);
+};
+
+void PrintTo(const BadElectrical& c, std::ostream* os) { *os << c.label; }
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+const BadElectrical kBadElectrical[] = {
+    {"SinkCapNan", kNan, "nan",
+     [](Benchmark& b, double v) {
+       b.sinks[5].cap = v;
+       return "sink '" + b.sinks[5].name + "' cap";
+     }},
+    {"SinkCapNegative", -1.0, "-1",
+     [](Benchmark& b, double v) {
+       b.sinks[5].cap = v;
+       return "sink '" + b.sinks[5].name + "' cap";
+     }},
+    {"WireRNan", kNan, "nan",
+     [](Benchmark& b, double v) {
+       b.tech.wires[0].r_per_um = v;
+       return "wire '" + b.tech.wires[0].name + "' r_per_um";
+     }},
+    {"WireRNegative", -0.5, "-0.5",
+     [](Benchmark& b, double v) {
+       b.tech.wires[0].r_per_um = v;
+       return "wire '" + b.tech.wires[0].name + "' r_per_um";
+     }},
+    {"WireRZero", 0.0, "0",
+     [](Benchmark& b, double v) {
+       b.tech.wires[0].r_per_um = v;
+       return "wire '" + b.tech.wires[0].name + "' r_per_um";
+     }},
+    {"WireCNegative", -0.25, "-0.25",
+     [](Benchmark& b, double v) {
+       b.tech.wires.back().c_per_um = v;
+       return "wire '" + b.tech.wires.back().name + "' c_per_um";
+     }},
+    {"InverterInputCapInf", kInf, "inf",
+     [](Benchmark& b, double v) {
+       b.tech.inverters[0].input_cap = v;
+       return "inverter '" + b.tech.inverters[0].name + "' input_cap";
+     }},
+    {"InverterOutputCapNegative", -2.0, "-2",
+     [](Benchmark& b, double v) {
+       b.tech.inverters[0].output_cap = v;
+       return "inverter '" + b.tech.inverters[0].name + "' output_cap";
+     }},
+    {"InverterOutputResNegative", -0.44, "-0.44",
+     [](Benchmark& b, double v) {
+       b.tech.inverters[0].output_res = v;
+       return "inverter '" + b.tech.inverters[0].name + "' output_res";
+     }},
+    {"InverterIntrinsicDelayNan", kNan, "nan",
+     [](Benchmark& b, double v) {
+       b.tech.inverters.back().intrinsic_delay = v;
+       return "inverter '" + b.tech.inverters.back().name +
+              "' intrinsic_delay";
+     }},
+    {"CornerZero", 0.0, "0",
+     [](Benchmark& b, double v) {
+       b.tech.corners.back() = v;
+       return "corner " + std::to_string(b.tech.corners.size() - 1);
+     }},
+    {"SourceResNan", kNan, "nan",
+     [](Benchmark& b, double v) {
+       b.source_res = v;
+       return std::string("source_res");
+     }},
+    {"SlewLimitZero", 0.0, "0",
+     [](Benchmark& b, double v) {
+       b.tech.slew_limit = v;
+       return std::string("slew_limit");
+     }},
+    {"SlewLimitInf", kInf, "inf",
+     [](Benchmark& b, double v) {
+       b.tech.slew_limit = v;
+       return std::string("slew_limit");
+     }},
+    {"CapLimitNan", kNan, "nan",
+     [](Benchmark& b, double v) {
+       b.tech.cap_limit = v;
+       return std::string("cap_limit");
+     }},
+    {"SupplyAlphaInf", kInf, "inf",
+     [](Benchmark& b, double v) {
+       b.tech.supply_alpha = v;
+       return std::string("supply_alpha");
+     }},
+    {"RiseFallRatioZero", 0.0, "0",
+     [](Benchmark& b, double v) {
+       b.tech.rise_fall_ratio = v;
+       return std::string("rise_fall_ratio");
+     }},
+};
+
+class ElectricalValue : public ::testing::TestWithParam<BadElectrical> {};
+
+TEST_P(ElectricalValue, BothReadersRejectItNamingFieldAndValue) {
+  const BadElectrical& c = GetParam();
+  Benchmark bench = make_scenario("ring", 1);
+  const std::string field = c.set(bench, c.value);
+  const std::string expected = "benchmark 'ring_s1': " + field + " is " +
+                               c.printed + " (must be finite and ";
+
+  try {
+    parse_bytes(cbench_bytes(bench));
+    FAIL() << ".cbench reader accepted " << expected;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+
+  std::istringstream text(canonical_text(bench));
+  if (std::isfinite(c.value)) {
+    try {
+      read_benchmark(text, "<bad.bench>");
+      FAIL() << "text reader accepted " << expected;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  } else {
+    // The text format has no token for NaN or infinity, so the parser
+    // stops at the line the writer printed it on.
+    EXPECT_THROW(read_benchmark(text, "<bad.bench>"), BenchmarkParseError);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ElectricalValue, ::testing::ValuesIn(kBadElectrical),
+    [](const ::testing::TestParamInfo<BadElectrical>& info) {
+      return std::string(info.param.label);
+    });
+
+TEST(ElectricalValueBounds, ZeroCapLimitMeansNoLimitInBothReaders) {
+  Benchmark bench = make_scenario("ring", 1);
+  bench.tech.cap_limit = 0.0;
+  EXPECT_EQ(parse_bytes(cbench_bytes(bench)).tech.cap_limit, 0.0);
+  std::istringstream text(canonical_text(bench));
+  EXPECT_EQ(read_benchmark(text, "<zero.bench>").tech.cap_limit, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -308,56 +444,56 @@ TEST_F(CbenchCorruption, EmptyAndTruncatedHeader) {
                                  std::size_t{100}, kCbenchHeaderBytes - 1}) {
     std::vector<unsigned char> bytes = image_;
     bytes.resize(keep);
-    expect_rejected(std::move(bytes), {"truncated header"});
+    expect_rejected(bytes, {"truncated header"});
   }
 }
 
 TEST_F(CbenchCorruption, BadMagic) {
   std::vector<unsigned char> bytes = image_;
   bytes[0] ^= 0x01;
-  expect_rejected(std::move(bytes), {"bad magic"});
+  expect_rejected(bytes, {"bad magic"});
 }
 
 TEST_F(CbenchCorruption, UnsupportedVersion) {
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, 8, 99);
-  expect_rejected(std::move(bytes), {"unsupported format version 99"});
+  expect_rejected(bytes, {"unsupported format version 99"});
 }
 
 TEST_F(CbenchCorruption, BadSectionCount) {
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, 12, 6);
-  expect_rejected(std::move(bytes), {"bad section count 6"});
+  expect_rejected(bytes, {"bad section count 6"});
 }
 
 TEST_F(CbenchCorruption, TruncatedPayloadTripsTheSizeField) {
   std::vector<unsigned char> bytes = image_;
   bytes.resize(bytes.size() - 16);
-  expect_rejected(std::move(bytes), {"header file size"});
+  expect_rejected(bytes, {"header file size"});
 }
 
 TEST_F(CbenchCorruption, AppendedGarbageTripsTheSizeField) {
   std::vector<unsigned char> bytes = image_;
   bytes.insert(bytes.end(), 32, 0xAB);
-  expect_rejected(std::move(bytes), {"header file size"});
+  expect_rejected(bytes, {"header file size"});
 }
 
 TEST_F(CbenchCorruption, UnknownSectionId) {
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, table_entry(kCbenchSinks), 42);
-  expect_rejected(std::move(bytes), {"unknown section id 42"});
+  expect_rejected(bytes, {"unknown section id 42"});
 }
 
 TEST_F(CbenchCorruption, DuplicateSectionId) {
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, table_entry(kCbenchSinks), kCbenchWires);
-  expect_rejected(std::move(bytes), {"duplicate section WIRES"});
+  expect_rejected(bytes, {"duplicate section WIRES"});
 }
 
 TEST_F(CbenchCorruption, NonZeroReservedField) {
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, table_entry(kCbenchObstacles) + 4, 7);
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section OBSTACLES", "reserved table field"});
 }
 
@@ -367,14 +503,14 @@ TEST_F(CbenchCorruption, MisalignedSectionOffset) {
   std::uint64_t offset = 0;
   std::memcpy(&offset, bytes.data() + entry + 8, 8);
   poke_u64(bytes, entry + 8, offset + 4);
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section SINKS", "not 8-byte aligned"});
 }
 
 TEST_F(CbenchCorruption, OffsetInsideHeader) {
   std::vector<unsigned char> bytes = image_;
   poke_u64(bytes, table_entry(kCbenchSinks) + 8, 16);
-  expect_rejected(std::move(bytes), {"section SINKS", "overlaps the header"});
+  expect_rejected(bytes, {"section SINKS", "overlaps the header"});
 }
 
 TEST_F(CbenchCorruption, OffsetPastEndOfFile) {
@@ -382,7 +518,7 @@ TEST_F(CbenchCorruption, OffsetPastEndOfFile) {
   const std::uint64_t past =
       (static_cast<std::uint64_t>(bytes.size()) + 8) & ~std::uint64_t{7};
   poke_u64(bytes, table_entry(kCbenchSinks) + 8, past);
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section SINKS", "extends past end of file"});
 }
 
@@ -391,7 +527,7 @@ TEST_F(CbenchCorruption, HugeOffsetDoesNotOverflow) {
   // overflow-safe and still reject.
   std::vector<unsigned char> bytes = image_;
   poke_u64(bytes, table_entry(kCbenchSinks) + 8, ~std::uint64_t{7});
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section SINKS", "extends past end of file"});
 }
 
@@ -401,7 +537,7 @@ TEST_F(CbenchCorruption, CountInconsistentWithByteSize) {
   std::uint64_t count = 0;
   std::memcpy(&count, bytes.data() + entry + 16, 8);
   poke_u64(bytes, entry + 16, count + 1);
-  expect_rejected(std::move(bytes), {"section SINKS", "record count"});
+  expect_rejected(bytes, {"section SINKS", "record count"});
 }
 
 TEST_F(CbenchCorruption, OverlappingSections) {
@@ -411,19 +547,17 @@ TEST_F(CbenchCorruption, OverlappingSections) {
   std::uint64_t inv_offset = 0;
   std::memcpy(&inv_offset, bytes.data() + table_entry(kCbenchInverters) + 8, 8);
   poke_u64(bytes, table_entry(kCbenchWires) + 8, inv_offset);
-  expect_rejected(std::move(bytes), {"overlap"});
+  expect_rejected(bytes, {"overlap"});
 }
 
 TEST_F(CbenchCorruption, BitFlipInEverySectionTripsItsChecksum) {
   // Locate each section's payload from the (valid) table, flip one bit in
   // the middle of it, and demand the error names exactly that section.
-  const MappedBenchmark mapped = MappedBenchmark::from_file(
-      MappedFile::from_bytes(image_), "<locate.cbench>");
-  for (const MappedBenchmark::SectionInfo& s : mapped.sections()) {
+  for (const CbenchSection& s : table_of(image_).sections) {
     if (s.byte_size == 0) continue;
     std::vector<unsigned char> bytes = image_;
     bytes[static_cast<std::size_t>(s.offset + s.byte_size / 2)] ^= 0x10;
-    expect_rejected(std::move(bytes),
+    expect_rejected(bytes,
                     {std::string("section ") + cbench_section_name(s.id),
                      "checksum mismatch"});
   }
@@ -432,9 +566,7 @@ TEST_F(CbenchCorruption, BitFlipInEverySectionTripsItsChecksum) {
 TEST_F(CbenchCorruption, NameLengthOverrunIsCaughtByChecksumOrWalk) {
   // Blow up the first name's length prefix *and* refresh the stored NAMES
   // checksum so the corruption reaches the name-table walk itself.
-  const MappedBenchmark mapped = MappedBenchmark::from_file(
-      MappedFile::from_bytes(image_), "<locate.cbench>");
-  const auto& names = mapped.sections()[kCbenchNames - 1];
+  const CbenchSection names = table_of(image_).section(kCbenchNames);
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, static_cast<std::size_t>(names.offset), 0x00FFFFFF);
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a-64 offset basis
@@ -443,7 +575,7 @@ TEST_F(CbenchCorruption, NameLengthOverrunIsCaughtByChecksumOrWalk) {
     h *= 1099511628211ull;
   }
   poke_u64(bytes, table_entry(kCbenchNames) + 32, h);
-  expect_rejected(std::move(bytes), {"section NAMES"});
+  expect_rejected(bytes, {"section NAMES"});
 }
 
 // ---------------------------------------------------------------------------
@@ -490,26 +622,26 @@ Benchmark constrained_fixture() {
 }
 
 TEST(CbenchVersioning, TrivialConstraintsStillEmitVersion1) {
-  const MappedBenchmark mapped = MappedBenchmark::from_file(
-      MappedFile::from_bytes(cbench_bytes(make_scenario("ring", 1, 64))),
-      "<v1.cbench>");
-  EXPECT_EQ(mapped.version(), kCbenchVersion);
-  EXPECT_FALSE(mapped.has_constraint_sections());
-  EXPECT_TRUE(mapped.read_constraints().trivial());
+  const std::vector<unsigned char> bytes =
+      cbench_bytes(make_scenario("ring", 1, 64));
+  const CbenchTable table = table_of(bytes);
+  EXPECT_EQ(table.version, kCbenchVersion);
+  EXPECT_EQ(table.sections.size(), kCbenchSectionCount);
+  EXPECT_TRUE(parse_bytes(bytes).constraints.trivial());
 }
 
 TEST(CbenchVersioning, ConstrainedBenchmarkEmitsVersion2AndRoundTrips) {
   const Benchmark original = constrained_fixture();
-  std::vector<unsigned char> bytes = cbench_bytes(original);
-  const MappedBenchmark mapped = MappedBenchmark::from_file(
-      MappedFile::from_bytes(std::move(bytes)), "<v2.cbench>");
-  EXPECT_EQ(mapped.version(), kCbenchVersion2);
-  ASSERT_TRUE(mapped.has_constraint_sections());
-  EXPECT_EQ(mapped.num_domain_names(), 2u);
-  EXPECT_EQ(mapped.domain_name(0), "core");
-  EXPECT_EQ(mapped.domain_name(1), "io");
+  const std::vector<unsigned char> bytes = cbench_bytes(original);
+  const CbenchTable table = table_of(bytes);
+  EXPECT_EQ(table.version, kCbenchVersion2);
+  ASSERT_EQ(table.sections.size(), kCbenchSectionCountV2);
+  EXPECT_EQ(table.section(kCbenchDomainNames).count, 2u);
 
-  const Benchmark back = mapped.to_benchmark();
+  const Benchmark back = parse_bytes(bytes);
+  ASSERT_EQ(back.constraints.domain_names.size(), 2u);
+  EXPECT_EQ(back.constraints.domain_names[0], "core");
+  EXPECT_EQ(back.constraints.domain_names[1], "io");
   EXPECT_EQ(back.constraints, original.constraints);
   EXPECT_EQ(canonical_text(back), canonical_text(original));
   EXPECT_EQ(benchmark_content_hash(back).hex(),
@@ -540,14 +672,14 @@ TEST(CbenchVersioning, WindowsOnlyConstraintsRoundTripDespiteEmptySections) {
   original.constraints.sink_windows[5].hi = 80.0;  // one-sided
   ASSERT_FALSE(original.constraints.trivial());
 
-  std::vector<unsigned char> bytes = cbench_bytes(original);
-  const MappedBenchmark mapped = MappedBenchmark::from_file(
-      MappedFile::from_bytes(std::move(bytes)), "<windows-only.cbench>");
-  EXPECT_EQ(mapped.version(), kCbenchVersion2);
-  ASSERT_TRUE(mapped.has_constraint_sections());
-  EXPECT_EQ(mapped.num_domain_names(), 0u);
+  const std::vector<unsigned char> bytes = cbench_bytes(original);
+  const CbenchTable table = table_of(bytes);
+  EXPECT_EQ(table.version, kCbenchVersion2);
+  ASSERT_EQ(table.sections.size(), kCbenchSectionCountV2);
+  EXPECT_EQ(table.section(kCbenchDomainNames).count, 0u);
 
-  const Benchmark back = parse_bytes(cbench_bytes(original));
+  const Benchmark back = parse_bytes(bytes);
+  EXPECT_TRUE(back.constraints.domain_names.empty());
   EXPECT_EQ(back.constraints, original.constraints);
   EXPECT_EQ(benchmark_content_hash(back).hex(),
             benchmark_content_hash(original).hex());
@@ -557,11 +689,9 @@ class CbenchCorruptionV2 : public ::testing::Test {
  protected:
   void SetUp() override { image_ = cbench_bytes(constrained_fixture()); }
 
-  /// SectionInfo of `id` in the (valid) fixture image.
-  MappedBenchmark::SectionInfo locate(std::uint32_t id) const {
-    const MappedBenchmark mapped = MappedBenchmark::from_file(
-        MappedFile::from_bytes(image_), "<locate.cbench>");
-    return mapped.sections()[id - 1];
+  /// Table entry of section `id` in the (valid) fixture image.
+  CbenchSection locate(std::uint32_t id) const {
+    return table_of(image_).section(id);
   }
 
   std::vector<unsigned char> image_;
@@ -570,59 +700,59 @@ class CbenchCorruptionV2 : public ::testing::Test {
 TEST_F(CbenchCorruptionV2, BitFlipInEveryConstraintSectionNamesIt) {
   for (const std::uint32_t id : {kCbenchSinkDomains, kCbenchSinkWindows,
                                  kCbenchDomainBounds, kCbenchDomainNames}) {
-    const MappedBenchmark::SectionInfo s = locate(id);
+    const CbenchSection s = locate(id);
     ASSERT_GT(s.byte_size, 0u) << cbench_section_name(id);
     std::vector<unsigned char> bytes = image_;
     bytes[static_cast<std::size_t>(s.offset + s.byte_size / 2)] ^= 0x10;
-    expect_rejected(std::move(bytes),
+    expect_rejected(bytes,
                     {std::string("section ") + cbench_section_name(id),
                      "checksum mismatch"});
   }
 }
 
 TEST_F(CbenchCorruptionV2, OutOfRangeDomainIndexNamesTheSection) {
-  const MappedBenchmark::SectionInfo s = locate(kCbenchSinkDomains);
+  const CbenchSection s = locate(kCbenchSinkDomains);
   std::vector<unsigned char> bytes = image_;
   poke_double(bytes, static_cast<std::size_t>(s.offset), 9.0);
   refresh_checksum(bytes, kCbenchSinkDomains);
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section SINK_DOMAINS", "domain index", "is not an integer"});
 }
 
 TEST_F(CbenchCorruptionV2, NonIntegralDomainIndexNamesTheSection) {
-  const MappedBenchmark::SectionInfo s = locate(kCbenchSinkDomains);
+  const CbenchSection s = locate(kCbenchSinkDomains);
   std::vector<unsigned char> bytes = image_;
   poke_double(bytes, static_cast<std::size_t>(s.offset), 0.5);
   refresh_checksum(bytes, kCbenchSinkDomains);
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section SINK_DOMAINS", "is not an integer"});
 }
 
 TEST_F(CbenchCorruptionV2, InvertedWindowNamesTheSection) {
   // Window 0 is [0, 25] in the fixture; poking lo above hi makes it empty.
-  const MappedBenchmark::SectionInfo s = locate(kCbenchSinkWindows);
+  const CbenchSection s = locate(kCbenchSinkWindows);
   std::vector<unsigned char> bytes = image_;
   poke_double(bytes, static_cast<std::size_t>(s.offset), 50.0);
   refresh_checksum(bytes, kCbenchSinkWindows);
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section SINK_WINDOWS", "window 0 is malformed"});
 }
 
 TEST_F(CbenchCorruptionV2, NegativeDomainBoundNamesTheSection) {
-  const MappedBenchmark::SectionInfo s = locate(kCbenchDomainBounds);
+  const CbenchSection s = locate(kCbenchDomainBounds);
   std::vector<unsigned char> bytes = image_;
   poke_double(bytes, static_cast<std::size_t>(s.offset) + 16, -5.0);
   refresh_checksum(bytes, kCbenchDomainBounds);
-  expect_rejected(std::move(bytes),
+  expect_rejected(bytes,
                   {"section DOMAIN_BOUNDS", "finite and non-negative"});
 }
 
 TEST_F(CbenchCorruptionV2, DomainNameLengthOverrunNamesTheSection) {
-  const MappedBenchmark::SectionInfo s = locate(kCbenchDomainNames);
+  const CbenchSection s = locate(kCbenchDomainNames);
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, static_cast<std::size_t>(s.offset), 0x00FFFFFF);
   refresh_checksum(bytes, kCbenchDomainNames);
-  expect_rejected(std::move(bytes), {"section DOMAIN_NAMES"});
+  expect_rejected(bytes, {"section DOMAIN_NAMES"});
 }
 
 TEST_F(CbenchCorruptionV2, RandomSingleBitFlipsNeverCrash) {
@@ -637,7 +767,7 @@ TEST_F(CbenchCorruptionV2, RandomSingleBitFlipsNeverCrash) {
         0, static_cast<long>(bytes.size()) * 8 - 1));
     bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
     try {
-      parse_bytes(std::move(bytes));
+      parse_bytes(bytes);
     } catch (const BenchmarkParseError&) {
       ++rejected;
     } catch (const std::invalid_argument&) {
@@ -661,7 +791,7 @@ TEST_F(CbenchCorruption, RandomSingleBitFlipsNeverCrash) {
         0, static_cast<long>(bytes.size()) * 8 - 1));
     bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
     try {
-      parse_bytes(std::move(bytes));
+      parse_bytes(bytes);
     } catch (const BenchmarkParseError&) {
       ++rejected;
     } catch (const std::invalid_argument&) {

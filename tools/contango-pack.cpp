@@ -10,8 +10,9 @@
 //                                             files: compare their content
 //   contango-pack info <file.cbench>          header + section table
 //   contango-pack gen-mega <sinks> <seed> <out.cbench>
-//                                             stream a mega-family
-//                                             instance straight to binary
+//                                             generate a mega-family
+//                                             instance and write it as
+//                                             binary
 //
 // pack/unpack accept either format as input (the reader dispatches on the
 // extension), so `pack x.cbench y.cbench` re-canonicalizes a binary file.
@@ -28,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "io/mmap.h"
 #include "netlist/binio.h"
 #include "netlist/generators.h"
 #include "netlist/io.h"
@@ -71,13 +71,9 @@ std::string round_tripped_text(const Benchmark& bench, bool via_binary) {
     std::ostringstream binary(std::ios::binary);
     write_cbench(bench, binary);
     const std::string bytes = binary.str();
-    const Benchmark back =
-        MappedBenchmark::from_file(
-            MappedFile::from_bytes(
-                std::vector<unsigned char>(bytes.begin(), bytes.end())),
-            "<memory.cbench>")
-            .to_benchmark();
-    return canonical_text(back);
+    return canonical_text(read_cbench(
+        reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size(),
+        "<memory.cbench>"));
   }
   std::ostringstream text;
   write_benchmark(bench, text);
@@ -136,21 +132,21 @@ int cmd_verify(const std::vector<std::string>& files) {
 
 int cmd_info(const std::string& path) {
   Timer load_timer;
-  const MappedBenchmark mapped = MappedBenchmark::open(path);
-  std::printf("%s: cbench version %u, %zu bytes (validated in %.3f s)\n",
-              path.c_str(), mapped.version(), mapped.file_size(),
-              load_timer.seconds());
-  std::printf("  name %.*s: %zu sinks, %zu obstacles, %zu wires, "
+  const std::vector<unsigned char> bytes = read_file_bytes(path);
+  const CbenchTable table = read_cbench_table(bytes.data(), bytes.size(), path);
+  const Benchmark bench = read_cbench(bytes.data(), bytes.size(), path);
+  std::printf("%s: cbench version %u, %zu bytes (loaded in %.3f s)\n",
+              path.c_str(), table.version, bytes.size(), load_timer.seconds());
+  std::printf("  name %s: %zu sinks, %zu obstacles, %zu wires, "
               "%zu inverters, %zu corners\n",
-              static_cast<int>(mapped.benchmark_name().size()),
-              mapped.benchmark_name().data(), mapped.num_sinks(),
-              mapped.num_obstacles(), mapped.num_wires(),
-              mapped.num_inverters(), mapped.num_corners());
+              bench.name.c_str(), bench.sinks.size(),
+              bench.obstacle_rects.size(), bench.tech.wires.size(),
+              bench.tech.inverters.size(), bench.tech.corners.size());
   std::printf("  constraints: %s\n",
-              constraints_summary(mapped.read_constraints()).c_str());
+              constraints_summary(bench.constraints).c_str());
   std::printf("  %-13s %10s %10s %12s  %s\n", "section", "offset", "records",
               "bytes", "checksum");
-  for (const MappedBenchmark::SectionInfo& s : mapped.sections()) {
+  for (const CbenchSection& s : table.sections) {
     std::printf("  %-13s %10llu %10llu %12llu  %016llx\n",
                 cbench_section_name(s.id),
                 static_cast<unsigned long long>(s.offset),
@@ -175,8 +171,8 @@ int cmd_gen_mega(const std::string& sinks_text, const std::string& seed_text,
   // collect_workloads("mega:<n>") hash to the same cache key.
   params.name = "mega_s" + seed_text + "_n" + sinks_text;
   Timer gen_timer;
-  generate_mega_cbench_file(params, out_path);
-  std::printf("streamed %s (%d sinks, seed %s) in %.1f s\n", out_path.c_str(),
+  write_cbench_file(generate_mega(params), out_path);
+  std::printf("wrote %s (%d sinks, seed %s) in %.1f s\n", out_path.c_str(),
               params.num_sinks, seed_text.c_str(), gen_timer.seconds());
   return 0;
 }
