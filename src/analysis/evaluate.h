@@ -108,6 +108,34 @@ struct EvalOptions {
   int threads = 0;
 };
 
+/// \brief The evaluation work ledger: what an Evaluator has spent, read in
+/// one call (Evaluator::work).  The pipeline books the difference of two
+/// readings per pass (PassTiming) and the last reading per flow
+/// (FlowResult), both in cts/flow.h.
+struct EvalWork {
+  /// Evaluations ("SPICE runs"); sim_runs == full_evals + incremental_evals.
+  int sim_runs = 0;
+  /// Full-tree extractions + propagations (Evaluator::evaluate).
+  int full_evals = 0;
+  /// Dirty-path re-propagations (IncrementalEvaluator::evaluate).
+  int incremental_evals = 0;
+  /// Stage-evaluation units — (stage x corner x transition) transient
+  /// integrations — simulated.
+  long batched_stage_evals = 0;
+  /// Stage-evaluation units incremental evaluations replayed from their
+  /// cache instead of simulating them.
+  long stage_reuses = 0;
+  /// Always 0: kept only because the benchmark driver still sums it.
+  static constexpr long scalar_stage_evals = 0;
+};
+
+inline EvalWork operator-(const EvalWork& a, const EvalWork& b) {
+  return EvalWork{a.sim_runs - b.sim_runs, a.full_evals - b.full_evals,
+                  a.incremental_evals - b.incremental_evals,
+                  a.batched_stage_evals - b.batched_stage_evals,
+                  a.stage_reuses - b.stage_reuses};
+}
+
 struct VariationModel;  // analysis/variation.h
 struct McOptions;       // analysis/montecarlo.h
 struct McReport;        // analysis/montecarlo.h
@@ -165,6 +193,12 @@ class Evaluator {
   /// simulating them, in the same units (0 for full evaluations).
   long stage_reuses() const {
     return stage_reuses_.load(std::memory_order_relaxed);
+  }
+
+  /// The five counters above in one reading.
+  EvalWork work() const {
+    return EvalWork{sim_runs(), full_evals(), incremental_evals(),
+                    batched_stage_evals(), stage_reuses()};
   }
 
   /// CPU seconds spent on helper threads of the level sweeps of

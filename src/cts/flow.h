@@ -77,50 +77,29 @@ inline IvcCounts operator-(const IvcCounts& a, const IvcCounts& b) {
 }
 
 /// Cost accounting of one executed pass (cts/pipeline.h): where the flow's
-/// wall time, CPU time and simulation budget actually went.
-struct PassTiming {
+/// wall time, CPU time and simulation budget actually went.  The EvalWork
+/// fields hold what this pass spent.
+struct PassTiming : EvalWork {
   std::string name;  ///< unique stage name, e.g. "INSERT", "TWSZ", "TWSZ#2"
   double wall_seconds = 0.0;
   /// CPU time of the pass: the running thread's own CPU time plus the
   /// CPU its incremental level-sweep helpers spent
   /// (Evaluator::helper_cpu_seconds; EvalOptions::threads).
   double cpu_seconds = 0.0;
-  int sim_runs = 0;          ///< evaluations this pass spent
-  /// Split of `sim_runs` by evaluation mode: full-tree extractions +
-  /// propagations vs. incremental (dirty-path) re-propagations.
-  int full_evals = 0;
-  int incremental_evals = 0;
-  /// Stage-evaluation units — (stage x corner x transition) transient
-  /// integrations — this pass spent.
-  long batched_stage_evals = 0;
-  /// Stage-evaluation units its incremental evaluations replayed from the
-  /// cache instead of simulating (Evaluator::stage_reuses).
-  long stage_reuses = 0;
-  /// Always 0: kept only because the benchmark driver still sums it.
-  static constexpr long scalar_stage_evals = 0;
   /// IVC decisions this pass made (zero for construction passes).
   IvcCounts ivc;
 };
 
-/// Full result of one Contango run.
-struct FlowResult {
+/// Full result of one Contango run.  The EvalWork fields hold what the
+/// whole flow spent (the sum of the passes' plus the INITIAL evaluation);
+/// the Table V scaling bench reports them.
+struct FlowResult : EvalWork {
   ClockTree tree;
   EvalResult eval;
   std::vector<StageSnapshot> stages;
   ObstacleRepairReport obstacles;
   PolarityFix polarity;
   CompositeBuffer buffer{0, 1};  ///< composite selected for insertion
-  int sim_runs = 0;
-  /// Split of `sim_runs` by evaluation mode (sim_runs == full_evals +
-  /// incremental_evals); the Table V scaling bench reports both.
-  int full_evals = 0;
-  int incremental_evals = 0;
-  /// Stage-evaluation units spent, and replayed from the incremental
-  /// cache, over the whole flow (see PassTiming).
-  long batched_stage_evals = 0;
-  long stage_reuses = 0;
-  /// Always 0: kept only because the benchmark driver still sums it.
-  static constexpr long scalar_stage_evals = 0;
   /// IVC decisions over the whole flow (the sum of the passes').
   IvcCounts ivc;
   /// CPU seconds the incremental level sweep spent on helper threads over

@@ -607,40 +607,65 @@ EditProbe probe_of(FlowContext& ctx) {
   };
 }
 
+template <typename P>
+std::unique_ptr<Pass> create() {
+  return std::make_unique<P>();
+}
+
+std::unique_ptr<Pass> create_twsz() {
+  return std::make_unique<WirePass<WireSizingParams>>(
+      "twsz", "TWSZ", /*rounds=*/10, /*unit=*/nullptr,
+      [](FlowContext& ctx, WireSizingParams& p) {
+        p.tws_per_um = calibrate_tws(ctx.tree, probe_of(ctx), ctx.current());
+      },
+      wiresizing_round);
+}
+
+std::unique_ptr<Pass> create_twsn() {
+  return std::make_unique<WirePass<WireSnakingParams>>(
+      "twsn", "TWSN", /*rounds=*/14, &WireSnakingParams::unit,
+      [](FlowContext& ctx, WireSnakingParams& p) {
+        p.twn_per_unit =
+            calibrate_twn(ctx.tree, probe_of(ctx), ctx.current(), p.unit);
+      },
+      wiresnaking_round);
+}
+
+std::unique_ptr<Pass> create_bwsn() {
+  return std::make_unique<WirePass<BottomLevelParams>>(
+      "bwsn", "BWSN", /*rounds=*/10, &BottomLevelParams::unit,
+      [](FlowContext& ctx, BottomLevelParams& p) {
+        p.twn_per_unit = calibrate_bottom_twn(ctx.tree, probe_of(ctx),
+                                              ctx.current(), p.unit);
+      },
+      bottom_level_round);
+}
+
+struct PassEntry {
+  const char* name;
+  std::unique_ptr<Pass> (*create)();
+};
+
+/// The closed pass set, in flow order: the one name -> factory table.
+constexpr PassEntry kPasses[] = {
+    {"dme", create<DmePass>},       {"repair", create<RepairPass>},
+    {"insert", create<InsertPass>}, {"polarity", create<PolarityPass>},
+    {"tbsz", create<TbszPass>},     {"twsz", create_twsz},
+    {"twsn", create_twsn},          {"bwsn", create_bwsn},
+};
+
 }  // namespace
 
-void register_builtin_passes(PassRegistry& registry) {
-  registry.add("dme", [] { return std::make_unique<DmePass>(); });
-  registry.add("repair", [] { return std::make_unique<RepairPass>(); });
-  registry.add("insert", [] { return std::make_unique<InsertPass>(); });
-  registry.add("polarity", [] { return std::make_unique<PolarityPass>(); });
-  registry.add("tbsz", [] { return std::make_unique<TbszPass>(); });
-  registry.add("twsz", [] {
-    return std::make_unique<WirePass<WireSizingParams>>(
-        "twsz", "TWSZ", /*rounds=*/10, /*unit=*/nullptr,
-        [](FlowContext& ctx, WireSizingParams& p) {
-          p.tws_per_um = calibrate_tws(ctx.tree, probe_of(ctx), ctx.current());
-        },
-        wiresizing_round);
-  });
-  registry.add("twsn", [] {
-    return std::make_unique<WirePass<WireSnakingParams>>(
-        "twsn", "TWSN", /*rounds=*/14, &WireSnakingParams::unit,
-        [](FlowContext& ctx, WireSnakingParams& p) {
-          p.twn_per_unit =
-              calibrate_twn(ctx.tree, probe_of(ctx), ctx.current(), p.unit);
-        },
-        wiresnaking_round);
-  });
-  registry.add("bwsn", [] {
-    return std::make_unique<WirePass<BottomLevelParams>>(
-        "bwsn", "BWSN", /*rounds=*/10, &BottomLevelParams::unit,
-        [](FlowContext& ctx, BottomLevelParams& p) {
-          p.twn_per_unit = calibrate_bottom_twn(ctx.tree, probe_of(ctx),
-                                                ctx.current(), p.unit);
-        },
-        bottom_level_round);
-  });
+std::unique_ptr<Pass> make_pass(const std::string& name) {
+  for (const PassEntry& entry : kPasses) {
+    if (name == entry.name) return entry.create();
+  }
+  std::string known;
+  for (const PassEntry& entry : kPasses) {
+    if (!known.empty()) known += ", ";
+    known += entry.name;
+  }
+  throw PipelineError("unknown pass '" + name + "' (known passes: " + known + ")");
 }
 
 }  // namespace contango

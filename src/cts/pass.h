@@ -3,6 +3,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -64,7 +65,7 @@ enum class PassObjective { kNone, kSkew, kClr };
 /// snapshots, per-pass timings, construction reports).  Passes communicate
 /// exclusively through this context — the selected composite buffer, the
 /// unit slew budget and the current evaluation all live here, so any pass
-/// ordering the registry can express is well-defined.
+/// ordering a pipeline spec can express is well-defined.
 class FlowContext {
  public:
   FlowContext(const Benchmark& bench, const FlowOptions& options);
@@ -245,12 +246,12 @@ class FlowContext {
 /// defaults; the pipeline spec's `pass:key=value` overrides are the only
 /// way to change them (the table in docs/ARCHITECTURE.md lists every
 /// parameter, default and range).  Passes propose changes through the
-/// context.  Register new passes with PassRegistry (cts/pipeline.h).
+/// context.  make_pass() instantiates them by name.
 class Pass {
  public:
   virtual ~Pass();
 
-  /// Registry key and spec token, e.g. "twsz".
+  /// Spec token, e.g. "twsz".
   virtual const char* name() const = 0;
 
   /// Snapshot/report name, e.g. "TWSZ" (the paper's Table III row labels).
@@ -279,10 +280,12 @@ class Pass {
   virtual void run(FlowContext& ctx) = 0;
 };
 
-class PassRegistry;  // cts/pipeline.h
-
-/// Registers the eight stock passes (dme, repair, insert, polarity, tbsz,
-/// twsz, twsn, bwsn) into `registry`.  PassRegistry::builtin() calls this.
-void register_builtin_passes(PassRegistry& registry);
+/// \brief Instantiates the stock pass named `name`, at its defaults.
+///
+/// The pass set is closed: dme, repair, insert, polarity, tbsz, twsz, twsn
+/// and bwsn, one fixed table in cts/pass.cpp.
+/// \throws PipelineError (cts/pipeline.h) for an unknown name, listing the
+///         eight known passes in flow order
+std::unique_ptr<Pass> make_pass(const std::string& name);
 
 }  // namespace contango

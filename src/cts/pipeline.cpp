@@ -35,62 +35,7 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-std::string join(const std::vector<std::string>& parts, const char* sep) {
-  std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) out += sep;
-    out += p;
-  }
-  return out;
-}
-
 }  // namespace
-
-// ------------------------------------------------------------ PassRegistry --
-
-void PassRegistry::add(const std::string& name, Factory factory) {
-  if (name.empty()) {
-    throw std::invalid_argument("pass name must not be empty");
-  }
-  if (!factory) {
-    throw std::invalid_argument("pass '" + name + "' needs a factory");
-  }
-  if (contains(name)) {
-    throw std::invalid_argument("pass '" + name + "' is already registered");
-  }
-  entries_.emplace_back(name, std::move(factory));
-}
-
-bool PassRegistry::contains(const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.first == name) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<Pass> PassRegistry::create(const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.first == name) return entry.second();
-  }
-  throw PipelineError("unknown pass '" + name + "' (known passes: " +
-                      join(names(), ", ") + ")");
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.first);
-  return out;
-}
-
-const PassRegistry& PassRegistry::builtin() {
-  static const PassRegistry* registry = [] {
-    auto* r = new PassRegistry();
-    register_builtin_passes(*r);
-    return r;
-  }();
-  return *registry;
-}
 
 // ------------------------------------------------------------ spec parsing --
 
@@ -164,12 +109,11 @@ std::string resolved_pipeline_spec(const FlowOptions& options) {
 
 // ---------------------------------------------------------------- Pipeline --
 
-Pipeline Pipeline::from_spec(const std::string& spec,
-                             const PassRegistry& registry) {
+Pipeline Pipeline::from_spec(const std::string& spec) {
   Pipeline pipeline;
   pipeline.spec_ = trim(spec);
   for (const PassSpecItem& item : parse_pipeline_spec(spec)) {
-    std::unique_ptr<Pass> pass = registry.create(item.name);
+    std::unique_ptr<Pass> pass = make_pass(item.name);
     for (const auto& kv : item.params) {
       pass->set_param(kv.first, kv.second);
     }
@@ -178,9 +122,8 @@ Pipeline Pipeline::from_spec(const std::string& spec,
   return pipeline;
 }
 
-Pipeline Pipeline::from_options(const FlowOptions& options,
-                                const PassRegistry& registry) {
-  return from_spec(resolved_pipeline_spec(options), registry);
+Pipeline Pipeline::from_options(const FlowOptions& options) {
+  return from_spec(resolved_pipeline_spec(options));
 }
 
 void Pipeline::check(const Benchmark& bench) const {
@@ -207,11 +150,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
 
     const std::string stage_name = ctx.unique_stage_name(pass->display_name());
     const Evaluator& evaluator = ctx.eval;
-    const int sims_before = evaluator.sim_runs();
-    const int full_before = evaluator.full_evals();
-    const int incremental_before = evaluator.incremental_evals();
-    const long batched_before = evaluator.batched_stage_evals();
-    const long reuses_before = evaluator.stage_reuses();
+    const EvalWork work_before = evaluator.work();
     const IvcCounts ivc_before = ctx.ivc();
     const double cpu_before = thread_cpu_seconds();
     const double helper_cpu_before = evaluator.helper_cpu_seconds();
@@ -249,15 +188,11 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     }
 
     PassTiming timing;
+    static_cast<EvalWork&>(timing) = evaluator.work() - work_before;
     timing.name = stage_name;
     timing.wall_seconds = wall.seconds();
     timing.cpu_seconds = (thread_cpu_seconds() - cpu_before) +
                          (evaluator.helper_cpu_seconds() - helper_cpu_before);
-    timing.sim_runs = evaluator.sim_runs() - sims_before;
-    timing.full_evals = evaluator.full_evals() - full_before;
-    timing.incremental_evals = evaluator.incremental_evals() - incremental_before;
-    timing.batched_stage_evals = evaluator.batched_stage_evals() - batched_before;
-    timing.stage_reuses = evaluator.stage_reuses() - reuses_before;
     timing.ivc = ctx.ivc() - ivc_before;
     ctx.result.pass_timings.push_back(std::move(timing));
   }
@@ -270,11 +205,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   FlowResult result = std::move(ctx.result);
   result.tree = std::move(ctx.tree);
   result.eval = ctx.current();
-  result.sim_runs = evaluator.sim_runs();
-  result.full_evals = evaluator.full_evals();
-  result.incremental_evals = evaluator.incremental_evals();
-  result.batched_stage_evals = evaluator.batched_stage_evals();
-  result.stage_reuses = evaluator.stage_reuses();
+  static_cast<EvalWork&>(result) = evaluator.work();
   result.ivc = ctx.ivc();
   result.helper_cpu_seconds = evaluator.helper_cpu_seconds();
   result.seconds = ctx.timer().seconds();

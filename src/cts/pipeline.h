@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -13,7 +12,7 @@
 namespace contango {
 
 /// \file pipeline.h
-/// \brief Registry-driven pass pipelines over the Contango flow.
+/// \brief Pass pipelines over the Contango flow.
 ///
 /// A pipeline is built from a textual spec — comma-separated pass names
 /// with optional `pass:key=value` parameter overrides:
@@ -25,41 +24,12 @@ namespace contango {
 /// (cts/suite.h), which is how the paper's Table III ablations — "run the
 /// flow with stages removed" — become one-line experiments.
 
-/// Error type of spec parsing, registry lookups and parameter overrides.
+/// Error type of spec parsing, pass lookups (make_pass, cts/pass.h) and
+/// parameter overrides.
 /// The message always names the offending token/pass/parameter.
 class PipelineError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-/// \brief Name -> factory registry of available passes.
-///
-/// builtin() carries the eight stock passes; tests and extensions may build
-/// private registries (or copy the builtin one) and register their own.
-class PassRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Pass>()>;
-
-  /// \brief Registers a pass factory under `name`.
-  /// \throws std::invalid_argument on an empty name, a missing factory or a
-  ///         duplicate registration
-  void add(const std::string& name, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// \brief Instantiates the pass registered under `name`.
-  /// \throws PipelineError for unknown names, listing the known passes
-  std::unique_ptr<Pass> create(const std::string& name) const;
-
-  /// Registered names, in registration order.
-  std::vector<std::string> names() const;
-
-  /// The stock registry: dme, repair, insert, polarity, tbsz, twsz, twsn,
-  /// bwsn (see register_builtin_passes in cts/pass.h).
-  static const PassRegistry& builtin();
-
- private:
-  std::vector<std::pair<std::string, Factory>> entries_;
 };
 
 /// One parsed element of a pipeline spec.
@@ -70,7 +40,7 @@ struct PassSpecItem {
 };
 
 /// \brief Parses a pipeline spec into items (syntax only — names are
-/// checked against a registry by Pipeline::from_spec).
+/// checked against the stock passes by Pipeline::from_spec).
 ///
 /// Grammar: `item(,item)*` with `item = name(:key=value)*`.  Whitespace
 /// around items, names, keys and values is ignored.
@@ -116,17 +86,13 @@ std::string resolved_pipeline_spec(const FlowOptions& options = {});
 ///     thread-CPU seconds and evaluation ("SPICE-run") count.
 class Pipeline {
  public:
-  /// \brief Builds a pipeline from a spec against `registry`.
+  /// \brief Builds a pipeline from a spec of stock passes (make_pass).
   /// \throws PipelineError on syntax errors, unknown pass names or bad
   ///         parameter overrides
-  static Pipeline from_spec(const std::string& spec,
-                            const PassRegistry& registry =
-                                PassRegistry::builtin());
+  static Pipeline from_spec(const std::string& spec);
 
   /// Builds the pipeline resolved_pipeline_spec(options) describes.
-  static Pipeline from_options(const FlowOptions& options = {},
-                               const PassRegistry& registry =
-                                   PassRegistry::builtin());
+  static Pipeline from_options(const FlowOptions& options = {});
 
   /// \brief Checks every pass's parameters against `bench` (Pass::check),
   /// so a spec that cannot run on a workload is rejected before it is

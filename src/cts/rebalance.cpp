@@ -1,47 +1,14 @@
 #include "cts/rebalance.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <stdexcept>
-
-#include "analysis/elmore.h"
-#include "rctree/extract.h"
-#include "util/log.h"
 
 namespace contango {
 namespace {
 
-constexpr Ps kInf = std::numeric_limits<double>::max();
-
-/// Snake length adding `extra` delay on an edge of unit parasitics r/c
-/// driving `load`:  (rc/2) L^2 + r*load*L = extra.
-Um snake_for_delay(Ps extra, Ff load, KOhm r, Ff c) {
-  if (extra <= 0.0) return 0.0;
-  const double a = r * c / 2.0;
-  const double b = r * load;
-  if (a <= 0.0) return (b > 0.0) ? extra / b : 0.0;
-  return (-b + std::sqrt(b * b + 4.0 * a * extra)) / (2.0 * a);
-}
+constexpr Um kInf = std::numeric_limits<double>::max();
 
 }  // namespace
-
-std::vector<Ps> unbuffered_elmore_latencies(const ClockTree& tree,
-                                            const Benchmark& bench) {
-  const StagedNetlist net = extract_stages(tree, bench);
-  if (net.stages.size() != 1) {
-    throw std::logic_error("unbuffered_elmore_latencies: tree has buffers");
-  }
-  const ElmoreStage elmore(net.stages[0]);
-  std::vector<Ps> latency(bench.sinks.size(), -1.0);
-  for (const Tap& tap : net.stages[0].taps) {
-    if (tap.is_sink) {
-      latency[static_cast<std::size_t>(tap.sink_index)] =
-          bench.source_res * elmore.total_cap() + elmore.tau(tap.rc_index);
-    }
-  }
-  return latency;
-}
 
 Um rebalance_pathlength(ClockTree& tree) {
   const std::vector<NodeId> topo = tree.topological_order();
@@ -90,104 +57,6 @@ Um rebalance_pathlength(ClockTree& tree) {
     for (NodeId ch : tree.node(e.id).children) queue.push_back(Entry{ch, below});
   }
   return added;
-}
-
-RebalanceReport rebalance_elmore(ClockTree& tree, const Benchmark& bench,
-                                 const RebalanceOptions& options) {
-  if (tree.buffer_count() != 0) {
-    throw std::logic_error("rebalance_elmore: tree must be unbuffered");
-  }
-  RebalanceReport report;
-
-  Ps best_skew = kInf;
-  ClockTree best_tree;
-  for (int round = 0; round < options.rounds; ++round) {
-    // Per-sink latencies and slow-down slacks under Elmore.
-    const std::vector<Ps> latency = unbuffered_elmore_latencies(tree, bench);
-    Ps t_max = 0.0, t_min = kInf;
-    for (Ps t : latency) {
-      if (t < 0.0) continue;
-      t_max = std::max(t_max, t);
-      t_min = std::min(t_min, t);
-    }
-    const Ps skew = t_max - t_min;
-    if (round == 0) report.initial_skew = skew;
-    report.final_skew = skew;
-    report.rounds_used = round;
-    if (skew <= options.tolerance) break;
-    // Added snake raises upstream load, which can overshoot at large skew:
-    // keep the best solution seen and stop when a round regresses.
-    if (skew < best_skew) {
-      best_skew = skew;
-      best_tree = tree;
-    } else {
-      tree = best_tree;
-      report.final_skew = best_skew;
-      break;
-    }
-
-    // Edge slacks (min over downstream sinks), bottom-up.
-    const std::vector<NodeId> topo = tree.topological_order();
-    std::vector<Ps> slack(tree.size(), kInf);
-    std::vector<Ff> load(tree.size(), 0.0);  // cap strictly below the node
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const NodeId id = *it;
-      const TreeNode& n = tree.node(id);
-      if (n.is_sink()) {
-        const Ps t = latency[static_cast<std::size_t>(n.sink_index)];
-        if (t >= 0.0) slack[id] = t_max - t;
-        load[id] += bench.sinks[static_cast<std::size_t>(n.sink_index)].cap;
-      }
-      if (id == tree.root()) continue;
-      const WireType& wire = bench.tech.wires.at(static_cast<std::size_t>(n.wire_width));
-      load[n.parent] += load[id] + wire.c_per_um * tree.edge_length(id);
-      slack[n.parent] = std::min(slack[n.parent], slack[id]);
-    }
-
-    // Top-down: convert each edge's slack allotment into snake length.
-    struct Entry {
-      NodeId id;
-      Ps consumed;
-    };
-    std::vector<Entry> queue{{tree.root(), 0.0}};
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const Entry e = queue[i];
-      Ps consumed = e.consumed;
-      if (e.id != tree.root() && slack[e.id] < kInf) {
-        const Ps budget = options.safety * (slack[e.id] - consumed);
-        if (budget > options.tolerance / 4.0) {
-          const TreeNode& n = tree.node(e.id);
-          const WireType& wire = bench.tech.wires.at(static_cast<std::size_t>(n.wire_width));
-          const Um extra = snake_for_delay(budget, load[e.id], wire.r_per_um, wire.c_per_um);
-          if (extra > 0.0) {
-            tree.node(e.id).snake += extra;
-            report.added_snake += extra;
-            consumed += budget;
-          }
-        }
-      }
-      for (NodeId ch : tree.node(e.id).children) queue.push_back(Entry{ch, consumed});
-    }
-  }
-
-  // Final skew after the last round of edits.
-  {
-    const std::vector<Ps> latency = unbuffered_elmore_latencies(tree, bench);
-    Ps t_max = 0.0, t_min = kInf;
-    for (Ps t : latency) {
-      if (t < 0.0) continue;
-      t_max = std::max(t_max, t);
-      t_min = std::min(t_min, t);
-    }
-    if (t_max - t_min < report.final_skew) report.final_skew = t_max - t_min;
-    if (best_skew < report.final_skew) {
-      tree = std::move(best_tree);
-      report.final_skew = best_skew;
-    }
-  }
-  Log::debug("rebalance_elmore: skew %.2f -> %.2f ps, %.0f um snake",
-             report.initial_skew, report.final_skew, report.added_snake);
-  return report;
 }
 
 }  // namespace contango

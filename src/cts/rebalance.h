@@ -1,52 +1,20 @@
 #pragma once
 
-#include "netlist/benchmark.h"
 #include "rctree/clocktree.h"
 
 namespace contango {
 
-/// Post-repair zero-skew restoration.
+/// Post-repair pathlength rebalance.
 ///
 /// Obstacle detours lengthen some source-to-sink paths by millimeters and
-/// destroy the ZST's Elmore balance ("detours may significantly increase
-/// skew" — paper section IV-A).  Before buffer insertion the balance is
-/// cheap to restore at the wire level: compute Elmore slacks on the
-/// unbuffered tree and convert each edge's slack allotment into serpentine
-/// length (the same snaking primitive DME merges use).  A few analytic
-/// rounds converge to near-zero Elmore skew without any circuit
-/// simulation.
-struct RebalanceOptions {
-  int rounds = 4;
-  Ps tolerance = 1.0;    ///< stop when Elmore skew falls below this (ps)
-  double safety = 0.95;  ///< fraction of computed snake applied per round
-};
-
-struct RebalanceReport {
-  Ps initial_skew = 0.0;  ///< Elmore skew before
-  Ps final_skew = 0.0;    ///< Elmore skew after
-  Um added_snake = 0.0;
-  int rounds_used = 0;
-};
-
-/// Rebalances an *unbuffered* tree in place (throws if the tree contains
-/// buffers: with repeaters, stage-level models are required and the flow
-/// uses the slack-driven optimizations instead).
-RebalanceReport rebalance_elmore(ClockTree& tree, const Benchmark& bench,
-                                 const RebalanceOptions& options = {});
-
-/// Elmore latency of every sink of an unbuffered tree (index = sink index;
-/// unreachable sinks get -1).  Exposed for tests.
-std::vector<Ps> unbuffered_elmore_latencies(const ClockTree& tree,
-                                            const Benchmark& bench);
-
-/// Pathlength rebalance: equalizes root-to-sink *electrical length* by
-/// adding snake, distributing each path's deficit as high in the tree as
-/// the downstream minimum allows.  Unlike the Elmore variant there is no
-/// capacitive feedback (snake on one path never changes another path's
-/// length), so a single pass is exact.  Returns the added snake in um.
-/// This is the flow's post-detour repair: buffered path delay tracks
-/// electrical length, so a length-balanced tree enters buffer insertion
-/// with near-uniform latencies.
+/// destroy the ZST's balance ("detours may significantly increase skew" —
+/// paper section IV-A).  This equalizes root-to-sink *electrical length*
+/// by adding snake, distributing each path's deficit as high in the tree
+/// as the downstream minimum allows.  Snake on one path never changes
+/// another path's length, so a single pass is exact.  Returns the added
+/// snake in um.  This is the flow's post-detour repair: buffered path
+/// delay tracks electrical length, so a length-balanced tree enters buffer
+/// insertion with near-uniform latencies.
 Um rebalance_pathlength(ClockTree& tree);
 
 }  // namespace contango

@@ -22,6 +22,15 @@ extern char** environ;
 namespace contango {
 namespace {
 
+/// The evaluation work ledger (analysis/evaluate.h: EvalWork).
+void write_work(JsonWriter& w, const EvalWork& work) {
+  w.kv("sim_runs", static_cast<long>(work.sim_runs));
+  w.kv("full_evals", static_cast<long>(work.full_evals));
+  w.kv("incremental_evals", static_cast<long>(work.incremental_evals));
+  w.kv("batched_stage_evals", work.batched_stage_evals);
+  w.kv("stage_reuses", work.stage_reuses);
+}
+
 /// The IVC gate's decisions as `ivc_*` keys (cts/flow.h: IvcCounts).
 void write_ivc(JsonWriter& w, const IvcCounts& ivc) {
   w.kv("ivc_accepted", static_cast<long>(ivc.accepted));
@@ -185,11 +194,7 @@ std::string SuiteReport::to_json() const {
     // CPU the flow's level sweeps ran on borrowed cores (a timing key).
     w.kv("helper_cpu_seconds", r.result.helper_cpu_seconds);
     if (r.load_seconds >= 0.0) w.kv("load_seconds", r.load_seconds);
-    w.kv("sim_runs", static_cast<long>(r.result.sim_runs));
-    w.kv("full_evals", static_cast<long>(r.result.full_evals));
-    w.kv("incremental_evals", static_cast<long>(r.result.incremental_evals));
-    w.kv("batched_stage_evals", r.result.batched_stage_evals);
-    w.kv("stage_reuses", r.result.stage_reuses);
+    write_work(w, r.result);
     write_ivc(w, r.result.ivc);
     w.kv("clr_ps", r.result.eval.clr);
     w.kv("skew_ps", r.result.eval.nominal_skew);
@@ -220,11 +225,7 @@ std::string SuiteReport::to_json() const {
       w.kv("name", p.name);
       w.kv("wall_seconds", p.wall_seconds);
       w.kv("cpu_seconds", p.cpu_seconds);
-      w.kv("sim_runs", static_cast<long>(p.sim_runs));
-      w.kv("full_evals", static_cast<long>(p.full_evals));
-      w.kv("incremental_evals", static_cast<long>(p.incremental_evals));
-      w.kv("batched_stage_evals", p.batched_stage_evals);
-      w.kv("stage_reuses", p.stage_reuses);
+      write_work(w, p);
       write_ivc(w, p.ivc);
       w.end_object();
     }
@@ -287,9 +288,14 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
   // Resolve the pipeline once up front: a malformed spec (unknown pass,
   // bad parameter override, a parameter some benchmark cannot take)
   // throws here, before any run starts, instead of failing every
-  // benchmark individually inside the workers.
+  // benchmark individually inside the workers.  So does a benchmark the
+  // workers could not take the content hash of (it checks what the
+  // writers check), since a pool task must not throw.
   const Pipeline pipeline = Pipeline::from_options(options.flow);
-  for (const Benchmark& bench : suite) pipeline.check(bench);
+  for (const Benchmark& bench : suite) {
+    check_writable(bench);
+    pipeline.check(bench);
+  }
   const FlowOptions& flow = options.flow;
 
   // Benchmark::obstacles() builds its cache lazily through mutable members,

@@ -196,6 +196,9 @@ struct SuiteReport {
 /// serial run of the same suite.
 /// \param suite the workloads; runs[i] of the report corresponds to suite[i]
 /// \param options worker count, flow options and progress hook
+/// \throws std::invalid_argument before any run starts when a benchmark
+///         fails check_writable (netlist/io.h), and PipelineError when the
+///         pipeline cannot run on one
 SuiteReport run_suite(const std::vector<Benchmark>& suite,
                       const SuiteOptions& options = {});
 

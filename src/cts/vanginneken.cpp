@@ -12,18 +12,8 @@
 namespace contango {
 namespace {
 
-/// One DP option: downstream capacitance seen by the (future) upstream
-/// driver and q = -(worst Elmore delay from here to any downstream sink).
-/// Backpointers reconstruct the buffer placement.
-struct Option {
-  Ff cap = 0.0;
-  Ps q = 0.0;
-  int prev = -1;    ///< option index in the previous level / first child
-  int prev_b = -1;  ///< second child's option index (merge levels only)
-  bool buffered = false;  ///< buffer inserted at this level's position
-};
-
-using OptionList = std::vector<Option>;
+using Option = detail::DpOption;
+using OptionList = detail::DpOptionList;
 
 /// Pareto prune: sort by cap ascending, keep options with strictly
 /// increasing q; bound the list length.
@@ -60,6 +50,30 @@ struct NodeDp {
 };
 
 }  // namespace
+
+namespace detail {
+
+DpOptionList merge_options(const DpOptionList& a, const DpOptionList& b) {
+  DpOptionList out;
+  auto sweep = [&](const DpOptionList& x, const DpOptionList& y, bool swap) {
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      while (j < y.size() && y[j].q < x[i].q) ++j;
+      if (j == y.size()) break;
+      DpOption o;
+      o.cap = x[i].cap + y[j].cap;
+      o.q = x[i].q;  // == min(x.q, y.q)
+      o.prev = swap ? static_cast<int>(j) : static_cast<int>(i);
+      o.prev_b = swap ? static_cast<int>(i) : static_cast<int>(j);
+      out.push_back(o);
+    }
+  };
+  sweep(a, b, false);
+  sweep(b, a, true);
+  return out;
+}
+
+}  // namespace detail
 
 BufferInsertionResult insert_buffers(ClockTree& tree, const Benchmark& bench,
                                      const CompositeBuffer& buffer,
@@ -131,43 +145,6 @@ BufferInsertionResult insert_buffers(ClockTree& tree, const Benchmark& bench,
     }
   };
 
-  // Combine the option lists of two children meeting at a branch node.
-  auto combine = [&](const OptionList& a, const OptionList& b) {
-    OptionList out;
-    if (options.fast_merge) {
-      // Both lists are cap-sorted with increasing q.  For each option of
-      // one list, the best partner in the other is the *cheapest* option
-      // whose q is >= its own q (extra q beyond the min() is wasted).
-      auto sweep = [&](const OptionList& x, const OptionList& y, bool swap) {
-        std::size_t j = 0;
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          while (j < y.size() && y[j].q < x[i].q) ++j;
-          if (j == y.size()) break;
-          Option o;
-          o.cap = x[i].cap + y[j].cap;
-          o.q = x[i].q;  // == min(x.q, y.q)
-          o.prev = swap ? static_cast<int>(j) : static_cast<int>(i);
-          o.prev_b = swap ? static_cast<int>(i) : static_cast<int>(j);
-          out.push_back(o);
-        }
-      };
-      sweep(a, b, false);
-      sweep(b, a, true);
-    } else {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        for (std::size_t j = 0; j < b.size(); ++j) {
-          Option o;
-          o.cap = a[i].cap + b[j].cap;
-          o.q = std::min(a[i].q, b[j].q);
-          o.prev = static_cast<int>(i);
-          o.prev_b = static_cast<int>(j);
-          out.push_back(o);
-        }
-      }
-    }
-    return out;
-  };
-
   // Bottom-up DP (children appear after parents in topo order, so reverse).
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NodeId id = *it;
@@ -195,7 +172,8 @@ BufferInsertionResult insert_buffers(ClockTree& tree, const Benchmark& bench,
         base[i].buffered = false;
       }
       for (std::size_t k = 1; k < node.children.size(); ++k) {
-        OptionList merged = combine(base, dp[node.children[k]].levels.back());
+        OptionList merged =
+            detail::merge_options(base, dp[node.children[k]].levels.back());
         filter_feasible(merged);
         prune(merged, options.max_options);
         // prev of merged points into `base`; for multi-way merges we would

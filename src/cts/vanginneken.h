@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "netlist/benchmark.h"
 #include "rctree/clocktree.h"
 
@@ -17,11 +19,6 @@ struct BufferInsertionOptions {
   /// single-pole bound ignores input-slew feedthrough and distributed wire
   /// tau, so the margin is set from transient-engine calibration.
   double slew_margin = 0.68;
-
-  /// Merge-node option combination: true = linear two-pointer combine
-  /// (the O(n log n)-variant behaviour of [Shi-Li 2005]); false = full
-  /// cross product with Pareto pruning (classic van Ginneken).
-  bool fast_merge = true;
 
   /// Hard cap on the option-list length after pruning.
   int max_options = 64;
@@ -49,5 +46,32 @@ struct BufferInsertionResult {
 BufferInsertionResult insert_buffers(ClockTree& tree, const Benchmark& bench,
                                      const CompositeBuffer& buffer,
                                      const BufferInsertionOptions& options = {});
+
+namespace detail {
+
+/// One option of the insertion DP: downstream capacitance seen by the
+/// (future) upstream driver and q = -(worst Elmore delay from here to any
+/// downstream sink).  Backpointers reconstruct the buffer placement.
+struct DpOption {
+  Ff cap = 0.0;
+  Ps q = 0.0;
+  int prev = -1;    ///< option index in the previous level / first child
+  int prev_b = -1;  ///< second child's option index (merge levels only)
+  bool buffered = false;  ///< buffer inserted at this level's position
+};
+
+using DpOptionList = std::vector<DpOption>;
+
+/// \brief Combines the option lists of two children meeting at a branch.
+///
+/// Both lists must be Pareto-pruned: cap ascending, q strictly increasing.
+/// For each option of one list the best partner in the other is the
+/// cheapest one whose q is at least its own, so one two-pointer sweep per
+/// side yields the Pareto front of the full cross product (the
+/// O(n log n)-variant behaviour of [Shi-Li 2005]) without its n*m
+/// candidates.  `prev` indexes `a`, `prev_b` indexes `b`.
+DpOptionList merge_options(const DpOptionList& a, const DpOptionList& b);
+
+}  // namespace detail
 
 }  // namespace contango

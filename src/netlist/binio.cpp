@@ -253,40 +253,14 @@ const char* cbench_section_name(std::uint32_t id) {
 // ---------------------------------------------------------------------------
 // Writer
 
-void write_cbench(const Benchmark& bench, std::ostream& out) {
-  // Validate every payload before emitting any bytes, so a bad name cannot
-  // leave a half-written file behind (mirrors write_benchmark).
-  require_token_name(bench.name, "benchmark");
-  for (const WireType& w : bench.tech.wires) require_token_name(w.name, "wire");
-  for (const InverterType& inv : bench.tech.inverters) {
-    require_token_name(inv.name, "inverter");
-  }
-  for (const Sink& s : bench.sinks) require_token_name(s.name, "sink");
-  for (const std::string& d : bench.constraints.domain_names) {
-    require_token_name(d, "domain");
-  }
-  if (bench.tech.corners.empty()) {
-    throw std::invalid_argument(
-        "write_cbench: corners needs at least one supply voltage");
-  }
+namespace {
 
+void write_cbench_unchecked(const Benchmark& bench, std::ostream& out) {
   // Trivial constraint blocks keep the exact legacy version-1 bytes (and
   // therefore the legacy file hashes); only real constraints pay for the
   // version-2 sections.
-  const TimingConstraints& cons = bench.constraints;
   const std::uint32_t version =
-      cons.trivial() ? kCbenchVersion : kCbenchVersion2;
-  if (version >= kCbenchVersion2) {
-    const std::size_t sinks = bench.sinks.size();
-    if (!cons.sink_domains.empty() && cons.sink_domains.size() != sinks) {
-      throw std::invalid_argument(
-          "write_cbench: sink domain list does not match sink count");
-    }
-    if (!cons.sink_windows.empty() && cons.sink_windows.size() != sinks) {
-      throw std::invalid_argument(
-          "write_cbench: sink window list does not match sink count");
-    }
-  }
+      bench.constraints.trivial() ? kCbenchVersion : kCbenchVersion2;
   const std::uint32_t num_sections = cbench_section_count(version);
   const std::uint32_t* order =
       version >= kCbenchVersion2 ? kWriteOrderV2 : kWriteOrderV1;
@@ -340,10 +314,18 @@ void write_cbench(const Benchmark& bench, std::ostream& out) {
   if (!out) throw std::runtime_error("write_cbench: write failed");
 }
 
+}  // namespace
+
+void write_cbench(const Benchmark& bench, std::ostream& out) {
+  check_writable(bench);
+  write_cbench_unchecked(bench, out);
+}
+
 void write_cbench_file(const Benchmark& bench, const std::string& path) {
+  check_writable(bench);
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot write benchmark file: " + path);
-  write_cbench(bench, out);
+  write_cbench_unchecked(bench, out);
   out.flush();
   if (!out) throw std::runtime_error("cannot write benchmark file: " + path);
 }

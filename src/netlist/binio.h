@@ -139,13 +139,13 @@ const char* cbench_section_name(std::uint32_t id);
 /// Emits the header and section table first (a hashing pass over the
 /// payloads fills in the checksums), then the payloads, so `out` need not
 /// be seekable.
-/// \throws std::invalid_argument on payloads the text writer would also
-///         reject (empty corners, names that are not single tokens), and
-///         on per-sink constraint vectors whose size is neither 0 nor the
-///         sink count
+/// \throws std::invalid_argument when check_writable (netlist/io.h) rejects
+///         the benchmark, before anything is written
 void write_cbench(const Benchmark& bench, std::ostream& out);
 
 /// \brief Writes a benchmark to a `.cbench` file on disk.
+/// \throws std::invalid_argument when check_writable rejects the benchmark;
+///         the path is then neither created nor truncated
 /// \throws std::runtime_error when the file cannot be created
 void write_cbench_file(const Benchmark& bench, const std::string& path);
 

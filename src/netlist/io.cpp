@@ -286,6 +286,8 @@ std::vector<std::string> list_benchmark_files(const std::string& dir) {
   return paths;
 }
 
+namespace {
+
 void require_token_name(const std::string& name, const char* what) {
   if (name.empty() || name.find_first_of(" \t\n\r#") != std::string::npos) {
     throw std::invalid_argument(std::string(what) + " name '" + name +
@@ -294,19 +296,7 @@ void require_token_name(const std::string& name, const char* what) {
   }
 }
 
-void write_benchmark(const Benchmark& bench, std::ostream& out) {
-  // Names are single tokens in the format; writing one with whitespace
-  // would silently corrupt on read-back.
-  require_token_name(bench.name, "benchmark");
-  for (const WireType& w : bench.tech.wires) require_token_name(w.name, "wire");
-  for (const InverterType& inv : bench.tech.inverters) {
-    require_token_name(inv.name, "inverter");
-  }
-  for (const Sink& s : bench.sinks) require_token_name(s.name, "sink");
-  for (const std::string& d : bench.constraints.domain_names) {
-    require_token_name(d, "domain");
-  }
-
+void write_benchmark_unchecked(const Benchmark& bench, std::ostream& out) {
   out.precision(17);  // lossless double round-trip
   out << "# contango CNS benchmark\n";
   out << "units " << kUnits[0] << " " << kUnits[1] << " " << kUnits[2] << " "
@@ -367,10 +357,37 @@ void write_benchmark(const Benchmark& bench, std::ostream& out) {
   }
 }
 
+}  // namespace
+
+void check_writable(const Benchmark& bench) {
+  // Names are single tokens in both formats; writing one with whitespace
+  // would silently corrupt on read-back.
+  require_token_name(bench.name, "benchmark");
+  for (const WireType& w : bench.tech.wires) require_token_name(w.name, "wire");
+  for (const InverterType& inv : bench.tech.inverters) {
+    require_token_name(inv.name, "inverter");
+  }
+  for (const Sink& s : bench.sinks) require_token_name(s.name, "sink");
+  for (const std::string& d : bench.constraints.domain_names) {
+    require_token_name(d, "domain");
+  }
+  if (bench.tech.corners.empty()) {
+    throw std::invalid_argument("benchmark '" + bench.name +
+                                "': corners needs at least one supply voltage");
+  }
+  validate(bench);
+}
+
+void write_benchmark(const Benchmark& bench, std::ostream& out) {
+  check_writable(bench);
+  write_benchmark_unchecked(bench, out);
+}
+
 void write_benchmark_file(const Benchmark& bench, const std::string& path) {
+  check_writable(bench);
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write benchmark file: " + path);
-  write_benchmark(bench, out);
+  write_benchmark_unchecked(bench, out);
 }
 
 namespace {

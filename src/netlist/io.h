@@ -107,17 +107,23 @@ std::vector<std::string> list_benchmark_files(const std::string& dir);
 /// it back and writing it again produces byte-identical text (doubles are
 /// printed with round-trip precision).  `units` and the `sinks`/`obstacles`
 /// count declarations are always emitted.
+/// \throws std::invalid_argument when check_writable rejects the benchmark,
+///         before anything is written
 void write_benchmark(const Benchmark& bench, std::ostream& out);
 
 /// \brief Writes a benchmark to a `.bench` file on disk.
+/// \throws std::invalid_argument when check_writable rejects the benchmark;
+///         the path is then neither created nor truncated
 /// \throws std::runtime_error when the file cannot be created
 void write_benchmark_file(const Benchmark& bench, const std::string& path);
 
-/// \brief Validates that `name` is a single plain token (non-empty, no
-/// whitespace, no `#`) — the only names both on-disk formats can carry.
-/// \param what noun used in the error message ("benchmark", "sink", ...)
-/// \throws std::invalid_argument otherwise
-void require_token_name(const std::string& name, const char* what);
+/// \brief Checks that a benchmark can be written and read back: every name
+/// is a single plain token (non-empty, no whitespace, no `#`), there is at
+/// least one supply corner, and validate() passes.  Both writers
+/// (write_benchmark, write_cbench and their file variants) run it before
+/// they emit a byte or open a file.
+/// \throws std::invalid_argument naming the offending field and value
+void check_writable(const Benchmark& bench);
 
 /// \brief Stable 128-bit content hash of a benchmark (util/hash.h).
 ///
@@ -130,6 +136,7 @@ void require_token_name(const std::string& name, const char* what);
 /// `benchmark_hash`, and the service layer folds it into result-cache
 /// keys, which is why a binary submission hits the cache entry a text
 /// submission created.
+/// \throws std::invalid_argument when check_writable rejects the benchmark
 Hash128 benchmark_content_hash(const Benchmark& bench);
 
 }  // namespace contango

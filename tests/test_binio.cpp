@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -89,6 +90,27 @@ void poke_u64(std::vector<unsigned char>& bytes, std::size_t off,
 /// Offset of the section-table entry for `id` (entries are stored in id
 /// order: 40 bytes each after the 24-byte fixed header).
 std::size_t table_entry(std::uint32_t id) { return 24 + (id - 1) * 40; }
+
+void poke_double(std::vector<unsigned char>& bytes, std::size_t off, double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, 8);
+  poke_u64(bytes, off, b);
+}
+
+/// Recomputes the stored checksum of section `id` from the (possibly
+/// corrupted) payload bytes, so a semantic corruption reaches the value
+/// checks instead of tripping the checksum first.
+void refresh_checksum(std::vector<unsigned char>& bytes, std::uint32_t id) {
+  std::uint64_t offset = 0, byte_size = 0;
+  std::memcpy(&offset, bytes.data() + table_entry(id) + 8, 8);
+  std::memcpy(&byte_size, bytes.data() + table_entry(id) + 24, 8);
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a-64 offset basis
+  for (std::uint64_t i = 0; i < byte_size; ++i) {
+    h ^= bytes[static_cast<std::size_t>(offset + i)];
+    h *= 1099511628211ull;
+  }
+  poke_u64(bytes, table_entry(id) + 32, h);
+}
 
 // ---------------------------------------------------------------------------
 // Round-trips and equivalence
@@ -376,24 +398,106 @@ const BadElectrical kBadElectrical[] = {
      }},
 };
 
-class ElectricalValue : public ::testing::TestWithParam<BadElectrical> {};
+/// A valid stand-in for a bad value: exactly representable, and neither
+/// printed nor encoded anywhere else in `ring_s1`, so a valid image can be
+/// patched at the one place it appears.
+constexpr double kSentinel = 1234.5625;
+
+/// `text` with the one printed kSentinel replaced by `value`, printed the
+/// way write_benchmark prints a double.
+std::string patch_text(std::string text, double value) {
+  std::ostringstream sentinel, bad;
+  sentinel.precision(17);
+  bad.precision(17);
+  sentinel << kSentinel;
+  bad << value;
+  const std::size_t at = text.find(sentinel.str());
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "sentinel " << sentinel.str() << " not in the text";
+    return text;
+  }
+  EXPECT_EQ(text.find(sentinel.str(), at + 1), std::string::npos);
+  return text.replace(at, sentinel.str().size(), bad.str());
+}
+
+/// `bytes` with the one encoded kSentinel replaced by `value`, and the
+/// checksum of the section holding it resealed.
+std::vector<unsigned char> patch_cbench(std::vector<unsigned char> bytes,
+                                        double value) {
+  std::vector<std::size_t> hits;
+  for (std::size_t off = 0; off + 8 <= bytes.size(); ++off) {
+    if (std::memcmp(bytes.data() + off, &kSentinel, 8) == 0) hits.push_back(off);
+  }
+  EXPECT_EQ(hits.size(), 1u);
+  if (hits.empty()) return bytes;
+  for (const CbenchSection& s : table_of(bytes).sections) {
+    if (hits[0] >= s.offset && hits[0] < s.offset + s.byte_size) {
+      poke_double(bytes, hits[0], value);
+      refresh_checksum(bytes, s.id);
+    }
+  }
+  return bytes;
+}
+
+class ElectricalValue : public ::testing::TestWithParam<BadElectrical> {
+ protected:
+  /// The rejection `validate()` must raise for the parameter's value.
+  static std::string expected_message(const std::string& field) {
+    return "benchmark 'ring_s1': " + field + " is " + GetParam().printed +
+           " (must be finite and ";
+  }
+
+  /// A writer on a benchmark carrying the bad value throws naming the field
+  /// and the value, and writes nothing: the stream stays empty, a missing
+  /// path is not created and an existing file keeps its bytes.
+  static void expect_writer_rejects(
+      void (*write)(const Benchmark&, std::ostream&),
+      void (*write_file)(const Benchmark&, const std::string&),
+      const std::string& extension) {
+    Benchmark bench = make_scenario("ring", 1);
+    const std::string expected = expected_message(GetParam().set(bench, GetParam().value));
+    const auto expect_named = [&](const std::function<void()>& run) {
+      try {
+        run();
+        ADD_FAILURE() << "writer accepted " << expected;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+      }
+    };
+    std::ostringstream out(std::ios::binary);
+    expect_named([&] { write(bench, out); });
+    EXPECT_TRUE(out.str().empty());
+
+    const std::string dir = ::testing::TempDir() + "binio_bad_write";
+    std::filesystem::create_directories(dir);
+    const std::string missing = dir + "/missing" + extension;
+    std::filesystem::remove(missing);
+    expect_named([&] { write_file(bench, missing); });
+    EXPECT_FALSE(std::filesystem::exists(missing));
+    const std::string existing = dir + "/existing" + extension;
+    std::ofstream(existing) << "keep";
+    expect_named([&] { write_file(bench, existing); });
+    EXPECT_EQ(read_file_bytes(existing),
+              (std::vector<unsigned char>{'k', 'e', 'e', 'p'}));
+    std::filesystem::remove_all(dir);
+  }
+};
 
 TEST_P(ElectricalValue, BothReadersRejectItNamingFieldAndValue) {
   const BadElectrical& c = GetParam();
   Benchmark bench = make_scenario("ring", 1);
-  const std::string field = c.set(bench, c.value);
-  const std::string expected = "benchmark 'ring_s1': " + field + " is " +
-                               c.printed + " (must be finite and ";
+  const std::string expected = expected_message(c.set(bench, kSentinel));
 
   try {
-    parse_bytes(cbench_bytes(bench));
+    parse_bytes(patch_cbench(cbench_bytes(bench), c.value));
     FAIL() << ".cbench reader accepted " << expected;
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
         << e.what();
   }
 
-  std::istringstream text(canonical_text(bench));
+  std::istringstream text(patch_text(canonical_text(bench), c.value));
   if (std::isfinite(c.value)) {
     try {
       read_benchmark(text, "<bad.bench>");
@@ -404,9 +508,17 @@ TEST_P(ElectricalValue, BothReadersRejectItNamingFieldAndValue) {
     }
   } else {
     // The text format has no token for NaN or infinity, so the parser
-    // stops at the line the writer printed it on.
+    // stops at the line carrying it.
     EXPECT_THROW(read_benchmark(text, "<bad.bench>"), BenchmarkParseError);
   }
+}
+
+TEST_P(ElectricalValue, TextWriterRejectsItWritingNothing) {
+  expect_writer_rejects(write_benchmark, write_benchmark_file, ".bench");
+}
+
+TEST_P(ElectricalValue, CbenchWriterRejectsItWritingNothing) {
+  expect_writer_rejects(write_cbench, write_cbench_file, ".cbench");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -570,39 +682,13 @@ TEST_F(CbenchCorruption, NameLengthOverrunIsCaughtByChecksumOrWalk) {
   const CbenchSection names = table_of(image_).section(kCbenchNames);
   std::vector<unsigned char> bytes = image_;
   poke_u32(bytes, static_cast<std::size_t>(names.offset), 0x00FFFFFF);
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a-64 offset basis
-  for (std::uint64_t i = 0; i < names.byte_size; ++i) {
-    h ^= bytes[static_cast<std::size_t>(names.offset + i)];
-    h *= 1099511628211ull;
-  }
-  poke_u64(bytes, table_entry(kCbenchNames) + 32, h);
+  refresh_checksum(bytes, kCbenchNames);
   expect_rejected(bytes, {"section NAMES"});
 }
 
 // ---------------------------------------------------------------------------
 // Format v2: constraint sections
 // ---------------------------------------------------------------------------
-
-void poke_double(std::vector<unsigned char>& bytes, std::size_t off, double v) {
-  std::uint64_t b = 0;
-  std::memcpy(&b, &v, 8);
-  poke_u64(bytes, off, b);
-}
-
-/// Recomputes the stored checksum of section `id` from the (possibly
-/// corrupted) payload bytes, so a semantic corruption reaches the value
-/// checks instead of tripping the checksum first.
-void refresh_checksum(std::vector<unsigned char>& bytes, std::uint32_t id) {
-  std::uint64_t offset = 0, byte_size = 0;
-  std::memcpy(&offset, bytes.data() + table_entry(id) + 8, 8);
-  std::memcpy(&byte_size, bytes.data() + table_entry(id) + 24, 8);
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a-64 offset basis
-  for (std::uint64_t i = 0; i < byte_size; ++i) {
-    h ^= bytes[static_cast<std::size_t>(offset + i)];
-    h *= 1099511628211ull;
-  }
-  poke_u64(bytes, table_entry(id) + 32, h);
-}
 
 /// A benchmark exercising every v2 section: two named domains, a full
 /// per-sink domain assignment, a couple of bounded windows, and one

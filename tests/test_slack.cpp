@@ -199,30 +199,5 @@ TEST(Rebalance, PathlengthNoopOnBalancedTree) {
   EXPECT_NEAR(rebalance_pathlength(tree), 0.0, 1e-6);
 }
 
-TEST(Rebalance, ElmoreReducesSkewAndNeverDiverges) {
-  Benchmark bench;
-  bench.name = "rb3";
-  bench.die = Rect{0, 0, 5000, 5000};
-  bench.source = Point{2500, 0};
-  bench.tech = ispd09_technology();
-  bench.tech.cap_limit = 1e9;
-  Rng rng(17);
-  for (int i = 0; i < 15; ++i) {
-    bench.sinks.push_back(Sink{"s" + std::to_string(i),
-                               Point{rng.uniform(200, 4800), rng.uniform(200, 4800)}, 10.0});
-  }
-  DmeOptions options;
-  options.balance = DmeBalance::kElmore;
-  ClockTree tree = build_zst(bench, options);
-  // Perturb a couple of edges moderately.
-  int poked = 0;
-  for (NodeId id : tree.topological_order()) {
-    if (id == tree.root() || tree.node(id).is_sink()) continue;
-    if (poked++ % 7 == 0) tree.node(id).snake += 300.0;
-  }
-  const RebalanceReport report = rebalance_elmore(tree, bench);
-  EXPECT_LE(report.final_skew, report.initial_skew + 1e-9);
-}
-
 }  // namespace
 }  // namespace contango

@@ -424,13 +424,34 @@ TEST(Suite, PipelineSpecFlowsIntoRunsAndJson) {
 
   // A syntactically valid spec that never builds a tree is a per-run
   // failure (recorded, no crash), since up-front validation cannot know
-  // which registered passes build trees.
+  // which passes build trees.
   options.flow.pipeline = "twsz,twsn";
   const SuiteReport no_tree = run_suite(suite, options);
   ASSERT_EQ(no_tree.runs.size(), 1u);
   EXPECT_FALSE(no_tree.all_ok());
   EXPECT_NE(no_tree.runs[0].error.find("tree"), std::string::npos)
       << no_tree.runs[0].error;
+}
+
+TEST(Suite, InvalidBenchmarkRejectedBeforeAnyRun) {
+  // Every run reports the benchmark's content hash, which checks what the
+  // writers check; a benchmark failing that is refused up front, naming
+  // the field, instead of throwing inside a worker.
+  std::vector<Benchmark> suite{make_scenario("ring", 1, 16),
+                               make_scenario("ring", 2, 16)};
+  suite[1].sinks[3].cap = -1.0;
+  SuiteOptions options;
+  options.threads = 2;
+  std::atomic<int> started{0};
+  options.on_run_start = [&started](const SuiteRun&) { ++started; };
+  try {
+    run_suite(suite, options);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cap is -1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(started.load(), 0);
 }
 
 /// Scoped setenv/unsetenv so env tests cannot leak into other tests.

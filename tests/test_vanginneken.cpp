@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
 
 #include "analysis/evaluate.h"
 #include "cts/buflib.h"
 #include "cts/dme.h"
 #include "cts/vanginneken.h"
 #include "netlist/generators.h"
+#include "util/rng.h"
 
 namespace contango {
 namespace {
@@ -111,22 +115,74 @@ TEST(VanGinneken, StrongerCompositeFewerStages) {
   EXPECT_LE(strong.buffers_inserted, weak.buffers_inserted);
 }
 
-TEST(VanGinneken, FastAndClassicMergeAgreeOnDelay) {
-  const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
-  ClockTree fast_tree = build_zst(bench);
-  ClockTree classic_tree = fast_tree;
+/// The (cap, q) Pareto front of `options`: cap ascending, q strictly
+/// increasing, compared exactly.
+std::vector<std::pair<Ff, Ps>> pareto_front(const detail::DpOptionList& options) {
+  std::vector<std::pair<Ff, Ps>> points;
+  for (const detail::DpOption& o : options) points.emplace_back(o.cap, o.q);
+  std::sort(points.begin(), points.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second > b.second;
+  });
+  std::vector<std::pair<Ff, Ps>> front;
+  for (const auto& p : points) {
+    if (front.empty() || p.second > front.back().second) front.push_back(p);
+  }
+  return front;
+}
 
-  BufferInsertionOptions fast_opt;
-  fast_opt.fast_merge = true;
-  BufferInsertionOptions classic_opt;
-  classic_opt.fast_merge = false;
+/// A random option list pruned to its Pareto front, as the DP hands it to
+/// a merge.  `grid` rounds cap and q to integers so that ties occur.
+detail::DpOptionList random_pruned_options(Rng& rng, bool grid) {
+  detail::DpOptionList raw(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+  for (detail::DpOption& o : raw) {
+    o.cap = rng.uniform(0.0, 100.0);
+    o.q = rng.uniform(-500.0, 0.0);
+    if (grid) {
+      o.cap = std::floor(o.cap / 10.0);
+      o.q = std::floor(o.q / 50.0);
+    }
+  }
+  detail::DpOptionList pruned;
+  for (const auto& [cap, q] : pareto_front(raw)) {
+    detail::DpOption o;
+    o.cap = cap;
+    o.q = q;
+    pruned.push_back(o);
+  }
+  return pruned;
+}
 
-  const auto fast = insert_buffers(fast_tree, bench, CompositeBuffer{0, 8}, fast_opt);
-  const auto classic = insert_buffers(classic_tree, bench, CompositeBuffer{0, 8}, classic_opt);
-  // The two merge strategies explore the same option space; estimates must
-  // agree closely (pruning may cause tiny deviations).
-  EXPECT_NEAR(fast.est_worst_delay, classic.est_worst_delay,
-              0.02 * classic.est_worst_delay);
+// The classic van Ginneken merge takes every pair of child options (cap
+// a+b, q = min) and prunes; the two-pointer merge must keep exactly the
+// same Pareto front, ties included.
+TEST(VanGinneken, MergeFrontEqualsCrossProductFront) {
+  Rng rng(29);
+  for (int trial = 0; trial < 500; ++trial) {
+    const bool grid = trial % 2 == 1;
+    const detail::DpOptionList a = random_pruned_options(rng, grid);
+    const detail::DpOptionList b = random_pruned_options(rng, grid);
+    detail::DpOptionList cross;
+    for (const detail::DpOption& x : a) {
+      for (const detail::DpOption& y : b) {
+        detail::DpOption o;
+        o.cap = x.cap + y.cap;
+        o.q = std::min(x.q, y.q);
+        cross.push_back(o);
+      }
+    }
+    const detail::DpOptionList merged = detail::merge_options(a, b);
+    EXPECT_EQ(pareto_front(merged), pareto_front(cross))
+        << "trial " << trial << ": " << a.size() << " x " << b.size();
+    for (const detail::DpOption& o : merged) {
+      ASSERT_GE(o.prev, 0);
+      ASSERT_GE(o.prev_b, 0);
+      EXPECT_EQ(o.cap, a[static_cast<std::size_t>(o.prev)].cap +
+                           b[static_cast<std::size_t>(o.prev_b)].cap);
+      EXPECT_EQ(o.q, std::min(a[static_cast<std::size_t>(o.prev)].q,
+                              b[static_cast<std::size_t>(o.prev_b)].q));
+    }
+  }
 }
 
 TEST(VanGinneken, BalancedTreeStaysRoughlyBalanced) {
