@@ -2,17 +2,21 @@
 // benchmark limit) and runtime of Contango against weaker flows on the
 // seven-benchmark suite.  The ISPD'09 contest teams' binaries are not
 // available; a ladder of three baseline flows spans the same qualitative
-// range (see docs/ARCHITECTURE.md): construction-only ("CONSTR"), one
-// wiresizing pass ("WSIZE"), and wiresizing + one snaking pass ("TUNED").
+// range (see docs/ARCHITECTURE.md).  Each baseline is a prefix of the
+// Contango pipeline, run by the same engine and IVC gate:
+//
+//   CONSTR  dme,repair,insert:max_ladder=1,polarity   (construction only)
+//   WSIZE   CONSTR,twsz:rounds=1                      (one wiresizing round)
+//   TUNED   WSIZE,twsn:rounds=1                       (plus one snaking round)
 //
 // Shape to match: Contango's average CLR is a multiple (the paper: 2.15x -
 // 3.99x) better than the baselines at comparable capacitance, and every
 // benchmark completes within the capacitance limit.
 //
-// All four flows are parallelized: the Contango column comes from one
-// suite-runner pass over the benchmarks, and the three baseline columns fan
-// out per benchmark on the same worker count (CONTANGO_THREADS, default:
-// hardware concurrency).  Row order matches the serial version exactly.
+// Each of the four columns is one suite-runner pass over the benchmarks on
+// CONTANGO_THREADS workers (default: hardware concurrency).  Row order
+// matches the serial version exactly.  CONTANGO_PIPELINE, the Monte-Carlo
+// knobs and CONTANGO_JSON_OUT apply to the Contango column alone.
 //
 // The workload defaults to the seven generated cns01..cns07 entries
 // (CONTANGO_TABLE4_BENCHMARKS caps how many).  Set CONTANGO_WORKLOADS to a
@@ -27,30 +31,17 @@
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "cts/baseline.h"
 #include "cts/scenario.h"
 #include "cts/suite.h"
 #include "io/table.h"
 #include "netlist/generators.h"
 #include "util/env.h"
-#include "util/parallel.h"
 #include "util/signal.h"
 
 using namespace contango;
-
-namespace {
-
-struct BaselineRow {
-  BaselineResult tuned;
-  BaselineResult wsize;
-  BaselineResult constr;
-  bool ok = false;
-  std::string error;
-};
-
-}  // namespace
 
 int main() {
   long limit = 0;
@@ -71,7 +62,6 @@ int main() {
   }
   std::printf("== Table IV: results on the CNS benchmark suite ==\n");
   std::printf("(CLR in ps; Cap in %% of the benchmark limit; CPU in s)\n\n");
-  const int threads = options.threads;
 
   // ^C / SIGTERM stop the suite at the next safe boundary instead of
   // killing the process mid-write; the partial table and JSON report
@@ -92,8 +82,6 @@ int main() {
       suite.push_back(generate_ispd_like(ispd09_suite_params(i)));
     }
   }
-  const int rows = static_cast<int>(suite.size());
-
   SuiteReport contango;
   try {
     contango = run_suite(suite, options);
@@ -109,70 +97,74 @@ int main() {
     return 128 + signal_received();
   }
 
-  std::vector<BaselineRow> baselines(suite.size());
-  parallel_for(rows, threads, [&](int i) {
-    const Benchmark& bench = suite[static_cast<std::size_t>(i)];
-    BaselineRow& row = baselines[static_cast<std::size_t>(i)];
-    try {  // parallel_for workers must not leak exceptions
-      row.tuned = run_baseline_tuned(bench);
-      row.wsize = run_baseline_bst(bench);
-      row.constr = run_baseline_construction(bench);
-      row.ok = true;
-    } catch (const std::exception& e) {
-      row.error = e.what();
-    } catch (...) {
-      row.error = "unknown exception";
+  // Columns in table order: Contango, then TUNED, WSIZE and CONSTR, each
+  // baseline spec extending the next one.
+  const std::string constr_spec = "dme,repair,insert:max_ladder=1,polarity";
+  const std::string wsize_spec = constr_spec + ",twsz:rounds=1";
+  const std::string tuned_spec = wsize_spec + ",twsn:rounds=1";
+  std::vector<SuiteReport> columns;
+  columns.push_back(std::move(contango));
+  SuiteOptions baseline_options = options;
+  baseline_options.mc_trials = 0;
+  baseline_options.json_report_path.clear();
+  try {
+    for (const std::string& spec : {tuned_spec, wsize_spec, constr_spec}) {
+      baseline_options.flow.pipeline = spec;
+      columns.push_back(run_suite(suite, baseline_options));
     }
-  });
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_table4_contest: %s\n", e.what());
+    return 1;
+  }
 
   TextTable table({"Benchmark", "CONTANGO CLR", "Cap%", "CPU", "TUNED CLR",
                    "Cap%", "WSIZE CLR", "Cap%", "CONSTR CLR", "Cap%"});
 
-  double sum_contango = 0.0, sum_tuned = 0.0, sum_ws = 0.0, sum_con = 0.0;
+  std::vector<double> clr_sum(columns.size(), 0.0);
   double skew_sum = 0.0;
   int averaged_rows = 0;
-  for (int i = 0; i < rows; ++i) {
-    const Benchmark& bench = suite[static_cast<std::size_t>(i)];
-    const SuiteRun& run = contango.runs[static_cast<std::size_t>(i)];
-    const BaselineRow& row = baselines[static_cast<std::size_t>(i)];
-    if (!run.ok || !row.ok) {
-      table.add_row({bench.name,
-                     "FAILED: " + (run.ok ? row.error : run.error)});
+  bool all_ok = true;
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const Benchmark& bench = suite[i];
+    const SuiteRun* failed = nullptr;
+    for (const SuiteReport& column : columns) {
+      if (failed == nullptr && !column.runs[i].ok) failed = &column.runs[i];
+    }
+    if (failed != nullptr) {
+      all_ok = false;
+      table.add_row({bench.name, "FAILED: " + failed->error});
       continue;
     }
 
-    auto cap_pct = [&](Ff cap) {
-      return TextTable::num(100.0 * cap / bench.tech.cap_limit, 1);
-    };
-    table.add_row({bench.name,
-                   TextTable::num(run.result.eval.clr, 2),
-                   cap_pct(run.result.eval.total_cap),
-                   TextTable::num(run.seconds, 1),
-                   TextTable::num(row.tuned.eval.clr, 2), cap_pct(row.tuned.eval.total_cap),
-                   TextTable::num(row.wsize.eval.clr, 2), cap_pct(row.wsize.eval.total_cap),
-                   TextTable::num(row.constr.eval.clr, 2), cap_pct(row.constr.eval.total_cap)});
-    sum_contango += run.result.eval.clr;
-    sum_tuned += row.tuned.eval.clr;
-    sum_ws += row.wsize.eval.clr;
-    sum_con += row.constr.eval.clr;
-    skew_sum += run.result.eval.nominal_skew;
+    std::vector<std::string> cells = {bench.name};
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const SuiteRun& run = columns[c].runs[i];
+      cells.push_back(TextTable::num(run.result.eval.clr, 2));
+      cells.push_back(TextTable::num(
+          100.0 * run.result.eval.total_cap / bench.tech.cap_limit, 1));
+      if (c == 0) cells.push_back(TextTable::num(run.seconds, 1));
+      clr_sum[c] += run.result.eval.clr;
+    }
+    table.add_row(cells);
+    skew_sum += columns[0].runs[i].result.eval.nominal_skew;
     ++averaged_rows;
   }
   std::printf("%s", table.to_string().c_str());
   if (const int n = averaged_rows; n > 0) {
     std::printf("\nAverage CLR: CONTANGO %.2f | TUNED %.2f (%.2fx) | "
                 "WSIZE %.2f (%.2fx) | CONSTR %.2f (%.2fx)\n",
-                sum_contango / n, sum_tuned / n, sum_tuned / sum_contango,
-                sum_ws / n, sum_ws / sum_contango, sum_con / n,
-                sum_con / sum_contango);
+                clr_sum[0] / n, clr_sum[1] / n, clr_sum[1] / clr_sum[0],
+                clr_sum[2] / n, clr_sum[2] / clr_sum[0], clr_sum[3] / n,
+                clr_sum[3] / clr_sum[0]);
     std::printf("Average final skew (CONTANGO): %.2f ps\n", skew_sum / n);
     std::printf("Contango pass: %d threads, %.1f s wall (%.1f s CPU)\n",
-                contango.threads, contango.wall_seconds, contango.cpu_seconds());
+                columns[0].threads, columns[0].wall_seconds,
+                columns[0].cpu_seconds());
     std::printf("(paper Table IV: Contango beat the three contest teams by\n"
                 " 2.15x / 2.35x / 3.99x on average CLR)\n");
   }
   if (!options.json_report_path.empty()) {
     std::printf("JSON report written to %s\n", options.json_report_path.c_str());
   }
-  return contango.all_ok() ? 0 : 1;
+  return all_ok ? 0 : 1;
 }

@@ -17,11 +17,12 @@
 // toward — and past — the paper's full range; runtime grows roughly
 // linearly with sinks.
 //
-// Set CONTANGO_SCENARIO to a registered scenario-family name (see
+// Set CONTANGO_SCENARIO to one of the ten scenario-family names (see
 // cts/scenario.h: uniform, clustered, ring, obstacle_dense, high_fanout,
-// mixed_cap, huge, mega) to run the same scaling sweep over that family
-// instead of the TI-style chip; CONTANGO_SEED picks the instance.  The
-// `huge` family reaches 100k+ sinks and `mega` the 1M tier.
+// mixed_cap, huge, multidomain, usefulskew, mega) to run the same scaling
+// sweep over that family instead of the TI-style chip; CONTANGO_SEED picks
+// the instance.  The `huge` family reaches 100k+ sinks and `mega` the 1M
+// tier.
 //
 // Set CONTANGO_WORKLOADS to a collect_workloads() spec (family names,
 // .bench/.cbench files, directories — see cts/scenario.h) to run exactly

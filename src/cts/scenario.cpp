@@ -6,7 +6,6 @@
 
 #include "netlist/generators.h"
 #include "netlist/io.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace contango {
@@ -47,19 +46,13 @@ int parse_exact_int(const std::string& text) {
 }
 
 /// Attaches a deterministic multi-clock-domain constraint block: 2-4
-/// domains (CONTANGO_DOMAINS overrides the seed-derived count), sinks
-/// assigned by die quadrant so domains are spatially coherent — quadrant
-/// membership is pure comparisons, so the assignment is bit-portable —
-/// and a pairwise inter-domain skew bound per domain pair.
+/// domains (the count drawn from the seed), sinks assigned by die quadrant
+/// so domains are spatially coherent — quadrant membership is pure
+/// comparisons, so the assignment is bit-portable — and a pairwise
+/// inter-domain skew bound per domain pair.
 void apply_multidomain_constraints(Benchmark& bench, std::uint64_t seed) {
   Rng rng(seed ^ 0x646f6d61696e73ULL);  // "domains"
-  long num_domains = env_long("CONTANGO_DOMAINS", 0);
-  if (num_domains < 0 || num_domains == 1 || num_domains > 64) {
-    throw std::invalid_argument(
-        "CONTANGO_DOMAINS must be 0 (seed-derived) or in [2, 64], got " +
-        std::to_string(num_domains));
-  }
-  if (num_domains == 0) num_domains = rng.uniform_int(2, 4);
+  const long num_domains = rng.uniform_int(2, 4);
 
   TimingConstraints& cons = bench.constraints;
   cons = TimingConstraints{};
@@ -87,23 +80,17 @@ void apply_multidomain_constraints(Benchmark& bench, std::uint64_t seed) {
   cons.normalize();
 }
 
-/// Attaches per-sink useful-skew arrival windows to a deterministic
-/// fraction of the sinks (CONTANGO_WINDOW_FRACTION, default 0.35): mostly
-/// one-sided "arrive within W of the earliest sink" caps, with a minority
-/// of two-sided windows that also demand a minimum relative arrival.
+/// Attaches per-sink useful-skew arrival windows to a deterministic 35 %
+/// of the sinks: mostly one-sided "arrive within W of the earliest sink"
+/// caps, with a minority of two-sided windows that also demand a minimum
+/// relative arrival.
 void apply_useful_skew_windows(Benchmark& bench, std::uint64_t seed) {
   Rng rng(seed ^ 0x77696e646f7773ULL);  // "windows"
-  const double fraction = env_double("CONTANGO_WINDOW_FRACTION", 0.35);
-  if (!(fraction >= 0.0 && fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "CONTANGO_WINDOW_FRACTION must be in [0, 1], got " +
-        std::to_string(fraction));
-  }
   TimingConstraints& cons = bench.constraints;
   cons = TimingConstraints{};
   cons.sink_windows.assign(bench.sinks.size(), ArrivalWindow{});
   for (std::size_t i = 0; i < bench.sinks.size(); ++i) {
-    if (!rng.chance(fraction)) continue;
+    if (!rng.chance(0.35)) continue;
     ArrivalWindow& w = cons.sink_windows[i];
     if (rng.chance(0.3)) {
       // Two-sided: the sink must lag the earliest arrival by at least lo.
@@ -116,147 +103,7 @@ void apply_useful_skew_windows(Benchmark& bench, std::uint64_t seed) {
   cons.normalize();
 }
 
-ScenarioRegistry build_builtin() {
-  ScenarioRegistry registry;
-
-  registry.add({"uniform",
-                "pure uniform sink scatter, moderate obstacles",
-                120,
-                [](std::uint64_t seed, int n) {
-                  IspdGenParams p = ispd_base(seed, n);
-                  p.num_clusters = 0;
-                  p.cluster_fraction = 0.0;
-                  p.num_obstacles = 18;
-                  return generate_ispd_like(p);
-                }});
-
-  registry.add({"clustered",
-                "90% of sinks in tight clusters, like register banks",
-                140,
-                [](std::uint64_t seed, int n) {
-                  IspdGenParams p = ispd_base(seed, n);
-                  p.num_clusters = 6;
-                  p.cluster_fraction = 0.9;
-                  p.num_obstacles = 22;
-                  return generate_ispd_like(p);
-                }});
-
-  registry.add({"ring",
-                "sinks on concentric rings around a central macro",
-                96,
-                [](std::uint64_t seed, int n) {
-                  RingGenParams p;
-                  p.num_sinks = n;
-                  p.seed = seed;
-                  return generate_ring(p);
-                }});
-
-  registry.add({"obstacle_dense",
-                "macro-heavy floorplan: many abutting blockages",
-                110,
-                [](std::uint64_t seed, int n) {
-                  IspdGenParams p = ispd_base(seed, n);
-                  p.num_clusters = 3;
-                  p.cluster_fraction = 0.4;
-                  p.num_obstacles = 48;
-                  p.abut_fraction = 0.4;
-                  p.obstacle_min = 400.0;
-                  p.obstacle_max = 2200.0;
-                  return generate_ispd_like(p);
-                }});
-
-  registry.add({"high_fanout",
-                "dense sink population on a small die",
-                420,
-                [](std::uint64_t seed, int n) {
-                  IspdGenParams p = ispd_base(seed, n);
-                  p.die_w = 9000.0;
-                  p.die_h = 9000.0;
-                  p.num_clusters = 3;
-                  p.cluster_fraction = 0.5;
-                  p.num_obstacles = 14;
-                  p.obstacle_max = 1600.0;
-                  return generate_ispd_like(p);
-                }});
-
-  registry.add({"mixed_cap",
-                "sink pin caps spanning 1-90 fF (mixed cell drive classes)",
-                120,
-                [](std::uint64_t seed, int n) {
-                  IspdGenParams p = ispd_base(seed, n);
-                  p.sink_cap_min = 1.0;
-                  p.sink_cap_max = 90.0;
-                  return generate_ispd_like(p);
-                }});
-
-  registry.add({"huge",
-                "full-SoC scale: macro-heavy die, row-placed sinks (100k+ capable)",
-                2000,
-                [](std::uint64_t seed, int n) {
-                  HugeGenParams p;
-                  p.num_sinks = n;
-                  p.seed = seed;
-                  return generate_huge(p);
-                }});
-
-  registry.add({"multidomain",
-                "2-4 clock domains in die quadrants with pairwise "
-                "inter-domain skew bounds (CONTANGO_DOMAINS overrides)",
-                130,
-                [](std::uint64_t seed, int n) {
-                  IspdGenParams p = ispd_base(seed, n);
-                  p.num_clusters = 4;
-                  p.cluster_fraction = 0.7;
-                  p.num_obstacles = 20;
-                  Benchmark bench = generate_ispd_like(p);
-                  apply_multidomain_constraints(bench, seed);
-                  return bench;
-                }});
-
-  registry.add({"usefulskew",
-                "per-sink useful-skew arrival windows on a fraction of "
-                "sinks (CONTANGO_WINDOW_FRACTION overrides)",
-                110,
-                [](std::uint64_t seed, int n) {
-                  IspdGenParams p = ispd_base(seed, n);
-                  p.num_clusters = 0;
-                  p.cluster_fraction = 0.0;
-                  p.num_obstacles = 16;
-                  Benchmark bench = generate_ispd_like(p);
-                  apply_useful_skew_windows(bench, seed);
-                  return bench;
-                }});
-
-  registry.add({"mega",
-                "reticle-filling die for the 1M-sink tier; contango-pack "
-                "gen-mega writes it as .cbench",
-                2400,
-                [](std::uint64_t seed, int n) {
-                  MegaGenParams p;
-                  p.num_sinks = n;
-                  p.seed = seed;
-                  return generate_mega(p);
-                }});
-
-  return registry;
-}
-
 }  // namespace
-
-void ScenarioRegistry::add(Family family) {
-  if (family.name.empty()) {
-    throw std::invalid_argument("ScenarioRegistry::add: empty family name");
-  }
-  if (!family.factory) {
-    throw std::invalid_argument("ScenarioRegistry::add: family '" + family.name +
-                                "' has no factory");
-  }
-  if (contains(family.name)) {
-    throw std::invalid_argument("ScenarioRegistry::add: duplicate family '" +
-                                family.name + "'");
-  }
-  families_.push_back(std::move(family));
-}
 
 bool ScenarioRegistry::contains(const std::string& name) const {
   for (const Family& f : families_) {
@@ -301,16 +148,130 @@ std::vector<Benchmark> ScenarioRegistry::make_all(std::uint64_t seed) const {
 }
 
 const ScenarioRegistry& ScenarioRegistry::builtin() {
-  static const ScenarioRegistry registry = build_builtin();
+  static const ScenarioRegistry registry({
+      {"uniform",
+       "pure uniform sink scatter, moderate obstacles",
+       120,
+       [](std::uint64_t seed, int n) {
+         IspdGenParams p = ispd_base(seed, n);
+         p.num_clusters = 0;
+         p.cluster_fraction = 0.0;
+         p.num_obstacles = 18;
+         return generate_ispd_like(p);
+       }},
+
+      {"clustered",
+       "90% of sinks in tight clusters, like register banks",
+       140,
+       [](std::uint64_t seed, int n) {
+         IspdGenParams p = ispd_base(seed, n);
+         p.num_clusters = 6;
+         p.cluster_fraction = 0.9;
+         p.num_obstacles = 22;
+         return generate_ispd_like(p);
+       }},
+
+      {"ring",
+       "sinks on concentric rings around a central macro",
+       96,
+       [](std::uint64_t seed, int n) {
+         RingGenParams p;
+         p.num_sinks = n;
+         p.seed = seed;
+         return generate_ring(p);
+       }},
+
+      {"obstacle_dense",
+       "macro-heavy floorplan: many abutting blockages",
+       110,
+       [](std::uint64_t seed, int n) {
+         IspdGenParams p = ispd_base(seed, n);
+         p.num_clusters = 3;
+         p.cluster_fraction = 0.4;
+         p.num_obstacles = 48;
+         p.abut_fraction = 0.4;
+         p.obstacle_min = 400.0;
+         p.obstacle_max = 2200.0;
+         return generate_ispd_like(p);
+       }},
+
+      {"high_fanout",
+       "dense sink population on a small die",
+       420,
+       [](std::uint64_t seed, int n) {
+         IspdGenParams p = ispd_base(seed, n);
+         p.die_w = 9000.0;
+         p.die_h = 9000.0;
+         p.num_clusters = 3;
+         p.cluster_fraction = 0.5;
+         p.num_obstacles = 14;
+         p.obstacle_max = 1600.0;
+         return generate_ispd_like(p);
+       }},
+
+      {"mixed_cap",
+       "sink pin caps spanning 1-90 fF (mixed cell drive classes)",
+       120,
+       [](std::uint64_t seed, int n) {
+         IspdGenParams p = ispd_base(seed, n);
+         p.sink_cap_min = 1.0;
+         p.sink_cap_max = 90.0;
+         return generate_ispd_like(p);
+       }},
+
+      {"huge",
+       "full-SoC scale: macro-heavy die, row-placed sinks (100k+ capable)",
+       2000,
+       [](std::uint64_t seed, int n) {
+         HugeGenParams p;
+         p.num_sinks = n;
+         p.seed = seed;
+         return generate_huge(p);
+       }},
+
+      {"multidomain",
+       "2-4 clock domains in die quadrants with pairwise "
+       "inter-domain skew bounds",
+       130,
+       [](std::uint64_t seed, int n) {
+         IspdGenParams p = ispd_base(seed, n);
+         p.num_clusters = 4;
+         p.cluster_fraction = 0.7;
+         p.num_obstacles = 20;
+         Benchmark bench = generate_ispd_like(p);
+         apply_multidomain_constraints(bench, seed);
+         return bench;
+       }},
+
+      {"usefulskew",
+       "per-sink useful-skew arrival windows on 35% of the sinks",
+       110,
+       [](std::uint64_t seed, int n) {
+         IspdGenParams p = ispd_base(seed, n);
+         p.num_clusters = 0;
+         p.cluster_fraction = 0.0;
+         p.num_obstacles = 16;
+         Benchmark bench = generate_ispd_like(p);
+         apply_useful_skew_windows(bench, seed);
+         return bench;
+       }},
+
+      {"mega",
+       "reticle-filling die for the 1M-sink tier; contango-pack "
+       "gen-mega writes it as .cbench",
+       2400,
+       [](std::uint64_t seed, int n) {
+         MegaGenParams p;
+         p.num_sinks = n;
+         p.seed = seed;
+         return generate_mega(p);
+       }},
+  });
   return registry;
 }
 
 Benchmark make_scenario(const std::string& name, std::uint64_t seed, int num_sinks) {
   return ScenarioRegistry::builtin().make(name, seed, num_sinks);
-}
-
-std::vector<Benchmark> collect_workloads(const std::string& spec, std::uint64_t seed) {
-  return collect_workloads(spec, seed, nullptr);
 }
 
 std::vector<Benchmark> collect_workloads(const std::string& spec, std::uint64_t seed,

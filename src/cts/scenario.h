@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netlist/benchmark.h"
@@ -27,40 +27,36 @@ namespace contango {
 ///     std::vector<Benchmark> all = ScenarioRegistry::builtin().make_all(1);
 ///     std::vector<Benchmark> mix = collect_workloads("ring,uniform:300,benchmarks", 1);
 
-/// \brief Registry of scenario families, enumerable by name.
+/// \brief The closed table of scenario families, enumerable by name.
 ///
-/// The builtin() registry carries the eight stock families; tests and
-/// tools may build private registries with custom families on top.
+/// builtin() is the only instance: the ten stock families, in a fixed
+/// order.  A family is a plain generator call, so its instances depend on
+/// (seed, num_sinks) alone.
 class ScenarioRegistry {
  public:
   /// Builds one instance of a family.  `seed` drives all randomness;
   /// `num_sinks` is the family default when 0.
-  using Factory = std::function<Benchmark(std::uint64_t seed, int num_sinks)>;
+  using Factory = Benchmark (*)(std::uint64_t seed, int num_sinks);
 
   /// One named scenario family.
   struct Family {
-    std::string name;         ///< registry key, e.g. "obstacle_dense"
+    std::string name;         ///< table key, e.g. "obstacle_dense"
     std::string description;  ///< one-line summary shown by tools
     int default_sinks = 0;    ///< sink count used when the caller passes 0
-    Factory factory;
+    Factory factory = nullptr;
   };
 
-  /// \brief Registers a family.
-  /// \throws std::invalid_argument on an empty name, missing factory or
-  ///         duplicate registration
-  void add(Family family);
-
-  /// True when `name` is a registered family.
+  /// True when `name` is a stock family.
   bool contains(const std::string& name) const;
 
   /// \brief Looks a family up by name.
   /// \throws std::out_of_range for unknown names, listing the known ones
   const Family& family(const std::string& name) const;
 
-  /// All families in registration order.
+  /// All families in table order.
   const std::vector<Family>& families() const { return families_; }
 
-  /// Family names in registration order.
+  /// Family names in table order.
   std::vector<std::string> names() const;
 
   /// \brief Instantiates one scenario.
@@ -68,21 +64,23 @@ class ScenarioRegistry {
   /// The returned benchmark is renamed `<family>_s<seed>` (plus `_n<sinks>`
   /// when the sink count is overridden) so suite reports stay readable when
   /// the same family appears at several seeds or sizes.
-  /// \param name registered family name
+  /// \param name stock family name
   /// \param seed generator seed; same (name, seed, num_sinks) => same benchmark
   /// \param num_sinks sink-count override; 0 uses the family default
   /// \throws std::out_of_range for unknown names
   Benchmark make(const std::string& name, std::uint64_t seed, int num_sinks = 0) const;
 
-  /// One instance of every registered family at the given seed, in
-  /// registration order.
+  /// One instance of every family at the given seed, in table order.
   std::vector<Benchmark> make_all(std::uint64_t seed) const;
 
-  /// The eight stock families: uniform, clustered, ring, obstacle_dense,
-  /// high_fanout, mixed_cap, huge, mega.
+  /// The ten stock families: uniform, clustered, ring, obstacle_dense,
+  /// high_fanout, mixed_cap, huge, multidomain, usefulskew, mega.
   static const ScenarioRegistry& builtin();
 
  private:
+  explicit ScenarioRegistry(std::vector<Family> families)
+      : families_(std::move(families)) {}
+
   std::vector<Family> families_;
 };
 
@@ -92,7 +90,7 @@ Benchmark make_scenario(const std::string& name, std::uint64_t seed, int num_sin
 /// \brief Resolves a comma-separated workload spec into benchmarks.
 ///
 /// Each element of `spec` is, tried in this order:
-///   1. a registered family name, optionally with a `:<num_sinks>` override
+///   1. a stock family name, optionally with a `:<num_sinks>` override
 ///      (e.g. `ring` or `high_fanout:1000`) — instantiated at `seed`;
 ///   2. a `.bench` (text) or `.cbench` (binary, netlist/binio.h) file path
 ///      — loaded from disk;
@@ -101,19 +99,16 @@ Benchmark make_scenario(const std::string& name, std::uint64_t seed, int num_sin
 ///
 /// Examples: `"uniform,ring:256"`, `"benchmarks"`,
 /// `"benchmarks/ring_s1.bench,mega_1m.cbench,clustered"`.
-/// \throws std::invalid_argument for an element that is neither a known
-///         family nor an existing path; parse errors propagate as
-///         BenchmarkParseError
-std::vector<Benchmark> collect_workloads(const std::string& spec, std::uint64_t seed);
-
-/// \brief As above, additionally reporting per-benchmark acquisition time.
 ///
 /// `load_seconds` (when non-null) is cleared and filled index-aligned with
 /// the returned vector: generator wall time for family elements, parse
 /// time for `.bench` files, read+validate+decode time for `.cbench`
 /// files.  Suite runners thread these into SuiteRun::load_seconds so the
 /// trajectory separates I/O wins from kernel wins.
+/// \throws std::invalid_argument for an element that is neither a known
+///         family nor an existing path; parse errors propagate as
+///         BenchmarkParseError
 std::vector<Benchmark> collect_workloads(const std::string& spec, std::uint64_t seed,
-                                         std::vector<double>* load_seconds);
+                                         std::vector<double>* load_seconds = nullptr);
 
 }  // namespace contango

@@ -340,7 +340,7 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
         // flow.cancel), so a cancelled suite drains in at most one pass.
         if (flow.cancel.cancelled()) throw CancelledError();
         // The flow computes on one token of the process-wide core budget;
-        // its level sweeps and Monte-Carlo blocks borrow whatever tokens
+        // its level sweeps and Monte-Carlo trials borrow whatever tokens
         // the other workers (and other suites) leave free.  Results are
         // thread-count invariant, so the split only moves wall time.
         const CoreToken core;
@@ -397,7 +397,6 @@ std::vector<std::string> unknown_contango_env_vars() {
   // "CONTANGO_" when adding a knob and extend this list — the
   // unknown-env-var test fails loudly on a knob that warns about itself.
   static const char* const kKnown[] = {
-      "CONTANGO_DOMAINS",
       "CONTANGO_FIG3_BENCHMARK",
       "CONTANGO_JSON_OUT",
       "CONTANGO_LOG",
@@ -415,7 +414,6 @@ std::vector<std::string> unknown_contango_env_vars() {
       "CONTANGO_TABLE3_BENCHMARKS",
       "CONTANGO_TABLE4_BENCHMARKS",
       "CONTANGO_THREADS",
-      "CONTANGO_WINDOW_FRACTION",
       "CONTANGO_WORKLOADS",
   };
   const std::string prefix = "CONTANGO_";
@@ -448,12 +446,6 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
     throw std::runtime_error("CONTANGO_THREADS=" + std::to_string(base.threads) +
                              " must be >= 0 (0 = hardware concurrency)");
   }
-  // CONTANGO_DOMAINS / CONTANGO_WINDOW_FRACTION parameterize the
-  // multidomain / usefulskew scenario factories (cts/scenario.cpp), which
-  // read and range-check them at generation; the reads here reject
-  // malformed values up front, naming the variable.
-  env_long("CONTANGO_DOMAINS", 0);
-  env_double("CONTANGO_WINDOW_FRACTION", 0.35);
   base.mc_trials =
       static_cast<int>(env_long("CONTANGO_MC_TRIALS", base.mc_trials));
   if (base.mc_trials < 0) {

@@ -40,7 +40,7 @@ struct SuiteOptions {
   /// Benchmark drivers bind this to the CONTANGO_THREADS env knob.
   /// Each worker holds one token of the process-wide core budget
   /// (util/parallel.h) per flow, blocking while none is free; the flow's
-  /// level sweeps and Monte-Carlo blocks borrow the tokens other workers
+  /// level sweeps and Monte-Carlo trials borrow the tokens other workers
   /// leave free (up to `flow.eval.threads` threads, 0 = all cores).  So a
   /// suite — or several concurrent daemon jobs — runs about one compute
   /// thread per core, and a long-pole flow widens once the others finish.
@@ -218,14 +218,6 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 ///
 ///   CONTANGO_THREADS         -> threads
 ///   CONTANGO_PIPELINE        -> flow.pipeline (cts/pipeline.h syntax)
-///   CONTANGO_DOMAINS         -> domain count of the `multidomain`
-///                               scenario family (0 = seed-derived 2-4;
-///                               consumed in cts/scenario.cpp, validated
-///                               here)
-///   CONTANGO_WINDOW_FRACTION -> fraction of sinks given arrival windows
-///                               by the `usefulskew` family (default 0.35;
-///                               consumed in cts/scenario.cpp, validated
-///                               here)
 ///   CONTANGO_MC_TRIALS       -> mc_trials (0 keeps MC off)
 ///   CONTANGO_MC_SIGMA_VDD    -> variation.sigma_vdd (default 0.05)
 ///   CONTANGO_MC_SEED         -> variation.seed

@@ -10,38 +10,20 @@ Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
   Hasher h;
   // Version tag first: bumping it invalidates every old key when the
   // schema of this function changes.
-  h.update_field("contango-job-v4");
+  h.update_field("contango-job-v5");
 
   // Workload: benchmark_content_hash per benchmark — a streamed FNV-1a
   // over the canonical `.bench` bytes, never materializing the text (a
   // 1M-sink instance is ~70 MB of it).  A generated scenario, its
   // exported text file and its packed `.cbench` all hash identically, so
   // text and binary submissions of the same instance share cache entries.
-  // The canonical text includes the constraint directives; a non-trivial
-  // constraint block additionally pins its decoded values.
+  // The canonical text carries every domain, bound, sink domain and
+  // window of a non-trivial constraint block at full precision.
   h.update_u64(benchmarks.size());
   for (const Benchmark& bench : benchmarks) {
     const Hash128 digest = benchmark_content_hash(bench);
     h.update_u64(digest.hi);
     h.update_u64(digest.lo);
-    const TimingConstraints& cons = bench.constraints;
-    h.update_u64(cons.trivial() ? 0 : 1);
-    if (cons.trivial()) continue;
-    h.update_u64(cons.domain_names.size());
-    for (const std::string& name : cons.domain_names) h.update_field(name);
-    h.update_u64(cons.sink_domains.size());
-    for (const std::uint32_t d : cons.sink_domains) h.update_u64(d);
-    h.update_u64(cons.sink_windows.size());
-    for (const ArrivalWindow& w : cons.sink_windows) {
-      h.update_double(w.lo);
-      h.update_double(w.hi);
-    }
-    h.update_u64(cons.domain_bounds.size());
-    for (const DomainBound& b : cons.domain_bounds) {
-      h.update_u64(b.a);
-      h.update_u64(b.b);
-      h.update_double(b.bound);
-    }
   }
 
   // The pipeline that will actually run, with every pass parameter in it:

@@ -27,17 +27,16 @@ namespace contango {
 /// \brief Stable 128-bit content key of a job: what it runs and every
 /// option that can change the report bytes.
 ///
-/// Covered: a version tag ("contango-job-v4"; bump it when the key schema
+/// Covered: a version tag ("contango-job-v5"; bump it when the key schema
 /// changes — the cache lives in memory, so no stored key goes stale), the
 /// benchmark_content_hash of every benchmark — a streamed FNV-1a over the
-/// canonical `.bench` bytes, so text and `.cbench` submissions of the
-/// same instance share an entry without materializing the text (the
-/// benchmark count is hashed first, so list boundaries are unambiguous) —
-/// plus the decoded domains/windows/bounds of every non-trivial
-/// constraint block, the resolved pipeline spec (every pass parameter
-/// lives there), `flow.eval.source_input_slew`, and the Monte-Carlo
-/// configuration (trial count; sigmas/seed/skew-target only when
-/// trials > 0, since they are inert otherwise).
+/// canonical `.bench` bytes, constraint directives included, so text and
+/// `.cbench` submissions of the same instance share an entry without
+/// materializing the text (the benchmark count is hashed first, so list
+/// boundaries are unambiguous) — the resolved pipeline spec (every pass
+/// parameter lives there), `flow.eval.source_input_slew`, and the
+/// Monte-Carlo configuration (trial count; sigmas/seed/skew-target only
+/// when trials > 0, since they are inert otherwise).
 ///
 /// Deliberately NOT covered: `threads`, `flow.incremental` and
 /// `flow.eval.threads` — those modes are bit-identical by construction

@@ -237,6 +237,21 @@ TEST(ConstraintGolden, JobContentHashFoldsNonTrivialConstraintsIn) {
   std::vector<Benchmark> other_window = windowed_job;
   other_window[0].constraints.sink_windows[3].hi = 21.0;
   EXPECT_NE(job_content_hash(other_window, options).hex(), h2.hex());
+
+  // So are a domain bound and a sink's domain.
+  const std::vector<Benchmark> domain_job = {make_scenario("multidomain", 1)};
+  const Hash128 h3 = job_content_hash(domain_job, options);
+  std::vector<Benchmark> other_bound = domain_job;
+  ASSERT_FALSE(other_bound[0].constraints.domain_bounds.empty());
+  other_bound[0].constraints.domain_bounds[0].bound += 0.5;
+  EXPECT_NE(job_content_hash(other_bound, options).hex(), h3.hex());
+
+  std::vector<Benchmark> moved_sink = domain_job;
+  TimingConstraints& moved = moved_sink[0].constraints;
+  ASSERT_GE(moved.num_domains(), 2u);
+  moved.sink_domains[5] = static_cast<std::uint32_t>(
+      (moved.sink_domains[5] + 1) % moved.num_domains());
+  EXPECT_NE(job_content_hash(moved_sink, options).hex(), h3.hex());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "cts/baseline.h"
+#include <string>
+
 #include "cts/flow.h"
 #include "netlist/generators.h"
 
@@ -102,14 +103,49 @@ TEST(Flow, BuffersOutsideObstacles) {
   EXPECT_EQ(blocked, 0);
 }
 
+/// Table IV's baselines are prefixes of the Contango pipeline
+/// (bench_table4_contest): CONSTR builds the tree, WSIZE adds one
+/// wiresizing round through the same IVC gate.
+const std::string kConstrSpec = "dme,repair,insert:max_ladder=1,polarity";
+const std::string kWsizeSpec = kConstrSpec + ",twsz:rounds=1";
+
+FlowResult run_spec(const Benchmark& bench, const std::string& spec) {
+  FlowOptions options;
+  options.pipeline = spec;
+  return run_contango(bench, options);
+}
+
 TEST(Baselines, ContangoBeatsWsizeOnClrAndSkew) {
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
   const FlowResult contango = run_contango(bench);
-  const BaselineResult bst = run_baseline_bst(bench);
+  const FlowResult wsize = run_spec(bench, kWsizeSpec);
 
   // Table IV shape: Contango beats the WSIZE baseline on CLR and skew.
-  EXPECT_LT(contango.eval.clr, bst.eval.clr);
-  EXPECT_LT(contango.eval.nominal_skew, bst.eval.nominal_skew);
+  EXPECT_LT(contango.eval.clr, wsize.eval.clr);
+  EXPECT_LT(contango.eval.nominal_skew, wsize.eval.nominal_skew);
+}
+
+TEST(Baselines, WsizeStartsFromConstrAndGatesOneRound) {
+  const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
+  const FlowResult constr = run_spec(bench, kConstrSpec);
+  const FlowResult wsize = run_spec(bench, kWsizeSpec);
+
+  // WSIZE's INITIAL snapshot is CONSTR's final network, bit for bit.
+  ASSERT_FALSE(wsize.stages.empty());
+  const StageSnapshot& initial = wsize.stages.front();
+  EXPECT_EQ(initial.name, "INITIAL");
+  EXPECT_EQ(initial.skew, constr.eval.nominal_skew);
+  EXPECT_EQ(initial.clr, constr.eval.clr);
+  EXPECT_EQ(initial.cap, constr.eval.total_cap);
+
+  // rounds=1 caps TWSZ at one gated candidate.
+  int twsz_passes = 0;
+  for (const PassTiming& pass : wsize.pass_timings) {
+    if (pass.name != "TWSZ") continue;
+    ++twsz_passes;
+    EXPECT_LE(pass.ivc.accepted + pass.ivc.rejected, 1);
+  }
+  EXPECT_EQ(twsz_passes, 1);
 }
 
 }  // namespace

@@ -63,16 +63,6 @@ TEST(ScenarioRegistry, UnknownFamilyThrowsListingKnownOnes) {
   }
 }
 
-TEST(ScenarioRegistry, RejectsDuplicateAndInvalidFamilies) {
-  ScenarioRegistry registry;
-  auto factory = [](std::uint64_t seed, int n) { return make_scenario("ring", seed, n); };
-  registry.add({"custom", "test family", 10, factory});
-  EXPECT_TRUE(registry.contains("custom"));
-  EXPECT_THROW(registry.add({"custom", "again", 10, factory}), std::invalid_argument);
-  EXPECT_THROW(registry.add({"", "nameless", 10, factory}), std::invalid_argument);
-  EXPECT_THROW(registry.add({"nofactory", "x", 10, nullptr}), std::invalid_argument);
-}
-
 TEST(ScenarioRegistry, MakeAllCoversEveryFamilyOnce) {
   const std::vector<Benchmark> all = ScenarioRegistry::builtin().make_all(3);
   ASSERT_EQ(all.size(), ScenarioRegistry::builtin().families().size());

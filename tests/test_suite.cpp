@@ -554,20 +554,26 @@ TEST(Suite, ReportsIllegalResults) {
   EXPECT_EQ(legal("uniform_s1"), "yes") << table;
 }
 
-TEST(SuiteEnv, RemovedKernelAndGeometryKnobsAreReportedAsUnknown) {
+TEST(SuiteEnv, RemovedKnobsAreReportedAsUnknown) {
   // These switches are gone; a leftover setting must warn rather than look
-  // as if it still selected something.
+  // as if it still selected something.  The two scenario-family knobs get
+  // values their old range checks rejected: nothing reads them any more.
   ScopedEnv batch("CONTANGO_BATCH", "0");
   ScopedEnv spatial("CONTANGO_SPATIAL", "0");
   ScopedEnv mmap("CONTANGO_MMAP", "0");
+  ScopedEnv domains("CONTANGO_DOMAINS", "1");
+  ScopedEnv windows("CONTANGO_WINDOW_FRACTION", "2");
   const std::vector<std::string> unknown = unknown_contango_env_vars();
-  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_BATCH"),
-            unknown.end());
-  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_SPATIAL"),
-            unknown.end());
-  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_MMAP"),
-            unknown.end());
+  for (const char* name : {"CONTANGO_BATCH", "CONTANGO_SPATIAL", "CONTANGO_MMAP",
+                           "CONTANGO_DOMAINS", "CONTANGO_WINDOW_FRACTION"}) {
+    EXPECT_NE(std::find(unknown.begin(), unknown.end(), name), unknown.end())
+        << name;
+  }
   EXPECT_NO_THROW(suite_options_from_env());
+  // The families draw their shape from the seed alone, as in the
+  // checked-in benchmarks/multidomain_s1.bench and usefulskew_s1.bench.
+  EXPECT_EQ(make_scenario("multidomain", 1).constraints.num_domains(), 4u);
+  EXPECT_EQ(make_scenario("usefulskew", 1).constraints.num_windowed_sinks(), 45u);
 }
 
 TEST(SuiteEnv, UnknownContangoVariablesAreReportedNotFatal) {
