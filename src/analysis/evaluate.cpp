@@ -51,6 +51,15 @@ Ps CornerTiming::skew() const {
   return worst;
 }
 
+Ps quantize_stage_slew(Ps slew) {
+  // Scaling by a power of two is exact, and below 2^22 ps the scaled value
+  // is below 2^52, so nearbyint rounds it exactly (ties to even in the
+  // default rounding mode).  From 2^22 up, every double is a multiple of
+  // 2^-30 already; the same test passes infinities and NaN through.
+  if (!(std::fabs(slew) < 0x1p52 * kStageSlewGrid)) return slew;
+  return std::nearbyint(slew / kStageSlewGrid) * kStageSlewGrid;
+}
+
 namespace {
 
 /// \name Propagation helpers of LevelSweep::run()
@@ -86,8 +95,10 @@ DriverView stage_driver_view(const Stage& stage, const Technology& tech,
 /// corner's timings for one source transition), every tap's slew is
 /// max-folded into `max_slew`, and buffer taps pair with the stage's
 /// downstream entries in order and hand the child its input event through
-/// `schedule(child, event)`.  `taps` points at stage.taps.size() entries —
-/// one row of a kernel result or a cache entry.
+/// `schedule(child, event)`, its slew on the stage-boundary grid
+/// (quantize_stage_slew).  Sink slews and `max_slew` stay unrounded.
+/// `taps` points at stage.taps.size() entries — one row of a kernel result
+/// or a cache entry.
 template <typename ScheduleFn>
 void fan_out_taps(const Stage& stage, const StageEvent& ev, Transition out_dir,
                   const TapTiming* taps, std::vector<SinkTiming>& sinks,
@@ -103,7 +114,8 @@ void fan_out_taps(const Stage& stage, const StageEvent& ev, Transition out_dir,
       st.reached = true;
     } else {
       const int child = stage.downstream_stages.at(next_stage++);
-      schedule(child, StageEvent{ev.time + taps[k].delay, taps[k].slew, out_dir});
+      schedule(child, StageEvent{ev.time + taps[k].delay,
+                                 quantize_stage_slew(taps[k].slew), out_dir});
     }
   }
 }
@@ -365,8 +377,10 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
         if (reuse) {
           // Reuse is allowed exactly when every input of the simulation
           // matches the cached call: same stage contents (version), same
-          // input direction (fixes r_drv via out_dir) and bit-equal input
-          // slew.  The corner and transition are part of the cache key.
+          // input direction (fixes r_drv via out_dir) and equal input slew
+          // — a point of the stage-boundary grid, so an upstream change
+          // that the rounding absorbs replays.  The corner and transition
+          // are part of the cache key.
           CachedTiming& entry = (*per_slot)[c];
           if (entry.version == version && entry.in_dir == ev.dir &&
               entry.in_slew == ev.slew) {

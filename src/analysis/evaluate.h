@@ -76,6 +76,13 @@ struct EvalResult {
 
   bool legal() const { return !slew_violation && !cap_violation && all_sinks_reached; }
 
+  /// Legal, but with the worst slew within the kernel's slew error
+  /// (kSlewErrorBound) of `slew_limit`: a finer step might put it over.
+  /// Reported only; legal() and the IVC gate do not look at it.
+  bool slew_marginal(Ps slew_limit) const {
+    return legal() && worst_slew >= slew_limit - kSlewErrorBound;
+  }
+
   /// Worst violation of the generalized constraint vector (0 when every
   /// window and inter-domain bound holds — always 0 for trivial blocks).
   Ps constraint_violation() const {
@@ -135,6 +142,22 @@ inline EvalWork operator-(const EvalWork& a, const EvalWork& b) {
                   a.batched_stage_evals - b.batched_stage_evals,
                   a.stage_reuses - b.stage_reuses};
 }
+
+/// Step of the stage-boundary slew grid: 2^-30 ps.  Every input slew a
+/// buffer stage receives from the stage above is a multiple of it.
+inline constexpr Ps kStageSlewGrid = 0x1p-30;
+
+/// Rounds `slew` to the nearest multiple of kStageSlewGrid (ties to even).
+/// The result is exact, within 2^-31 ps of `slew`, and 0, ±inf and NaN pass
+/// through unchanged.  fan_out_taps applies it to the slew a buffer tap
+/// hands its child stage — in every evaluation, full, incremental and
+/// Monte Carlo alike — and to nothing else: sink slews, worst slews and
+/// delays stay unrounded.  Since the kernel's step grid follows the input
+/// slew to the last bit (TransientOptions::time_step_div), an unrounded
+/// last-bit change upstream would make the incremental cache re-simulate
+/// every stage below it; on the grid, such a change replays.  The 2^-31 ps
+/// error is far below the kernel's own slew error (kSlewErrorBound).
+Ps quantize_stage_slew(Ps slew);
 
 struct VariationModel;  // analysis/variation.h
 struct McOptions;       // analysis/montecarlo.h
@@ -264,8 +287,9 @@ class Evaluator {
 /// With `reuse`, the sweep keeps per-(slot x corner x transition) tap
 /// timings between runs and re-simulates a (slot x corner x transition)
 /// exactly when an input of its kernel call — the slot's contents
-/// (RcNetlist::version), its input direction or its input slew — differs
-/// from the cached call; everything else replays the cache.  Without it
+/// (RcNetlist::version), its input direction or its input slew, a point of
+/// the stage-boundary grid (quantize_stage_slew) — differs from the cached
+/// call; everything else replays the cache.  Without it
 /// every slot is simulated from the SoA passed in.  Either way a slot's
 /// misses go through one kernel call, which runs its own Elmore sweep, so
 /// the tap timings are the only state kept between runs.
@@ -382,9 +406,11 @@ class LevelSweep {
 /// its input (direction, slew) changed; everything else replays the
 /// cached tap timings, and only the cheap arrival-time additions are
 /// redone.  A stage is re-simulated exactly when any input of its kernel
-/// call differs from the cached call, so the result is **bit-identical**
-/// to Evaluator::evaluate() on the same tree — the equivalence the IVC
-/// loops (cts/pass.h) and the fuzz tests rely on.
+/// call differs from the cached call (its input slew is on the
+/// stage-boundary grid in every evaluation alike: quantize_stage_slew), so
+/// the result is **bit-identical** to Evaluator::evaluate() on the same
+/// tree — the equivalence the IVC loops (cts/pass.h) and the fuzz tests
+/// rely on.
 ///
 /// Edits reach the engine through a TreeEditSession constructed with
 /// netlist(); each evaluate() counts one simulation run (an incremental

@@ -36,6 +36,13 @@ struct TransientOptions {
   Ps ramp_base = 2.0;             ///< minimum source ramp duration
 };
 
+/// Bound on the kernel's 10-90% slew error at the default step against a
+/// divisor-640 oracle, held on the ten stock final trees by
+/// test_transient_accuracy (the worst measured is 0.035 ps).  A legal
+/// result whose worst slew is within it of the limit is reported as slew
+/// marginal (EvalResult::slew_marginal).
+inline constexpr Ps kSlewErrorBound = 0.05;
+
 /// One right-hand side of a batched stage simulation: the effective driver
 /// view plus the input slew of one (corner x transition) combination — or
 /// of one Monte-Carlo trial's combination.

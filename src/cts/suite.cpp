@@ -131,7 +131,9 @@ std::string SuiteReport::table() const {
                                     TextTable::num(r.result.eval.nominal_skew, 3),
                                     TextTable::num(r.result.eval.max_latency, 1),
                                     TextTable::num(r.result.eval.total_cap / 1000.0, 2),
-                                    r.result.eval.legal() ? "yes" : "no",
+                                    !r.result.eval.legal() ? "no"
+                                    : r.slew_marginal      ? "yes*"
+                                                           : "yes",
                                     std::to_string(r.result.sim_runs),
                                     TextTable::num(r.seconds, 1)};
     if (any_cons) {
@@ -156,7 +158,13 @@ std::string SuiteReport::table() const {
     }
     table.add_row(std::move(row));
   }
-  return table.to_string();
+  std::string text = table.to_string();
+  if (std::any_of(runs.begin(), runs.end(),
+                  [](const SuiteRun& r) { return r.slew_marginal; })) {
+    text += "* legal, but the worst slew is within the kernel's " +
+            TextTable::num(kSlewErrorBound, 2) + " ps slew error of the limit\n";
+  }
+  return text;
 }
 
 std::string SuiteReport::to_json() const {
@@ -202,6 +210,7 @@ std::string SuiteReport::to_json() const {
     w.kv("worst_slew_ps", r.result.eval.worst_slew);
     w.kv("total_cap_ff", r.result.eval.total_cap);
     w.kv("legal", r.result.eval.legal());
+    w.kv("slew_marginal", r.slew_marginal);
     // Constraint metrics appear only for runs whose benchmark carried a
     // non-trivial TimingConstraints block, keeping legacy reports
     // byte-identical.
@@ -347,6 +356,7 @@ SuiteReport run_suite(const std::vector<Benchmark>& suite,
         run_timer.reset();  // a run's time starts once it has its core
         run.result = run_contango(bench, flow);
         run.ok = true;
+        run.slew_marginal = run.result.eval.slew_marginal(bench.tech.slew_limit);
         if (options.mc_trials > 0) {
           if (flow.cancel.cancelled()) throw CancelledError();
           McOptions mc;

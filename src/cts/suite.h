@@ -121,6 +121,11 @@ struct SuiteRun {
   bool ok = false;       ///< false when the flow threw; see `error`
   std::string error;
 
+  /// True when the run is legal but its worst slew is within the kernel's
+  /// slew error of the benchmark's limit (EvalResult::slew_marginal).
+  /// Reported only: the result still counts as legal.
+  bool slew_marginal = false;
+
   /// True when this run was stopped by the suite's cancellation token
   /// (flow.cancel) — either before it started or at a pass boundary —
   /// rather than failing on its own.  Cancelled runs have ok == false and
@@ -175,7 +180,9 @@ struct SuiteReport {
   long illegal_runs() const;
 
   /// Renders the per-benchmark results (CLR, skew, latency, cap, legality,
-  /// sims, CPU) as a fixed-width text table via io/table.  When any run carries
+  /// sims, CPU) as a fixed-width text table via io/table.  A slew-marginal
+  /// run (SuiteRun::slew_marginal) reads "yes*" under Legal, explained by
+  /// a footnote under the table.  When any run carries
   /// Monte-Carlo results, the table grows MC columns (mean/p95/p99 skew and
   /// yield against the skew target).
   std::string table() const;

@@ -8,10 +8,15 @@
 //
 // Every aggregate is recomputed here from its definition rather than with
 // the production helpers, so a slip in either one shows as a mismatch.
+// That includes the stage-boundary slew grid: the slew a buffer tap hands
+// its child stage is rounded to the nearest multiple of 2^-30 ps (ties to
+// even) by a plain ldexp/nearbyint line below, not by quantize_stage_slew;
+// sink slews and max slews stay unrounded.
 
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -81,8 +86,8 @@ inline EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& be
             s = SinkTiming{arrival, taps[k].slew, true};
           } else {
             const int child = stage.downstream_stages.at(next_child++);
-            events[static_cast<std::size_t>(child)] =
-                Event{arrival, taps[k].slew, out_dir, true};
+            const Ps slew = std::ldexp(std::nearbyint(std::ldexp(taps[k].slew, 30)), -30);
+            events[static_cast<std::size_t>(child)] = Event{arrival, slew, out_dir, true};
           }
         }
       }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "analysis/elmore.h"
@@ -9,6 +11,7 @@
 #include "netlist/generators.h"
 #include "rctree/extract.h"
 #include "rctree/soa.h"
+#include "util/rng.h"
 
 namespace contango {
 namespace {
@@ -34,6 +37,71 @@ std::vector<TapTiming> simulate(const TransientSimulator& sim, const Stage& stag
   TransientScratch scratch;
   sim.simulate_stage_batch(soa.view(0), &drive, 1, taps.data(), scratch);
   return taps;
+}
+
+TEST(StageSlewGrid, RoundsToTheNearestGridPointExactly) {
+  constexpr Ps kHalfStep = 0x1p-31;
+  EXPECT_EQ(kStageSlewGrid, 0x1p-30);
+  Rng rng(11);
+  std::vector<Ps> slews;
+  for (int i = 0; i < 20000; ++i) {
+    const Ps s = rng.uniform(0.0, 500.0);
+    slews.push_back(s);
+    slews.push_back(std::nextafter(s, 1e3));  // last-bit neighbours
+  }
+  std::sort(slews.begin(), slews.end());
+  Ps previous = 0.0;
+  for (const Ps s : slews) {
+    const Ps q = quantize_stage_slew(s);
+    EXPECT_LE(std::fabs(q - s), kHalfStep) << s;
+    EXPECT_EQ(q, std::nearbyint(q / kStageSlewGrid) * kStageSlewGrid) << s;
+    EXPECT_EQ(quantize_stage_slew(q), q) << s;  // idempotent
+    EXPECT_GE(q, previous) << s;                // monotone non-decreasing
+    previous = q;
+  }
+  // Grid points are exact, and a tie rounds to the even neighbour.
+  for (const Ps on_grid : {0x1p-30, 3 * 0x1p-30, 37.0, 119.990234375,
+                           123456789 * 0x1p-30, 0x1p22 - 0x1p-30}) {
+    EXPECT_EQ(quantize_stage_slew(on_grid), on_grid);
+  }
+  EXPECT_EQ(quantize_stage_slew(0.5 * 0x1p-30), 0.0);
+  EXPECT_EQ(quantize_stage_slew(1.5 * 0x1p-30), 2 * 0x1p-30);
+  EXPECT_EQ(quantize_stage_slew(2.5 * 0x1p-30), 2 * 0x1p-30);
+  // Zero, infinities, NaN and huge values pass through unchanged.
+  constexpr Ps kInf = std::numeric_limits<Ps>::infinity();
+  EXPECT_EQ(quantize_stage_slew(0.0), 0.0);
+  EXPECT_FALSE(std::signbit(quantize_stage_slew(0.0)));
+  EXPECT_EQ(quantize_stage_slew(kInf), kInf);
+  EXPECT_EQ(quantize_stage_slew(-kInf), -kInf);
+  EXPECT_TRUE(std::isnan(quantize_stage_slew(std::numeric_limits<Ps>::quiet_NaN())));
+  for (const Ps huge : {1e30, -1e30, std::numeric_limits<Ps>::max(), 0x1p22}) {
+    EXPECT_EQ(quantize_stage_slew(huge), huge);
+  }
+}
+
+/// Legal runs within the kernel's slew error of the limit are flagged, on
+/// both sides of the bound: uniform_s1 ends 0.01 ps under the 120 ps
+/// limit, mega_s1 0.19 ps and cns02/04/05 0.1 ps under.
+TEST(SlewMarginal, FlagsLegalRunsWithinTheKernelsSlewError) {
+  EXPECT_EQ(kSlewErrorBound, 0.05);
+  constexpr Ps kLimit = 120.0;
+  EvalResult r;
+  for (const Ps slew : {119.99, 119.96, kLimit - kSlewErrorBound, kLimit}) {
+    r.worst_slew = slew;
+    EXPECT_TRUE(r.slew_marginal(kLimit)) << slew;
+  }
+  for (const Ps slew : {119.81, 119.9, 119.94, 90.0}) {
+    r.worst_slew = slew;
+    EXPECT_FALSE(r.slew_marginal(kLimit)) << slew;
+  }
+  // Only legal runs are marginal.
+  r.worst_slew = 119.99;
+  r.cap_violation = true;
+  EXPECT_FALSE(r.slew_marginal(kLimit));
+  r.cap_violation = false;
+  r.worst_slew = 120.01;
+  r.slew_violation = true;
+  EXPECT_FALSE(r.slew_marginal(kLimit));
 }
 
 TEST(Elmore, LumpedRcHandComputation) {

@@ -802,5 +802,74 @@ TEST(Incremental, ProbeLeavesTheFlowAsItFoundIt) {
   EXPECT_EQ(ctx.eval.batched_stage_evals(), before);
 }
 
+/// The stage-boundary slew grid (quantize_stage_slew): an edit that moves
+/// the slews a stage hands its children by less than the grid absorbs
+/// re-simulates that stage alone.  Every stage below replays its cache,
+/// and the result still equals a fresh full evaluation bit for bit.
+TEST(Incremental, SubGridSlewChangeReplaysEveryStageBelow) {
+  const Benchmark bench = make_scenario("ring", 3, 24);
+  ClockTree tree = construction_tree(bench);
+  Evaluator full_eval(bench);
+  Evaluator inc_owner(bench);
+  IncrementalEvaluator inc(inc_owner);
+  inc.bind(tree);
+  (void)inc.evaluate();  // warm the caches
+
+  // The slews the root stage hands its children, every corner and
+  // transition.  Its input event is the clock source's, so the kernel can
+  // be run on it here directly.
+  const auto root_child_slews = [&] {
+    const EvalOptions& options = full_eval.options();
+    const StagedNetlist net = extract_stages(tree, bench, options.extract);
+    NetlistSoa soa;
+    soa.build(net);
+    const Stage& root = net.stages.front();
+    TransientScratch scratch;
+    std::vector<TapTiming> taps(root.taps.size());
+    std::vector<Ps> slews;
+    for (const Volt vdd : bench.tech.corners) {
+      for (int t = 0; t < kNumTransitions; ++t) {
+        const auto in_dir = static_cast<Transition>(t);
+        const Transition out_dir =
+            !root.driver_inverts ? in_dir
+            : in_dir == Transition::kRise ? Transition::kFall
+                                          : Transition::kRise;
+        const BatchDrive drive{
+            effective_driver_res(root.driver_res_nom, bench.tech, vdd, out_dir),
+            effective_intrinsic(root.driver_intrinsic_nom, bench.tech, vdd),
+            options.source_input_slew};
+        full_eval.simulator().simulate_stage_batch(soa.view(0), &drive, 1,
+                                                   taps.data(), scratch);
+        for (std::size_t k = 0; k < root.taps.size(); ++k) {
+          if (!root.taps[k].is_sink) slews.push_back(taps[k].slew);
+        }
+      }
+    }
+    return slews;
+  };
+
+  const std::vector<Ps> before = root_child_slews();
+  ASSERT_FALSE(before.empty()) << "the root stage drives no buffer";
+  TreeEditSession session(tree, &inc.netlist());
+  session.add_snake(live_edges(tree).front(), 1e-9);  // a root-stage wire
+  const std::vector<Ps> after = root_child_slews();
+  // The edit moves the children's raw input slews, so an exact-slew cache
+  // key would re-simulate them, but not across a grid point.
+  ASSERT_NE(after, before);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(quantize_stage_slew(after[i]), quantize_stage_slew(before[i])) << i;
+  }
+
+  const EvalWork start = inc_owner.work();
+  const EvalResult edited = inc.evaluate();
+  const EvalWork spent = inc_owner.work() - start;
+  const long combos = static_cast<long>(bench.tech.corners.size()) * kNumTransitions;
+  const long stages = static_cast<long>(inc.netlist().topo_slots().size());
+  EXPECT_EQ(spent.batched_stage_evals, combos);  // the root stage alone
+  EXPECT_EQ(spent.stage_reuses, (stages - 1) * combos);
+  expect_bit_identical(edited, full_eval.evaluate(tree), "sub-grid edit vs full");
+  session.commit();
+}
+
 }  // namespace
 }  // namespace contango

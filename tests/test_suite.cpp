@@ -527,6 +527,8 @@ TEST(SuiteEnv, NegativeCountsRejected) {
 
 /// An illegal result is reported as such, in the table's Legal column and
 /// the JSON's illegal_runs, while all_ok still only means "did not throw".
+/// A legal result within the kernel's slew error of the limit (uniform_s1
+/// ends 0.01 ps under it) stays legal and is flagged slew_marginal.
 TEST(Suite, ReportsIllegalResults) {
   std::vector<Benchmark> suite;
   for (const char* family : {"obstacle_dense", "usefulskew", "uniform"}) {
@@ -536,7 +538,14 @@ TEST(Suite, ReportsIllegalResults) {
   ASSERT_EQ(report.runs.size(), 3u);
   EXPECT_TRUE(report.all_ok());
   EXPECT_EQ(report.illegal_runs(), 2);
-  EXPECT_NE(report.to_json().find("\"illegal_runs\":2"), std::string::npos);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"illegal_runs\":2"), std::string::npos);
+  EXPECT_FALSE(report.runs[0].slew_marginal);
+  EXPECT_FALSE(report.runs[1].slew_marginal);
+  EXPECT_TRUE(report.runs[2].slew_marginal);
+  EXPECT_TRUE(report.runs[2].result.eval.legal());
+  EXPECT_NE(json.find("\"legal\":true,\"slew_marginal\":true"), std::string::npos);
+  EXPECT_EQ(json.find("\"legal\":false,\"slew_marginal\":true"), std::string::npos);
 
   // The Legal column is left-aligned, so its cells start where its
   // header does, on every row.
@@ -546,12 +555,15 @@ TEST(Suite, ReportsIllegalResults) {
   auto legal = [&](const std::string& benchmark) {
     const std::size_t row = table.find("\n" + benchmark + " ");
     if (row == std::string::npos) return std::string("(no row)");
-    const std::string cell = table.substr(row + 1 + column, 3);
+    const std::string cell = table.substr(row + 1 + column, 5);
     return cell.substr(0, cell.find(' '));
   };
   EXPECT_EQ(legal("obstacle_dense_s1"), "no") << table;
   EXPECT_EQ(legal("usefulskew_s1"), "no") << table;
-  EXPECT_EQ(legal("uniform_s1"), "yes") << table;
+  EXPECT_EQ(legal("uniform_s1"), "yes*") << table;
+  EXPECT_NE(table.find("\n* legal, but the worst slew is within the kernel's 0.05 ps"),
+            std::string::npos)
+      << table;
 }
 
 TEST(SuiteEnv, RemovedKnobsAreReportedAsUnknown) {
