@@ -17,7 +17,6 @@
 #include "cts/flow.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
-#include "rctree/soa.h"
 
 using namespace contango;
 
@@ -71,7 +70,7 @@ BENCHMARK(BM_TransientEvaluate)->Arg(100)->Arg(400);
 /// source transition), input slews propagated stage to stage exactly as
 /// the level sweep (LevelSweep::run) does.
 struct RecordedStages {
-  NetlistSoa soa;
+  StagedNetlist net;
   std::size_t num_stages = 0;
   std::size_t max_taps = 0;
   std::vector<BatchDrive> drives;  ///< num_stages x combos, stage-major
@@ -82,9 +81,9 @@ static const RecordedStages& recorded_ti2k() {
   static const RecordedStages rec = [] {
     const Benchmark bench = generate_ti_like(2000, 77);
     const FlowResult flow = run_contango(bench);
-    const StagedNetlist net = extract_stages(flow.tree, bench);
     RecordedStages r;
-    r.soa.build(net);
+    r.net = extract_stages(flow.tree, bench);
+    const StagedNetlist& net = r.net;
     r.num_stages = net.stages.size();
     const std::size_t nc = bench.tech.corners.size();
     r.combos = nc * kNumTransitions;
@@ -116,8 +115,7 @@ static const RecordedStages& recorded_ti2k() {
               in_slew[si]};
           r.drives[si * r.combos + c] = drive;
           taps.resize(stage.taps.size());
-          sim.simulate_stage_batch(r.soa.view(static_cast<int>(si)), &drive, 1,
-                                   taps.data(), scratch);
+          sim.simulate_stage_batch(stage, &drive, 1, taps.data(), scratch);
           std::size_t next = 0;
           for (std::size_t k = 0; k < stage.taps.size(); ++k) {
             if (stage.taps[k].is_sink) continue;
@@ -149,8 +147,8 @@ static void BM_TransientKernel(benchmark::State& state) {
       for (std::size_t b = 0; b < width; ++b) {
         drives[b] = rec.drives[si * rec.combos + b % rec.combos];
       }
-      sim.simulate_stage_batch(rec.soa.view(static_cast<int>(si)), drives.data(),
-                               width, out.data(), scratch);
+      sim.simulate_stage_batch(rec.net.stages[si], drives.data(), width,
+                               out.data(), scratch);
       benchmark::DoNotOptimize(out.data());
     }
     benchmark::ClobberMemory();

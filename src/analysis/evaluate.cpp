@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -268,7 +269,7 @@ EvalResult Evaluator::evaluate(const ClockTree& tree) {
   net.build(tree, bench_, options_.extract);
   LevelSweep sweep;
   EvalResult result =
-      sweep.run(*this, net, net.soa(), nullptr, options_.threads, /*reuse=*/false);
+      sweep.run(*this, net, net.stages(), nullptr, options_.threads, /*reuse=*/false);
   add_sweep_work(sweep.last().sims, sweep.last().reuses, sweep.last().helper_cpu);
   account_capacitance(result, tree, bench_, sink_caps_);
   return result;
@@ -277,10 +278,18 @@ EvalResult Evaluator::evaluate(const ClockTree& tree) {
 // -------------------------------------------------------------- LevelSweep --
 
 EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
-                           const NetlistSoa& soa,
+                           const std::vector<Stage>& stages,
                            const std::vector<Volt>* slot_vdd_delta,
                            int max_threads, bool reuse, Ps slew_cut) {
   const std::size_t slot_count = net.slot_count();
+  if (stages.size() != slot_count) {
+    throw std::invalid_argument("LevelSweep: " + std::to_string(stages.size()) +
+                                " stages for " + std::to_string(slot_count) +
+                                " slots");
+  }
+  if (reuse && &stages != &net.stages()) {
+    throw std::invalid_argument("LevelSweep: reuse needs the netlist's own stages");
+  }
   if (slot_vdd_delta && slot_vdd_delta->size() != slot_count) {
     throw std::invalid_argument("LevelSweep: slot_vdd_delta size " +
                                 std::to_string(slot_vdd_delta->size()) +
@@ -347,9 +356,9 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
   // so slots of one level may run on any workers.
   const auto run_slot = [&](std::size_t pos, Worker& w) {
     const int slot = topo[pos];
-    const Stage& stage = net.stage(slot);
-    const std::uint64_t version = net.version(slot);
     const auto s = static_cast<std::size_t>(slot);
+    const Stage& stage = stages[s];
+    const std::uint64_t version = net.version(slot);
     const std::size_t nt = stage.taps.size();
 
     std::vector<CachedTiming>* per_slot = nullptr;
@@ -414,7 +423,7 @@ EvalResult LevelSweep::run(const Evaluator& eval, const RcNetlist& net,
     const std::size_t misses = w.miss_combos.size();
     if (misses > 0) {
       w.miss_taps.resize(misses * nt);
-      sim.simulate_stage_batch(soa.view(slot), w.miss_drives.data(), misses,
+      sim.simulate_stage_batch(stage, w.miss_drives.data(), misses,
                                w.miss_taps.data(), w.scratch);
     }
     if (reuse) {
@@ -536,7 +545,7 @@ EvalResult IncrementalEvaluator::evaluate(Ps slew_cut, std::optional<Ff> total_c
     throw std::logic_error("IncrementalEvaluator: evaluate before bind");
   }
   net_.refresh();
-  EvalResult result = sweep_.run(eval_, net_, net_.soa(), nullptr,
+  EvalResult result = sweep_.run(eval_, net_, net_.stages(), nullptr,
                                  eval_.options_.threads, /*reuse=*/true, slew_cut);
   eval_.add_sweep_work(sweep_.last().sims, sweep_.last().reuses,
                        sweep_.last().helper_cpu);

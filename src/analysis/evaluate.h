@@ -206,7 +206,7 @@ class Evaluator {
   }
 
   /// Finer-grained work accounting in (stage x corner x transition) units:
-  /// transient stage simulations executed by the SoA kernel across
+  /// transient stage simulations executed by the kernel across
   /// evaluate() and IncrementalEvaluator.
   long batched_stage_evals() const {
     return batched_stage_evals_.load(std::memory_order_relaxed);
@@ -272,8 +272,8 @@ class Evaluator {
 /// run() sweeps an RcNetlist's stage graph one depth level at a time
 /// (RcNetlist::topo_levels()), every (supply corner x source transition)
 /// combination together: a slot's drives go through one
-/// simulate_stage_batch() call over its SoA slice, and its tap timings
-/// hand each child its input event.  A level's stages depend only on
+/// simulate_stage_batch() call over its Stage, and its tap timings hand
+/// each child its input event.  A level's stages depend only on
 /// levels above it, so they are split across up to `max_threads` workers
 /// (a level of width 1 runs inline).  The result does not depend on the
 /// split because every write is disjoint: a stage writes only its own
@@ -290,7 +290,7 @@ class Evaluator {
 /// (RcNetlist::version), its input direction or its input slew, a point of
 /// the stage-boundary grid (quantize_stage_slew) — differs from the cached
 /// call; everything else replays the cache.  Without it
-/// every slot is simulated from the SoA passed in.  Either way a slot's
+/// every slot is simulated from the stages passed in.  Either way a slot's
 /// misses go through one kernel call, which runs its own Elmore sweep, so
 /// the tap timings are the only state kept between runs.
 /// Capacitance accounting is the caller's job (account_capacitance).
@@ -321,22 +321,24 @@ class LevelSweep {
 
   /// One CNE propagation over the slots of `net`.
   /// \param eval supplies the benchmark, simulator and source slew
-  /// \param soa the SoA to read: `net.soa()`, or a Monte-Carlo trial copy
-  ///        of it carrying perturbed values; `net` still supplies the
-  ///        topology and driver metadata
+  /// \param stages the stages to simulate, by slot id: `net.stages()`, or a
+  ///        Monte-Carlo worker's copy of them carrying one trial's perturbed
+  ///        node values; `net` still supplies the topology, the versions
+  ///        and the session
   /// \param slot_vdd_delta optional per-slot supply offsets (volts): each
   ///        corner evaluates slot i at `corner + (*slot_vdd_delta)[i]`.
   ///        nullptr puts every slot exactly at the corner voltage
   /// \param max_threads worker cap, caller included; 0 = hardware_threads()
   /// \param reuse whether cached tap timings may be replayed (needs
-  ///        `soa == net.soa()` and no supply offsets)
+  ///        `stages` to be `net.stages()` itself, and no supply offsets)
   /// \param slew_cut once the worst tap slew of the levels swept so far
   ///        exceeds this, the sweep stops before the next level and the
   ///        result is marked EvalResult::stopped_early.  Worst slew only
   ///        grows with more levels, so the full result would exceed it too.
   ///        The default (infinity) never stops and skips the per-level max.
   EvalResult run(const Evaluator& eval, const RcNetlist& net,
-                 const NetlistSoa& soa, const std::vector<Volt>* slot_vdd_delta,
+                 const std::vector<Stage>& stages,
+                 const std::vector<Volt>* slot_vdd_delta,
                  int max_threads, bool reuse,
                  Ps slew_cut = std::numeric_limits<Ps>::infinity());
 

@@ -27,32 +27,33 @@ struct BlockStats {
   long pass = 0;  ///< legal and skew <= target
 };
 
-/// Applies one trial's perturbation to a SoA copy of the base netlist
-/// (slots [0, num_stages) all live, as after a fresh RcNetlist build).
+/// Sets `trial` (a copy of `base`) to one trial's perturbation of it: each
+/// stage's nodes are re-assigned from the base (copy-assignment reuses
+/// their storage, so a trial allocates nothing) and varied in place.
 ///
 /// Wire R/C scale globally; pin capacitances (sink pins, buffer input and
 /// output pins) are exempt from wire scaling — extraction records them per
 /// tap/stage — and sink pins additionally take their per-sink jitter
 /// factor.  With the zero model every adjustment is exactly 0.0 and the
 /// copy is bit-identical to the base.
-void apply_variation(const TrialVariation& v, NetlistSoa& soa,
-                     std::size_t num_stages) {
+void apply_variation(const TrialVariation& v, const std::vector<Stage>& base,
+                     std::vector<Stage>& trial) {
   const double rs = v.wire_r_scale;
   const double cs = v.wire_c_scale;
-  for (std::size_t si = 0; si < num_stages; ++si) {
-    NetlistSoa::Span s = soa.span(static_cast<int>(si));
-    for (std::size_t i = 0; i < s.num_nodes; ++i) {
-      s.res[i] *= rs;
-      s.cap[i] *= cs;
+  for (std::size_t si = 0; si < base.size(); ++si) {
+    Stage& stage = trial[si];
+    stage.nodes = base[si].nodes;
+    for (RcNode& node : stage.nodes) {
+      node.res *= rs;
+      node.cap *= cs;
     }
-    s.cap[0] += s.driver_pin_cap * (1.0 - cs);
-    for (std::size_t k = 0; k < s.num_taps; ++k) {
+    stage.nodes[0].cap += stage.driver_pin_cap * (1.0 - cs);
+    for (const Tap& tap : stage.taps) {
       const double pin_scale =
-          s.tap_sink[k] >= 0
-              ? v.sink_cap_scale[static_cast<std::size_t>(s.tap_sink[k])]
-              : 1.0;
-      s.cap[static_cast<std::size_t>(s.tap_rc[k])] +=
-          s.tap_pin_cap[k] * (pin_scale - cs);
+          tap.is_sink ? v.sink_cap_scale[static_cast<std::size_t>(tap.sink_index)]
+                      : 1.0;
+      stage.nodes[static_cast<std::size_t>(tap.rc_index)].cap +=
+          tap.pin_cap * (pin_scale - cs);
     }
   }
 }
@@ -136,7 +137,7 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   const Evaluator evaluator(bench, options.eval);
 
   // Nominal (unperturbed) reference, including the capacitance gate.
-  report.nominal = LevelSweep().run(evaluator, net, net.soa(), nullptr,
+  report.nominal = LevelSweep().run(evaluator, net, net.stages(), nullptr,
                                     report.threads, /*reuse=*/false);
   account_capacitance(report.nominal, tree, bench, evaluator.sink_caps());
 
@@ -151,24 +152,23 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
 
   // Trials are embarrassingly parallel: each draws from its own substream
   // and writes only its own sample.  Every worker keeps one sweep and one
-  // trial SoA and takes the next trial from a shared counter, so no worker
-  // idles while another still holds a queue of trials.  Each trial sweeps
-  // on one thread, the rule run_suite() applies to its workers: the trials
-  // already spread across the cores.
+  // copy of the stages, and takes the next trial from a shared counter, so
+  // no worker idles while another still holds a queue of trials.  Each
+  // trial sweeps on one thread, the rule run_suite() applies to its
+  // workers: the trials already spread across the cores.
   const int workers = std::min(report.threads, trials);
   std::atomic<int> next{0};
   parallel_for(workers, workers, [&](int) {
     LevelSweep sweep;
-    NetlistSoa trial_soa;
+    std::vector<Stage> trial_stages = net.stages();
     for (;;) {
       const int trial = next.fetch_add(1, std::memory_order_relaxed);
       if (trial >= trials) break;
       const TrialVariation v = sample_trial(model, bench.tech, trial, num_stages,
                                             bench.sinks.size());
-      trial_soa = net.soa();  // copy-assign reuses the worker's buffers
-      apply_variation(v, trial_soa, num_stages);
-      const EvalResult eval = sweep.run(evaluator, net, trial_soa, &v.stage_vdd_delta,
-                                        1, /*reuse=*/false);
+      apply_variation(v, net.stages(), trial_stages);
+      const EvalResult eval = sweep.run(evaluator, net, trial_stages,
+                                        &v.stage_vdd_delta, 1, /*reuse=*/false);
       McTrial& t = report.samples[static_cast<std::size_t>(trial)];
       t.skew = eval.nominal_skew;
       t.clr = eval.clr;

@@ -170,9 +170,10 @@ struct McReport {
 /// Builds the RcNetlist once and sweeps it for the nominal reference
 /// (LevelSweep, up to `options.threads` threads), then per trial: samples
 /// the trial's perturbation from its substream, applies wire/pin scaling
-/// to a SoA copy of the netlist, sweeps every (corner x transition)
-/// combination with per-stage supply offsets on one thread, and records
-/// the trial's sample.  Each worker takes the next trial as soon as it is
+/// to the worker's copy of the stages (copied once per worker; each trial
+/// re-assigns the node values from the netlist's), sweeps every (corner x
+/// transition) combination with per-stage supply offsets on one thread,
+/// and records the trial's sample.  Each worker takes the next trial as soon as it is
 /// free.  The samples then stream into per-block accumulators merged in
 /// deterministic order.
 ///

@@ -14,10 +14,10 @@ namespace {
 struct StageConstants {
   std::size_t n = 0;
   std::size_t nt = 0;
-  const Ff* cap = nullptr;
-  const int* parent = nullptr;
-  const int* tap_rc = nullptr;
-  const double* g = nullptr;  ///< conductance to parent
+  const RcNode* nodes = nullptr;
+  const Tap* taps = nullptr;
+  const int* parent = nullptr;  ///< the nodes' parents, contiguous
+  const double* g = nullptr;    ///< conductance to parent
   Ff total_cap = 0.0;
   Ps max_tau = 0.0;
 };
@@ -76,7 +76,7 @@ template <std::size_t L>
   using V = typename LaneVector<L>::type;
   const std::size_t n = s.n;
   const std::size_t nt = s.nt;
-  const Ff* cap = s.cap;
+  const RcNode* nodes = s.nodes;
   const int* parent = s.parent;
   const double* g = s.g;
 
@@ -125,7 +125,7 @@ template <std::size_t L>
   V* adiag = reinterpret_cast<V*>(scratch.adiag.data());
   V* mult = reinterpret_cast<V*>(scratch.mult.data());
   for (std::size_t i = 0; i < n; ++i) {
-    cap_h[i] = cap[i] / hv;
+    cap_h[i] = nodes[i].cap / hv;
     adiag[i] = cap_h[i];
   }
   adiag[0] += g_drv / 2.0;
@@ -161,7 +161,8 @@ template <std::size_t L>
   for (std::size_t l = 0; l < count; ++l) {
     TransientScratch::PendingTap* list = scratch.pending.data() + l * nt;
     for (std::size_t k = 0; k < nt; ++k) {
-      list[k] = {0.0, 0.0, kTh10, static_cast<std::size_t>(s.tap_rc[k]) * L + l, k};
+      list[k] = {0.0, 0.0, kTh10,
+                 static_cast<std::size_t>(s.taps[k].rc_index) * L + l, k};
     }
     pending[l] = nt;
   }
@@ -321,25 +322,28 @@ const LaneKernels* kernels_for(detail::KernelIsa isa) {
 }
 
 void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
-                    const NetlistSoa::View& stage, const BatchDrive* drives,
+                    const Stage& stage, const BatchDrive* drives,
                     std::size_t count, TapTiming* out,
                     TransientScratch& scratch,
                     const detail::ElmoreOverride* elmore) {
-  const std::size_t n = stage.num_nodes;
-  const std::size_t nt = stage.num_taps;
+  const std::size_t n = stage.nodes.size();
+  const std::size_t nt = stage.taps.size();
   for (std::size_t i = 0; i < count * nt; ++i) out[i] = TapTiming{};
   if (n == 0 || count == 0) return;
 
-  const Ff* cap = stage.cap;
-  const int* parent = stage.parent;
+  const RcNode* nodes = stage.nodes.data();
 
   // --- drive-independent stage data, computed once per batch ------------
 
-  // Conductance to parent.
+  // Conductance to parent, and the parents copied beside it: the step
+  // loops walk these two contiguous arrays.
   scratch.g.assign(n, 0.0);
-  for (std::size_t i = 1; i < n; ++i) {
-    scratch.g[i] = 1.0 / std::max(stage.res[i], 1e-9);
+  scratch.parent.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.parent[i] = nodes[i].parent;
+    if (i > 0) scratch.g[i] = 1.0 / std::max(nodes[i].res, 1e-9);
   }
+  const int* parent = scratch.parent.data();
 
   // Elmore sweep for timestep selection and the stop guard, with exactly
   // the ElmoreStage accumulation order (one reverse cdown/total sweep, one
@@ -353,29 +357,30 @@ void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
     scratch.cdown.assign(n, 0.0);
     scratch.tau.assign(n, 0.0);
     for (std::size_t i = n; i-- > 0;) {
-      scratch.cdown[i] += cap[i];
+      scratch.cdown[i] += nodes[i].cap;
       if (parent[i] >= 0) {
         scratch.cdown[static_cast<std::size_t>(parent[i])] += scratch.cdown[i];
       }
-      total_cap += cap[i];
+      total_cap += nodes[i].cap;
     }
     for (std::size_t i = 1; i < n; ++i) {
       scratch.tau[i] = scratch.tau[static_cast<std::size_t>(parent[i])] +
-                       stage.res[i] * scratch.cdown[i];
+                       nodes[i].res * scratch.cdown[i];
     }
     tau = scratch.tau.data();
   }
   Ps max_tau = 0.0;
   for (std::size_t k = 0; k < nt; ++k) {
-    max_tau = std::max(max_tau, tau[static_cast<std::size_t>(stage.tap_rc[k])]);
+    const auto node = static_cast<std::size_t>(stage.taps[k].rc_index);
+    max_tau = std::max(max_tau, tau[node]);
   }
 
   StageConstants s;
   s.n = n;
   s.nt = nt;
-  s.cap = cap;
+  s.nodes = nodes;
+  s.taps = stage.taps.data();
   s.parent = parent;
-  s.tap_rc = stage.tap_rc;
   s.g = scratch.g.data();
   s.total_cap = total_cap;
   s.max_tau = max_tau;
@@ -403,7 +408,7 @@ void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
 }  // namespace
 
 void TransientSimulator::simulate_stage_batch(
-    const NetlistSoa::View& stage, const BatchDrive* drives, std::size_t count,
+    const Stage& stage, const BatchDrive* drives, std::size_t count,
     TapTiming* out, TransientScratch& scratch) const {
   // The widest clone this CPU runs.
   static const LaneKernels* const kernels = [] {
@@ -419,7 +424,7 @@ namespace detail {
 bool kernel_isa_supported(KernelIsa isa) { return kernels_for(isa) != nullptr; }
 
 void simulate_stage_batch_on(KernelIsa isa, const TransientSimulator& sim,
-                             const NetlistSoa::View& stage,
+                             const Stage& stage,
                              const BatchDrive* drives, std::size_t count,
                              TapTiming* out, TransientScratch& scratch,
                              const ElmoreOverride* elmore) {

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "rctree/extract.h"
-#include "rctree/soa.h"
 
 namespace contango {
 
@@ -63,6 +62,7 @@ struct BatchDrive {
 /// (`[l * num_taps + k]`).
 struct TransientScratch {
   std::vector<double> g;      ///< conductance to parent (shared per stage)
+  std::vector<int> parent;    ///< parent index per node (shared per stage)
   std::vector<double> cdown;  ///< Elmore sweep: downstream cap per node
   std::vector<double> tau;    ///< Elmore sweep: tau per node
   // Per-node lane arrays (node-major).
@@ -108,10 +108,11 @@ struct TransientScratch {
 /// from closed-form models (section III-A).
 ///
 /// The engine has one integrator core, simulate_stage_batch(): it reads the
-/// stage through a SoA view, hoists everything drive-independent — the
-/// conductance array, the Elmore sweep, the worst tap tau — out of the
-/// per-drive work, and then integrates the drives in groups of up to four
-/// interleaved lanes over the same cached stage data.  Each lane keeps its
+/// Stage as extracted, hoists everything drive-independent — the
+/// conductance and parent arrays (copied into the scratch, so the step
+/// loops walk contiguous arrays), the Elmore sweep, the worst tap tau —
+/// out of the per-drive work, and then integrates the drives in groups of
+/// up to four interleaved lanes over the same cached stage data.  Each lane keeps its
 /// own timestep, clock and stop time, starts its clock when its driver
 /// ramp starts (every voltage is exactly 0 before), and performs the
 /// one-drive integrator's operations in their order, so a row does not
@@ -130,14 +131,14 @@ class TransientSimulator {
       : options_(options) {}
 
   /// Batched integrator core: simulates `stage` once per entry of
-  /// `drives[0..count)`, writing `out[b * stage.num_taps + k]` for drive b,
-  /// tap k (the caller provides `count * stage.num_taps` slots).  The
+  /// `drives[0..count)`, writing `out[b * stage.taps.size() + k]` for drive
+  /// b, tap k (the caller provides `count * stage.taps.size()` slots).  The
   /// stage's conductances and Elmore sweep are computed once and shared;
   /// drives run as interleaved lanes in groups of 4 (three drives pad one
   /// lane), 2 or 1, and each lane's timestep, factorization and trapezoidal
   /// integration run exactly the one-drive arithmetic, so every row is
   /// bit-identical to a batch of one with the same drive.
-  void simulate_stage_batch(const NetlistSoa::View& stage,
+  void simulate_stage_batch(const Stage& stage,
                             const BatchDrive* drives, std::size_t count,
                             TapTiming* out, TransientScratch& scratch) const;
 
@@ -168,7 +169,7 @@ struct ElmoreOverride {
 /// sweep replaced by `elmore` when given; throws std::invalid_argument
 /// when the clone is not supported.
 void simulate_stage_batch_on(KernelIsa isa, const TransientSimulator& sim,
-                             const NetlistSoa::View& stage,
+                             const Stage& stage,
                              const BatchDrive* drives, std::size_t count,
                              TapTiming* out, TransientScratch& scratch,
                              const ElmoreOverride* elmore = nullptr);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace contango {
@@ -141,7 +142,7 @@ void RcNetlist::mark_dirty(int slot) {
   const auto s = static_cast<std::size_t>(slot);
   if (session_ != 0 && !session_marked_[s]) {
     session_marked_[s] = 1;
-    session_versions_.emplace_back(slot, slots_[s].version);
+    session_versions_.emplace_back(slot, versions_[s]);
   }
 }
 
@@ -163,7 +164,7 @@ std::uint64_t RcNetlist::begin_session() {
   if (!built()) throw std::logic_error("RcNetlist: session before build");
   commit_session();
   refresh();
-  session_marked_.assign(slots_.size(), 0);
+  session_marked_.assign(stages_.size(), 0);
   session_ = next_session_++;
   return session_;
 }
@@ -179,7 +180,7 @@ void RcNetlist::rollback_session() {
     for (const auto& [slot, version] : session_versions_) {
       // A slot still at its pre-session version was never re-extracted,
       // so its stage is the pre-session one already.
-      if (slots_[static_cast<std::size_t>(slot)].version != version) {
+      if (versions_[static_cast<std::size_t>(slot)] != version) {
         extract_slot(slot, version);
       }
     }
@@ -189,8 +190,8 @@ void RcNetlist::rollback_session() {
 }
 
 void RcNetlist::extract_slot(int slot, std::uint64_t version) {
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  const NodeId driver = s.stage.driver;
+  const auto s = static_cast<std::size_t>(slot);
+  const NodeId driver = stages_[s].driver;
   Stage stage = make_driver_stage(*tree_, driver, *bench_);
 
   // Pruned local BFS from the driver.  Edges are processed in exactly the
@@ -215,11 +216,23 @@ void RcNetlist::extract_slot(int slot, std::uint64_t version) {
       }
     }
   }
-  s.stage = std::move(stage);
-  s.version = version;
-  // Mirror the refreshed contents into the SoA arena: in place when the
-  // slice capacity fits, so steady-state IVC refine loops never allocate.
-  soa_.write_slot(slot, s.stage);
+  // Value edits keep the stage graph: a slot extracted before must come
+  // back with as many taps and downstream stages, or a structural edit was
+  // marked as a value edit and only a full rebuild is right.
+  const Stage& old = stages_[s];
+  if (versions_[s] != 0 && (stage.taps.size() != old.taps.size() ||
+                            stage.downstream_stages.size() !=
+                                old.downstream_stages.size())) {
+    throw std::logic_error(
+        "RcNetlist: slot " + std::to_string(slot) + " re-extracted with " +
+        std::to_string(stage.taps.size()) + " taps and " +
+        std::to_string(stage.downstream_stages.size()) +
+        " downstream stages, not " + std::to_string(old.taps.size()) + " and " +
+        std::to_string(old.downstream_stages.size()) +
+        "; a structural edit needs mark_all_dirty()");
+  }
+  stages_[s] = std::move(stage);
+  versions_[s] = version;
 }
 
 void RcNetlist::order_levels() {
@@ -233,7 +246,7 @@ void RcNetlist::order_levels() {
     const std::size_t level_end = topo_slots_.size();
     topo_levels_.push_back(level_begin);
     for (std::size_t i = level_begin; i < level_end; ++i) {
-      const Stage& stage = slots_[static_cast<std::size_t>(topo_slots_[i])].stage;
+      const Stage& stage = stages_[static_cast<std::size_t>(topo_slots_[i])];
       topo_slots_.insert(topo_slots_.end(), stage.downstream_stages.begin(),
                          stage.downstream_stages.end());
     }
@@ -250,11 +263,11 @@ void RcNetlist::refresh() {
     commit_session();
     full_rebuild_ = false;
     dirty_.clear();
-    slots_.clear();
+    stages_.clear();
+    versions_.clear();
     slot_of_driver_.clear();
     topo_slots_.clear();
     topo_levels_.clear();
-    soa_.clear();
     if (tree_->empty()) return;
     // Slots in extract_stages() order — the root, then every buffer in
     // topological_order() — so slot i of a fresh build is stage i of a full
@@ -263,12 +276,13 @@ void RcNetlist::refresh() {
     // child's slot by its driver.
     for (NodeId id : tree_->topological_order()) {
       if (id == tree_->root() || tree_->node(id).is_buffer()) {
-        slot_of_driver_.emplace(id, static_cast<int>(slots_.size()));
-        slots_.emplace_back();
-        slots_.back().stage.driver = id;
+        slot_of_driver_.emplace(id, static_cast<int>(stages_.size()));
+        stages_.emplace_back();
+        stages_.back().driver = id;
       }
     }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
+    versions_.assign(stages_.size(), 0);
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
       extract_slot(static_cast<int>(i), next_version_++);
     }
     order_levels();
@@ -276,7 +290,7 @@ void RcNetlist::refresh() {
   }
   // Value edits leave the stage graph, and so the level order, as it is.
   if (dirty_.empty()) return;
-  std::vector<char> done(slots_.size(), 0);
+  std::vector<char> done(stages_.size(), 0);
   for (const int slot : dirty_) {
     if (done[static_cast<std::size_t>(slot)]) continue;
     done[static_cast<std::size_t>(slot)] = 1;

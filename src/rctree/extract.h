@@ -7,7 +7,6 @@
 
 #include "netlist/benchmark.h"
 #include "rctree/clocktree.h"
-#include "rctree/soa.h"
 
 namespace contango {
 
@@ -108,7 +107,9 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 /// whole-tree candidate, a whole-pass rollback) goes through
 /// mark_all_dirty(), and the next refresh() rebuilds every slot and the
 /// level order.  Edits marked while that rebuild is pending are ignored:
-/// the rebuild covers them.
+/// the rebuild covers them.  A structural edit marked as a value edit is
+/// caught where it shows: a re-extracted stage whose tap or downstream
+/// stage count differs from its slot's throws std::logic_error.
 ///
 /// Per-stage re-extraction replays exactly the arithmetic of
 /// extract_stages() in exactly the order a full extraction would visit the
@@ -173,12 +174,15 @@ class RcNetlist {
   /// Slot of the clock-source stage (always 0 once built).
   int root_slot() const { return 0; }
   /// Slot count; valid slot ids are [0, slot_count()).
-  std::size_t slot_count() const { return slots_.size(); }
-  const Stage& stage(int slot) const { return slots_[static_cast<std::size_t>(slot)].stage; }
+  std::size_t slot_count() const { return stages_.size(); }
+  const Stage& stage(int slot) const { return stages_[static_cast<std::size_t>(slot)]; }
+  /// Every slot's stage, indexed by slot id: what the evaluation kernels
+  /// read (analysis/evaluate.h).
+  const std::vector<Stage>& stages() const { return stages_; }
   /// Monotonically increasing per-slot change stamp; never repeats, even
   /// across rebuilds, so `version` equality certifies unchanged contents.
   std::uint64_t version(int slot) const {
-    return slots_[static_cast<std::size_t>(slot)].version;
+    return versions_[static_cast<std::size_t>(slot)];
   }
   /// Slots in breadth-first order (root stage first), so every slot
   /// follows its parent and each depth level is a contiguous range.
@@ -189,19 +193,7 @@ class RcNetlist {
   /// Empty for an empty tree.
   const std::vector<std::size_t>& topo_levels() const { return topo_levels_; }
 
-  /// Arena-backed SoA mirror of every slot, maintained across refresh():
-  /// a dirty stage's re-extraction rewrites its slice in place
-  /// (rctree/soa.h).  Slot ids match this netlist's; the batched
-  /// evaluation kernels read stages through here instead of the AoS
-  /// Stage.  Slices are bit-identical to stage(slot) by construction.
-  const NetlistSoa& soa() const { return soa_; }
-
  private:
-  struct Slot {
-    Stage stage;
-    std::uint64_t version = 0;
-  };
-
   int slot_containing_edge(NodeId node) const;
   void mark_dirty(int slot);
   void extract_slot(int slot, std::uint64_t version);
@@ -211,7 +203,8 @@ class RcNetlist {
   const Benchmark* bench_ = nullptr;
   ExtractOptions options_;
 
-  std::vector<Slot> slots_;
+  std::vector<Stage> stages_;             ///< per slot
+  std::vector<std::uint64_t> versions_;  ///< per slot; 0 = never extracted
   std::unordered_map<NodeId, int> slot_of_driver_;
   std::vector<int> topo_slots_;
   std::vector<std::size_t> topo_levels_;  ///< level starts + end sentinel
@@ -225,7 +218,6 @@ class RcNetlist {
   /// (slot, version at its first dirty mark) of the open session.
   std::vector<std::pair<int, std::uint64_t>> session_versions_;
   std::vector<char> session_marked_;  ///< per slot: in session_versions_
-  NetlistSoa soa_;  ///< SoA mirror of the slots (see soa())
 };
 
 /// \brief Journaled edit transaction over a ClockTree, wired to an

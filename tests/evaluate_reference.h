@@ -1,10 +1,11 @@
 // Test oracle for the Clock-Network Evaluation: the corner-outer scalar
 // propagation — one corner, then one source transition, then every stage in
 // topological order, one drive per kernel call — written against the
-// one-drive integrator loop of transient_reference.h, plus the AoS form of
-// the Monte-Carlo trial perturbation.  Production evaluation (stage-outer,
-// all combinations in one lane-interleaved kernel call, SoA variation) must
-// reproduce these numbers bit for bit.
+// one-drive integrator loop of transient_reference.h, plus the Monte-Carlo
+// trial perturbation of a whole staged netlist.  Production evaluation
+// (stage-outer, all combinations in one lane-interleaved kernel call, the
+// variation applied to a worker's reused stage copies) must reproduce these
+// numbers bit for bit.
 //
 // Every aggregate is recomputed here from its definition rather than with
 // the production helpers, so a slip in either one shows as a mismatch.
@@ -26,7 +27,6 @@
 #include "analysis/evaluate.h"
 #include "analysis/variation.h"
 #include "rctree/extract.h"
-#include "rctree/soa.h"
 #include "transient_reference.h"
 
 namespace contango {
@@ -44,8 +44,6 @@ inline EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& be
     Transition dir = Transition::kRise;
     bool scheduled = false;
   };
-  NetlistSoa soa;
-  soa.build(net);
 
   EvalResult result;
   for (const Volt vdd : bench.tech.corners) {
@@ -74,8 +72,7 @@ inline EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& be
             effective_intrinsic(stage.driver_intrinsic_nom, bench.tech, v),
             ev.slew};
         std::vector<TapTiming> taps(stage.taps.size());
-        simulate_stage_rows(transient, soa.view(static_cast<int>(si)), &drive, 1,
-                            taps.data(), nullptr);
+        simulate_stage_rows(transient, stage, &drive, 1, taps.data(), nullptr);
 
         std::size_t next_child = 0;
         for (std::size_t k = 0; k < stage.taps.size(); ++k) {
@@ -168,7 +165,7 @@ inline EvalResult evaluate_tree(const ClockTree& tree, const Benchmark& bench,
   return result;
 }
 
-/// One Monte-Carlo trial's perturbation applied to an AoS copy of `base`:
+/// One Monte-Carlo trial's perturbation applied to a copy of `base`:
 /// wire R/C scale globally, pin capacitances (recorded per tap and per
 /// driver) are exempt from the wire scaling, and sink pins take their
 /// per-sink jitter factor.

@@ -10,7 +10,6 @@
 #include "analysis/transient.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
-#include "rctree/soa.h"
 #include "util/rng.h"
 
 namespace contango {
@@ -26,16 +25,14 @@ Stage lumped_rc(KOhm r, Ff c) {
   return s;
 }
 
-/// One drive through the kernel: `stage` as a one-slot SoA view and a
-/// batch of one.  Returns one TapTiming per tap.
+/// One drive through the kernel: `stage` in a batch of one.  Returns one
+/// TapTiming per tap.
 std::vector<TapTiming> simulate(const TransientSimulator& sim, const Stage& stage,
                                 KOhm r_drv, Ps intrinsic, Ps input_slew) {
-  NetlistSoa soa;
-  soa.write_slot(0, stage);
   const BatchDrive drive{r_drv, intrinsic, input_slew};
   std::vector<TapTiming> taps(stage.taps.size());
   TransientScratch scratch;
-  sim.simulate_stage_batch(soa.view(0), &drive, 1, taps.data(), scratch);
+  sim.simulate_stage_batch(stage, &drive, 1, taps.data(), scratch);
   return taps;
 }
 

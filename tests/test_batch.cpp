@@ -1,13 +1,15 @@
-// The production evaluation core against its oracle: the SoA kernel, the
-// SoA netlist mirror and the full/incremental/Monte-Carlo engines must be
-// bit-identical to the corner-outer scalar propagation of
-// tests/evaluate_reference.h, and the arena allocator underneath must keep
-// slices consistent across incremental edits (tap slices in place).
+// The production evaluation core against its oracle: the batched kernel and
+// the full/incremental/Monte-Carlo engines must be bit-identical to the
+// corner-outer scalar propagation of tests/evaluate_reference.h, and the
+// stages RcNetlist keeps across edits must equal a fresh extraction bit for
+// bit — or refuse, when an edit changes the stage graph behind its back.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -17,8 +19,8 @@
 #include "analysis/montecarlo.h"
 #include "cts/pipeline.h"
 #include "cts/scenario.h"
+#include "netlist/library.h"
 #include "rctree/extract.h"
-#include "rctree/soa.h"
 #include "util/rng.h"
 
 #include "evaluate_reference.h"
@@ -94,69 +96,53 @@ Stage random_stage(Rng& rng, int num_nodes, int num_taps) {
   return stage;
 }
 
-void expect_slice_matches_stage(const NetlistSoa& soa, int slot,
-                                const Stage& stage) {
+/// The bits of `x`, so doubles compare exactly (signed zeros included).
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Every field of two stages compared bit for bit.
+void expect_same_stage(const Stage& got, const Stage& want, int slot) {
   SCOPED_TRACE("slot " + std::to_string(slot));
-  ASSERT_TRUE(soa.has_slot(slot));
-  const NetlistSoa::View v = soa.view(slot);
-  ASSERT_EQ(v.num_nodes, stage.nodes.size());
-  ASSERT_EQ(v.num_taps, stage.taps.size());
-  EXPECT_EQ(v.driver_pin_cap, stage.driver_pin_cap);
-  for (std::size_t i = 0; i < stage.nodes.size(); ++i) {
-    EXPECT_EQ(v.cap[i], stage.nodes[i].cap);
-    EXPECT_EQ(v.res[i], stage.nodes[i].res);
-    EXPECT_EQ(v.parent[i], stage.nodes[i].parent);
+  EXPECT_EQ(got.driver, want.driver);
+  ASSERT_EQ(got.nodes.size(), want.nodes.size());
+  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
+    EXPECT_EQ(bits(got.nodes[i].cap), bits(want.nodes[i].cap)) << "node " << i;
+    EXPECT_EQ(got.nodes[i].parent, want.nodes[i].parent) << "node " << i;
+    EXPECT_EQ(bits(got.nodes[i].res), bits(want.nodes[i].res)) << "node " << i;
   }
-  for (std::size_t k = 0; k < stage.taps.size(); ++k) {
-    EXPECT_EQ(v.tap_rc[k], stage.taps[k].rc_index);
-    EXPECT_EQ(v.tap_sink[k],
-              stage.taps[k].is_sink ? stage.taps[k].sink_index : -1);
-    EXPECT_EQ(v.tap_pin_cap[k], stage.taps[k].pin_cap);
+  ASSERT_EQ(got.taps.size(), want.taps.size());
+  for (std::size_t k = 0; k < want.taps.size(); ++k) {
+    EXPECT_EQ(got.taps[k].tree_node, want.taps[k].tree_node) << "tap " << k;
+    EXPECT_EQ(got.taps[k].rc_index, want.taps[k].rc_index) << "tap " << k;
+    EXPECT_EQ(got.taps[k].is_sink, want.taps[k].is_sink) << "tap " << k;
+    EXPECT_EQ(got.taps[k].sink_index, want.taps[k].sink_index) << "tap " << k;
+    EXPECT_EQ(bits(got.taps[k].pin_cap), bits(want.taps[k].pin_cap)) << "tap " << k;
+  }
+  EXPECT_EQ(got.downstream_stages, want.downstream_stages);
+  EXPECT_EQ(bits(got.driver_pin_cap), bits(want.driver_pin_cap));
+  EXPECT_EQ(got.driver_inverts, want.driver_inverts);
+  EXPECT_EQ(bits(got.driver_res_nom), bits(want.driver_res_nom));
+  EXPECT_EQ(bits(got.driver_intrinsic_nom), bits(want.driver_intrinsic_nom));
+}
+
+/// Slot i of `net` is stage i of `fresh`, downstream stages as slot ids:
+/// what a fresh build numbers (Monte-Carlo supply offsets rely on it), and
+/// what per-stage re-extraction promises to keep.
+void expect_slots_are_stages(const RcNetlist& net, const StagedNetlist& fresh) {
+  ASSERT_EQ(net.slot_count(), fresh.stages.size());
+  for (std::size_t i = 0; i < fresh.stages.size(); ++i) {
+    expect_same_stage(net.stage(static_cast<int>(i)), fresh.stages[i],
+                      static_cast<int>(i));
   }
 }
 
-/// Allocator invariants over every slot: slices hold the stage
-/// contents exactly, fit their capacity, and never overlap.
-void expect_soa_consistent(const RcNetlist& net) {
-  const NetlistSoa& soa = net.soa();
-  std::vector<std::pair<std::size_t, std::size_t>> node_slices, tap_slices;
-  for (const int slot : net.topo_slots()) {
-    expect_slice_matches_stage(soa, slot, net.stage(slot));
-    const std::size_t num_taps = net.stage(slot).taps.size();
-    ASSERT_GE(soa.node_capacity(slot), net.stage(slot).nodes.size());
-    ASSERT_LE(soa.node_offset(slot) + soa.node_capacity(slot),
-              soa.arena_nodes());
-    ASSERT_LE(soa.tap_offset(slot) + num_taps, soa.arena_taps());
-    node_slices.emplace_back(soa.node_offset(slot), soa.node_capacity(slot));
-    tap_slices.emplace_back(soa.tap_offset(slot), num_taps);
-  }
-  const auto expect_disjoint = [](std::vector<std::pair<std::size_t, std::size_t>> s,
-                                  const char* plane) {
-    SCOPED_TRACE(plane);
-    std::sort(s.begin(), s.end());
-    for (std::size_t i = 1; i < s.size(); ++i) {
-      EXPECT_LE(s[i - 1].first + s[i - 1].second, s[i].first)
-          << "slices overlap at offset " << s[i].first;
-    }
-  };
-  expect_disjoint(node_slices, "node plane");
-  expect_disjoint(tap_slices, "tap plane");
-}
-
-/// A freshly built RcNetlist numbers its slots like extract_stages()
-/// numbers its stages (Monte-Carlo supply offsets rely on it): slot i
-/// has stage i's driver and contents, with downstream stages as slot ids.
 void expect_fresh_slots_are_stages(const ClockTree& tree, const Benchmark& bench) {
-  const StagedNetlist net = extract_stages(tree, bench);
   RcNetlist rc;
   rc.build(tree, bench);
-  ASSERT_EQ(rc.slot_count(), net.stages.size());
-  for (std::size_t i = 0; i < net.stages.size(); ++i) {
-    const int slot = static_cast<int>(i);
-    ASSERT_EQ(rc.stage(slot).driver, net.stages[i].driver) << "slot " << i;
-    EXPECT_EQ(rc.stage(slot).downstream_stages, net.stages[i].downstream_stages);
-    expect_slice_matches_stage(rc.soa(), slot, net.stages[i]);
-  }
+  expect_slots_are_stages(rc, extract_stages(tree, bench));
 }
 
 // --------------------------------------------------------------- kernel ----
@@ -168,9 +154,7 @@ TEST(Batch, KernelRowsMatchScalarCallsExactly) {
     SCOPED_TRACE("rep " + std::to_string(rep));
     const int num_nodes = static_cast<int>(rng.uniform_int(2, 40));
     const int num_taps = static_cast<int>(rng.uniform_int(1, 6));
-    StagedNetlist net;
-    net.stages.push_back(random_stage(rng, num_nodes, num_taps));
-    const Stage& stage = net.stages[0];
+    const Stage stage = random_stage(rng, num_nodes, num_taps);
 
     std::vector<BatchDrive> drives;
     for (int b = 0; b < 5; ++b) {
@@ -178,17 +162,15 @@ TEST(Batch, KernelRowsMatchScalarCallsExactly) {
                                   rng.uniform(2.0, 60.0)});
     }
 
-    NetlistSoa soa;
-    soa.build(net);
     TransientScratch scratch;
     std::vector<TapTiming> out(drives.size() * stage.taps.size());
-    sim.simulate_stage_batch(soa.view(0), drives.data(), drives.size(),
-                             out.data(), scratch);
+    sim.simulate_stage_batch(stage, drives.data(), drives.size(), out.data(),
+                             scratch);
 
     // Each row must equal a batch of one with the same drive.
     for (std::size_t b = 0; b < drives.size(); ++b) {
       std::vector<TapTiming> scalar(stage.taps.size());
-      sim.simulate_stage_batch(soa.view(0), &drives[b], 1, scalar.data(), scratch);
+      sim.simulate_stage_batch(stage, &drives[b], 1, scalar.data(), scratch);
       for (std::size_t k = 0; k < scalar.size(); ++k) {
         EXPECT_EQ(out[b * stage.taps.size() + k].delay, scalar[k].delay);
         EXPECT_EQ(out[b * stage.taps.size() + k].slew, scalar[k].slew);
@@ -204,19 +186,11 @@ TEST(Batch, FullPropagationMatchesReferenceOnEveryFamily) {
     SCOPED_TRACE(family.name);
     const Benchmark bench = make_scenario(family.name, 1, 24);
     const ClockTree tree = construction_tree(bench);
-    const StagedNetlist net = extract_stages(tree, bench);
 
     Evaluator evaluator(bench);
     expect_bit_identical(evaluator.evaluate(tree),
                          reference::evaluate_tree(tree, bench),
                          "Evaluator vs reference");
-
-    // Lock the SoA mirror against the netlist it was built from.
-    NetlistSoa soa;
-    soa.build(net);
-    for (std::size_t si = 0; si < net.stages.size(); ++si) {
-      expect_slice_matches_stage(soa, static_cast<int>(si), net.stages[si]);
-    }
     expect_fresh_slots_are_stages(tree, bench);
   }
 }
@@ -319,7 +293,11 @@ TEST(Batch, IncrementalMatchesReferenceAfterEdits) {
   session.commit();
 }
 
-TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
+TEST(Batch, RefreshedSlotsEqualAFreshExtractionUnderRandomizedEdits) {
+  // RcNetlist re-extracts only the stages an edit dirties and promises
+  // each is bit-identical to its counterpart in a from-scratch extraction
+  // (rctree/extract.h).  After every edit, every slot must be stage i of
+  // extract_stages() on the edited tree, field for field.
   for (const char* family : {"uniform", "high_fanout", "mixed_cap"}) {
     SCOPED_TRACE(family);
     const Benchmark bench = make_scenario(family, 11, 20);
@@ -329,14 +307,7 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
     IncrementalEvaluator inc(inc_owner);
     inc.bind(tree);
     (void)inc.evaluate();
-    expect_soa_consistent(inc.netlist());
-    // Edits never change a stage's tap count, so tap slices never move.
-    const NetlistSoa& soa = inc.netlist().soa();
-    const std::size_t arena_taps = soa.arena_taps();
-    std::vector<std::size_t> tap_offsets;
-    for (const int slot : inc.netlist().topo_slots()) {
-      tap_offsets.push_back(soa.tap_offset(slot));
-    }
+    expect_slots_are_stages(inc.netlist(), extract_stages(tree, bench));
 
     Rng rng(0x50A ^ std::hash<std::string>{}(family));
     for (int step = 0; step < 24; ++step) {
@@ -356,9 +327,8 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
 
       ASSERT_FALSE(buffers.empty());
 
-      // Width, snake and buffer-size edits re-extract their stages into
-      // the arena: in place while a stage fits its slice, into a fresh
-      // slice (the old one recycled) when a snake grows it past the slice.
+      // Width, snake and buffer-size edits: a snake can grow its stage by
+      // nodes, a resize touches the buffer's stage and its parent's.
       switch (rng.uniform_int(0, 2)) {
         case 0: {
           const NodeId e = pick(edges);
@@ -380,90 +350,80 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
       }
       session.commit();
       tree.validate();
-      (void)inc.evaluate();  // refresh + re-simulate through the SoA slices
-      expect_soa_consistent(inc.netlist());
-      const std::vector<int>& topo = inc.netlist().topo_slots();
-      ASSERT_EQ(topo.size(), tap_offsets.size());
-      for (std::size_t i = 0; i < topo.size(); ++i) {
-        EXPECT_EQ(inc.netlist().soa().tap_offset(topo[i]), tap_offsets[i])
-            << "slot " << topo[i];
-      }
-      EXPECT_EQ(inc.netlist().soa().arena_taps(), arena_taps);
+      (void)inc.evaluate();  // refresh + re-simulate the dirty stages
+      expect_slots_are_stages(inc.netlist(), extract_stages(tree, bench));
     }
   }
 }
 
-// ------------------------------------------------------------- allocator ----
+/// source -> n1 -> {b1 -> s0, s1}: stage 0 taps b1 and s1 and drives one
+/// downstream stage, b1's, which taps s0.
+struct TwoStageTree {
+  ClockTree tree;
+  NodeId n1 = kNoNode, b1 = kNoNode, s0 = kNoNode, s1 = kNoNode;
+};
 
-TEST(Batch, ArenaGrowsRewritesInPlaceAndRecycles) {
-  Rng rng(0xA11);
-  NetlistSoa soa;
-
-  const Stage small = random_stage(rng, 3, 1);
-  soa.write_slot(0, small);
-  ASSERT_TRUE(soa.has_slot(0));
-  expect_slice_matches_stage(soa, 0, small);
-  EXPECT_EQ(soa.node_capacity(0), 4u);  // power-of-two floor
-  const std::size_t off0 = soa.node_offset(0);
-  // Every rewrite of slot 0 keeps its one tap, so the tap slice stays put.
-  const std::size_t tap0 = soa.tap_offset(0);
-
-  // Same-bucket rewrite stays in place, bigger one reallocates.
-  const Stage same_bucket = random_stage(rng, 4, 1);
-  soa.write_slot(0, same_bucket);
-  expect_slice_matches_stage(soa, 0, same_bucket);
-  EXPECT_EQ(soa.node_offset(0), off0);
-  EXPECT_EQ(soa.node_capacity(0), 4u);
-  EXPECT_EQ(soa.tap_offset(0), tap0);
-
-  const Stage grown = random_stage(rng, 5, 1);
-  soa.write_slot(0, grown);
-  expect_slice_matches_stage(soa, 0, grown);
-  EXPECT_EQ(soa.node_capacity(0), 8u);
-  EXPECT_NE(soa.node_offset(0), off0);
-  EXPECT_EQ(soa.tap_offset(0), tap0);
-
-  // The grown slot freed its capacity-4 slice; a new small slot takes it.
-  const Stage other = random_stage(rng, 2, 1);
-  soa.write_slot(7, other);
-  expect_slice_matches_stage(soa, 7, other);
-  EXPECT_EQ(soa.node_offset(7), off0);
-
-  // Shrinking keeps the larger slice (capacity is sticky in place).
-  const Stage shrunk = random_stage(rng, 2, 1);
-  const std::size_t grown_off = soa.node_offset(0);
-  soa.write_slot(0, shrunk);
-  expect_slice_matches_stage(soa, 0, shrunk);
-  EXPECT_EQ(soa.node_offset(0), grown_off);
-  EXPECT_EQ(soa.node_capacity(0), 8u);
-  EXPECT_EQ(soa.tap_offset(0), tap0);
-  EXPECT_EQ(soa.arena_taps(), 2u);  // one tap each for slots 0 and 7
-
-  soa.clear();
-  EXPECT_EQ(soa.slot_count(), 0u);
-  EXPECT_EQ(soa.arena_nodes(), 0u);
-  EXPECT_EQ(soa.arena_taps(), 0u);
+TwoStageTree two_stage_tree() {
+  TwoStageTree t;
+  const NodeId root = t.tree.add_source(Point{0, 0});
+  t.n1 = t.tree.add_child(root, NodeKind::kInternal, Point{500, 500});
+  t.b1 = t.tree.add_child(t.n1, NodeKind::kBuffer, Point{1000, 1000});
+  t.tree.node(t.b1).buffer = CompositeBuffer{0, 4};
+  t.s0 = t.tree.add_child(t.b1, NodeKind::kSink, Point{1500, 1000});
+  t.tree.node(t.s0).sink_index = 0;
+  t.s1 = t.tree.add_child(t.n1, NodeKind::kSink, Point{500, 1500});
+  t.tree.node(t.s1).sink_index = 1;
+  t.tree.validate();
+  return t;
 }
 
-TEST(Batch, RewritingASlotWithADifferentTapCountThrows) {
-  // A stage's tap count is fixed between full rebuilds; a rewrite that
-  // changes it is a stage-graph change the arena must not absorb.
-  Rng rng(0x7A9);
-  NetlistSoa soa;
-  const Stage two_taps = random_stage(rng, 6, 2);
-  soa.write_slot(3, two_taps);
-  for (const int num_taps : {1, 3}) {
-    SCOPED_TRACE(std::to_string(num_taps) + " taps");
-    EXPECT_THROW(soa.write_slot(3, random_stage(rng, 6, num_taps)),
-                 std::logic_error);
-    // The refused rewrite left the slot as it was.
-    expect_slice_matches_stage(soa, 3, two_taps);
+TEST(Batch, StructuralEditMarkedAsAValueEditThrows) {
+  // Value edits keep each stage's tap and downstream-stage counts; an edit
+  // that changes either changes the stage graph, which only
+  // mark_all_dirty() rebuilds.  Marked as a value edit, the refresh must
+  // refuse and leave the slot as it was.
+  Benchmark bench;
+  bench.name = "two_stage";
+  bench.die = Rect{0, 0, 2000, 2000};
+  bench.source = Point{0, 0};
+  bench.tech = ispd09_technology();
+  bench.sinks = {Sink{"s0", Point{1500, 1000}, 10.0},
+                 Sink{"s1", Point{500, 1500}, 10.0}};
+
+  for (const bool splice : {false, true}) {
+    SCOPED_TRACE(splice ? "b1 spliced out: no downstream stage, not one"
+                        : "s0 moved under n1: three taps, not two");
+    TwoStageTree t = two_stage_tree();
+    RcNetlist net;
+    net.build(t.tree, bench);
+    ASSERT_EQ(net.slot_count(), 2u);
+    ASSERT_EQ(net.stage(0).taps.size(), 2u);
+    ASSERT_EQ(net.stage(0).downstream_stages.size(), 1u);
+    const Stage before = net.stage(0);
+    const std::uint64_t version = net.version(0);
+
+    if (splice) {
+      t.tree.splice_out(t.b1);  // s0 takes b1's place: still two taps
+    } else {
+      t.tree.reparent(t.s0, t.n1, {Point{500, 500}, Point{1500, 500},
+                                   Point{1500, 1000}});
+    }
+    net.mark_edge_dirty(t.s0);  // the root stage's slot, either way
+    try {
+      net.refresh();
+      ADD_FAILURE() << "refresh re-extracted a changed stage graph";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("mark_all_dirty"), std::string::npos)
+          << e.what();
+    }
+    expect_same_stage(net.stage(0), before, 0);
+    EXPECT_EQ(net.version(0), version);
+
+    // The full rebuild takes the new graph.
+    net.mark_all_dirty();
+    net.refresh();
+    expect_slots_are_stages(net, extract_stages(t.tree, bench));
   }
-  // A cleared arena takes the slot at any tap count.
-  soa.clear();
-  const Stage three_taps = random_stage(rng, 6, 3);
-  soa.write_slot(3, three_taps);
-  expect_slice_matches_stage(soa, 3, three_taps);
 }
 
 // ------------------------------------------------------------ Monte-Carlo ----

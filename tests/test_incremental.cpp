@@ -821,8 +821,6 @@ TEST(Incremental, SubGridSlewChangeReplaysEveryStageBelow) {
   const auto root_child_slews = [&] {
     const EvalOptions& options = full_eval.options();
     const StagedNetlist net = extract_stages(tree, bench, options.extract);
-    NetlistSoa soa;
-    soa.build(net);
     const Stage& root = net.stages.front();
     TransientScratch scratch;
     std::vector<TapTiming> taps(root.taps.size());
@@ -838,8 +836,8 @@ TEST(Incremental, SubGridSlewChangeReplaysEveryStageBelow) {
             effective_driver_res(root.driver_res_nom, bench.tech, vdd, out_dir),
             effective_intrinsic(root.driver_intrinsic_nom, bench.tech, vdd),
             options.source_input_slew};
-        full_eval.simulator().simulate_stage_batch(soa.view(0), &drive, 1,
-                                                   taps.data(), scratch);
+        full_eval.simulator().simulate_stage_batch(root, &drive, 1, taps.data(),
+                                                   scratch);
         for (std::size_t k = 0; k < root.taps.size(); ++k) {
           if (!root.taps[k].is_sink) slews.push_back(taps[k].slew);
         }

@@ -16,7 +16,6 @@
 #include "cts/vanginneken.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
-#include "rctree/soa.h"
 
 namespace contango {
 namespace {
@@ -43,16 +42,14 @@ void expect_all_timings_sane(const EvalResult& r) {
   }
 }
 
-/// One drive through the kernel: `stage` as a one-slot SoA view and a
-/// batch of one.  Returns one TapTiming per tap.
+/// One drive through the kernel: `stage` in a batch of one.  Returns one
+/// TapTiming per tap.
 std::vector<TapTiming> simulate(const TransientSimulator& sim, const Stage& stage,
                                 KOhm r_drv, Ps intrinsic, Ps input_slew) {
-  NetlistSoa soa;
-  soa.write_slot(0, stage);
   const BatchDrive drive{r_drv, intrinsic, input_slew};
   std::vector<TapTiming> taps(stage.taps.size());
   TransientScratch scratch;
-  sim.simulate_stage_batch(soa.view(0), &drive, 1, taps.data(), scratch);
+  sim.simulate_stage_batch(stage, &drive, 1, taps.data(), scratch);
   return taps;
 }
 

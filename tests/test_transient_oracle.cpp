@@ -31,48 +31,14 @@
 namespace contango {
 namespace {
 
-/// One stage held both ways: as an AoS Stage (for ElmoreStage) and as the
-/// flat arrays a kernel View points into.
-struct TestStage {
-  Stage stage;
-  std::vector<Ff> cap;
-  std::vector<KOhm> res;
-  std::vector<int> parent;
-  std::vector<int> tap_rc;
-
-  void flatten() {
-    cap.clear();
-    res.clear();
-    parent.clear();
-    tap_rc.clear();
-    for (const RcNode& node : stage.nodes) {
-      cap.push_back(node.cap);
-      res.push_back(node.res);
-      parent.push_back(node.parent);
-    }
-    for (const Tap& tap : stage.taps) tap_rc.push_back(tap.rc_index);
-  }
-
-  NetlistSoa::View view() const {
-    NetlistSoa::View v;
-    v.cap = cap.data();
-    v.res = res.data();
-    v.parent = parent.data();
-    v.num_nodes = cap.size();
-    v.tap_rc = tap_rc.data();
-    v.num_taps = tap_rc.size();
-    return v;
-  }
-};
-
 /// A random RC tree (parent[i] < i, the extraction invariant) with taps on
 /// any node, the driver node included, and possibly sharing a node.
-TestStage random_stage(Rng& rng, int num_nodes, int num_taps, double cap_lo,
-                       double cap_hi, double res_lo, double res_hi) {
-  TestStage s;
-  s.stage.nodes.resize(static_cast<std::size_t>(num_nodes));
+Stage random_stage(Rng& rng, int num_nodes, int num_taps, double cap_lo,
+                   double cap_hi, double res_lo, double res_hi) {
+  Stage s;
+  s.nodes.resize(static_cast<std::size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) {
-    RcNode& node = s.stage.nodes[static_cast<std::size_t>(i)];
+    RcNode& node = s.nodes[static_cast<std::size_t>(i)];
     node.cap = rng.uniform(cap_lo, cap_hi);
     if (i > 0) {
       node.parent = static_cast<int>(rng.uniform_int(0, i - 1));
@@ -82,9 +48,8 @@ TestStage random_stage(Rng& rng, int num_nodes, int num_taps, double cap_lo,
   for (int k = 0; k < num_taps; ++k) {
     Tap tap;
     tap.rc_index = static_cast<int>(rng.uniform_int(0, num_nodes - 1));
-    s.stage.taps.push_back(tap);
+    s.taps.push_back(tap);
   }
-  s.flatten();
   return s;
 }
 
@@ -105,31 +70,31 @@ const char* isa_name(detail::KernelIsa isa) {
 /// `reused`, which earlier calls left dirty) and the reference on the same
 /// inputs; the rows must be the same bytes.  Returns the reference rows.
 std::vector<TapTiming> expect_rows_match_reference(
-    const TransientSimulator& sim, const NetlistSoa::View& view,
+    const TransientSimulator& sim, const Stage& stage,
     const std::vector<BatchDrive>& drives,
     const detail::ElmoreOverride* elmore,
     TransientScratch& reused, const std::string& what) {
   SCOPED_TRACE(what);
-  const std::size_t rows = drives.size() * view.num_taps;
+  const std::size_t nt = stage.taps.size();
+  const std::size_t rows = drives.size() * nt;
   std::vector<TapTiming> expected(rows);
-  reference::simulate_stage_rows(sim.options(), view, drives.data(),
+  reference::simulate_stage_rows(sim.options(), stage, drives.data(),
                                  drives.size(), expected.data(), elmore);
   for (detail::KernelIsa isa : supported_isas()) {
     SCOPED_TRACE(isa_name(isa));
     std::vector<TapTiming> fresh(rows), dirty(rows);
     TransientScratch scratch;
-    detail::simulate_stage_batch_on(isa, sim, view, drives.data(), drives.size(),
+    detail::simulate_stage_batch_on(isa, sim, stage, drives.data(), drives.size(),
                                     fresh.data(), scratch, elmore);
-    detail::simulate_stage_batch_on(isa, sim, view, drives.data(), drives.size(),
+    detail::simulate_stage_batch_on(isa, sim, stage, drives.data(), drives.size(),
                                     dirty.data(), reused, elmore);
     for (std::size_t r = 0; r < rows; ++r) {
       EXPECT_EQ(std::memcmp(&fresh[r], &expected[r], sizeof(TapTiming)), 0)
-          << "drive " << r / view.num_taps << " tap " << r % view.num_taps
+          << "drive " << r / nt << " tap " << r % nt
           << ": delay " << fresh[r].delay << " vs " << expected[r].delay
           << ", slew " << fresh[r].slew << " vs " << expected[r].slew;
       EXPECT_EQ(std::memcmp(&dirty[r], &expected[r], sizeof(TapTiming)), 0)
-          << "reused scratch, drive " << r / view.num_taps << " tap "
-          << r % view.num_taps;
+          << "reused scratch, drive " << r / nt << " tap " << r % nt;
     }
   }
   return expected;
@@ -186,7 +151,7 @@ TEST(TransientOracle, RandomStagesAndBatchesMatchTheReference) {
   for (int rep = 0; rep < 60; ++rep) {
     const int num_nodes = static_cast<int>(rng.uniform_int(1, 80));
     const int num_taps = rep % 5 == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 8));
-    const TestStage s = random_stage(rng, num_nodes, num_taps, 0.5, 30.0, 0.001, 0.4);
+    const Stage s = random_stage(rng, num_nodes, num_taps, 0.5, 30.0, 0.001, 0.4);
     const std::size_t count = static_cast<std::size_t>(rep % 9 + 1);
     std::vector<BatchDrive> drives;
     for (std::size_t b = 0; b < count; ++b) {
@@ -200,7 +165,7 @@ TEST(TransientOracle, RandomStagesAndBatchesMatchTheReference) {
                              std::to_string(num_nodes) + " nodes, " +
                              std::to_string(num_taps) + " taps, " +
                              std::to_string(count) + " drives";
-    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused, what);
+    expect_rows_match_reference(sim, s, drives, nullptr, reused, what);
   }
 }
 
@@ -208,7 +173,7 @@ TEST(TransientOracle, OneLaneStartsThousandsOfStepsLate) {
   Rng rng(0x1D1E);
   const TransientSimulator sim;
   TransientScratch reused;
-  const TestStage s = random_stage(rng, 40, 5, 0.5, 20.0, 0.001, 0.2);
+  const Stage s = random_stage(rng, 40, 5, 0.5, 20.0, 0.001, 0.2);
   // The late lane's clock starts over a thousand of its steps after the
   // others', so the lanes' clocks and crossing times differ by that much.
   for (std::size_t count = 1; count <= 9; ++count) {
@@ -217,11 +182,11 @@ TEST(TransientOracle, OneLaneStartsThousandsOfStepsLate) {
       drives.push_back(b == count / 2 ? BatchDrive{0.3, 4000.0, 10.0}
                                       : BatchDrive{0.2 + 0.1 * b, 3.0, 8.0});
     }
-    const ElmoreStage elm(s.stage);
+    const ElmoreStage elm(s);
     ASSERT_GT(drives[count / 2].intrinsic,
               1000.0 * grid(sim.options(), drives[count / 2], elm.total_cap(),
-                            max_tap_tau(elm, s.stage)).h);
-    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
+                            max_tap_tau(elm, s)).h);
+    expect_rows_match_reference(sim, s, drives, nullptr, reused,
                                 std::to_string(count) + " drives");
   }
 }
@@ -235,9 +200,9 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
   // Tiny stage: tau_char bottoms out at 0.5 ps, so h0 = min_step, and the
   // aligned step is the largest one at most min_step that divides the ramp.
   {
-    const TestStage s = random_stage(rng, 12, 3, 0.001, 0.01, 0.001, 0.01);
-    const ElmoreStage elm(s.stage);
-    const Ps max_tau = max_tap_tau(elm, s.stage);
+    const Stage s = random_stage(rng, 12, 3, 0.001, 0.01, 0.001, 0.01);
+    const ElmoreStage elm(s);
+    const Ps max_tau = max_tap_tau(elm, s);
     std::vector<BatchDrive> drives = {{0.01, 2.0, 1.0}, {0.02, 15.0, 0.0},
                                       {0.01, 0.0, 3.0}, {0.03, 6.0, 2.0},
                                       {0.02, 1.0, 0.5}};
@@ -251,7 +216,7 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
     }
     for (std::size_t count = 1; count <= drives.size(); ++count) {
       const std::vector<BatchDrive> batch(drives.begin(), drives.begin() + count);
-      expect_rows_match_reference(sim, s.view(), batch, nullptr, reused,
+      expect_rows_match_reference(sim, s, batch, nullptr, reused,
                                   "min_step, " + std::to_string(count) + " drives");
     }
   }
@@ -261,9 +226,9 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
   // clamped lane's ramp (22 ps) takes whole max_steps; the other's (17 ps)
   // does not, so alignment shortens its step below max_step.
   {
-    const TestStage s = random_stage(rng, 30, 4, 5.0, 12.0, 0.01, 0.05);
-    const ElmoreStage elm(s.stage);
-    const Ps max_tau = max_tap_tau(elm, s.stage);
+    const Stage s = random_stage(rng, 30, 4, 5.0, 12.0, 0.01, 0.05);
+    const ElmoreStage elm(s);
+    const Ps max_tau = max_tap_tau(elm, s);
     std::vector<BatchDrive> drives = {{2.5, 5.0, 40.0}, {0.05, 2.0, 4.0},
                                       {3.0, 1.0, 30.0}, {2.0, 8.0, 50.0}};
     const Grid slow = grid(o, drives[0], elm.total_cap(), max_tau);
@@ -276,7 +241,7 @@ TEST(TransientOracle, StepsClampedAtMinStepAndMaxStep) {
     EXPECT_LT(shortened.h, o.max_step);
     for (std::size_t count = 1; count <= drives.size(); ++count) {
       const std::vector<BatchDrive> batch(drives.begin(), drives.begin() + count);
-      expect_rows_match_reference(sim, s.view(), batch, nullptr, reused,
+      expect_rows_match_reference(sim, s, batch, nullptr, reused,
                                   "max_step, " + std::to_string(count) + " drives");
     }
   }
@@ -288,14 +253,14 @@ TEST(TransientOracle, DriverWithoutDelayStartsAtTimeZero) {
   Rng rng(0x7E50);
   const TransientSimulator sim;
   TransientScratch reused;
-  const TestStage s = random_stage(rng, 30, 5, 0.5, 15.0, 0.001, 0.2);
+  const Stage s = random_stage(rng, 30, 5, 0.5, 15.0, 0.001, 0.2);
   const std::vector<BatchDrive> all = {{0.3, 0.0, 0.0}, {0.2, 5.0, 8.0},
                                        {0.6, 0.0, 0.0}, {0.1, 1.0, 0.0},
                                        {0.4, 0.0, 0.0}};
   for (std::size_t count = 1; count <= all.size(); ++count) {
     const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
     const std::vector<TapTiming> rows = expect_rows_match_reference(
-        sim, s.view(), drives, nullptr, reused, "t0 = 0, " + std::to_string(count) + " drives");
+        sim, s, drives, nullptr, reused, "t0 = 0, " + std::to_string(count) + " drives");
     for (const TapTiming& r : rows) {
       EXPECT_GT(r.delay, 0.0);
       EXPECT_GT(r.slew, 0.0);
@@ -315,9 +280,9 @@ TEST(TransientOracle, RampShorterThanAStep) {
   o.slew_feedthrough = 0.05;
   const TransientSimulator sim(o);
   TransientScratch reused;
-  const TestStage s = random_stage(rng, 20, 4, 0.5, 10.0, 0.001, 0.2);
-  const ElmoreStage elm(s.stage);
-  const Ps max_tau = max_tap_tau(elm, s.stage);
+  const Stage s = random_stage(rng, 20, 4, 0.5, 10.0, 0.001, 0.2);
+  const ElmoreStage elm(s);
+  const Ps max_tau = max_tap_tau(elm, s);
   const std::vector<BatchDrive> all = {{0.2, 3.0, 0.0},  {0.3, 1.0, 40.0},
                                        {0.1, 2.0, 10.0}, {0.5, 0.0, 0.0},
                                        {0.2, 4.0, 30.0}};
@@ -337,7 +302,7 @@ TEST(TransientOracle, RampShorterThanAStep) {
   ASSERT_EQ(short_ramps, 3);
   for (std::size_t count = 1; count <= all.size(); ++count) {
     const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
-    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
+    expect_rows_match_reference(sim, s, drives, nullptr, reused,
                                 "short ramp, " + std::to_string(count) + " drives");
   }
 }
@@ -369,17 +334,16 @@ TEST(TransientOracle, TapOnTheDriverNodeFollowsTheSinglePoleSolution) {
   const TransientOptions& o = sim.options();
   TransientScratch reused;
   for (const Ff c : {5.0, 20.0, 60.0}) {
-    TestStage s;
-    s.stage.nodes = {{c, -1, 0.0}};
-    s.stage.taps.resize(1);
-    s.stage.taps[0].rc_index = 0;
-    s.flatten();
-    std::vector<BatchDrive> drives;
+    Stage s;
+    s.nodes = {{c, -1, 0.0}};
+    s.taps.resize(1);
+    s.taps[0].rc_index = 0;
+      std::vector<BatchDrive> drives;
     for (const KOhm r : {0.1, 0.5, 1.0}) {
       for (const Ps slew : {0.0, 10.0, 40.0}) drives.push_back({r, 1.5, slew});
     }
     const std::vector<TapTiming> rows = expect_rows_match_reference(
-        sim, s.view(), drives, nullptr, reused, "node-0 tap, C " + std::to_string(c));
+        sim, s, drives, nullptr, reused, "node-0 tap, C " + std::to_string(c));
     for (std::size_t b = 0; b < drives.size(); ++b) {
       const BatchDrive& d = drives[b];
       SCOPED_TRACE("r " + std::to_string(d.r_drv) + ", slew " + std::to_string(d.input_slew));
@@ -403,8 +367,8 @@ TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
   Rng rng(0x71AE);
   const TransientSimulator sim;
   TransientScratch reused;
-  const TestStage s = random_stage(rng, 20, 4, 2.0, 6.0, 0.0005, 0.002);
-  const std::vector<Ps> zero_tau(s.cap.size(), 0.0);
+  const Stage s = random_stage(rng, 20, 4, 2.0, 6.0, 0.0005, 0.002);
+  const std::vector<Ps> zero_tau(s.nodes.size(), 0.0);
   const detail::ElmoreOverride understated{zero_tau.data(), 0.0};
   const BatchDrive fast{0.002, 4.0, 6.0};
   const BatchDrive slow{12.0, 4.0, 6.0};
@@ -413,7 +377,7 @@ TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
     for (std::size_t slow_at = 0; slow_at < count; ++slow_at) {
       std::vector<BatchDrive> drives(count, fast);
       drives[slow_at] = slow;
-      expect_rows_match_reference(sim, s.view(), drives, &understated, reused,
+      expect_rows_match_reference(sim, s, drives, &understated, reused,
                                   std::to_string(count) + " drives, slow lane " +
                                       std::to_string(slow_at));
 
@@ -421,12 +385,12 @@ TEST(TransientOracle, LaneTimingOutLeavesAFinishedLaneAlone) {
       const Ps fast_stop = stop_time(sim.options(), fast, 0.0, 0.0);
       for (detail::KernelIsa isa : supported_isas()) {
         SCOPED_TRACE(isa_name(isa));
-        std::vector<TapTiming> rows(count * s.tap_rc.size());
-        detail::simulate_stage_batch_on(isa, sim, s.view(), drives.data(), count,
+        std::vector<TapTiming> rows(count * s.taps.size());
+        detail::simulate_stage_batch_on(isa, sim, s, drives.data(), count,
                                         rows.data(), reused, &understated);
         for (std::size_t b = 0; b < count; ++b) {
-          for (std::size_t k = 0; k < s.tap_rc.size(); ++k) {
-            const TapTiming& r = rows[b * s.tap_rc.size() + k];
+          for (std::size_t k = 0; k < s.taps.size(); ++k) {
+            const TapTiming& r = rows[b * s.taps.size() + k];
             if (b == slow_at) {
               EXPECT_EQ(r.delay, slow_stop) << "the slow lane must time out";
             } else {
@@ -454,13 +418,13 @@ TEST(TransientOracle, ManyTapsAtEveryWidth) {
   Rng rng(0x7A95);
   const TransientSimulator sim;
   TransientScratch reused;
-  const TestStage s = random_stage(rng, 150, 90, 0.5, 15.0, 0.001, 0.3);
+  const Stage s = random_stage(rng, 150, 90, 0.5, 15.0, 0.001, 0.3);
   for (std::size_t count = 1; count <= 5; ++count) {
     std::vector<BatchDrive> drives;
     for (std::size_t b = 0; b < count; ++b) {
       drives.push_back({0.1 + 0.15 * static_cast<double>(b), 2.0 * b, 5.0 + 9.0 * b});
     }
-    expect_rows_match_reference(sim, s.view(), drives, nullptr, reused,
+    expect_rows_match_reference(sim, s, drives, nullptr, reused,
                                 "90 taps, " + std::to_string(count) + " drives");
   }
 }
@@ -476,14 +440,14 @@ TEST(TransientOracle, AllThresholdsCrossedInOneStep) {
   coarse.max_step = 8.0;
   const TransientSimulator sim(coarse);
   TransientScratch reused;
-  const TestStage s = random_stage(rng, 10, 6, 0.01, 0.2, 0.001, 0.01);
+  const Stage s = random_stage(rng, 10, 6, 0.01, 0.2, 0.001, 0.01);
   const std::vector<BatchDrive> all = {{0.01, 1.0, 0.0}, {0.02, 3.0, 0.0},
                                        {0.01, 0.0, 0.0}, {0.03, 7.0, 0.0},
                                        {0.02, 2.0, 0.0}};
   for (std::size_t count = 1; count <= all.size(); ++count) {
     const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
     const std::vector<TapTiming> rows = expect_rows_match_reference(
-        sim, s.view(), drives, nullptr, reused,
+        sim, s, drives, nullptr, reused,
         "one-step crossings, " + std::to_string(count) + " drives");
     // All three crossings interpolate inside the same step: the slew is
     // shorter than the step.
@@ -497,16 +461,15 @@ TEST(TransientOracle, TapsStillPendingAtTheStopTime) {
   // resistance stop part-way, some past 10% or 50% but short of 90%.
   const TransientSimulator sim;
   TransientScratch reused;
-  TestStage s;
-  s.stage.nodes = {{2.0, -1, 0.0}, {2.0, 0, 0.001}, {3.0, 1, 0.002},
-                   {5.0, 1, 3.0},  {5.0, 3, 40.0},  {4.0, 2, 1.0}};
+  Stage s;
+  s.nodes = {{2.0, -1, 0.0}, {2.0, 0, 0.001}, {3.0, 1, 0.002},
+             {5.0, 1, 3.0},  {5.0, 3, 40.0},  {4.0, 2, 1.0}};
   for (int rc : {1, 3, 2, 4, 5, 0}) {  // tap 0 near, tap 3 far
     Tap tap;
     tap.rc_index = rc;
-    s.stage.taps.push_back(tap);
+    s.taps.push_back(tap);
   }
-  s.flatten();
-  const std::vector<Ps> zero_tau(s.cap.size(), 0.0);
+  const std::vector<Ps> zero_tau(s.nodes.size(), 0.0);
   const detail::ElmoreOverride understated{zero_tau.data(), 0.0};
   const std::vector<BatchDrive> all = {{0.01, 4.0, 6.0}, {0.2, 1.0, 2.0},
                                        {0.05, 9.0, 0.0}, {0.5, 2.0, 4.0},
@@ -514,9 +477,9 @@ TEST(TransientOracle, TapsStillPendingAtTheStopTime) {
   for (std::size_t count = 1; count <= all.size(); ++count) {
     const std::vector<BatchDrive> drives(all.begin(), all.begin() + count);
     const std::vector<TapTiming> rows = expect_rows_match_reference(
-        sim, s.view(), drives, &understated, reused,
+        sim, s, drives, &understated, reused,
         "pending at t_stop, " + std::to_string(count) + " drives");
-    const std::size_t nt = s.tap_rc.size();
+    const std::size_t nt = s.taps.size();
     for (std::size_t b = 0; b < count; ++b) {
       const Ps t_stop = stop_time(sim.options(), drives[b], 0.0, 0.0);
       EXPECT_LT(rows[b * nt].delay, t_stop) << "the near tap must finish";
@@ -529,17 +492,17 @@ TEST(TransientOracle, StageWithoutTaps) {
   Rng rng(0x0747);
   const TransientSimulator sim;
   TransientScratch reused;
-  const TestStage s = random_stage(rng, 25, 0, 0.5, 10.0, 0.001, 0.2);
+  const Stage s = random_stage(rng, 25, 0, 0.5, 10.0, 0.001, 0.2);
   for (std::size_t count = 1; count <= 5; ++count) {
     const std::vector<BatchDrive> drives(count, BatchDrive{0.3, 2.0, 5.0});
     for (detail::KernelIsa isa : supported_isas()) {
-      detail::simulate_stage_batch_on(isa, sim, s.view(), drives.data(), count,
+      detail::simulate_stage_batch_on(isa, sim, s, drives.data(), count,
                                       nullptr, reused);
     }
   }
   // The scratch a tap-less stage left behind serves a stage with taps.
-  const TestStage tapped = random_stage(rng, 25, 7, 0.5, 10.0, 0.001, 0.2);
-  expect_rows_match_reference(sim, tapped.view(), {{0.3, 2.0, 5.0}, {0.6, 1.0, 9.0}},
+  const Stage tapped = random_stage(rng, 25, 7, 0.5, 10.0, 0.001, 0.2);
+  expect_rows_match_reference(sim, tapped, {{0.3, 2.0, 5.0}, {0.6, 1.0, 9.0}},
                               nullptr, reused, "after a tap-less stage");
 }
 

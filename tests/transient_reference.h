@@ -19,15 +19,15 @@
 #include <vector>
 
 #include "analysis/transient.h"
-#include "rctree/soa.h"
+#include "rctree/extract.h"
 
 namespace contango {
 namespace reference {
 
-/// Writes `out[b * stage.num_taps + k]` for drive b, tap k.  `elmore`
+/// Writes `out[b * stage.taps.size() + k]` for drive b, tap k.  `elmore`
 /// optionally replaces the sweep.
 inline void simulate_stage_rows(const TransientOptions& options_,
-                                const NetlistSoa::View& stage,
+                                const Stage& stage,
                                 const BatchDrive* drives, std::size_t count,
                                 TapTiming* out,
                                 const detail::ElmoreOverride* elmore) {
@@ -39,20 +39,30 @@ inline void simulate_stage_rows(const TransientOptions& options_,
     std::vector<Crossings> cross;
   } scratch;
 
-  const std::size_t n = stage.num_nodes;
-  const std::size_t nt = stage.num_taps;
+  const std::size_t n = stage.nodes.size();
+  const std::size_t nt = stage.taps.size();
   for (std::size_t i = 0; i < count * nt; ++i) out[i] = TapTiming{};
   if (n == 0 || count == 0) return;
 
-  const Ff* cap = stage.cap;
-  const int* parent = stage.parent;
+  // One array per node and tap field.
+  std::vector<Ff> cap_of(n);
+  std::vector<KOhm> res(n);
+  std::vector<int> parent_of(n), tap_rc(nt);
+  for (std::size_t i = 0; i < n; ++i) {
+    cap_of[i] = stage.nodes[i].cap;
+    res[i] = stage.nodes[i].res;
+    parent_of[i] = stage.nodes[i].parent;
+  }
+  for (std::size_t k = 0; k < nt; ++k) tap_rc[k] = stage.taps[k].rc_index;
+  const Ff* cap = cap_of.data();
+  const int* parent = parent_of.data();
 
   // --- drive-independent stage data, computed once per batch ------------
 
   // Conductance to parent.
   scratch.g.assign(n, 0.0);
   for (std::size_t i = 1; i < n; ++i) {
-    scratch.g[i] = 1.0 / std::max(stage.res[i], 1e-9);
+    scratch.g[i] = 1.0 / std::max(res[i], 1e-9);
   }
   const double* g = scratch.g.data();
 
@@ -76,13 +86,13 @@ inline void simulate_stage_rows(const TransientOptions& options_,
     }
     for (std::size_t i = 1; i < n; ++i) {
       scratch.tau[i] = scratch.tau[static_cast<std::size_t>(parent[i])] +
-                       stage.res[i] * scratch.cdown[i];
+                       res[i] * scratch.cdown[i];
     }
     tau = scratch.tau.data();
   }
   Ps max_tau = 0.0;
   for (std::size_t k = 0; k < nt; ++k) {
-    max_tau = std::max(max_tau, tau[static_cast<std::size_t>(stage.tap_rc[k])]);
+    max_tau = std::max(max_tau, tau[static_cast<std::size_t>(tap_rc[k])]);
   }
 
   // --- per-drive integration, back-to-back over the cached stage --------
@@ -182,7 +192,7 @@ inline void simulate_stage_rows(const TransientOptions& options_,
       for (std::size_t k = 0; k < nt; ++k) {
         Crossings& c = scratch.cross[k];
         if (c.t90 >= 0.0) continue;
-        const auto node = static_cast<std::size_t>(stage.tap_rc[k]);
+        const auto node = static_cast<std::size_t>(tap_rc[k]);
         const double prev = scratch.tap_prev[k];
         const double now = v[node];
         const double b0 = node == 0 ? g_drv * source(j) : 0.0;
