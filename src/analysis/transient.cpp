@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/units.h"
 
@@ -18,6 +20,10 @@ struct StageConstants {
   const Tap* taps = nullptr;
   const int* parent = nullptr;  ///< the nodes' parents, contiguous
   const double* g = nullptr;    ///< conductance to parent
+  const double* g_half = nullptr;  ///< g / 2
+  /// The chain runs in node order, then the sentinel run at n.
+  const TransientScratch::ChainRun* runs = nullptr;
+  std::size_t num_runs = 0;  ///< not counting the sentinel
   Ff total_cap = 0.0;
   Ps max_tau = 0.0;
 };
@@ -55,6 +61,41 @@ template <std::size_t L>
 struct LaneVector {
   typedef double type __attribute__((vector_size(8 * L), aligned(8), may_alias));
 };
+/// One lane is a plain double: GCC keeps a one-element vector in an
+/// integer register or on the stack, which would undo the register carry.
+template <>
+struct LaneVector<1> {
+  typedef double type;
+};
+
+/// Whether any lane of a comparison mask is set (a plain bool at one
+/// lane).  Four lanes fold to two first: one permute and one OR in place
+/// of two more lane extractions.
+template <class M>
+[[gnu::always_inline]] inline bool any_lane(const M& m) {
+  if constexpr (std::is_arithmetic_v<M>) {
+    return m;
+  } else if constexpr (sizeof(M) == 4 * sizeof(double)) {
+    const auto folded = __builtin_shufflevector(m, m, 0, 1) |
+                        __builtin_shufflevector(m, m, 2, 3);
+    return (folded[0] | folded[1]) != 0;
+  } else {
+    static_assert(sizeof(M) == 2 * sizeof(double), "one, two or four lanes");
+    return (m[0] | m[1]) != 0;
+  }
+}
+
+/// Lane l of a lane vector or of a comparison mask (a plain double or bool
+/// at one lane).
+template <class T>
+[[gnu::always_inline]] inline auto& lane(T& x, std::size_t l) {
+  if constexpr (std::is_arithmetic_v<std::remove_const_t<T>>) {
+    (void)l;
+    return x;
+  } else {
+    return x[l];
+  }
+}
 
 /// Integrates `count` (1..L) drives of one stage as L interleaved lanes and
 /// writes their rows to `out`.  Node state is node-major (`v[i * L + l]`),
@@ -74,20 +115,28 @@ template <std::size_t L>
     const BatchDrive* drives, std::size_t count, TapTiming* out,
     TransientScratch& scratch) {
   using V = typename LaneVector<L>::type;
+  using Mask = decltype(V{} < V{});
   const std::size_t n = s.n;
   const std::size_t nt = s.nt;
   const RcNode* nodes = s.nodes;
   const int* parent = s.parent;
   const double* g = s.g;
+  const double* g_half = s.g_half;
+  const TransientScratch::ChainRun* runs = s.runs;
+  const std::size_t num_runs = s.num_runs;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  Ps t0[L] = {}, t_stop[L] = {}, t[L] = {};
-  double h[L] = {}, ramp_steps[L] = {}, j[L] = {};
-  V hv = {}, g_drv = {};
+  // Each lane's clock: t = t0 + j h after j steps.  `t_live` is the lane's
+  // stop time while it has taps pending and -inf once it has none (or pads
+  // the group), so `t < t_live` is the lane's active flag.
+  V t0 = {}, t_stop = {}, t_live = {}, hv = {}, ramp_steps = {}, g_drv = {};
+  std::size_t pending[L] = {};
   for (std::size_t l = 0; l < L; ++l) {
     const BatchDrive& d = drives[l < count ? l : 0];
     const Ps tau_char = std::max(d.r_drv * s.total_cap + s.max_tau, 0.5);
     // Driver source waveform: delay then linear ramp (normalized 0 -> 1).
-    t0[l] = d.intrinsic + opt.slew_to_delay * d.input_slew;
+    lane(t0, l) = d.intrinsic + opt.slew_to_delay * d.input_slew;
     const Ps ramp = opt.ramp_base + opt.slew_feedthrough * d.input_slew;
     const Ps h0 = std::clamp(std::min(tau_char / opt.time_step_div, ramp / 4.0),
                              opt.min_step, opt.max_step);
@@ -97,20 +146,22 @@ template <std::size_t L>
     // than min_step is one step of h0 instead.
     const double steps = std::ceil(ramp / h0);
     if (ramp >= opt.min_step && steps >= 1.0) {
-      h[l] = ramp / steps;
-      ramp_steps[l] = steps;
+      lane(hv, l) = ramp / steps;
+      lane(ramp_steps, l) = steps;
     } else {
-      h[l] = h0;
-      ramp_steps[l] = 1.0;
+      lane(hv, l) = h0;
+      lane(ramp_steps, l) = 1.0;
     }
-    t_stop[l] = t0[l] + ramp + 40.0 * tau_char;
-    t[l] = t0[l];
-    hv[l] = h[l];
-    g_drv[l] = 1.0 / std::max(d.r_drv, 1e-9);
+    lane(t_stop, l) = lane(t0, l) + ramp + 40.0 * tau_char;
+    pending[l] = l < count ? nt : 0;
+    lane(t_live, l) = pending[l] > 0 ? lane(t_stop, l) : -kInf;
+    lane(g_drv, l) = 1.0 / std::max(d.r_drv, 1e-9);
   }
-  // The source at grid point `at` (steps since t0).
-  auto source = [&](std::size_t l, double at) {
-    return at >= ramp_steps[l] ? 1.0 : at / ramp_steps[l];
+  // The source at grid point `at` (steps since t0), every lane at once.
+  // Vectors pass by reference: a by-value one would change the psABI
+  // between the clones.
+  auto source = [&](const V& at, V& value) {
+    value = at >= ramp_steps ? V{} + 1.0 : at / ramp_steps;
   };
 
   // Trapezoidal discretization:
@@ -131,129 +182,192 @@ template <std::size_t L>
   adiag[0] += g_drv / 2.0;
   for (std::size_t i = 1; i < n; ++i) {
     const auto p = static_cast<std::size_t>(parent[i]);
-    adiag[i] += g[i] / 2.0;
-    adiag[p] += g[i] / 2.0;
+    adiag[i] += g_half[i];
+    adiag[p] += g_half[i];
   }
   // Cholesky-style tree elimination: children have larger indices.
   for (std::size_t i = n; i-- > 1;) {
     const auto p = static_cast<std::size_t>(parent[i]);
-    mult[i] = (g[i] / 2.0) / adiag[i];
-    adiag[p] -= (g[i] / 2.0) * mult[i];
+    mult[i] = g_half[i] / adiag[i];
+    adiag[p] -= g_half[i] * mult[i];
   }
 
   // Start from v = 0, whose G v is exactly +0 in every product and sum.
-  // From then on the back-substitution keeps gv = G v current.
-  scratch.v.assign(n * L, 0.0);
+  // From then on each step's back-substitution writes the other buffer's
+  // v and G v in full.
+  scratch.v[0].assign(n * L, 0.0);
+  scratch.gv[0].assign(n * L, 0.0);
+  scratch.v[1].resize(n * L);
+  scratch.gv[1].resize(n * L);
   scratch.rhs.resize(n * L);
-  scratch.gv.assign(n * L, 0.0);
-  V* v = reinterpret_cast<V*>(scratch.v.data());
   V* rhs = reinterpret_cast<V*>(scratch.rhs.data());
-  V* gv = reinterpret_cast<V*>(scratch.gv.data());
+  double* v_old = scratch.v[0].data();
+  double* v_new = scratch.v[1].data();
+  double* gv_old = scratch.gv[0].data();
+  double* gv_new = scratch.gv[1].data();
 
-  // Threshold bookkeeping per tap, lane-major (`cross[l * nt + k]`), and
-  // each lane's pending taps packed at the front of its slice: a step
-  // reads a pending tap's voltage and compares it with the tap's lowest
-  // uncrossed threshold, and only a crossing takes the full check.
+  // Threshold bookkeeping: each tap's crossings per lane (lane-major,
+  // `cross[l * nt + k]`) and its lowest uncrossed threshold per lane
+  // (tap-major, NaN where the lane is not looking), so a step compares a
+  // tap's voltages with its thresholds in one vector operation and only a
+  // lane that reaches its threshold takes the full check.
   constexpr double kTh10 = 0.1, kTh50 = 0.5, kTh90 = 0.9;
   scratch.cross.assign(nt * L, TransientScratch::Crossings{});
-  scratch.pending.resize(nt * L);
-  std::size_t pending[L] = {};
-  for (std::size_t l = 0; l < count; ++l) {
-    TransientScratch::PendingTap* list = scratch.pending.data() + l * nt;
-    for (std::size_t k = 0; k < nt; ++k) {
-      list[k] = {0.0, 0.0, kTh10,
-                 static_cast<std::size_t>(s.taps[k].rc_index) * L + l, k};
-    }
-    pending[l] = nt;
+  scratch.next_th.resize(nt * L);
+  scratch.live_taps.resize(nt);
+  V* next_th = reinterpret_cast<V*>(scratch.next_th.data());
+  TransientScratch::TapRecord* live_taps = scratch.live_taps.data();
+  V first_th = {};
+  for (std::size_t l = 0; l < L; ++l) lane(first_th, l) = l < count ? kTh10 : kNaN;
+  for (std::size_t k = 0; k < nt; ++k) {
+    next_th[k] = first_th;
+    live_taps[k] = {static_cast<std::size_t>(s.taps[k].rc_index), k};
   }
+  std::size_t live = nt;
 
-  bool active[L] = {};
+  V j = {};
+  V t = t0;
+  V s_now;  // the source at the step's start, s(j)
+  source(j, s_now);
+  Mask was_active = t < t_live;
   for (;;) {
-    bool any = false;
-    for (std::size_t l = 0; l < L; ++l) {
-      active[l] = pending[l] > 0 && t[l] < t_stop[l];
-      any = any || active[l];
+    const Mask active = t < t_live;
+    if (!any_lane(active)) break;
+    // A lane that stops with taps pending stops looking at them; a record
+    // no lane looks at any more leaves.
+    const Mask stopped = was_active && !active;
+    if (any_lane(stopped)) {
+      for (std::size_t p = 0; p < live;) {
+        V& th = next_th[live_taps[p].tap];
+        th = stopped ? V{} + kNaN : th;
+        if (any_lane(th == th)) {
+          ++p;
+        } else {
+          live_taps[p] = live_taps[--live];
+        }
+      }
     }
-    if (!any) break;
+    was_active = active;
+
+    const V j_next = j + 1.0;
+    V s_next;
+    source(j_next, s_next);
+    const V* v0 = reinterpret_cast<const V*>(v_old);
+    const V* gv0 = reinterpret_cast<const V*>(gv_old);
+    V* v1 = reinterpret_cast<V*>(v_new);
+    V* gv1 = reinterpret_cast<V*>(gv_new);
 
     // rhs = (C/h) v - (G v)/2 + (b(t) + b(t+h))/2.  Inactive lanes are
     // integrated too (their state is never read again).
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = cap_h[i] * v[i] - gv[i] / 2.0;
-    V src = {};
-    for (std::size_t l = 0; l < L; ++l) {
-      src[l] = source(l, j[l]) + source(l, j[l] + 1.0);
-    }
-    rhs[0] += g_drv * src / 2.0;
+    for (std::size_t i = 0; i < n; ++i) rhs[i] = cap_h[i] * v0[i] - gv0[i] / 2.0;
+    rhs[0] += g_drv * (s_now + s_next) / 2.0;
 
-    // Forward elimination (leaves to root).
-    for (std::size_t i = n; i-- > 1;) {
-      rhs[static_cast<std::size_t>(parent[i])] += mult[i] * rhs[i];
+    // Forward elimination (leaves to root), run by run from the last.  A
+    // run's nodes are final when reached (their other children are in
+    // later runs), and node i is the last child to update its parent
+    // i - 1, so the running value carries down the run in a register.
+    V cur = {};
+    for (std::size_t r = num_runs; r-- > 0;) {
+      const auto head = static_cast<std::size_t>(runs[r].start);
+      std::size_t i = static_cast<std::size_t>(runs[r + 1].start) - 1;
+      cur = rhs[i];
+      for (; i > head; --i) {
+        cur = rhs[i - 1] + mult[i] * cur;
+        rhs[i - 1] = cur;
+      }
+      if (head > 0) {
+        rhs[static_cast<std::size_t>(runs[r].head_parent)] += mult[head] * cur;
+      }
     }
     // Back-substitution (root to leaves), fused with the next step's G v
     // sweep: node i's flow needs only v[i] and its parent's, both final once
     // i is solved, and every gv update lands in the same order as in a
-    // separate sweep.  Node i's own gv starts at +0 here (its children come
-    // later), the value a zero-filled array would give it.
-    v[0] = rhs[0] / adiag[0];
-    gv[0] = g_drv * v[0];
-    for (std::size_t i = 1; i < n; ++i) {
-      const auto p = static_cast<std::size_t>(parent[i]);
-      const V vp = v[p];
-      const V vi = (rhs[i] + (g[i] / 2.0) * vp) / adiag[i];
-      v[i] = vi;
-      const V flow = g[i] * (vi - vp);
-      gv[i] = flow + 0.0;
-      gv[p] -= flow;
+    // separate sweep.  Node i's own gv starts at +0 (its children come
+    // later), the value a zero-filled array would give it.  Along a run the
+    // parent's v and gv stay in registers: node i is the first child to
+    // update its parent i - 1, after which only other runs' heads do.
+    V vp = cur / adiag[0];  // cur is the root's eliminated rhs
+    v1[0] = vp;
+    V gv_run = g_drv * vp;
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      const auto head = static_cast<std::size_t>(runs[r].start);
+      const auto end = static_cast<std::size_t>(runs[r + 1].start);
+      if (head > 0) {
+        const auto p = static_cast<std::size_t>(runs[r].head_parent);
+        const V vq = v1[p];
+        const V vi = (rhs[head] + g_half[head] * vq) / adiag[head];
+        v1[head] = vi;
+        const V flow = g[head] * (vi - vq);
+        gv1[p] -= flow;
+        gv_run = flow + 0.0;
+        vp = vi;
+      }
+      for (std::size_t i = head + 1; i < end; ++i) {
+        const V vi = (rhs[i] + g_half[i] * vp) / adiag[i];
+        v1[i] = vi;
+        const V flow = g[i] * (vi - vp);
+        gv1[i - 1] = gv_run - flow;
+        gv_run = flow + 0.0;
+        vp = vi;
+      }
+      gv1[end - 1] = gv_run;
     }
 
-    const double* volts = scratch.v.data();
-    const double* flows = scratch.gv.data();
-    const double* caps_h = scratch.cap_h.data();
-    for (std::size_t l = 0; l < L; ++l) {
-      if (!active[l]) continue;
-      const Ps tl = t[l];
-      const Ps hl = h[l];
-      TransientScratch::Crossings* cross = scratch.cross.data() + l * nt;
-      TransientScratch::PendingTap* list = scratch.pending.data() + l * nt;
-      std::size_t live = pending[l];
-      for (std::size_t p = 0; p < live;) {
-        TransientScratch::PendingTap& tap = list[p];
-        const double now = volts[tap.node];
-        const double gv_now = flows[tap.node];
-        if (now >= tap.next) {
-          // `next` is the lowest threshold not crossed yet, so while
-          // now < next no check below can fire.  A crossing lies on the
-          // cubic Hermite fit of the step: end voltages prev and now, end
-          // slopes dv/dt = (b - G v)_i / C_i scaled by h (the trapezoid's
-          // own, from G v before and after the step).
-          TransientScratch::Crossings& c = cross[tap.tap];
-          double b0 = 0.0, b1 = 0.0;  // the driver's injection, node 0 only
-          if (tap.node < L) {
-            b0 = g_drv[l] * source(l, j[l]);
-            b1 = g_drv[l] * source(l, j[l] + 1.0);
-          }
-          const double d0 = (b0 - tap.prev_gv) / caps_h[tap.node];
-          const double d1 = (b1 - gv_now) / caps_h[tap.node];
-          auto at = [&](double th) {
-            return tl + hl * hermite_crossing(tap.prev, now, d0, d1, th);
-          };
-          if (c.t10 < 0.0 && now >= kTh10) c.t10 = at(kTh10);
-          if (c.t50 < 0.0 && now >= kTh50) c.t50 = at(kTh50);
-          if (c.t90 < 0.0 && now >= kTh90) {
-            c.t90 = at(kTh90);
-            tap = list[--live];
-            continue;
-          }
-          tap.next = c.t10 < 0.0 ? kTh10 : c.t50 < 0.0 ? kTh50 : kTh90;
-        }
-        tap.prev = now;
-        tap.prev_gv = gv_now;
+    // Crossing checks, one vector compare per live tap.
+    for (std::size_t p = 0; p < live;) {
+      const TransientScratch::TapRecord rec = live_taps[p];
+      V& th = next_th[rec.tap];
+      const Mask fired = v1[rec.node] >= th;
+      if (!any_lane(fired)) {
         ++p;
+        continue;
       }
-      pending[l] = live;
-      j[l] = j[l] + 1.0;
-      t[l] = t0[l] + j[l] * hl;
+      for (std::size_t l = 0; l < L; ++l) {
+        if (!lane(fired, l)) continue;
+        // `th` is the lowest threshold not crossed yet, so while the
+        // voltage is below it no check below can fire.  A crossing lies
+        // on the cubic Hermite fit of the step: end voltages before and
+        // after, end slopes dv/dt = (b - G v)_i / C_i scaled by h (the
+        // trapezoid's own, from G v before and after the step).
+        const std::size_t at_node = rec.node * L + l;
+        const double prev = v_old[at_node];
+        const double now = v_new[at_node];
+        TransientScratch::Crossings& c = scratch.cross[l * nt + rec.tap];
+        double b0 = 0.0, b1 = 0.0;  // the driver's injection, node 0 only
+        if (rec.node == 0) {
+          b0 = lane(g_drv, l) * lane(s_now, l);
+          b1 = lane(g_drv, l) * lane(s_next, l);
+        }
+        const double d0 = (b0 - gv_old[at_node]) / scratch.cap_h[at_node];
+        const double d1 = (b1 - gv_new[at_node]) / scratch.cap_h[at_node];
+        const Ps tl = lane(t, l);
+        const Ps hl = lane(hv, l);
+        auto at = [&](double level) {
+          return tl + hl * hermite_crossing(prev, now, d0, d1, level);
+        };
+        if (c.t10 < 0.0 && now >= kTh10) c.t10 = at(kTh10);
+        if (c.t50 < 0.0 && now >= kTh50) c.t50 = at(kTh50);
+        if (c.t90 < 0.0 && now >= kTh90) {
+          c.t90 = at(kTh90);
+          lane(th, l) = kNaN;
+          if (--pending[l] == 0) lane(t_live, l) = -kInf;
+        } else {
+          lane(th, l) = c.t10 < 0.0 ? kTh10 : c.t50 < 0.0 ? kTh50 : kTh90;
+        }
+      }
+      if (any_lane(th == th)) {
+        ++p;
+      } else {
+        live_taps[p] = live_taps[--live];
+      }
     }
+
+    // Advance the active lanes' clocks; s(j + 1) is the next step's s(j).
+    j = active ? j_next : j;
+    t = active ? t0 + j * hv : t;
+    s_now = s_next;
+    std::swap(v_old, v_new);
+    std::swap(gv_old, gv_new);
   }
 
   for (std::size_t l = 0; l < count; ++l) {
@@ -261,9 +375,9 @@ template <std::size_t L>
     TapTiming* result = out + l * nt;
     for (std::size_t k = 0; k < nt; ++k) {
       TransientScratch::Crossings c = cross[k];
-      if (c.t10 < 0.0) c.t10 = t_stop[l];
-      if (c.t50 < 0.0) c.t50 = t_stop[l];
-      if (c.t90 < 0.0) c.t90 = t_stop[l];
+      if (c.t10 < 0.0) c.t10 = lane(t_stop, l);
+      if (c.t50 < 0.0) c.t50 = lane(t_stop, l);
+      if (c.t90 < 0.0) c.t90 = lane(t_stop, l);
       result[k].delay = c.t50;
       result[k].slew = c.t90 - c.t10;
     }
@@ -335,14 +449,25 @@ void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
 
   // --- drive-independent stage data, computed once per batch ------------
 
-  // Conductance to parent, and the parents copied beside it: the step
-  // loops walk these two contiguous arrays.
+  // Conductance to parent (and its half), and the parents copied beside
+  // it, so the loops walk contiguous arrays; and the chain runs, one
+  // starting at each node whose parent is not the node before it.
   scratch.g.assign(n, 0.0);
+  scratch.g_half.assign(n, 0.0);
   scratch.parent.resize(n);
+  scratch.runs.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    scratch.parent[i] = nodes[i].parent;
-    if (i > 0) scratch.g[i] = 1.0 / std::max(nodes[i].res, 1e-9);
+    const int p = nodes[i].parent;
+    scratch.parent[i] = p;
+    if (i > 0) {
+      scratch.g[i] = 1.0 / std::max(nodes[i].res, 1e-9);
+      scratch.g_half[i] = scratch.g[i] / 2.0;
+    }
+    if (i == 0 || static_cast<std::size_t>(p) + 1 != i) {
+      scratch.runs.push_back({static_cast<int>(i), p});
+    }
   }
+  scratch.runs.push_back({static_cast<int>(n), -1});
   const int* parent = scratch.parent.data();
 
   // Elmore sweep for timestep selection and the stop guard, with exactly
@@ -382,6 +507,9 @@ void simulate_batch(const LaneKernels& kernels, const TransientOptions& options,
   s.taps = stage.taps.data();
   s.parent = parent;
   s.g = scratch.g.data();
+  s.g_half = scratch.g_half.data();
+  s.runs = scratch.runs.data();
+  s.num_runs = scratch.runs.size() - 1;
   s.total_cap = total_cap;
   s.max_tau = max_tau;
 

@@ -58,36 +58,52 @@ struct BatchDrive {
 /// The kernel integrates a group of L drives (L = 4, 2 or 1) as
 /// interleaved lanes.  Per-node lane arrays are node-major — lane l of node
 /// i lives at `[i * L + l]` — so one tree sweep updates every lane of a
-/// node together as one L-wide vector; per-tap lane arrays are lane-major
-/// (`[l * num_taps + k]`).
+/// node together as one L-wide vector.  Per-tap thresholds are tap-major
+/// (`[k * L + l]`), so one vector compare tests every lane of a tap; the
+/// crossings found are lane-major (`[l * num_taps + k]`).
 struct TransientScratch {
-  std::vector<double> g;      ///< conductance to parent (shared per stage)
-  std::vector<int> parent;    ///< parent index per node (shared per stage)
-  std::vector<double> cdown;  ///< Elmore sweep: downstream cap per node
-  std::vector<double> tau;    ///< Elmore sweep: tau per node
+  std::vector<double> g;       ///< conductance to parent (shared per stage)
+  std::vector<double> g_half;  ///< g / 2, hoisted out of the step loop
+  std::vector<int> parent;     ///< parent index per node (shared per stage)
+  std::vector<double> cdown;   ///< Elmore sweep: downstream cap per node
+  std::vector<double> tau;     ///< Elmore sweep: tau per node
+  /// A maximal run of nodes [start, next run's start) in which every node
+  /// but the first is the child of the node before it.  The sweeps carry
+  /// the running node's value in a register along a run; only a run's
+  /// first node reaches its parent (`head_parent`, -1 for the root's run)
+  /// through memory.  The runs of a stage end with a sentinel run that
+  /// starts at the node count.
+  struct ChainRun {
+    int start = 0;
+    int head_parent = -1;
+  };
+  std::vector<ChainRun> runs;
   // Per-node lane arrays (node-major).
   std::vector<double> cap_h;  ///< C/h, hoisted out of the step loop
   std::vector<double> adiag;  ///< factorization: pivots
   std::vector<double> mult;   ///< factorization: elimination multipliers
-  std::vector<double> v;      ///< integration state
   std::vector<double> rhs;    ///< right-hand side of the step
-  std::vector<double> gv;     ///< G v of the current state
-  // Per-tap lane arrays (lane-major).
+  /// Integration state v and its G v, double-buffered: a step reads one
+  /// buffer and writes the other, and the two swap roles after the step,
+  /// so the crossing checks read the step's start and end values in place.
+  std::vector<double> v[2], gv[2];
+  // Per-tap lane arrays.
+  /// Each tap's lowest threshold not crossed yet, tap-major.  A lane that
+  /// is done with the tap, a padded lane and a lane past its stop time hold
+  /// NaN, which no voltage compares at or above.
+  std::vector<double> next_th;
+  /// A tap some lane still has to cross: its node and its index k.  The
+  /// live records are packed at the front; a record leaves once every lane
+  /// holds NaN in it.
+  struct TapRecord {
+    std::size_t node = 0;
+    std::size_t tap = 0;
+  };
+  std::vector<TapRecord> live_taps;
   struct Crossings {
     double t10 = -1.0, t50 = -1.0, t90 = -1.0;
   };
-  std::vector<Crossings> cross;
-  /// A tap whose 90% crossing is still ahead.  Each lane keeps its pending
-  /// taps packed at the front of its `[l * num_taps, (l + 1) * num_taps)`
-  /// slice, so a step visits only those; a tap leaves when it crosses 90%.
-  struct PendingTap {
-    double prev = 0.0;     ///< tap voltage after the previous step
-    double prev_gv = 0.0;  ///< (G v) at the tap's node after the previous step
-    double next = 0.0;     ///< lowest threshold not crossed yet
-    std::size_t node = 0;  ///< index of the tap's lane in `v`
-    std::size_t tap = 0;   ///< tap index k
-  };
-  std::vector<PendingTap> pending;
+  std::vector<Crossings> cross;  ///< lane-major
 };
 
 /// SPICE-substitute engine: trapezoidal integration of each stage's RC tree
@@ -110,13 +126,14 @@ struct TransientScratch {
 /// The engine has one integrator core, simulate_stage_batch(): it reads the
 /// Stage as extracted, hoists everything drive-independent — the
 /// conductance and parent arrays (copied into the scratch, so the step
-/// loops walk contiguous arrays), the Elmore sweep, the worst tap tau —
-/// out of the per-drive work, and then integrates the drives in groups of
-/// up to four interleaved lanes over the same cached stage data.  Each lane keeps its
-/// own timestep, clock and stop time, starts its clock when its driver
-/// ramp starts (every voltage is exactly 0 before), and performs the
-/// one-drive integrator's operations in their order, so a row does not
-/// depend on which drives share its group.  A one-stage caller
+/// loops walk contiguous arrays), the chain runs the sweeps carry values
+/// along, the Elmore sweep, the worst tap tau — out of the per-drive work,
+/// and then integrates the drives in groups of up to four interleaved
+/// lanes over the same cached stage data.  Each lane keeps its own
+/// timestep, clock and stop time, starts its clock when its driver ramp
+/// starts (every voltage is exactly 0 before), and performs the one-drive
+/// integrator's operations in their order, so a row does not depend on
+/// which drives share its group.  A one-stage caller
 /// passes a batch of one.  The Elmore sweep is always the kernel's own,
 /// one O(nodes) pass per call: it only picks each lane's timestep and stop
 /// time, so no caller keeps sweeps between calls.

@@ -3,13 +3,17 @@
 // integrator in transient_reference.h.  The kernel integrates drives as
 // interleaved vector lanes (groups of 4, 2 or 1, three drives padding a
 // lane), starts each lane's clock at its own driver delay t0 on a grid
-// aligned to its ramp, and scans only the taps still pending; these tests
-// drive every width, padded lanes, the lane-divergence cases (one lane
-// starting thousands of steps late, nominal steps clamped at either bound,
-// one lane timing out while another finishes early), the grid's edge cases
-// (t0 = 0, a ramp shorter than a step, a tap on the driver node) and the
-// tap-scan edge cases (many taps, all three thresholds crossed in one step,
-// taps pending at the stop time, no taps).  Every case runs on each
+// aligned to its ramp, carries values in registers along runs of
+// parent == i - 1 links, and checks all lanes of a tap against per-lane
+// thresholds (NaN where a lane no longer looks) in one compare; these
+// tests drive every width, padded lanes, the lane-divergence cases (one
+// lane starting thousands of steps late, nominal steps clamped at either
+// bound, one lane timing out while another finishes early or while others
+// still wait for the same taps), the grid's edge cases (t0 = 0, a ramp
+// shorter than a step, a tap on the driver node), the sweeps' topologies
+// (a pure chain, a star, combs, a driver node with several children) and
+// the tap-scan edge cases (many taps, all three thresholds crossed in one
+// step, taps pending at the stop time, no taps).  Every case runs on each
 // instruction-set clone of the kernel this CPU supports: on an AVX2 host
 // these tests are what still exercise the baseline clone.
 
@@ -484,6 +488,177 @@ TEST(TransientOracle, TapsStillPendingAtTheStopTime) {
       const Ps t_stop = stop_time(sim.options(), drives[b], 0.0, 0.0);
       EXPECT_LT(rows[b * nt].delay, t_stop) << "the near tap must finish";
       EXPECT_EQ(rows[b * nt + 3].delay, t_stop) << "the far tap must time out";
+    }
+  }
+}
+
+/// A stage with the given parents (parent[0] = -1, parent[i] < i), random
+/// caps and resistances, and a tap on each of `tap_nodes`.
+Stage stage_with_parents(Rng& rng, const std::vector<int>& parents,
+                         const std::vector<int>& tap_nodes) {
+  Stage s;
+  s.nodes.resize(parents.size());
+  for (std::size_t i = 0; i < parents.size(); ++i) {
+    RcNode& node = s.nodes[i];
+    node.cap = rng.uniform(0.5, 12.0);
+    node.parent = parents[i];
+    if (i > 0) node.res = rng.uniform(0.001, 0.3);
+  }
+  for (int rc : tap_nodes) {
+    Tap tap;
+    tap.rc_index = rc;
+    s.taps.push_back(tap);
+  }
+  return s;
+}
+
+/// How many nodes have the node before them as parent: the links the
+/// kernel's sweeps carry in a register.
+int chain_links(const Stage& s) {
+  int links = 0;
+  for (std::size_t i = 1; i < s.nodes.size(); ++i) {
+    links += s.nodes[i].parent == static_cast<int>(i) - 1;
+  }
+  return links;
+}
+
+/// `count` different drives, some starting late, some with long ramps.
+std::vector<BatchDrive> varied_drives(Rng& rng, std::size_t count) {
+  std::vector<BatchDrive> drives;
+  for (std::size_t b = 0; b < count; ++b) {
+    drives.push_back({rng.uniform(0.05, 1.0), rng.uniform(0.0, 30.0),
+                      rng.uniform(0.0, 50.0)});
+  }
+  return drives;
+}
+
+TEST(TransientOracle, ChainStarAndCombTopologiesAtEveryWidth) {
+  // The sweeps carry a node's value in a register along parent == i - 1
+  // links and go through memory on every other link.  A pure chain carries
+  // every link, a star only node 1's, and a comb alternates the two: spine
+  // node 2k hangs off spine node 2k - 2 (through memory) and its tooth
+  // 2k + 1 off it (carried).  A comb with three-node teeth mixes carried
+  // runs with heads whose parent is several nodes back.
+  Rng rng(0xC4A1);
+  const TransientSimulator sim;
+  TransientScratch reused;
+  struct Topology {
+    std::string name;
+    std::vector<int> parents;
+    std::vector<int> taps;
+    int carried;
+  };
+  std::vector<Topology> topologies;
+  {
+    Topology chain{"chain", {-1}, {39, 20, 5, 39}, 39};
+    for (int i = 1; i < 40; ++i) chain.parents.push_back(i - 1);
+    topologies.push_back(chain);
+  }
+  {
+    Topology star{"star", {-1}, {3, 17, 29, 1}, 1};
+    for (int i = 1; i < 30; ++i) star.parents.push_back(0);
+    topologies.push_back(star);
+  }
+  {
+    Topology comb{"comb", {-1, 0}, {1, 13, 22, 30, 31}, 16};
+    for (int i = 2; i < 32; ++i) comb.parents.push_back(i % 2 == 1 ? i - 1 : i - 2);
+    topologies.push_back(comb);
+  }
+  {
+    // Spine 0, 4, 8, ...; teeth i + 1 -> i + 2 -> i + 3 below spine node i.
+    Topology teeth{"comb with three-node teeth", {-1}, {3, 12, 27, 35, 24}, 27};
+    for (int i = 1; i < 36; ++i) teeth.parents.push_back(i % 4 == 0 ? i - 4 : i - 1);
+    topologies.push_back(teeth);
+  }
+  for (const Topology& topo : topologies) {
+    const Stage s = stage_with_parents(rng, topo.parents, topo.taps);
+    ASSERT_EQ(chain_links(s), topo.carried) << topo.name;
+    for (std::size_t count = 1; count <= 9; ++count) {
+      expect_rows_match_reference(sim, s, varied_drives(rng, count), nullptr, reused,
+                                  topo.name + ", " + std::to_string(count) + " drives");
+    }
+  }
+}
+
+TEST(TransientOracle, TappedDriverNodeWithSeveralChildren) {
+  // The driver node has a carried child (node 1) and three more reached
+  // through memory, and two taps of its own: their crossing slopes take
+  // the driver's injection from the lanes' source values.
+  Rng rng(0xD0D0);
+  const TransientSimulator sim;
+  TransientScratch reused;
+  const Stage s = stage_with_parents(rng, {-1, 0, 1, 0, 3, 0, 0, 6, 7},
+                                     {0, 2, 8, 0, 5});
+  for (std::size_t count = 1; count <= 9; ++count) {
+    expect_rows_match_reference(sim, s, varied_drives(rng, count), nullptr, reused,
+                                "driver-node taps, " + std::to_string(count) + " drives");
+  }
+}
+
+TEST(TransientOracle, LaneStopsWhileOtherLanesStillHaveItsTapPending) {
+  // An Elmore override that claims zero capacitance stops every lane 20 ps
+  // after its ramp.  The weak lane stops with every tap below 10 %; had it
+  // kept looking, its still-integrating voltage would cross 10 % within
+  // the next 5 ps (250 steps), while the strong lanes, on longer ramps,
+  // still wait for the same taps.  Every lane steps at the floor step, so step
+  // counts line up.  Groups of 3 and 7 drives pad a lane as well; one
+  // drive is the weak lane alone.
+  Rng rng(0x5709);
+  const TransientSimulator sim;
+  const TransientOptions& o = sim.options();
+  TransientScratch reused;
+  const Stage s = stage_with_parents(rng, {-1, 0, 1, 2, 1, 4}, {3, 5, 0});
+  const std::vector<Ps> zero_tau(s.nodes.size(), 0.0);
+  const detail::ElmoreOverride understated{zero_tau.data(), 0.0};
+  const BatchDrive weak{9.5, 2.0, 0.0};
+  const Ps weak_t0 = weak.intrinsic;
+  const Ps weak_stop = stop_time(o, weak, 0.0, 0.0);
+  const Grid weak_grid = grid(o, weak, 0.0, 0.0);
+  ASSERT_EQ(weak_grid.h0, o.min_step);
+
+  // The weak lane alone with a stop `extra` ps later (tau_char 0.5 ps, the
+  // floor, plus extra / 40), still on the floor step: it crosses 10 % at
+  // some tap (a nonzero slew row) before then.
+  const Ps extra = 5.0;
+  const std::vector<Ps> later_tau(s.nodes.size(), 0.5 + extra / 40.0);
+  const detail::ElmoreOverride later{later_tau.data(), 0.0};
+  ASSERT_EQ(grid(o, weak, 0.0, later_tau[0]).h, weak_grid.h);
+  ASSERT_EQ(stop_time(o, weak, 0.0, later_tau[0]), weak_stop + extra);
+  {
+    std::vector<TapTiming> row(s.taps.size());
+    reference::simulate_stage_rows(o, s, &weak, 1, row.data(), &later);
+    bool crossed = false;
+    for (const TapTiming& r : row) crossed = crossed || r.slew > 0.0;
+    ASSERT_TRUE(crossed) << "the weak lane must cross 10 % after its stop";
+  }
+  const double later_stop_step = (weak_stop + extra - weak_t0) / weak_grid.h;
+
+  for (std::size_t count = 1; count <= 9; ++count) {
+    std::vector<BatchDrive> drives;
+    for (std::size_t b = 0; b < count; ++b) {
+      drives.push_back(b == count / 2 ? weak
+                                      : BatchDrive{0.02 + 0.01 * b, 1.0 + b, 120.0 + 5.0 * b});
+    }
+    const std::vector<TapTiming> rows = expect_rows_match_reference(
+        sim, s, drives, &understated, reused,
+        "weak lane " + std::to_string(count / 2) + " of " + std::to_string(count));
+    const std::size_t nt = s.taps.size();
+    for (std::size_t b = 0; b < count; ++b) {
+      const BatchDrive& d = drives[b];
+      const Ps t0 = d.intrinsic + o.slew_to_delay * d.input_slew;
+      const Grid gb = grid(o, d, 0.0, 0.0);
+      ASSERT_EQ(gb.h0, o.min_step);
+      for (std::size_t k = 0; k < nt; ++k) {
+        const TapTiming& r = rows[b * nt + k];
+        if (b == count / 2) {
+          EXPECT_EQ(r.delay, weak_stop) << "the weak lane must stop";
+          EXPECT_EQ(r.slew, 0.0) << "the weak lane must cross nothing";
+        } else {
+          EXPECT_LT(r.delay, stop_time(o, d, 0.0, 0.0)) << "strong lane " << b;
+          EXPECT_GT((r.delay - t0) / gb.h, later_stop_step)
+              << "strong lane " << b << " tap " << k << " must still be pending";
+        }
+      }
     }
   }
 }
