@@ -26,6 +26,14 @@ Usage:
                                       [--max-sinks 2000] [--threads 1]
                                       [--scenario huge] [--seed 1]
                                       [--workloads mega_1m.cbench]
+                                      [--repeat 3]
+
+``--repeat N`` runs the bench N times (default 1).  With N > 1 the point
+also holds ``repeats``: every run's wall seconds (the suite report's
+``wall_seconds``) and peak RSS in MB (the bench process's own, from
+``os.wait4``), with their medians; ``report`` is the first run's.  On a
+shared host one run can swing by 20 %, so a point meant to resolve a
+change of that size should take the median of several.
 
 ``--workloads`` (table5 only) runs a collect_workloads() spec — scenario
 families, ``.bench``/``.cbench`` files, directories — instead of a sweep;
@@ -40,6 +48,7 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -71,6 +80,17 @@ def load_trajectory(path: pathlib.Path, bench: str):
     return trajectory
 
 
+def run_bench(bench: pathlib.Path, env: dict):
+    """Run the bench once; returns (exit status, peak RSS in MB).
+
+    os.wait4 reads the rusage of this child alone, so each run's peak RSS
+    is its own, not the running maximum over every child so far."""
+    child = subprocess.Popen([str(bench)], env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here
+    return child.returncode, usage.ru_maxrss / 1024.0  # KiB on Linux
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", choices=sorted(BENCH_BINARIES), default="table5",
@@ -96,7 +116,13 @@ def main() -> int:
                              "run exactly these workloads (family names, "
                              ".bench/.cbench files, directories) instead of "
                              "a sink-count sweep; records load_seconds")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs per point; with N > 1 the point records "
+                             "every run's wall seconds and peak RSS and "
+                             "their medians (default 1)")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
 
     build_dir = pathlib.Path(args.build_dir)
     bench = build_dir / BENCH_BINARIES[args.bench]
@@ -143,20 +169,28 @@ def main() -> int:
         if args.workloads:
             config["workloads"] = args.workloads
             config["seed"] = args.seed
+    if args.repeat > 1:
+        config["repeat"] = args.repeat
 
-    print(f"bench_snapshot: running {bench} "
-          f"(threads={args.threads})")
-    result = subprocess.run([str(bench)], env=env)
-    if result.returncode != 0:
-        print(f"bench_snapshot: {BENCH_BINARIES[args.bench]} failed",
-              file=sys.stderr)
-        return result.returncode
-
-    with open(raw) as f:
-        report = json.load(f)
-    if report.get("type") != "contango_suite_report" or not report.get("runs"):
-        print("bench_snapshot: malformed suite report", file=sys.stderr)
-        return 1
+    report = None
+    walls, rss = [], []
+    for i in range(args.repeat):
+        print(f"bench_snapshot: running {bench} "
+              f"(threads={args.threads}, run {i + 1}/{args.repeat})")
+        status, peak_mb = run_bench(bench, env)
+        if status != 0:
+            print(f"bench_snapshot: {BENCH_BINARIES[args.bench]} failed",
+                  file=sys.stderr)
+            return status
+        with open(raw) as f:
+            run_report = json.load(f)
+        if (run_report.get("type") != "contango_suite_report"
+                or not run_report.get("runs")):
+            print("bench_snapshot: malformed suite report", file=sys.stderr)
+            return 1
+        report = report or run_report
+        walls.append(run_report["wall_seconds"])
+        rss.append(peak_mb)
 
     try:
         trajectory = load_trajectory(out, args.bench)
@@ -165,8 +199,15 @@ def main() -> int:
         return 1
     trajectory["points"] = [p for p in trajectory["points"]
                             if p.get("label") != label]
-    trajectory["points"].append({"label": label, "config": config,
-                                 "report": report})
+    point = {"label": label, "config": config, "report": report}
+    if args.repeat > 1:
+        point["repeats"] = {
+            "wall_seconds": walls,
+            "peak_rss_mb": rss,
+            "median_wall_seconds": statistics.median(walls),
+            "median_peak_rss_mb": statistics.median(rss),
+        }
+    trajectory["points"].append(point)
 
     with open(out, "w") as f:
         json.dump(trajectory, f, indent=1, sort_keys=False)
@@ -174,7 +215,8 @@ def main() -> int:
 
     print(f"bench_snapshot: wrote point '{label}' to {out} "
           f"({len(trajectory['points'])} point(s) total) — "
-          f"{len(report['runs'])} run(s), {report['wall_seconds']:.1f} s wall, "
+          f"{len(report['runs'])} run(s), "
+          f"{statistics.median(walls):.1f} s wall (median of {len(walls)}), "
           f"{report['total_sim_runs']} sims, "
           f"{report.get('total_batched_stage_evals', 0)} stage evals")
     return 0

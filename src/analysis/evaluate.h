@@ -233,15 +233,6 @@ class Evaluator {
     return 1e-9 * static_cast<double>(helper_cpu_ns_.load(std::memory_order_relaxed));
   }
 
-  void reset_sim_runs() {
-    sim_runs_.store(0, std::memory_order_relaxed);
-    full_evals_.store(0, std::memory_order_relaxed);
-    incremental_evals_.store(0, std::memory_order_relaxed);
-    batched_stage_evals_.store(0, std::memory_order_relaxed);
-    stage_reuses_.store(0, std::memory_order_relaxed);
-    helper_cpu_ns_.store(0, std::memory_order_relaxed);
-  }
-
   const Benchmark& benchmark() const { return bench_; }
   const EvalOptions& options() const { return options_; }
   const TransientSimulator& simulator() const { return sim_; }

@@ -137,8 +137,7 @@ struct FlowResult : EvalWork {
 ///
 /// This is a thin wrapper over the pass pipeline (cts/pipeline.h): it runs
 /// `Pipeline::from_options(options)` — `options.pipeline` when set, else
-/// the full default sequence — and produces
-/// bit-identical results to the historical monolithic flow.
+/// the full default sequence.
 FlowResult run_contango(const Benchmark& bench, const FlowOptions& options = {});
 
 }  // namespace contango

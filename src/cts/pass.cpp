@@ -38,8 +38,7 @@ EvalResult FlowContext::evaluate_tree(Ps slew_cut, std::optional<Ff> total_cap) 
   if (!use_incremental_) return eval.evaluate(tree);
   // `tree` is a member object, so its address is stable across the moves
   // the construction passes and try_accept perform on its *contents*;
-  // wholesale content replacements invalidate through note_tree_mutated()/
-  // restore_saved().
+  // wholesale content replacements invalidate through note_tree_mutated().
   if (incremental_.bound_tree() != &tree) incremental_.bind(tree);
   return incremental_.evaluate(slew_cut, total_cap);
 }
@@ -71,13 +70,6 @@ EvalResult FlowContext::probe(const std::function<void(TreeEditSession&)>& edit)
 
 void FlowContext::note_tree_mutated() {
   if (incremental_.bound()) incremental_.invalidate_all();
-}
-
-void FlowContext::restore_saved(ClockTree&& saved_tree,
-                                const EvalResult& saved_eval) {
-  tree = std::move(saved_tree);
-  current_ = saved_eval;
-  note_tree_mutated();
 }
 
 void FlowContext::require_tree(const char* who) const {
@@ -114,19 +106,21 @@ std::string FlowContext::unique_stage_name(const std::string& base) {
 
 bool FlowContext::cap_ok(const EvalResult& candidate) const {
   return !candidate.cap_violation ||
-         candidate.total_cap <= current_.total_cap + 1e-6;
+         candidate.total_cap <= current_.total_cap + kGateTolerance;
 }
 
 bool FlowContext::violation_ok(const EvalResult& candidate) const {
-  const bool slew_ok = !candidate.slew_violation ||
-                       candidate.worst_slew <= current_.worst_slew + 1e-6;
+  const bool slew_ok =
+      !candidate.slew_violation ||
+      candidate.worst_slew <= current_.worst_slew + kGateTolerance;
   // Generalized violation vector: under a non-trivial constraint block a
   // candidate must keep every sink window and inter-domain bound no worse
   // than the incumbent's.  Identically 0 <= 0 for trivial blocks, so the
   // legacy gate is unchanged.
   const bool constraints_ok =
       candidate.constraints_met() ||
-      candidate.constraint_violation() <= current_.constraint_violation() + 1e-6;
+      candidate.constraint_violation() <=
+          current_.constraint_violation() + kGateTolerance;
   return slew_ok && cap_ok(candidate) && constraints_ok;
 }
 
@@ -178,7 +172,7 @@ bool FlowContext::try_accept(TreeEditSession& session, PassObjective objective) 
   // Past this worst slew the slew half of violation_ok() must fail: the
   // candidate then violates the limit and is worse than the incumbent.
   const Ps slew_cut =
-      std::max(bench.tech.slew_limit, current_.worst_slew + 1e-6);
+      std::max(bench.tech.slew_limit, current_.worst_slew + kGateTolerance);
   const EvalResult r = evaluate_tree(slew_cut, total_cap);
   if (!r.stopped_early && improves(r, current_, objective) && violation_ok(r)) {
     close_session(session, /*keep=*/true);

@@ -24,17 +24,16 @@ namespace contango {
 /// mutates a FlowContext, and a Pipeline (cts/pipeline.h) strings passes
 /// together from a textual spec such as
 /// `"dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn"`.  `run_contango()`
-/// (cts/flow.h) is a thin wrapper over the default pipeline and produces
-/// bit-identical results to the pre-pipeline monolithic flow.
+/// (cts/flow.h) is a thin wrapper over the default pipeline.
 ///
 /// The paper's Improvement- & Violation-Checking (IVC) gate lives here as
 /// pipeline infrastructure instead of being re-implemented per stage:
 /// passes propose candidate trees through FlowContext::try_accept(), which
 /// evaluates the candidate (one "SPICE run"), accepts it only when the
 /// pass's objective improves without worsening violations, and rolls it
-/// back otherwise.  The Pipeline additionally wraps every optimization pass
-/// in a whole-pass rollback (a pass that somehow leaves the flow worse than
-/// it found it is undone uniformly).
+/// back otherwise.  The gate is the flow's one accept/reject policy: an
+/// optimization pass changes the tree only through it, and the Pipeline
+/// keeps whatever the accepted steps left.
 ///
 /// Candidates come in two forms:
 ///   * *edit deltas* (TreeEditSession, rctree/extract.h) — the refinement
@@ -57,6 +56,17 @@ namespace contango {
 /// passes (DME, repair, insertion, polarity), which build the network
 /// rather than refine it and are not IVC-gated.
 enum class PassObjective { kNone, kSkew, kClr };
+
+/// \brief The IVC gate's one tolerance (ps for slew, fF for capacitance,
+/// ps for the constraint-violation vector).
+///
+/// A violated axis passes when the candidate is at most this much worse
+/// than the incumbent, so an incumbent that already violates a limit may
+/// see its worst slew, total cap or constraint violation rise by up to
+/// kGateTolerance per accepted step — and by more across several accepted
+/// steps, since each step compares against the last.  A clean candidate
+/// passes regardless.
+inline constexpr double kGateTolerance = 1e-6;
 
 /// \brief Shared state of one flow execution, threaded through every pass.
 ///
@@ -125,8 +135,9 @@ class FlowContext {
   std::string unique_stage_name(const std::string& base);
 
   /// Violation half of the IVC check: a candidate passes when it is clean,
-  /// or at least no worse than the incumbent on each violated axis (an
-  /// already-violating network must still be allowed to improve).
+  /// or no worse than the incumbent (within kGateTolerance) on each
+  /// violated axis (an already-violating network must still be allowed to
+  /// improve).
   bool violation_ok(const EvalResult& candidate) const;
 
   /// Capacitance part of violation_ok(): reads only `total_cap` and
@@ -182,14 +193,10 @@ class FlowContext {
   /// \pre has_current()
   EvalResult probe(const std::function<void(TreeEditSession&)>& edit);
 
-  /// Restores a previously read current() evaluation — the Pipeline's
-  /// whole-pass rollback uses this together with a saved tree copy.  No
-  /// simulation runs.
+  /// Replaces current() with `saved` without touching the tree; no
+  /// simulation runs.  The tests' seam for putting a synthetic incumbent
+  /// in front of the gate; no pass calls it.
   void restore_current(const EvalResult& saved) { current_ = saved; }
-
-  /// Whole-pass rollback: restores a saved tree + evaluation and
-  /// invalidates the incremental engine (the tree changed wholesale).
-  void restore_saved(ClockTree&& saved_tree, const EvalResult& saved_eval);
 
   /// \brief Tells the context `tree` was mutated outside its gates.
   ///
@@ -257,8 +264,8 @@ class Pass {
   /// Snapshot/report name, e.g. "TWSZ" (the paper's Table III row labels).
   virtual const char* display_name() const = 0;
 
-  /// kNone = construction pass; kSkew/kClr = optimization pass whose
-  /// snapshots and whole-pass IVC rollback the Pipeline manages.
+  /// kNone = construction pass; kSkew/kClr = optimization pass, which
+  /// changes the tree only through the IVC gate and ends with a snapshot.
   virtual PassObjective objective() const { return PassObjective::kNone; }
 
   /// \brief Applies one `key=value` override from the pipeline spec.

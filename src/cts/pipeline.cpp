@@ -3,7 +3,6 @@
 #include <cctype>
 #include <utility>
 
-#include "util/log.h"
 #include "util/timer.h"
 
 namespace contango {
@@ -156,32 +155,12 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     const double helper_cpu_before = evaluator.helper_cpu_seconds();
     Timer wall;
 
+    pass->run(ctx);
     if (gated) {
-      // Whole-pass IVC safety net: micro-steps inside the stock passes are
-      // already gated through FlowContext::try_accept and can only improve,
-      // so this never fires for them — but a pass that bypasses the gate
-      // and leaves the flow worse than it found it is rolled back here,
-      // uniformly, instead of trusting every pass to guard itself.
-      ClockTree saved_tree = ctx.tree;
-      const EvalResult saved_eval = ctx.current();
-      pass->run(ctx);
-      const bool regressed =
-          pass->objective() == PassObjective::kClr
-              ? ctx.current().clr > saved_eval.clr
-              : ctx.current().nominal_skew > saved_eval.nominal_skew;
-      const bool violates =
-          (ctx.current().slew_violation &&
-           ctx.current().worst_slew > saved_eval.worst_slew + 1e-6) ||
-          (ctx.current().cap_violation &&
-           ctx.current().total_cap > saved_eval.total_cap + 1e-6);
-      if (regressed || violates) {
-        Log::info("contango[%s] %s: rolled back (objective regressed)",
-                  bench.name.c_str(), stage_name.c_str());
-        ctx.restore_saved(std::move(saved_tree), saved_eval);
-      }
+      // A gated pass changes the tree only through FlowContext::try_accept,
+      // the flow's one accept/reject policy, so what it leaves is kept.
       ctx.snapshot(stage_name);
     } else {
-      pass->run(ctx);
       // Construction passes mutate the tree outside the IVC gates; the
       // incremental engine rebuilds at the next evaluation.
       ctx.note_tree_mutated();

@@ -77,11 +77,10 @@ std::string resolved_pipeline_spec(const FlowOptions& options = {});
 /// FlowContext, cts/pass.h):
 ///   * before the first optimization pass (and again after the last pass)
 ///     the tree is evaluated and the "INITIAL" snapshot recorded;
-///   * every optimization pass runs under a whole-pass IVC guard — if it
-///     leaves the flow worse on its objective (or with worse violations)
-///     than it started, the entire pass is rolled back — and ends with a
-///     StageSnapshot named after the pass (unique-ified to "TWSZ#2", ... on
-///     repeats);
+///   * every optimization pass changes the tree only through the IVC gate
+///     (FlowContext::try_accept), which keeps or undoes each step; the
+///     Pipeline keeps what the pass leaves and records a StageSnapshot
+///     named after the pass (unique-ified to "TWSZ#2", ... on repeats);
 ///   * every pass gets a FlowResult::pass_timings entry: wall seconds,
 ///     thread-CPU seconds and evaluation ("SPICE-run") count.
 class Pipeline {

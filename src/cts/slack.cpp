@@ -80,17 +80,14 @@ EdgeSlacks compute_edge_slacks(const ClockTree& tree, const EvalResult& eval,
   slacks.slow.assign(tree.size(), kInf);
   slacks.fast.assign(tree.size(), kInf);
 
-  const std::size_t corners =
-      options.all_corners ? eval.corners.size() : std::min<std::size_t>(1, eval.corners.size());
-
   // Sink slacks: minimum over every constraining (corner, transition).
   static const TimingConstraints kTrivial;
   const TimingConstraints& cons =
       options.constraints != nullptr ? *options.constraints : kTrivial;
   const std::vector<NodeId> topo = tree.topological_order();
-  for (std::size_t c = 0; c < corners; ++c) {
+  for (const CornerTiming& corner : eval.corners) {
     for (int t = 0; t < kNumTransitions; ++t) {
-      const auto& sinks = eval.corners[c].sinks[static_cast<std::size_t>(t)];
+      const auto& sinks = corner.sinks[static_cast<std::size_t>(t)];
       const DomainExtremes ex = domain_extremes(sinks, cons);
       if (ex.global_lo >= kInf) continue;
       for (NodeId id : topo) {
@@ -131,18 +128,6 @@ EdgeSlacks compute_edge_slacks(const ClockTree& tree, const EvalResult& eval,
     }
   }
   return slacks;
-}
-
-std::vector<Ps> sink_slow_slacks(const ClockTree& tree, const EvalResult& eval,
-                                 const SlackOptions& options) {
-  const EdgeSlacks slacks = compute_edge_slacks(tree, eval, options);
-  std::vector<Ps> out(tree.size(), 0.0);
-  for (NodeId id : tree.topological_order()) {
-    if (tree.node(id).is_sink()) {
-      out[id] = (slacks.slow[id] >= kInf) ? 0.0 : slacks.slow[id];
-    }
-  }
-  return out;
 }
 
 }  // namespace contango

@@ -36,9 +36,9 @@ struct EdgeSlacks {
   std::vector<Ps> delta_fast;
 };
 
-/// Which (corner, transition) combinations constrain the slack.
+/// What constrains the slack besides the global skew.  Every (corner,
+/// transition) combination of the evaluation always does.
 struct SlackOptions {
-  bool all_corners = true;  ///< false = nominal corner only
   /// Optional timing-constraint block.  nullptr (or a trivial block)
   /// reproduces the legacy global-skew slacks bit-for-bit.
   const TimingConstraints* constraints = nullptr;
@@ -47,10 +47,5 @@ struct SlackOptions {
 /// Computes sink and edge slacks from one evaluation result.
 EdgeSlacks compute_edge_slacks(const ClockTree& tree, const EvalResult& eval,
                                const SlackOptions& options = {});
-
-/// Per-sink slow-down slack at the nominal corner (minimum over
-/// transitions); used by bottom-level fine-tuning.
-std::vector<Ps> sink_slow_slacks(const ClockTree& tree, const EvalResult& eval,
-                                 const SlackOptions& options = {});
 
 }  // namespace contango

@@ -104,7 +104,7 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 ///                             (input-pin tap cap) and its own stage
 ///                             (output cap + driver view).
 /// Anything that changes the structure (construction passes, an accepted
-/// whole-tree candidate, a whole-pass rollback) goes through
+/// whole-tree candidate) goes through
 /// mark_all_dirty(), and the next refresh() rebuilds every slot and the
 /// level order.  Edits marked while that rebuild is pending are ignored:
 /// the rebuild covers them.  A structural edit marked as a value edit is

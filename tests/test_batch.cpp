@@ -229,9 +229,6 @@ TEST(Batch, EvaluatorCountsStageEvals) {
   EXPECT_EQ(evaluator.batched_stage_evals(), units);
   (void)evaluator.evaluate(tree);
   EXPECT_EQ(evaluator.batched_stage_evals(), 2 * units);
-
-  evaluator.reset_sim_runs();
-  EXPECT_EQ(evaluator.batched_stage_evals(), 0);
 }
 
 // ------------------------------------------------------------------ flow ----

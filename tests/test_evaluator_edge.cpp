@@ -96,15 +96,13 @@ TEST(EvaluatorEdge, SingleCornerFallsBackToSkew) {
   EXPECT_DOUBLE_EQ(r.clr, r.nominal_skew);
 }
 
-TEST(EvaluatorEdge, SimRunCounterAndReset) {
+TEST(EvaluatorEdge, SimRunCounter) {
   Benchmark bench = two_sink_bench();
   ClockTree tree = build_zst(bench);
   Evaluator eval(bench);
   eval.evaluate(tree);
   eval.evaluate(tree);
   EXPECT_EQ(eval.sim_runs(), 2);
-  eval.reset_sim_runs();
-  EXPECT_EQ(eval.sim_runs(), 0);
 }
 
 TEST(ExtractEdge, EmptyTree) {

@@ -313,6 +313,44 @@ TEST(Pipeline, SpecWithoutTreeBuildingPassesFailsCleanly) {
   }
 }
 
+// The IVC gate is the flow's one accept/reject policy, and every step it
+// accepts strictly improves the pass's objective.  So a gated pass that
+// accepted anything ends strictly better than the snapshot before it, and
+// one that accepted nothing ends exactly there.  clustered at seed 5 (the
+// instance `example_scenario_suite clustered 4 5` runs) ends over the slew
+// limit, and its TWSN accepts rounds that each raise the worst slew by less
+// than kGateTolerance but by more than that in total; a pass-level check
+// against the pass-entry slew at the same tolerance would undo them all.
+TEST(Pipeline, GatedPassKeepsEveryRoundTheGateAccepted) {
+  const FlowResult r = run_contango(make_scenario("clustered", 5));
+  ASSERT_TRUE(r.eval.slew_violation) << "premise: the incumbent violates";
+
+  std::size_t snapshot = 0;  // stages[0] is INITIAL
+  int twsn_accepted = 0;
+  for (const PassTiming& p : r.pass_timings) {
+    const bool clr = p.name == "TBSZ";
+    if (!clr && p.name != "TWSZ" && p.name != "TWSN" && p.name != "BWSN") {
+      continue;  // construction pass: no snapshot
+    }
+    SCOPED_TRACE(p.name);
+    ++snapshot;
+    ASSERT_LT(snapshot, r.stages.size());
+    const StageSnapshot& before = r.stages[snapshot - 1];
+    const StageSnapshot& after = r.stages[snapshot];
+    ASSERT_EQ(after.name, p.name);
+    const Ps from = clr ? before.clr : before.skew;
+    const Ps to = clr ? after.clr : after.skew;
+    if (p.ivc.accepted > 0) {
+      EXPECT_LT(to, from);
+    } else {
+      EXPECT_EQ(to, from);
+    }
+    if (p.name == "TWSN") twsn_accepted = p.ivc.accepted;
+  }
+  EXPECT_EQ(snapshot + 1, r.stages.size());
+  EXPECT_GT(twsn_accepted, 0) << "premise: TWSN accepts rounds";
+}
+
 TEST(Pipeline, ConstructionOnlyPipelineStillEvaluates) {
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
   FlowOptions options;

@@ -262,20 +262,5 @@ TEST(SlackWindows, ViolatedUpperWindowGivesNegativeSlowSlack) {
   }
 }
 
-TEST(SlackWindows, SinkSlowSlacksUseTheConstrainedDefinition) {
-  const WindowFixture s = make_setup(16, 3);
-  const TimingConstraints cons =
-      random_constraints(static_cast<int>(s.bench.sinks.size()), 13);
-  SlackOptions options;
-  options.constraints = &cons;
-  const std::vector<Ps> sink_slow = sink_slow_slacks(s.tree, s.eval, options);
-  const EdgeSlacks edges = compute_edge_slacks(s.tree, s.eval, options);
-  for (NodeId id : s.tree.topological_order()) {
-    if (!s.tree.node(id).is_sink()) continue;
-    const double expected = edges.slow[id] >= kInf ? 0.0 : edges.slow[id];
-    EXPECT_DOUBLE_EQ(sink_slow[id], expected);
-  }
-}
-
 }  // namespace
 }  // namespace contango
