@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "cts/scenario.h"
+#include "netlist/generators.h"
 #include "netlist/io.h"
 #include "util/hash.h"
 
@@ -142,4 +143,13 @@ TEST(BenchmarkContentHash, SeedsAndFamiliesDiffer) {
   EXPECT_NE(a, c);
   // Same family + seed regenerates the identical instance.
   EXPECT_EQ(benchmark_content_hash(make_scenario("ring", 1)), a);
+}
+
+TEST(BenchmarkContentHash, GoldenDigests) {
+  // Pinned digests of the canonical text: a writer change that moves one
+  // byte of a legacy file (ring), of the constraint directives (multidomain)
+  // or of a large sink list (ti5k) fails here.
+  EXPECT_EQ(benchmark_content_hash(make_scenario("ring", 1)).hex(), "06e624666f2a0293867220ae58e1b142");
+  EXPECT_EQ(benchmark_content_hash(make_scenario("multidomain", 1)).hex(), "43a4328f75a315ee7209412c56785a34");
+  EXPECT_EQ(benchmark_content_hash(generate_ti_like(5000, 77)).hex(), "d7243de80c2aac7341e6822345859416");
 }

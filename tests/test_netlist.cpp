@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
+#include "cts/scenario.h"
 #include "netlist/generators.h"
 #include "netlist/io.h"
 #include "netlist/library.h"
@@ -267,6 +271,36 @@ TEST(Validate, SourceMustBeInsideDie) {
   EXPECT_THROW(validate(b), std::invalid_argument);
   b.source = Point{50, 0};
   EXPECT_NO_THROW(validate(b));
+}
+
+}  // namespace
+}  // namespace contango
+
+namespace contango {
+namespace {
+
+TEST(BenchmarkIo, WriterReproducesStockFilesByteForByte) {
+  // Every checked-in benchmarks/<family>_s1.bench is the writer's output for
+  // the family at seed 1, and parsing it and writing it again gives the
+  // same bytes.
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  ASSERT_EQ(registry.families().size(), 10u);
+  for (const ScenarioRegistry::Family& family : registry.families()) {
+    const std::string path =
+        std::string(CONTANGO_SOURCE_DIR) + "/benchmarks/" + family.name + "_s1.bench";
+    std::ifstream in(path, std::ios::binary);
+    const std::string file(std::istreambuf_iterator<char>(in), {});
+    ASSERT_FALSE(file.empty()) << path;
+
+    std::ostringstream generated;
+    write_benchmark(registry.make(family.name, 1), generated);
+    EXPECT_TRUE(generated.str() == file) << path << " differs from the generated text";
+
+    std::istringstream text(file);
+    std::ostringstream rewritten;
+    write_benchmark(read_benchmark(text, path), rewritten);
+    EXPECT_TRUE(rewritten.str() == file) << path << " does not round-trip";
+  }
 }
 
 }  // namespace
