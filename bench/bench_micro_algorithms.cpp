@@ -1,13 +1,16 @@
 // Microbenchmarks (google-benchmark) of the core algorithmic kernels:
 // DME construction, van Ginneken insertion, staged extraction, one full
-// transient evaluation across benchmark sizes, and the transient kernel
-// alone over recorded stage shapes and drives.
+// transient evaluation across benchmark sizes, the transient kernel
+// alone over recorded stage shapes and drives, and the `.bench` text
+// codec (write, read, content hash) on the 5000-sink TI chip.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/evaluate.h"
@@ -16,6 +19,7 @@
 #include "cts/vanginneken.h"
 #include "cts/flow.h"
 #include "netlist/generators.h"
+#include "netlist/io.h"
 #include "rctree/extract.h"
 
 using namespace contango;
@@ -157,5 +161,50 @@ static void BM_TransientKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(rec.num_stages * width));
 }
 BENCHMARK(BM_TransientKernel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+/// The `.bench` codec on generate_ti_like(5000, 77): items are text bytes.
+static const std::string& ti5k_text() {
+  static const std::string text = [] {
+    std::ostringstream out;
+    write_benchmark(generate_ti_like(5000, 77), out);
+    return out.str();
+  }();
+  return text;
+}
+
+static void BM_WriteBenchmark(benchmark::State& state) {
+  const Benchmark bench = generate_ti_like(5000, 77);
+  for (auto _ : state) {
+    std::ostringstream out;
+    write_benchmark(bench, out);
+    benchmark::DoNotOptimize(out.tellp());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ti5k_text().size()));
+}
+BENCHMARK(BM_WriteBenchmark);
+
+static void BM_ReadBenchmark(benchmark::State& state) {
+  const std::string& text = ti5k_text();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    const Benchmark bench = read_benchmark(in);
+    benchmark::DoNotOptimize(bench.sinks.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadBenchmark);
+
+static void BM_BenchmarkContentHash(benchmark::State& state) {
+  const Benchmark bench = generate_ti_like(5000, 77);
+  for (auto _ : state) {
+    const Hash128 h = benchmark_content_hash(bench);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ti5k_text().size()));
+}
+BENCHMARK(BM_BenchmarkContentHash);
 
 BENCHMARK_MAIN();

@@ -42,9 +42,10 @@ void report(const char* title, const ObstacleRepairReport& r, const ClockTree& t
       }
     }
   }
-  std::printf("%-28s l-flips %d  maze %d  detours %d  kept %d  (+%.0f um)  %s\n",
+  std::printf("%-28s l-flips %d  maze %d  detours %d  kept %d  failed %d  (+%.0f um)  %s\n",
               title, r.l_flips, r.maze_reroutes, r.contour_detours,
-              r.kept_crossings, r.added_wirelength, legal ? "ok" : "VIOLATION");
+              r.kept_crossings, r.failed_routes, r.added_wirelength,
+              legal ? "ok" : "VIOLATION");
 }
 
 }  // namespace

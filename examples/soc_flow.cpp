@@ -58,10 +58,10 @@ int main(int argc, char** argv) {
                 s.clr, s.cap / 1000.0, s.sim_runs);
   }
   std::printf("\nobstacle repair: %d L-flips, %d maze reroutes, %d contour "
-              "detours, %d kept crossings (+%.2f mm wire)\n",
+              "detours, %d kept crossings, %d failed routes (+%.2f mm wire)\n",
               r.obstacles.l_flips, r.obstacles.maze_reroutes,
               r.obstacles.contour_detours, r.obstacles.kept_crossings,
-              r.obstacles.added_wirelength / 1000.0);
+              r.obstacles.failed_routes, r.obstacles.added_wirelength / 1000.0);
   std::printf("polarity: %d inverted sinks fixed with %d inverters\n",
               r.polarity.inverted_sinks, r.polarity.added_inverters);
   std::printf("composite buffer: %dx %s; %d buffer nodes\n", r.buffer.count,

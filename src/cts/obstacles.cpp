@@ -284,8 +284,9 @@ ObstacleRepairReport repair_obstacles(ClockTree& tree, const Benchmark& bench,
       tree.reroute_edge(id, std::move(*path));
       ++report.maze_reroutes;
     } else {
-      Log::warn("repair_obstacles: maze route failed for node %u", id);
-      ++report.kept_crossings;
+      Log::warn("repair_obstacles: %s: no legal route for node %u; its crossing stays",
+                bench.name.c_str(), id);
+      ++report.failed_routes;
     }
   }
 

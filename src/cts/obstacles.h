@@ -30,6 +30,7 @@ struct ObstacleRepairReport {
   int maze_reroutes = 0;    ///< point-to-point wires rerouted around obstacles
   int contour_detours = 0;  ///< enclosed subtrees moved onto obstacle contours
   int kept_crossings = 0;   ///< crossings kept because one buffer drives them
+  int failed_routes = 0;    ///< crossings kept because no legal maze route exists
   Um added_wirelength = 0.0;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <utility>
 
 namespace contango {
 
@@ -57,7 +58,8 @@ std::optional<std::vector<Point>> MazeRouter::route_in_window(
   // Escape-graph coordinates from the obstacles inside the window only;
   // rects_intersecting returns ascending indices, so the compressed grids
   // (and the routes) do not depend on the index layout.
-  for (const std::size_t i : obstacles_.rects_intersecting(window)) {
+  const std::vector<std::size_t> inside = obstacles_.rects_intersecting(window);
+  for (const std::size_t i : inside) {
     const Rect& r = obstacles_.rects()[i];
     xs.push_back(r.xlo);
     xs.push_back(r.xhi);
@@ -89,6 +91,10 @@ std::optional<std::vector<Point>> MazeRouter::route_in_window(
     return std::nullopt;  // terminal clipped away by the window
   }
 
+  // Every grid edge lies in the window, so the rects inside it are the only
+  // ones that can block an edge.
+  const BlockedEdges blocked = mark_blocked_edges(xs, ys, obstacles_.rects(), inside);
+
   constexpr double kInf = std::numeric_limits<double>::max();
   std::vector<double> dist(n_nodes, kInf);
   std::vector<int> prev(n_nodes, -1);
@@ -110,9 +116,11 @@ std::optional<std::vector<Point>> MazeRouter::route_in_window(
       const int jx = ix + dix[k];
       const int jy = iy + diy[k];
       if (jx < 0 || jx >= nx || jy < 0 || jy >= ny) continue;
+      const bool edge_blocked = k < 2 ? blocked.h[node_id(std::min(ix, jx), iy)]
+                                      : blocked.v[node_id(ix, std::min(iy, jy))];
+      if (edge_blocked) continue;
       const Point a{xs[ix], ys[iy]};
       const Point b{xs[jx], ys[jy]};
-      if (obstacles_.blocks_segment(HVSegment{a, b})) continue;
       const std::size_t jd = node_id(jx, jy);
       const double nd = d + manhattan(a, b);
       if (nd < dist[jd] - 1e-12) {
@@ -150,6 +158,49 @@ std::optional<std::vector<Point>> MazeRouter::route_in_window(
     simplified.push_back(path[i]);
   }
   return simplified;
+}
+
+BlockedEdges mark_blocked_edges(const std::vector<double>& xs,
+                                const std::vector<double>& ys,
+                                const std::vector<Rect>& rects,
+                                const std::vector<std::size_t>& candidates) {
+  const std::size_t nx = xs.size();
+  BlockedEdges out;
+  out.h.assign(nx * ys.size(), 0);
+  out.v.assign(nx * ys.size(), 0);
+  // Grid lines strictly inside (lo, hi), and the edges [i, i + 1] whose
+  // open span overlaps (lo, hi): c[i] < hi and c[i + 1] > lo.
+  auto strictly_inside = [](const std::vector<double>& c, double lo, double hi) {
+    const auto first = std::upper_bound(c.begin(), c.end(), lo) - c.begin();
+    const auto last = std::lower_bound(c.begin(), c.end(), hi) - c.begin();
+    return std::pair<std::size_t, std::size_t>(first, std::max(first, last));
+  };
+  auto overlapping_edges = [](const std::vector<double>& c, double lo, double hi) {
+    const auto after_lo = std::upper_bound(c.begin(), c.end(), lo) - c.begin();
+    const auto before_hi = std::lower_bound(c.begin(), c.end(), hi) - c.begin();
+    const std::size_t first = after_lo > 0 ? static_cast<std::size_t>(after_lo - 1) : 0;
+    const std::size_t last =
+        std::min(static_cast<std::size_t>(before_hi), c.empty() ? 0 : c.size() - 1);
+    return std::pair<std::size_t, std::size_t>(first, std::max(first, last));
+  };
+  for (const std::size_t i : candidates) {
+    const Rect& r = rects[i];
+    // A horizontal edge at y crosses r when r.ylo < y < r.yhi and its x
+    // span overlaps (r.xlo, r.xhi); a vertical one likewise, transposed.
+    const auto [row0, row1] = strictly_inside(ys, r.ylo, r.yhi);
+    const auto [hx0, hx1] = overlapping_edges(xs, r.xlo, r.xhi);
+    for (std::size_t iy = row0; iy < row1; ++iy) {
+      std::fill(out.h.begin() + static_cast<std::ptrdiff_t>(iy * nx + hx0),
+                out.h.begin() + static_cast<std::ptrdiff_t>(iy * nx + hx1), 1);
+    }
+    const auto [col0, col1] = strictly_inside(xs, r.xlo, r.xhi);
+    const auto [vy0, vy1] = overlapping_edges(ys, r.ylo, r.yhi);
+    for (std::size_t iy = vy0; iy < vy1; ++iy) {
+      std::fill(out.v.begin() + static_cast<std::ptrdiff_t>(iy * nx + col0),
+                out.v.begin() + static_cast<std::ptrdiff_t>(iy * nx + col1), 1);
+    }
+  }
+  return out;
 }
 
 }  // namespace contango

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -39,5 +40,24 @@ class MazeRouter {
   const ObstacleSet& obstacles_;
   Rect bounds_;
 };
+
+/// Escape-graph edges that pass through an obstacle interior, on the grid
+/// xs × ys (both ascending and distinct, nx = xs.size()).  `h[iy * nx + ix]`
+/// marks the edge from (xs[ix], ys[iy]) to (xs[ix + 1], ys[iy]), and
+/// `v[iy * nx + ix]` the edge from (xs[ix], ys[iy]) to (xs[ix], ys[iy + 1]).
+struct BlockedEdges {
+  std::vector<char> h;
+  std::vector<char> v;
+};
+
+/// Marks the blocked edges of the grid xs × ys, once for a whole route
+/// search.  `candidates` indexes `rects` and must hold every rectangle that
+/// intersects the grid's bounding box (ObstacleSet::rects_intersecting of
+/// it).  A mark is set by the comparisons HVSegment::crosses_interior
+/// makes, so it equals ObstacleSet::blocks_segment on that edge.
+BlockedEdges mark_blocked_edges(const std::vector<double>& xs,
+                                const std::vector<double>& ys,
+                                const std::vector<Rect>& rects,
+                                const std::vector<std::size_t>& candidates);
 
 }  // namespace contango

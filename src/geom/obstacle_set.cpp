@@ -55,7 +55,7 @@ std::vector<std::size_t> ObstacleSet::rects_intersecting(
 void ObstacleSet::build_groups() {
   UnionFind uf(rects_.size());
   for (std::size_t i = 0; i < rects_.size(); ++i) {
-    for_candidates(rects_[i], [&](std::size_t j) {
+    index_.visit_any(rects_[i], [&](std::size_t j) {
       if (j > i &&
           (rects_[i].overlaps_interior(rects_[j]) || rects_[i].abuts(rects_[j]))) {
         uf.unite(i, j);
@@ -90,19 +90,19 @@ void ObstacleSet::build_contours() {
 
 bool ObstacleSet::blocks_point(const Point& p) const {
   const Rect probe{p.x, p.y, p.x, p.y};
-  return for_candidates(
+  return index_.visit_any(
       probe, [&](std::size_t i) { return rects_[i].contains_strict(p); });
 }
 
 bool ObstacleSet::blocks_segment(const HVSegment& seg) const {
-  return for_candidates(seg.bounds(), [&](std::size_t i) {
+  return index_.visit_any(seg.bounds(), [&](std::size_t i) {
     return seg.crosses_interior(rects_[i]);
   });
 }
 
 std::vector<std::size_t> ObstacleSet::crossed_compounds(const HVSegment& seg) const {
   std::vector<std::size_t> out;
-  for_candidates(seg.bounds(), [&](std::size_t i) {
+  index_.visit_any(seg.bounds(), [&](std::size_t i) {
     if (seg.crosses_interior(rects_[i])) out.push_back(rect_to_compound_[i]);
     return false;
   });
@@ -122,17 +122,16 @@ Um ObstacleSet::blocked_length(const HVSegment& seg) const {
   Um total = 0.0;
   // Terms accumulate in ascending rect-index order, and non-intersecting
   // rects would add exactly 0.0, so the sum equals a full scan's.
-  for_candidates(seg.bounds(), [&](std::size_t i) {
+  for (const std::size_t i : index_.intersecting(seg.bounds())) {
     const Rect& r = rects_[i];
     const Rect clip = seg.bounds().intersection(r);
-    if (!clip.valid()) return false;
+    if (!clip.valid()) continue;
     if (seg.horizontal()) {
       if (seg.a.y > r.ylo && seg.a.y < r.yhi) total += std::max(0.0, clip.width());
     } else if (seg.vertical()) {
       if (seg.a.x > r.xlo && seg.a.x < r.xhi) total += std::max(0.0, clip.height());
     }
-    return false;
-  });
+  }
   return total;
 }
 
@@ -145,16 +144,15 @@ Um ObstacleSet::blocked_length(const std::vector<Point>& pts) const {
 }
 
 std::size_t ObstacleSet::compound_containing(const Point& p) const {
+  // The lowest-index containing rect wins, as in a scan; the walk visits
+  // candidates in tree order, so it keeps the minimum.
   const Rect probe{p.x, p.y, p.x, p.y};
-  std::size_t found = npos;
-  for_candidates(probe, [&](std::size_t i) {
-    if (rects_[i].contains_strict(p)) {
-      found = rect_to_compound_[i];
-      return true;  // first (lowest-index) containing rect wins
-    }
+  std::size_t lowest = npos;
+  index_.visit_any(probe, [&](std::size_t i) {
+    if (i < lowest && rects_[i].contains_strict(p)) lowest = i;
     return false;
   });
-  return found;
+  return lowest == npos ? npos : rect_to_compound_[lowest];
 }
 
 std::vector<Point> union_contour(const std::vector<Rect>& rects) {

@@ -30,9 +30,11 @@ struct CompoundObstacle {
 /// are grouped into compound obstacles at construction.
 ///
 /// Queries run against an interval-tree spatial index (O(log n + k) per
-/// probe).  Candidates are visited in ascending rectangle-index order and
-/// non-intersecting rectangles would contribute exactly nothing to any
-/// query result, so every answer equals a linear scan over rects().
+/// probe).  Non-intersecting rectangles would contribute exactly nothing
+/// to any query result, so every answer equals a linear scan over rects():
+/// the boolean probes and compound_containing (lowest index wins) do not
+/// depend on the order they see candidates in and walk the tree without
+/// allocating; blocked_length sums in ascending rectangle-index order.
 class ObstacleSet {
  public:
   ObstacleSet() = default;
@@ -86,14 +88,6 @@ class ObstacleSet {
  private:
   void build_groups();
   void build_contours();
-
-  /// Visits the indices of rectangles intersecting `query` in ascending
-  /// order.  fn returns true to stop early; for_candidates returns that
-  /// flag.
-  template <typename Fn>
-  bool for_candidates(const Rect& query, Fn&& fn) const {
-    return index_.visit(query, fn);
-  }
 
   std::vector<Rect> rects_;
   std::vector<CompoundObstacle> compounds_;

@@ -66,7 +66,7 @@ int RectIntervalIndex::build_str(std::vector<std::size_t>& by_lo,
   node.center = center;
   // Stable three-way partition of both orderings.  The spanning sublist of
   // by_lo is already (xlo asc, id asc) and of by_hi already (xhi desc,
-  // id asc) — the orders query_node()'s early exits rely on.
+  // id asc) — the orders walk()'s early exits rely on.
   std::vector<std::size_t> left_lo, right_lo, left_hi, right_hi;
   for (const std::size_t i : by_lo) {
     if (xhi_[i] < center) {
@@ -107,37 +107,13 @@ int RectIntervalIndex::build_str(std::vector<std::size_t>& by_lo,
   return id;
 }
 
-void RectIntervalIndex::query_node(int node_id, const Rect& q,
-                                   std::vector<std::size_t>& out) const {
-  if (node_id < 0) return;
-  const Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  if (q.xhi < node.center) {
-    // Only intervals starting at or before q.xhi can reach the query.
-    for (const std::size_t i : node.by_xlo) {
-      if (xlo_[i] > q.xhi) break;
-      if (ylo_[i] <= q.yhi && yhi_[i] >= q.ylo) out.push_back(i);
-    }
-    query_node(node.left, q, out);
-  } else if (q.xlo > node.center) {
-    for (const std::size_t i : node.by_xhi) {
-      if (xhi_[i] < q.xlo) break;
-      if (ylo_[i] <= q.yhi && yhi_[i] >= q.ylo) out.push_back(i);
-    }
-    query_node(node.right, q, out);
-  } else {
-    // The query straddles the center: every spanning interval overlaps in x.
-    for (const std::size_t i : node.by_xlo) {
-      if (ylo_[i] <= q.yhi && yhi_[i] >= q.ylo) out.push_back(i);
-    }
-    query_node(node.left, q, out);
-    query_node(node.right, q, out);
-  }
-}
-
 std::vector<std::size_t> RectIntervalIndex::intersecting(
     const Rect& query) const {
   std::vector<std::size_t> out;
-  query_node(root_, query, out);
+  visit_any(query, [&out](std::size_t i) {
+    out.push_back(i);
+    return false;
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -24,8 +24,9 @@ namespace contango {
 ///     Replaces the flat region scan of the bottom-up merge pairing.
 ///
 /// Every index is *bit-identical* to the linear scan it replaces: distances
-/// are computed by the same expressions, candidate sets are enumerated in
-/// ascending index order, and nearest-neighbour ties break toward the
+/// are computed by the same expressions, candidate sets are the scan's
+/// (intersecting() lists them in ascending index order), and
+/// nearest-neighbour ties break toward the
 /// smallest id — exactly the argmin a first-wins linear scan produces.
 /// tests/test_spatial.cpp fuzzes every index against a test-local scan.
 
@@ -45,14 +46,13 @@ class RectIntervalIndex {
   /// Indices (ascending) of rectangles intersecting `query` (closed test).
   std::vector<std::size_t> intersecting(const Rect& query) const;
 
-  /// Visitor form: calls fn(index) in ascending index order; fn returns
-  /// true to stop early (used by boolean blocks_* queries).
+  /// Allocation-free visitor: calls fn(index) for each rectangle
+  /// intersecting `query` once, in tree order (not ascending); fn returns
+  /// true to stop early, and visit_any then returns true.  For probes whose
+  /// answer does not depend on the order: any-hit tests and minima.
   template <typename Fn>
-  bool visit(const Rect& query, Fn&& fn) const {
-    for (const std::size_t i : intersecting(query)) {
-      if (fn(i)) return true;
-    }
-    return false;
+  bool visit_any(const Rect& query, Fn&& fn) const {
+    return walk(root_, query, fn);
   }
 
  private:
@@ -63,8 +63,38 @@ class RectIntervalIndex {
     std::vector<std::size_t> by_xhi;  ///< same rects, xhi descending
   };
 
+  template <typename Fn>
+  bool walk(int node_id, const Rect& q, Fn& fn) const {
+    while (node_id >= 0) {
+      const Node& node = nodes_[static_cast<std::size_t>(node_id)];
+      auto y_hit = [&](std::size_t i) { return ylo_[i] <= q.yhi && yhi_[i] >= q.ylo; };
+      if (q.xhi < node.center) {
+        // Only intervals starting at or before q.xhi can reach the query.
+        for (const std::size_t i : node.by_xlo) {
+          if (xlo_[i] > q.xhi) break;
+          if (y_hit(i) && fn(i)) return true;
+        }
+        node_id = node.left;
+      } else if (q.xlo > node.center) {
+        for (const std::size_t i : node.by_xhi) {
+          if (xhi_[i] < q.xlo) break;
+          if (y_hit(i) && fn(i)) return true;
+        }
+        node_id = node.right;
+      } else {
+        // The query straddles the center: every spanning interval overlaps
+        // in x, and both subtrees may hold hits.
+        for (const std::size_t i : node.by_xlo) {
+          if (y_hit(i) && fn(i)) return true;
+        }
+        if (walk(node.left, q, fn)) return true;
+        node_id = node.right;
+      }
+    }
+    return false;
+  }
+
   int build_str(std::vector<std::size_t>& by_lo, std::vector<std::size_t>& by_hi);
-  void query_node(int node, const Rect& q, std::vector<std::size_t>& out) const;
 
   // Rect coordinates copied into flat arrays (cache-friendly probes).
   std::vector<double> xlo_, xhi_, ylo_, yhi_;

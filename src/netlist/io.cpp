@@ -1,13 +1,18 @@
 #include "netlist/io.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 
 #include "netlist/binio.h"
@@ -24,8 +29,44 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Parses a window bound token: a double, or the one-sided markers
+/// Whitespace of the classic "C" locale: space, \t, \n, \v, \f, \r.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Parses a whole field as a number in strtod's decimal form: one leading
+/// `+` is allowed (from_chars takes none), and the first character after
+/// the sign must be a digit or `.`, which keeps out the `nan`/`inf`
+/// spellings from_chars would otherwise read.  Doubles are correctly
+/// rounded; overflow is rejected, and a value too small for a subnormal
+/// reads as (signed) zero, the way strtod reads it.
+template <typename Number>
+bool parse_number(std::string_view field, Number* out) {
+  const char* first = field.data();
+  const char* last = first + field.size();
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && *first == '-') return false;
+  }
+  const char* body = first != last && *first == '-' ? first + 1 : first;
+  if (body == last || !(is_digit(*body) || *body == '.')) return false;
+  Number v{};
+  auto [end, ec] = std::from_chars(first, last, v);
+  if constexpr (std::is_floating_point_v<Number>) {
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars reports both ends of the range; strtod tells them apart.
+      v = std::strtod(std::string(first, last).c_str(), nullptr);
+      if (!std::isinf(v)) ec = std::errc();
+    }
+  }
+  if (end != last || ec != std::errc()) return false;
+  *out = v;
+  return true;
+}
+
+/// Parses a window bound field: a double, or the one-sided markers
 /// `inf` / `+inf` / `-inf` (what the writer prints for unbounded ends).
+/// Unlike other numeric fields, it keeps strtod's full grammar.
 bool parse_window_bound(const std::string& token, double* out) {
   if (token == "inf" || token == "+inf") {
     *out = std::numeric_limits<double>::infinity();
@@ -42,6 +83,43 @@ bool parse_window_bound(const std::string& token, double* out) {
   *out = v;
   return true;
 }
+
+/// The whitespace-separated fields of one line, read left to right.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : rest_(line) {}
+
+  /// Next field, or an empty view at the end of the line.
+  std::string_view next() {
+    std::size_t i = 0;
+    while (i < rest_.size() && is_space(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !is_space(rest_[j])) ++j;
+    const std::string_view field = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    return field;
+  }
+
+  /// Reads the next fields into `values` (names, doubles or integers);
+  /// false when a field is missing or not entirely a number.
+  template <typename... T>
+  bool read(T&... values) {
+    return (read_one(values) && ...);
+  }
+
+ private:
+  bool read_one(std::string& s) {
+    const std::string_view field = next();
+    s.assign(field);
+    return !field.empty();
+  }
+  template <typename Number>
+  bool read_one(Number& v) {
+    return parse_number(next(), &v);
+  }
+
+  std::string_view rest_;
+};
 
 }  // namespace
 
@@ -69,9 +147,9 @@ Benchmark read_benchmark(std::istream& in, const std::string& context) {
     ++line_no;
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ss(line);
-    std::string keyword;
-    if (!(ss >> keyword)) continue;
+    Fields fields(line);
+    const std::string_view keyword = fields.next();
+    if (keyword.empty()) continue;
 
     auto fail = [&](const std::string& what) {
       throw BenchmarkParseError(context, line_no, what);
@@ -88,9 +166,16 @@ Benchmark read_benchmark(std::istream& in, const std::string& context) {
       return 0;  // unreachable
     };
 
-    if (keyword == "units") {
+    // Sink lines first: they are nearly every line of a large file.
+    if (keyword == "sink") {
+      Sink s;
+      if (!fields.read(s.name, s.position.x, s.position.y, s.cap)) {
+        fail("sink needs: name x y cap_ff");
+      }
+      bench.sinks.push_back(std::move(s));
+    } else if (keyword == "units") {
       std::string u[4];
-      if (!(ss >> u[0] >> u[1] >> u[2] >> u[3])) {
+      if (!fields.read(u[0], u[1], u[2], u[3])) {
         fail("units needs four tokens: um ps fF kohm");
       }
       for (int i = 0; i < 4; ++i) {
@@ -100,60 +185,59 @@ Benchmark read_benchmark(std::istream& in, const std::string& context) {
         }
       }
     } else if (keyword == "name") {
-      if (!(ss >> bench.name)) fail("name needs one token");
+      if (!fields.read(bench.name)) fail("name needs one token");
     } else if (keyword == "die") {
-      if (!(ss >> bench.die.xlo >> bench.die.ylo >> bench.die.xhi >> bench.die.yhi)) {
+      if (!fields.read(bench.die.xlo, bench.die.ylo, bench.die.xhi, bench.die.yhi)) {
         fail("die needs four coordinates: xlo ylo xhi yhi");
       }
     } else if (keyword == "source") {
-      if (!(ss >> bench.source.x >> bench.source.y)) {
+      if (!fields.read(bench.source.x, bench.source.y)) {
         fail("source needs two coordinates: x y");
       }
     } else if (keyword == "source_res") {
-      if (!(ss >> bench.source_res)) fail("source_res needs one number");
+      if (!fields.read(bench.source_res)) fail("source_res needs one number");
     } else if (keyword == "slew_limit") {
-      if (!(ss >> bench.tech.slew_limit)) fail("slew_limit needs one number");
+      if (!fields.read(bench.tech.slew_limit)) fail("slew_limit needs one number");
     } else if (keyword == "cap_limit") {
-      if (!(ss >> bench.tech.cap_limit)) fail("cap_limit needs one number");
+      if (!fields.read(bench.tech.cap_limit)) fail("cap_limit needs one number");
     } else if (keyword == "supply_alpha") {
-      if (!(ss >> bench.tech.supply_alpha)) fail("supply_alpha needs one number");
+      if (!fields.read(bench.tech.supply_alpha)) fail("supply_alpha needs one number");
     } else if (keyword == "rise_fall_ratio") {
-      if (!(ss >> bench.tech.rise_fall_ratio)) fail("rise_fall_ratio needs one number");
+      if (!fields.read(bench.tech.rise_fall_ratio)) fail("rise_fall_ratio needs one number");
     } else if (keyword == "corners") {
-      double v;
-      while (ss >> v) bench.tech.corners.push_back(v);
+      for (std::string_view field = fields.next(); !field.empty(); field = fields.next()) {
+        double v = 0.0;
+        if (!parse_number(field, &v)) {
+          fail("malformed corners voltage '" + std::string(field) + "'");
+        }
+        bench.tech.corners.push_back(v);
+      }
       if (bench.tech.corners.empty()) fail("corners needs at least one voltage");
       bench.tech.vdd_nom = bench.tech.corners.front();
     } else if (keyword == "wire") {
       WireType w;
-      if (!(ss >> w.name >> w.r_per_um >> w.c_per_um)) {
+      if (!fields.read(w.name, w.r_per_um, w.c_per_um)) {
         fail("wire needs: name kohm_per_um ff_per_um");
       }
       bench.tech.wires.push_back(w);
     } else if (keyword == "inverter") {
       InverterType inv;
-      if (!(ss >> inv.name >> inv.input_cap >> inv.output_cap >> inv.output_res >>
-            inv.intrinsic_delay)) {
+      if (!fields.read(inv.name, inv.input_cap, inv.output_cap, inv.output_res,
+                       inv.intrinsic_delay)) {
         fail("inverter needs: name cin_ff cout_ff rout_kohm intrinsic_ps");
       }
       bench.tech.inverters.push_back(inv);
     } else if (keyword == "sinks") {
-      if (!(ss >> declared_sinks) || declared_sinks < 0) {
+      if (!fields.read(declared_sinks) || declared_sinks < 0) {
         fail("sinks needs a non-negative count");
       }
-    } else if (keyword == "sink") {
-      Sink s;
-      if (!(ss >> s.name >> s.position.x >> s.position.y >> s.cap)) {
-        fail("sink needs: name x y cap_ff");
-      }
-      bench.sinks.push_back(s);
     } else if (keyword == "obstacles") {
-      if (!(ss >> declared_obstacles) || declared_obstacles < 0) {
+      if (!fields.read(declared_obstacles) || declared_obstacles < 0) {
         fail("obstacles needs a non-negative count");
       }
     } else if (keyword == "obstacle") {
       Rect r;
-      if (!(ss >> r.xlo >> r.ylo >> r.xhi >> r.yhi)) {
+      if (!fields.read(r.xlo, r.ylo, r.xhi, r.yhi)) {
         fail("obstacle needs four coordinates: xlo ylo xhi yhi");
       }
       if (r.xhi <= r.xlo || r.yhi <= r.ylo) {
@@ -162,12 +246,12 @@ Benchmark read_benchmark(std::istream& in, const std::string& context) {
       bench.obstacle_rects.push_back(r);
     } else if (keyword == "domain") {
       std::string dname;
-      if (!(ss >> dname)) fail("domain needs one name token");
+      if (!fields.read(dname)) fail("domain needs one name token");
       bench.constraints.domain_names.push_back(dname);
     } else if (keyword == "domain_bound") {
       std::string a, b;
       DomainBound bound;
-      if (!(ss >> a >> b >> bound.bound)) {
+      if (!fields.read(a, b, bound.bound)) {
         fail("domain_bound needs: domain_a domain_b skew_ps");
       }
       bound.a = domain_index(a);
@@ -176,7 +260,7 @@ Benchmark read_benchmark(std::istream& in, const std::string& context) {
     } else if (keyword == "sink_domain") {
       long index = -1;
       std::string dname;
-      if (!(ss >> index >> dname) || index < 0) {
+      if (!fields.read(index, dname) || index < 0) {
         fail("sink_domain needs: sink_index domain_name");
       }
       if (!seen_domain_sinks.insert(static_cast<std::size_t>(index)).second) {
@@ -187,7 +271,7 @@ Benchmark read_benchmark(std::istream& in, const std::string& context) {
     } else if (keyword == "sink_window") {
       long index = -1;
       std::string lo_token, hi_token;
-      if (!(ss >> index >> lo_token >> hi_token) || index < 0) {
+      if (!fields.read(index, lo_token, hi_token) || index < 0) {
         fail("sink_window needs: sink_index lo_ps hi_ps (bounds may be "
              "-inf/inf)");
       }
@@ -203,15 +287,13 @@ Benchmark read_benchmark(std::istream& in, const std::string& context) {
       }
       pending_sink_windows.emplace_back(static_cast<std::size_t>(index), w);
     } else {
-      fail("unknown keyword '" + keyword + "'");
+      fail("unknown keyword '" + std::string(keyword) + "'");
     }
 
     // Reject trailing fields on every directive ("die 0 0 1 1 9" is a typo,
-    // not a comment).  corners/units may have left the stream in a fail
-    // state after their last legal extraction; clear it first.
-    ss.clear();
-    std::string extra;
-    if (ss >> extra) fail("unexpected trailing token '" + extra + "'");
+    // not a comment).
+    const std::string_view extra = fields.next();
+    if (!extra.empty()) fail("unexpected trailing token '" + std::string(extra) + "'");
   }
 
   auto check_count = [&](long declared, std::size_t found, const char* what) {
@@ -296,8 +378,50 @@ void require_token_name(const std::string& name, const char* what) {
   }
 }
 
-void write_benchmark_unchecked(const Benchmark& bench, std::ostream& out) {
-  out.precision(17);  // lossless double round-trip
+/// Formats `.bench` text into a fixed buffer and hands it to the stream
+/// whenever the buffer fills (and once at the end), so a stream sees a few
+/// large writes rather than one per token.  Doubles print as `%.17g`
+/// (std::to_chars, general, precision 17, which round-trips every double),
+/// integers in decimal; the stream's own format flags play no part.
+class TextWriter {
+ public:
+  explicit TextWriter(std::ostream& out) : out_(out) {}
+
+  TextWriter& operator<<(std::string_view s) {
+    if (s.size() > sizeof buf_ - used_) flush();
+    if (s.size() > sizeof buf_) {
+      out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    } else {
+      std::memcpy(buf_ + used_, s.data(), s.size());
+      used_ += s.size();
+    }
+    return *this;
+  }
+  TextWriter& operator<<(double v) {
+    char digits[32];
+    const char* end = std::to_chars(digits, digits + sizeof digits, v,
+                                    std::chars_format::general, 17).ptr;
+    return *this << std::string_view(digits, static_cast<std::size_t>(end - digits));
+  }
+  TextWriter& operator<<(std::size_t v) {
+    char digits[24];
+    const char* end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+    return *this << std::string_view(digits, static_cast<std::size_t>(end - digits));
+  }
+
+  void flush() {
+    out_.write(buf_, static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  std::ostream& out_;
+  char buf_[4096];
+  std::size_t used_ = 0;
+};
+
+void write_benchmark_unchecked(const Benchmark& bench, std::ostream& stream) {
+  TextWriter out(stream);
   out << "# contango CNS benchmark\n";
   out << "units " << kUnits[0] << " " << kUnits[1] << " " << kUnits[2] << " "
       << kUnits[3] << "\n";
@@ -355,6 +479,7 @@ void write_benchmark_unchecked(const Benchmark& bench, std::ostream& out) {
       out << "sink_window " << i << " " << w.lo << " " << w.hi << "\n";
     }
   }
+  out.flush();
 }
 
 }  // namespace
@@ -394,8 +519,9 @@ namespace {
 
 /// Feeds everything written to it straight into a Hasher.  Lets
 /// benchmark_content_hash stream write_benchmark instead of materializing
-/// a 1M-sink text image (~60 MB) just to hash it; Hasher::update is
-/// chunk-invariant, so the digest equals fnv1a128 of the full text.
+/// a 1M-sink text image (~60 MB) just to hash it: the writer hands over
+/// one 4 KB block per xsputn, and Hasher::update is chunk-invariant, so
+/// the digest equals fnv1a128 of the full text.
 class HashingStreambuf : public std::streambuf {
  public:
   explicit HashingStreambuf(Hasher& hasher) : hasher_(hasher) {}

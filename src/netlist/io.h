@@ -43,7 +43,10 @@ namespace contango {
 /// `obstacles` count declarations are optional; when present the parser
 /// verifies the actual list length at end of file, which catches truncated
 /// files.  Names (benchmark, wire, inverter, sink) are single tokens;
-/// trailing fields after a directive's expected ones are rejected.  Every
+/// fields are separated by whitespace, each number is a whole field in
+/// decimal notation (read correctly rounded; overflow, `nan`, `inf` and
+/// hex are rejected, except that `sink_window` bounds may be `-inf`/`inf`),
+/// and trailing fields after a directive's expected ones are rejected.  Every
 /// syntax error is reported as a BenchmarkParseError carrying the 1-based
 /// line number and the input name.
 ///
@@ -105,7 +108,8 @@ std::vector<std::string> list_benchmark_files(const std::string& dir);
 ///
 /// The output is deterministic and complete: writing a benchmark, reading
 /// it back and writing it again produces byte-identical text (doubles are
-/// printed with round-trip precision).  `units` and the `sinks`/`obstacles`
+/// printed as `%.17g`, which round-trips; the stream's own format flags
+/// play no part).  `units` and the `sinks`/`obstacles`
 /// count declarations are always emitted.
 /// \throws std::invalid_argument when check_writable rejects the benchmark,
 ///         before anything is written

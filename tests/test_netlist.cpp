@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -198,6 +199,41 @@ TEST(BenchmarkIo, RejectsTrailingTokens) {
       "name x  # trailing comments are fine\ndie 0 0 100 100\nsource 50 0\n"
       "wire w1 0.0001 0.2\ninverter i 4 6 0.4 6\nsink s0 50 50 3\n");
   EXPECT_NO_THROW(read_benchmark(comment_ok));
+}
+
+TEST(BenchmarkIo, RejectsNumbersThatAbut) {
+  // Fields are separated by whitespace: `12.5.3` is not 12.5 then .3, and
+  // `1-2` is not 1 then -2.  Both are rejected on their own line.
+  for (const char* sink : {"sink q 12.5.3 4", "sink q 1-2 3"}) {
+    std::stringstream bad(
+        "name x\ndie 0 0 100 100\nsource 50 0\n"
+        "wire w1 0.0001 0.2\ninverter i 4 6 0.4 6\n" + std::string(sink) + "\n");
+    try {
+      read_benchmark(bad);
+      FAIL() << "expected BenchmarkParseError for '" << sink << "'";
+    } catch (const BenchmarkParseError& e) {
+      EXPECT_EQ(e.line(), 6u) << e.what();
+    }
+  }
+}
+
+TEST(BenchmarkIo, NumbersFollowTheDecimalGrammar) {
+  auto sink_x = [](const std::string& x) {
+    std::stringstream in(
+        "name x\ndie -100 0 100 100\nsource 50 0\n"
+        "wire w1 0.0001 0.2\ninverter i 4 6 0.4 6\nsink s0 " + x + " 50 3\n");
+    return read_benchmark(in).sinks[0].position.x;
+  };
+  EXPECT_EQ(sink_x("+5"), 5.0);
+  EXPECT_EQ(sink_x(".5"), 0.5);
+  EXPECT_EQ(sink_x("5."), 5.0);
+  EXPECT_EQ(sink_x("1e-400"), 0.0);               // underflow reads as zero
+  EXPECT_TRUE(std::signbit(sink_x("-1e-400")));   // ... keeping its sign
+  EXPECT_EQ(sink_x("4e-320"), 4e-320);            // subnormals are kept
+  EXPECT_EQ(sink_x("0.1"), 0.1);                  // correctly rounded
+  for (const char* bad : {"1e400", "nan", "inf", "0x10", "7e", "+-5", "."}) {
+    EXPECT_THROW(sink_x(bad), BenchmarkParseError) << bad;
+  }
 }
 
 TEST(BenchmarkIo, WriterRejectsNamesThatCannotRoundTrip) {

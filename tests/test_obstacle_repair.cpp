@@ -106,6 +106,30 @@ TEST(ObstacleRepair, HeavyCrossingRerouted) {
   EXPECT_GT(report.added_wirelength, 0.0);
 }
 
+TEST(ObstacleRepair, UnroutableCrossingIsAFailedRouteNotAKeptOne) {
+  // The sink sits in a pocket closed by four overlapping bars, so no legal
+  // route reaches it; its heavy crossing stays, counted as a failed route.
+  Benchmark bench = bench_with({{4000, 4000}}, {Rect{3600, 3600, 3700, 4400},
+                                                Rect{4300, 3600, 4400, 4400},
+                                                Rect{3600, 3600, 4400, 3700},
+                                                Rect{3600, 4300, 4400, 4400}});
+  ClockTree tree;
+  const NodeId root = tree.add_source(bench.source);
+  const NodeId sink = tree.add_child(root, NodeKind::kSink, {4000, 4000},
+                                     {{4000, 0}, {4000, 4000}});
+  tree.node(sink).sink_index = 0;
+  const std::vector<Point> route = tree.node(sink).route;
+
+  ObstacleRepairOptions options;
+  options.slew_free_cap = 1.0;
+  const ObstacleRepairReport report = repair_obstacles(tree, bench, options);
+  EXPECT_EQ(report.failed_routes, 1);
+  EXPECT_EQ(report.kept_crossings, 0);
+  EXPECT_EQ(report.l_flips + report.maze_reroutes + report.contour_detours, 0);
+  EXPECT_EQ(tree.node(sink).route, route);
+  EXPECT_EQ(report.added_wirelength, 0.0);
+}
+
 TEST(ObstacleRepair, EnclosedBranchDetouredAlongContour) {
   // A branch node strictly inside a big obstacle with two sinks outside:
   // the detour must relocate the branch onto the contour, keep the sinks,

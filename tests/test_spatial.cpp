@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "geom/maze.h"
 #include "geom/obstacle_set.h"
 #include "geom/spatial.h"
 #include "util/rng.h"
@@ -310,6 +311,108 @@ TEST(SpatialDifferential, ObstacleQueriesIndexEqualsScan) {
     }
   }
   EXPECT_GE(cases, 1000);
+}
+
+// The allocation-free walk behind the boolean probes: each hit once, in
+// any order, and a true from the visitor stops it at the first hit.
+TEST(SpatialDifferential, VisitAnyReportsEachHitOnceAndStopsEarly) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 80; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(0, 40));
+    std::vector<Rect> rects;
+    for (int i = 0; i < n; ++i) {
+      rects.push_back(random_rect(rng, 20, rng.unit() < 0.2 ? 0 : 1));
+    }
+    if (n > 0 && rng.unit() < 0.5) rects.push_back(rects[0]);
+    const RectIntervalIndex index(rects);
+    for (int q = 0; q < 20; ++q) {
+      const Rect query = Rect::around(
+          Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)},
+          Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)});
+      std::vector<std::size_t> seen;
+      EXPECT_FALSE(index.visit_any(query, [&](std::size_t i) {
+        seen.push_back(i);
+        return false;
+      }));
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(seen, scan_intersecting(rects, query)) << "trial " << trial;
+
+      int calls = 0;
+      const bool stopped = index.visit_any(query, [&](std::size_t) {
+        ++calls;
+        return true;
+      });
+      EXPECT_EQ(stopped, !seen.empty());
+      EXPECT_EQ(calls, seen.empty() ? 0 : 1);
+    }
+  }
+}
+
+// The maze router marks blocked escape-graph edges once per window; every
+// mark must equal blocks_segment on that edge, for grids whose lines are
+// obstacle edges (clamped to the window, as the router builds them) mixed
+// with unrelated coordinates, and for obstacles reaching past the window.
+TEST(SpatialDifferential, MarkedMazeEdgesEqualBlocksSegment) {
+  Rng rng(20261021);
+  long edges = 0, blocked = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(0, 20));
+    std::vector<Rect> rects;
+    for (int i = 0; i < n; ++i) rects.push_back(random_rect(rng, 30, 1));
+    if (n > 0 && rng.unit() < 0.3) {  // a fractional rect off the integer grid
+      Rect r = rects.back();
+      r.xhi += 0.25;
+      r.ylo += 0.5;
+      rects.back() = r;
+    }
+    const ObstacleSet obstacles(rects);
+    const Rect window = Rect::around(
+        Point{random_coord(rng, rects, 30), random_coord(rng, rects, 30)},
+        Point{random_coord(rng, rects, 30) + 1.0, random_coord(rng, rects, 30) + 1.0});
+    const std::vector<std::size_t> inside = obstacles.rects_intersecting(window);
+
+    std::vector<double> xs{window.xlo, window.xhi}, ys{window.ylo, window.yhi};
+    for (const std::size_t i : inside) {
+      xs.push_back(std::clamp(rects[i].xlo, window.xlo, window.xhi));
+      xs.push_back(std::clamp(rects[i].xhi, window.xlo, window.xhi));
+      ys.push_back(std::clamp(rects[i].ylo, window.ylo, window.yhi));
+      ys.push_back(std::clamp(rects[i].yhi, window.ylo, window.yhi));
+    }
+    for (int k = 0; k < 3; ++k) {
+      xs.push_back(std::clamp(random_coord(rng, rects, 30), window.xlo, window.xhi));
+      ys.push_back(std::clamp(random_coord(rng, rects, 30), window.ylo, window.yhi));
+    }
+    for (std::vector<double>* v : {&xs, &ys}) {
+      std::sort(v->begin(), v->end());
+      v->erase(std::unique(v->begin(), v->end()), v->end());
+    }
+
+    const BlockedEdges marks = mark_blocked_edges(xs, ys, obstacles.rects(), inside);
+    const std::size_t nx = xs.size();
+    ASSERT_EQ(marks.h.size(), nx * ys.size());
+    ASSERT_EQ(marks.v.size(), nx * ys.size());
+    for (std::size_t iy = 0; iy < ys.size(); ++iy) {
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const Point a{xs[ix], ys[iy]};
+        if (ix + 1 < nx) {
+          const bool want = obstacles.blocks_segment(HVSegment{a, Point{xs[ix + 1], ys[iy]}});
+          EXPECT_EQ(marks.h[iy * nx + ix] != 0, want) << "trial " << trial;
+          ++edges;
+          blocked += want;
+        }
+        if (iy + 1 < ys.size()) {
+          const bool want = obstacles.blocks_segment(HVSegment{a, Point{xs[ix], ys[iy + 1]}});
+          EXPECT_EQ(marks.v[iy * nx + ix] != 0, want) << "trial " << trial;
+          ++edges;
+          blocked += want;
+        }
+      }
+    }
+  }
+  // Both verdicts occur often enough to mean something.
+  EXPECT_GT(edges, 10000);
+  EXPECT_GT(blocked, edges / 20);
+  EXPECT_LT(blocked, edges / 2);
 }
 
 TEST(SpatialProperties, BlockedLengthBoundedOnDisjointSets) {
